@@ -5,7 +5,8 @@ here mechanize invariants that were each learned from a real bug or a
 real design decision in this tree — the fig03 ``pool or default``
 empty-collection bug, the gelu ``np.power`` hot-path regression, the
 fault-site catalog, the serve API deprecations, the telemetry
-one-None-check contract, and the threaded engine's lock discipline.
+one-None-check contract, the threaded engine's lock discipline, and the
+raw-array (``Tensor``-free) serving step.
 ``docs/static_analysis.md`` is the rule catalog with the full rationale.
 
 Library use::

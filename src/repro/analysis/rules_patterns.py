@@ -1,4 +1,4 @@
-"""Pattern rules REP001/REP002/REP004/REP005.
+"""Pattern rules REP001/REP002/REP004/REP005/REP007.
 
 Each of these mechanizes an invariant this repo learned the hard way —
 the rationale for every rule is spelled out in ``docs/static_analysis.md``
@@ -11,6 +11,7 @@ import ast
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .findings import Finding
+from .lockgraph import _self_attr
 from .registry import Rule, register
 from .walker import Project, SourceFile
 
@@ -335,6 +336,92 @@ class HotPathPower(Rule):
                         f"`x ** {k}` with a small integer exponent on the "
                         f"nn/serve hot path; prefer "
                         f"{' * '.join(['x'] * k)}")
+
+
+# --------------------------------------------------------------------- #
+# REP007 — wrapper-free step path
+# --------------------------------------------------------------------- #
+
+#: Functions that make up the raw-``ndarray`` inference path in ``repro/nn``.
+_RAW_PATH_FUNCTIONS = {"apply", "forward_step"}
+
+
+def _instance_attrs(cls: ast.ClassDef) -> Set[str]:
+    """Names assigned as ``self.<name> = ...`` anywhere in ``cls`` — data
+    and submodules, as opposed to the methods its body defines."""
+    attrs: Set[str] = set()
+    for node in ast.walk(cls):
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        attrs.update(attr for attr in map(_self_attr, targets)
+                     if attr is not None)
+    return attrs
+
+
+def _loop_targets(func: ast.AST) -> Set[str]:
+    """Names bound by ``for`` loops / comprehensions inside ``func``."""
+    names: Set[str] = set()
+    for node in ast.walk(func):
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension)):
+            names.update(n.id for n in ast.walk(node.target)
+                         if isinstance(n, ast.Name))
+    return names
+
+
+@register
+class WrapperFreeStep(Rule):
+    """``apply`` / ``forward_step`` in ``repro/nn`` stay on raw arrays.
+
+    The paged serving step runs ``ndarray`` in, ``ndarray`` out: each layer's
+    ``apply`` and each ``forward_step`` performs the graph path's numpy
+    operations without building autograd nodes, which took ~250 ``Tensor``
+    constructions (a quarter of the step's time) off every engine step.
+    The wrapper creeps back in exactly two ways: someone constructs a
+    ``Tensor(...)`` inside one of these functions, or calls a submodule
+    through ``Module.__call__`` (``self.norm(x)``, ``block(x)``), whose
+    ``forward`` wraps its result.  Both are flagged; the single
+    ``Tensor`` a step hands back to its caller carries a noqa.
+    """
+
+    id = "REP007"
+    title = "wrapper-free step path (no Tensor / Module.__call__ in apply, forward_step)"
+    hint = ("stay on raw arrays: call the submodule's .apply(x) / "
+            ".forward_step(...) and wrap the result once, in the caller; "
+            "noqa only the one output wrap of a step")
+
+    def check(self, project: Project) -> Iterable[Finding]:
+        for file in project.files:
+            if "repro/nn/" not in file.rel:
+                continue
+            for func in ast.walk(file.tree):
+                if not (isinstance(func, ast.FunctionDef)
+                        and func.name in _RAW_PATH_FUNCTIONS):
+                    continue
+                cls = file.parent(func)
+                attrs = (_instance_attrs(cls)
+                         if isinstance(cls, ast.ClassDef) else set())
+                loop_names = _loop_targets(func)
+                for node in ast.walk(func):
+                    if isinstance(node, ast.Call):
+                        message = self._violation(node.func, attrs, loop_names)
+                        if message is not None:
+                            yield self.finding(
+                                file.rel, node.lineno, node.col_offset,
+                                f"{message} inside `{func.name}` — the "
+                                f"autograd wrapper creeping back onto the "
+                                f"raw-array step path")
+
+    @staticmethod
+    def _violation(callee: ast.AST, attrs: Set[str],
+                   loop_names: Set[str]) -> Optional[str]:
+        if _terminal_name(callee) == "Tensor":
+            return "Tensor(...) constructed"
+        if _self_attr(callee) in attrs:
+            return f"submodule `self.{callee.attr}(...)` called through Module.__call__"
+        if isinstance(callee, ast.Name) and callee.id in loop_names:
+            return f"`{callee.id}(...)` called through Module.__call__"
+        return None
 
 
 # --------------------------------------------------------------------- #

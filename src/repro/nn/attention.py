@@ -16,7 +16,7 @@ import numpy as np
 
 from .layers import Dropout, Linear, Module
 from .lora import LoRALinear
-from .tensor import Tensor, get_default_dtype, is_grad_enabled
+from .tensor import Tensor, get_default_dtype, is_grad_enabled, softmax_array
 
 
 @lru_cache(maxsize=16)
@@ -217,81 +217,45 @@ class MultiHeadAttention(Module):
             # New token i (global position past+i) may only attend to <= past+i.
             total = past + new
             scores = scores + causal_mask(total, scores.dtype)[past:total, :]
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        weights = exp / exp.sum(axis=-1, keepdims=True)
-        context = weights @ values
-        merged = np.swapaxes(context, 1, 2).reshape(batch, new, self.d_model)
+        merged = np.swapaxes(softmax_array(scores) @ values, 1, 2).reshape(
+            batch, new, self.d_model)
         return self.out_proj(Tensor(merged, dtype=merged.dtype))
 
-    def forward_step(self, x: Tensor, layer_cache, step) -> Tensor:
-        """Batched single-token decoding step over independent paged sessions.
+    def forward_step(self, x: np.ndarray, layer_cache, step) -> np.ndarray:
+        """Batched ragged step over independent paged sessions, on raw arrays.
 
-        ``x`` holds one new token per active session, ``(n, 1, d_model)``;
-        ``layer_cache`` is this layer's
+        ``x`` is ``(n, width, d_model)``: row *i* feeds the new tokens of one
+        session (one for plain decode; the pending token plus drafts for
+        speculative verification, shorter rows padded with a replicated
+        token whose output is discarded).  ``layer_cache`` is this layer's
         :class:`~repro.nn.paged_cache.PagedLayerKVCache` and ``step`` the
-        :class:`~repro.nn.paged_cache.PagedStepContext` describing where each
-        session's new token lands and which blocks cover its history.  The
-        key/value projections are scattered into the session's tail block and
-        each row attends over its own gathered block table — positions past a
-        session's length (block padding and shorter neighbours) are masked
-        with ``-inf`` so they contribute exact zeros, keeping per-session
-        logits equal to a single-session :meth:`_forward_cached` step.
+        :class:`~repro.nn.paged_cache.PagedStepContext` saying where each
+        valid token lands and which blocks cover each session's history.
+        Only valid tokens are scattered into the pool — one fancy-index write
+        per layer — and each query position attends over its row's gathered
+        block table under ``step.mask`` (causal cutoff, block padding and
+        shorter neighbours in one boolean mask; ``-inf`` scores contribute
+        exact zeros), so position ``t`` of row ``i`` sees exactly what a
+        single-session :meth:`_forward_cached` decode would have seen.
         """
         self._check_cached_preconditions()
-        n, new, _ = x.shape
-        if getattr(step, "counts", None) is not None:
-            return self._forward_multi_step(x, layer_cache, step)
-        if new != 1:
-            raise ValueError("forward_step advances exactly one token per session; "
-                             "prefill prompts through the single-session cache path")
-        q = self._split_heads(self.q_proj(x), n, 1).data
-        k = self._split_heads(self.k_proj(x), n, 1).data
-        v = self._split_heads(self.v_proj(x), n, 1).data
-        layer_cache.append_step(step.write_blocks, step.write_offsets,
-                                k[:, :, 0, :], v[:, :, 0, :])
-
-        gathered_keys, gathered_values = layer_cache.gather(step.tables)
-        scores = (q @ np.swapaxes(gathered_keys, -1, -2)) * (1.0 / float(np.sqrt(self.head_dim)))
-        if step.needs_mask:  # mask block padding + ragged rows; the boolean
-            # mask is computed once per step and shared by every layer.
-            np.copyto(scores, -np.inf, where=step.padding_mask[:, None, None, :])
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        weights = exp / exp.sum(axis=-1, keepdims=True)
-        context = weights @ gathered_values
-        merged = np.swapaxes(context, 1, 2).reshape(n, 1, self.d_model)
-        return self.out_proj(Tensor(merged, dtype=merged.dtype))
-
-    def _forward_multi_step(self, x: Tensor, layer_cache, step) -> Tensor:
-        """Ragged multi-token step (speculative verification forward).
-
-        ``x`` holds ``step.max_count`` query tokens per session, of which row
-        ``i`` uses the first ``step.counts[i]`` (padded positions carry a
-        replicated token whose output is discarded).  Only the valid tokens
-        are scattered into the pool — one fancy-index write per layer, no
-        per-token loop — and each query position attends under
-        ``step.verify_mask``, the per-row causal cutoff that also covers
-        block padding and shorter neighbours, so position ``t`` of row ``i``
-        sees exactly what a sequential single-token decode would have seen.
-        """
-        n, new, _ = x.shape
-        q = self._split_heads(self.q_proj(x), n, new).data
-        k = self._split_heads(self.k_proj(x), n, new).data
-        v = self._split_heads(self.v_proj(x), n, new).data
+        n, width, _ = x.shape
+        q = self._split_heads(self.q_proj.apply(x), n, width)
+        k = self._split_heads(self.k_proj.apply(x), n, width)
+        v = self._split_heads(self.v_proj.apply(x), n, width)
         layer_cache.append_step(step.write_blocks, step.write_offsets,
                                 k[step.row_index, :, step.token_index, :],
                                 v[step.row_index, :, step.token_index, :])
 
-        gathered_keys, gathered_values = layer_cache.gather(step.tables)
-        scores = (q @ np.swapaxes(gathered_keys, -1, -2)) * (1.0 / float(np.sqrt(self.head_dim)))
-        np.copyto(scores, -np.inf, where=step.verify_mask[:, None, :, :])
-        shifted = scores - scores.max(axis=-1, keepdims=True)
-        exp = np.exp(shifted)
-        weights = exp / exp.sum(axis=-1, keepdims=True)
-        context = weights @ gathered_values
-        merged = np.swapaxes(context, 1, 2).reshape(n, new, self.d_model)
-        return self.out_proj(Tensor(merged, dtype=merged.dtype))
+        keys, values = layer_cache.gather(step.tables)
+        scores = (q @ np.swapaxes(keys, -1, -2)) * (1.0 / float(np.sqrt(self.head_dim)))
+        if step.mask is not None:
+            np.copyto(scores, -np.inf, where=step.mask[:, None, :, :])
+        merged = np.swapaxes(softmax_array(scores) @ values, 1, 2).reshape(
+            n, width, self.d_model)
+        return self.out_proj.apply(merged)
 
-    def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
+    def _split_heads(self, x, batch: int, seq: int):
+        """``(batch, seq, d_model)`` -> ``(batch, heads, seq, head_dim)``;
+        a ``Tensor`` on the graph path, a raw array on the step path."""
         return x.reshape(batch, seq, self.num_heads, self.head_dim).swapaxes(1, 2)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import init as weight_init
 from .functional import dropout as dropout_fn
-from .tensor import Tensor
+from .tensor import Tensor, is_grad_enabled
 
 
 class Parameter(Tensor):
@@ -84,6 +84,12 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
+    def has_active_dropout(self) -> bool:
+        """Whether any :class:`Dropout` below has ``p > 0`` — i.e. whether
+        ``train()``/``eval()`` changes what a forward computes at all."""
+        return any(isinstance(module, Dropout) and module.p > 0
+                   for module in self.modules())
+
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()
@@ -143,7 +149,18 @@ class Linear(Module):
         if bias:
             self.bias = Parameter(np.zeros(out_features), name="bias")
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Inference-only forward on a raw array: the graph path's numpy
+        operations in the same order (bit-identical), with no ``Tensor``."""
+        out = x @ self.weight.data
+        if self.use_bias:
+            out = out + self.bias.data
+        return out
+
     def forward(self, x: Tensor) -> Tensor:
+        if not is_grad_enabled():
+            out = self.apply(x.data)
+            return Tensor(out, dtype=out.dtype)
         out = x @ self.weight
         if self.use_bias:
             out = out + self.bias
@@ -160,7 +177,19 @@ class LayerNorm(Module):
         self.gamma = Parameter(np.ones(normalized_shape), name="gamma")
         self.beta = Parameter(np.zeros(normalized_shape), name="beta")
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Inference-only forward on a raw array, bit-identical to the graph
+        path (which computes ``x - mean`` twice; once is the same value)."""
+        scale = 1.0 / x.shape[-1]
+        centered = x + (x.sum(axis=-1, keepdims=True) * scale) * -1.0
+        var = (centered * centered).sum(axis=-1, keepdims=True) * scale
+        rstd = np.power(var + self.eps, -0.5)  # repro: noqa[REP002] one variance per token, and 1/sqrt would not match Tensor.pow bit for bit
+        return (centered * rstd) * self.gamma.data + self.beta.data
+
     def forward(self, x: Tensor) -> Tensor:
+        if not is_grad_enabled():
+            out = self.apply(x.data)
+            return Tensor(out, dtype=out.dtype)
         mean = x.mean(axis=-1, keepdims=True)
         var = x.var(axis=-1, keepdims=True)
         normalized = (x - mean) * ((var + self.eps).pow(-0.5))

@@ -78,16 +78,19 @@ class LoRALinear(Module):
         return self.weight.data + (update if self._lora_enabled else 0.0)
 
     # ------------------------------------------------------------------ #
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Inference-only forward on a raw array: the graph path's numpy
+        operations in the same order (bit-identical), with no ``Tensor``."""
+        out = x @ self.weight.data
+        if self._lora_enabled:
+            out = out + ((x @ self.lora_a.data) @ self.lora_b.data) * self.scale
+        if self.use_bias:
+            out = out + self.bias.data
+        return out
+
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():
-            # Inference fast path: same operations in the same order as the
-            # graph path (bitwise-identical results), but in raw numpy so no
-            # intermediate Tensor objects are allocated per projection.
-            out = x.data @ self.weight.data
-            if self._lora_enabled:
-                out = out + ((x.data @ self.lora_a.data) @ self.lora_b.data) * self.scale
-            if self.use_bias:
-                out = out + self.bias.data
+            out = self.apply(x.data)
             return Tensor(out, dtype=out.dtype)
         out = x @ self.weight
         if self._lora_enabled:

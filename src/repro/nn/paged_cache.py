@@ -218,115 +218,55 @@ class PagedLayerKVCache:
 
 
 class PagedStepContext:
-    """Gather/scatter plan for one batched decode step over the paged cache.
+    """Gather/scatter plan for one batched step over the paged cache.
 
-    Built by :meth:`PagedKVCache.prepare_step` (which also performs any block
+    One shape serves decode and speculative verification alike: row *i*
+    feeds ``counts[i] >= 1`` new tokens (decode is ``counts == 1``) at
+    global positions ``lengths[i] .. lengths[i] + counts[i] - 1``, padded
+    to the batch's widest row.  Built by :meth:`PagedKVCache.prepare_step`
+    / :meth:`PagedKVCache.prepare_multi_step` (which also perform any block
     allocation and copy-on-write the step needs) and consumed by every
-    attention layer, so the per-step table padding — and the ragged/padding
-    attention mask, via :attr:`padding_mask` — happens once, not per layer.
+    attention layer, so table padding and the attention mask are built
+    once per step, not per layer.
 
-    The arrays may alias the cache's internal step buffers: a context is only
-    valid until the next ``prepare_step`` call on the same cache.
+    The flat ``write_blocks``/``write_offsets``/``row_index``/``token_index``
+    arrays cover exactly the *valid* (row, token) pairs, so padded query
+    positions — whose outputs the caller ignores — are never scattered into
+    the pool.  The arrays may alias the cache's internal step buffers: a
+    context is only valid until the next ``prepare_*`` call on the cache.
     """
 
     __slots__ = ("session_ids", "tables", "write_blocks", "write_offsets",
-                 "totals", "positions", "gathered_len", "needs_mask", "_mask")
+                 "row_index", "token_index", "positions", "mask")
 
     def __init__(self, session_ids: np.ndarray, tables: np.ndarray,
                  write_blocks: np.ndarray, write_offsets: np.ndarray,
-                 totals: np.ndarray, positions: np.ndarray,
+                 row_index: np.ndarray, token_index: np.ndarray,
+                 positions: np.ndarray, cutoffs: np.ndarray,
                  block_size: int) -> None:
         self.session_ids = session_ids
         self.tables = tables                #: (n, max_blocks) padded block ids
-        self.write_blocks = write_blocks    #: (n,) block receiving the new token
-        self.write_offsets = write_offsets  #: (n,) offset within that block
-        self.totals = totals                #: (n,) history length incl. new token
-        #: Global position of each session's new token (its previous length).
-        self.positions = positions
-        #: Length of the gathered (block-padded) attention window.
-        self.gathered_len = int(tables.shape[1]) * block_size
-        #: Whether any gathered position lies past a session's history (block
-        #: padding or a shorter neighbour) — when False every layer can skip
-        #: masking entirely.
-        self.needs_mask = int(totals.min()) != self.gathered_len
-        self._mask: Optional[np.ndarray] = None
-
-    @property
-    def padding_mask(self) -> np.ndarray:
-        """Boolean ``(n, gathered_len)`` mask of padded/ragged positions.
-
-        Identical for every attention layer of the step, so it is computed
-        once here instead of once per layer.
-        """
-        if self._mask is None:
-            self._mask = (_position_range(self.gathered_len)[None, :]
-                          >= self.totals[:, None])
-        return self._mask
-
-
-class PagedMultiStepContext:
-    """Gather/scatter plan for one ragged *multi-token* step (speculative
-    decode verification).
-
-    Built by :meth:`PagedKVCache.prepare_multi_step`: row *i* writes
-    ``counts[i]`` new tokens (its previously-sampled token plus its draft
-    tokens) at global positions ``lengths[i] .. lengths[i]+counts[i]-1``.
-    Rows are ragged — shorter rows are padded to ``max_count`` query
-    positions whose outputs the caller ignores — and the flat
-    ``write_blocks``/``write_offsets``/``row_index``/``token_index`` arrays
-    cover exactly the *valid* (row, token) pairs, so padded positions are
-    never scattered into the pool.
-
-    :attr:`verify_mask` is the chunked-prefill causal-mask machinery
-    re-derived for the paged gather: token ``t`` of row ``i`` may attend to
-    gathered positions ``< lengths[i] + t + 1``, which masks block padding,
-    ragged neighbours *and* future draft tokens with one boolean mask shared
-    by every layer.  Padded query rows reuse their row's last valid cutoff,
-    so no softmax row is ever fully masked.
-    """
-
-    __slots__ = ("session_ids", "tables", "counts", "max_count", "lengths",
-                 "write_blocks", "write_offsets", "row_index", "token_index",
-                 "totals", "positions", "gathered_len", "_mask")
-
-    def __init__(self, session_ids: np.ndarray, tables: np.ndarray,
-                 counts: np.ndarray, lengths: np.ndarray,
-                 write_blocks: np.ndarray, write_offsets: np.ndarray,
-                 row_index: np.ndarray, token_index: np.ndarray,
-                 positions: np.ndarray, block_size: int) -> None:
-        self.session_ids = session_ids
-        self.tables = tables                #: (n, max_blocks) padded block ids
-        self.counts = counts                #: (n,) new tokens per row (>= 1)
-        self.max_count = int(counts.max())
-        self.lengths = lengths              #: (n,) history length *before* the step
         self.write_blocks = write_blocks    #: (total,) block per valid token
         self.write_offsets = write_offsets  #: (total,) offset within that block
         self.row_index = row_index          #: (total,) source row per valid token
         self.token_index = token_index      #: (total,) source position per valid token
-        self.totals = lengths + counts      #: (n,) history length after the step
-        #: (n, max_count) global position per query token (padded entries are
+        #: (n, width) global position per query token (padded entries are
         #: clamped to the row's last valid position, keeping them in range).
         self.positions = positions
-        self.gathered_len = int(tables.shape[1]) * block_size
-        self._mask: Optional[np.ndarray] = None
-
-    @property
-    def verify_mask(self) -> np.ndarray:
-        """Boolean ``(n, max_count, gathered_len)`` invisibility mask.
-
-        ``mask[i, t, j]`` is True when gathered position ``j`` must not be
-        attended by query token ``t`` of row ``i`` — everything at or past
-        the causal cutoff ``lengths[i] + t + 1``, which covers future draft
-        tokens, block padding and shorter neighbours at once.  Computed once
-        per step and shared by every attention layer.
-        """
-        if self._mask is None:
-            t_eff = np.minimum(_position_range(self.max_count)[None, :],
-                               self.counts[:, None] - 1)
-            cutoff = self.lengths[:, None] + t_eff + 1
-            self._mask = (_position_range(self.gathered_len)[None, None, :]
-                          >= cutoff[:, :, None])
-        return self._mask
+        gathered_len = int(tables.shape[1]) * block_size
+        #: Boolean ``(n, width, gathered_len)`` invisibility mask over the
+        #: gathered (block-padded) attention window, or None when every
+        #: query token sees the whole window.
+        #: ``mask[i, t, j]`` is True when gathered position ``j`` lies at or
+        #: past ``cutoffs[i, t]``, the causal cutoff of query token ``t`` of
+        #: row ``i`` (its own position + 1) — which covers future draft
+        #: tokens, block padding and shorter neighbours at once.
+        #: Padded query rows reuse their row's last valid cutoff, so no
+        #: softmax row is ever fully masked.
+        self.mask: Optional[np.ndarray] = None
+        if int(cutoffs.min()) != gathered_len:
+            self.mask = (_position_range(gathered_len)[None, None, :]
+                         >= cutoffs[:, :, None])
 
 
 class _StepPlan:
@@ -341,7 +281,7 @@ class _StepPlan:
 
     __slots__ = ("ids_key", "session_ids", "tables", "lengths", "tail_blocks",
                  "versions", "epoch", "offsets_buf", "totals_buf",
-                 "positions_buf")
+                 "positions_buf", "rows", "first_token")
 
     def __init__(self, session_ids: np.ndarray, tables: np.ndarray,
                  lengths: np.ndarray, tail_blocks: np.ndarray,
@@ -357,6 +297,8 @@ class _StepPlan:
         self.offsets_buf = np.empty(n, dtype=np.int64)
         self.totals_buf = np.empty(n, dtype=np.int64)
         self.positions_buf = np.empty(n, dtype=np.int64)
+        self.rows = np.arange(n)  # one valid token (index 0) per row
+        self.first_token = np.zeros(n, dtype=np.int64)
 
 
 class PagedKVCache:
@@ -811,7 +753,9 @@ class PagedKVCache:
         totals = np.add(plan.lengths, 1, out=plan.totals_buf)
         np.copyto(plan.positions_buf, plan.lengths)
         return PagedStepContext(session_ids, plan.tables, plan.tail_blocks,
-                                offsets, totals, plan.positions_buf, block_size)
+                                offsets, plan.rows, plan.first_token,
+                                plan.positions_buf[:, None], totals[:, None],
+                                block_size)
 
     def _template_dims(self) -> Tuple[int, int, np.dtype]:
         template = self.layers[0]._keys
@@ -832,7 +776,7 @@ class PagedKVCache:
                 self._plan = None  # committed a different batch: drop the plan
 
     def prepare_multi_step(self, session_ids: np.ndarray,
-                           counts: np.ndarray) -> PagedMultiStepContext:
+                           counts: np.ndarray) -> PagedStepContext:
         """Build the plan for a ragged multi-token (speculative) step.
 
         Row ``i`` will write ``counts[i] >= 1`` new tokens — its pending
@@ -914,9 +858,9 @@ class PagedKVCache:
         # Padded query positions clamp to the row's last valid position so
         # their (discarded) outputs stay in positional-embedding range.
         positions = lengths[:, None] + np.minimum(t_grid, counts[:, None] - 1)
-        return PagedMultiStepContext(session_ids, tables, counts, lengths,
-                                     write_blocks, write_offsets, row_index,
-                                     token_index, positions, block_size)
+        return PagedStepContext(session_ids, tables, write_blocks,
+                                write_offsets, row_index, token_index,
+                                positions, positions + 1, block_size)
 
     def commit_multi_step(self, session_ids: np.ndarray,
                           counts: np.ndarray) -> None:

@@ -455,14 +455,8 @@ class Tensor:
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
-        # Python float, not np.float64 scalar: keeps float32 inputs float32.
-        c = float(np.sqrt(2.0 / np.pi))
         x = self.data
-        # x*x*x, not x**3: np.power on float64 arrays is ~70x slower than two
-        # multiplies, and gelu sits on every transformer MLP forward.
-        inner = c * (x + 0.044715 * (x * x * x))
-        tanh_inner = np.tanh(inner)
-        out_data = 0.5 * x * (1.0 + tanh_inner)
+        out_data, tanh_inner = _gelu_kernel(x)
         out, record = self._make(out_data, self.requires_grad, (self,))
         if not record:
             return out
@@ -471,7 +465,7 @@ class Tensor:
             if out.grad is None or not self.requires_grad:
                 return
             sech2 = 1.0 - tanh_inner * tanh_inner
-            d_inner = c * (1.0 + 3 * 0.044715 * (x * x))
+            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
             grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
             self._accumulate(out.grad * grad)
 
@@ -640,9 +634,7 @@ class Tensor:
     # Softmax family (kept on Tensor for numerical stability)
     # ------------------------------------------------------------------ #
     def softmax(self, axis: int = -1) -> "Tensor":
-        shifted = self.data - self.data.max(axis=axis, keepdims=True)
-        exp = np.exp(shifted)
-        out_data = exp / exp.sum(axis=axis, keepdims=True)
+        out_data = softmax_array(self.data, axis=axis)
         out, record = self._make(out_data, self.requires_grad, (self,))
         if not record:
             return out
@@ -677,6 +669,30 @@ class Tensor:
 
 def _noop_backward() -> None:
     return None
+
+
+# Python float, not np.float64 scalar: keeps float32 inputs float32.
+_GELU_C = float(np.sqrt(2.0 / np.pi))
+
+
+def _gelu_kernel(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gelu(x), tanh term)``; the tanh term is what backward reuses."""
+    # x*x*x, not x**3: np.power on float64 arrays is ~70x slower than two
+    # multiplies, and gelu sits on every transformer MLP forward.
+    tanh_inner = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
+    return 0.5 * x * (1.0 + tanh_inner), tanh_inner
+
+
+def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
+    """:meth:`Tensor.softmax` on a raw array (numerically stable)."""
+    exp = np.exp(x - x.max(axis=axis, keepdims=True))
+    return exp / exp.sum(axis=axis, keepdims=True)
+
+
+def gelu_array(x: np.ndarray) -> np.ndarray:
+    """:meth:`Tensor.gelu` on a raw array — the same kernel, so the two
+    agree bit for bit (the inference-only ``apply`` paths use this one)."""
+    return _gelu_kernel(x)[0]
 
 
 # ---------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ from .paged_cache import (
 )
 from .layers import Dropout, GELU, LayerNorm, Linear, Module, ModuleList, Sequential
 from .lora import LoRALinear
-from .tensor import Tensor
+from .tensor import Tensor, gelu_array, is_grad_enabled
 
 
 @lru_cache(maxsize=256)
@@ -45,7 +45,19 @@ class FeedForward(Module):
         self.activation = GELU()
         self.dropout = Dropout(dropout)
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Inference-only forward on a raw array (bit-identical to the graph
+        path with dropout inactive, which is the only case it accepts)."""
+        if self.training and self.dropout.p > 0:
+            raise RuntimeError(
+                "FeedForward.apply skips dropout and would diverge from the "
+                "full forward; call eval() first")
+        return self.fc2.apply(gelu_array(self.fc1.apply(x)))
+
     def forward(self, x: Tensor) -> Tensor:
+        if not is_grad_enabled() and not (self.training and self.dropout.p > 0):
+            out = self.apply(x.data)
+            return Tensor(out, dtype=out.dtype)
         return self.dropout(self.fc2(self.activation(self.fc1(x))))
 
 
@@ -70,12 +82,12 @@ class TransformerBlock(Module):
         x = x + self.mlp(self.norm2(x))
         return x
 
-    def forward_step(self, x: Tensor, layer_cache: PagedLayerKVCache,
-                     step: PagedStepContext) -> Tensor:
-        """Batched multi-session single-token step (see ``MultiHeadAttention.forward_step``)."""
-        x = x + self.attention.forward_step(self.norm1(x), layer_cache, step)
-        x = x + self.mlp(self.norm2(x))
-        return x
+    def forward_step(self, x: np.ndarray, layer_cache: PagedLayerKVCache,
+                     step: PagedStepContext) -> np.ndarray:
+        """Batched ragged paged step on raw arrays (see
+        ``MultiHeadAttention.forward_step``)."""
+        x = x + self.attention.forward_step(self.norm1.apply(x), layer_cache, step)
+        return x + self.mlp.apply(self.norm2.apply(x))
 
 
 class TransformerBackbone(Module):
@@ -168,18 +180,20 @@ class TransformerBackbone(Module):
             raise ValueError(f"sequence length {worst} exceeds maximum {self.max_seq_len}")
         if counts is not None:
             step = cache.prepare_multi_step(session_ids, counts)
-            pos_embedding = self.position_embedding.data[step.positions]
         else:
             step = cache.prepare_step(session_ids)
-            pos_embedding = self.position_embedding.data[step.positions][:, None, :]
-        x = embeddings + Tensor(pos_embedding, dtype=pos_embedding.dtype)
+        # Raw arrays from here to the final norm: the step is inference-only
+        # (the attention layers refuse to run with grad enabled), so nothing
+        # in between needs a graph node.
+        x = embeddings.data + self.position_embedding.data[step.positions]
         for block, layer_cache in zip(self.blocks, cache.layers):
             x = block.forward_step(x, layer_cache, step)
         if counts is not None:
             cache.commit_multi_step(session_ids, counts)
         else:
             cache.commit_step(session_ids)
-        return self.final_norm(x)
+        features = self.final_norm.apply(x)
+        return Tensor(features, dtype=features.dtype)  # repro: noqa[REP007] the step's one output wrap
 
     def forward(self, embeddings: Tensor, causal: bool = True,
                 cache: Optional[KVCache] = None) -> Tensor:

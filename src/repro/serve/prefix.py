@@ -22,13 +22,38 @@ least recently matched preamble and its blocks.
 from __future__ import annotations
 
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..llm import LanguageModel
 from ..nn import KVCache, PagedKVCache, no_grad
+
+
+@contextmanager
+def cached_inference(model: LanguageModel, toggle_eval: bool) -> Iterator[None]:
+    """``no_grad`` around one KV-cached serving forward.
+
+    KV-cached forwards skip dropout, so a training-mode model with active
+    dropout must run them in eval mode (restored afterwards, as ``generate()``
+    does).  ``toggle_eval`` is the caller's one-time
+    :meth:`~repro.nn.Module.has_active_dropout` answer: a model without
+    active dropout — the usual served model — computes the same thing in
+    either mode, and skipping the flip saves two walks over every module per
+    forward.  Should dropout be switched on after that answer was taken, the
+    cached-attention and MLP step paths raise rather than diverge silently.
+    """
+    toggle = toggle_eval and model.training
+    if toggle:
+        model.eval()
+    try:
+        with no_grad():
+            yield
+    finally:
+        if toggle:
+            model.train()
 
 
 @dataclass
@@ -70,6 +95,7 @@ class PrefixCache:
         # cannot consume pool blocks reserved for matchable heads.
         limit = model.config.max_seq_len - 1
         self.max_length = limit if max_length is None else min(max_length, limit)
+        self._toggle_eval = model.has_active_dropout()
         self._entries: "OrderedDict[Tuple[int, ...], PrefixEntry]" = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -121,17 +147,10 @@ class PrefixCache:
             _, evicted = self._entries.popitem(last=False)
             self.cache.release_blocks(evicted.block_ids)
 
-        was_training = self.model.training
-        if was_training:
-            self.model.eval()
-        try:
-            with no_grad():
-                head_cache = self.model.init_cache()
-                self.model.forward_incremental(
-                    np.asarray(ids, dtype=np.int64)[None, :], head_cache)
-        finally:
-            if was_training:
-                self.model.train()
+        with cached_inference(self.model, self._toggle_eval):
+            head_cache = self.model.init_cache()
+            self.model.forward_incremental(
+                np.asarray(ids, dtype=np.int64)[None, :], head_cache)
         keys = [layer.keys[0] for layer in head_cache.layers]
         values = [layer.values[0] for layer in head_cache.layers]
 

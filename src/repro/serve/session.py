@@ -41,10 +41,10 @@ import numpy as np
 
 from ..llm import LanguageModel
 from ..llm.generation import GenerationResult, sample_token
-from ..nn import DEFAULT_BLOCK_SIZE, KVCache, no_grad
+from ..nn import DEFAULT_BLOCK_SIZE, KVCache
 from ..utils import seeded_rng
 from .metrics import RequestMetrics
-from .prefix import PrefixCache, PrefixEntry
+from .prefix import PrefixCache, PrefixEntry, cached_inference
 from .speculative import AdaptiveK, NgramProposer
 
 #: Session lifecycle states.
@@ -168,6 +168,9 @@ class SessionManager:
         if prefill_padding < 0:
             raise ValueError("prefill_padding must be >= 0")
         self.model = model
+        #: Decided once: only a model with active dropout needs eval mode
+        #: around its KV-cached forwards (see ``cached_inference``).
+        self._toggle_eval = model.has_active_dropout()
         self.max_slots = max_slots
         model_limit = model.config.max_seq_len
         self.max_context = min(max_context or model_limit, model_limit)
@@ -269,19 +272,10 @@ class SessionManager:
             if key not in by_prefix:
                 by_prefix[key] = (entry, [])
             by_prefix[key][1].append(session)
-        # Mirror generate(): KV-cached forwards require eval mode (dropout
-        # off); restore the caller's mode afterwards.
-        was_training = self.model.training
-        if was_training:
-            self.model.eval()
-        try:
-            for entry, group in by_prefix.values():
-                head_len = entry.length if entry is not None else 0
-                for band in self._length_bands(group, head_len):
-                    self._admit_group(entry, band)
-        finally:
-            if was_training:
-                self.model.train()
+        for entry, group in by_prefix.values():
+            head_len = entry.length if entry is not None else 0
+            for band in self._length_bands(group, head_len):
+                self._admit_group(entry, band)
 
     def _prepare_prompt(self, session: GenerationSession) -> None:
         """Tokenize the prompt once and match it against the prefix cache.
@@ -380,7 +374,7 @@ class SessionManager:
         for row, tail in enumerate(tails):
             padded[row, :len(tail)] = tail
         shared = entry.block_ids if entry is not None else ()
-        with no_grad():
+        with cached_inference(self.model, self._toggle_eval):
             if entry is not None:
                 if self.faults is not None:
                     self.faults.fire("prefix.seed")
@@ -575,40 +569,33 @@ class SessionManager:
                              f"tokens left to prefill")
         if self.faults is not None:
             self.faults.fire("prefill.chunk")
-        was_training = self.model.training
-        if was_training:  # KV-cached forwards require eval mode (as generate())
-            self.model.eval()
-        try:
-            with no_grad():
-                if session.prefill_cache is None:
-                    entry = session.prefix_entry
-                    if entry is not None:
-                        if self.faults is not None:
-                            self.faults.fire("prefix.seed")
-                        session.prefill_cache = self.prefix.seed_cache(entry, 1)  # repro: noqa[REP005] a live entry implies the prefix cache exists
-                    else:
-                        session.prefill_cache = self.model.init_cache()
-                chunk = np.asarray(
-                    session.prompt_ids[session.prompt_pos:
-                                       session.prompt_pos + take],
-                    dtype=np.int64)[None, :]
-                logits = self.model.forward_incremental(chunk,
-                                                        session.prefill_cache)
-                new_length = session.prompt_pos + take
-                if session.slot is None:
-                    shared = (session.prefix_entry.block_ids
-                              if session.prefix_entry is not None else ())
-                    session.slot = self.cache.admit_rows(
-                        session.prefill_cache, rows=[0],
-                        lengths=[new_length], shared_blocks=shared)[0]
+        with cached_inference(self.model, self._toggle_eval):
+            if session.prefill_cache is None:
+                entry = session.prefix_entry
+                if entry is not None:
+                    if self.faults is not None:
+                        self.faults.fire("prefix.seed")
+                    session.prefill_cache = self.prefix.seed_cache(entry, 1)  # repro: noqa[REP005] a live entry implies the prefix cache exists
                 else:
-                    self.cache.extend_session(session.slot,
-                                              session.prefill_cache,
-                                              new_length=new_length)
-                session.prompt_pos = new_length
-        finally:
-            if was_training:
-                self.model.train()
+                    session.prefill_cache = self.model.init_cache()
+            chunk = np.asarray(
+                session.prompt_ids[session.prompt_pos:
+                                   session.prompt_pos + take],
+                dtype=np.int64)[None, :]
+            logits = self.model.forward_incremental(chunk,
+                                                    session.prefill_cache)
+            new_length = session.prompt_pos + take
+            if session.slot is None:
+                shared = (session.prefix_entry.block_ids
+                          if session.prefix_entry is not None else ())
+                session.slot = self.cache.admit_rows(
+                    session.prefill_cache, rows=[0],
+                    lengths=[new_length], shared_blocks=shared)[0]
+            else:
+                self.cache.extend_session(session.slot,
+                                          session.prefill_cache,
+                                          new_length=new_length)
+            session.prompt_pos = new_length
         if self.telemetry is not None:
             self.telemetry.note_prefill_chunk(session.session_id, take)
         if session.prompt_pos == len(session.prompt_ids):
@@ -652,48 +639,41 @@ class SessionManager:
             [session.prompt_ids[session.prompt_pos:session.prompt_pos + take]
              for session in group], dtype=np.int64)
         failures: List[Tuple[GenerationSession, BaseException]] = []
-        was_training = self.model.training
-        if was_training:  # KV-cached forwards require eval mode (as generate())
-            self.model.eval()
         key = (tuple(session.session_id for session in group), past)
         memo = self._fused_prefill
         self._fused_prefill = None
-        try:
-            with no_grad():
-                if memo is not None and memo[0] == key:
-                    # Same group, same committed length: the fused cache the
-                    # previous chunk's forward extended *is* the stacked
-                    # history — skip re-concatenating every member's K/V.
-                    fused = memo[1]
-                else:
-                    fused = self.model.init_cache()
-                    for fused_layer, layers in zip(
-                            fused.layers,
-                            zip(*(s.prefill_cache.layers for s in group))):
-                        fused_layer.append(
-                            np.concatenate([layer.keys for layer in layers], axis=0),
-                            np.concatenate([layer.values for layer in layers], axis=0))
-                logits = self.model.forward_incremental(chunk, fused)
-                new_length = past + take
-                for row, session in enumerate(group):
-                    try:
-                        # Pool first (reading the fused cache's row), own
-                        # resumable cache after: a pool failure then leaves
-                        # the session exactly as before its chunk.
-                        self.cache.extend_session(session.slot, fused, row=row,
-                                                  new_length=new_length)
-                    except Exception as error:
-                        self.abort(session)
-                        failures.append((session, error))
-                        continue
-                    for fused_layer, layer in zip(fused.layers,
-                                                  session.prefill_cache.layers):
-                        layer.append(fused_layer.keys[row:row + 1, :, past:],
-                                     fused_layer.values[row:row + 1, :, past:])
-                    session.prompt_pos = new_length
-        finally:
-            if was_training:
-                self.model.train()
+        with cached_inference(self.model, self._toggle_eval):
+            if memo is not None and memo[0] == key:
+                # Same group, same committed length: the fused cache the
+                # previous chunk's forward extended *is* the stacked
+                # history — skip re-concatenating every member's K/V.
+                fused = memo[1]
+            else:
+                fused = self.model.init_cache()
+                for fused_layer, layers in zip(
+                        fused.layers,
+                        zip(*(s.prefill_cache.layers for s in group))):
+                    fused_layer.append(
+                        np.concatenate([layer.keys for layer in layers], axis=0),
+                        np.concatenate([layer.values for layer in layers], axis=0))
+            logits = self.model.forward_incremental(chunk, fused)
+            new_length = past + take
+            for row, session in enumerate(group):
+                try:
+                    # Pool first (reading the fused cache's row), own
+                    # resumable cache after: a pool failure then leaves
+                    # the session exactly as before its chunk.
+                    self.cache.extend_session(session.slot, fused, row=row,
+                                              new_length=new_length)
+                except Exception as error:
+                    self.abort(session)
+                    failures.append((session, error))
+                    continue
+                for fused_layer, layer in zip(fused.layers,
+                                              session.prefill_cache.layers):
+                    layer.append(fused_layer.keys[row:row + 1, :, past:],
+                                 fused_layer.values[row:row + 1, :, past:])
+                session.prompt_pos = new_length
         dead = {id(session) for session, _ in failures}
         for row, session in enumerate(group):
             if id(session) in dead:
@@ -763,7 +743,9 @@ class SessionManager:
         prefill chunks are charged per prompt token.  With speculation off
         (or an empty batch) the plan is trivially one token per running row.
 
-        Draft lengths start from each session's adaptive ``k``, are clamped
+        Draft lengths start from each session's adaptive ``k`` (0 for a
+        session whose drafts keep being rejected, outside its probe steps —
+        when every row is at 0 the step is the plain decode step), are clamped
         to the session's remaining context (a session never drafts past
         ``max_context``), and are trimmed longest-first until the batch fits
         ``token_budget`` (each row always keeps its 1 mandatory token).  The
@@ -778,6 +760,7 @@ class SessionManager:
             # Pre-drafting site: proposing touches no model or pool state, so
             # a raise here can never leave KV to roll back.
             self.faults.fire("draft.propose")
+        self._adaptive.begin_step()
         drafts: Dict[int, List[int]] = {}
         for slot in sorted(self.running):
             session = self.running[slot]
@@ -786,7 +769,9 @@ class SessionManager:
             room = self.max_context - (self.cache.length(slot) + 1)
             k = min(self._adaptive.current(slot), max(0, room))
             if k > 0:
-                self.proposer.sync(slot, session.prompt_ids + session.generated)
+                # A session whose k backed off to 0 is not synced until its
+                # next probe; sync then catches up on everything since.
+                self.proposer.sync(slot, session.prompt_ids, session.generated)
                 drafts[slot] = self.proposer.propose(slot, k)
             else:
                 drafts[slot] = []
@@ -845,15 +830,8 @@ class SessionManager:
         slots = np.asarray(sorted(self.running), dtype=np.int64)
         batch = [self.running[int(slot)] for slot in slots]
         tokens = np.asarray([s.generated[-1] for s in batch], dtype=np.int64)
-        was_training = self.model.training
-        if was_training:  # KV-cached forwards require eval mode (as generate())
-            self.model.eval()
-        try:
-            with no_grad():
-                logits = self.model.forward_step(tokens, self.cache, slots).data[:, -1, :]
-        finally:
-            if was_training:
-                self.model.train()
+        with cached_inference(self.model, self._toggle_eval):
+            logits = self.model.forward_step(tokens, self.cache, slots).data[:, -1, :]
         if self.faults is not None:
             # Post-forward site: the K/V writes are committed; a "corrupt"
             # spec perturbs the logits in place before sampling.
@@ -892,16 +870,9 @@ class SessionManager:
             tokens[row, :len(fed)] = fed
             tokens[row, len(fed):] = fed[-1]  # padded columns replicate
         pre_lengths = [self.cache.length(int(slot)) for slot in slots]
-        was_training = self.model.training
-        if was_training:  # KV-cached forwards require eval mode (as generate())
-            self.model.eval()
-        try:
-            with no_grad():
-                logits = self.model.forward_step(tokens, self.cache, slots,
-                                                 counts=counts).data
-        finally:
-            if was_training:
-                self.model.train()
+        with cached_inference(self.model, self._toggle_eval):
+            logits = self.model.forward_step(tokens, self.cache, slots,
+                                             counts=counts).data
         if self.faults is not None:
             # Post-forward site: KV for every draft token is already written,
             # acceptance is not yet decided — the adversarial moment for the

@@ -20,8 +20,9 @@ last few tokens (n-grams of order 3, 2, 1) to the position after their most
 recent earlier occurrence; a draft is the run of tokens that followed the
 longest matching suffix.  On repetitive/templated text most drafts accept
 wholesale and each step emits several tokens; on incompressible text the
-per-session :class:`AdaptiveK` controller backs the draft length off to 1
-so the overhead stays one extra query column per forward.
+per-session :class:`AdaptiveK` controller backs the draft length off to 0,
+so the batch runs the plain one-token decode step and pays for speculation
+only on the aligned probe step every :data:`PROBE_PERIOD` steps.
 
 Everything here is plain data-structure code — no model access, no pool
 access — so a draft fault (site ``draft.propose``) can never corrupt KV
@@ -39,6 +40,10 @@ __all__ = ["DraftProposer", "NgramProposer", "AdaptiveK"]
 #: longer matches are preferred, shorter ones are the fallback.
 MAX_ORDER = 3
 
+#: Every this-many planned decode steps, sessions whose draft length has
+#: backed off to 0 draft one token again (see :class:`AdaptiveK`).
+PROBE_PERIOD = 16
+
 
 class DraftProposer(Protocol):
     """Protocol for draft-token proposers consumed by the session manager.
@@ -50,9 +55,11 @@ class DraftProposer(Protocol):
     draft costs only wasted compute, never a wrong token.
     """
 
-    def sync(self, session_id: int, tokens: Sequence[int]) -> None:
-        """Observe a session's full token history (called before proposing;
-        ``tokens`` grows append-only between calls for a live session)."""
+    def sync(self, session_id: int, *segments: Sequence[int]) -> None:
+        """Observe a session's full token history, given as consecutive
+        ``segments`` (prompt ids, generated ids) so the caller never joins
+        them.  Called before proposing, not necessarily every step; the
+        history grows append-only between calls for a live session."""
 
     def propose(self, session_id: int, k: int) -> List[int]:
         """Up to ``k`` draft tokens continuing the session's history."""
@@ -71,8 +78,9 @@ class NgramProposer:
     first and copies ``k`` tokens from the match onward; a copy that reaches
     the end of history continues cyclically (the session is repeating a
     short cycle — extend it rather than clamp the draft).  Indexing is
-    incremental: :meth:`sync` only walks the tokens appended since the last
-    call, so steady-state cost is O(new tokens), not O(history).
+    incremental: :meth:`sync` only copies and walks the tokens appended
+    since the last call — however many steps ago that was — so steady-state
+    cost is O(new tokens), not O(history).
     """
 
     def __init__(self, min_order: int = 1) -> None:
@@ -84,13 +92,18 @@ class NgramProposer:
         self._index: Dict[int, Dict[Tuple[int, ...], int]] = {}
         self._indexed: Dict[int, int] = {}  # tokens already folded into _index
 
-    def sync(self, session_id: int, tokens: Sequence[int]) -> None:
+    def sync(self, session_id: int, *segments: Sequence[int]) -> None:
         history = self._tokens.setdefault(session_id, [])
-        if len(tokens) < len(history):
+        total = sum(len(segment) for segment in segments)
+        if total < len(history):
             raise ValueError(
                 f"session {session_id} history shrank from {len(history)} to "
-                f"{len(tokens)} tokens; histories are append-only")
-        history.extend(tokens[len(history):])
+                f"{total} tokens; histories are append-only")
+        seen = len(history)  # tokens of the remaining segments already held
+        for segment in segments:
+            if seen < len(segment):
+                history.extend(segment[seen:])
+            seen = max(0, seen - len(segment))
         index = self._index.setdefault(session_id, {})
         done = self._indexed.get(session_id, 0)
         # Index every n-gram ending at positions [done, len); an n-gram
@@ -139,9 +152,18 @@ class AdaptiveK:
     Tracks one draft length per session, capped at the policy's
     ``speculation_k``.  After each verified step: a fully accepted draft
     grows ``k`` by one (toward the cap); a fully rejected draft halves it
-    (toward 1); a partial acceptance settles at the accepted length — so a
-    templated session climbs to the cap and an incompressible one decays to
-    paying a single wasted query column per step.
+    (toward 0); a partial acceptance settles at the accepted length — so a
+    templated session climbs to the cap and an incompressible one stops
+    drafting altogether, which lets a batch of such sessions run the plain
+    one-token decode step.
+
+    A session at 0 is probed with ``k = 1`` on every :data:`PROBE_PERIOD`-th
+    planned step (:meth:`begin_step` is the clock) — the back-off-then-probe
+    shape of a loss-driven rate controller.  Probes are aligned on one clock
+    rather than per session because a step is as wide as its widest row:
+    sixteen sessions probing on sixteen different steps would keep every
+    step two columns wide.  An accepted probe resumes the growth rule from
+    1; a rejected one goes back to 0 until the next probe.
     """
 
     def __init__(self, cap: int) -> None:
@@ -149,19 +171,28 @@ class AdaptiveK:
             raise ValueError("speculation cap must be >= 1")
         self.cap = cap
         self._k: Dict[int, int] = {}
+        self._steps = 0  # planned decode steps so far: the probe clock
+
+    def begin_step(self) -> None:
+        """Advance the probe clock; call once per planned decode step."""
+        self._steps += 1
 
     def current(self, session_id: int) -> int:
-        return self._k.get(session_id, self.cap)
+        k = self._k.get(session_id, self.cap)
+        if k == 0 and self._steps % PROBE_PERIOD == 0:
+            return 1
+        return k
 
     def observe(self, session_id: int, drafted: int, accepted: int) -> None:
         if drafted < 1:
             return
+        k = self._k.get(session_id, self.cap)
         if accepted >= drafted:
-            k = min(self.cap, self.current(session_id) + 1)
+            k = min(self.cap, k + 1)
         elif accepted == 0:
-            k = max(1, self.current(session_id) // 2)
+            k //= 2
         else:
-            k = max(1, accepted)
+            k = accepted
         self._k[session_id] = k
 
     def forget(self, session_id: int) -> None:

@@ -220,6 +220,46 @@ class TestGeneration:
         assert served.total_inferences == direct.total_inferences
 
 
+class TestSampleToken:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_draw_matches_generator_choice(self, dtype):
+        """``sample_token`` inlines the draw ``Generator.choice(n, p=probs)``
+        performs.  Same token ids *and* the same generator state afterwards,
+        over >10k random logits: a numpy upgrade that changes the algorithm
+        must fail here, not change served tokens."""
+        from repro.llm.generation import sample_token
+
+        meta = np.random.default_rng(0)
+        draws = 0
+        for seed in range(130):
+            ours = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            for _ in range(40):
+                vocab = int(meta.integers(2, 160))
+                temperature = float(meta.choice([0.3, 0.7, 1.0, 2.5]))
+                logits = (meta.normal(size=vocab)
+                          * meta.choice([0.1, 1.0, 10.0])).astype(dtype)
+                scaled = logits / temperature
+                scaled = scaled - scaled.max()
+                probs = np.exp(scaled)
+                probs = probs / probs.sum()
+                expected = int(reference.choice(len(probs), p=probs))
+                assert sample_token(logits, temperature, ours) == expected
+                draws += 1
+            assert ours.bit_generator.state == reference.bit_generator.state
+        assert draws >= 5000  # x2 dtypes
+
+    def test_greedy_and_non_finite_logits(self):
+        from repro.llm.generation import sample_token
+
+        rng = np.random.default_rng(0)
+        assert sample_token(np.asarray([0.1, 3.0, -1.0]), 0.0, rng) == 1
+        for bad in (np.nan, np.inf):  # as Generator.choice: "contain NaN"
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="NaN"):
+                sample_token(np.asarray([0.1, bad, -1.0]), 1.0, rng)
+
+
 class TestRegistry:
     def test_build_llm_without_pretraining(self):
         model = build_llm("tiny-test", pretrained=False, seed=7)

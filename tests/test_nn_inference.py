@@ -353,3 +353,83 @@ class TestKVCacheParity:
         uncached = generate(model, "xyz", max_new_tokens=60, stop_on_eos=False,
                             use_cache=False)
         assert cached.token_ids == uncached.token_ids
+
+
+def _randomize(module, rng) -> None:
+    """Non-trivial values everywhere (zero biases / LoRA B / unit gammas would
+    hide a skipped or reordered operation)."""
+    for _, param in module.named_parameters():
+        param.data = rng.normal(0.0, 0.3, size=param.data.shape).astype(param.data.dtype)
+
+
+class TestRawApply:
+    """``apply(ndarray)`` is the inference-only forward the paged step runs:
+    the graph path's numpy operations in the same order, so the same bits."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_apply_is_bit_identical_to_graph_forward(self, dtype, float64_default):
+        from repro.nn import FeedForward, LayerNorm, LoRALinear
+
+        set_default_dtype(dtype)
+        rng = np.random.default_rng(3)
+        lora_off = LoRALinear(24, 40, rank=4, alpha=8.0)
+        lora_off.enable_lora(False)
+        layers = [Linear(24, 40), Linear(24, 40, bias=False),
+                  LoRALinear(24, 40, rank=4, alpha=8.0), lora_off,
+                  LayerNorm(24), FeedForward(24, 96),
+                  FeedForward(24, 96, lora_rank=4, lora_alpha=8.0)]
+        x = rng.normal(0.0, 2.0, size=(5, 3, 24)).astype(dtype)
+        for layer in layers:
+            _randomize(layer, rng)
+            assert is_grad_enabled()
+            graph = layer(Tensor(x, requires_grad=True, dtype=dtype))
+            assert graph.requires_grad, "the reference must be the graph path"
+            raw = layer.apply(x)
+            assert raw.dtype == dtype
+            assert np.array_equal(raw, graph.data), type(layer).__name__
+            with no_grad():  # forward delegates to apply under no_grad
+                assert np.array_equal(layer(Tensor(x, dtype=dtype)).data, raw)
+
+    def test_feedforward_with_active_dropout(self):
+        from repro.nn import FeedForward
+
+        mlp = FeedForward(16, 32, dropout=0.5)
+        x = np.ones((2, 3, 16))
+        with pytest.raises(RuntimeError, match="dropout"):
+            mlp.apply(x)
+        with no_grad():
+            # Training-mode forward still drops, even without a graph.
+            assert np.any(mlp(Tensor(x)).data == 0.0)
+            mlp.eval()
+            assert np.array_equal(mlp(Tensor(x)).data, mlp.apply(x))
+
+    @pytest.mark.parametrize("num_layers", [2, 4])
+    @pytest.mark.parametrize("lora_rank", [0, 4])
+    def test_paged_step_builds_a_constant_handful_of_tensors(
+            self, num_layers, lora_rank, monkeypatch):
+        config = LLMConfig(name="count", family="test", d_model=32,
+                           num_layers=num_layers, num_heads=2, max_seq_len=48)
+        model = LanguageModel(config, lora_rank=lora_rank, seed=0)
+        paged = model.init_paged_cache(max_sessions=2, block_size=4)
+        with no_grad():
+            sids = []
+            for prompt in ([5, 6, 7], [8, 9, 10, 11, 12]):
+                cache = model.init_cache()
+                model.forward_incremental(np.asarray([prompt]), cache)
+                sids.append(paged.admit(cache))
+            sids = np.asarray(sids)
+            built = []
+            original = Tensor.__init__
+
+            def counting(self, *args, **kwargs):
+                built.append(self)
+                original(self, *args, **kwargs)
+
+            monkeypatch.setattr(Tensor, "__init__", counting)
+            model.forward_step(np.asarray([1, 2]), paged, sids)
+            decode = len(built)
+            model.forward_step(np.asarray([[3, 4, 5], [6, 6, 6]]), paged, sids,
+                               counts=np.asarray([3, 1]))
+            verify = len(built) - decode
+        # Embedding lookup, backbone features, logits — whatever the depth.
+        assert 0 < decode <= 3 and 0 < verify <= 3

@@ -858,6 +858,38 @@ class TestServedGeneration:
         assert served.token_ids == reference.token_ids
         assert dropout_model.training  # mode restored
 
+    def test_no_mode_flips_without_active_dropout(self, monkeypatch):
+        # A training-mode model whose dropouts are all p = 0 computes the
+        # same thing in either mode: the manager decides that once and never
+        # walks the module tree around a forward.  Dropout switched on
+        # *after* that decision must fail loudly, not serve dropped tokens.
+        from repro.nn import Dropout, Module
+        from repro.serve import RequestFailed
+
+        config = LLMConfig(name="serve-nodrop", family="test", d_model=32,
+                           num_layers=2, num_heads=2, max_seq_len=64)
+        plain = LanguageModel(config, seed=0)
+        assert plain.training and not plain.has_active_dropout()
+        reference = generate(plain, "abc", max_new_tokens=8, stop_on_eos=False)
+        server = InferenceServer(plain, SchedulerPolicy(
+            max_batch_size=2, prefill_chunk_size=2, step_token_budget=8))
+        server.register_prefix("ab")
+        flips = []
+        original = Module.train
+        monkeypatch.setattr(Module, "train", lambda self, mode=True: (
+            flips.append(mode), original(self, mode))[1])
+        served = server.submit(GenerateRequest(
+            prompt="abc", max_new_tokens=8, stop_on_eos=False)).result()
+        assert served.token_ids == reference.token_ids
+        assert flips == []
+        for module in plain.modules():
+            if isinstance(module, Dropout):
+                module.p = 0.2
+        assert plain.has_active_dropout()
+        late = server.submit(GenerateRequest(prompt="abd", max_new_tokens=4))
+        with pytest.raises(RequestFailed, match="dropout"):
+            late.result()
+
     def test_long_prompt_first_token_matches_generate(self, model):
         # Prompt longer than the context: the engine prefills the same
         # trailing window generate() uses, so the first token agrees; the

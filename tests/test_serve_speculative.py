@@ -27,7 +27,9 @@ from repro.serve import (
     NgramProposer,
     SchedulerPolicy,
 )
+from repro.serve import session as session_module
 from repro.serve.session import SessionManager
+from repro.serve.speculative import PROBE_PERIOD
 
 
 @pytest.fixture(scope="module")
@@ -91,6 +93,41 @@ class TestNgramProposer:
         proposer.sync(0, [1, 2, 3])
         with pytest.raises(ValueError, match="append-only"):
             proposer.sync(0, [1, 2])
+        with pytest.raises(ValueError, match="append-only"):
+            proposer.sync(0, [1], [2])  # judged on the segments' total
+
+    def test_segments_are_one_history(self):
+        # The manager passes prompt ids and generated ids unjoined; every
+        # split of the same history must index identically, including a
+        # prompt segment longer than what was seen so far.
+        tokens = [1, 2, 3, 1, 2, 4, 1, 2, 3, 5, 1, 2]
+        fresh = NgramProposer()
+        fresh.sync(0, tokens)
+        for cut in range(len(tokens) + 1):
+            split = NgramProposer()
+            split.sync(0, tokens[:3], tokens[3:3])       # early, short sync
+            split.sync(0, tokens[:cut], tokens[cut:])
+            assert split._tokens[0] == tokens
+            assert split._index[0] == fresh._index[0]
+            assert split.propose(0, 4) == fresh.propose(0, 4)
+
+    def test_sync_after_many_skipped_steps_catches_up(self):
+        # A session at k = 0 is not synced until its next probe, a whole
+        # probe period later: the one catch-up sync must leave the index a
+        # step-by-step sync would have built.
+        rng = np.random.default_rng(0)
+        prompt = rng.integers(0, 6, size=10).tolist()
+        generated = rng.integers(0, 6, size=3).tolist()
+        stepwise, skipping = NgramProposer(), NgramProposer()
+        stepwise.sync(0, prompt, generated)
+        skipping.sync(0, prompt, generated)
+        for _ in range(PROBE_PERIOD):
+            generated.append(int(rng.integers(0, 6)))
+            stepwise.sync(0, prompt, generated)
+        skipping.sync(0, prompt, generated)
+        assert skipping._tokens[0] == stepwise._tokens[0] == prompt + generated
+        assert skipping._index[0] == stepwise._index[0]
+        assert skipping.propose(0, 4) == stepwise.propose(0, 4)
 
     def test_forget_drops_all_state(self):
         proposer = NgramProposer()
@@ -112,13 +149,62 @@ class TestAdaptiveK:
                              accepted=adaptive.current(1))
         assert adaptive.current(1) == 8
 
-    def test_full_rejection_halves_toward_one(self):
+    def test_full_rejection_halves_to_zero(self):
         adaptive = AdaptiveK(cap=8)
+        adaptive.begin_step()
         adaptive.observe(1, drafted=8, accepted=0)
         assert adaptive.current(1) == 4
-        for _ in range(5):
+        seen = []
+        for _ in range(4):
             adaptive.observe(1, drafted=adaptive.current(1), accepted=0)
-        assert adaptive.current(1) == 1  # floor, never 0
+            seen.append(adaptive.current(1))
+        assert seen == [2, 1, 0, 0]  # 1 -> 0: the session stops drafting
+
+    def test_sessions_at_zero_probe_on_one_aligned_step(self):
+        adaptive = AdaptiveK(cap=4)
+        # Two sessions reach 0 on different steps...
+        for step in range(1, 9):
+            adaptive.begin_step()
+            for sid, first in ((1, 1), (2, 4)):
+                if step >= first:
+                    k = adaptive.current(sid)
+                    adaptive.observe(sid, drafted=k, accepted=0)
+        # ...yet both probe with k = 1 on the same step, once per period,
+        # and a rejected probe leaves them at 0.
+        probes = {1: [], 2: []}
+        for step in range(9, 9 + 3 * PROBE_PERIOD):
+            adaptive.begin_step()
+            for sid in (1, 2):
+                k = adaptive.current(sid)
+                assert k in (0, 1)
+                if k:
+                    probes[sid].append(step)
+                    adaptive.observe(sid, drafted=1, accepted=0)
+        assert probes[1] == probes[2] == [16, 32, 48]
+        assert adaptive.current(3) == 4  # a new session starts at the cap
+
+    def test_accepted_probe_resumes_growth(self):
+        adaptive = AdaptiveK(cap=4)
+        adaptive._k[1] = 0
+        for _ in range(PROBE_PERIOD):
+            adaptive.begin_step()
+        assert adaptive.current(1) == 1  # the probe
+        adaptive.observe(1, drafted=1, accepted=1)
+        grown = []
+        for _ in range(4):
+            adaptive.begin_step()
+            grown.append(adaptive.current(1))
+            adaptive.observe(1, drafted=grown[-1], accepted=grown[-1])
+        assert grown == [1, 2, 3, 4]
+
+    def test_forget_restarts_a_slot_at_the_cap(self):
+        adaptive = AdaptiveK(cap=4)
+        adaptive.begin_step()
+        adaptive._k[1] = 0
+        assert adaptive.current(1) == 0
+        adaptive.forget(1)
+        assert adaptive.current(1) == 4  # the slot's next session is unknown
+        adaptive.forget(1)  # idempotent
 
     def test_partial_acceptance_settles_at_accepted(self):
         adaptive = AdaptiveK(cap=8)
@@ -332,6 +418,124 @@ class TestEngineParity:
             row = record.to_dict()
             assert row["tokens_drafted"] == record.tokens_drafted
             assert row["tokens_accepted"] == record.tokens_accepted
+
+
+class _FloorOneK(AdaptiveK):
+    """The controller before back-off reached 0: a fully rejected draft
+    halves toward 1 and stays there (the reference for 'templated traffic is
+    untouched')."""
+
+    def observe(self, session_id, drafted, accepted):
+        super().observe(session_id, drafted, accepted)
+        if drafted >= 1:
+            self._k[session_id] = max(1, self._k[session_id])
+
+
+def _scripted_sampler(scripts):
+    """A ``sample_token`` stand-in that ignores the logits: the i-th session
+    to sample emits ``scripts[i]``, token by token.  ``sample_token`` runs
+    once per emitted token and a draft is accepted iff it equals the sampled
+    token, so the script *is* the session's output and decides acceptance.
+    Sessions are told apart by the per-session generator they pass in."""
+    streams = {}
+
+    def sample(logits, temperature, rng):
+        if id(rng) not in streams:
+            streams[id(rng)] = iter(scripts[len(streams)])
+        return next(streams[id(rng)])
+
+    return sample
+
+
+def _decode_records(server):
+    return [r for r in server.telemetry.records() if r.decode_sessions]
+
+
+class TestSelfDisablingSpeculation:
+    def test_incompressible_batch_stops_drafting_and_stays_exact(self, model):
+        rng = np.random.default_rng(5)
+        alphabet = list("abcdefghijklmnopqrstuvwxyz0123456789 .,;")
+        prompts = ["".join(rng.choice(alphabet, size=int(rng.integers(8, 32))))
+                   for _ in range(16)]
+
+        def run(speculation):
+            server = InferenceServer(model=model, policy=SchedulerPolicy(
+                max_batch_size=16, block_size=16, speculation=speculation,
+                speculation_k=4))
+            handles = [server.submit(GenerateRequest(
+                prompt=prompt, max_new_tokens=96, temperature=1.0, seed=i,
+                stop_on_eos=False)) for i, prompt in enumerate(prompts)]
+            server.run_until_idle()
+            _invariants(server)
+            return [h.result(timeout=60).token_ids for h in handles], server
+
+        base, _ = run("off")
+        spec, server = run("ngram")
+        assert spec == base
+        records = _decode_records(server)
+        assert server.stats().tokens_drafted > 0  # it did try
+        steady = records[2 * PROBE_PERIOD:]  # past the 4 -> 2 -> 1 -> 0 back-off
+        assert len(steady) >= 2 * PROBE_PERIOD
+        idle = sum(1 for r in steady if r.tokens_drafted == 0)
+        assert idle >= 0.8 * len(steady), (
+            f"only {idle}/{len(steady)} steady-state steps ran undrafted")
+
+    def test_templated_batch_is_untouched(self, model, monkeypatch):
+        # Each session repeats its own status line: every draft copied from
+        # the previous line is accepted, no session is ever fully rejected
+        # at k = 1, and so the back-off to 0 must change nothing at all.
+        lines = [f"status: ok; retry: {s % 3}; latency: {7 * s}ms; "
+                 for s in range(6)]
+        scripts = [model.tokenizer.encode(line) * 4 for line in lines]
+        prompts = [line * 2 for line in lines]
+
+        def run(controller):
+            monkeypatch.setattr(session_module, "sample_token",
+                                _scripted_sampler(scripts))
+            server = InferenceServer(model=model, policy=SchedulerPolicy(
+                max_batch_size=8, block_size=16, speculation="ngram",
+                speculation_k=4))
+            server._manager._adaptive = controller(4)
+            handles = [server.submit(GenerateRequest(
+                prompt=prompt, max_new_tokens=len(script), temperature=1.0,
+                stop_on_eos=False)) for prompt, script in zip(prompts, scripts)]
+            server.run_until_idle()
+            assert [h.result(timeout=60).token_ids for h in handles] == scripts
+            stats = server.stats()
+            return (stats.tokens_drafted, stats.tokens_accepted,
+                    len(_decode_records(server)))
+
+        floor_one = run(_FloorOneK)
+        assert floor_one[1] > 0.7 * floor_one[0], "fixture is not templated"
+        assert run(AdaptiveK) == floor_one
+
+    def test_stream_turning_repetitive_is_reprobed_back_to_the_cap(
+            self, model, monkeypatch):
+        # Noise over six symbols, then a period-3 cycle.
+        rng = np.random.default_rng(2)
+        noise, cycle = 80, 90
+        script = (rng.integers(10, 16, size=noise).tolist()
+                  + [20, 21, 22] * (cycle // 3))
+        monkeypatch.setattr(session_module, "sample_token",
+                            _scripted_sampler([script]))
+        server = InferenceServer(model=model, policy=SchedulerPolicy(
+            max_batch_size=2, block_size=16, speculation="ngram",
+            speculation_k=4))
+        handle = server.submit(GenerateRequest(
+            prompt="x", max_new_tokens=len(script), temperature=1.0,
+            stop_on_eos=False))
+        server.run_until_idle()
+        assert handle.result(timeout=60).token_ids == script
+        records = _decode_records(server)
+        # The step that emitted the first cycle token (prefill emitted one).
+        done = np.cumsum([1] + [r.decode_tokens for r in records])
+        turn = int(np.searchsorted(done, noise, side="right")) - 1
+        before = records[turn - PROBE_PERIOD:turn]
+        assert sum(1 for r in before if r.tokens_drafted == 0) >= PROBE_PERIOD - 2, \
+            "speculation had not switched itself off on the noise"
+        recovery = records[turn:turn + 2 * PROBE_PERIOD]
+        assert any(r.tokens_drafted == 4 and r.tokens_accepted == 4
+                   for r in recovery), "not back at the cap within two probe periods"
 
 
 class TestInterleavedChaosFreeProperty:

@@ -47,7 +47,7 @@ def hits(findings, rule):
 class TestRegistry:
     def test_all_core_rules_registered(self):
         assert set(RULES) >= {"REP001", "REP002", "REP003", "REP004",
-                              "REP005", "REP006"}
+                              "REP005", "REP006", "REP007"}
 
     def test_select_and_ignore(self):
         only = get_rules(select=["REP002"])
@@ -255,6 +255,60 @@ class TestRep005:
             "        self._thread = Thread(target=self.loop)\n"
             "        self._thread.start()\n")}, select=["REP005"])
         assert findings == []
+
+
+# ---------------------------------------------------------------------- #
+# REP007 — wrapper-free step path
+# ---------------------------------------------------------------------- #
+_RAW_BLOCK = (
+    "class Block(Module):\n"
+    "    def __init__(self):\n"
+    "        self.norm = LayerNorm(8)\n"
+    "        self.layers = ModuleList([])\n"
+    "    def _split(self, x):\n"
+    "        return x.reshape(2, 4)\n")
+
+
+class TestRep007:
+    def test_flags_tensor_and_module_call_in_step_functions(self):
+        findings = check_sources({"src/repro/nn/block.py": _RAW_BLOCK + (
+            "    def apply(self, x):\n"
+            "        return Tensor(self.norm(x).data)\n"
+            "    def forward_step(self, x, cache, step):\n"
+            "        for layer in self.layers:\n"
+            "            x = layer(x)\n"
+            "        return x\n")}, select=["REP007"])
+        messages = sorted(f.message for f in findings)
+        assert len(messages) == 3
+        assert "Tensor(...) constructed inside `apply`" in messages[0]
+        assert "`layer(...)` called through Module.__call__ inside `forward_step`" \
+            in messages[1]
+        assert "`self.norm(...)` called through Module.__call__ inside `apply`" \
+            in messages[2]
+
+    def test_raw_calls_methods_and_other_functions_are_clean(self):
+        findings = check_sources({"src/repro/nn/block.py": _RAW_BLOCK + (
+            "    def apply(self, x):\n"
+            "        return self._split(gelu_array(self.norm.apply(x)))\n"
+            "    def forward_step(self, x, cache, step):\n"
+            "        for layer, kv in zip(self.layers, cache.layers):\n"
+            "            x = layer.forward_step(x, kv, step)\n"
+            "        return x\n"
+            "    def forward(self, x):\n"
+            "        return Tensor(self.norm(x).data)\n")}, select=["REP007"])
+        assert findings == []
+
+    def test_scoped_to_the_nn_package(self):
+        findings = check_sources({"src/repro/llm/model.py": _RAW_BLOCK + (
+            "    def forward_step(self, x):\n"
+            "        return Tensor(self.norm(x).data)\n")}, select=["REP007"])
+        assert findings == []
+
+    def test_the_step_output_wrap_is_a_justified_noqa(self):
+        findings = run([SRC / "repro" / "nn"], select=["REP007"],
+                       include_suppressed=True)
+        assert [(Path(f.path).name, f.suppressed) for f in findings] == \
+            [("transformer.py", True)]
 
 
 # ---------------------------------------------------------------------- #

@@ -3,8 +3,7 @@
 
 The companion of ``check_regression.py``: where that gate machine-checks
 the perf trajectory, this one machine-checks the *invariant* trajectory.
-It runs ``repro.analysis`` over ``src/`` (plus the REP004-only pass over
-``tests/``, ``benchmarks/`` and ``examples/``), writes the fresh report to
+It runs ``repro.analysis`` over ``src/``, writes the fresh report to
 ``benchmarks/results/lint.json``, and compares it against
 ``benchmarks/baselines/lint.json``:
 
@@ -37,14 +36,11 @@ sys.path.insert(0, str(REPO / "src"))
 
 from repro.analysis import run  # noqa: E402  (path bootstrap above)
 
-#: The two gate passes: the full rule set over the library tree, and the
-#: deprecated-API ban repo-wide (satellite code may legitimately trip
-#: e.g. REP001 in ways the library must not, but deprecated serve APIs
-#: are banned everywhere).
+#: The gate pass: the full rule set over the library tree (satellite code
+#: under tests/, benchmarks/ and examples/ may legitimately trip e.g.
+#: REP001 in ways the library must not, so it is not linted).
 PASSES = [
     {"name": "src_full", "paths": ["src"], "select": None},
-    {"name": "repo_rep004", "paths": ["tests", "benchmarks", "examples"],
-     "select": ["REP004"]},
 ]
 
 

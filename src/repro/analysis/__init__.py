@@ -4,7 +4,7 @@ Generic linters know Python; they do not know *this* repo.  The rules
 here mechanize invariants that were each learned from a real bug or a
 real design decision in this tree — the fig03 ``pool or default``
 empty-collection bug, the gelu ``np.power`` hot-path regression, the
-fault-site catalog, the serve API deprecations, the telemetry
+fault-site catalog, the telemetry
 one-None-check contract, the threaded engine's lock discipline, and the
 raw-array (``Tensor``-free) serving step.
 ``docs/static_analysis.md`` is the rule catalog with the full rationale.
@@ -19,7 +19,7 @@ CLI use::
 
     python -m repro.analysis src/                      # text report
     python -m repro.analysis --format=json src/        # machine report
-    python -m repro.analysis --select REP004 tests/    # one rule only
+    python -m repro.analysis --select REP001 tests/    # one rule only
 
 Suppression::
 

@@ -1,4 +1,4 @@
-"""Pattern rules REP001/REP002/REP004/REP005/REP007.
+"""Pattern rules REP001/REP002/REP005/REP007.
 
 Each of these mechanizes an invariant this repo learned the hard way —
 the rationale for every rule is spelled out in ``docs/static_analysis.md``
@@ -422,57 +422,6 @@ class WrapperFreeStep(Rule):
         if isinstance(callee, ast.Name) and callee.id in loop_names:
             return f"`{callee.id}(...)` called through Module.__call__"
         return None
-
-
-# --------------------------------------------------------------------- #
-# REP004 — deprecated API ban
-# --------------------------------------------------------------------- #
-
-
-@register
-class DeprecatedApiBan(Rule):
-    """Deprecated serve-API surfaces must not gain new callers.
-
-    ``RequestMetrics.time_to_first_token`` was deprecated for ``ttft_s``
-    in PR 7 and the stringly ``submit("task", payload)`` surface for typed
-    requests in PR 4.  Both still work (behavior-preserving shims with
-    DeprecationWarnings) — which is exactly why a machine has to stop new
-    code from using them.  The definition site and the pinned
-    deprecation-warning tests carry noqa.
-    """
-
-    id = "REP004"
-    title = "deprecated-API ban (time_to_first_token, stringly submit)"
-    hint = ("use RequestMetrics.ttft_s and typed GenerateRequest/"
-            "DecisionRequest submissions; only the definition site and the "
-            "pinned deprecation tests may noqa this")
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        for file in project.files:
-            for node in ast.walk(file.tree):
-                if (isinstance(node, ast.Attribute)
-                        and node.attr == "time_to_first_token"):
-                    yield self.finding(
-                        file.rel, node.lineno, node.col_offset,
-                        "time_to_first_token is deprecated; use ttft_s")
-                elif (isinstance(node, (ast.FunctionDef,
-                                        ast.AsyncFunctionDef))
-                        and node.name == "time_to_first_token"):
-                    yield self.finding(
-                        file.rel, node.lineno, node.col_offset,
-                        "definition of deprecated time_to_first_token "
-                        "(keep exactly one, noqa'd, until removal)")
-                elif (isinstance(node, ast.Call)
-                        and isinstance(node.func, ast.Attribute)
-                        and node.func.attr == "submit"
-                        and node.args
-                        and isinstance(node.args[0], ast.Constant)
-                        and isinstance(node.args[0].value, str)):
-                    yield self.finding(
-                        file.rel, node.lineno, node.col_offset,
-                        f"stringly submit({node.args[0].value!r}, ...) is "
-                        f"deprecated; submit a typed GenerateRequest/"
-                        f"DecisionRequest")
 
 
 # --------------------------------------------------------------------- #

@@ -6,11 +6,11 @@ One engine serves two kinds of traffic through a single shared model:
   streaming autoregressive requests decoded with continuous batching over the
   paged KV cache — new sessions are admitted into the in-flight batch
   whenever slots free up, so one ``forward_step`` advances every running
-  session at once.  With ``SchedulerPolicy.prefill_chunk_size`` set, each
-  step runs the unified token-budget scheduler: decode rows spend the step's
-  ``step_token_budget`` first and long prompts are prefilled in chunks with
-  the remainder, so a long arrival never stalls in-flight decode (its first
-  token streams the moment its final chunk commits).
+  session at once.  Every step runs the unified token-budget scheduler:
+  decode rows spend the step's ``step_token_budget`` first and, with
+  ``SchedulerPolicy.prefill_chunk_size`` set, long prompts are prefilled in
+  chunks with the remainder, so a long arrival never stalls in-flight decode
+  (its first token streams the moment its final chunk commits).
 * **Decision requests** (:class:`~repro.serve.requests.DecisionRequest`):
   per-step adapter inferences answered by pluggable
   :class:`~repro.serve.runtimes.TaskRuntime` registrations (built-ins:
@@ -62,7 +62,6 @@ import itertools
 import queue as queue_module
 import threading
 import time
-import warnings
 from dataclasses import dataclass
 from collections import deque
 from typing import Any, Deque, Dict, Hashable, Iterator, List, Optional, Tuple, Union
@@ -121,7 +120,7 @@ class RequestHandle:
 
     def __init__(self, server: "InferenceServer", request_id: int,
                  request: Union[GenerateRequest, DecisionRequest],
-                 metrics: RequestMetrics, *, legacy: bool = False) -> None:
+                 metrics: RequestMetrics) -> None:
         self._server = server
         self.request_id = request_id
         self.request = request
@@ -132,7 +131,6 @@ class RequestHandle:
         self._error: Optional[BaseException] = None
         self._session: Optional[GenerationSession] = None
         self._stream: Optional[queue_module.SimpleQueue] = None
-        self._legacy = legacy
         if isinstance(request, GenerateRequest) and request.stream:
             self._stream = queue_module.SimpleQueue()
 
@@ -157,8 +155,6 @@ class RequestHandle:
             raise TimeoutError(f"request {self.request_id} ({self.task}) timed out")
         if self._error is not None:
             raise self._error
-        if self._legacy:
-            return getattr(self._result, "value", self._result)
         return self._result
 
     def cancel(self) -> bool:
@@ -309,7 +305,6 @@ class InferenceServer:
                                         max_context=self.policy.max_context,
                                         block_size=self.policy.block_size,
                                         prefill_padding=self.policy.prefill_padding,
-                                        ragged_prefill=self.policy.ragged_prefill,
                                         prefix_cache=self.policy.enable_prefix_cache,
                                         max_prefixes=self.policy.max_prefixes,
                                         fault_injector=fault_injector,
@@ -381,49 +376,21 @@ class InferenceServer:
     # ------------------------------------------------------------------ #
     # Submission API
     # ------------------------------------------------------------------ #
-    def submit(self, request: Union[GenerateRequest, DecisionRequest, str],
-               payload: Any = None, **options) -> RequestHandle:
+    def submit(self, request: Union[GenerateRequest, DecisionRequest]
+               ) -> RequestHandle:
         """Queue one typed request; returns a future-style handle.
 
         * :class:`GenerateRequest`: a streaming generation session (continuous
           batching path).  ``stream=True`` enables ``handle.stream()``.
         * :class:`DecisionRequest`: answered by the task's registered
           :class:`TaskRuntime` (built-ins: ``vp``/``abr``/``cjs``).
-
-        Passing a task-name string (``submit("generate", prompt, ...)`` /
-        ``submit("vp", sample)``) is the deprecated pre-typed surface: it
-        constructs the matching request dataclass, warns, and — for decision
-        tasks — unwraps the typed result back to the bare payload the old API
-        returned.
         """
         if isinstance(request, GenerateRequest):
-            if payload is not None or options:
-                raise TypeError("GenerateRequest carries all options; pass "
-                                "nothing else to submit()")
             return self._submit_generation(request)
         if isinstance(request, DecisionRequest):
-            if payload is not None or options:
-                raise TypeError("DecisionRequest carries all options; pass "
-                                "nothing else to submit()")
             return self._submit_decision(request)
-        if isinstance(request, str):
-            return self._submit_legacy(request, payload, options)
         raise TypeError(f"submit() takes a GenerateRequest or DecisionRequest, "
                         f"got {type(request).__name__}")
-
-    def _submit_legacy(self, task: str, payload: Any,
-                       options: Dict[str, Any]) -> RequestHandle:
-        warnings.warn(
-            "submit(task: str, payload) is deprecated; submit a typed "
-            "GenerateRequest/DecisionRequest instead",
-            DeprecationWarning, stacklevel=3)
-        if task == GENERATE:
-            return self._submit_generation(GenerateRequest(prompt=payload, **options))
-        if options:
-            raise TypeError(f"unexpected options for {task!r} request: "
-                            f"{sorted(options)}")
-        return self._submit_decision(DecisionRequest(task=task, payload=payload),
-                                     legacy=True)
 
     def submit_generation(self, prompt: str, **options) -> RequestHandle:
         """Typed-convenience shorthand: ``submit(GenerateRequest(prompt, ...))``."""
@@ -464,8 +431,7 @@ class InferenceServer:
             self._work.notify_all()
         return handle
 
-    def _submit_decision(self, request: DecisionRequest,
-                         legacy: bool = False) -> RequestHandle:
+    def _submit_decision(self, request: DecisionRequest) -> RequestHandle:
         # register_task() mutates _runtimes under the lock; read it there
         # too so a concurrent registration cannot tear this lookup.
         with self._lock:
@@ -486,8 +452,7 @@ class InferenceServer:
         request_id = next(self._ids)
         metrics = RequestMetrics(task=request.task, priority=request.priority,
                                  request_id=request_id)
-        handle = RequestHandle(self, request_id, request, metrics,
-                               legacy=legacy)
+        handle = RequestHandle(self, request_id, request, metrics)
         pending = _PendingDecision(
             handle=handle, request=request,
             group_key=group_key,
@@ -692,18 +657,29 @@ class InferenceServer:
             prefix_hits_total=prefix.hits if prefix is not None else 0)
 
     def run_until_idle(self) -> None:
-        """Drive the engine synchronously until no work remains.
+        """Drive the engine synchronously until no work remains."""
+        while self._drive_round():
+            pass
 
-        Parks briefly when the only remaining work is a retry backoff that
-        has not elapsed yet, so retried requests still complete.
+    def _drive_round(self, handle: Optional[RequestHandle] = None) -> bool:
+        """One synchronous drive round: step; if idle, park or give up.
+
+        An idle engine with a retry backoff pending sleeps until that
+        wake-up (capped at 0.05 s) so retried requests still complete.  With
+        nothing left that could ever run, returns False — after failing
+        ``handle``, if one is being driven and is still unresolved.
         """
-        while True:
-            if self.step():
-                continue
-            wake = self._next_retry_at()
-            if wake is None:
-                return
-            time.sleep(min(max(wake - time.perf_counter(), 0.0), 0.05))
+        if self.step() or (handle is not None and handle.done()):
+            return True
+        wake = self._next_retry_at()
+        if wake is None:
+            if handle is not None:
+                handle._fail(RuntimeError(
+                    f"request {handle.request_id} cannot complete: "
+                    f"engine is idle"))
+            return False
+        time.sleep(min(max(wake - time.perf_counter(), 0.0), 0.05))
+        return True
 
     @property
     def is_serving(self) -> bool:
@@ -837,23 +813,15 @@ class InferenceServer:
 
     def _drive(self, handle: RequestHandle, timeout: Optional[float]) -> None:
         """Resolve ``handle``: wait on the loop thread or step synchronously."""
-        if self._thread is not None and self._thread.is_alive() \
-                and threading.current_thread() is not self._thread:
+        if self.is_serving and threading.current_thread() is not self._thread:
             handle._event.wait(timeout)
             return
         deadline = None if timeout is None else time.perf_counter() + timeout
         while not handle.done():
             if deadline is not None and time.perf_counter() > deadline:
                 return
-            if self.step() or handle.done():
-                continue
-            wake = self._next_retry_at()
-            if wake is None:
-                handle._fail(RuntimeError(
-                    f"request {handle.request_id} cannot complete: engine is idle"))
+            if not self._drive_round(handle):
                 return
-            # Idle only until a retry backoff elapses: park, then step again.
-            time.sleep(min(max(wake - time.perf_counter(), 0.0), 0.05))
 
     def _pump(self, handle: RequestHandle) -> bool:
         """One drive round for a blocked ``stream()`` consumer.
@@ -865,67 +833,26 @@ class InferenceServer:
         """
         if handle.done():
             return True
-        if self._thread is not None and self._thread.is_alive() \
-                and threading.current_thread() is not self._thread:
+        if self.is_serving and threading.current_thread() is not self._thread:
             return False
-        if not self.step() and not handle.done():
-            wake = self._next_retry_at()
-            if wake is None:
-                handle._fail(RuntimeError(
-                    f"request {handle.request_id} cannot complete: "
-                    f"engine is idle"))
-            else:
-                time.sleep(min(max(wake - time.perf_counter(), 0.0), 0.05))
+        self._drive_round(handle)
         return True
 
     # ------------------------------------------------------------------ #
     # Step phases (called with the lock held)
     # ------------------------------------------------------------------ #
     def _admit_queued(self) -> bool:
-        """Admission/prefill phase of one engine step.
+        """Admission/prefill phase of one engine step (see SchedulerPolicy).
 
-        With ``prefill_chunk_size`` unset this is the classic one-shot path:
-        queued sessions are admitted into freed slots and fully prefilled in
-        ragged bands.  With it set, the phase runs the unified token-budget
-        scheduler: in-flight prefills resume one chunk each, then new
-        sessions are admitted while slots and the step's token budget last
-        (decode rows were already charged one token each against
-        ``step_token_budget``).
+        The unified token-budget scheduler: in-flight prefills resume one
+        chunk each, then new sessions are admitted while slots and the
+        step's token budget last (decode rows are charged against
+        ``step_token_budget`` first).  ``prefill_chunk_size=None`` runs the
+        same route with the whole context as the chunk.
         """
-        if self._manager is None:
-            return False
-        if self.policy.prefill_chunk_size is not None:
-            return self._budgeted_prefill_phase()
-        admitted = self._scheduler.admissions(self._manager.num_free)
-        if not admitted:
-            return False
-        if self._trace is not None:
-            self._trace.note_admitted(s.session_id for s in admitted)
-        for session in admitted:
-            handle = self._queued_generation.pop(session.session_id, None)
-            if handle is not None:
-                self._pending_generation[session.session_id] = handle
-        try:
-            self._manager.admit_many(admitted)
-        except Exception:
-            # Batched prefill failed: retry one by one so a single bad
-            # request cannot reject the whole admission wave.
-            for session in admitted:
-                if session.state != QUEUED:
-                    continue
-                try:
-                    self._manager.admit(session)
-                except Exception as error:
-                    self._quarantine_sessions([session], error, phase="prefill")
-        for session in admitted:
-            if session.state == FINISHED:  # e.g. EOS sampled from prefill
-                self._finish_generation(session)
-        return True
-
-    def _budgeted_prefill_phase(self) -> bool:
-        """Chunked prefill under the step token budget (see SchedulerPolicy)."""
         manager = self._manager
-        chunk = self.policy.prefill_chunk_size
+        if manager is None:
+            return False
         # Decode's share of the step budget: with speculation on, each row
         # plans its draft now and is charged 1 + drafted tokens; off, the
         # plan degenerates to one token per running row.  A draft-proposal
@@ -947,7 +874,9 @@ class InferenceServer:
             # admitted session gets at least one token this step: a session
             # admitted with zero progress would leave the priority queue only
             # to hoard a batch slot in FIFO prefill order.
-            draw = chunk + 1  # worst per-session budget draw (chunk + decode)
+            # Worst per-session budget draw (chunk + decode); a budget is
+            # only valid with a chunk size (SchedulerPolicy validates it).
+            draw = self.policy.prefill_chunk_size + 1
             remaining = budget - draw * manager.num_prefilling
             # The last admission may need 2 tokens (a one-token tail costs
             # prefill + its same-step decode row), hence the -2.

@@ -20,11 +20,11 @@ and the fault-free reference run.
     One decision batch about to run through its :class:`TaskRuntime`
     (``InferenceServer._execute_decision_group``).
 ``prefill.band``
-    One ragged length-banded prompt-prefill forward
-    (``SessionManager._admit_group``).
+    One ragged length-banded prompt-prefill forward, fired per band
+    (``SessionManager.admit_many``).
 ``prefill.chunk``
-    One chunked-prefill forward of a single session
-    (``SessionManager.prefill_chunk``).
+    One chunked-prefill forward, of a single session or a fused group
+    (``SessionManager.prefill_chunk`` / ``prefill_chunk_group``).
 ``decode.step``
     The batched decode forward, fired *before* the model runs
     (``SessionManager.step``) — a raise here leaves the pool untouched.
@@ -46,7 +46,7 @@ and the fault-free reference run.
     (:meth:`~repro.nn.PagedKVCache.extend_session`).
 ``prefix.seed``
     Seeding a prefill from a cached prompt head (the
-    ``PrefixCache.seed_cache`` call sites in the session manager).
+    ``PrefixCache.seed_cache`` call site in the session manager).
 
 Injection can never be enabled by accident: constructing a
 :class:`FaultInjector` raises unless the :data:`REPRO_FAULTS_ENV`
@@ -74,8 +74,9 @@ REPRO_FAULTS_ENV = "REPRO_FAULTS"
 FAULT_SITES: Dict[str, str] = {
     "runtime.execute_batch": "decision-batch runtime forward "
                              "(InferenceServer._execute_decision_group)",
-    "prefill.band": "ragged banded prompt prefill (SessionManager._admit_group)",
-    "prefill.chunk": "chunked-prefill forward (SessionManager.prefill_chunk)",
+    "prefill.band": "ragged banded prompt prefill (SessionManager.admit_many)",
+    "prefill.chunk": "chunked-prefill forward (SessionManager.prefill_chunk, "
+                     "prefill_chunk_group)",
     "decode.step": "batched decode forward, pre-model (SessionManager.step)",
     "decode.logits": "batched decode logits, post-forward, corruptible "
                      "payload (SessionManager.step)",
@@ -85,7 +86,7 @@ FAULT_SITES: Dict[str, str] = {
                      "corruptible payload (SessionManager.step)",
     "kv.admit": "paged-pool admission (PagedKVCache.admit_rows)",
     "kv.extend": "paged-pool chunk extension (PagedKVCache.extend_session)",
-    "prefix.seed": "prefix-cache prefill seeding (SessionManager call sites "
+    "prefix.seed": "prefix-cache prefill seeding (SessionManager call site "
                    "of PrefixCache.seed_cache)",
 }
 

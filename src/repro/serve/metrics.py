@@ -9,7 +9,6 @@ those into throughput / tail-latency / occupancy statistics.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -111,15 +110,6 @@ class RequestMetrics:
         if self.first_token_at is None:
             return 0.0
         return self.first_token_at - self.submitted_at
-
-    @property
-    def time_to_first_token(self) -> float:  # repro: noqa[REP004] the deprecation shim itself; remove with the alias
-        """Deprecated pre-PR-5 name for :attr:`ttft_s`."""
-        warnings.warn(
-            "RequestMetrics.time_to_first_token is deprecated; use "
-            "RequestMetrics.ttft_s",
-            DeprecationWarning, stacklevel=2)
-        return self.ttft_s
 
     @property
     def inter_token_seconds(self) -> List[float]:

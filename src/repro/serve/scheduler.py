@@ -92,11 +92,9 @@ class SchedulerPolicy:
     prefill: prompt tails are partitioned into length bands (greedily, over
     the sorted lengths) such that each band's right-padded token count stays
     within ``(1 + prefill_padding)`` of its real token count — small bound,
-    many narrow bands; large bound, few wide ones.  ``ragged_prefill=False``
-    falls back to equal-length-only grouping (the pre-paging behaviour, kept
-    for benchmarking).  ``enable_prefix_cache`` turns shared prompt-head
-    caching on; ``max_prefixes`` bounds how many heads stay resident (LRU
-    beyond that).
+    many narrow bands; large bound, few wide ones.  ``enable_prefix_cache``
+    turns shared prompt-head caching on; ``max_prefixes`` bounds how many
+    heads stay resident (LRU beyond that).
 
     **Chunked prefill / token-budget stepping** (Sarathi-style stall-free
     batching):
@@ -109,8 +107,9 @@ class SchedulerPolicy:
     prefill (the head-of-line stall that blows up inter-token p95 exactly
     when the server is busiest).  Prompts whose tail fits inside one chunk
     still ride the ragged length-banded batched prefill.  ``None`` (default)
-    preserves one-shot prefill — each prompt admitted in a single forward —
-    which is the baseline the latency benchmark compares against.
+    means the chunk is the whole context: the same route, with every prompt
+    tail admitted in a single forward — the baseline the latency benchmark
+    compares against.
 
     ``step_token_budget`` bounds the *total* tokens one engine step schedules:
     every in-flight decode row spends one token first, and only the remaining
@@ -134,8 +133,10 @@ class SchedulerPolicy:
     token-exact versus ``speculation="off"`` at any temperature (the
     acceptance rule replays the session's own sampling, RNG draws
     included); only the forwards-per-token ratio changes.  Draft length
-    adapts per session between 1 and ``speculation_k`` (fully accepted
-    drafts grow it, rejected drafts halve it).  Under ``step_token_budget``
+    adapts per session between 0 and ``speculation_k`` (fully accepted
+    drafts grow it, rejected drafts halve it down to 0, where the session
+    takes the plain decode step and probes one token on every 16th planned
+    step — see ``docs/speculative.md``).  Under ``step_token_budget``
     each speculative row is charged ``1 + drafted`` tokens — draft lengths
     are trimmed, round-robin, to fit the budget — so prefill chunks and
     speculation share one token-accounting regime.
@@ -159,7 +160,6 @@ class SchedulerPolicy:
     priority_aging_s: Optional[float] = 30.0
     block_size: int = DEFAULT_BLOCK_SIZE
     prefill_padding: float = 0.5
-    ragged_prefill: bool = True
     enable_prefix_cache: bool = True
     max_prefixes: int = 8
     prefill_chunk_size: Optional[int] = None

@@ -2,9 +2,11 @@
 
 A :class:`GenerationSession` is one streaming autoregressive request (prompt
 in, tokens out).  The :class:`SessionManager` owns the model's
-:class:`~repro.nn.PagedKVCache`: it prefills prompts in ragged length-bucketed
-batches (mixed-length prompts share one padded forward), maps cached common
-prompt heads in by reference (:class:`~repro.serve.prefix.PrefixCache`),
+:class:`~repro.nn.PagedKVCache`: it prefills prompts through one body
+(:meth:`SessionManager._prefill_rows` — a ragged one-shot band, a solo chunk
+and a fused chunk wave are the same right-padded forward plus pool commit),
+maps cached common prompt heads in by reference
+(:class:`~repro.serve.prefix.PrefixCache`),
 advances every running session with one batched ``forward_step`` per engine
 step, and evicts completed sessions so their blocks return to the pool —
 continuous batching over paged storage.
@@ -156,7 +158,6 @@ class SessionManager:
                  max_context: Optional[int] = None,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  prefill_padding: float = 0.5,
-                 ragged_prefill: bool = True,
                  prefix_cache: bool = True,
                  max_prefixes: int = 8,
                  fault_injector: Optional[object] = None,
@@ -177,7 +178,6 @@ class SessionManager:
         if self.max_context < 2:
             raise ValueError("max_context must leave room for at least one new token")
         self.prefill_padding = prefill_padding
-        self.ragged_prefill = ragged_prefill
         # Reserve pool capacity for the prefix cache's residents so prompt
         # traffic can never be starved by registered preambles (or vice versa).
         blocks_per_session = -(-self.max_context // block_size)
@@ -215,13 +215,10 @@ class SessionManager:
         #: Lifetime speculative counters (feed ``ServerStats``).
         self.tokens_drafted = 0
         self.tokens_accepted = 0
-        #: Memoized fused prefill cache: ``((session ids), committed length)
-        #: -> KVCache`` from the previous :meth:`prefill_chunk_group` call.
-        #: When the same group returns next step, its stacked history is the
-        #: fused cache the last forward already extended — reusing it skips
-        #: re-concatenating every member's full K/V each chunk.
+        #: ``((session ids), committed length) -> stacked KVCache`` left by
+        #: the previous fused wave (see :meth:`_stacked_history`).
         self._fused_prefill: Optional[Tuple[Tuple[Tuple[int, ...], int],
-                                            object]] = None
+                                            KVCache]] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -243,76 +240,62 @@ class SessionManager:
             raise ValueError("the prefix cache is disabled for this manager")
         return self.prefix.register(text)
 
-    def admit(self, session: GenerationSession) -> None:
-        """Prefill a queued session's prompt and start decoding it."""
-        self.admit_many([session])
-
     def admit_many(self, sessions: List[GenerationSession]) -> None:
         """Prefill queued sessions in ragged length-banded batches.
 
         Sessions are grouped by matched prefix, then partitioned into length
-        bands (:meth:`_length_bands`): each band runs one right-padded batched
-        forward — causality makes right padding exact, per-row logits are read
-        at each prompt's true last position, and only the true history is
-        admitted into the paged cache.  Each session's first output token is
-        sampled from its prefill logits, exactly as
-        :func:`~repro.llm.generation.generate` does.
+        bands (:meth:`_length_bands`); each band is one :meth:`_prefill_rows`
+        call taking every row's whole prompt tail.
         """
         if len(sessions) > self.num_free:
             raise RuntimeError(
                 f"cannot admit {len(sessions)} sessions into {self.num_free} free slots")
-        by_prefix: Dict[Optional[Tuple[int, ...]],
-                        Tuple[Optional[PrefixEntry], List[GenerationSession]]] = {}
+        by_prefix: Dict[Optional[Tuple[int, ...]], List[GenerationSession]] = {}
         for session in sessions:
             self._prepare_prompt(session)
-            self._revalidate_prefix(session)
             self._mark_started(session)
             entry = session.prefix_entry
-            key = entry.token_ids if entry is not None else None
-            if key not in by_prefix:
-                by_prefix[key] = (entry, [])
-            by_prefix[key][1].append(session)
-        for entry, group in by_prefix.values():
-            head_len = entry.length if entry is not None else 0
-            for band in self._length_bands(group, head_len):
-                self._admit_group(entry, band)
+            by_prefix.setdefault(
+                entry.token_ids if entry is not None else None, []).append(session)
+        for group in by_prefix.values():
+            # A queued session's committed history is exactly its matched head.
+            for band in self._length_bands(group, group[0].prompt_pos):
+                if self.faults is not None:
+                    self.faults.fire("prefill.band")
+                self._prefill_rows(
+                    band, [len(s.prompt_ids) - s.prompt_pos for s in band])
 
     def _prepare_prompt(self, session: GenerationSession) -> None:
         """Tokenize the prompt once and match it against the prefix cache.
 
         Idempotent: a session that already carries ``prompt_ids`` (e.g. it
         was prepared when admission classified it for chunked prefill) is
-        left untouched, so hit/miss counters never double-count.  Keeps the
+        not re-matched, so hit/miss counters never double-count.  Keeps the
         whole prompt when it fits, else the most recent ``max_context``
         tokens — the same window ``generate()`` prefills, so the first
         sampled token matches the standalone path even for prompts at the
         cap (such a session then finishes ``context_full`` right after).
-        """
-        if session.prompt_ids:
-            return
-        session.prompt_ids = self.model.tokenizer.encode(
-            session.prompt, add_bos=True)[-self.max_context:]
-        entry = (self.prefix.match(session.prompt_ids)
-                 if self.prefix is not None else None)
-        session.prefix_entry = entry
-        session.prompt_pos = entry.length if entry is not None else 0
-        session.metrics.prefix_tokens = session.prompt_pos
-
-    def _revalidate_prefix(self, session: GenerationSession) -> None:
-        """Drop a matched prefix entry that was LRU-evicted while waiting.
 
         A session can hold its match across engine steps (budget deferral,
-        budget-starved ``PREFILLING``); if a ``register_prefix`` evicted the
-        entry meanwhile, its pool blocks may already hold a different head's
-        K/V — fall back to a cold prefill, losing only the reuse.
+        budget-starved ``PREFILLING``); if a ``register_prefix`` LRU-evicted
+        the entry before the session's first chunk, its pool blocks may
+        already hold a different head's K/V — fall back to a cold prefill,
+        losing only the reuse.
         """
-        if (session.prefill_cache is None and session.slot is None
-                and session.prefix_entry is not None
-                and (self.prefix is None
-                     or not self.prefix.is_live(session.prefix_entry))):
+        if not session.prompt_ids:
+            session.prompt_ids = self.model.tokenizer.encode(
+                session.prompt, add_bos=True)[-self.max_context:]
+            session.prefix_entry = (self.prefix.match(session.prompt_ids)
+                                    if self.prefix is not None else None)
+        elif (session.slot is None and session.prefix_entry is not None
+              and (self.prefix is None
+                   or not self.prefix.is_live(session.prefix_entry))):
             session.prefix_entry = None
-            session.prompt_pos = 0
-            session.metrics.prefix_tokens = 0
+        else:
+            return
+        entry = session.prefix_entry
+        session.prompt_pos = entry.length if entry is not None else 0
+        session.metrics.prefix_tokens = session.prompt_pos
 
     @staticmethod
     def _mark_started(session: GenerationSession) -> None:
@@ -334,15 +317,9 @@ class SessionManager:
         within ``1 + prefill_padding`` of its real token count.  A small
         bound yields many narrow bands (little padding, many forwards); a
         large one, few wide bands — the knob trades per-forward overhead
-        against padded FLOPs.  With ``ragged_prefill`` off, bands are exact
-        tail lengths (the equal-length-only pre-paging baseline).
+        against padded FLOPs.
         """
         ordered = sorted(sessions, key=lambda s: len(s.prompt_ids))
-        if not self.ragged_prefill:
-            by_length: Dict[int, List[GenerationSession]] = {}
-            for session in ordered:
-                by_length.setdefault(len(session.prompt_ids), []).append(session)
-            return list(by_length.values())
         bands: List[List[GenerationSession]] = []
         band: List[GenerationSession] = []
         real_tokens = 0
@@ -358,59 +335,20 @@ class SessionManager:
             bands.append(band)
         return bands
 
-    def _admit_group(self, entry: Optional[PrefixEntry],
-                     group: List[GenerationSession]) -> None:
-        if self.faults is not None:
-            self.faults.fire("prefill.band")
-        head_len = entry.length if entry is not None else 0
-        tails = [session.prompt_ids[head_len:] for session in group]
-        lengths = [len(tail) for tail in tails]
-        width = max(lengths)
-        # Right padding: causal attention makes every real position's K/V and
-        # logits independent of what follows, so pad rows are exact — the pad
-        # id is arbitrary and its K/V are simply never admitted.
-        padded = np.full((len(group), width), self.model.tokenizer.pad_id,
-                         dtype=np.int64)
-        for row, tail in enumerate(tails):
-            padded[row, :len(tail)] = tail
-        shared = entry.block_ids if entry is not None else ()
-        with cached_inference(self.model, self._toggle_eval):
-            if entry is not None:
-                if self.faults is not None:
-                    self.faults.fire("prefix.seed")
-                prefill_cache = self.prefix.seed_cache(entry, len(group))  # repro: noqa[REP005] a live entry implies the prefix cache exists
-            else:
-                prefill_cache = self.model.init_cache()
-            logits = self.model.forward_incremental(padded, prefill_cache)
-            session_ids = self.cache.admit_rows(
-                prefill_cache,
-                lengths=[head_len + length for length in lengths],
-                shared_blocks=shared)
-            for session, session_id in zip(group, session_ids):
-                session.slot = session_id
-                session.prompt_pos = len(session.prompt_ids)
-                self.running[session.slot] = session
-                session.state = RUNNING
-        if self.telemetry is not None:
-            # One-shot banded prefill: the whole tail is one chunk, so the
-            # flight recorder sees both prefill paths as PREFILLING entries.
-            for session, length in zip(group, lengths):
-                self.telemetry.note_prefill_chunk(session.session_id, length)
-        for row, session in enumerate(group):
-            self._consume_logits(session, logits.data[row, lengths[row] - 1, :])
-
     # ------------------------------------------------------------------ #
     # Chunked prefill (token-budget step scheduling)
     # ------------------------------------------------------------------ #
     def prefill_step(self, new_sessions: List[GenerationSession],
-                     chunk_size: int, token_budget: Optional[int] = None
+                     chunk_size: Optional[int] = None,
+                     token_budget: Optional[int] = None
                      ) -> Tuple[int, List[GenerationSession],
                                 List[Tuple[GenerationSession, BaseException]],
                                 List[GenerationSession]]:
         """Spend up to ``token_budget`` prompt tokens on prefill work.
 
         In-flight ``PREFILLING`` sessions resume first (admission order),
-        each granted up to ``chunk_size`` tokens; the remaining budget then
+        each granted up to ``chunk_size`` tokens (``None``: the chunk is the
+        whole context, so every prompt is one-shot); the remaining budget then
         starts ``new_sessions``.  New sessions whose whole prompt tail fits
         in one chunk (and in the remaining budget) are batched through the
         ragged length-banded one-shot path (:meth:`admit_many`), so chunking
@@ -432,6 +370,8 @@ class SessionManager:
         a grant that cannot afford the extra decode token stops one token
         short of completing instead of busting ``step_token_budget``.
         """
+        if chunk_size is None:
+            chunk_size = self.max_context
         spent = 0
         terminal: List[GenerationSession] = []
         failures: List[Tuple[GenerationSession, BaseException]] = []
@@ -450,12 +390,22 @@ class SessionManager:
                 return max(0, left - 1), max(0, left - 1)
             return grant, grant
 
+        def run_chunk(session, grant) -> bool:
+            """Prefill one solo chunk; a failure aborts and records the session."""
+            try:
+                self.prefill_chunk(session, grant)
+                return True
+            except Exception as error:
+                self.abort(session)
+                failures.append((session, error))
+                return False
+
         # Grant the in-flight PREFILLING sessions first (admission order),
         # then fuse grants with equal committed history and equal size into
         # one ragged banded forward (the multi-chunk analogue of banded
         # admission) — concurrent same-shape prompts pay one forward per
         # step, not one each.
-        pending: List[Tuple[GenerationSession, int, int]] = []
+        fused_groups: Dict[Tuple[int, int], List[Tuple[GenerationSession, int]]] = {}
         for session in list(self.prefilling.values()):
             left = allowance()
             if left is not None and left <= 0:
@@ -463,12 +413,9 @@ class SessionManager:
             grant, cost = grant_and_cost(session, left)
             if grant <= 0:
                 break
-            pending.append((session, grant, cost))
+            fused_groups.setdefault((session.prefill_cache.seq_len, grant),
+                                    []).append((session, cost))
             spent += cost  # refunded below if the chunk fails
-        fused_groups: Dict[Tuple[int, int], List[Tuple[GenerationSession, int]]] = {}
-        for session, grant, cost in pending:
-            key = (session.prefill_cache.seq_len, grant)
-            fused_groups.setdefault(key, []).append((session, cost))
         for (_, grant), members in fused_groups.items():
             solo = list(members)
             if len(members) >= 2:
@@ -487,11 +434,7 @@ class SessionManager:
                         spent -= costs[id(session)]
                         failures.append((session, error))
             for session, cost in solo:
-                try:
-                    self.prefill_chunk(session, grant)
-                except Exception as error:
-                    self.abort(session)
-                    failures.append((session, error))
+                if not run_chunk(session, grant):
                     spent -= cost
             terminal.extend(session for session, _ in members
                             if session.state == FINISHED)
@@ -499,7 +442,6 @@ class SessionManager:
         one_shot: List[GenerationSession] = []
         for session in new_sessions:
             self._prepare_prompt(session)
-            self._revalidate_prefix(session)
             tail = len(session.prompt_ids) - session.prompt_pos
             left = allowance()
             if tail <= chunk_size and (left is None or tail + 1 <= left):
@@ -515,14 +457,8 @@ class SessionManager:
                 # progress.
                 deferred.append(session)
                 continue
-            session.state = PREFILLING
-            self.prefilling[session.session_id] = session
-            try:
-                self.prefill_chunk(session, grant)
+            if run_chunk(session, grant):
                 spent += cost
-            except Exception as error:
-                self.abort(session)
-                failures.append((session, error))
         if one_shot:
             try:
                 self.admit_many(one_shot)
@@ -533,7 +469,7 @@ class SessionManager:
                     if session.state != QUEUED:
                         continue
                     try:
-                        self.admit(session)
+                        self.admit_many([session])
                     except Exception as error:
                         self.abort(session)
                         failures.append((session, error))
@@ -543,15 +479,12 @@ class SessionManager:
     def prefill_chunk(self, session: GenerationSession, max_tokens: int) -> int:
         """Advance one session's prefill by up to ``max_tokens`` prompt tokens.
 
-        The chunk runs through the session's resumable single-session cache
+        A group of one through :meth:`_prefill_rows`: the chunk runs on the
+        session's own resumable cache
         (:attr:`GenerationSession.prefill_cache`) — attention over the
         already-committed history is the ordinary incremental causal forward,
-        so chunked logits match one-shot prefill exactly — and is scattered
-        into the paged pool (:meth:`~repro.nn.PagedKVCache.admit_rows` for the
-        first chunk, :meth:`~repro.nn.PagedKVCache.extend_session` after).
-        When the last prompt token commits, the first output token is sampled
-        from the final chunk's logits and the session joins the decode batch.
-        Returns the number of prompt tokens consumed.
+        so chunked logits match one-shot prefill exactly.  Failures raise
+        (the caller aborts the session).  Returns the prompt tokens consumed.
         """
         if session.state not in (QUEUED, PREFILLING):
             raise ValueError(f"cannot prefill a {session.state} session")
@@ -561,7 +494,6 @@ class SessionManager:
         if session.state == QUEUED:
             session.state = PREFILLING
             self.prefilling[session.session_id] = session
-        self._revalidate_prefix(session)
         self._mark_started(session)
         take = min(max_tokens, len(session.prompt_ids) - session.prompt_pos)
         if take <= 0:
@@ -569,43 +501,9 @@ class SessionManager:
                              f"tokens left to prefill")
         if self.faults is not None:
             self.faults.fire("prefill.chunk")
-        with cached_inference(self.model, self._toggle_eval):
-            if session.prefill_cache is None:
-                entry = session.prefix_entry
-                if entry is not None:
-                    if self.faults is not None:
-                        self.faults.fire("prefix.seed")
-                    session.prefill_cache = self.prefix.seed_cache(entry, 1)  # repro: noqa[REP005] a live entry implies the prefix cache exists
-                else:
-                    session.prefill_cache = self.model.init_cache()
-            chunk = np.asarray(
-                session.prompt_ids[session.prompt_pos:
-                                   session.prompt_pos + take],
-                dtype=np.int64)[None, :]
-            logits = self.model.forward_incremental(chunk,
-                                                    session.prefill_cache)
-            new_length = session.prompt_pos + take
-            if session.slot is None:
-                shared = (session.prefix_entry.block_ids
-                          if session.prefix_entry is not None else ())
-                session.slot = self.cache.admit_rows(
-                    session.prefill_cache, rows=[0],
-                    lengths=[new_length], shared_blocks=shared)[0]
-            else:
-                self.cache.extend_session(session.slot,
-                                          session.prefill_cache,
-                                          new_length=new_length)
-            session.prompt_pos = new_length
-        if self.telemetry is not None:
-            self.telemetry.note_prefill_chunk(session.session_id, take)
-        if session.prompt_pos == len(session.prompt_ids):
-            # Prompt complete: drop the resumable cache, join the decode
-            # batch and sample the first output token from the final logits.
-            del self.prefilling[session.session_id]
-            session.prefill_cache = None
-            self.running[session.slot] = session
-            session.state = RUNNING
-            self._consume_logits(session, logits.data[0, -1, :])
+        failures = self._prefill_rows([session], [take])
+        if failures:
+            raise failures[0][1]
         return take
 
     def prefill_chunk_group(self, group: List[GenerationSession], take: int
@@ -614,84 +512,132 @@ class SessionManager:
 
         Every session must hold a resumable prefill cache of the same
         committed length and be due exactly ``take`` more prompt tokens (the
-        grouping :meth:`prefill_step` performs).  Their caches are stacked
-        into one temporary batched :class:`~repro.nn.KVCache`, the chunk
-        matrix runs through a single ``forward_incremental`` — causality
-        makes each row independent, so per-row logits and K/V match the
-        per-session :meth:`prefill_chunk` path exactly — and each session's
-        pool blocks and resumable cache are then committed from its row.
-
-        Per-session commit failures abort only that session and are returned
-        as ``(session, error)`` pairs; the fused forward itself raising
-        (before any commit) leaves every session untouched, so the caller
-        can fall back to one-at-a-time chunks.
+        grouping :meth:`prefill_step` performs).  Per-session commit failures
+        abort only that session and are returned as ``(session, error)``
+        pairs; the fused forward itself raising (before any commit) leaves
+        every session untouched, so the caller can fall back to one-at-a-time
+        chunks.
         """
         if self.faults is not None:
             # One forward, one fire — the fused analogue of ``prefill.band``.
             self.faults.fire("prefill.chunk")
-        past = group[0].prefill_cache.seq_len
+        return self._prefill_rows(group, [take] * len(group))
+
+    def _prefill_rows(self, group: List[GenerationSession], takes: Sequence[int]
+                      ) -> List[Tuple[GenerationSession, BaseException]]:
+        """Prefill ``takes[i]`` more prompt tokens of ``group[i]`` in one forward.
+
+        The one prefill body: a one-shot band is this with ``takes`` = whole
+        tails, a solo chunk a group of one, a fused wave several
+        ``PREFILLING`` rows.  The sessions share one committed history length
+        and are all *fresh* (no slot yet, one matched prefix entry; several
+        fresh rows each take their whole tail) or all resumable.  Stages that
+        history in a contiguous :class:`~repro.nn.KVCache`, runs one
+        right-padded ``forward_incremental``, commits each row's true new K/V
+        to the pool, writes it back to the rows with prompt left, and promotes
+        the rows that completed, sampling their first output token from their
+        true last column exactly as :func:`~repro.llm.generation.generate`
+        does.  Fresh rows commit all or nothing (a raise leaves every session
+        as it was); a resumable row whose commit fails is aborted alone and
+        returned as ``(session, error)``.
+        """
+        past, entry = group[0].prompt_pos, group[0].prefix_entry
+        fresh = group[0].slot is None
         for session in group:
-            if session.prefill_cache.seq_len != past:
-                raise ValueError("fused prefill requires equal-history sessions")
-            if session.prompt_pos != past:
-                raise ValueError("fused prefill requires block-committed history")
-        chunk = np.asarray(
-            [session.prompt_ids[session.prompt_pos:session.prompt_pos + take]
-             for session in group], dtype=np.int64)
+            if (session.prompt_pos != past or (session.slot is None) != fresh
+                    or (session.prefix_entry is not entry if fresh
+                        else session.prefill_cache.seq_len != past)):
+                raise ValueError("grouped prefill requires equal-history "
+                                 "sessions, all fresh or all resumable")
+        # Right padding: causal attention makes every real position's K/V and
+        # logits independent of what follows, so pad columns are exact — the
+        # pad id is arbitrary and its K/V never reach the pool.
+        width = max(takes)
+        tokens = np.full((len(group), width), self.model.tokenizer.pad_id,
+                         dtype=np.int64)
+        for row, (session, take) in enumerate(zip(group, takes)):
+            tokens[row, :take] = session.prompt_ids[past:past + take]
+        new_lengths = [past + take for take in takes]
         failures: List[Tuple[GenerationSession, BaseException]] = []
-        key = (tuple(session.session_id for session in group), past)
-        memo = self._fused_prefill
-        self._fused_prefill = None
         with cached_inference(self.model, self._toggle_eval):
-            if memo is not None and memo[0] == key:
-                # Same group, same committed length: the fused cache the
-                # previous chunk's forward extended *is* the stacked
-                # history — skip re-concatenating every member's K/V.
-                fused = memo[1]
+            if not fresh:
+                # A lone session runs on its own resumable cache: no stacking.
+                staging = (group[0].prefill_cache if len(group) == 1
+                           else self._stacked_history(group, past))
+            elif entry is not None:
+                if self.faults is not None:
+                    self.faults.fire("prefix.seed")
+                staging = self.prefix.seed_cache(entry, len(group))  # repro: noqa[REP005] a live entry implies the prefix cache exists
             else:
-                fused = self.model.init_cache()
-                for fused_layer, layers in zip(
-                        fused.layers,
-                        zip(*(s.prefill_cache.layers for s in group))):
-                    fused_layer.append(
-                        np.concatenate([layer.keys for layer in layers], axis=0),
-                        np.concatenate([layer.values for layer in layers], axis=0))
-            logits = self.model.forward_incremental(chunk, fused)
-            new_length = past + take
-            for row, session in enumerate(group):
-                try:
-                    # Pool first (reading the fused cache's row), own
-                    # resumable cache after: a pool failure then leaves
-                    # the session exactly as before its chunk.
-                    self.cache.extend_session(session.slot, fused, row=row,
-                                              new_length=new_length)
-                except Exception as error:
-                    self.abort(session)
-                    failures.append((session, error))
-                    continue
-                for fused_layer, layer in zip(fused.layers,
-                                              session.prefill_cache.layers):
-                    layer.append(fused_layer.keys[row:row + 1, :, past:],
-                                 fused_layer.values[row:row + 1, :, past:])
-                session.prompt_pos = new_length
-        dead = {id(session) for session, _ in failures}
+                staging = self.model.init_cache()
+            logits = self.model.forward_incremental(tokens, staging)
+            if fresh:
+                slots = self.cache.admit_rows(
+                    staging, lengths=new_lengths,
+                    shared_blocks=entry.block_ids if entry is not None else ())
+                for session, slot in zip(group, slots):
+                    session.slot = slot
+            else:
+                for row, session in enumerate(group):
+                    try:
+                        self.cache.extend_session(session.slot, staging, row=row,
+                                                  new_length=new_lengths[row])
+                    except Exception as error:
+                        self.abort(session)
+                        failures.append((session, error))
         for row, session in enumerate(group):
-            if id(session) in dead:
+            if session.state == FAILED:
                 continue
+            session.prompt_pos = new_lengths[row]
             if self.telemetry is not None:
-                self.telemetry.note_prefill_chunk(session.session_id, take)
+                # One chunk per take, so the flight recorder reads a one-shot
+                # tail as a single PREFILLING entry.
+                self.telemetry.note_prefill_chunk(session.session_id, takes[row])
             if session.prompt_pos == len(session.prompt_ids):
-                del self.prefilling[session.session_id]
+                self.prefilling.pop(session.session_id, None)
                 session.prefill_cache = None
                 self.running[session.slot] = session
                 session.state = RUNNING
-                self._consume_logits(session, logits.data[row, -1, :])
-        if not failures and all(session.state == PREFILLING
-                                for session in group):
+                self._consume_logits(session, logits.data[row, takes[row] - 1, :])
+            elif len(group) == 1:
+                session.prefill_cache = staging
+            else:
+                # Own resumable cache after the pool: a row whose pool commit
+                # failed was left exactly as before its chunk.
+                for staged, layer in zip(staging.layers,
+                                         session.prefill_cache.layers):
+                    layer.append(
+                        staged.keys[row:row + 1, :, past:new_lengths[row]],
+                        staged.values[row:row + 1, :, past:new_lengths[row]])
+        if (len(group) > 1 and not failures and min(takes) == width
+                and all(session.state == PREFILLING for session in group)):
             # Every member advanced in lockstep and has more prompt to go:
-            # the extended fused cache is next step's stacked history.
-            self._fused_prefill = ((key[0], past + take), fused)
+            # the extended staging cache is next step's stacked history.
+            self._fused_prefill = (
+                (tuple(session.session_id for session in group), past + width),
+                staging)
         return failures
+
+    def _stacked_history(self, group: List[GenerationSession], past: int
+                         ) -> KVCache:
+        """The members' resumable caches stacked row-wise into one cache.
+
+        When the same group returns at the length its previous wave left it
+        at, that wave's extended staging cache *is* the stacked history —
+        reusing it skips re-concatenating every member's full K/V each chunk.
+        The memo is consumed either way (a forward extends what it is given).
+        """
+        key = (tuple(session.session_id for session in group), past)
+        memo, self._fused_prefill = self._fused_prefill, None
+        if memo is not None and memo[0] == key:
+            return memo[1]
+        stacked = self.model.init_cache()
+        for stacked_layer, layers in zip(
+                stacked.layers, zip(*(s.prefill_cache.layers for s in group))):
+            stacked_layer.append(
+                np.concatenate([layer.keys for layer in layers], axis=0),
+                np.concatenate([layer.values for layer in layers], axis=0))
+        return stacked
 
     def abort(self, session: GenerationSession) -> None:
         """Release a failed session's slot/blocks without finishing it.

@@ -117,7 +117,7 @@ class TestServeSurface:
     def test_server_submission_surface(self):
         submit_params = list(
             inspect.signature(serve.InferenceServer.submit).parameters)
-        assert submit_params[:3] == ["self", "request", "payload"]
+        assert submit_params == ["self", "request"]
         for method in ("register_task", "register_adapter", "register_prefix",
                        "submit_generation", "start", "stop", "step",
                        "run_until_idle", "stats"):
@@ -127,7 +127,7 @@ class TestServeSurface:
         fields = _fields(serve.SchedulerPolicy)
         assert {"max_batch_size", "max_context", "max_queue",
                 "priority_aging_s", "block_size", "prefill_padding",
-                "ragged_prefill", "enable_prefix_cache", "max_prefixes",
+                "enable_prefix_cache", "max_prefixes",
                 "prefill_chunk_size", "step_token_budget",
                 "retry_policy", "shed_queue_depth", "shed_queue_age_s",
                 "health_window_s", "speculation",

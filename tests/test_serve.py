@@ -441,6 +441,123 @@ class TestPagedStressParity:
 
 
 # ---------------------------------------------------------------------- #
+# The one prefill body, driven through every entry point
+# ---------------------------------------------------------------------- #
+def _drive_band(manager, sessions, check):
+    manager.admit_many(sessions)
+    check()
+
+
+def _drive_solo_chunks(manager, sessions, check):
+    for session in sessions:
+        while session.state in ("queued", "prefilling"):
+            manager.prefill_chunk(session, 5)
+            check()
+
+
+def _drive_fused_groups(manager, sessions, check):
+    """First chunk solo (as ``prefill_step`` starts a session), then fused."""
+    for session in sessions:
+        manager.prefill_chunk(session, 5)
+        check()
+    while manager.prefilling:
+        group = list(manager.prefilling.values())
+        take = min([5] + [len(s.prompt_ids) - s.prompt_pos for s in group])
+        assert manager.prefill_chunk_group(group, take) == []
+        check()
+
+
+class TestOnePrefillBody:
+    """Every entry point is ``_prefill_rows``: token-exact, pool sound."""
+
+    PREAMBLE = "bitrate selection task: "  # 25 tokens with BOS: 6 blocks + 1
+
+    @pytest.mark.parametrize("prompts,prefix,drive,rows", [
+        # Ragged one-shot bands: tails 3/8/10 share a forward, 35 rides alone.
+        (["ab", "abcdefg", "abcdefghi", "a much longer prompt than the rest"],
+         False, _drive_band, [3, 1]),
+        # ... a ragged band behind a prefix hit, next to a miss.
+        ([PREAMBLE + "now", PREAMBLE + "a longer", "no head here"],
+         True, _drive_band, [2, 1]),
+        # Solo chunks of a long prompt, cold and behind a prefix hit.
+        (["a considerably longer prompt spanning many chunks",
+          PREAMBLE + "history 1.0 2.0 3.0 4.0"], True, _drive_solo_chunks,
+         [1] * 15),
+        # A fused group of three advancing (and completing) in lockstep.
+        (["p0 " * 7, "p1 " * 7, "p2 " * 7], False, _drive_fused_groups,
+         [1, 1, 1, 3, 3, 3, 3]),
+        # A group in which one row completes while the others continue.
+        (["q0 q0 q0 q0 q0", "q1 " * 7, "q2 " * 7], False, _drive_fused_groups,
+         [1, 1, 1, 3, 3, 2, 2]),
+    ], ids=["band", "band-prefix-hit", "solo-chunks", "fused-three",
+            "fused-one-completes"])
+    def test_every_entry_matches_generate(self, model, monkeypatch, prompts,
+                                          prefix, drive, rows):
+        manager = SessionManager(model, max_slots=4, block_size=4,
+                                 prefix_cache=prefix)
+        if prefix:
+            manager.register_prefix(self.PREAMBLE)
+        forwards = []  # rows of every prefill forward, in call order
+        forward = model.forward_incremental
+        monkeypatch.setattr(
+            model, "forward_incremental",
+            lambda ids, cache: forwards.append(len(ids)) or forward(ids, cache))
+
+        def check():
+            manager.cache.check_invariants(
+                external_refs=manager.prefix.external_refs() if prefix else None)
+
+        sessions = [GenerationSession(session_id=i, prompt=prompt,
+                                      max_new_tokens=6, stop_on_eos=False)
+                    for i, prompt in enumerate(prompts)]
+        drive(manager, sessions, check)
+        monkeypatch.undo()
+        assert forwards == rows
+        assert not manager.prefilling
+        assert all(s.state == "running" and s.prefill_cache is None
+                   and len(s.generated) == 1 for s in sessions)
+        if prefix:
+            hits = [s for s in sessions if s.prompt.startswith(self.PREAMBLE)]
+            assert manager.prefix.hits == len(hits)
+            assert all(s.metrics.prefix_tokens == 25 for s in hits)
+        while manager.running:
+            manager.step()
+            check()
+        for session in sessions:
+            reference = generate(model, session.prompt, max_new_tokens=6,
+                                 stop_on_eos=False)
+            assert session.generated == reference.token_ids, session.prompt
+        assert manager.cache.num_sessions == 0
+
+    def test_default_policy_is_the_chunked_route_with_the_whole_context(self, model):
+        """No fork: ``prefill_chunk_size=None`` == a chunk of ``max_context``."""
+        preamble = "predict the bandwidth: "
+        prompts = ["ab", preamble + "history 1.0 2.0 3.0", "x",
+                   "a considerably longer prompt spanning many blocks",
+                   preamble + "now", "mid size prompt"]
+
+        def run(chunk):
+            server = InferenceServer(model, SchedulerPolicy(
+                max_batch_size=3, block_size=4, prefill_chunk_size=chunk))
+            server.register_prefix(preamble)
+            handles = [server.submit(GenerateRequest(
+                prompt=prompt, max_new_tokens=5, stop_on_eos=False))
+                for prompt in prompts]
+            server.run_until_idle()
+            assert server.stats().prefix_hits == 2
+            return ([h.result().token_ids for h in handles],
+                    [r.prefill_chunks for r in server.telemetry.records()])
+
+        default_tokens, default_chunks = run(None)
+        whole_tokens, whole_chunks = run(model.config.max_seq_len)
+        assert default_tokens == whole_tokens
+        assert default_chunks == whole_chunks
+        # One-shot either way: every prompt tail is exactly one chunk.
+        assert sorted(rid for step in default_chunks for rid, _ in step) \
+            == list(range(1, len(prompts) + 1))
+
+
+# ---------------------------------------------------------------------- #
 # Shared prompt-prefix cache
 # ---------------------------------------------------------------------- #
 class TestPrefixCache:
@@ -455,7 +572,7 @@ class TestPrefixCache:
 
         session = GenerationSession(session_id=1, prompt=preamble + "now",
                                     max_new_tokens=6, stop_on_eos=False)
-        manager.admit(session)
+        manager.admit_many([session])
         # The session's table starts with the cached head's blocks, shared.
         table = manager.cache.table(session.slot)
         assert table[:len(entry.block_ids)] == entry.block_ids
@@ -612,12 +729,6 @@ class TestMetricsAggregation:
         assert request.total_seconds == pytest.approx(2.0)
         assert request.ttft_s == pytest.approx(0.75)
         assert request.mean_batch_size == pytest.approx(3.0)
-
-    def test_time_to_first_token_alias_deprecated(self):
-        request = self._request("generate", submitted=10.0, admitted=10.5,
-                                finished=12.0, tokens=8, first_token=10.75)
-        with pytest.warns(DeprecationWarning, match="ttft_s"):
-            assert request.time_to_first_token == pytest.approx(0.75)  # repro: noqa[REP004] the pinned deprecation-warning test
 
     def test_request_metrics_defaults_before_completion(self):
         request = RequestMetrics(task="vp")
@@ -1135,12 +1246,17 @@ class TestTypedRequests:
         with pytest.raises(AttributeError):
             decision.priority = 3
 
-    def test_submit_rejects_mixed_styles(self, model):
+    def test_submit_takes_one_typed_request_only(self, model):
         server = InferenceServer(model)
-        with pytest.raises(TypeError, match="carries all options"):
+        # The stringly pre-typed surface is gone, not shimmed.
+        with pytest.raises(TypeError, match="takes a GenerateRequest or "
+                                            "DecisionRequest, got str"):
+            server.submit("generate")
+        with pytest.raises(TypeError):
             server.submit(GenerateRequest(prompt="x"), max_new_tokens=4)
-        with pytest.raises(TypeError, match="carries all options"):
+        with pytest.raises(TypeError):
             server.submit(DecisionRequest(task="vp", payload=1), "extra")
+        assert not server.has_pending_work()
 
 
 # ---------------------------------------------------------------------- #
@@ -1497,48 +1613,6 @@ class TestCustomTaskRuntime:
 
 
 # ---------------------------------------------------------------------- #
-# Deprecated stringly-typed submit shim
-# ---------------------------------------------------------------------- #
-class TestDeprecatedSubmitShim:
-    def test_generate_shim_warns_and_matches_typed(self, model):
-        server = InferenceServer(model)
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = server.submit("generate", "shim me", max_new_tokens=5,  # repro: noqa[REP004] the pinned shim test
-                                   stop_on_eos=False)
-        typed = server.submit(GenerateRequest(prompt="shim me", max_new_tokens=5,
-                                              stop_on_eos=False))
-        server.run_until_idle()
-        assert legacy.result().token_ids == typed.result().token_ids
-
-    def test_decision_shim_unwraps_typed_results(self, vp_data):
-        from repro.core import VPAdapter
-
-        setting, _, test = vp_data
-        llm = build_llm("tiny-test", lora_rank=0, pretrained=False, seed=0)
-        adapter = VPAdapter(llm, prediction_steps=setting.prediction_steps, seed=0)
-        server = InferenceServer(adapters={"vp": adapter})
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            legacy = server.submit("vp", test[0])  # repro: noqa[REP004] the pinned shim test
-        server.run_until_idle()
-        # The shim preserves the old contract: a bare ndarray, not VPResult.
-        prediction = legacy.result()
-        assert isinstance(prediction, np.ndarray)
-        np.testing.assert_allclose(prediction, adapter.predict(test[0]),
-                                   atol=1e-9, rtol=0)
-
-    def test_typed_submissions_do_not_warn(self, model):
-        import warnings as warnings_module
-
-        server = InferenceServer(model)
-        with warnings_module.catch_warnings():
-            warnings_module.simplefilter("error", DeprecationWarning)
-            handle = server.submit(GenerateRequest(prompt="ok", max_new_tokens=2,
-                                                   stop_on_eos=False))
-        server.run_until_idle()
-        assert handle.result().token_ids
-
-
-# ---------------------------------------------------------------------- #
 # stop() semantics
 # ---------------------------------------------------------------------- #
 class TestStopSemantics:
@@ -1759,26 +1833,6 @@ class TestChunkedPrefill:
             external_refs=manager.prefix.external_refs()
             if manager.prefix else None)
         assert manager.cache.num_sessions == 0 and manager.num_prefilling == 0
-
-    def test_chunked_prefill_composes_with_prefix_cache(self, model):
-        """A chunked tail behind a shared cached head stays exact."""
-        preamble = "predict the bandwidth: "
-        server = InferenceServer(model, SchedulerPolicy(
-            max_batch_size=2, block_size=4, prefill_chunk_size=3,
-            step_token_budget=8))
-        server.register_prefix(preamble)
-        prompt = preamble + "history 1.0 2.0 3.0 4.0"
-        handle = server.submit(GenerateRequest(prompt=prompt, max_new_tokens=6,
-                                               stop_on_eos=False))
-        server.run_until_idle()
-        reference = generate(model, prompt, max_new_tokens=6, stop_on_eos=False)
-        assert handle.result().token_ids == reference.token_ids
-        stats = server.stats()
-        assert stats.prefix_hits == 1
-        assert handle.metrics.prefix_tokens > 0
-        manager = server._manager
-        manager.cache.check_invariants(
-            external_refs=manager.prefix.external_refs())
 
     def test_long_prompt_does_not_stall_in_flight_decode(self, model):
         """Decode sessions keep committing tokens between prefill chunks."""

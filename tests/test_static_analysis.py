@@ -7,8 +7,8 @@ Three layers:
   silently rotted; a rule without a non-triggering fixture is a rule
   whose false-positive boundary nobody pinned);
 * **gate tests** — the live tree: zero unsuppressed findings on ``src/``,
-  REP004 clean repo-wide, the serve stack's lock-order graph cycle-free,
-  and the whole run inside its 5-second fast-lane budget;
+  the serve stack's lock-order graph cycle-free, and the whole run inside
+  its 5-second fast-lane budget;
 * **regression tests** — the behavior of the genuine bugs the analyzer
   surfaced when first run on this tree (falsy-timestamp fallback in
   ``record_token``, unlocked ``_runtimes`` read racing
@@ -46,7 +46,7 @@ def hits(findings, rule):
 # ---------------------------------------------------------------------- #
 class TestRegistry:
     def test_all_core_rules_registered(self):
-        assert set(RULES) >= {"REP001", "REP002", "REP003", "REP004",
+        assert set(RULES) == {"REP001", "REP002", "REP003",
                               "REP005", "REP006", "REP007"}
 
     def test_select_and_ignore(self):
@@ -185,27 +185,6 @@ class TestRep003:
                         "    def step(self):\n"
                         "        self._faults.fire('anything.goes')\n")},
             select=["REP003"])
-        assert findings == []
-
-
-# ---------------------------------------------------------------------- #
-# REP004 — deprecated-API ban
-# ---------------------------------------------------------------------- #
-class TestRep004:
-    def test_flags_deprecated_attribute_and_stringly_submit(self):
-        findings = check_sources({"m.py": (
-            "def report(metrics, server, prompt):\n"
-            "    ttft = metrics.time_to_first_token\n"
-            "    handle = server.submit('generate', prompt)\n"
-            "    return ttft, handle\n")}, select=["REP004"])
-        assert len(findings) == 2
-
-    def test_typed_surface_is_clean(self):
-        findings = check_sources({"m.py": (
-            "def report(metrics, server, request):\n"
-            "    ttft = metrics.ttft_s\n"
-            "    handle = server.submit(request)\n"
-            "    return ttft, handle\n")}, select=["REP004"])
         assert findings == []
 
 
@@ -502,11 +481,6 @@ class TestWalker:
 class TestTreeGates:
     def test_src_tree_has_zero_unsuppressed_findings(self):
         findings = run([SRC])
-        assert findings == [], "\n" + "\n".join(f.format() for f in findings)
-
-    def test_rep004_clean_repo_wide(self):
-        findings = run([REPO / "tests", REPO / "benchmarks",
-                        REPO / "examples"], select=["REP004"])
         assert findings == [], "\n" + "\n".join(f.format() for f in findings)
 
     def test_serve_lock_order_graph_is_cycle_free(self):

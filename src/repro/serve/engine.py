@@ -27,20 +27,29 @@ carry a ``priority`` class (admitted first, aged against starvation) and a
 relative ``deadline_s`` (expiry fails the handle with
 :class:`~repro.serve.requests.DeadlineExceeded`, in-queue or mid-decode).
 
-**Failure semantics** (fault isolation, not fail-all): an exception in one
-phase of a step is *quarantined* to the requests it implicates — the
-sessions of the failed decode batch, the sessions of the failed prefill
-band/chunk, or the entries of the failed decision group.  Their blocks are
-evicted and reclaimed, :meth:`~repro.nn.PagedKVCache.check_invariants`
-proves the pool is still sound, and only those handles fail (with
-:class:`~repro.serve.requests.RequestFailed` carrying the original error)
-while the loop keeps serving everything else.  Transient failures are
-retried under ``SchedulerPolicy.retry_policy`` (bounded attempts,
-exponential backoff, original queue aging).  Only a violated pool invariant
-escalates to the fail-all crash guard, marking the server ``FAILED``.
-Under overload, ``shed_queue_depth``/``shed_queue_age_s`` shed new
-submissions with :class:`~repro.serve.requests.ServerOverloaded` instead of
-letting the queue drown the in-flight work; ``server.health`` summarizes
+**Request lifecycle and failure semantics** (fault isolation, not fail-all).
+Every live request, generation or decision, sits in one table keyed by
+request id and leaves it through one terminal function
+(:meth:`InferenceServer._finish`) — completed, cancelled, expired, failed,
+shed, or still live at ``stop(drain=False)`` / a crashed step — so every
+ending is counted once in ``stats()``.  An exception in one phase of a step
+is *quarantined* to the requests it implicates — the sessions of the failed
+decode batch, the sessions of the failed prefill band/chunk, or the entries
+of the failed decision group.  Their blocks are evicted and reclaimed,
+:meth:`~repro.nn.PagedKVCache.check_invariants` proves the pool is still
+sound, and each implicated request meets the one retry rule
+(:meth:`InferenceServer._retry_or_fail`): a transient error under
+``SchedulerPolicy.retry_policy``, with attempts left, the deadline not passed
+and no token already streamed, earns another attempt after an exponential
+backoff — a generation restarts as a fresh session at the front of the queue
+with its original aging, a decision rejoins its task's pending list — and
+anything else fails that handle alone
+(:class:`~repro.serve.requests.RequestFailed` carrying the original error)
+while the loop keeps serving everything else.  Only a violated pool
+invariant escalates to the fail-all crash guard, marking the server
+``FAILED``.  Under overload, ``shed_queue_depth``/``shed_queue_age_s`` shed
+new submissions with :class:`~repro.serve.requests.ServerOverloaded` instead
+of letting the queue drown the in-flight work; ``server.health`` summarizes
 all of this as HEALTHY/DEGRADED/FAILED.  Deterministic chaos testing hooks
 into the same paths via :mod:`repro.serve.faults`.
 
@@ -62,7 +71,6 @@ import itertools
 import queue as queue_module
 import threading
 import time
-from dataclasses import dataclass
 from collections import deque
 from typing import Any, Deque, Dict, Hashable, Iterator, List, Optional, Tuple, Union
 
@@ -72,6 +80,7 @@ from .metrics import (
     OUTCOME_CANCELLED,
     OUTCOME_EXPIRED,
     OUTCOME_FAILED,
+    OUTCOME_OK,
     OUTCOME_SHED,
     RequestMetrics,
     ServeCounters,
@@ -90,7 +99,6 @@ from .runtimes import TaskRuntime, build_runtime
 from .scheduler import ContinuousBatchingScheduler, SchedulerPolicy
 from .session import (
     FAILED,
-    FINISHED,
     PREFILLING,
     QUEUED,
     REASON_CANCELLED,
@@ -120,16 +128,26 @@ class RequestHandle:
 
     def __init__(self, server: "InferenceServer", request_id: int,
                  request: Union[GenerateRequest, DecisionRequest],
-                 metrics: RequestMetrics) -> None:
+                 group_key: Hashable = ()) -> None:
         self._server = server
         self.request_id = request_id
         self.request = request
         self.task = request.task
-        self.metrics = metrics
+        #: One metrics object for the request's whole life, retries included.
+        self.metrics = RequestMetrics(
+            task=request.task, priority=request.priority, request_id=request_id)
+        #: Absolute ``time.perf_counter()`` completion deadline (None: none).
+        self._deadline_at: Optional[float] = (
+            None if request.deadline_s is None
+            else self.metrics.submitted_at + request.deadline_s)
         self._event = threading.Event()
         self._result: Any = None
         self._error: Optional[BaseException] = None
+        # Engine side: a generation's session, a decision's batching key, and
+        # the retry rule's backoff (not to run before this; None: at once).
         self._session: Optional[GenerationSession] = None
+        self._group_key = group_key
+        self._retry_at: Optional[float] = None
         self._stream: Optional[queue_module.SimpleQueue] = None
         if isinstance(request, GenerateRequest) and request.stream:
             self._stream = queue_module.SimpleQueue()
@@ -213,40 +231,16 @@ class RequestHandle:
             raise self._error
 
     # -- engine-side plumbing ------------------------------------------- #
-    def _push_piece(self, piece: str) -> None:
-        if self._stream is not None:
-            self._stream.put(piece)
+    def _past_deadline(self, now: float) -> bool:
+        """The engine's one expiry test (sweeps and the retry rule alike)."""
+        return self._deadline_at is not None and now > self._deadline_at
 
-    def _resolve(self, result: Any) -> None:
-        if self._event.is_set():  # already terminal (e.g. cancelled): keep it
-            return
-        self._result = result
+    def _settle(self, result: Any, error: Optional[BaseException]) -> None:
+        """Reach the terminal state (``InferenceServer._finish`` is the caller)."""
+        self._result, self._error = result, error
         self._event.set()
         if self._stream is not None:
             self._stream.put(_STREAM_END)
-
-    def _fail(self, error: BaseException) -> None:
-        if self._event.is_set():  # already terminal (e.g. cancelled): keep it
-            return
-        self._error = error
-        self._event.set()
-        if self._stream is not None:
-            self._stream.put(_STREAM_END)
-
-
-@dataclass
-class _PendingDecision:
-    """One queued decision request with its grouping/lifecycle bookkeeping."""
-
-    handle: RequestHandle
-    request: DecisionRequest
-    group_key: Hashable = ()
-    deadline_at: Optional[float] = None
-    #: Retry backoff: not flushed before this time (None: immediately).
-    retry_at: Optional[float] = None
-
-    def is_expired(self, now: float) -> bool:
-        return self.deadline_at is not None and now > self.deadline_at
 
 
 class InferenceServer:
@@ -317,9 +311,10 @@ class InferenceServer:
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
-        self._pending_generation: Dict[int, RequestHandle] = {}  # session_id -> handle
-        self._queued_generation: Dict[int, RequestHandle] = {}   # request_id -> handle
-        self._pending_decisions: Dict[str, List[_PendingDecision]] = {}
+        #: request id -> handle of every request not yet terminal (where it
+        #: waits: ``session.state``, or its task's pending list for decisions).
+        self._live: Dict[int, RequestHandle] = {}
+        self._pending_decisions: Dict[str, List[RequestHandle]] = {}
         # Bounded retention: a long-lived server keeps the most recent
         # completions for stats() instead of growing without limit.
         self._completed: Deque[RequestMetrics] = deque(maxlen=16384)
@@ -386,7 +381,10 @@ class InferenceServer:
           :class:`TaskRuntime` (built-ins: ``vp``/``abr``/``cjs``).
         """
         if isinstance(request, GenerateRequest):
-            return self._submit_generation(request)
+            self._require_model()
+            handle = RequestHandle(self, next(self._ids), request)
+            self._new_session(handle)
+            return self._enter(handle)
         if isinstance(request, DecisionRequest):
             return self._submit_decision(request)
         raise TypeError(f"submit() takes a GenerateRequest or DecisionRequest, "
@@ -394,42 +392,55 @@ class InferenceServer:
 
     def submit_generation(self, prompt: str, **options) -> RequestHandle:
         """Typed-convenience shorthand: ``submit(GenerateRequest(prompt, ...))``."""
-        return self._submit_generation(GenerateRequest(prompt=prompt, **options))
+        return self.submit(GenerateRequest(prompt=prompt, **options))
 
-    def _submit_generation(self, request: GenerateRequest) -> RequestHandle:
-        self._require_model()
-        request_id = next(self._ids)
-        metrics = RequestMetrics(task=GENERATE, priority=request.priority,
-                                 request_id=request_id)
-        session = GenerationSession(session_id=request_id, prompt=request.prompt,
+    def _enter(self, handle: RequestHandle) -> RequestHandle:
+        """Make a new request live where its kind waits, or shed it."""
+        session = handle._session
+        with self._work:
+            if self._started_at is None:
+                self._started_at = time.perf_counter()
+            overload = self._overload_reason()
+            if (overload is None and session is not None
+                    and not self._scheduler.enqueue(session)):
+                overload = (f"request queue full ({self.policy.max_queue}); "
+                            f"retry later")
+            if overload is not None:
+                self._shed += 1
+                self._finish(handle, OUTCOME_SHED, error=ServerOverloaded(
+                    f"request {handle.request_id} ({handle.task}) shed: "
+                    f"{overload}"))
+                return handle
+            if session is None:
+                self._pending_decisions.setdefault(handle.task, []).append(handle)
+            self._live[handle.request_id] = handle
+            self._work.notify_all()
+        return handle
+
+    def _new_session(self, handle: RequestHandle) -> GenerationSession:
+        """A ``QUEUED`` session for ``handle``'s request — first attempt or retry.
+
+        What an attempt accumulates lives on the session, so a retry starts
+        from a new one; what spans attempts (metrics object, deadline, the
+        stream subscription) comes from the handle.
+        """
+        request = handle.request
+        session = GenerationSession(session_id=handle.request_id,
+                                    prompt=request.prompt,
                                     max_new_tokens=request.max_new_tokens,
                                     temperature=request.temperature,
                                     seed=request.seed,
                                     stop_on_eos=request.stop_on_eos,
                                     priority=request.priority,
-                                    metrics=metrics)
-        if request.deadline_s is not None:
-            session.deadline_at = metrics.submitted_at + request.deadline_s
-        handle = RequestHandle(self, request_id, request, metrics)
-        handle._session = session
+                                    deadline_at=handle._deadline_at,
+                                    retry_at=handle._retry_at,
+                                    metrics=handle.metrics)
         if request.stream:
             tokenizer = self.model.tokenizer
-            session.on_token = lambda token_id: handle._push_piece(
+            session.on_token = lambda token_id: handle._stream.put(
                 tokenizer.decode([token_id]))
-        with self._work:
-            self._note_submission()
-            overload = self._overload_reason()
-            if overload is not None:
-                self._shed_request(handle, session, overload)
-                return handle
-            if not self._scheduler.enqueue(session):
-                self._shed_request(handle, session, (
-                    f"request queue full ({self.policy.max_queue}); "
-                    f"retry later"))
-                return handle
-            self._queued_generation[request_id] = handle
-            self._work.notify_all()
-        return handle
+        handle._session = session
+        return session
 
     def _submit_decision(self, request: DecisionRequest) -> RequestHandle:
         # register_task() mutates _runtimes under the lock; read it there
@@ -449,24 +460,8 @@ class InferenceServer:
                 f"task runtime for {request.task!r} returned an unhashable "
                 f"group_key ({type(group_key).__name__}); return e.g. a "
                 f"tuple of shapes") from None
-        request_id = next(self._ids)
-        metrics = RequestMetrics(task=request.task, priority=request.priority,
-                                 request_id=request_id)
-        handle = RequestHandle(self, request_id, request, metrics)
-        pending = _PendingDecision(
-            handle=handle, request=request,
-            group_key=group_key,
-            deadline_at=(None if request.deadline_s is None
-                         else metrics.submitted_at + request.deadline_s))
-        with self._work:
-            self._note_submission()
-            overload = self._overload_reason()
-            if overload is not None:
-                self._shed_request(handle, None, overload)
-                return handle
-            self._pending_decisions.setdefault(request.task, []).append(pending)
-            self._work.notify_all()
-        return handle
+        return self._enter(
+            RequestHandle(self, next(self._ids), request, group_key))
 
     def _require_model(self) -> None:
         if self._manager is None:
@@ -486,8 +481,7 @@ class InferenceServer:
         """
         policy = self.policy
         if policy.shed_queue_depth is not None:
-            depth = self._scheduler.queue_depth + sum(
-                len(v) for v in self._pending_decisions.values())
+            depth = self._scheduler.queue_depth + self._decisions_waiting()
             if depth >= policy.shed_queue_depth:
                 return (f"queue depth {depth} at the shed bound "
                         f"{policy.shed_queue_depth}")
@@ -498,19 +492,8 @@ class InferenceServer:
                         f"past the shed bound {policy.shed_queue_age_s}s")
         return None
 
-    def _shed_request(self, handle: RequestHandle,
-                      session: Optional[GenerationSession],
-                      reason: str) -> None:
-        """Reject a submission under overload (lock held)."""
-        self._shed += 1
-        self.telemetry.note_shed()
-        if session is not None:
-            session.state = FAILED
-        handle.metrics.outcome = OUTCOME_SHED
-        handle.metrics.mark_finished()
-        self._completed.append(handle.metrics)
-        handle._fail(ServerOverloaded(
-            f"request {handle.request_id} ({handle.task}) shed: {reason}"))
+    def _decisions_waiting(self) -> int:
+        return sum(len(pending) for pending in self._pending_decisions.values())
 
     @property
     def health(self) -> str:
@@ -538,72 +521,91 @@ class InferenceServer:
         self._last_fault_at = time.perf_counter()
 
     # ------------------------------------------------------------------ #
-    # Lifecycle: cancellation and deadlines
+    # Lifecycle: the terminal transition, cancellation and deadlines
     # ------------------------------------------------------------------ #
+    def _finish(self, handle: RequestHandle, outcome: str, *,
+                result: Any = None,
+                error: Optional[BaseException] = None) -> None:
+        """The one terminal transition of a request (lock held).
+
+        Every way a request ends comes through here, and nothing else sets
+        ``metrics.outcome``, stamps ``finished_at``, feeds ``stats()`` or
+        settles the handle, so each ending is counted exactly once.  The
+        caller has already withdrawn the request from where it waited or
+        ran.  ``result`` is a decision's payload (a generation's is built
+        from its session); ``error`` is raised by ``handle.result()``.
+        """
+        if handle.done():  # already terminal: the first ending stands
+            return
+        self._live.pop(handle.request_id, None)
+        handle._group_key = None  # clients may keep handles; don't pin the key
+        session, metrics, telemetry = handle._session, handle.metrics, self.telemetry
+        metrics.outcome = outcome
+        metrics.mark_finished()
+        self._completed.append(metrics)
+        self._last_finished_at = metrics.finished_at
+        if outcome != OUTCOME_OK:
+            if session is not None:
+                session.state = FAILED
+            if outcome == OUTCOME_CANCELLED:
+                telemetry.note_cancelled()
+            elif outcome == OUTCOME_EXPIRED:
+                telemetry.note_expired()
+            elif outcome == OUTCOME_SHED:
+                telemetry.note_shed()
+            else:
+                telemetry.note_failed()
+        elif session is None:
+            telemetry.note_decisions(1)
+        else:
+            telemetry.note_finished(handle.request_id)
+            result = session.to_result(self.model.tokenizer)
+        handle._settle(result, error)
+
+    def _withdraw(self, handle: RequestHandle, reason: str) -> None:
+        """Take a live request out of wherever it waits or runs (lock held)."""
+        session = handle._session
+        if session is None:
+            self._pending_decisions[handle.task] = [
+                h for h in self._pending_decisions.get(handle.task, [])
+                if h is not handle]
+        elif session.state == QUEUED:
+            self._scheduler.remove(session)
+        elif session.state in (PREFILLING, RUNNING):
+            self._manager.evict(session, reason=reason)
+
     def _cancel(self, handle: RequestHandle) -> bool:
         with self._work:
             if handle.done():
                 return False
-            session = handle._session
-            if session is not None:
-                if session.state == QUEUED:
-                    self._scheduler.remove(session)
-                    self._queued_generation.pop(handle.request_id, None)
-                elif session.state in (PREFILLING, RUNNING):
-                    self._manager.evict(session, reason=REASON_CANCELLED)
-                self._pending_generation.pop(session.session_id, None)
-                session.state = FAILED
-            else:
-                pending = self._pending_decisions.get(handle.task, [])
-                self._pending_decisions[handle.task] = [
-                    p for p in pending if p.handle is not handle]
-            self._terminate(handle, OUTCOME_CANCELLED, RequestCancelled(
+            self._withdraw(handle, REASON_CANCELLED)
+            self._finish(handle, OUTCOME_CANCELLED, error=RequestCancelled(
                 f"request {handle.request_id} ({handle.task}) was cancelled"))
             self._work.notify_all()
         return True
 
     def _expire(self, handle: RequestHandle, where: str) -> None:
         """Fail an over-deadline request (called with the lock held)."""
-        self._terminate(handle, OUTCOME_EXPIRED, DeadlineExceeded(
+        self._finish(handle, OUTCOME_EXPIRED, error=DeadlineExceeded(
             f"request {handle.request_id} ({handle.task}) exceeded its "
             f"deadline of {handle.request.deadline_s}s {where}"))
 
-    def _terminate(self, handle: RequestHandle, outcome: str,
-                   error: BaseException) -> None:
-        if outcome == OUTCOME_CANCELLED:
-            self.telemetry.note_cancelled()
-        elif outcome == OUTCOME_EXPIRED:
-            self.telemetry.note_expired()
-        handle.metrics.outcome = outcome
-        handle.metrics.mark_finished()
-        self._completed.append(handle.metrics)
-        self._last_finished_at = time.perf_counter()
-        handle._fail(error)
-
     def _reap_expired_queued(self) -> bool:
-        """Fail queued generation sessions whose deadline already passed."""
+        """Fail queued sessions past ``deadline_at`` (the handle's deadline)."""
         expired = self._scheduler.reap_expired()
         for session in expired:
-            session.state = FAILED
-            handle = self._queued_generation.pop(session.session_id, None)
-            if handle is not None:
-                self._expire(handle, "while queued")
+            self._expire(self._live[session.session_id], "while queued")
         return bool(expired)
 
     def _reap_expired_running(self) -> bool:
         """Evict running/prefilling sessions whose deadline passed mid-step."""
-        if self._manager is None:
-            return False
         now = time.perf_counter()
-        expired = [s for s in list(self._manager.running.values())
-                   + list(self._manager.prefilling.values())
-                   if s.is_expired(now)]
-        for session in expired:
-            self._manager.evict(session, reason=REASON_DEADLINE)
-            session.state = FAILED
-            handle = self._pending_generation.pop(session.session_id, None)
-            if handle is not None:
-                self._expire(handle, "mid-decode")
+        expired = [handle for handle in self._live.values()
+                   if handle._past_deadline(now) and handle._session is not None
+                   and handle._session.state in (PREFILLING, RUNNING)]
+        for handle in expired:
+            self._withdraw(handle, REASON_DEADLINE)
+            self._expire(handle, "mid-decode")
         return bool(expired)
 
     # ------------------------------------------------------------------ #
@@ -674,9 +676,10 @@ class InferenceServer:
         wake = self._next_retry_at()
         if wake is None:
             if handle is not None:
-                handle._fail(RuntimeError(
-                    f"request {handle.request_id} cannot complete: "
-                    f"engine is idle"))
+                with self._lock:
+                    self._finish(handle, OUTCOME_FAILED, error=RuntimeError(
+                        f"request {handle.request_id} cannot complete: "
+                        f"engine is idle"))
             return False
         time.sleep(min(max(wake - time.perf_counter(), 0.0), 0.05))
         return True
@@ -686,12 +689,16 @@ class InferenceServer:
         """True while the background serve loop is running."""
         return self._thread is not None and self._thread.is_alive()
 
+    def _served_by_loop(self) -> bool:
+        """True when a live background loop, not the caller, drives the engine."""
+        return self.is_serving and threading.current_thread() is not self._thread
+
     def has_pending_work(self) -> bool:
         with self._lock:
             running = (self._manager.num_running + self._manager.num_prefilling
                        if self._manager else 0)
-            pending = sum(len(v) for v in self._pending_decisions.values())
-            return bool(running or pending or self._scheduler.queue_depth)
+            return bool(running or self._decisions_waiting()
+                        or self._scheduler.queue_depth)
 
     # ------------------------------------------------------------------ #
     # Background serve loop
@@ -725,8 +732,9 @@ class InferenceServer:
                     break
                 time.sleep(0.001)
         else:
-            self._fail_queued(RuntimeError(
-                "server stopped before admitting this request"))
+            self._fail_all_pending(RuntimeError(
+                "server stopped before admitting this request"),
+                in_flight=False)
         with self._work:
             self._running = False
             self._work.notify_all()
@@ -742,15 +750,9 @@ class InferenceServer:
                     f"serve loop thread {thread.name!r} did not exit within "
                     f"{self.JOIN_TIMEOUT_S}s of stop(); leaking it — pending "
                     f"handles may hang and the engine must not be reused")
-        # One atomic snapshot under the lock: _pending_generation is
-        # mutated lock-held on the submit/cancel paths, and the reentrant
-        # lock makes the nested has_pending_work() acquisition free.
-        with self._lock:
-            leftover = bool(self.has_pending_work()
-                            or self._pending_generation)
-        if leftover:
-            self._fail_all_pending(RuntimeError(
-                "server stopped before completing this request"))
+        # Whatever is still live (or orphaned by a failed eviction) fails now.
+        self._fail_all_pending(RuntimeError(
+            "server stopped before completing this request"))
 
     def __enter__(self) -> "InferenceServer":
         return self.start()
@@ -779,41 +781,32 @@ class InferenceServer:
                         return
                     self._work.wait(timeout=0.005)
 
-    def _fail_queued(self, error: BaseException) -> None:
-        """Fail every *queued* (not yet admitted) request immediately."""
-        with self._lock:
-            for session in self._scheduler.drain():
-                session.state = FAILED
-                handle = self._queued_generation.pop(session.session_id, None)
-                if handle is not None:
-                    handle._fail(error)
-            for task, pending in list(self._pending_decisions.items()):
-                self._pending_decisions[task] = []
-                for entry in pending:
-                    entry.handle._fail(error)
+    def _fail_all_pending(self, error: BaseException,
+                          in_flight: bool = True) -> None:
+        """Fail every live request with ``error`` (the loop is going down).
 
-    def _fail_all_pending(self, error: BaseException) -> None:
-        """Fail every queued/in-flight request (serve loop is going down)."""
+        ``in_flight=False`` (the fail-fast half of ``stop(drain=False)``)
+        leaves admitted sessions alone until the loop has exited.
+        """
         with self._lock:
-            self._fail_queued(error)
-            if self._manager is not None:
-                for session in (list(self._manager.running.values())
-                                + list(self._manager.prefilling.values())):
+            self._scheduler.drain()
+            self._pending_decisions.clear()
+            for handle in list(self._live.values()):
+                session = handle._session
+                if session is not None and session.state in (PREFILLING, RUNNING):
+                    if not in_flight:
+                        continue
                     try:
                         self._manager.evict(session, reason="failed")
                     except Exception:
                         # A corrupted pool must not mask the original error:
                         # every remaining handle still fails with it below.
                         pass
-                    session.state = FAILED
-                    self._finish_generation(session, error=error)
-            for session_id in list(self._pending_generation):
-                handle = self._pending_generation.pop(session_id)
-                handle._fail(error)
+                self._finish(handle, OUTCOME_FAILED, error=error)
 
     def _drive(self, handle: RequestHandle, timeout: Optional[float]) -> None:
         """Resolve ``handle``: wait on the loop thread or step synchronously."""
-        if self.is_serving and threading.current_thread() is not self._thread:
+        if self._served_by_loop():
             handle._event.wait(timeout)
             return
         deadline = None if timeout is None else time.perf_counter() + timeout
@@ -833,7 +826,7 @@ class InferenceServer:
         """
         if handle.done():
             return True
-        if self.is_serving and threading.current_thread() is not self._thread:
+        if self._served_by_loop():
             return False
         self._drive_round(handle)
         return True
@@ -882,10 +875,6 @@ class InferenceServer:
             # prefill + its same-step decode row), hence the -2.
             cap = 0 if remaining < 2 else min(cap, (remaining - 2) // draw + 1)
         admitted = self._scheduler.admissions(cap) if cap > 0 else []
-        for session in admitted:
-            handle = self._queued_generation.pop(session.session_id, None)
-            if handle is not None:
-                self._pending_generation[session.session_id] = handle
         if not admitted and not manager.num_prefilling:
             return False
         if self._trace is not None:
@@ -894,7 +883,7 @@ class InferenceServer:
         spent, terminal, failures, deferred = manager.prefill_step(
             admitted, self.policy.prefill_chunk_size, budget)
         for session in terminal:
-            self._finish_generation(session)
+            self._finish(self._live[session.session_id], OUTCOME_OK)
         for session, error in failures:
             # The manager already aborted the session (abort is idempotent);
             # quarantine re-verifies the pool and retries-or-fails the handle.
@@ -906,10 +895,7 @@ class InferenceServer:
         for session in reversed(deferred):
             if self._trace is not None:
                 self._trace.note_deferred(session.session_id)
-            handle = self._pending_generation.pop(session.session_id, None)
             self._scheduler.requeue_front(session)
-            if handle is not None:
-                self._queued_generation[session.session_id] = handle
         return bool(admitted or spent or terminal or failures)
 
     def _decode_step(self) -> bool:
@@ -929,7 +915,7 @@ class InferenceServer:
             self._scheduler.record_step(
                 occupancy, blocks_in_use=self._manager.cache.blocks_in_use)
         for session in completed:
-            self._finish_generation(session)
+            self._finish(self._live[session.session_id], OUTCOME_OK)
         return True
 
     # ------------------------------------------------------------------ #
@@ -954,13 +940,16 @@ class InferenceServer:
         self._verify_pool_sound(error)
         now = time.perf_counter()
         for session in sessions:
-            self._resolve_failed_session(session, error, phase, now)
+            handle = self._live[session.session_id]
+            if self._retry_or_fail(handle, error, now, f"failed during {phase}"):
+                # From scratch (the quarantine evicted its KV state), at the
+                # front of the queue: submitted_at is kept, so priority
+                # aging continues as if it had never been admitted.
+                self._scheduler.requeue_front(self._new_session(handle))
 
     def _verify_pool_sound(self, error: BaseException) -> None:
         """Prove the KV pool survived a quarantine; escalate if it did not."""
         manager = self._manager
-        if manager is None:
-            return
         prefix = manager.prefix
         try:
             manager.cache.check_invariants(
@@ -971,203 +960,112 @@ class InferenceServer:
                 f"unrecoverable fault: KV-pool invariants violated after "
                 f"quarantine ({violation}); original error: {error}") from error
 
-    def _resolve_failed_session(self, session: GenerationSession,
-                                error: BaseException, phase: str,
-                                now: float) -> None:
-        """Retry a quarantined session if policy allows, else fail its handle."""
+    def _retry_or_fail(self, handle: RequestHandle, error: BaseException,
+                       now: float, what: str) -> bool:
+        """The one retry rule, for a quarantined request of either kind.
+
+        Granted when the error is transient under the retry policy, attempts
+        remain, the deadline has not passed and no token was already streamed
+        to the client (a replay would repeat it): the backoff goes on the
+        handle and the caller parks the request where its kind waits.
+        Otherwise the handle fails with :class:`RequestFailed`.
+        """
         policy = self.policy.retry_policy
-        handle = self._pending_generation.get(session.session_id)
-        streamed = (handle is not None
-                    and session.metrics.first_token_at is not None
-                    and handle._stream is not None)
+        metrics = handle.metrics
+        streamed = (handle._stream is not None
+                    and metrics.first_token_at is not None)
         if (policy is not None and policy.is_retryable(error)
-                and session.metrics.attempts < policy.max_attempts
-                and not streamed and not session.is_expired(now)):
-            self._retry_generation(session, now)
-            return
-        session.state = FAILED
-        if self._trace is not None:
-            self._trace.note_failed()
-        handle = self._pending_generation.pop(session.session_id, None)
-        session.metrics.outcome = OUTCOME_FAILED
-        session.metrics.mark_finished()
-        self._completed.append(session.metrics)
-        self._last_finished_at = time.perf_counter()
-        if handle is not None:
-            handle._fail(RequestFailed(
-                f"request {session.session_id} (generate) failed during "
-                f"{phase}: {error}", cause=error))
-
-    def _retry_generation(self, session: GenerationSession, now: float) -> None:
-        """Re-enqueue a quarantined session for another attempt.
-
-        The session restarts from scratch (its KV state was evicted by the
-        quarantine) but keeps its original ``submitted_at``, so priority
-        aging continues as if it had never been admitted.
-        """
-        policy = self.policy.retry_policy
-        session.metrics.attempts += 1
-        self._retries += 1
-        if self._trace is not None:
-            self._trace.note_retry()
-        # Reset execution state back to a fresh submission.
-        session.state = QUEUED
-        session.slot = None
-        session.prompt_ids = []
-        session.prompt_pos = 0
-        session.prefill_cache = None
-        session.prefix_entry = None
-        session.generated = []
-        session.stopped_by_eos = False
-        session.finish_reason = None
-        session.num_inferences = 0
-        session._rng = None
-        session._last_step_at = None
-        metrics = session.metrics
-        metrics.admitted_at = None
-        metrics.first_token_at = None
-        metrics.token_seconds = []
-        metrics.batch_sizes = []
-        metrics.tokens_generated = 0
-        metrics.prefix_tokens = 0
-        failures = session.metrics.attempts - 1
-        backoff = policy.backoff_for(failures)
-        session.retry_at = (now + backoff) if backoff > 0 else None
-        self._scheduler.requeue_front(session)
-        handle = self._pending_generation.pop(session.session_id, None)
-        if handle is not None:
-            self._queued_generation[session.session_id] = handle
-
-    def _quarantine_decision_group(self, task: str,
-                                   group: List[_PendingDecision],
-                                   error: BaseException) -> None:
-        """Contain a decision-batch failure to that group's entries.
-
-        Runtimes never touch the KV pool, so no invariant check is needed —
-        the blast radius is exactly the batched entries, each retried under
-        the retry policy or failed with :class:`RequestFailed`.
-        """
-        self._note_fault()
-        if self._trace is not None:
-            self._trace.note_quarantine(e.handle.request_id for e in group)
-        policy = self.policy.retry_policy
-        now = time.perf_counter()
-        for entry in group:
-            metrics = entry.handle.metrics
-            if (policy is not None and policy.is_retryable(error)
-                    and metrics.attempts < policy.max_attempts
-                    and not entry.is_expired(now)):
-                metrics.attempts += 1
-                self._retries += 1
-                if self._trace is not None:
-                    self._trace.note_retry()
-                backoff = policy.backoff_for(metrics.attempts - 1)
-                entry.retry_at = (now + backoff) if backoff > 0 else None
-                self._pending_decisions.setdefault(task, []).append(entry)
-                continue
-            metrics.outcome = OUTCOME_FAILED
-            metrics.mark_finished()
+                and metrics.attempts < policy.max_attempts
+                and not streamed and not handle._past_deadline(now)):
+            backoff = policy.backoff_for(metrics.attempts)
+            handle._retry_at = (now + backoff) if backoff > 0 else None
+            metrics.begin_retry()
+            self._retries += 1
             if self._trace is not None:
-                self._trace.note_failed()
-            self._completed.append(metrics)
-            entry.handle._fail(RequestFailed(
-                f"request {entry.handle.request_id} ({task}) decision batch "
-                f"failed: {error}", cause=error))
+                self._trace.note_retry()
+            return True
+        self._finish(handle, OUTCOME_FAILED, error=RequestFailed(
+            f"request {handle.request_id} ({handle.task}) {what}: {error}",
+            cause=error))
+        return False
 
     def _next_retry_at(self) -> Optional[float]:
         """Earliest pending retry wake-up across both queues (None: no retries)."""
         with self._lock:
-            candidates: List[float] = []
+            wakes = [handle._retry_at
+                     for pending in self._pending_decisions.values()
+                     for handle in pending if handle._retry_at is not None]
             queued = self._scheduler.next_retry_at()
             if queued is not None:
-                candidates.append(queued)
-            for pending in self._pending_decisions.values():
-                candidates.extend(e.retry_at for e in pending
-                                  if e.retry_at is not None)
-            return min(candidates) if candidates else None
-
-    def _finish_generation(self, session: GenerationSession,
-                           error: Optional[BaseException] = None) -> None:
-        if error is None and self._trace is not None:
-            self._trace.note_finished(session.session_id)
-        handle = self._pending_generation.pop(session.session_id, None)
-        self._last_finished_at = time.perf_counter()
-        if handle is None:
-            return
-        if error is not None:
-            session.metrics.mark_finished()
-            handle._fail(error)
-            return
-        self._completed.append(session.metrics)
-        handle._resolve(session.to_result(self.model.tokenizer))
+                wakes.append(queued)
+            return min(wakes, default=None)
 
     def _flush_decisions(self) -> bool:
         did_work = False
         now = time.perf_counter()
-        ready: List[Tuple[str, List[_PendingDecision]]] = []
-        for task in list(self._pending_decisions):
-            pending = self._pending_decisions.get(task)
+        ready: List[Tuple[str, List[RequestHandle]]] = []
+        for task, pending in list(self._pending_decisions.items()):
             if not pending:
                 continue
             # Retry-parked entries stay queued until their backoff elapses.
-            eligible = [e for e in pending
-                        if e.retry_at is None or e.retry_at <= now]
-            waiting = [e for e in pending
-                       if e.retry_at is not None and e.retry_at > now]
-            self._pending_decisions[task] = waiting
+            eligible = [h for h in pending
+                        if h._retry_at is None or h._retry_at <= now]
+            self._pending_decisions[task] = [
+                h for h in pending
+                if h._retry_at is not None and h._retry_at > now]
             if not eligible:
                 continue
-            groups: Dict[Hashable, List[_PendingDecision]] = {}
-            for entry in eligible:
-                if entry.is_expired(now):
-                    self._expire(entry.handle, "while queued")
-                    continue
-                entry.retry_at = None
-                groups.setdefault(entry.group_key, []).append(entry)
+            groups: Dict[Hashable, List[RequestHandle]] = {}
+            for handle in eligible:
+                if handle._past_deadline(now):
+                    self._expire(handle, "while queued")
+                else:
+                    groups.setdefault(handle._group_key, []).append(handle)
             ready.extend((task, group) for group in groups.values())
             did_work = True
         # Higher-priority groups execute first within the flush round (every
         # pending decision still runs this step; priority orders the batched
         # forwards, which is what bounds a high-priority request's latency).
-        ready.sort(key=lambda item: -max(e.request.priority for e in item[1]))
+        ready.sort(key=lambda item: -max(h.request.priority for h in item[1]))
         for task, group in ready:
             self._execute_decision_group(task, group)
             self._scheduler.record_step(len(group))
         return did_work
 
     def _execute_decision_group(self, task: str,
-                                group: List[_PendingDecision]) -> None:
+                                group: List[RequestHandle]) -> None:
         runtime = self._runtimes[task]
-        for entry in group:
-            entry.handle.metrics.mark_admitted()
-            entry.handle.metrics.batch_sizes.append(len(group))
+        for handle in group:
+            handle.metrics.mark_admitted()
+            handle.metrics.batch_sizes.append(len(group))
         try:
             if self._faults is not None:
                 self._faults.fire("runtime.execute_batch")
-            results = runtime.execute_batch([entry.request for entry in group])
+            results = runtime.execute_batch([h.request for h in group])
             if len(results) != len(group):
                 raise RuntimeError(
                     f"task runtime {task!r} returned {len(results)} results "
                     f"for a batch of {len(group)}")
         except Exception as error:
             # Blast radius: exactly this decision batch (see satellite test).
-            self._quarantine_decision_group(task, group, error)
+            # Runtimes never touch the KV pool, so no invariant check is
+            # needed; each entry is retried under the retry policy or failed
+            # with RequestFailed.
+            self._note_fault()
+            if self._trace is not None:
+                self._trace.note_quarantine(h.request_id for h in group)
+            now = time.perf_counter()
+            for handle in group:
+                if self._retry_or_fail(handle, error, now,
+                                       "decision batch failed"):
+                    self._pending_decisions.setdefault(task, []).append(handle)
             return
-        self._last_finished_at = time.perf_counter()
-        if self._trace is not None:
-            self._trace.note_decisions(len(group))
-        for entry, result in zip(group, results):
-            entry.handle.metrics.mark_finished()
-            self._completed.append(entry.handle.metrics)
-            entry.handle._resolve(result)
+        for handle, result in zip(group, results):
+            self._finish(handle, OUTCOME_OK, result=result)
 
     # ------------------------------------------------------------------ #
     # Introspection
     # ------------------------------------------------------------------ #
-    def _note_submission(self) -> None:
-        if self._started_at is None:
-            self._started_at = time.perf_counter()
-
     def stats(self) -> ServerStats:
         """Aggregate throughput/latency/occupancy over completed requests."""
         with self._lock:

@@ -19,7 +19,7 @@ from ..utils import percentile
 OUTCOME_OK = "ok"
 OUTCOME_CANCELLED = "cancelled"
 OUTCOME_EXPIRED = "expired"
-OUTCOME_FAILED = "failed"  # quarantined after a fault (RequestFailed)
+OUTCOME_FAILED = "failed"  # quarantined after a fault, or live at a stop/crash
 OUTCOME_SHED = "shed"      # rejected at submission under overload
 
 
@@ -50,11 +50,13 @@ class RequestMetrics:
     request_id: Optional[int] = None
     #: How the request ended: completed (``"ok"``), ``handle.cancel()``-ed
     #: (``"cancelled"``), past its ``deadline_s`` (``"expired"``),
-    #: fault-quarantined (``"failed"``) or overload-rejected (``"shed"``).
+    #: fault-quarantined or cut off by ``stop(drain=False)`` / a crashed
+    #: step (``"failed"``), or overload-rejected (``"shed"``).
     outcome: str = OUTCOME_OK
     #: Execution attempts so far (1 = first attempt; bumped per retry).
     attempts: int = 1
     submitted_at: float = field(default_factory=time.perf_counter)
+    # Everything below is recorded per execution attempt (see begin_retry).
     admitted_at: Optional[float] = None
     first_token_at: Optional[float] = None
     finished_at: Optional[float] = None
@@ -66,6 +68,18 @@ class RequestMetrics:
     batch_sizes: List[int] = field(default_factory=list)
     #: Prompt-head tokens served from the shared-prefix cache (0 on a miss).
     prefix_tokens: int = 0
+
+    def begin_retry(self) -> None:
+        """Start another execution attempt: what the last one recorded goes.
+
+        Identity, ``submitted_at`` (queue aging and the deadline run from
+        it) and ``outcome`` span attempts; a per-attempt field added above
+        must be cleared here too.
+        """
+        self.attempts += 1
+        self.admitted_at = self.first_token_at = self.finished_at = None
+        self.tokens_generated = self.prefix_tokens = 0
+        self.token_seconds, self.batch_sizes = [], []
 
     def mark_admitted(self) -> None:
         self.admitted_at = time.perf_counter()
@@ -189,7 +203,7 @@ class ServerStats:
     prefix_hits: int = 0
     prefix_misses: int = 0
     prefix_tokens_reused: int = 0
-    #: Fault-tolerance counters: requests that ended fault-quarantined,
+    #: Fault-tolerance counters: requests that ended ``"failed"``,
     #: quarantine events contained without crashing the loop, retry
     #: re-enqueues, and submissions shed under overload.  All stay zero in a
     #: fault-free run — the perf regression gate pins that.

@@ -138,7 +138,7 @@ class SchedulerPolicy:
     takes the plain decode step and probes one token on every 16th planned
     step — see ``docs/speculative.md``).  Under ``step_token_budget``
     each speculative row is charged ``1 + drafted`` tokens — draft lengths
-    are trimmed, round-robin, to fit the budget — so prefill chunks and
+    are trimmed, longest first, to fit the budget — so prefill chunks and
     speculation share one token-accounting regime.
 
     **Fault tolerance / graceful degradation**:

@@ -1650,13 +1650,6 @@ class TestStopSemantics:
             with pytest.raises(RuntimeError, match="server stopped"):
                 handle.result(timeout=10)
 
-    def test_stop_no_drain_fails_pending_decisions(self):
-        server = InferenceServer(runtimes={"double": _DoublerRuntime()})
-        handle = server.submit(DecisionRequest(task="double", payload=1))
-        server.stop(drain=False)
-        with pytest.raises(RuntimeError, match="server stopped"):
-            handle.result()
-
 
 # ---------------------------------------------------------------------- #
 # Review regressions: stream re-iteration, inactivity timeout, decision

@@ -9,6 +9,7 @@ parity between a faulty run's survivors and the fault-free reference run.
 
 from __future__ import annotations
 
+import dataclasses
 import time
 
 import numpy as np
@@ -18,12 +19,14 @@ from repro.llm import LanguageModel, build_llm
 from repro.llm.config import LLMConfig
 from repro.serve import (
     FAULT_SITES,
+    DeadlineExceeded,
     DecisionRequest,
     FaultInjector,
     FaultSpec,
     GenerateRequest,
     InferenceServer,
     InjectedFault,
+    RequestCancelled,
     RequestFailed,
     RetryPolicy,
     SchedulerPolicy,
@@ -32,6 +35,7 @@ from repro.serve import (
     TransientFault,
 )
 from repro.serve.faults import injection_allowed
+from repro.serve.session import GenerationSession
 
 
 @pytest.fixture(scope="module")
@@ -573,6 +577,320 @@ class TestShutdownDiagnostics:
         server._fail_all_pending(original)
         with pytest.raises(RuntimeError, match="the original fault"):
             handle.result(timeout=5)
+
+
+# ---------------------------------------------------------------------- #
+# One request lifecycle: every terminal route, both request kinds
+# ---------------------------------------------------------------------- #
+class _Abort(BaseException):
+    """Escapes the per-phase ``except Exception`` quarantines: a step crash."""
+
+
+def _gen(prompt, tokens=40, **options):
+    return GenerateRequest(prompt=prompt, max_new_tokens=tokens,
+                           stop_on_eos=False, **options)
+
+
+def _echo(payload=21, **options):
+    return DecisionRequest(task="echo", payload=payload, **options)
+
+
+def _server(model, faults=(), **policy):
+    policy.setdefault("max_batch_size", 1)
+    return InferenceServer(
+        model, SchedulerPolicy(**policy), runtimes={"echo": _EchoRuntime()},
+        fault_injector=FaultInjector(list(faults)) if faults else None)
+
+
+def _in_flight(server, request):
+    """Submit ``request`` and take one step, so it holds the batch slot."""
+    handle = server.submit(request)
+    server.step()
+    return handle
+
+
+def _crash_step(server, attribute, owner):
+    """Make the next step die of a BaseException raised from ``owner``."""
+    def abort(*args, **kwargs):
+        raise _Abort("step crashed")
+    setattr(owner, attribute, abort)
+    with pytest.raises(_Abort):
+        server.step()
+
+
+def _then(handle, *actions):
+    """``act()`` for a route: run ``actions`` in order, hand back ``handle``."""
+    def act():
+        for action in actions:
+            action()
+        return handle
+    return act
+
+
+# Each route builds a server and returns ``(server, act)``; ``act()`` ends
+# exactly one request — nothing else reaches a terminal state meanwhile —
+# and returns its handle.
+def _ok_generation(model):
+    server = _server(model)
+    handle = server.submit(_gen("ok", tokens=3))
+    return server, _then(handle, server.run_until_idle)
+
+
+def _ok_decision(model):
+    server = _server(model)
+    handle = server.submit(_echo())
+    return server, _then(handle, server.run_until_idle)
+
+
+def _cancel_queued(model):
+    server = _server(model)
+    _in_flight(server, _gen("blocker"))
+    handle = server.submit(_gen("queued"))
+    return server, _then(handle, handle.cancel)
+
+
+def _cancel_running(model):
+    server = _server(model)
+    handle = _in_flight(server, _gen("running"))
+    return server, _then(handle, handle.cancel)
+
+
+def _cancel_decision(model):
+    server = _server(model)
+    handle = server.submit(_echo())
+    return server, _then(handle, handle.cancel)
+
+
+def _overdue(server, handle):
+    return server, _then(handle, lambda: time.sleep(0.03), server.step)
+
+
+def _expire_queued(model):
+    server = _server(model)
+    _in_flight(server, _gen("blocker"))
+    return _overdue(server, server.submit(_gen("doomed", deadline_s=0.01)))
+
+
+def _expire_running(model):
+    server = _server(model)
+    return _overdue(server, _in_flight(server, _gen("slow", deadline_s=0.02)))
+
+
+def _expire_decision(model):
+    server = _server(model)
+    return _overdue(server, server.submit(_echo(deadline_s=0.01)))
+
+
+def _fail_generation(model):
+    server = _server(model, [FaultSpec(site="decode.step", at=1)])
+    handle = server.submit(_gen("x", tokens=4))
+    return server, _then(handle, server.run_until_idle)
+
+
+def _fail_decision(model):
+    server = _server(model, [FaultSpec(site="runtime.execute_batch", at=1)])
+    handle = server.submit(_echo())
+    return server, _then(handle, server.run_until_idle)
+
+
+def _shed_generation(model):
+    server = _server(model, shed_queue_depth=1)
+    server.submit(_gen("waiting"))
+    return server, lambda: server.submit(_gen("one too many"))
+
+
+def _shed_decision(model):
+    server = _server(model, shed_queue_depth=1)
+    server.submit(_gen("waiting"))
+    return server, lambda: server.submit(_echo())
+
+
+def _stop_queued(model):
+    server = _server(model)
+    handle = server.submit(_gen("never admitted"))
+    return server, _then(handle, lambda: server.stop(drain=False))
+
+
+def _stop_running(model):
+    server = _server(model)
+    handle = _in_flight(server, _gen("admitted"))
+    return server, _then(handle, lambda: server.stop(drain=False))
+
+
+def _stop_decision(model):
+    server = _server(model)
+    handle = server.submit(_echo())
+    return server, _then(handle, lambda: server.stop(drain=False))
+
+
+def _crash_generation(model):
+    server = _server(model)
+    handle = _in_flight(server, _gen("admitted"))
+    return server, _then(
+        handle, lambda: _crash_step(server, "step", server._manager))
+
+
+def _crash_decision(model):
+    server = _server(model)
+    handle = server.submit(_echo())
+    return server, _then(handle, lambda: _crash_step(
+        server, "execute_batch", server._runtimes["echo"]))
+
+
+#: (route, raises, message, outcome, StepRecord counter — None where the
+#: route has no step to land in).  ``metrics.outcome`` names the
+#: ``ServerStats`` counter too, except that ``ok`` is ``requests_completed``.
+_ROUTES = [
+    (_ok_generation, None, None, "ok", "finished"),
+    (_ok_decision, None, None, "ok", "decisions"),
+    (_cancel_queued, RequestCancelled, "cancelled", "cancelled", "cancelled"),
+    (_cancel_running, RequestCancelled, "cancelled", "cancelled", "cancelled"),
+    (_cancel_decision, RequestCancelled, "cancelled", "cancelled", "cancelled"),
+    (_expire_queued, DeadlineExceeded, "while queued", "expired", "expired"),
+    (_expire_running, DeadlineExceeded, "mid-decode", "expired", "expired"),
+    (_expire_decision, DeadlineExceeded, "while queued", "expired", "expired"),
+    (_fail_generation, RequestFailed, "failed during decode step",
+     "failed", "failed"),
+    (_fail_decision, RequestFailed, "decision batch failed", "failed", "failed"),
+    (_shed_generation, ServerOverloaded, "queue depth", "shed", "shed"),
+    (_shed_decision, ServerOverloaded, "queue depth", "shed", "shed"),
+    (_stop_queued, RuntimeError, "stopped before admitting", "failed", None),
+    (_stop_running, RuntimeError, "stopped before completing", "failed", None),
+    (_stop_decision, RuntimeError, "stopped before admitting", "failed", None),
+    (_crash_generation, _Abort, "step crashed", "failed", "failed"),
+    (_crash_decision, _Abort, "step crashed", "failed", "failed"),
+]
+
+_COUNTERS = ("requests_completed", "cancelled", "expired", "failed", "shed")
+
+
+def _counts(server):
+    stats = server.stats()
+    return {name: getattr(stats, name) for name in _COUNTERS}
+
+
+class TestRequestLifecycle:
+    @pytest.mark.parametrize(
+        "route, raises, message, outcome, record_counter", _ROUTES,
+        ids=[route[0].__name__.strip("_") for route in _ROUTES])
+    def test_every_terminal_route_leaves_the_same_facts(
+            self, model, route, raises, message, outcome, record_counter):
+        server, act = route(model)
+        counter = "requests_completed" if outcome == "ok" else outcome
+        before = _counts(server)
+        seen = {record.seq for record in server.telemetry.records()}
+        handle = act()
+        # 1. the handle is terminal, 2. with the route's result or error,
+        assert handle.done()
+        if raises is None:
+            result = handle.result(timeout=5)
+            assert result == 42 or len(result.token_ids) == 3
+        else:
+            with pytest.raises(raises, match=message):
+                handle.result(timeout=5)
+        # 3. its metrics say how it ended and 4. when,
+        assert handle.metrics.outcome == outcome
+        assert handle.metrics.finished_at is not None
+        # 5. and it is counted once, under that outcome alone.
+        assert _counts(server) == {**before, counter: before[counter] + 1}
+        if record_counter is None:
+            return
+        # Out-of-step endings (cancel, shed) fold into the next working step;
+        # a crashed engine has already committed its last record.
+        if server.health != ServerHealth.FAILED:
+            if not server.has_pending_work():
+                server.submit(_gen("filler"))
+            server.step()
+        landed = [getattr(record, record_counter)
+                  for record in server.telemetry.records()
+                  if record.seq not in seen]
+        assert sum(len(value) if isinstance(value, tuple) else value
+                   for value in landed) == 1
+        if record_counter == "finished":
+            assert (handle.request_id,) in landed
+
+    def test_stop_and_crash_failures_are_accounted(self, model):
+        """Regression: handles failed by ``stop(drain=False)`` or the crash
+        guard used to keep ``outcome == "ok"``, never reached ``_completed``
+        and left ``stats().failed`` at 0."""
+        server = _server(model)
+        handles = [_in_flight(server, _gen("admitted")),
+                   server.submit(_gen("queued")), server.submit(_echo())]
+        server.stop(drain=False)
+        for handle in handles:
+            with pytest.raises(RuntimeError, match="server stopped"):
+                handle.result(timeout=5)
+            assert handle.metrics.outcome == "failed"
+            assert handle.metrics.finished_at is not None
+        report = server.stats().report()
+        assert report["failed"] == 3 and report["requests_completed"] == 0
+        assert sorted(m.request_id for m in server._completed) \
+            == sorted(h.request_id for h in handles)
+        _invariants(server)
+
+        crashed = _server(model)
+        victims = [_in_flight(crashed, _gen("admitted")),
+                   crashed.submit(_gen("queued")), crashed.submit(_echo())]
+        crashed._fail_all_pending(RuntimeError("the loop went down"))
+        assert [h.metrics.outcome for h in victims] == ["failed"] * 3
+        assert crashed.stats().failed == 3
+
+    @pytest.mark.parametrize("route", [_shed_generation, _fail_decision],
+                             ids=["shed", "failed_decision_group"])
+    def test_every_ending_stamps_the_stats_clock(self, model, route):
+        """``stats().wall_seconds`` ends at the last terminal transition; a
+        shed submission and a failed decision group used not to stamp it."""
+        server, act = route(model)
+        handle = act()
+        assert server._last_finished_at == handle.metrics.finished_at
+        wall = server.stats().wall_seconds
+        time.sleep(0.01)
+        assert server.stats().wall_seconds == wall
+
+    def test_retried_generation_is_a_fresh_submission(self, model):
+        """A retry rebuilds the session the way ``submit`` does, so nothing
+        of the failed attempt survives — and the tokens match an unfaulted
+        run exactly (sampled, chunked prefill, behind a prefix hit)."""
+        policy = dict(max_batch_size=2, block_size=4, prefill_chunk_size=4,
+                      step_token_budget=8,
+                      retry_policy=RetryPolicy(max_attempts=2))
+        preamble = "shared preamble: "
+        request = _gen(preamble + "and a tail long enough to chunk", tokens=6,
+                       temperature=0.9, seed=11)
+        reference = _server(model, **policy)
+        reference.register_prefix(preamble)
+        expected = reference.submit(request)
+        reference.run_until_idle()
+        fresh = _server(model, **policy).submit(request)._session
+
+        server = _server(
+            model, [FaultSpec(site="decode.step", at=3, transient=True)],
+            **policy)
+        server.register_prefix(preamble)
+        handle = server.submit(request)
+        metrics, submitted_at = handle.metrics, handle.metrics.submitted_at
+        failed_attempt = handle._session
+        while server.stats().retries == 0:
+            assert server.step()
+        assert failed_attempt.generated and failed_attempt.prefix_entry
+        retried = handle._session
+        assert retried is not failed_attempt
+        for spec in dataclasses.fields(GenerationSession):
+            if spec.name not in ("metrics", "on_token"):
+                assert getattr(retried, spec.name) == getattr(fresh, spec.name), \
+                    spec.name
+        assert retried.metrics is handle.metrics is metrics
+        assert (metrics.attempts, metrics.submitted_at) == (2, submitted_at)
+        assert (metrics.admitted_at, metrics.first_token_at,
+                metrics.finished_at, metrics.tokens_generated,
+                metrics.prefix_tokens, metrics.token_seconds,
+                metrics.batch_sizes) == (None, None, None, 0, 0, [], [])
+        server.run_until_idle()
+        assert handle.result(timeout=10).token_ids \
+            == expected.result(timeout=10).token_ids
+        assert handle.metrics.tokens_generated == 6
+        assert server.stats().requests_completed == 1
+        _invariants(server)
 
 
 # ---------------------------------------------------------------------- #

@@ -61,6 +61,8 @@ WATCHED: Dict[str, Dict[str, object]] = {
         "speedup_batch16_vs_batch1": "higher",
         "shared_prefix.speedup": "higher",
         "streaming.ratio": "higher",
+        "long_neighbour.tax_ratio": {"direction": "lower", "gate": 1.3},
+        "long_neighbour.kv_padding_share": "lower",
         "per_batch_size.16.failed": {"exact": 0},
         "per_batch_size.16.faults_quarantined": {"exact": 0},
         "per_batch_size.16.retries": {"exact": 0},

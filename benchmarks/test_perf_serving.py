@@ -15,19 +15,28 @@ Also measures the paged-serving additions:
 * The served decision path: all pending VP requests answered in grouped
   batched adapter forwards versus one-by-one prediction.
 
-Results go to ``benchmarks/results/perf_serving.json``.  Acceptance: batch 16
-sustains at least 3x the aggregate token throughput of batch 1 (exact logit
-parity between paged batched and sequential decoding is proven separately in
-``tests/test_serve.py``).
+* **The long-neighbour tax** — one paged decode step for 15 short sessions,
+  for one 512-token session, and for all 16 together.  The paged step attends
+  per length group, so the mixed batch must cost about what its two halves
+  cost apart, not 16 rows at the long session's width.
+
+Results go to ``benchmarks/results/perf_serving.json`` (each test replaces its
+own keys).  Acceptance: batch 16 sustains at least 3x the aggregate token
+throughput of batch 1 (exact logit parity between paged batched and
+sequential decoding is proven separately in ``tests/test_serve.py``); the
+mixed decode step costs at most 1.3x the sum of its halves.
 """
 
+import json
 import threading
 import time
 
+import numpy as np
 import pytest
-from conftest import print_table, save_results
+from conftest import RESULTS_DIR, print_table, save_results
 
-from repro.llm import build_llm
+from repro.llm import LanguageModel, LLMConfig, build_llm
+from repro.nn import no_grad
 from repro.serve import (
     DecisionRequest,
     GenerateRequest,
@@ -46,6 +55,93 @@ REPETITIONS = 3
 #: Fixed instruction preamble shared by the prefix-cache workload's prompts.
 PREAMBLE = ("you are an adaptive bitrate controller; pick the next chunk "
             "bitrate from the throughput history. ")
+
+
+#: The long-neighbour workload: 15 short sessions beside one long one, on the
+#: llama2-7b-sim shape with room for the long prompt (``bench/spec.py``'s).
+SHORT_SESSIONS = 15
+SHORT_PROMPT_TOKENS = (24, 56)
+LONG_PROMPT_TOKENS = 512
+TAX_STEPS = 40
+TAX_WARMUP_STEPS = 3
+TAX_GATE = 1.3
+
+
+def _update_results(name: str, payload: dict) -> None:
+    """Replace ``payload``'s top-level keys in a results file, keeping the
+    keys other tests of this module wrote."""
+    path = RESULTS_DIR / f"{name}.json"
+    merged = json.loads(path.read_text(encoding="utf-8")) if path.exists() else {}
+    merged.update(payload)
+    save_results(name, merged)
+
+
+def _paged_sessions(model, prompt_lengths, seed: int):
+    """A paged cache holding one prefilled session per prompt length."""
+    rng = np.random.default_rng(seed)
+    paged = model.init_paged_cache(max_sessions=len(prompt_lengths))
+    ids = []
+    for length in prompt_lengths:
+        cache = model.init_cache()
+        model.forward_incremental(
+            rng.integers(0, model.tokenizer.vocab_size, size=(1, length)), cache)
+        ids.append(paged.admit(cache))
+    return paged, np.asarray(ids, dtype=np.int64)
+
+
+def test_perf_serving_long_neighbour_tax():
+    """A short session must not pay for its longest neighbour's width.
+
+    Three pools decode in lockstep, one step each per repetition (so all
+    three see the same lengths and the same machine noise): the 15 short
+    sessions alone, the long session alone, and all 16 in one batch.  Gate
+    on the median over repetitions of ``t(all) / (t(short) + t(long))``.
+    """
+    model = LanguageModel(LLMConfig(name="tax-7b-sim", family="test", d_model=64,
+                                    num_layers=3, num_heads=4, max_seq_len=640),
+                          seed=0).eval()
+    rng = np.random.default_rng(0)
+    short = rng.integers(*SHORT_PROMPT_TOKENS, size=SHORT_SESSIONS).tolist()
+    seconds = {"short": [], "long": [], "all": []}
+    with no_grad():
+        pools = {"short": _paged_sessions(model, short, seed=1),
+                 "long": _paged_sessions(model, [LONG_PROMPT_TOKENS], seed=2),
+                 "all": _paged_sessions(model, short + [LONG_PROMPT_TOKENS], seed=3)}
+        for step in range(-TAX_WARMUP_STEPS, TAX_STEPS):  # warm-up untimed
+            for name, (paged, ids) in pools.items():
+                tokens = rng.integers(0, model.tokenizer.vocab_size, size=len(ids))
+                start = time.perf_counter()
+                model.forward_step(tokens, paged, ids)
+                if step >= 0:
+                    seconds[name].append(time.perf_counter() - start)
+    apart = np.asarray(seconds["short"]) + np.asarray(seconds["long"])
+    ratios = np.asarray(seconds["all"]) / apart
+    q1, tax, q3 = np.percentile(ratios, [25, 50, 75])
+    paged = pools["all"][0]
+    padding = 1.0 - paged.key_positions_live / paged.key_positions_gathered
+    print_table(f"Long-neighbour tax ({SHORT_SESSIONS} short sessions + one "
+                f"{LONG_PROMPT_TOKENS}-token session, {TAX_STEPS} steps)", [
+        {"batch": name, "step_ms_p50": float(np.median(values)) * 1e3,
+         "step_ms_iqr": float(np.subtract(*np.percentile(values, [75, 25]))) * 1e3}
+        for name, values in seconds.items()])
+    print(f"Mixed step costs {tax:.2f}x its halves apart "
+          f"(quartiles {q1:.2f}..{q3:.2f}); padding share {padding:.3f}.")
+    _update_results("perf_serving", {"long_neighbour": {
+        "short_sessions": SHORT_SESSIONS,
+        "long_prompt_tokens": LONG_PROMPT_TOKENS,
+        "steps": TAX_STEPS,
+        "step_ms_p50": {name: float(np.median(values)) * 1e3
+                        for name, values in seconds.items()},
+        "tax_ratio": float(tax),
+        "tax_ratio_q1": float(q1),
+        "tax_ratio_q3": float(q3),
+        "kv_padding_share": float(padding),
+        "attention_groups_per_step": (paged.attention_groups
+                                      / (TAX_STEPS + TAX_WARMUP_STEPS)),
+    }})
+    assert tax <= TAX_GATE, (
+        f"a mixed decode step costs {tax:.2f}x its short and long halves "
+        f"apart (gate {TAX_GATE}x)")
 
 
 def _serve_workload(model, batch_size: int):
@@ -190,7 +286,7 @@ def test_perf_serving_continuous_batching():
     print(f"Streaming consumers sustain {stream_ratio:.2f}x the non-streaming "
           f"aggregate throughput.")
 
-    save_results("perf_serving", {
+    _update_results("perf_serving", {
         "model": MODEL,
         "num_requests": NUM_REQUESTS,
         "new_tokens": NEW_TOKENS,

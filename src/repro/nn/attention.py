@@ -231,12 +231,17 @@ class MultiHeadAttention(Module):
         :class:`~repro.nn.paged_cache.PagedLayerKVCache` and ``step`` the
         :class:`~repro.nn.paged_cache.PagedStepContext` saying where each
         valid token lands and which blocks cover each session's history.
-        Only valid tokens are scattered into the pool — one fancy-index write
-        per layer — and each query position attends over its row's gathered
-        block table under ``step.mask`` (causal cutoff, block padding and
-        shorter neighbours in one boolean mask; ``-inf`` scores contribute
-        exact zeros), so position ``t`` of row ``i`` sees exactly what a
-        single-session :meth:`_forward_cached` decode would have seen.
+        The projections run once over all rows and only valid tokens are
+        scattered into the pool — one fancy-index write per layer.  The
+        attention itself runs once per length group of ``step.groups``, at
+        that group's key width: the group's rows attend over their gathered
+        block tables under the group's mask (causal cutoff, block padding
+        and shorter group members in one boolean mask; ``-inf`` scores
+        contribute exact zeros) and their context lands in the rows they
+        own, so a short session never reads a long neighbour's width and
+        position ``t`` of row ``i`` sees exactly what a single-session
+        :meth:`_forward_cached` decode would have seen.  A batch of similar
+        lengths is one group spanning every row: the loop body, run once.
         """
         self._check_cached_preconditions()
         n, width, _ = x.shape
@@ -247,12 +252,15 @@ class MultiHeadAttention(Module):
                                 k[step.row_index, :, step.token_index, :],
                                 v[step.row_index, :, step.token_index, :])
 
-        keys, values = layer_cache.gather(step.tables)
-        scores = (q @ np.swapaxes(keys, -1, -2)) * (1.0 / float(np.sqrt(self.head_dim)))
-        if step.mask is not None:
-            np.copyto(scores, -np.inf, where=step.mask[:, None, :, :])
-        merged = np.swapaxes(softmax_array(scores) @ values, 1, 2).reshape(
-            n, width, self.d_model)
+        scale = 1.0 / float(np.sqrt(self.head_dim))
+        merged = np.empty((n, width, self.d_model), dtype=q.dtype)
+        by_head = merged.reshape(n, width, self.num_heads, self.head_dim)
+        for rows, tables, mask in step.groups:
+            keys, values = layer_cache.gather(tables)
+            scores = (q[rows] @ np.swapaxes(keys, -1, -2)) * scale
+            if mask is not None:
+                np.copyto(scores, -np.inf, where=mask[:, None, :, :])
+            by_head[rows] = np.swapaxes(softmax_array(scores) @ values, 1, 2)
         return self.out_proj.apply(merged)
 
     def _split_heads(self, x, batch: int, seq: int):

@@ -24,6 +24,18 @@ the padded tail is masked with ``-inf`` exactly like ragged batches were in
 the slot-packed design, keeping per-session logits identical to a
 single-session :class:`KVCache` decode.
 
+The step is ragged in the key dimension too.  Padding every row to the
+*batch's* longest table would make a 40-token session gather and score its
+500-token neighbour's width, so :func:`partition_rows` sorts the rows of a
+step into **length groups** by each row's own block need and the context
+carries one ``(rows, tables, mask)`` triple per group, each at that group's
+width; attention runs gather -> scores -> mask -> softmax -> ``@ values``
+once per group while everything else in the layer stays one batched call.
+A batch of similar lengths is the one-group case of the same plan (the
+whole-batch slice over the cached table matrix, no copies).
+``key_positions_gathered`` / ``key_positions_live`` count what the padding
+that remains costs.
+
 Sessions need not be admitted fully prefilled: :meth:`PagedKVCache.admit_rows`
 accepts a partial prompt (``lengths`` shorter than the prefilled history) and
 :meth:`PagedKVCache.extend_session` scatters each further **prefill chunk**
@@ -36,13 +48,14 @@ whose table actually changed are rewritten (``table_rebuilds`` /
 ``table_row_updates`` count the cache behaviour), and the per-step
 offset/total/position arrays live in preallocated buffers so a steady-state
 decode step performs no per-session Python table walk and no temporary
-allocations beyond the attention math itself.
+allocations beyond the attention math itself.  The length groups are part of
+that cached plan and are recomputed only when a row's block table moves.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -51,6 +64,77 @@ from .attention import KVCache, _position_range
 #: Default tokens per block — small enough that short sessions waste little,
 #: large enough that block tables and gathers stay cheap.
 DEFAULT_BLOCK_SIZE = 16
+
+#: Fewest padded block-rows (one row gathering and scoring one block it does
+#: not own) a further split of a step's rows must save; below that the extra
+#: gather / matmul / softmax / matmul round per layer costs more than the
+#: padding did.  Chosen by measurement: ``forward_step`` on the benchmark's
+#: model shape, one pool per value stepped in turn on the same tokens and
+#: regrouped every step, median step time as a share of never splitting
+#: (two runs agreed to within 0.03).
+#:
+#:     value                          2      4      6      8     12     16
+#:     2 rows of 8..96 tokens       1.06   1.02   1.00   1.00   0.98   0.98
+#:     3 rows of 8..96 tokens       1.13   1.06   1.03   1.02   1.02   1.00
+#:     8 rows of 200..340           0.88   0.87   0.90   0.91   0.91   0.92
+#:     the same, 5-token verify     0.88   0.89   0.90   0.92   0.92   0.93
+#:     16 rows of 8..160            0.75   0.74   0.74   0.75   0.77   0.77
+#:
+#: Small batches of short rows want it high (a split there saves a few
+#: kilobytes and pays the round in full), large ones low (smaller groups also
+#: stay in cache).  6 is where the first two rows stop paying for splits that
+#: the other three still profit from.  End to end (``bench/run.py``) every
+#: value from 1 to 32 gives ``longctx_closed10`` the same 1.8x of the unsplit
+#: parent: the claim does not hang on this constant.
+MIN_SPLIT_SAVING_BLOCK_ROWS = 6
+
+#: The one-group partition's row selector: a basic slice, so ``q[rows]`` is a
+#: view and ``out[rows] = ...`` a plain copy.
+_ALL_ROWS = slice(None)
+
+#: How a length group names its rows: the whole-batch slice or index array.
+RowIndex = Union[slice, np.ndarray]
+
+
+def partition_rows(needs: Sequence[int]) -> Tuple[Tuple[RowIndex, int], ...]:
+    """Sort a step's rows into length groups by their own block need.
+
+    ``needs[i]`` is the number of blocks row *i*'s attention window covers
+    (``ceil(max cutoff / block_size)``).  Returns ``(rows, width)`` pairs,
+    widest group first: ``rows`` the ascending row indices of the group and
+    ``width`` the largest need among them, so every row is in exactly one
+    group and no row is padded past its group's longest member.  Walking the
+    distinct needs from the widest down, the rows at or below a level leave
+    the group above it when that saves them at least
+    :data:`MIN_SPLIT_SAVING_BLOCK_ROWS` padded block-rows.  The result
+    depends only on the multiset of needs (rows of equal need always share a
+    group), and a batch that is not worth splitting comes back as the single
+    pair ``(slice(None), max(needs))`` without building an index array.
+    Plain Python on purpose: a batch is a few dozen rows at most, where a
+    sort and one pass cost less than a single numpy call.
+    """
+    order = sorted(range(len(needs)), key=needs.__getitem__)  # stable
+    groups: List[Tuple[RowIndex, int]] = []
+    end, width = len(order), needs[order[-1]]
+    for start in range(end - 1, 0, -1):
+        # `start` rows rank below this one; a level ends where the need drops.
+        level = needs[order[start - 1]]
+        if (level < needs[order[start]]
+                and start * (width - level) >= MIN_SPLIT_SAVING_BLOCK_ROWS):
+            groups.append((np.asarray(sorted(order[start:end])), width))
+            end, width = start, level
+    if not groups:
+        return ((_ALL_ROWS, width),)
+    groups.append((np.asarray(sorted(order[:end])), width))
+    return tuple(groups)
+
+
+def _row_groups(tables: np.ndarray, needs: Sequence[int]
+                ) -> Tuple[Tuple[RowIndex, np.ndarray], ...]:
+    """``(rows, tables)`` per length group; the one-group case is ``tables``
+    itself (``max(needs)`` is its width by construction)."""
+    return tuple((rows, tables if rows is _ALL_ROWS else tables[rows, :width])
+                 for rows, width in partition_rows(needs))
 
 
 class BlockAllocator:
@@ -217,6 +301,14 @@ class PagedLayerKVCache:
         return keys, values
 
 
+def _window_mask(cutoffs: np.ndarray, gathered_len: int) -> Optional[np.ndarray]:
+    """Boolean ``(g, width, gathered_len)`` mask of the gathered positions at
+    or past each query token's cutoff; None when there are none."""
+    if int(cutoffs.min()) == gathered_len:
+        return None
+    return _position_range(gathered_len)[None, None, :] >= cutoffs[:, :, None]
+
+
 class PagedStepContext:
     """Gather/scatter plan for one batched step over the paged cache.
 
@@ -226,8 +318,14 @@ class PagedStepContext:
     to the batch's widest row.  Built by :meth:`PagedKVCache.prepare_step`
     / :meth:`PagedKVCache.prepare_multi_step` (which also perform any block
     allocation and copy-on-write the step needs) and consumed by every
-    attention layer, so table padding and the attention mask are built
+    attention layer, so table padding and the attention masks are built
     once per step, not per layer.
+
+    Queries are padded to the widest row, keys are not padded to the longest
+    session: ``groups`` partitions the rows by block need
+    (:func:`partition_rows`) and attention gathers and scores each group at
+    its own width.  A batch of similar lengths has one group covering every
+    row — the same loop, run once.
 
     The flat ``write_blocks``/``write_offsets``/``row_index``/``token_index``
     arrays cover exactly the *valid* (row, token) pairs, so padded query
@@ -236,16 +334,16 @@ class PagedStepContext:
     context is only valid until the next ``prepare_*`` call on the cache.
     """
 
-    __slots__ = ("session_ids", "tables", "write_blocks", "write_offsets",
-                 "row_index", "token_index", "positions", "mask")
+    __slots__ = ("session_ids", "groups", "write_blocks", "write_offsets",
+                 "row_index", "token_index", "positions")
 
-    def __init__(self, session_ids: np.ndarray, tables: np.ndarray,
+    def __init__(self, session_ids: np.ndarray,
+                 row_groups: Sequence[Tuple[RowIndex, np.ndarray]],
                  write_blocks: np.ndarray, write_offsets: np.ndarray,
                  row_index: np.ndarray, token_index: np.ndarray,
                  positions: np.ndarray, cutoffs: np.ndarray,
                  block_size: int) -> None:
         self.session_ids = session_ids
-        self.tables = tables                #: (n, max_blocks) padded block ids
         self.write_blocks = write_blocks    #: (total,) block per valid token
         self.write_offsets = write_offsets  #: (total,) offset within that block
         self.row_index = row_index          #: (total,) source row per valid token
@@ -253,20 +351,22 @@ class PagedStepContext:
         #: (n, width) global position per query token (padded entries are
         #: clamped to the row's last valid position, keeping them in range).
         self.positions = positions
-        gathered_len = int(tables.shape[1]) * block_size
-        #: Boolean ``(n, width, gathered_len)`` invisibility mask over the
-        #: gathered (block-padded) attention window, or None when every
-        #: query token sees the whole window.
+        #: One ``(rows, tables, mask)`` per length group.  ``rows`` selects
+        #: the group's rows of the batch (``slice(None)`` when the batch is
+        #: one group), ``tables`` is their ``(g, group_blocks)`` padded block
+        #: ids, and ``mask`` the boolean ``(g, width, group_blocks *
+        #: block_size)`` invisibility mask over the group's gathered window,
+        #: or None when every query token of the group sees all of it.
         #: ``mask[i, t, j]`` is True when gathered position ``j`` lies at or
         #: past ``cutoffs[i, t]``, the causal cutoff of query token ``t`` of
         #: row ``i`` (its own position + 1) — which covers future draft
-        #: tokens, block padding and shorter neighbours at once.
+        #: tokens, block padding and shorter group members at once.
         #: Padded query rows reuse their row's last valid cutoff, so no
         #: softmax row is ever fully masked.
-        self.mask: Optional[np.ndarray] = None
-        if int(cutoffs.min()) != gathered_len:
-            self.mask = (_position_range(gathered_len)[None, None, :]
-                         >= cutoffs[:, :, None])
+        self.groups = tuple(
+            (rows, tables, _window_mask(cutoffs[rows],
+                                        int(tables.shape[1]) * block_size))
+            for rows, tables in row_groups)
 
 
 class _StepPlan:
@@ -277,11 +377,14 @@ class _StepPlan:
     versions), so a steady-state decode never rebuilds the padded table
     matrix.  ``lengths`` mirrors the cache's per-session lengths for the
     batch and is advanced in bulk by :meth:`PagedKVCache.commit_step`.
+    ``groups`` holds the step's length groups (``(rows, tables)`` pairs, see
+    :func:`partition_rows`); any write to ``tables`` resets it to None and
+    the next step partitions again.
     """
 
     __slots__ = ("ids_key", "session_ids", "tables", "lengths", "tail_blocks",
                  "versions", "epoch", "offsets_buf", "totals_buf",
-                 "positions_buf", "rows", "first_token")
+                 "positions_buf", "rows", "first_token", "groups")
 
     def __init__(self, session_ids: np.ndarray, tables: np.ndarray,
                  lengths: np.ndarray, tail_blocks: np.ndarray,
@@ -299,6 +402,7 @@ class _StepPlan:
         self.positions_buf = np.empty(n, dtype=np.int64)
         self.rows = np.arange(n)  # one valid token (index 0) per row
         self.first_token = np.zeros(n, dtype=np.int64)
+        self.groups: Optional[Tuple[Tuple[RowIndex, np.ndarray], ...]] = None
 
 
 class PagedKVCache:
@@ -345,6 +449,14 @@ class PagedKVCache:
         self.table_rebuilds = 0
         #: Single-row refreshes of the cached matrix (one table changed).
         self.table_row_updates = 0
+        #: Key positions the steps so far gathered per layer (every group's
+        #: rows x its padded width) and how many of those were live history
+        #: (each row's own window); the gap is padding, gathered and scored
+        #: for nothing.  ``attention_groups`` counts the length groups those
+        #: steps ran, so groups per step is its delta.
+        self.key_positions_gathered = 0
+        self.key_positions_live = 0
+        self.attention_groups = 0
 
     def _mutated(self) -> None:
         """Note a table/pool mutation so cached step plans revalidate."""
@@ -370,6 +482,13 @@ class PagedKVCache:
     @property
     def blocks_free(self) -> int:
         return self.allocator.blocks_free
+
+    @property
+    def attention_totals(self) -> Tuple[int, int, int]:
+        """Running ``(key_positions_gathered, key_positions_live,
+        attention_groups)`` — what telemetry differences per step."""
+        return (self.key_positions_gathered, self.key_positions_live,
+                self.attention_groups)
 
     def length(self, session_id: int) -> int:
         try:
@@ -674,7 +793,17 @@ class PagedKVCache:
         plan.tail_blocks[i] = table[-1]
         plan.lengths[i] = self._lengths[sid]
         plan.versions[i] = self._versions[sid]
+        plan.groups = None
         self.table_row_updates += 1
+
+    def _counted(self, step: PagedStepContext, live: int) -> PagedStepContext:
+        """Count what ``step``'s attention will read (per layer); ``live`` is
+        the sum of its rows' own windows."""
+        self.key_positions_gathered += self.block_size * sum(
+            tables.size for _, tables, _ in step.groups)
+        self.key_positions_live += live
+        self.attention_groups += len(step.groups)
+        return step
 
     def prepare_step(self, session_ids: np.ndarray) -> PagedStepContext:
         """Build the step plan for one new token on each listed session.
@@ -748,14 +877,19 @@ class PagedKVCache:
                 plan.tail_blocks[i] = block
                 self._versions[sid] += 1
                 plan.versions[i] = self._versions[sid]
+            plan.groups = None
             self._mutated()
             plan.epoch = self._epoch
         totals = np.add(plan.lengths, 1, out=plan.totals_buf)
         np.copyto(plan.positions_buf, plan.lengths)
-        return PagedStepContext(session_ids, plan.tables, plan.tail_blocks,
-                                offsets, plan.rows, plan.first_token,
-                                plan.positions_buf[:, None], totals[:, None],
-                                block_size)
+        if plan.groups is None:
+            plan.groups = _row_groups(plan.tables,
+                                      (-(-totals // block_size)).tolist())
+        return self._counted(
+            PagedStepContext(session_ids, plan.groups, plan.tail_blocks,
+                             offsets, plan.rows, plan.first_token,
+                             plan.positions_buf[:, None], totals[:, None],
+                             block_size), int(totals.sum()))
 
     def _template_dims(self) -> Tuple[int, int, np.dtype]:
         template = self.layers[0]._keys
@@ -842,8 +976,8 @@ class PagedKVCache:
         self._mutated()
         self._plan = None  # shape-shifting batches never reuse the decode plan
 
-        width = max(len(row) for row in rows)
-        tables = np.zeros((n, width), dtype=np.int64)
+        needs = [len(row) for row in rows]
+        tables = np.zeros((n, max(needs)), dtype=np.int64)
         for i, row in enumerate(rows):
             tables[i, :len(row)] = row
 
@@ -858,9 +992,11 @@ class PagedKVCache:
         # Padded query positions clamp to the row's last valid position so
         # their (discarded) outputs stay in positional-embedding range.
         positions = lengths[:, None] + np.minimum(t_grid, counts[:, None] - 1)
-        return PagedStepContext(session_ids, tables, write_blocks,
-                                write_offsets, row_index, token_index,
-                                positions, positions + 1, block_size)
+        return self._counted(
+            PagedStepContext(session_ids, _row_groups(tables, needs),
+                             write_blocks, write_offsets, row_index,
+                             token_index, positions, positions + 1,
+                             block_size), int((lengths + counts).sum()))
 
     def commit_multi_step(self, session_ids: np.ndarray,
                           counts: np.ndarray) -> None:
@@ -963,3 +1099,14 @@ class PagedKVCache:
                     f"block table")
                 assert plan.lengths[i] == self._lengths[sid], (
                     f"cached length for session {sid} diverged")
+            if plan.groups is not None:
+                # Cached length groups are copies of table rows: each must
+                # still mirror the matrix, and together cover every row once.
+                covered = np.zeros(len(plan.session_ids), dtype=np.int64)
+                for rows, tables in plan.groups:
+                    covered[rows] += 1
+                    assert np.array_equal(
+                        tables, plan.tables[rows, :tables.shape[1]]), (
+                        "cached length group diverged from the gather tables")
+                assert np.all(covered == 1), (
+                    "cached length groups do not partition the batch rows")

@@ -650,13 +650,14 @@ class InferenceServer:
         """Freeze this step's trace draft with the end-of-step gauges."""
         manager = self._manager
         prefix = manager.prefix if manager is not None else None
+        cache = manager.cache if manager is not None else None
         self._trace.commit_step(  # repro: noqa[REP005] sole caller is step()'s finally, already under the `trace is not None` guard
             time.perf_counter(), did_work,
             queue_depth=self._scheduler.queue_depth,
             queue_depth_by_priority=self._scheduler.queue_depth_by_priority(),
-            blocks_in_use=(manager.cache.blocks_in_use
-                           if manager is not None else 0),
-            prefix_hits_total=prefix.hits if prefix is not None else 0)
+            blocks_in_use=cache.blocks_in_use if cache is not None else 0,
+            prefix_hits_total=prefix.hits if prefix is not None else 0,
+            kv_totals=cache.attention_totals if cache is not None else (0, 0, 0))
 
     def run_until_idle(self) -> None:
         """Drive the engine synchronously until no work remains."""

@@ -13,7 +13,9 @@ composition (which sessions were ``DECODING`` and which were
 budget spend and deferrals, the admissions/finishes/cancellations/
 expiries/quarantines/retries/sheds of that step, speculative draft/accept
 token counts, queue depth per priority
-class, KV blocks in use and prefix-cache hits — into a bounded ring buffer
+class, KV blocks in use, the key positions attention gathered against the
+ones that were live (and in how many length groups) and prefix-cache hits —
+into a bounded ring buffer
 (:class:`TraceLog`) with O(1) append and JSONL export.  With telemetry
 disabled every instrumented site is one ``is None`` check, so the decode
 hot path pays nothing.
@@ -47,6 +49,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 #: Batch-composition phases a session can occupy within one step record.
 PHASE_DECODING = "decoding"
 PHASE_PREFILLING = "prefilling"
+
+#: A step whose attention read at least this share of padding (key positions
+#: gathered for a row that its own history does not fill) is named in
+#: :meth:`ServeTelemetry.explain_request` as "co-batched with a longer
+#: session": at least half of what the step gathered was padding.
+HIGH_KV_PADDING_SHARE = 0.5
 
 #: One fired fault, exactly as :attr:`repro.serve.faults.FaultInjector.
 #: fired_log` records it: ``(site, visit, action)``.
@@ -102,10 +110,22 @@ class StepRecord:
     queue_depth_by_priority: Mapping[int, int] = field(default_factory=dict)
     blocks_in_use: int = 0
     prefix_hits: int = 0
+    #: Paged attention this step, per layer: key positions gathered (every
+    #: length group's rows x its block-padded width), how many of them were
+    #: live history of the row that read them, and the number of length
+    #: groups the rows ran in.  All zero on a step with no decode forward.
+    kv_positions_gathered: int = 0
+    kv_positions_live: int = 0
+    kv_groups: int = 0
 
     @property
     def duration_s(self) -> float:
         return self.ended_at - self.started_at
+
+    @property
+    def kv_padding_share(self) -> float:
+        """Share of the gathered key positions that were padding."""
+        return _padding_share(self.kv_positions_gathered, self.kv_positions_live)
 
     @property
     def decode_tokens(self) -> int:
@@ -157,7 +177,15 @@ class StepRecord:
                                         in self.queue_depth_by_priority.items()},
             "blocks_in_use": self.blocks_in_use,
             "prefix_hits": self.prefix_hits,
+            "kv_positions_gathered": self.kv_positions_gathered,
+            "kv_positions_live": self.kv_positions_live,
+            "kv_groups": self.kv_groups,
+            "kv_padding_share": self.kv_padding_share,
         }
+
+
+def _padding_share(gathered: int, live: int) -> float:
+    return 1.0 - live / gathered if gathered else 0.0
 
 
 class TraceLog:
@@ -236,6 +264,9 @@ class WindowStats:
     faults: int = 0
     decisions: int = 0
     blocks_in_use_max: int = 0
+    #: Share of the key positions the window's steps gathered that were
+    #: padding (``StepRecord.kv_positions_*`` summed over the window).
+    kv_padding_share: float = 0.0
 
     def to_dict(self) -> Dict[str, object]:
         return {
@@ -255,6 +286,7 @@ class WindowStats:
             "faults": self.faults,
             "decisions": self.decisions,
             "blocks_in_use_max": self.blocks_in_use_max,
+            "kv_padding_share": self.kv_padding_share,
         }
 
 
@@ -264,7 +296,7 @@ class _WindowAccumulator:
     __slots__ = ("steps", "queue_depth_sum", "queue_depth_max",
                  "occupancy_sum", "decode_tokens", "prefill_tokens",
                  "admissions", "evictions", "sheds", "retries", "faults",
-                 "decisions", "blocks_in_use_max")
+                 "decisions", "blocks_in_use_max", "kv_gathered", "kv_live")
 
     def __init__(self) -> None:
         self.steps = 0
@@ -280,6 +312,8 @@ class _WindowAccumulator:
         self.faults = 0
         self.decisions = 0
         self.blocks_in_use_max = 0
+        self.kv_gathered = 0
+        self.kv_live = 0
 
 
 class WindowAggregator:
@@ -335,6 +369,8 @@ class WindowAggregator:
         acc.decisions += record.decisions
         acc.blocks_in_use_max = max(acc.blocks_in_use_max,
                                     record.blocks_in_use)
+        acc.kv_gathered += record.kv_positions_gathered
+        acc.kv_live += record.kv_positions_live
 
     def windows(self, fill_empty: bool = True) -> List[WindowStats]:
         """Retained windows oldest-first (empty gaps materialized by default)."""
@@ -366,6 +402,7 @@ class WindowAggregator:
                 faults=acc.faults,
                 decisions=acc.decisions,
                 blocks_in_use_max=acc.blocks_in_use_max,
+                kv_padding_share=_padding_share(acc.kv_gathered, acc.kv_live),
             ))
         return out
 
@@ -402,6 +439,19 @@ class GapAttribution:
                    key=lambda r: (min(self.end_at, r.ended_at)
                                   - max(self.start_at, r.started_at)))
 
+    @property
+    def kv_padding_share(self) -> float:
+        """Padding share of the culprit step's attention reads."""
+        culprit = self.culprit
+        return culprit.kv_padding_share if culprit is not None else 0.0
+
+    @property
+    def long_neighbour(self) -> bool:
+        """The culprit step was co-batched with a longer session: at least
+        :data:`HIGH_KV_PADDING_SHARE` of the key positions it gathered were
+        padding to a neighbour's length."""
+        return self.kv_padding_share >= HIGH_KV_PADDING_SHARE
+
     def to_dict(self) -> Dict[str, object]:
         return {
             "start_at": self.start_at,
@@ -415,6 +465,8 @@ class GapAttribution:
             "faults": [list(event) for event in self.faults],
             "quarantined": list(self.quarantined),
             "retries": self.retries,
+            "kv_padding_share": self.kv_padding_share,
+            "co_batched_with_longer_session": self.long_neighbour,
         }
 
 
@@ -513,6 +565,7 @@ class ServeTelemetry:
         self._draft: Optional[_StepDraft] = None
         self._pending = _PendingEvents()
         self._last_prefix_hits = 0
+        self._last_kv_totals = (0, 0, 0)
         #: Steps begun but discarded as fully idle (nothing to record).
         self.idle_steps = 0
 
@@ -525,12 +578,17 @@ class ServeTelemetry:
 
     def commit_step(self, ended_at: float, did_work: bool, queue_depth: int,
                     queue_depth_by_priority: Mapping[int, int],
-                    blocks_in_use: int, prefix_hits_total: int) -> Optional[StepRecord]:
+                    blocks_in_use: int, prefix_hits_total: int,
+                    kv_totals: Tuple[int, int, int] = (0, 0, 0)
+                    ) -> Optional[StepRecord]:
         """Freeze the draft into a :class:`StepRecord` (or discard an idle one).
 
         A step that did no work, noted no events and has no pending
         out-of-step events is discarded — idle polling must not flood the
         ring.  Returns the committed record, or None when discarded.
+        ``kv_totals`` is the paged cache's running ``(key_positions_gathered,
+        key_positions_live, attention_groups)``; like the prefix hits, the
+        record keeps what this step added.
         """
         draft, self._draft = self._draft, None
         if draft is None:
@@ -544,6 +602,9 @@ class ServeTelemetry:
             faults = tuple(draft.fault_log[draft.fault_baseline:])
         prefix_delta = max(0, prefix_hits_total - self._last_prefix_hits)
         self._last_prefix_hits = prefix_hits_total
+        gathered, live, groups = (max(0, now - before) for now, before
+                                  in zip(kv_totals, self._last_kv_totals))
+        self._last_kv_totals = kv_totals
         record = StepRecord(
             seq=self.trace.total,
             started_at=draft.started_at,
@@ -569,6 +630,9 @@ class ServeTelemetry:
             queue_depth_by_priority=dict(queue_depth_by_priority),
             blocks_in_use=blocks_in_use,
             prefix_hits=prefix_delta,
+            kv_positions_gathered=gathered,
+            kv_positions_live=live,
+            kv_groups=groups,
         )
         self.trace.append(record)
         self.aggregator.observe(record)

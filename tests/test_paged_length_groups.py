@@ -1,0 +1,470 @@
+"""Length-grouped ragged attention in the paged step.
+
+The paged step partitions its rows into length groups by each row's own block
+need and attends once per group at that group's width.  This suite pins
+
+* the partition as a pure function of the needs (property tests),
+* that the unsplit batch is the one-group case with no index copies,
+* logit parity against the sequential ``forward_incremental`` oracle in
+  batches built to split — plain decode, speculative verify with rollbacks,
+  copy-on-write forks, prefix blocks shared across groups and block-boundary
+  crossings — with ``check_invariants()`` after every step,
+* that a quarantine inside a split step implicates the same sessions as ever,
+* the padding counters on the cache, ``StepRecord``, the windows and
+  ``explain_request``.
+"""
+
+from __future__ import annotations
+
+import copy
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.llm import LanguageModel, generate
+from repro.llm.config import LLMConfig
+from repro.nn import no_grad
+from repro.nn import paged_cache as pc
+from repro.serve import (
+    FaultInjector,
+    FaultSpec,
+    GenerateRequest,
+    InferenceServer,
+    RequestFailed,
+    RequestMetrics,
+    SchedulerPolicy,
+    ServeTelemetry,
+    StepRecord,
+    WindowAggregator,
+)
+
+BLOCK = 8
+ATOL = dict(atol=1e-9, rtol=0)  # the repo's float64 "machine precision" bar
+
+
+@pytest.fixture(scope="module")
+def model():
+    config = LLMConfig(name="groups-test", family="test", d_model=32,
+                       num_layers=2, num_heads=2, max_seq_len=640)
+    return LanguageModel(config, seed=5).eval()
+
+
+class _Twin:
+    """One paged session beside its sequential oracle: a private contiguous
+    ``KVCache`` that sees the same tokens one ``forward_incremental`` at a
+    time."""
+
+    def __init__(self, model, paged, prompt, shared_blocks=()):
+        self.model = model
+        self.oracle = model.init_cache()
+        logits = model.forward_incremental(
+            np.asarray(prompt, dtype=np.int64)[None, :], self.oracle)
+        self.sid = paged.admit(self.oracle, shared_blocks=shared_blocks)
+        self.next_token = int(np.argmax(logits.data[0, -1]))
+
+    def expect(self, token):
+        """Oracle logits after feeding ``token``."""
+        return self.model.forward_incremental(
+            np.asarray([[token]], dtype=np.int64), self.oracle).data[0, -1]
+
+    def preview(self, tokens):
+        """Oracle logits after each of ``tokens``, without committing them."""
+        scratch = copy.deepcopy(self.oracle)
+        return [self.model.forward_incremental(
+            np.asarray([[token]], dtype=np.int64), scratch).data[0, -1]
+            for token in tokens]
+
+
+def _prompts(model, lengths, seed):
+    rng = np.random.default_rng(seed)
+    return [rng.integers(0, model.tokenizer.vocab_size, size=n).tolist()
+            for n in lengths]
+
+
+def _decode(model, paged, twins, steps, external_refs=None):
+    """Greedy-decode ``twins`` together; every row must match its oracle.
+    Returns the group count of each step."""
+    ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
+    groups = []
+    for _ in range(steps):
+        before = paged.attention_groups
+        tokens = np.asarray([twin.next_token for twin in twins])
+        out = model.forward_step(tokens, paged, ids).data[:, -1, :]
+        groups.append(paged.attention_groups - before)
+        for row, twin in enumerate(twins):
+            expected = twin.expect(twin.next_token)
+            np.testing.assert_allclose(out[row], expected, **ATOL)
+            assert int(np.argmax(out[row])) == int(np.argmax(expected))
+            twin.next_token = int(np.argmax(out[row]))
+        paged.check_invariants(external_refs=external_refs)
+    return groups
+
+
+# ---------------------------------------------------------------------- #
+# The partition, as a pure function of per-row block needs
+# ---------------------------------------------------------------------- #
+_needs = st.lists(st.integers(1, 48), min_size=1, max_size=24)
+
+
+class TestPartition:
+    @settings(max_examples=200, deadline=None)
+    @given(needs=_needs)
+    def test_groups_partition_the_rows_at_their_own_width(self, needs):
+        groups = pc.partition_rows(needs)
+        needs = np.asarray(needs)
+        seen = np.zeros(len(needs), dtype=np.int64)
+        for rows, width in groups:
+            seen[rows] += 1
+            # No row is padded past the longest member of its group.
+            assert width == int(needs[rows].max())
+        assert np.all(seen == 1), "every row in exactly one group"
+        gathered = sum(len(needs[rows]) * width for rows, width in groups)
+        assert gathered <= len(needs) * int(needs.max())
+        # Rows of equal need never part ways.
+        for need in np.unique(needs):
+            owners = [i for i, (rows, _) in enumerate(groups)
+                      if np.any(needs[rows] == need)]
+            assert len(owners) == 1
+
+    @settings(max_examples=100, deadline=None)
+    @given(needs=_needs, seed=st.integers(0, 2**16))
+    def test_deterministic_and_independent_of_row_order(self, needs, seed):
+        order = np.random.default_rng(seed).permutation(len(needs))
+        first = pc.partition_rows(needs)
+        again = pc.partition_rows(list(needs))
+        shuffled = pc.partition_rows([needs[i] for i in order])
+        assert len(first) == len(again) == len(shuffled)
+        for (rows, width), (rows2, width2), (rows3, width3) in zip(
+                first, again, shuffled):
+            assert width == width2 == width3
+            members = np.arange(len(needs))[rows]
+            assert np.array_equal(members, np.arange(len(needs))[rows2])
+            # Same sessions, named by their positions in the shuffled batch.
+            assert np.array_equal(members, np.sort(order[rows3]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(need=st.integers(1, 48), n=st.integers(1, 24))
+    def test_equal_needs_are_one_group(self, need, n):
+        [(rows, width)] = pc.partition_rows([need] * n)
+        assert rows == slice(None) and width == need
+
+    def test_a_split_must_save_the_minimum(self):
+        floor = pc.MIN_SPLIT_SAVING_BLOCK_ROWS
+        # `floor - 1` rows one block short save one block-row too few ...
+        short = [4, 4] + [3] * (floor - 1)
+        assert len(pc.partition_rows(short)) == 1
+        # ... one more row, or the same rows two blocks short, reach it.
+        assert len(pc.partition_rows(short + [3])) == 2
+        assert len(pc.partition_rows([4, 4] + [2] * (floor - 1))) == 2
+        # The motivating batch: eight short rows beside two long ones.
+        groups = pc.partition_rows([3, 34, 5, 4, 3, 28, 5, 6, 4, 3])
+        widths = [width for _, width in groups]
+        assert widths == sorted(widths, reverse=True) and widths[:2] == [34, 28]
+        assert sum(len(rows) * width for rows, width in groups) < 10 * 34 // 3
+
+    def test_one_group_case_allocates_no_index_copies(self, model):
+        """Same arrays in, same object out: the unsplit step reuses the
+        cached table matrix through the whole-batch slice."""
+        tables = np.arange(9, dtype=np.int64).reshape(3, 3)
+        [(rows, same)] = pc._row_groups(tables, [3, 3, 3])
+        assert rows == slice(None) and same is tables
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=4, block_size=BLOCK)
+            twins = [_Twin(model, paged, prompt)
+                     for prompt in _prompts(model, (10, 12, 9), seed=1)]
+            ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
+            step = paged.prepare_step(ids)
+            [(rows, tables, _)] = step.groups
+            assert rows == slice(None)
+            assert tables is paged._plan.tables
+            cached = paged._plan.groups
+            paged.commit_step(ids)
+            # Nothing moved: the next step reuses the cached partition.
+            paged.prepare_step(ids)
+            assert paged._plan.groups is cached
+
+
+# ---------------------------------------------------------------------- #
+# Parity against the sequential oracle, in batches built to split
+# ---------------------------------------------------------------------- #
+class TestSplitStepParity:
+    def test_plain_decode_with_long_neighbours(self, model):
+        """Two ~500-token sessions among short ones, 20 decode steps: every
+        row crosses a block boundary at least twice on the way."""
+        lengths = (500, 37, 5, 61, 483, 12, 20, 90)
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=8, block_size=BLOCK)
+            twins = [_Twin(model, paged, prompt)
+                     for prompt in _prompts(model, lengths, seed=2)]
+            gathered, live = paged.key_positions_gathered, paged.key_positions_live
+            groups = _decode(model, paged, twins, steps=20)
+            assert min(groups) >= 3, "every step ran split"
+            # The counters: padding is what block rounding leaves, not the
+            # 8 x 63 blocks an unsplit batch would have gathered.
+            gathered = paged.key_positions_gathered - gathered
+            live = paged.key_positions_live - live
+            assert live < gathered < 1.1 * live
+            assert live == sum(sum(lengths) + len(lengths) * (t + 1)
+                               for t in range(20))
+
+    def test_block_boundary_crossing_refreshes_the_cached_partition(self, model):
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=4, block_size=BLOCK)
+            # Needs after the first token: 1, 1, 6 blocks.  The 6-token rows
+            # cross into a second block on the third step.
+            twins = [_Twin(model, paged, prompt)
+                     for prompt in _prompts(model, (6, 6, 44), seed=3)]
+            assert _decode(model, paged, twins, steps=1) == [2]
+            cached = paged._plan.groups
+            assert sorted(tables.shape for _, tables in cached) == [(1, 6), (2, 1)]
+            assert _decode(model, paged, twins, steps=1) == [2]
+            assert paged._plan.groups is cached  # no table moved: reused
+            _decode(model, paged, twins, steps=1)
+            assert paged._plan.groups is not cached
+            assert sorted(tables.shape for _, tables
+                          in paged._plan.groups) == [(1, 6), (2, 2)]
+            _decode(model, paged, twins, steps=6)
+
+    def test_speculative_verify_with_rollbacks(self, model):
+        """Ragged multi-token steps whose rejected tails are truncated away,
+        shrinking rows out of the group they verified in."""
+        rng = np.random.default_rng(4)
+        vocab = model.tokenizer.vocab_size
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=6, block_size=BLOCK)
+            twins = [_Twin(model, paged, prompt)
+                     for prompt in _prompts(model, (497, 15, 30, 7, 23), seed=4)]
+            ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
+            shrunk = 0
+            for _ in range(12):
+                counts = rng.integers(1, 6, size=len(twins))
+                fed = [[twin.next_token] + rng.integers(0, vocab, size=c - 1).tolist()
+                       for twin, c in zip(twins, counts)]
+                tokens = np.asarray([row + [row[-1]] * (int(counts.max()) - len(row))
+                                     for row in fed], dtype=np.int64)
+                before = paged.attention_groups
+                logits = model.forward_step(tokens, paged, ids,
+                                            counts=counts).data
+                assert paged.attention_groups - before >= 2
+                paged.check_invariants()
+                for row, twin in enumerate(twins):
+                    for t, expected in enumerate(twin.preview(fed[row])):
+                        np.testing.assert_allclose(logits[row, t], expected, **ATOL)
+                    keep = int(rng.integers(1, counts[row] + 1))
+                    blocks = len(paged.table(twin.sid))
+                    paged.truncate_session(
+                        twin.sid, paged.length(twin.sid) - int(counts[row]) + keep)
+                    shrunk += len(paged.table(twin.sid)) < blocks
+                    for token in fed[row][:keep]:
+                        expected = twin.expect(token)
+                    twin.next_token = int(np.argmax(expected))
+                    paged.check_invariants()
+            assert shrunk, "no rollback released a block: the test lost its point"
+            # Plain decode on the rolled-back pool stays exact.
+            _decode(model, paged, twins, steps=3)
+
+    def test_fork_copy_on_write_inside_a_split_step(self, model):
+        [long_prompt, short_prompt, other] = _prompts(model, (493, 11, 27), seed=6)
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=8, block_size=BLOCK)
+            long_a = _Twin(model, paged, long_prompt)
+            short_a = _Twin(model, paged, short_prompt)
+            bystander = _Twin(model, paged, other)
+            # Forks share every block, partial tails included; their oracles
+            # are independent copies of the originals'.
+            twins = [long_a, short_a, bystander]
+            for original in (long_a, short_a):
+                fork = copy.copy(original)
+                fork.oracle = copy.deepcopy(original.oracle)
+                fork.sid = paged.fork(original.sid)
+                fork.next_token = (original.next_token + 1) % model.tokenizer.vocab_size
+                twins.append(fork)
+            paged.check_invariants()
+            groups = _decode(model, paged, twins, steps=1)
+            assert groups[0] >= 2
+            for original, fork in ((twins[0], twins[3]), (twins[1], twins[4])):
+                assert paged.table(fork.sid)[-1] != paged.table(original.sid)[-1]
+                assert paged.table(fork.sid)[:-1] == paged.table(original.sid)[:-1]
+            _decode(model, paged, twins, steps=10)
+
+    def test_prefix_blocks_shared_across_groups(self, model):
+        """A registered head mapped into a short and a long session: the same
+        physical blocks are gathered by rows of different groups."""
+        rng = np.random.default_rng(7)
+        vocab = model.tokenizer.vocab_size
+        head = rng.integers(0, vocab, size=2 * BLOCK).tolist()
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=6, block_size=BLOCK,
+                                           extra_blocks=2)
+            cache = model.init_cache()
+            model.forward_incremental(np.asarray(head, dtype=np.int64)[None, :], cache)
+            shared = paged.register_blocks([layer.keys[0] for layer in cache.layers],
+                                           [layer.values[0] for layer in cache.layers])
+            refs = {block: 1 for block in shared}
+            tails = _prompts(model, (3, 470, 40), seed=8)
+            twins = [_Twin(model, paged, head + tail, shared_blocks=shared)
+                     for tail in tails]
+            twins.append(_Twin(model, paged, _prompts(model, (9,), seed=9)[0]))
+            for twin in twins[:3]:
+                assert list(paged.table(twin.sid)[:2]) == shared
+            paged.check_invariants(external_refs=refs)
+            groups = _decode(model, paged, twins, steps=12, external_refs=refs)
+            assert min(groups) >= 3
+
+
+# ---------------------------------------------------------------------- #
+# Engine level: served tokens, quarantine blast radius, telemetry
+# ---------------------------------------------------------------------- #
+def _policy(**overrides):
+    fields = dict(max_batch_size=6, max_context=640, block_size=16,
+                  prefill_chunk_size=32, step_token_budget=64)
+    fields.update(overrides)
+    return SchedulerPolicy(**fields)
+
+
+def _long_prompt(tag: str, chars: int) -> str:
+    return (f"{tag}: " + "status: ok; retry: 2; latency: 15ms; " * 20)[:chars]
+
+
+def _requests():
+    prompts = [_long_prompt("trace a", 500), "bitrate now", "abc abc abc abc abc",
+               _long_prompt("trace b", 430), "x", "schedule job 7 on executor 3"]
+    # Greedy and sampled rows side by side: greedy output of the templated
+    # prompts repeats itself (drafts accepted), sampled output does not
+    # (drafts rejected and rolled back).
+    return [GenerateRequest(prompt=prompt, max_new_tokens=24,
+                            temperature=0.8 * (index % 2), seed=index,
+                            stop_on_eos=False)
+            for index, prompt in enumerate(prompts)]
+
+
+class TestServedSplitSteps:
+    @pytest.mark.parametrize("speculation", ["off", "ngram"])
+    def test_served_tokens_match_generate(self, model, speculation):
+        server = InferenceServer(model, _policy(speculation=speculation,
+                                                speculation_k=4))
+        requests = _requests()
+        handles = [server.submit(request) for request in requests]
+        server.run_until_idle()
+        for request, handle in zip(requests, handles):
+            reference = generate(model, request.prompt, max_new_tokens=24,
+                                 temperature=request.temperature,
+                                 seed=request.seed, stop_on_eos=False)
+            assert handle.result(timeout=5).token_ids == reference.token_ids
+        records = [r for r in server.telemetry.records() if r.decode_sessions]
+        assert max(r.kv_groups for r in records) >= 2
+        for record in records:
+            assert record.kv_groups >= 1
+            assert 0 < record.kv_positions_live <= record.kv_positions_gathered
+            assert 0.0 <= record.kv_padding_share < 1.0
+        if speculation == "ngram":
+            stats = server.stats()
+            assert stats.tokens_drafted > stats.tokens_accepted > 0  # rollbacks
+        server._manager.cache.check_invariants(
+            external_refs=server._manager.prefix.external_refs())
+
+    @pytest.mark.parametrize("site,speculation", [("decode.step", "off"),
+                                                  ("decode.verify", "ngram")])
+    def test_quarantine_in_a_split_step_keeps_its_blast_radius(
+            self, model, monkeypatch, site, speculation):
+        """The faulted step's decode batch fails, exactly as before the step
+        was split; the session still prefilling and the one still queued are
+        untouched and finish token-exact."""
+        greedy = dict(max_new_tokens=40, temperature=0.0, stop_on_eos=False)
+        prompts = [_long_prompt("trace a", 300), "abc abc abc abc abc abc",
+                   "ab ab ab ab ab ab ab", _long_prompt("trace b", 420),
+                   "queued behind the batch"]
+
+        def serve(injector):
+            server = InferenceServer(
+                model, _policy(max_batch_size=4, speculation=speculation),
+                fault_injector=injector)
+            handles = [server.submit(GenerateRequest(prompt=prompt, **greedy))
+                       for prompt in prompts]
+            server.run_until_idle()
+            return server, handles
+
+        # Fault-free pass: find the site's first visit inside a split step
+        # whose batch has all three decoders, a prefill in flight and a
+        # request queued.  Steps are deterministic, so the visit number holds.
+        clean, _ = serve(None)
+        visits = [r for r in clean.telemetry.records()
+                  if (r.tokens_drafted if site == "decode.verify"
+                      else r.decode_sessions)]
+        target = next(r for r in visits
+                      if len(r.decode_sessions) == 3 and r.kv_groups >= 2
+                      and r.prefill_chunks and r.queue_depth)
+
+        monkeypatch.setenv("REPRO_FAULTS", "1")
+        injector = FaultInjector([FaultSpec(site=site,
+                                            at=visits.index(target) + 1)])
+        server, handles = serve(injector)
+        assert injector.total_fired == 1
+        [culprit] = [r for r in server.telemetry.records() if r.quarantines]
+        assert culprit.quarantined == target.decode_sessions
+        assert set(culprit.quarantined) == {h.request_id for h in handles[:3]}
+        for handle in handles[:3]:
+            with pytest.raises(RequestFailed, match="decode step"):
+                handle.result(timeout=5)
+        for prompt, handle in zip(prompts[3:], handles[3:]):
+            reference = generate(model, prompt, **greedy)
+            assert handle.result(timeout=5).token_ids == reference.token_ids
+        server._manager.cache.check_invariants(
+            external_refs=server._manager.prefix.external_refs())
+        assert server._manager.cache.num_sessions == 0
+
+
+class TestPaddingTelemetry:
+    def test_window_padding_share_sums_the_window(self):
+        aggregator = WindowAggregator(window_s=1.0)
+        aggregator.observe(StepRecord(seq=0, started_at=0.0, ended_at=0.1,
+                                      kv_positions_gathered=1000,
+                                      kv_positions_live=400, kv_groups=1))
+        aggregator.observe(StepRecord(seq=1, started_at=0.1, ended_at=0.2,
+                                      kv_positions_gathered=1000,
+                                      kv_positions_live=800, kv_groups=2))
+        aggregator.observe(StepRecord(seq=2, started_at=1.1, ended_at=1.2))
+        first, second = aggregator.windows()
+        assert first.kv_padding_share == pytest.approx(0.4)
+        assert second.kv_padding_share == 0.0  # nothing gathered: no share
+        assert first.to_dict()["kv_padding_share"] == pytest.approx(0.4)
+
+    def test_step_records_carry_what_each_step_added(self):
+        telemetry = ServeTelemetry()
+        totals = [(1000, 300, 1), (1000, 300, 1), (1600, 800, 4)]
+        records = []
+        for index, kv_totals in enumerate(totals):
+            telemetry.begin_step(float(index))
+            telemetry.note_decode([1, 2])
+            records.append(telemetry.commit_step(
+                index + 0.5, True, 0, {}, 0, 0, kv_totals=kv_totals))
+        assert [(r.kv_positions_gathered, r.kv_positions_live, r.kv_groups)
+                for r in records] == [(1000, 300, 1), (0, 0, 0), (600, 500, 3)]
+        assert records[0].kv_padding_share == pytest.approx(0.7)
+        assert records[0].to_dict()["kv_groups"] == 1
+
+    def test_explain_request_names_the_longer_neighbour(self):
+        """The worst gap sits on a step that gathered mostly padding."""
+        telemetry = ServeTelemetry()
+        running = [0, 0, 0]
+        for index, added in enumerate([(160, 150, 1), (1088, 240, 1),
+                                       (200, 180, 2)]):
+            running = [total + new for total, new in zip(running, added)]
+            telemetry.begin_step(1.0 + index)
+            telemetry.note_decode([7, 8])
+            telemetry.commit_step(1.0 + index + (0.9 if index == 1 else 0.1),
+                                  True, 0, {}, 0, 0, kv_totals=tuple(running))
+        metrics = RequestMetrics(task="generate", request_id=7, submitted_at=0.5)
+        metrics.first_token_at = 1.1
+        metrics.token_seconds = [0.6, 1.8, 0.2]  # tokens at 1.1, 2.9, 3.1
+        metrics.finished_at = 3.1
+        explanation = telemetry.explain_request(metrics)
+        worst = explanation.worst_gaps[0]
+        assert worst.culprit.seq == 1
+        assert worst.kv_padding_share == pytest.approx(1 - 240 / 1088)
+        assert worst.long_neighbour
+        assert worst.to_dict()["co_batched_with_longer_session"] is True
+        mild = explanation.worst_gaps[1]
+        assert mild.culprit.seq == 2 and not mild.long_neighbour

@@ -16,7 +16,6 @@ from conftest import print_table, save_results
 
 from repro.core import ABRHead, profile_inference
 from repro.llm import build_llm, generate, get_config
-from repro.nn import Tensor
 
 MODELS = ("llama2-7b-sim", "opt-1.3b-sim")
 
@@ -28,11 +27,13 @@ def test_overhead_memory_and_latency(benchmark, scale):
             llm = build_llm(name, lora_rank=4, pretrained=True,
                             pretrain_steps=scale.pretrain_steps, seed=0)
             head = ABRHead(d_model=llm.d_model, num_bitrates=6)
-            context = np.random.default_rng(0).normal(size=(1, 30, llm.d_model))
+            context = np.random.default_rng(0).normal(size=(30, llm.d_model))
 
             def answer_once():
-                features = llm.forward_embeddings(Tensor(context))
-                head.select(features[:, -1, :])
+                # What the adapters run per answer: one packed forward whose
+                # final block and head see the last position only.
+                features = llm.last_position_features(context, [len(context)])
+                np.argmax(head.apply(features)[0], axis=-1)
 
             overhead = profile_inference(name, llm, answer_once, repetitions=15,
                                          simulated_param_count=get_config(name).simulated_param_count)

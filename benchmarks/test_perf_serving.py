@@ -321,40 +321,52 @@ def test_perf_serving_continuous_batching():
 
 
 def test_perf_serving_decision_batching(vp_netllm, vp_bench_data):
-    """Served (grouped) VP decision requests vs one-by-one prediction."""
-    adapter = vp_netllm.adapter
-    samples = vp_bench_data["default"]["test"][:64]
-
-    start = time.perf_counter()
-    direct = [adapter.predict(sample) for sample in samples]
-    direct_seconds = time.perf_counter() - start
-
-    server = InferenceServer(adapters={"vp": adapter})
-    start = time.perf_counter()
-    handles = [server.submit(DecisionRequest(task="vp", payload=sample))
-               for sample in samples]
-    server.run_until_idle()
-    served = [handle.result().viewport for handle in handles]
-    served_seconds = time.perf_counter() - start
+    """Served (one packed group) VP decision requests vs one-by-one
+    prediction, with equal histories and with histories of mixed length
+    (viewers at different warm-up depths share the same forward)."""
+    import dataclasses
 
     import numpy as np
-    for one, other in zip(direct, served):
-        np.testing.assert_allclose(one, other, atol=1e-9, rtol=0)
 
-    stats = server.stats()
-    rows = [
-        {"path": "one-by-one predict", "seconds": direct_seconds,
-         "requests_per_s": len(samples) / direct_seconds},
-        {"path": "served (batched)", "seconds": served_seconds,
-         "requests_per_s": len(samples) / served_seconds},
-    ]
+    adapter = vp_netllm.adapter
+    equal = vp_bench_data["default"]["test"][:64]
+    steps = len(equal[0].history)
+    mixed = [dataclasses.replace(sample, history=sample.history[-(2 + i % (steps - 1)):])
+             for i, sample in enumerate(equal)]
+
+    rows, results = [], {}
+    for label, samples in (("equal histories", equal), ("mixed histories", mixed)):
+        start = time.perf_counter()
+        direct = [adapter.predict(sample) for sample in samples]
+        direct_seconds = time.perf_counter() - start
+
+        server = InferenceServer(adapters={"vp": adapter})
+        start = time.perf_counter()
+        handles = [server.submit(DecisionRequest(task="vp", payload=sample))
+                   for sample in samples]
+        server.run_until_idle()
+        served = [handle.result().viewport for handle in handles]
+        served_seconds = time.perf_counter() - start
+
+        for one, other in zip(direct, served):
+            np.testing.assert_allclose(one, other, atol=1e-9, rtol=0)
+        occupancy = server.stats().mean_batch_occupancy
+        assert occupancy == len(samples)  # one group, whatever the lengths
+        rows += [
+            {"path": f"one-by-one predict, {label}", "seconds": direct_seconds,
+             "requests_per_s": len(samples) / direct_seconds},
+            {"path": f"served (batched), {label}", "seconds": served_seconds,
+             "requests_per_s": len(samples) / served_seconds},
+        ]
+        results[label] = {"direct_seconds": direct_seconds,
+                          "served_seconds": served_seconds,
+                          "speedup": direct_seconds / served_seconds,
+                          "mean_batch_occupancy": occupancy}
+        # Batched adapter forwards must not be slower than one-by-one.
+        assert served_seconds <= direct_seconds
     print_table("VP decision serving (64 requests)", rows)
     save_results("perf_serving_decisions", {
-        "num_requests": len(samples),
-        "direct_seconds": direct_seconds,
-        "served_seconds": served_seconds,
-        "speedup": direct_seconds / served_seconds,
-        "mean_batch_occupancy": stats.mean_batch_occupancy,
+        "num_requests": len(equal),
+        **results["equal histories"],
+        "mixed_histories": {"history_steps": [2, steps], **results["mixed histories"]},
     })
-    # Batched adapter forwards must not be slower than one-by-one.
-    assert served_seconds <= direct_seconds

@@ -342,8 +342,22 @@ class HotPathPower(Rule):
 # REP007 — wrapper-free step path
 # --------------------------------------------------------------------- #
 
-#: Functions that make up the raw-``ndarray`` inference path in ``repro/nn``.
-_RAW_PATH_FUNCTIONS = {"apply", "forward_step"}
+#: The raw-``ndarray`` inference functions, by the path they live under: the
+#: layer kernels, the paged step and the packed decision forward in
+#: ``repro/nn``; the encoder / head kernels and the adapters' inference
+#: entries in ``repro/core``.
+_RAW_PATH_FUNCTIONS = (
+    ("repro/nn/", {"apply", "apply_sequence", "forward_step", "forward_packed",
+                   "last_position_features"}),
+    ("repro/llm/model.py", {"last_position_features"}),
+    ("repro/core/", {"apply", "apply_sequence"}),
+    ("repro/core/adapter.py", {"last_logits", "act", "act_batch", "predict",
+                               "predict_batch"}),
+)
+
+#: ``repro.nn.tensor``'s free graph ops, as imported bare (``np.stack`` is an
+#: attribute call and stays legal).
+_GRAPH_OPS = {"stack", "concatenate", "where"}
 
 
 def _instance_attrs(cls: ast.ClassDef) -> Set[str]:
@@ -371,32 +385,36 @@ def _loop_targets(func: ast.AST) -> Set[str]:
 
 @register
 class WrapperFreeStep(Rule):
-    """``apply`` / ``forward_step`` in ``repro/nn`` stay on raw arrays.
+    """The raw-array inference functions stay on raw arrays.
 
-    The paged serving step runs ``ndarray`` in, ``ndarray`` out: each layer's
-    ``apply`` and each ``forward_step`` performs the graph path's numpy
-    operations without building autograd nodes, which took ~250 ``Tensor``
-    constructions (a quarter of the step's time) off every engine step.
-    The wrapper creeps back in exactly two ways: someone constructs a
-    ``Tensor(...)`` inside one of these functions, or calls a submodule
-    through ``Module.__call__`` (``self.norm(x)``, ``block(x)``), whose
-    ``forward`` wraps its result.  Both are flagged; the single
+    The paged serving step and the packed decision forward run ``ndarray``
+    in, ``ndarray`` out: each layer's ``apply``, each ``forward_step`` /
+    ``forward_packed`` and the adapters' ``act_batch`` / ``predict_batch``
+    perform the graph path's numpy operations without building autograd
+    nodes, which took ~250 ``Tensor`` constructions (a quarter of the
+    step's time) off every engine step and ~15 % off every decision batch.
+    The wrapper creeps back in three ways: someone constructs a
+    ``Tensor(...)`` inside one of these functions, calls a graph op
+    (``stack`` / ``concatenate`` / ``where`` from ``repro.nn``), or calls a
+    submodule through ``Module.__call__`` (``self.norm(x)``, ``block(x)``),
+    whose ``forward`` wraps its result.  All are flagged; the single
     ``Tensor`` a step hands back to its caller carries a noqa.
     """
 
     id = "REP007"
-    title = "wrapper-free step path (no Tensor / Module.__call__ in apply, forward_step)"
+    title = ("wrapper-free step path (no Tensor / graph op / Module.__call__ "
+             "in apply, forward_step, forward_packed, act_batch, ...)")
     hint = ("stay on raw arrays: call the submodule's .apply(x) / "
-            ".forward_step(...) and wrap the result once, in the caller; "
-            "noqa only the one output wrap of a step")
+            ".forward_step(...) / np.stack(...) and wrap the result once, in "
+            "the caller; noqa only the one output wrap of a step")
 
     def check(self, project: Project) -> Iterable[Finding]:
         for file in project.files:
-            if "repro/nn/" not in file.rel:
-                continue
+            raw_names = set().union(*(names for fragment, names in _RAW_PATH_FUNCTIONS
+                                      if fragment in file.rel))
             for func in ast.walk(file.tree):
                 if not (isinstance(func, ast.FunctionDef)
-                        and func.name in _RAW_PATH_FUNCTIONS):
+                        and func.name in raw_names):
                     continue
                 cls = file.parent(func)
                 attrs = (_instance_attrs(cls)
@@ -417,6 +435,8 @@ class WrapperFreeStep(Rule):
                    loop_names: Set[str]) -> Optional[str]:
         if _terminal_name(callee) == "Tensor":
             return "Tensor(...) constructed"
+        if isinstance(callee, ast.Name) and callee.id in _GRAPH_OPS:
+            return f"graph op `{callee.id}(...)` called"
         if _self_attr(callee) in attrs:
             return f"submodule `self.{callee.attr}(...)` called through Module.__call__"
         if isinstance(callee, ast.Name) and callee.id in loop_names:

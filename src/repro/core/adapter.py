@@ -16,18 +16,34 @@ Two adapter shapes cover the paper's tasks:
 In every adapter the LLM backbone is frozen; only the encoders, the heads and
 the LoRA matrices inside the backbone are trainable.  :meth:`trainable_parameters`
 therefore returns exactly the parameter set DD-LRNA updates.
+
+Each adapter has two forwards: the graph ``forward`` DD-LRNA trains through,
+and one raw-array inference implementation (``predict_batch`` /
+``act_batch``; ``predict`` / ``act`` are its one-row call) that packs windows
+of different lengths into a single LLM pass read at each row's last position
+(``docs/decisions.md``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import groupby
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..llm import LanguageModel
-from ..nn import Embedding, LayerNorm, Linear, Module, Tensor, concatenate, no_grad, stack
-from .encoder import ImageEncoder, ScalarEncoder, TimeSeriesEncoder, TokenProjector
+from ..nn import (
+    Embedding,
+    LayerNorm,
+    Module,
+    Tensor,
+    concatenate,
+    get_default_dtype,
+    no_grad,
+    stack,
+)
+from .encoder import ImageEncoder, ScalarEncoder, TimeSeriesEncoder
 from .heads import ABRHead, CJSHead, VPHead
 
 #: Scale (degrees) for normalizing viewport angles inside the VP adapter.
@@ -75,6 +91,17 @@ class VPAdapter(NetLLMAdapter):
         self.head = VPHead(d_model, prediction_steps, rng=rng)
 
     # ------------------------------------------------------------------ #
+    @staticmethod
+    def _history_inputs(histories: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """``(batch, steps, 3)`` raw angles -> the encoder's 6 input channels
+        and the last observed viewport ``(batch, 1, 3)`` they are relative to."""
+        histories = np.asarray(histories, dtype=np.float64)
+        last = histories[:, -1:, :]
+        normalized = (histories - last) / VP_ANGLE_SCALE
+        velocities = np.concatenate(
+            [np.zeros_like(histories[:, :1, :]), np.diff(histories, axis=1)], axis=1) / 10.0
+        return np.concatenate([normalized, velocities], axis=2), last
+
     def forward(self, histories: np.ndarray, saliencies: Optional[np.ndarray]) -> Tensor:
         """Predict future viewports.
 
@@ -90,19 +117,14 @@ class VPAdapter(NetLLMAdapter):
         Tensor
             ``(batch, prediction_steps, 3)`` predicted viewport angles.
         """
-        histories = np.asarray(histories, dtype=np.float64)
-        last = histories[:, -1:, :]
-        normalized = (histories - last) / VP_ANGLE_SCALE
-        velocities = np.concatenate(
-            [np.zeros_like(histories[:, :1, :]), np.diff(histories, axis=1)], axis=1) / 10.0
-        inputs = np.concatenate([normalized, velocities], axis=2)
+        inputs, last = self._history_inputs(histories)
         # One token per history step (so attention sees the temporal structure),
         # optionally followed by one token for the video-content saliency map.
         history_tokens = self.history_encoder.forward_sequence(Tensor(inputs))
         if self.use_saliency and saliencies is not None:
             saliency_token = self.saliency_encoder(np.asarray(saliencies, dtype=np.float64))
             sequence = concatenate(
-                [history_tokens, saliency_token.reshape(histories.shape[0], 1, -1)], axis=1)
+                [history_tokens, saliency_token.reshape(len(inputs), 1, -1)], axis=1)
         else:
             sequence = history_tokens
         features = self.llm.forward_embeddings(sequence, causal=True)
@@ -112,35 +134,53 @@ class VPAdapter(NetLLMAdapter):
 
     def predict(self, sample) -> np.ndarray:
         """Predict for a single :class:`~repro.vp.task.VPSample` (inference API)."""
-        self.eval()
-        saliency = sample.saliency[None, ...] if (self.use_saliency and sample.saliency is not None) else None
-        with no_grad():
-            prediction = self.forward(sample.history[None, ...], saliency)
-        return prediction.data[0]
+        return self.predict_batch([sample])[0]
 
     def predict_batch(self, samples: Sequence) -> List[np.ndarray]:
-        """Predict for many samples in one forward (the serving fast path).
+        """Predict for many samples in one packed forward (the inference path).
 
-        All samples must share the history shape (and saliency presence) — the
-        serving engine groups requests accordingly before calling this.
+        Histories may differ in length from sample to sample: tokens are
+        packed back to back, nothing is padded, and each prediction equals
+        :meth:`predict` on its sample alone.  The video-content saliency map
+        is used by all of the samples or by none (the serving engine groups
+        requests accordingly before calling this).
         """
         if not samples:
             return []
+        with_saliency = (sum(sample.saliency is not None for sample in samples)
+                         if self.use_saliency else 0)
+        if 0 < with_saliency < len(samples):
+            raise ValueError(
+                "predict_batch needs uniform saliency presence: got "
+                f"{with_saliency}/{len(samples)} samples with saliency "
+                "(group them before batching)")
         self.eval()
-        histories = np.stack([sample.history for sample in samples])
-        saliencies = None
-        if self.use_saliency:
-            with_saliency = sum(sample.saliency is not None for sample in samples)
-            if 0 < with_saliency < len(samples):
-                raise ValueError(
-                    "predict_batch needs uniform saliency presence: got "
-                    f"{with_saliency}/{len(samples)} samples with saliency "
-                    "(group them before batching)")
-            if with_saliency:
-                saliencies = np.stack([sample.saliency for sample in samples])
+        dtype = get_default_dtype()
+        # Rows sorted by history length: equal lengths encode and attend as
+        # one stacked run each.
+        order = sorted(range(len(samples)), key=lambda row: len(samples[row].history))
+        ordered = [samples[row] for row in order]
         with no_grad():
-            predictions = self.forward(histories, saliencies)
-        return [predictions.data[row] for row in range(len(samples))]
+            saliency_tokens = None
+            if with_saliency:
+                saliency_tokens = self.saliency_encoder.apply(
+                    np.stack([sample.saliency for sample in ordered]))
+            packed, lasts, lengths = [], [], []
+            for steps, run in groupby(ordered, key=lambda sample: len(sample.history)):
+                inputs, last = self._history_inputs(
+                    np.stack([sample.history for sample in run]))
+                tokens = self.history_encoder.apply_sequence(inputs.astype(dtype, copy=False))
+                if saliency_tokens is not None:
+                    rows = slice(len(lengths), len(lengths) + len(tokens))
+                    tokens = np.concatenate(
+                        [tokens, saliency_tokens[rows, None, :]], axis=1)
+                packed.append(tokens.reshape(-1, tokens.shape[-1]))
+                lasts.append(last)
+                lengths += [tokens.shape[1]] * len(tokens)
+            features = self.llm.last_position_features(np.concatenate(packed), lengths)
+            predictions = (self.head.apply(features) * VP_ANGLE_SCALE
+                           + np.concatenate(lasts).astype(dtype, copy=False))
+        return list(predictions[np.argsort(order)])
 
 
 @dataclass
@@ -220,8 +260,7 @@ class DecisionAdapter(NetLLMAdapter):
 
         return_tokens = self.return_encoder(Tensor(returns.reshape(batch_size * window, 1)))
         state_tokens = self.state_encoder(Tensor(states.reshape(batch_size * window, -1)))
-        action_tokens = self._action_token(previous.reshape(batch_size * window, -1)
-                                           .reshape(batch_size * window, len(self.action_dims)))
+        action_tokens = self._action_token(previous.reshape(batch_size * window, -1))
 
         d_model = self.llm.d_model
         return_tokens = return_tokens.reshape(batch_size, window, d_model)
@@ -242,6 +281,49 @@ class DecisionAdapter(NetLLMAdapter):
         return [stage_logits, parallelism_logits]
 
     # ------------------------------------------------------------------ #
+    def last_logits(self, returns: Sequence[np.ndarray], states: Sequence[np.ndarray],
+                    actions: Sequence[np.ndarray]) -> List[np.ndarray]:
+        """Per-component action logits at the latest state of every window.
+
+        The inference counterpart of :meth:`forward`, on raw arrays: row *i*
+        of ``returns`` / ``states`` / ``actions`` is one context window
+        ``(w_i, 1)`` / ``(w_i, state_dim)`` / ``(w_i, components)`` and the
+        ``w_i`` may all differ — a stacked ``(batch, window, ...)`` array is
+        the same thing with one length.  All windows go through the LLM as
+        one packed forward whose final block runs at each window's last
+        state token only; the result is one ``(batch, dim)`` array per action
+        component, equal to ``forward(...)[component][row, -1]`` for each row
+        alone.
+        """
+        self.eval()
+        dtype = get_default_dtype()
+        # Rows sorted by window length, so equal lengths attend as one run.
+        order = sorted(range(len(states)), key=lambda row: len(states[row]))
+        windows = [len(states[row]) for row in order]
+
+        def packed(rows: Sequence[np.ndarray], as_type) -> np.ndarray:
+            return np.concatenate([rows[row] for row in order]).astype(as_type, copy=False)
+
+        taken = packed(actions, np.int64)
+        # Previous-action tokens: shifted right by one inside every window,
+        # whose first step takes the "no action yet" index (== dim).
+        previous = np.empty_like(taken)
+        previous[1:] = taken[:-1]
+        previous[np.cumsum(windows) - windows] = self.action_dims
+        with no_grad():
+            action_tokens = self.action_embeddings[0].apply(previous[:, 0])
+            for index, embedding in enumerate(self.action_embeddings[1:], start=1):
+                action_tokens = action_tokens + embedding.apply(previous[:, index])
+            # Interleave [action_{t-1}, return_t, state_t] per step.
+            tokens = np.stack([self.action_norm.apply(action_tokens),
+                               self.return_encoder.apply(packed(returns, dtype)),
+                               self.state_encoder.apply(packed(states, dtype))], axis=1)
+            features = self.llm.last_position_features(
+                tokens.reshape(-1, tokens.shape[-1]), [3 * window for window in windows])
+            logits = self.head.apply(features)
+        inverse = np.argsort(order)
+        return [component[inverse] for component in logits]
+
     def act(self, returns: np.ndarray, states: np.ndarray, actions: np.ndarray,
             valid_mask: Optional[np.ndarray] = None) -> Tuple[int, ...]:
         """Greedy action for the latest state in a context window (inference).
@@ -249,40 +331,24 @@ class DecisionAdapter(NetLLMAdapter):
         ``returns``/``states``/``actions`` hold the most recent ``<= context_window``
         steps (the action for the last step is a placeholder and unused).
         """
-        self.eval()
-        with no_grad():
-            batch = DecisionBatch(returns=returns[None, ...], states=states[None, ...],
-                                  actions=actions[None, ...])
-            logits_list = self.forward(batch)
-        chosen: List[int] = []
-        for component, logits in enumerate(logits_list):
-            scores = logits.data[0, -1, :].copy()
-            if component == 0 and valid_mask is not None:
-                scores = np.where(valid_mask > 0, scores, -1e9)
-            chosen.append(int(np.argmax(scores)))
-        return tuple(chosen)
+        return self.act_batch([returns], [states], [actions],
+                              None if valid_mask is None else [valid_mask])[0]
 
-    def act_batch(self, returns: np.ndarray, states: np.ndarray, actions: np.ndarray,
-                  valid_masks: Optional[np.ndarray] = None) -> List[Tuple[int, ...]]:
+    def act_batch(self, returns: Sequence[np.ndarray], states: Sequence[np.ndarray],
+                  actions: Sequence[np.ndarray],
+                  valid_masks: Optional[Sequence[np.ndarray]] = None
+                  ) -> List[Tuple[int, ...]]:
         """Greedy actions for many independent context windows in one forward.
 
-        Inputs carry a leading batch dimension (``(batch, window, ...)``);
-        windows must have equal length (the serving engine groups requests by
-        window length).  Returns one action tuple per row, equal to calling
-        :meth:`act` on each row alone.
+        Inputs are sequences of per-row windows whose lengths may differ
+        (see :meth:`last_logits`; a stacked ``(batch, window, ...)`` array is
+        the equal-length case).  ``valid_masks`` holds one
+        ``(max_candidates,)`` mask per row.  Returns one action tuple per
+        row, equal to calling :meth:`act` on each row alone.
         """
-        batch_size = states.shape[0]
-        self.eval()
-        with no_grad():
-            batch = DecisionBatch(returns=returns, states=states, actions=actions)
-            logits_list = self.forward(batch)
-        results: List[Tuple[int, ...]] = []
-        for row in range(batch_size):
-            chosen: List[int] = []
-            for component, logits in enumerate(logits_list):
-                scores = logits.data[row, -1, :].copy()
-                if component == 0 and valid_masks is not None:
-                    scores = np.where(valid_masks[row] > 0, scores, -1e9)
-                chosen.append(int(np.argmax(scores)))
-            results.append(tuple(chosen))
-        return results
+        scores = self.last_logits(returns, states, actions)
+        if valid_masks is not None:
+            scores[0] = np.where(np.asarray(valid_masks) > 0, scores[0], -1e9)
+        chosen = [np.argmax(component, axis=-1) for component in scores]
+        return [tuple(int(choice[row]) for choice in chosen)
+                for row in range(len(chosen[0]))]

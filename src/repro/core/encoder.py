@@ -46,6 +46,12 @@ class TokenProjector(Module):
         self.project = Linear(feature_dim, d_model, rng=rng)
         self.norm = LayerNorm(d_model)
 
+    def apply(self, features: np.ndarray) -> np.ndarray:
+        """Inference-only forward on a raw array (what the adapters'
+        ``act_batch`` / ``predict_batch`` run; ``forward`` is the graph path
+        DD-LRNA trains through)."""
+        return self.norm.apply(self.project.apply(features))
+
     def forward(self, features: Tensor) -> Tensor:
         return self.norm(self.project(features))
 
@@ -70,6 +76,10 @@ class TimeSeriesEncoder(Module):
         """``(batch, length, channels)`` -> one token ``(batch, d_model)``."""
         return self.projector(self.encoder(series))
 
+    def apply_sequence(self, series: np.ndarray) -> np.ndarray:
+        """:meth:`forward_sequence` on a raw array (inference only)."""
+        return self.projector.apply(self.encoder.apply_sequence(series))
+
     def forward_sequence(self, series: Tensor) -> Tensor:
         """``(batch, length, channels)`` -> per-step tokens ``(batch, length, d_model)``."""
         features = self.encoder.convs(series)
@@ -89,6 +99,10 @@ class ImageEncoder(Module):
             self.encoder.freeze()
         self.projector = TokenProjector(feature_dim, d_model, rng=rng)
 
+    def apply(self, images: np.ndarray) -> np.ndarray:
+        """:meth:`forward` as a raw array (inference only)."""
+        return self.projector.apply(self.encoder.apply(images))
+
     def forward(self, images: np.ndarray) -> Tensor:
         """``(batch, H, W)`` images -> one token ``(batch, d_model)``."""
         return self.projector(self.encoder(images))
@@ -103,6 +117,11 @@ class ScalarEncoder(Module):
         rng = rng or np.random.default_rng(0)
         self.encoder = Linear(in_features, feature_dim, rng=rng)
         self.projector = TokenProjector(feature_dim, d_model, rng=rng)
+
+    def apply(self, values: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a raw array (inference only)."""
+        hidden = self.encoder.apply(values)
+        return self.projector.apply(hidden * (hidden > 0))
 
     def forward(self, values: Tensor) -> Tensor:
         """``(batch, in_features)`` -> one token ``(batch, d_model)``."""

@@ -35,6 +35,11 @@ class VPHead(Module):
         self.prediction_steps = prediction_steps
         self.project = Linear(d_model, prediction_steps * 3, rng=rng)
 
+    def apply(self, features: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a raw array (inference only)."""
+        return self.project.apply(features).reshape(
+            features.shape[0], self.prediction_steps, 3)
+
     def forward(self, features: Tensor) -> Tensor:
         """``(batch, d_model)`` -> ``(batch, prediction_steps, 3)`` residuals."""
         out = self.project(features)
@@ -50,6 +55,11 @@ class ABRHead(Module):
         rng = rng or np.random.default_rng(0)
         self.num_bitrates = num_bitrates
         self.project = Linear(d_model, num_bitrates, rng=rng)
+
+    def apply(self, features: np.ndarray) -> Tuple[np.ndarray]:
+        """:meth:`forward` on a raw array (inference only), as the
+        one-component tuple of per-component logits."""
+        return (self.project.apply(features),)
 
     def forward(self, features: Tensor) -> Tensor:
         """``(..., d_model)`` -> ``(..., num_bitrates)`` logits."""
@@ -72,6 +82,11 @@ class CJSHead(Module):
         self.num_parallelism_buckets = num_parallelism_buckets
         self.stage_project = Linear(d_model, max_candidates, rng=rng)
         self.parallelism_project = Linear(d_model, num_parallelism_buckets, rng=rng)
+
+    def apply(self, features: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`forward` on a raw array (inference only)."""
+        return (self.stage_project.apply(features),
+                self.parallelism_project.apply(features))
 
     def forward(self, features: Tensor) -> Tuple[Tensor, Tensor]:
         """``(..., d_model)`` -> (stage logits, parallelism logits)."""

@@ -150,6 +150,14 @@ class LanguageModel(Module):
         """
         return self.backbone(embeddings, causal=causal)
 
+    def last_position_features(self, tokens: np.ndarray, lengths) -> np.ndarray:
+        """:meth:`forward_embeddings` for inference that reads one position:
+        packed ragged rows of embeddings in, each row's last output feature
+        out, on raw arrays (:meth:`TransformerBackbone.last_position_features`).
+        This is what the NetLLM adapters answer with — one inference, the
+        networking head on the last feature."""
+        return self.backbone.last_position_features(tokens, lengths)
+
     def forward(self, token_ids: np.ndarray) -> Tensor:
         return self.forward_tokens(token_ids)
 

@@ -4,13 +4,15 @@ Besides the classic full-sequence forward, this module implements the KV-cache
 fast path for autoregressive decoding: each layer keeps the key/value
 projections of every past position so that a decoding step only projects the
 *new* token(s) and attends against the cached history — O(T) per step instead
-of recomputing the whole O(T²) window.
+of recomputing the whole O(T²) window.  A third entry, ``forward_packed``,
+serves one-shot inference over many independent rows of different lengths
+packed back to back (the NetLLM decision path; ``docs/decisions.md``).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -53,6 +55,21 @@ def causal_mask(length: int, dtype=None) -> np.ndarray:
     dtype = get_default_dtype() if dtype is None else np.dtype(dtype)
     size = max(64, 1 << max(0, length - 1).bit_length())
     return _causal_mask_base(size, dtype.name)[:length, :length]
+
+
+def packed_runs(lengths: Sequence[int]) -> List[Tuple[int, int, int]]:
+    """``(token offset, rows, length)`` of every run of consecutive
+    equal-length rows in a packed ``(sum(lengths), d_model)`` token array."""
+    runs: List[Tuple[int, int, int]] = []
+    offset = 0
+    for length in lengths:
+        if runs and runs[-1][2] == length:
+            start, rows, _ = runs[-1]
+            runs[-1] = (start, rows + 1, length)
+        else:
+            runs.append((offset, 1, length))
+        offset += length
+    return runs
 
 
 class LayerKVCache:
@@ -263,7 +280,48 @@ class MultiHeadAttention(Module):
             by_head[rows] = np.swapaxes(softmax_array(scores) @ values, 1, 2)
         return self.out_proj.apply(merged)
 
+    def forward_packed(self, x: np.ndarray, runs: Sequence[Tuple[int, int, int]],
+                       last_index: Optional[np.ndarray] = None) -> np.ndarray:
+        """Causal self-attention over packed ragged rows, on raw arrays.
+
+        ``x`` is ``(tokens, d_model)``: independent rows of different
+        lengths laid back to back, no padding.  The projections run once
+        over the packed tokens; the attention itself runs once per entry of
+        ``runs`` (:func:`packed_runs`), whose rows share a length and so
+        reshape into one ``(rows, heads, length, head_dim)`` batch under the
+        causal mask alone — a row never sees a neighbour or a pad.  The
+        arithmetic is the full :meth:`forward`'s, operation for operation.
+
+        With ``last_index`` (each row's last token, for the final block of an
+        inference that reads only that position) keys and values are still
+        computed everywhere but the query, and so the output, only there:
+        the result is ``(rows, d_model)`` instead of ``(tokens, d_model)``.
+        """
+        self._check_cached_preconditions()
+        k = self.k_proj.apply(x)
+        v = self.v_proj.apply(x)
+        q = self.q_proj.apply(x if last_index is None else x[last_index])
+        scale = 1.0 / float(np.sqrt(self.head_dim))
+        merged = np.empty_like(q)
+        by_head = merged.reshape(len(q), self.num_heads, self.head_dim)
+        done = 0
+        for offset, rows, length in runs:
+            width = length if last_index is None else 1
+            tokens = slice(offset, offset + rows * length)
+            mine = slice(done, done + rows * width)
+            done = mine.stop
+            keys = self._split_heads(k[tokens], rows, length)
+            values = self._split_heads(v[tokens], rows, length)
+            scores = (self._split_heads(q[mine], rows, width)
+                      @ np.swapaxes(keys, -1, -2)) * scale
+            if width > 1:  # a lone last-position query sees every key
+                scores += causal_mask(length, scores.dtype)
+            by_head[mine] = np.swapaxes(softmax_array(scores) @ values, 1, 2).reshape(
+                rows * width, self.num_heads, self.head_dim)
+        return self.out_proj.apply(merged)
+
     def _split_heads(self, x, batch: int, seq: int):
-        """``(batch, seq, d_model)`` -> ``(batch, heads, seq, head_dim)``;
-        a ``Tensor`` on the graph path, a raw array on the step path."""
+        """``(batch, seq, d_model)`` (or the same tokens packed 2-d) ->
+        ``(batch, heads, seq, head_dim)``; a ``Tensor`` on the graph path, a
+        raw array on the step and packed paths."""
         return x.reshape(batch, seq, self.num_heads, self.head_dim).swapaxes(1, 2)

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import init as weight_init
 from .layers import Linear, Module, Parameter, ReLU, Sequential
-from .tensor import Tensor, concatenate, get_default_dtype, stack
+from .tensor import Tensor, concatenate, gelu_array, get_default_dtype, stack
 
 
 class Conv1D(Module):
@@ -49,18 +49,37 @@ class Conv1D(Module):
     def output_length(self, length: int) -> int:
         return (length + 2 * self.padding - self.kernel_size) // self.stride + 1
 
-    def forward(self, x: Tensor) -> Tensor:
-        if x.ndim != 3:
-            raise ValueError(f"Conv1D expects (batch, length, channels), got shape {x.shape}")
-        batch, length, channels = x.shape
-        if channels != self.in_channels:
-            raise ValueError(f"expected {self.in_channels} channels, got {channels}")
-        if self.padding:
-            x = x.pad(((0, 0), (self.padding, self.padding), (0, 0)))
-            length = length + 2 * self.padding
-        out_length = (length - self.kernel_size) // self.stride + 1
+    def _out_length(self, shape) -> int:
+        """Validate a ``(batch, length, channels)`` input shape; return the
+        output length."""
+        if len(shape) != 3:
+            raise ValueError(f"Conv1D expects (batch, length, channels), got shape {shape}")
+        if shape[2] != self.in_channels:
+            raise ValueError(f"expected {self.in_channels} channels, got {shape[2]}")
+        out_length = self.output_length(shape[1])
         if out_length < 1:
             raise ValueError("input too short for the given kernel size")
+        return out_length
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Inference-only forward on a raw array: the graph path's numpy
+        operations in the same order, with no ``Tensor``."""
+        out_length = self._out_length(x.shape)
+        if self.padding:
+            x = np.pad(x, ((0, 0), (self.padding, self.padding), (0, 0)))
+        span = self.stride * (out_length - 1) + 1
+        unfolded = np.concatenate(
+            [x[:, offset:offset + span:self.stride, :]
+             for offset in range(self.kernel_size)], axis=2)
+        out = unfolded @ self.weight.data
+        if self.use_bias:
+            out = out + self.bias.data
+        return out
+
+    def forward(self, x: Tensor) -> Tensor:
+        out_length = self._out_length(x.shape)
+        if self.padding:
+            x = x.pad(((0, 0), (self.padding, self.padding), (0, 0)))
         # Unfold windows: gather kernel_size shifted slices and concatenate on
         # the channel axis, yielding (batch, out_length, kernel_size * channels).
         windows = []
@@ -97,6 +116,14 @@ class TemporalConvEncoder(Module):
         self.convs = Sequential(*layers)
         self.project = Linear(hidden_channels, feature_dim, rng=rng)
         self.feature_dim = feature_dim
+
+    def apply_sequence(self, x: np.ndarray) -> np.ndarray:
+        """Inference-only per-step features on a raw array:
+        ``(batch, length, channels)`` -> ``(batch, length, feature_dim)``,
+        the convolutions and the projection without the pooling."""
+        for layer in self.convs:
+            x = layer.apply(x)
+        return self.project.apply(x)
 
     def forward(self, x: Tensor) -> Tensor:
         """Encode ``(batch, length, channels)`` into ``(batch, feature_dim)``."""
@@ -146,6 +173,13 @@ class PatchImageEncoder(Module):
         patches = images.reshape(batch, grid, p, grid, p, channels)
         patches = patches.transpose(0, 1, 3, 2, 4, 5).reshape(batch, grid * grid, p * p * channels)
         return patches
+
+    def apply(self, images: np.ndarray) -> np.ndarray:
+        """Inference-only forward: ``(batch, feature_dim)`` features as a raw
+        array, the graph path's numpy operations in the same order."""
+        embedded = gelu_array(self.patch_embed.apply(self._to_patches(images)))
+        pooled = embedded.sum(axis=1) * (1.0 / embedded.shape[1])
+        return self.mixer.apply(pooled)
 
     def forward(self, images: np.ndarray) -> Tensor:
         """Encode a batch of images into ``(batch, feature_dim)`` features."""

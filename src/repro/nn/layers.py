@@ -76,7 +76,9 @@ class Module:
 
     # -- mode / grad control --------------------------------------------- #
     def train(self, mode: bool = True) -> "Module":
-        self.training = mode
+        # A bool is neither Parameter nor Module: skip __setattr__'s dispatch
+        # (eval() walks the whole tree before every adapter inference).
+        object.__setattr__(self, "training", mode)
         for module in self._modules.values():
             module.train(mode)
         return self
@@ -208,11 +210,18 @@ class Embedding(Module):
         self.weight = Parameter(weight_init.normal((num_embeddings, embedding_dim), rng),
                                 name="weight")
 
-    def forward(self, indices: np.ndarray) -> Tensor:
+    def _checked(self, indices: np.ndarray) -> np.ndarray:
         indices = np.asarray(indices, dtype=np.int64)
         if np.any(indices < 0) or np.any(indices >= self.num_embeddings):
             raise IndexError("embedding index out of range")
-        return self.weight[indices]
+        return indices
+
+    def apply(self, indices: np.ndarray) -> np.ndarray:
+        """Inference-only lookup: the rows of the table, with no ``Tensor``."""
+        return self.weight.data[self._checked(indices)]
+
+    def forward(self, indices: np.ndarray) -> Tensor:
+        return self.weight[self._checked(indices)]
 
 
 class Dropout(Module):
@@ -230,6 +239,9 @@ class Dropout(Module):
 
 
 class ReLU(Module):
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        return x * (x > 0)
+
     def forward(self, x: Tensor) -> Tensor:
         return x.relu()
 

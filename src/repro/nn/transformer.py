@@ -3,11 +3,17 @@
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import KVCache, LayerKVCache, MultiHeadAttention, causal_mask
+from .attention import (
+    KVCache,
+    LayerKVCache,
+    MultiHeadAttention,
+    causal_mask,
+    packed_runs,
+)
 from .paged_cache import (
     DEFAULT_BLOCK_SIZE,
     PagedKVCache,
@@ -87,6 +93,16 @@ class TransformerBlock(Module):
         """Batched ragged paged step on raw arrays (see
         ``MultiHeadAttention.forward_step``)."""
         x = x + self.attention.forward_step(self.norm1.apply(x), layer_cache, step)
+        return x + self.mlp.apply(self.norm2.apply(x))
+
+    def forward_packed(self, x: np.ndarray, runs: Sequence[Tuple[int, int, int]],
+                       last_index: Optional[np.ndarray] = None) -> np.ndarray:
+        """Packed ragged rows on raw arrays (see
+        ``MultiHeadAttention.forward_packed``).  With ``last_index`` the
+        residual stream, and so the MLP, continues at each row's last token
+        only: ``(tokens, d_model)`` in, ``(rows, d_model)`` out."""
+        attended = self.attention.forward_packed(self.norm1.apply(x), runs, last_index)
+        x = (x if last_index is None else x[last_index]) + attended
         return x + self.mlp.apply(self.norm2.apply(x))
 
 
@@ -194,6 +210,42 @@ class TransformerBackbone(Module):
             cache.commit_step(session_ids)
         features = self.final_norm.apply(x)
         return Tensor(features, dtype=features.dtype)  # repro: noqa[REP007] the step's one output wrap
+
+    def last_position_features(self, tokens: np.ndarray,
+                               lengths: Sequence[int]) -> np.ndarray:
+        """Output features at the last position of each of many ragged rows.
+
+        The one-inference-per-answer entry (inference only, raw arrays in
+        and out): ``tokens`` is ``(sum(lengths), d_model)``, independent
+        rows of embeddings laid back to back, row *i* owning ``lengths[i]``
+        tokens at positions ``0..lengths[i]-1``.  Norms, projections and
+        MLPs run once over the packed tokens — nothing is padded — and
+        attention once per run of consecutive equal-length rows (callers
+        with many lengths sort their rows so runs are long; any order is
+        correct).  The final block attends, projects and feeds forward at
+        each row's last position only, so the ``(rows, d_model)`` result is
+        what :meth:`forward` (causal) returns at ``[:, -1]`` for each row
+        alone, at a fraction of its cost.
+        """
+        lengths = [int(length) for length in lengths]
+        if tokens.ndim != 2 or tokens.shape[1] != self.d_model:
+            raise ValueError(f"expected packed (tokens, {self.d_model}) "
+                             f"embeddings, got shape {tokens.shape}")
+        if not lengths or min(lengths) < 1 or sum(lengths) != len(tokens):
+            raise ValueError(f"{len(tokens)} packed tokens for rows of "
+                             f"lengths {lengths}")
+        if max(lengths) > self.max_seq_len:
+            raise ValueError(f"sequence length {max(lengths)} exceeds "
+                             f"maximum {self.max_seq_len}")
+        runs = packed_runs(lengths)
+        positions = np.concatenate(
+            [np.tile(_position_index(0, length), rows) for _, rows, length in runs])
+        last_index = np.cumsum(lengths) - 1
+        x = tokens + self.position_embedding.data[positions]
+        *body, final = self.blocks
+        for block in body:
+            x = block.forward_packed(x, runs)
+        return self.final_norm.apply(final.forward_packed(x, runs, last_index))
 
     def forward(self, embeddings: Tensor, causal: bool = True,
                 cache: Optional[KVCache] = None) -> Tensor:

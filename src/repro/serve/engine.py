@@ -140,7 +140,12 @@ class RequestHandle:
         self._deadline_at: Optional[float] = (
             None if request.deadline_s is None
             else self.metrics.submitted_at + request.deadline_s)
-        self._event = threading.Event()
+        # Terminal flag, and the event a blocked ``result()`` waits on — made
+        # by the first waiter (under the server lock), because most requests
+        # are read after they ended and an Event per request is half of what
+        # a kept handle weighs.
+        self._done = False
+        self._event: Optional[threading.Event] = None
         self._result: Any = None
         self._error: Optional[BaseException] = None
         # Engine side: a generation's session, a decision's batching key, and
@@ -153,7 +158,7 @@ class RequestHandle:
             self._stream = queue_module.SimpleQueue()
 
     def done(self) -> bool:
-        return self._event.is_set()
+        return self._done
 
     def cancelled(self) -> bool:
         return isinstance(self._error, RequestCancelled)
@@ -167,9 +172,9 @@ class RequestHandle:
         :class:`~repro.serve.requests.DeadlineExceeded` when the request was
         cancelled or expired instead of completing.
         """
-        if not self._event.is_set():
+        if not self._done:
             self._server._drive(self, timeout)
-        if not self._event.is_set():
+        if not self._done:
             raise TimeoutError(f"request {self.request_id} ({self.task}) timed out")
         if self._error is not None:
             raise self._error
@@ -236,9 +241,12 @@ class RequestHandle:
         return self._deadline_at is not None and now > self._deadline_at
 
     def _settle(self, result: Any, error: Optional[BaseException]) -> None:
-        """Reach the terminal state (``InferenceServer._finish`` is the caller)."""
+        """Reach the terminal state (``InferenceServer._finish`` is the
+        caller, with the server lock held)."""
         self._result, self._error = result, error
-        self._event.set()
+        self._done = True
+        if self._event is not None:
+            self._event.set()
         if self._stream is not None:
             self._stream.put(_STREAM_END)
 
@@ -318,6 +326,9 @@ class InferenceServer:
         # Bounded retention: a long-lived server keeps the most recent
         # completions for stats() instead of growing without limit.
         self._completed: Deque[RequestMetrics] = deque(maxlen=16384)
+        #: Terminal outcome -> requests that ended so, over the server's life
+        #: (``_completed`` forgets; the outcome counts of ``stats()`` must not).
+        self._outcomes: Dict[str, int] = {}
         self._started_at: Optional[float] = None
         self._last_finished_at: Optional[float] = None
         self._thread: Optional[threading.Thread] = None
@@ -543,6 +554,7 @@ class InferenceServer:
         metrics.outcome = outcome
         metrics.mark_finished()
         self._completed.append(metrics)
+        self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
         self._last_finished_at = metrics.finished_at
         if outcome != OUTCOME_OK:
             if session is not None:
@@ -808,6 +820,11 @@ class InferenceServer:
     def _drive(self, handle: RequestHandle, timeout: Optional[float]) -> None:
         """Resolve ``handle``: wait on the loop thread or step synchronously."""
         if self._served_by_loop():
+            with self._lock:  # _settle runs under it: no set() can be missed
+                if handle.done():
+                    return
+                if handle._event is None:
+                    handle._event = threading.Event()
             handle._event.wait(timeout)
             return
         deadline = None if timeout is None else time.perf_counter() + timeout
@@ -1076,6 +1093,7 @@ class InferenceServer:
             wall = (end - self._started_at) if self._started_at is not None else 0.0
             prefix = self._manager.prefix if self._manager is not None else None
             counters = ServeCounters(
+                outcomes=dict(self._outcomes),
                 prefix_hits=prefix.hits if prefix is not None else 0,
                 prefix_misses=prefix.misses if prefix is not None else 0,
                 prefix_tokens_reused=(prefix.tokens_reused

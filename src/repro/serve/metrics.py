@@ -163,11 +163,20 @@ class ServeCounters:
     #: (both 0 with ``speculation="off"``).
     tokens_drafted: int = 0
     tokens_accepted: int = 0
+    #: Requests by terminal outcome over the server's whole life; ``None``
+    #: (stats built outside an engine) counts the requests handed in.
+    outcomes: Optional[Dict[str, int]] = None
 
 
 @dataclass
 class ServerStats:
-    """Aggregate serving statistics over the completed requests."""
+    """Aggregate serving statistics over the completed requests.
+
+    From an engine, the outcome counts (``requests_completed``, ``cancelled``,
+    ``expired``, ``failed``) and the ``ServeCounters`` fields cover the
+    server's whole life; the timing percentiles, ``tokens_generated`` and
+    ``per_task`` cover the requests it still retains (the latest 16384).
+    """
 
     requests_completed: int
     tokens_generated: int
@@ -250,6 +259,14 @@ class ServerStats:
         counters = counters or ServeCounters()
         terminal = [r for r in requests if r.finished_at is not None]
         finished = [r for r in terminal if r.outcome == OUTCOME_OK]
+
+        def ended(outcome: str) -> int:
+            # The engine retains a bounded window of ``requests`` for the
+            # timing percentiles; how many ended how is counted for life.
+            if counters.outcomes is not None:
+                return counters.outcomes.get(outcome, 0)
+            return sum(r.outcome == outcome for r in terminal)
+
         tokens = sum(r.tokens_generated for r in finished)
         latencies = [r.total_seconds for r in finished]
         queues = [r.queue_seconds for r in finished]
@@ -268,7 +285,7 @@ class ServerStats:
             }
         block_usage = list(block_usage_samples)
         return cls(
-            requests_completed=len(finished),
+            requests_completed=ended(OUTCOME_OK),
             tokens_generated=tokens,
             wall_seconds=wall_seconds,
             tokens_per_second=tokens / wall_seconds if wall_seconds > 0 else 0.0,
@@ -285,8 +302,8 @@ class ServerStats:
             max_queue_depth=max(queue_depth_samples) if queue_depth_samples else 0,
             per_task=per_task,
             queue_by_priority=queue_by_priority,
-            cancelled=sum(r.outcome == OUTCOME_CANCELLED for r in terminal),
-            expired=sum(r.outcome == OUTCOME_EXPIRED for r in terminal),
+            cancelled=ended(OUTCOME_CANCELLED),
+            expired=ended(OUTCOME_EXPIRED),
             mean_blocks_in_use=(sum(block_usage) / len(block_usage)
                                 if block_usage else 0.0),
             peak_blocks_in_use=max(block_usage) if block_usage else 0,
@@ -294,7 +311,7 @@ class ServerStats:
             prefix_hits=counters.prefix_hits,
             prefix_misses=counters.prefix_misses,
             prefix_tokens_reused=counters.prefix_tokens_reused,
-            failed=sum(r.outcome == OUTCOME_FAILED for r in terminal),
+            failed=ended(OUTCOME_FAILED),
             faults_quarantined=counters.faults_quarantined,
             retries=counters.retries,
             shed=counters.shed,

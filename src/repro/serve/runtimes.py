@@ -33,17 +33,38 @@ class TaskRuntime(Protocol):
         ...
 
 
+def _malformed(request: DecisionRequest, problem: str) -> ValueError:
+    return ValueError(f"malformed {request.task!r} payload: {problem}")
+
+
 class VPRuntime:
-    """Viewport prediction through ``VPAdapter.predict_batch``."""
+    """Viewport prediction through ``VPAdapter.predict_batch``.
+
+    Histories of any length share one packed forward; what cannot batch is
+    the saliency input (its presence and image shape), so that is the key.
+    """
 
     def __init__(self, adapter: Any) -> None:
         self.adapter = adapter
 
     def group_key(self, request: DecisionRequest) -> Hashable:
+        """Validate the sample — one group per task means a bad payload must
+        be refused here, at ``submit``, not fail its whole group — and key it
+        by the saliency the adapter will read."""
         sample = request.payload
-        saliency = sample.saliency
-        saliency_key = None if saliency is None else tuple(saliency.shape)
-        return (tuple(sample.history.shape), saliency_key)
+        shape = np.shape(sample.history)
+        if len(shape) != 2 or shape[1] != 3 or shape[0] < 1:
+            raise _malformed(request, f"history must be (steps >= 1, 3), got {shape}")
+        limit = self.adapter.llm.config.max_seq_len
+        if shape[0] + 1 > limit:
+            raise _malformed(request, f"{shape[0]} history steps + saliency "
+                                      f"exceed max_seq_len {limit}")
+        if not self.adapter.use_saliency or sample.saliency is None:
+            return (None,)
+        saliency = np.shape(sample.saliency)
+        if len(saliency) != 2:
+            raise _malformed(request, f"saliency must be (H, W), got {saliency}")
+        return (saliency,)
 
     def execute_batch(self, requests: Sequence[DecisionRequest]) -> List[VPResult]:
         predictions = self.adapter.predict_batch([r.payload for r in requests])
@@ -51,11 +72,12 @@ class VPRuntime:
 
 
 class _ReturnConditionedRuntime:
-    """Shared grouping/stacking for the return-conditioned decision tasks.
+    """Shared validation/batching for the return-conditioned decision tasks.
 
     Payloads are the context dicts the NetLLM deployment policies prepare
-    (``returns``/``states``/``actions`` and, for CJS, ``valid_mask``); windows
-    of equal length batch into one ``DecisionAdapter.act_batch`` forward.
+    (``returns``/``states``/``actions`` and, for CJS, ``valid_mask``); every
+    pending window of the task, whatever its length, goes into one packed
+    ``DecisionAdapter.act_batch`` forward.
     """
 
     uses_valid_mask = False
@@ -64,16 +86,36 @@ class _ReturnConditionedRuntime:
         self.adapter = adapter
 
     def group_key(self, request: DecisionRequest) -> Hashable:
-        return (int(request.payload["states"].shape[0]),)
+        """Validate the window (see ``VPRuntime.group_key``); every valid
+        window of the task batches with every other."""
+        adapter, payload = self.adapter, request.payload
+        window = len(payload["states"])
+        limit = adapter.llm.config.max_seq_len
+        if window < 1 or 3 * window > limit:
+            raise _malformed(request, f"a window of {window} steps (3 tokens "
+                                      f"each) does not fit 1..max_seq_len {limit}")
+        expected = [("returns", (window, 1)), ("states", (window, adapter.state_dim)),
+                    ("actions", (window, len(adapter.action_dims)))]
+        if self.uses_valid_mask:
+            expected.append(("valid_mask", (adapter.action_dims[0],)))
+        for name, shape in expected:
+            if np.shape(payload[name]) != shape:
+                raise _malformed(request, f"{name} must be {shape}, got "
+                                          f"{np.shape(payload[name])}")
+        # The last step's action is the placeholder for the one being chosen.
+        taken = np.asarray(payload["actions"])[:-1]
+        if window > 1 and not (taken.min() >= 0
+                               and (taken < adapter.action_dims).all()):
+            raise _malformed(request, f"action indices outside {adapter.action_dims}")
+        return ()
 
     def execute_batch(self, requests: Sequence[DecisionRequest]) -> List[Any]:
         payloads = [r.payload for r in requests]
-        returns = np.stack([p["returns"] for p in payloads])
-        states = np.stack([p["states"] for p in payloads])
-        actions = np.stack([p["actions"] for p in payloads])
-        masks = (np.stack([p["valid_mask"] for p in payloads])
+        masks = ([p["valid_mask"] for p in payloads]
                  if self.uses_valid_mask else None)
-        answers = self.adapter.act_batch(returns, states, actions, valid_masks=masks)
+        answers = self.adapter.act_batch(
+            [p["returns"] for p in payloads], [p["states"] for p in payloads],
+            [p["actions"] for p in payloads], valid_masks=masks)
         return [self._wrap(answer) for answer in answers]
 
     def _wrap(self, answer: Any) -> Any:

@@ -1580,6 +1580,59 @@ class TestCustomTaskRuntime:
         server.run_until_idle()
         assert handle.result() == 16
 
+    def test_outcome_counts_outlive_the_retained_metrics_window(self):
+        # stats() keeps a bounded window of per-request metrics for its
+        # percentiles; how many requests ended how must not saturate with it.
+        from collections import deque
+
+        server = InferenceServer(runtimes={"double": _DoublerRuntime()})
+        server._completed = deque(maxlen=8)
+        handles = [server.submit(DecisionRequest(task="double", payload=i))
+                   for i in range(20)]
+        assert handles[3].cancel()
+        server.run_until_idle()
+        stats = server.stats()
+        assert (stats.requests_completed, stats.cancelled, stats.failed) == (19, 1, 0)
+        assert stats.per_task == {"double": 8}  # the window, as documented
+
+    def test_blocking_result_on_the_serve_loop_makes_its_event_on_demand(self):
+        # The handle's event is made by the first waiter; a waiter racing the
+        # loop's settle must neither miss the set nor hang.  More client
+        # threads than cores, each reading results the moment it submits.
+        import sys
+        import threading
+
+        server = InferenceServer(runtimes={"double": _DoublerRuntime()})
+        answers, errors = {}, []
+
+        def client(base: int) -> None:
+            try:
+                for i in range(base, base + 40):
+                    handle = server.submit(DecisionRequest(task="double", payload=i))
+                    answers[i] = handle.result(timeout=10.0)
+            except BaseException as error:  # surfaced by the assert below
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with server:
+                threads = [threading.Thread(target=client, args=(1000 * t,))
+                           for t in range(6)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert answers == {i: 2 * i for t in range(6)
+                           for i in range(1000 * t, 1000 * t + 40)}
+        late = server.submit(DecisionRequest(task="double", payload=21))
+        server.run_until_idle()
+        assert late._event is None and late.result() == 42  # never waited on
+
     def test_unhashable_group_key_fails_at_submit_not_in_the_loop(self):
         class ListKey:
             def group_key(self, request):

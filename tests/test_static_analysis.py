@@ -283,8 +283,48 @@ class TestRep007:
             "        return Tensor(self.norm(x).data)\n")}, select=["REP007"])
         assert findings == []
 
+    def test_flags_the_wrapper_on_the_packed_and_adapter_inference_paths(self):
+        findings = check_sources({
+            "src/repro/nn/block.py": _RAW_BLOCK + (
+                "    def forward_packed(self, x, runs, last_index=None):\n"
+                "        return self.norm(x)\n"
+                "    def last_position_features(self, tokens, lengths):\n"
+                "        return Tensor(tokens)\n"),
+            "src/repro/core/adapter.py": _RAW_BLOCK + (
+                "    def act_batch(self, returns, states, actions):\n"
+                "        tokens = stack([Tensor(returns), self.norm(states)], axis=1)\n"
+                "        return tokens\n"
+                "    def predict(self, sample):\n"
+                "        return concatenate([sample.history])\n")},
+            select=["REP007"])
+        messages = sorted(f.message for f in findings)
+        assert len(messages) == 6
+        assert "Tensor(...) constructed inside `act_batch`" in messages[0]
+        assert "Tensor(...) constructed inside `last_position_features`" in messages[1]
+        assert "graph op `concatenate(...)` called inside `predict`" in messages[2]
+        assert "graph op `stack(...)` called inside `act_batch`" in messages[3]
+        assert "`self.norm(...)` called through Module.__call__ inside `act_batch`" \
+            in messages[4]
+        assert "`self.norm(...)` called through Module.__call__ inside `forward_packed`" \
+            in messages[5]
+
+    def test_raw_adapter_inference_and_the_graph_forward_are_clean(self):
+        findings = check_sources({"src/repro/core/adapter.py": _RAW_BLOCK + (
+            "    def act_batch(self, returns, states, actions):\n"
+            "        tokens = np.stack([self.norm.apply(np.concatenate(returns)),\n"
+            "                           self.norm.apply(np.concatenate(states))], axis=1)\n"
+            "        return self._split(self.llm.last_position_features(tokens, [3]))\n"
+            "    def forward(self, batch):\n"
+            "        return stack([Tensor(batch.returns), self.norm(batch.states)])\n"),
+            # Names that are inference entries only in adapter.py.
+            "src/repro/core/prompt_learning.py": _RAW_BLOCK + (
+                "    def predict(self, sample):\n"
+                "        return Tensor(self.norm(sample).data)\n")},
+            select=["REP007"])
+        assert findings == []
+
     def test_the_step_output_wrap_is_a_justified_noqa(self):
-        findings = run([SRC / "repro" / "nn"], select=["REP007"],
+        findings = run([SRC / "repro"], select=["REP007"],
                        include_suppressed=True)
         assert [(Path(f.path).name, f.suppressed) for f in findings] == \
             [("transformer.py", True)]

@@ -1,9 +1,8 @@
 #!/usr/bin/env python3
 """Diff the analyzer's lint report against its committed baseline, loudly.
 
-The companion of ``check_regression.py``: where that gate machine-checks
-the perf trajectory, this one machine-checks the *invariant* trajectory.
-It runs ``repro.analysis`` over ``src/``, writes the fresh report to
+Machine-checks the *invariant* trajectory the way ``bench/`` checks the
+perf one.  It runs ``repro.analysis`` over ``src/``, writes the fresh report to
 ``benchmarks/results/lint.json``, and compares it against
 ``benchmarks/baselines/lint.json``:
 

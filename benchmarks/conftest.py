@@ -9,6 +9,10 @@ the paper trains once and evaluates across settings.
 Scale is controlled by the ``REPRO_BENCH_SCALE`` environment variable:
 ``small`` (default) finishes in a few minutes on a laptop CPU; ``full``
 increases traces/samples/iterations for tighter estimates.
+
+Outputs (``benchmarks/README.md``): :func:`save_results` for what reproduces
+byte for byte (tracked), :func:`save_measured` for what this machine measured
+(ignored).  Timing gates go through :func:`paired`.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List
+from typing import Callable, Dict, List, Sequence, Tuple, TypeVar
 
 import numpy as np
 import pytest
@@ -37,6 +41,7 @@ from repro.llm import build_llm
 from repro.vp import VP_SETTINGS, ViewportDataset
 
 RESULTS_DIR = Path(__file__).parent / "results"
+MEASURED_DIR = Path(__file__).parent / "measured"
 
 #: Wall-clock budget for the CI fast lane (`pytest -m "not slow"`).  The fast
 #: lane is only useful while it stays interactive, so a session that deselects
@@ -103,11 +108,77 @@ def get_scale() -> BenchScale:
     return SCALES[os.environ.get("REPRO_BENCH_SCALE", "small")]
 
 
-def save_results(name: str, payload: Dict) -> None:
-    """Persist a figure's measured numbers under benchmarks/results/."""
-    RESULTS_DIR.mkdir(parents=True, exist_ok=True)
-    with open(RESULTS_DIR / f"{name}.json", "w", encoding="utf-8") as handle:
+def _write_json(directory: Path, name: str, payload: Dict) -> None:
+    directory.mkdir(parents=True, exist_ok=True)
+    with open(directory / f"{name}.json", "w", encoding="utf-8") as handle:
         json.dump(payload, handle, indent=2, default=float)
+
+
+def save_results(name: str, payload: Dict) -> None:
+    """Persist numbers that reproduce byte for byte (tracked in git):
+    seeded accuracies, counts, *simulated* seconds.  A second run must
+    rewrite the file identically; ``git diff`` on it is how "no figure
+    number moved" is checked."""
+    _write_json(RESULTS_DIR, name, payload)
+
+
+def save_measured(name: str, payload: Dict) -> None:
+    """Persist numbers measured on this machine (git-ignored): anything
+    holding a wall clock or a byte count of this process, reproducible
+    neighbours in the same payload included."""
+    _write_json(MEASURED_DIR, name, payload)
+
+
+def assert_fault_free(server) -> None:
+    """A timed run that failed, quarantined, retried or shed anything timed
+    something other than the workload."""
+    stats = server.stats()
+    assert (stats.failed, stats.faults_quarantined, stats.retries, stats.shed,
+            stats.health) == (0, 0, 0, 0, "healthy")
+
+
+Sample = TypeVar("Sample")
+
+
+def paired(arm_a: Callable[[], Sample], arm_b: Callable[[], Sample],
+           pairs: int) -> Tuple[List[Sample], List[Sample]]:
+    """Run two arms ``pairs`` times each; return each arm's results in order.
+
+    The arms run back to back within a pair, so both see the same machine
+    state, and which arm goes first alternates from pair to pair, so
+    neither always inherits the other's warm caches or garbage.
+    """
+    a, b = [], []
+    for index in range(pairs):
+        if index % 2 == 0:
+            a.append(arm_a())
+            b.append(arm_b())
+        else:
+            b.append(arm_b())
+            a.append(arm_a())
+    return a, b
+
+
+def ratio_of_medians(title: str, unit: str, **arms: Sequence[float]) -> float:
+    """Print two arms of :func:`paired` samples; return second over first.
+
+    Arms are keyword arguments, the base first.  One row per arm (pairs,
+    first quartile, median, third quartile, in ``unit``) and one for the
+    per-pair ratio, whose quartiles show whether the gated ratio of medians
+    is resolved: a bound inside them is not.
+    """
+    (base_name, base), (name, values) = arms.items()
+    base, values = np.asarray(base, dtype=float), np.asarray(values, dtype=float)
+    rows = []
+    for label, samples in ((base_name, base), (name, values),
+                           ("ratio per pair", values / base)):
+        q1, median, q3 = np.percentile(samples, [25, 50, 75])
+        rows.append({"arm": label, "pairs": len(samples),
+                     "q1": float(q1), "median": float(median), "q3": float(q3)})
+    ratio = float(np.median(values) / np.median(base))
+    print_table(f"{title} [{unit}; last row {name} / {base_name}]", rows)
+    print(f"{name} / {base_name}, ratio of medians: {ratio:.3f}")
+    return ratio
 
 
 def print_table(title: str, rows: List[Dict]) -> None:

@@ -16,7 +16,7 @@ prediction < 100% valid and misses the 1-second response deadline; NetLLM is
 """
 
 import numpy as np
-from conftest import print_table, save_results
+from conftest import print_table, save_measured
 
 from repro.core import PromptLearningVP
 from repro.llm import build_llm
@@ -85,7 +85,7 @@ def test_fig02_prompt_learning_vs_netllm(benchmark, scale):
     print("Paper-expected shape: prompt learning has the highest MAE (≈11% above TRACK); "
           "token prediction is <100% valid and slower than the 1 s deadline; "
           "NetLLM is always valid and answers in a single inference.")
-    save_results("fig02_motivation", {"rows": rows})
+    save_measured("fig02_motivation", {"rows": rows})
 
     # Shape checks.
     assert prompt_result.mae > netllm_eval["mae"]          # encoder beats prompts

@@ -12,7 +12,7 @@ Paper-expected shape: experience collection accounts for a large share
 """
 
 import numpy as np
-from conftest import print_table, save_results
+from conftest import print_table, save_measured
 
 from repro.abr import MPCPolicy
 from repro.abr.env import ABRObservation
@@ -103,7 +103,7 @@ def test_fig03_adaptation_time_split(benchmark, scale, abr_bench, cjs_bench):
                 rows)
     print("Paper-expected shape: experience collection is ~52%/39% of standard-RL training "
           "time for ABR/CJS and ~0.4%/1.2% under DD-LRNA.")
-    save_results("fig03_adaptation_cost", {"rows": rows})
+    save_measured("fig03_adaptation_cost", {"rows": rows})
 
     by_label = {cost.label: cost for cost in costs}
     assert (by_label["ABR standard RL"].experience_fraction

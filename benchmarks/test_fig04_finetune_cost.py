@@ -11,7 +11,7 @@ substantially less training memory, and is not slower than full fine-tuning.
 """
 
 import numpy as np
-from conftest import print_table, save_results
+from conftest import print_table, save_measured
 
 from repro.core import VPAdapter, adapt_prediction, finetune_memory_bytes
 from repro.llm import build_llm
@@ -54,7 +54,7 @@ def test_fig04_full_finetune_vs_lora(benchmark, scale, vp_bench_data):
     print_table("Figure 4: full-parameter fine-tune vs DD-LRNA (VP task)", rows)
     print("Paper: 100% vs 0.31% trainable parameters, 65.9 GB vs 27.2 GB GPU memory, "
           "7.9 h vs 6.7 h training time.")
-    save_results("fig04_finetune_cost", {"rows": rows})
+    save_measured("fig04_finetune_cost", {"rows": rows})
 
     full, lora = rows
     assert lora["trainable_fraction"] < 0.5 * full["trainable_fraction"]

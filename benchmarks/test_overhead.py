@@ -12,7 +12,7 @@ is far slower than networking-head generation.
 """
 
 import numpy as np
-from conftest import print_table, save_results
+from conftest import print_table, save_measured
 
 from repro.core import ABRHead, profile_inference
 from repro.llm import build_llm, generate, get_config
@@ -53,7 +53,7 @@ def test_overhead_memory_and_latency(benchmark, scale):
     print("Paper: Llama2-7B needs ~29 GB and 0.1-0.3 s per answer; OPT-1.3B needs ~7 GB and "
           "~0.04 s per answer. The reproduction reports the same quantities for the stand-in "
           "models (absolute values are smaller because the substitutes are smaller).")
-    save_results("overhead", {"rows": rows})
+    save_measured("overhead", {"rows": rows})
 
     by = {row["model"]: row for row in rows}
     assert by["opt-1.3b-sim"]["model_memory_mb"] < by["llama2-7b-sim"]["model_memory_mb"]

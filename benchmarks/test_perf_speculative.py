@@ -1,7 +1,7 @@
-"""Speculative-decode benchmark (BENCH trajectory): draft, verify, fuse.
+"""Speculative decode and fused prefill A/B gates (slow lane).
 
-Measures the two wall-clock wins of PR 10 and proves both are *free* in
-output terms:
+Two wall-clock wins of PR 10, each against the same build with the feature
+off — which ``bench/``, with one fixed policy per workload, cannot express:
 
 1. **Single-stream speculative decode** — a templated prompt decoded with
    ``SchedulerPolicy(speculation="ngram")`` versus plain sequential decode.
@@ -17,19 +17,14 @@ output terms:
    time fallback.  Acceptance (ISSUE 10): >= 1.2x admission throughput at
    exact stream parity.
 
-A mixed batch (templated + sampled + incompressible sessions decoding
-concurrently) is also reported: speculation must still be parity-exact and
-not lose throughput even when some rows draft poorly.
-
-Results go to ``benchmarks/results/perf_speculative.json``; the committed
-baseline plus ``check_regression.py`` gate the speedups (and pin the fault
-counters at zero) over time.
+Both are ratios of medians over alternating pairs.  Measurements go to
+``benchmarks/measured/perf_speculative.json``.
 """
 
 import time
 
 import pytest
-from conftest import print_table, save_results
+from conftest import assert_fault_free, paired, ratio_of_medians, save_measured
 
 from repro.llm import LanguageModel
 from repro.llm.config import LLMConfig
@@ -49,7 +44,7 @@ MODEL_SEED = 4
 TEMPLATED_PROMPT = ("status: ok; retry: 0; latency: 12ms; " * 6).strip()
 NEW_TOKENS = 320
 SPECULATION_K = 8
-REPETITIONS = 3
+PAIRS = 7
 
 # Fused-prefill workload: equal-history concurrent admissions.
 FUSED_SESSIONS = 6
@@ -67,11 +62,12 @@ def _policy(speculative: bool, **overrides) -> SchedulerPolicy:
 
 
 def _drain(server: InferenceServer, handles):
-    """Run to idle; return (token id streams, wall seconds, stats)."""
+    """Run to idle, fault-free; return (token id streams, wall seconds)."""
     start = time.perf_counter()
     server.run_until_idle()
     wall = time.perf_counter() - start
-    return [h.result().token_ids for h in handles], wall, server.stats()
+    assert_fault_free(server)
+    return [h.result().token_ids for h in handles], wall
 
 
 def _single_stream(model, speculative: bool):
@@ -79,41 +75,9 @@ def _single_stream(model, speculative: bool):
     handle = server.submit(GenerateRequest(
         prompt=TEMPLATED_PROMPT, max_new_tokens=NEW_TOKENS,
         temperature=0.0, stop_on_eos=False))
-    streams, wall, stats = _drain(server, [handle])
-    return {
-        "tokens_per_s": NEW_TOKENS / wall,
-        "wall_s": wall,
-        "tokens_drafted": stats.tokens_drafted,
-        "tokens_accepted": stats.tokens_accepted,
-        "acceptance_rate": stats.acceptance_rate,
-        "server_stats": stats.report(),
-    }, streams[0]
-
-
-#: Mixed decode batch: two templated greedy rows (draft well), one seeded
-#: sampled row, one incompressible row (drafts poorly, adaptive k backs off).
-MIXED_REQUESTS = [
-    GenerateRequest(prompt=TEMPLATED_PROMPT, max_new_tokens=96,
-                    temperature=0.0, stop_on_eos=False),
-    GenerateRequest(prompt="bitrate: 4500; stall: no; " * 4,
-                    max_new_tokens=96, temperature=0.0, stop_on_eos=False),
-    GenerateRequest(prompt=TEMPLATED_PROMPT, max_new_tokens=96,
-                    temperature=0.8, seed=1234, stop_on_eos=False),
-    GenerateRequest(prompt="zqxjkvbw ylfmd ghpt", max_new_tokens=96,
-                    temperature=0.0, stop_on_eos=False),
-]
-
-
-def _mixed_batch(model, speculative: bool):
-    server = InferenceServer(model, _policy(speculative), telemetry=False)
-    handles = [server.submit(req) for req in MIXED_REQUESTS]
-    streams, wall, stats = _drain(server, handles)
-    tokens = sum(len(s) for s in streams)
-    return {
-        "tokens_per_s": tokens / wall,
-        "wall_s": wall,
-        "acceptance_rate": stats.acceptance_rate,
-    }, streams
+    streams, wall = _drain(server, [handle])
+    return {"tokens_per_s": NEW_TOKENS / wall, "streams": streams,
+            "acceptance_rate": server.stats().acceptance_rate}
 
 
 def _fused_prefill(model, fused: bool):
@@ -131,92 +95,55 @@ def _fused_prefill(model, fused: bool):
     handles = [server.submit(GenerateRequest(
         prompt=prompt, max_new_tokens=1, stop_on_eos=False))
         for _ in range(FUSED_SESSIONS)]
-    streams, wall, stats = _drain(server, handles)
-    admitted = FUSED_SESSIONS * FUSED_PROMPT_TOKENS
-    return {
-        "prompt_tokens_per_s": admitted / wall,
-        "wall_s": wall,
-        "server_stats": stats.report(),
-    }, streams
+    streams, wall = _drain(server, handles)
+    return {"tokens_per_s": FUSED_SESSIONS * FUSED_PROMPT_TOKENS / wall,
+            "streams": streams}
+
+
+def _gate(title: str, off_name: str, off, on_name: str, on) -> float:
+    """Exact stream parity pair by pair, then the ratio of median tokens/s."""
+    for off_run, on_run in zip(off, on):
+        assert on_run["streams"] == off_run["streams"], (
+            f"{on_name} must be token-exact versus {off_name}")
+    return ratio_of_medians(title, "tok/s", **{
+        off_name: [run["tokens_per_s"] for run in off],
+        on_name: [run["tokens_per_s"] for run in on]})
 
 
 def test_perf_speculative_decode():
     model = LanguageModel(CONFIG, seed=MODEL_SEED)
     _single_stream(model, speculative=True)  # warm numpy/BLAS + caches
 
-    # --- single templated stream: the headline gate ------------------- #
-    seq_runs, spec_runs = [], []
-    for _ in range(REPETITIONS):
-        seq_runs.append(_single_stream(model, speculative=False))
-        spec_runs.append(_single_stream(model, speculative=True))
-    for (_, seq_stream), (_, spec_stream) in zip(seq_runs, spec_runs):
-        assert spec_stream == seq_stream, (
-            "speculative decode must be token-exact versus sequential")
-    seq_best = max((r for r, _ in seq_runs), key=lambda r: r["tokens_per_s"])
-    spec_best = max((r for r, _ in spec_runs), key=lambda r: r["tokens_per_s"])
-    speedup = spec_best["tokens_per_s"] / seq_best["tokens_per_s"]
+    sequential, speculative = paired(
+        lambda: _single_stream(model, speculative=False),
+        lambda: _single_stream(model, speculative=True), PAIRS)
+    speedup = _gate(f"Speculative decode (single templated stream, "
+                    f"{NEW_TOKENS} tokens, k={SPECULATION_K})",
+                    "sequential", sequential, "speculative", speculative)
 
-    # --- mixed batch: parity and throughput under heterogeneity ------- #
-    mixed_seq, seq_streams = _mixed_batch(model, speculative=False)
-    mixed_spec, spec_streams = _mixed_batch(model, speculative=True)
-    assert spec_streams == seq_streams, (
-        "mixed-batch speculation must be token-exact (incl. sampled rows)")
-    mixed_speedup = mixed_spec["tokens_per_s"] / mixed_seq["tokens_per_s"]
+    solo, fused = paired(lambda: _fused_prefill(model, fused=False),
+                         lambda: _fused_prefill(model, fused=True), PAIRS)
+    admission_speedup = _gate(
+        f"Fused prefill admission ({FUSED_SESSIONS} x {FUSED_PROMPT_TOKENS} "
+        f"prompt tokens, chunk {FUSED_CHUNK})", "solo", solo, "fused", fused)
 
-    # --- fused multi-chunk prefill: admission throughput --------------- #
-    solo_runs, fused_runs = [], []
-    for _ in range(REPETITIONS):
-        solo_runs.append(_fused_prefill(model, fused=False))
-        fused_runs.append(_fused_prefill(model, fused=True))
-    for (_, solo_streams), (_, fused_streams) in zip(solo_runs, fused_runs):
-        assert fused_streams == solo_streams, (
-            "fused prefill must preserve exact streams versus solo chunks")
-    solo_best = max((r for r, _ in solo_runs),
-                    key=lambda r: r["prompt_tokens_per_s"])
-    fused_best = max((r for r, _ in fused_runs),
-                     key=lambda r: r["prompt_tokens_per_s"])
-    admission_speedup = (fused_best["prompt_tokens_per_s"]
-                         / solo_best["prompt_tokens_per_s"])
-
-    print_table("Speculative decode (single templated stream, "
-                f"{NEW_TOKENS} tokens, k={SPECULATION_K})", [
-        {"mode": "sequential",
-         "tokens_per_s": seq_best["tokens_per_s"], "acceptance": "-"},
-        {"mode": "speculative",
-         "tokens_per_s": spec_best["tokens_per_s"],
-         "acceptance": f"{spec_best['acceptance_rate']:.2f}"},
-    ])
-    print(f"Single-stream speedup {speedup:.2f}x (gate >= 1.5); "
-          f"mixed-batch {mixed_speedup:.2f}x; fused-prefill admission "
-          f"{admission_speedup:.2f}x (gate >= 1.2).")
-
-    save_results("perf_speculative", {
+    save_measured("perf_speculative", {
         "model": CONFIG.name,
         "max_new_tokens": NEW_TOKENS,
         "speculation_k": SPECULATION_K,
         "single_stream": {
-            "sequential_tokens_per_s": seq_best["tokens_per_s"],
-            "speculative_tokens_per_s": spec_best["tokens_per_s"],
-            "speedup": speedup,
-            "tokens_drafted": spec_best["tokens_drafted"],
-            "tokens_accepted": spec_best["tokens_accepted"],
-            "acceptance_rate": spec_best["acceptance_rate"],
-            "server_stats": spec_best["server_stats"],
-        },
-        "mixed_batch": {
-            "sequential_tokens_per_s": mixed_seq["tokens_per_s"],
-            "speculative_tokens_per_s": mixed_spec["tokens_per_s"],
-            "speedup": mixed_speedup,
-            "acceptance_rate": mixed_spec["acceptance_rate"],
+            "sequential_tokens_per_s": [r["tokens_per_s"] for r in sequential],
+            "speculative_tokens_per_s": [r["tokens_per_s"] for r in speculative],
+            "ratio_of_medians": speedup,
+            "acceptance_rate": speculative[0]["acceptance_rate"],
         },
         "fused_prefill": {
             "num_sessions": FUSED_SESSIONS,
             "prompt_tokens": FUSED_PROMPT_TOKENS,
             "chunk_size": FUSED_CHUNK,
-            "solo_prompt_tokens_per_s": solo_best["prompt_tokens_per_s"],
-            "fused_prompt_tokens_per_s": fused_best["prompt_tokens_per_s"],
-            "admission_speedup": admission_speedup,
-            "server_stats": fused_best["server_stats"],
+            "solo_prompt_tokens_per_s": [r["tokens_per_s"] for r in solo],
+            "fused_prompt_tokens_per_s": [r["tokens_per_s"] for r in fused],
+            "ratio_of_medians": admission_speedup,
         },
     })
 

@@ -1,22 +1,26 @@
-"""Telemetry-overhead benchmark (BENCH trajectory): the flight recorder.
+"""Flight-recorder cost gate (slow lane): recorder time per working step.
 
 The step-level trace (ISSUE 7) records every engine step into a ring
-buffer; its contract is near-zero cost.  This benchmark serves the same
-decode-heavy batched workload twice — telemetry enabled (the default) and
-disabled — and gates the throughput ratio: enabled tracing may cost at
-most 5% decode tokens/s.  Absolute throughput of both modes lands in
-``benchmarks/results/perf_telemetry.json`` so ``check_regression.py`` can
-also catch either mode regressing on its own (which would show a
-"disabled tracing is no longer within noise" drift as loudly as an
-instrumentation slowdown).
+buffer; its contract is near-zero cost.  This gate times the recorder
+itself, in its own unit: shims on ``ServeTelemetry.begin_step`` and
+``commit_step`` — the two calls ``bench/`` also times, as
+``telemetry.step_overhead_us_p50`` — around a decode-heavy served batch,
+summed per step that committed a record.
 
-Acceptance (ISSUE 7): telemetry-enabled throughput >= 0.95x disabled.
+It used to gate throughput with the recorder on >= 0.95x off.  That ratio
+measures a ~1 % effect (30 us of a 3.3 ms step) whose pair-to-pair spread
+is eight times larger: quartiles of the per-pair ratio read 0.89-1.08,
+0.98-1.16 and 0.93-1.03 over 3 x 11 alternating pairs at PR 16, so the gate
+was a coin flip.  ``bench/`` reports the same quantity as a per-layer row
+but bounds only end-to-end metrics, so nothing there fails when the
+recorder grows; this does.
 """
 
 import time
 
+import numpy as np
 import pytest
-from conftest import print_table, save_results
+from conftest import assert_fault_free, print_table, save_measured
 
 from repro.llm import LanguageModel
 from repro.llm.config import LLMConfig
@@ -29,59 +33,70 @@ CONFIG = LLMConfig(name="telemetry-bench", family="test", d_model=64,
 
 NUM_SESSIONS = 12
 NEW_TOKENS = 24
-REPETITIONS = 3
-OVERHEAD_GATE = 0.95
+#: Median recorder time per working step; 30 us traced at PR 16.
+OVERHEAD_GATE_US = 100.0
 
 
-def _serve_batch(model, telemetry: bool):
-    """Serve one batched decode workload; return (tokens/s, server)."""
+def _serve_batch(model):
+    """Serve one batched decode workload with the recorder timed.
+
+    Returns (recorder seconds per working step, the step records).
+    """
     policy = SchedulerPolicy(max_batch_size=NUM_SESSIONS, max_context=128,
                              block_size=16, enable_prefix_cache=False)
-    server = InferenceServer(model, policy, telemetry=telemetry)
-    start = time.perf_counter()
+    server = InferenceServer(model, policy)
+    telemetry = server.telemetry
+    begin_step, commit_step = telemetry.begin_step, telemetry.commit_step
+    seconds, begun = [], [0.0]
+
+    def timed_begin(*args, **kwargs):
+        start = time.perf_counter()
+        begin_step(*args, **kwargs)
+        begun[0] = time.perf_counter() - start
+
+    def timed_commit(*args, **kwargs):
+        start = time.perf_counter()
+        record = commit_step(*args, **kwargs)
+        if record is not None:  # idle steps are discarded, not recorded
+            seconds.append(begun[0] + time.perf_counter() - start)
+        return record
+
+    telemetry.begin_step, telemetry.commit_step = timed_begin, timed_commit
     handles = [server.submit(GenerateRequest(
         prompt=f"session {i} reporting:", max_new_tokens=NEW_TOKENS,
         stop_on_eos=False)) for i in range(NUM_SESSIONS)]
     server.run_until_idle()
-    wall = time.perf_counter() - start
-    tokens = sum(len(h.result().token_ids) for h in handles)
-    assert tokens == NUM_SESSIONS * NEW_TOKENS
-    return tokens / wall, server
+    assert sum(len(h.result().token_ids) for h in handles) \
+        == NUM_SESSIONS * NEW_TOKENS
+    assert_fault_free(server)
+    records = telemetry.records()
+    assert len(seconds) == len(records) > 0
+    return seconds, records
 
 
 def test_perf_telemetry_overhead():
     model = LanguageModel(CONFIG, seed=0)
-    _serve_batch(model, telemetry=True)  # warm numpy/BLAS + caches
+    _serve_batch(model)  # warm numpy/BLAS + caches
+    seconds, records = _serve_batch(model)
 
-    best = {}
-    for enabled in (False, True):
-        key = "enabled" if enabled else "disabled"
-        runs = []
-        for _ in range(REPETITIONS):
-            tokens_per_s, server = _serve_batch(model, telemetry=enabled)
-            runs.append(tokens_per_s)
-            # The recorder must actually be on/off in the measured runs.
-            assert bool(server.telemetry.records()) is enabled
-        best[key] = max(runs)  # best-of: robust to GC/CI load spikes
-
-    overhead_ratio = best["enabled"] / best["disabled"]
+    q1, median, q3 = np.percentile(np.asarray(seconds) * 1e6, [25, 50, 75])
+    step_us = float(np.median([r.ended_at - r.started_at for r in records])) * 1e6
     print_table(
-        f"Flight-recorder overhead ({NUM_SESSIONS} sessions x "
+        f"Flight-recorder time per working step ({NUM_SESSIONS} sessions x "
         f"{NEW_TOKENS} tokens)",
-        [{"mode": key, "tokens_per_s": best[key]}
-         for key in ("disabled", "enabled")])
-    print(f"Telemetry-enabled throughput: {overhead_ratio:.3f}x disabled "
-          f"(gate >= {OVERHEAD_GATE}).")
-
-    save_results("perf_telemetry", {
+        [{"steps": len(seconds), "q1_us": float(q1), "median_us": float(median),
+          "q3_us": float(q3), "step_p50_us": step_us,
+          "share_of_step": float(median) / step_us}])
+    save_measured("perf_telemetry", {
         "model": CONFIG.name,
         "num_sessions": NUM_SESSIONS,
         "new_tokens": NEW_TOKENS,
-        "disabled_tokens_per_s": best["disabled"],
-        "enabled_tokens_per_s": best["enabled"],
-        "overhead_ratio": overhead_ratio,
+        "working_steps": len(seconds),
+        "recorder_us_per_step": {"q1": float(q1), "median": float(median),
+                                 "q3": float(q3)},
+        "step_us_p50": step_us,
     })
 
-    assert overhead_ratio >= OVERHEAD_GATE, (
-        f"enabled tracing costs {(1 - overhead_ratio) * 100:.1f}% decode "
-        f"throughput (gate {(1 - OVERHEAD_GATE) * 100:.0f}%)")
+    assert median <= OVERHEAD_GATE_US, (
+        f"the flight recorder takes {median:.0f} us per working step "
+        f"(gate {OVERHEAD_GATE_US:.0f} us)")

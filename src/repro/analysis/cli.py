@@ -3,8 +3,7 @@
 Exit codes follow the gate contract: 0 means no unsuppressed findings,
 1 means at least one, 2 means the run itself failed (bad arguments,
 missing paths).  ``--format=json`` emits a machine-readable report that
-``benchmarks/check_lint.py`` diffs against its committed baseline the same
-way ``check_regression.py`` diffs performance numbers.
+``benchmarks/check_lint.py`` diffs against its committed baseline.
 """
 
 from __future__ import annotations

@@ -202,7 +202,12 @@ class RequestHandle:
         producing generation never times out.  A cancelled/expired/failed
         request raises the corresponding error after yielding whatever was
         committed before the failure; iterating a fully-drained stream again
-        just re-raises (or returns nothing).
+        just re-raises (or returns nothing).  A consumer thread is not free
+        to the loop it reads from: each is woken once per token and takes the
+        GIL to run, which measured 5-34 % of blocking throughput at 16
+        consumers on 2 cores, and a cheaper hand-off (one notify per step,
+        decoding moved to the consumer) measured the same
+        (``benchmarks/README.md``).
         """
         if self._stream is None:
             raise RuntimeError(
@@ -329,6 +334,8 @@ class InferenceServer:
         #: Terminal outcome -> requests that ended so, over the server's life
         #: (``_completed`` forgets; the outcome counts of ``stats()`` must not).
         self._outcomes: Dict[str, int] = {}
+        #: Tokens generated by completed requests, over the server's life.
+        self._tokens_generated = 0
         self._started_at: Optional[float] = None
         self._last_finished_at: Optional[float] = None
         self._thread: Optional[threading.Thread] = None
@@ -555,6 +562,8 @@ class InferenceServer:
         metrics.mark_finished()
         self._completed.append(metrics)
         self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
+        if outcome == OUTCOME_OK:
+            self._tokens_generated += metrics.tokens_generated
         self._last_finished_at = metrics.finished_at
         if outcome != OUTCOME_OK:
             if session is not None:
@@ -1094,6 +1103,7 @@ class InferenceServer:
             prefix = self._manager.prefix if self._manager is not None else None
             counters = ServeCounters(
                 outcomes=dict(self._outcomes),
+                tokens_generated=self._tokens_generated,
                 prefix_hits=prefix.hits if prefix is not None else 0,
                 prefix_misses=prefix.misses if prefix is not None else 0,
                 prefix_tokens_reused=(prefix.tokens_reused

@@ -166,6 +166,9 @@ class ServeCounters:
     #: Requests by terminal outcome over the server's whole life; ``None``
     #: (stats built outside an engine) counts the requests handed in.
     outcomes: Optional[Dict[str, int]] = None
+    #: Tokens generated by completed requests over the server's whole life;
+    #: ``None`` sums the requests handed in.
+    tokens_generated: Optional[int] = None
 
 
 @dataclass
@@ -173,9 +176,11 @@ class ServerStats:
     """Aggregate serving statistics over the completed requests.
 
     From an engine, the outcome counts (``requests_completed``, ``cancelled``,
-    ``expired``, ``failed``) and the ``ServeCounters`` fields cover the
-    server's whole life; the timing percentiles, ``tokens_generated`` and
-    ``per_task`` cover the requests it still retains (the latest 16384).
+    ``expired``, ``failed``), ``tokens_generated`` (hence
+    ``tokens_per_second``, which divides by the whole-life ``wall_seconds``)
+    and the ``ServeCounters`` fields cover the server's whole life; the
+    timing percentiles and ``per_task`` cover the requests it still retains
+    (the latest 16384).
     """
 
     requests_completed: int
@@ -215,7 +220,7 @@ class ServerStats:
     #: Fault-tolerance counters: requests that ended ``"failed"``,
     #: quarantine events contained without crashing the loop, retry
     #: re-enqueues, and submissions shed under overload.  All stay zero in a
-    #: fault-free run — the perf regression gate pins that.
+    #: fault-free run — the serving benchmarks assert that.
     failed: int = 0
     faults_quarantined: int = 0
     retries: int = 0
@@ -267,7 +272,9 @@ class ServerStats:
                 return counters.outcomes.get(outcome, 0)
             return sum(r.outcome == outcome for r in terminal)
 
-        tokens = sum(r.tokens_generated for r in finished)
+        tokens = (counters.tokens_generated
+                  if counters.tokens_generated is not None
+                  else sum(r.tokens_generated for r in finished))
         latencies = [r.total_seconds for r in finished]
         queues = [r.queue_seconds for r in finished]
         ttfts = [r.ttft_s for r in finished if r.first_token_at is not None]

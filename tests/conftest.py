@@ -6,6 +6,9 @@ built once per session and reused across test modules.
 
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -55,3 +58,33 @@ def cjs_setup():
     train_workloads = [build_workload(setting, seed=s)[0][:8] for s in range(2)]
     test_jobs, executors = build_workload(CJS_SETTINGS["default_test"], seed=11)
     return train_workloads, test_jobs[:8], executors
+
+
+def _check_export_surface(owner, export, containers=None, derived=()):
+    """``export`` spells every field of dataclass ``owner`` as JSON.
+
+    Builds an ``owner`` with a different value in every field (``containers``
+    for the fields that are not plain numbers), so that a field exported
+    under a neighbour's name shows, then checks that every field appears
+    under its own name with its own value, that the only other keys are the
+    ``derived`` properties, and that ``json.dumps`` round-trips the whole.
+    """
+    containers = containers or {}
+    instance = owner(**containers, **{
+        f.name: 100 + i for i, f in enumerate(dataclasses.fields(owner))
+        if f.name not in containers})
+    exported = export(instance)
+    fields = {f.name: getattr(instance, f.name)
+              for f in dataclasses.fields(owner)}
+    assert set(exported) == set(fields) | set(derived)
+    assert json.loads(json.dumps(exported)) == exported
+    for name, value in fields.items():
+        assert exported[name] == json.loads(json.dumps(value)), name
+    for name in derived:
+        assert exported[name] == getattr(instance, name), name
+
+
+@pytest.fixture(scope="session")
+def check_export_surface():
+    """Checker for the hand-spelled ``to_dict()`` / ``report()`` exports."""
+    return _check_export_surface

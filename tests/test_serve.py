@@ -801,6 +801,15 @@ class TestMetricsAggregation:
         for key in ("ttft_p50_s", "ttft_p95_s", "itl_p50_s", "itl_p95_s"):
             assert report[key] == pytest.approx(getattr(stats, key))
 
+    def test_report_spells_every_field(self, check_export_surface):
+        check_export_surface(
+            ServerStats, ServerStats.report,
+            dict(per_task={"generate": 3, "vp": 1}, health="degraded",
+                 queue_by_priority={0: {"count": 2, "queue_p50_s": 0.1,
+                                        "queue_p95_s": 0.2}},
+                 telemetry={"enabled": True, "windows": []}),
+            derived=("block_occupancy", "acceptance_rate"))
+
     def test_ttft_itl_empty_defaults(self):
         stats = ServerStats.from_requests([], wall_seconds=0.0,
                                           occupancy_samples=[],
@@ -1594,6 +1603,24 @@ class TestCustomTaskRuntime:
         stats = server.stats()
         assert (stats.requests_completed, stats.cancelled, stats.failed) == (19, 1, 0)
         assert stats.per_task == {"double": 8}  # the window, as documented
+
+    def test_token_throughput_outlives_the_retained_metrics_window(self, model):
+        # wall_seconds spans the server's life, so the tokens it divides
+        # must too: the retained window's tokens over whole-life seconds
+        # reads ever lower the longer a server runs.
+        from collections import deque
+
+        server = InferenceServer(model, SchedulerPolicy(max_batch_size=4))
+        server._completed = deque(maxlen=4)
+        handles = [server.submit(GenerateRequest(prompt=f"r{i}", max_new_tokens=8,
+                                                 stop_on_eos=False))
+                   for i in range(20)]
+        server.run_until_idle()
+        assert all(len(handle.result().token_ids) == 8 for handle in handles)
+        stats = server.stats()
+        assert (stats.requests_completed, stats.tokens_generated) == (20, 160)
+        assert stats.tokens_per_second == pytest.approx(160 / stats.wall_seconds)
+        assert stats.per_task == {"generate": 4}  # the window, as documented
 
     def test_blocking_result_on_the_serve_loop_makes_its_event_on_demand(self):
         # The handle's event is made by the first waiter; a waiter racing the

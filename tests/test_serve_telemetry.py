@@ -27,6 +27,7 @@ from repro.serve import (
     StepRecord,
     TraceLog,
     WindowAggregator,
+    WindowStats,
 )
 from repro.serve.scheduler import ContinuousBatchingScheduler
 
@@ -91,6 +92,24 @@ class TestTraceLog:
         assert [row["seq"] for row in rows] == [0, 1, 2]
         assert rows[0]["decode_sessions"] == [1, 2]
         assert rows[0]["decode_tokens"] == 2
+
+
+# ---------------------------------------------------------------------- #
+# The export surface: spelled by hand, so pinned field by field
+# ---------------------------------------------------------------------- #
+class TestExportSurface:
+    def test_step_record_to_dict_spells_every_field(self, check_export_surface):
+        check_export_surface(
+            StepRecord, StepRecord.to_dict,
+            dict(decode_sessions=(1, 2), prefill_chunks=((3, 8), (4, 5)),
+                 admitted=(3,), deferred=(4,), finished=(5,), quarantined=(6,),
+                 faults=(("decode.step", 1, "delay"),),
+                 queue_depth_by_priority={0: 2, 1: 1}),
+            derived=("duration_s", "decode_tokens", "prefill_tokens",
+                     "kv_padding_share"))
+
+    def test_window_stats_to_dict_spells_every_field(self, check_export_surface):
+        check_export_surface(WindowStats, WindowStats.to_dict)
 
 
 # ---------------------------------------------------------------------- #

@@ -118,20 +118,16 @@ class LanguageModel(Module):
     def forward_step(self, token_ids: np.ndarray, cache: PagedKVCache,
                      session_ids: np.ndarray,
                      counts: Optional[np.ndarray] = None) -> Tensor:
-        """Next-token logits for one new token of each listed session.
+        """Next-token logits for the new tokens of each listed paged session.
 
-        ``token_ids`` has shape ``(n,)`` or ``(n, 1)``; row *i* is the newest
-        token of the paged-cache session ``session_ids[i]``.  One forward
-        advances all sessions together (per-session positions come from the
-        cache), with per-session logits matching :meth:`forward_incremental`
-        on the session alone.
-
-        With ``counts`` given, ``token_ids`` is ``(n, max(counts))`` and the
-        call is a ragged multi-token speculative verification forward: row
-        *i* feeds its first ``counts[i]`` tokens, the returned logits cover
-        every query position, and per-session logit columns ``< counts[i]``
-        match ``counts[i]`` sequential single-token steps exactly (see
-        :meth:`TransformerBackbone.forward_step`).
+        One ragged step (:meth:`TransformerBackbone.forward_step`):
+        ``token_ids`` is ``(n, max(counts))``, row *i* feeds its first
+        ``counts[i]`` tokens to session ``session_ids[i]`` (per-session
+        positions come from the cache), the returned logits cover every query
+        position, and per-session columns ``< counts[i]`` match ``counts[i]``
+        sequential :meth:`forward_incremental` steps on the session alone.
+        Plain decode is the all-ones step, spelled ``counts=None`` with
+        ``token_ids`` of shape ``(n,)`` or ``(n, 1)``.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
         if token_ids.ndim == 1:

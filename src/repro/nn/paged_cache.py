@@ -12,11 +12,12 @@ tokens each):
   been touched) and per-block reference counts so several sessions can map the
   same physical block (shared prompt prefixes, forked sessions).
 * :class:`PagedLayerKVCache` holds one layer's K/V arrays, indexed by block.
-* :class:`PagedKVCache` keeps a **block table** per session (the ordered block
-  ids covering its history) and turns a batch of session ids into a
-  :class:`PagedStepContext` — the gather/scatter plan one batched decode step
-  needs.  Writes into a block referenced by more than one session first copy
-  it (copy-on-write), so shared blocks are never mutated under a neighbour.
+* :class:`PagedKVCache` keeps every session's **block table** (the ordered
+  block ids covering its history) as one row of a single ``int64`` matrix and
+  turns a batch of session ids into a :class:`PagedStepContext` — the
+  gather/scatter plan one batched step needs.  Writes into a block referenced
+  by more than one session first copy it (copy-on-write), so shared blocks are
+  never mutated under a neighbour.
 
 Attention gathers each session's history with one fancy index over the block
 axis (``keys[tables]``), which pads every row to a whole number of blocks;
@@ -32,7 +33,7 @@ carries one ``(rows, tables, mask)`` triple per group, each at that group's
 width; attention runs gather -> scores -> mask -> softmax -> ``@ values``
 once per group while everything else in the layer stays one batched call.
 A batch of similar lengths is the one-group case of the same plan (the
-whole-batch slice over the cached table matrix, no copies).
+whole-batch slice over the step's table matrix, no further copy).
 ``key_positions_gathered`` / ``key_positions_live`` count what the padding
 that remains costs.
 
@@ -42,19 +43,20 @@ accepts a partial prompt (``lengths`` shorter than the prefilled history) and
 into the session's blocks, growing its table incrementally — the substrate
 for chunked prefill interleaved with decode steps.
 
-The decode hot path caches its gather plan: per-session block-table rows are
-versioned, the padded ``tables`` matrix is reused across steps and only rows
-whose table actually changed are rewritten (``table_rebuilds`` /
-``table_row_updates`` count the cache behaviour), and the per-step
-offset/total/position arrays live in preallocated buffers so a steady-state
-decode step performs no per-session Python table walk and no temporary
-allocations beyond the attention math itself.  The length groups are part of
-that cached plan and are recomputed only when a row's block table moves.
+There is one step plan.  Because the block tables already are a matrix, a
+step's padded gather tables are ``table[rows, :width]`` — one fancy index, read
+afresh every step, so there is nothing to cache, version or invalidate when a
+table moves.  Plain decode is the ``counts == 1`` call of the ragged
+multi-token step that speculative verification uses:
+:meth:`PagedKVCache.prepare_step` / :meth:`PagedKVCache.prepare_multi_step`
+and :meth:`PagedKVCache.commit_step` / :meth:`PagedKVCache.commit_multi_step`
+are spellings of one plan body and one commit body (``docs/paged_kv.md``).
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -301,12 +303,35 @@ class PagedLayerKVCache:
         return keys, values
 
 
-def _window_mask(cutoffs: np.ndarray, gathered_len: int) -> Optional[np.ndarray]:
-    """Boolean ``(g, width, gathered_len)`` mask of the gathered positions at
-    or past each query token's cutoff; None when there are none."""
-    if int(cutoffs.min()) == gathered_len:
+@lru_cache(maxsize=256)
+def _token_grid(counts_key: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where a step's valid tokens sit: a pure function of its counts.
+
+    ``counts_key`` is the step's ``int64`` counts as bytes.  Returns
+    ``(row_index, token_index, clamped)``: the (row, query position) of every
+    valid token in row-major order, and the ``(n, max(counts))`` grid of query
+    positions with each row's padded ones clamped to its last valid one.
+    Memoised (and read-only) like :func:`~repro.nn.attention.causal_mask`:
+    every decode step of ``n`` rows shares the all-ones entry.  Nothing here
+    depends on the pool, so nothing ever invalidates an entry.
+    """
+    counts = np.frombuffer(counts_key, dtype=np.int64)
+    if counts.min() < 1:
+        raise ValueError("every session must consume at least one token")
+    t_grid = _position_range(int(counts.max()))
+    row_index, token_index = np.nonzero(t_grid < counts[:, None])
+    clamped = np.minimum(t_grid, counts[:, None] - 1)
+    for array in (row_index, token_index, clamped):
+        array.setflags(write=False)
+    return row_index, token_index, clamped
+
+
+def _window_mask(positions: np.ndarray, gathered_len: int) -> Optional[np.ndarray]:
+    """Boolean ``(g, width, gathered_len)`` mask of the gathered positions
+    past each query token's own; None when there are none."""
+    if int(positions.min()) + 1 == gathered_len:
         return None
-    return _position_range(gathered_len)[None, None, :] >= cutoffs[:, :, None]
+    return _position_range(gathered_len)[None, None, :] > positions[:, :, None]
 
 
 class PagedStepContext:
@@ -315,11 +340,11 @@ class PagedStepContext:
     One shape serves decode and speculative verification alike: row *i*
     feeds ``counts[i] >= 1`` new tokens (decode is ``counts == 1``) at
     global positions ``lengths[i] .. lengths[i] + counts[i] - 1``, padded
-    to the batch's widest row.  Built by :meth:`PagedKVCache.prepare_step`
-    / :meth:`PagedKVCache.prepare_multi_step` (which also perform any block
-    allocation and copy-on-write the step needs) and consumed by every
-    attention layer, so table padding and the attention masks are built
-    once per step, not per layer.
+    to the batch's widest row.  Built by the one plan body behind
+    :meth:`PagedKVCache.prepare_step` / :meth:`PagedKVCache.prepare_multi_step`
+    (which also performs any block allocation and copy-on-write the step
+    needs) and consumed by every attention layer, so table padding and the
+    attention masks are built once per step, not per layer.
 
     Queries are padded to the widest row, keys are not padded to the longest
     session: ``groups`` partitions the rows by block need
@@ -330,8 +355,9 @@ class PagedStepContext:
     The flat ``write_blocks``/``write_offsets``/``row_index``/``token_index``
     arrays cover exactly the *valid* (row, token) pairs, so padded query
     positions — whose outputs the caller ignores — are never scattered into
-    the pool.  The arrays may alias the cache's internal step buffers: a
-    context is only valid until the next ``prepare_*`` call on the cache.
+    the pool.  Every array is the step's own copy, read from the pool as it
+    stood when the step was prepared: a context is spent once its step is
+    committed, or once any of its sessions is otherwise mutated.
     """
 
     __slots__ = ("session_ids", "groups", "write_blocks", "write_offsets",
@@ -341,8 +367,7 @@ class PagedStepContext:
                  row_groups: Sequence[Tuple[RowIndex, np.ndarray]],
                  write_blocks: np.ndarray, write_offsets: np.ndarray,
                  row_index: np.ndarray, token_index: np.ndarray,
-                 positions: np.ndarray, cutoffs: np.ndarray,
-                 block_size: int) -> None:
+                 positions: np.ndarray, block_size: int) -> None:
         self.session_ids = session_ids
         self.write_blocks = write_blocks    #: (total,) block per valid token
         self.write_offsets = write_offsets  #: (total,) offset within that block
@@ -357,52 +382,16 @@ class PagedStepContext:
         #: ids, and ``mask`` the boolean ``(g, width, group_blocks *
         #: block_size)`` invisibility mask over the group's gathered window,
         #: or None when every query token of the group sees all of it.
-        #: ``mask[i, t, j]`` is True when gathered position ``j`` lies at or
-        #: past ``cutoffs[i, t]``, the causal cutoff of query token ``t`` of
-        #: row ``i`` (its own position + 1) — which covers future draft
-        #: tokens, block padding and shorter group members at once.
-        #: Padded query rows reuse their row's last valid cutoff, so no
-        #: softmax row is ever fully masked.
+        #: ``mask[i, t, j]`` is True when gathered position ``j`` lies past
+        #: ``positions[i, t]``, query token ``t`` of row ``i``'s own position
+        #: (the causal cutoff) — which covers future draft tokens, block
+        #: padding and shorter group members at once.  Padded query rows
+        #: reuse their row's last valid position, so no softmax row is ever
+        #: fully masked.
         self.groups = tuple(
-            (rows, tables, _window_mask(cutoffs[rows],
+            (rows, tables, _window_mask(positions[rows],
                                         int(tables.shape[1]) * block_size))
             for rows, tables in row_groups)
-
-
-class _StepPlan:
-    """Cached gather plan for a fixed batch of session ids.
-
-    Valid while the batch composition is unchanged; individual rows are
-    refreshed when their session's block table changes (tracked by per-session
-    versions), so a steady-state decode never rebuilds the padded table
-    matrix.  ``lengths`` mirrors the cache's per-session lengths for the
-    batch and is advanced in bulk by :meth:`PagedKVCache.commit_step`.
-    ``groups`` holds the step's length groups (``(rows, tables)`` pairs, see
-    :func:`partition_rows`); any write to ``tables`` resets it to None and
-    the next step partitions again.
-    """
-
-    __slots__ = ("ids_key", "session_ids", "tables", "lengths", "tail_blocks",
-                 "versions", "epoch", "offsets_buf", "totals_buf",
-                 "positions_buf", "rows", "first_token", "groups")
-
-    def __init__(self, session_ids: np.ndarray, tables: np.ndarray,
-                 lengths: np.ndarray, tail_blocks: np.ndarray,
-                 versions: np.ndarray, epoch: int) -> None:
-        self.ids_key = session_ids.tobytes()
-        self.session_ids = session_ids
-        self.tables = tables
-        self.lengths = lengths
-        self.tail_blocks = tail_blocks
-        self.versions = versions
-        self.epoch = epoch
-        n = len(session_ids)
-        self.offsets_buf = np.empty(n, dtype=np.int64)
-        self.totals_buf = np.empty(n, dtype=np.int64)
-        self.positions_buf = np.empty(n, dtype=np.int64)
-        self.rows = np.arange(n)  # one valid token (index 0) per row
-        self.first_token = np.zeros(n, dtype=np.int64)
-        self.groups: Optional[Tuple[Tuple[RowIndex, np.ndarray], ...]] = None
 
 
 class PagedKVCache:
@@ -415,11 +404,20 @@ class PagedKVCache:
     stay cheap, and the number of concurrently decodable sessions is bounded
     by total blocks, not by a fixed slot count.
 
+    The tables are the rows of one geometrically grown ``int64`` matrix: a
+    session id maps to a row, row ``r`` holds its blocks in
+    ``_table[r, :_nblocks[r]]`` (zero past that — any valid id pads a gather,
+    the padding is masked) and its token count in ``_length[r]``.  Ids are
+    never reused; the row of an evicted session is.  A batch's padded gather
+    tables are therefore ``_table[rows, :width]``, read afresh each step.
+
     Sharing: :meth:`admit` can map already-filled blocks (a cached prompt
     prefix) into a new session's table, and :meth:`fork` clones a whole
     session, both by bumping block refcounts instead of copying.  Any write
-    into a block with refcount > 1 triggers copy-on-write in
-    :meth:`prepare_step`, so sharing is invisible to correctness.
+    into a block with refcount > 1 triggers copy-on-write before the step
+    that writes it (:meth:`prepare_step` / :meth:`prepare_multi_step` /
+    :meth:`extend_session`, one routine), so sharing is invisible to
+    correctness.
     """
 
     #: Optional chaos hook (``FaultInjector.fire``): called at the named
@@ -435,20 +433,12 @@ class PagedKVCache:
         self.allocator = BlockAllocator(max_blocks, block_size)
         self.layers: List[PagedLayerKVCache] = [
             PagedLayerKVCache() for _ in range(num_layers)]
-        self._tables: Dict[int, List[int]] = {}
-        self._lengths: Dict[int, int] = {}
+        self._table = np.zeros((0, 0), dtype=np.int64)
+        self._nblocks = np.zeros(0, dtype=np.int64)
+        self._length = np.zeros(0, dtype=np.int64)
+        self._rows: Dict[int, int] = {}  # live session id -> table row
+        self._free_rows: List[int] = []
         self._ids = itertools.count()
-        # Step-plan cache: per-session table versions plus a global mutation
-        # epoch.  A decode step whose batch and epoch both match the cached
-        # plan reuses the padded gather tables untouched; a bumped epoch only
-        # rewrites the rows whose version changed.
-        self._versions: Dict[int, int] = {}
-        self._epoch = 0
-        self._plan: Optional[_StepPlan] = None
-        #: Full rebuilds of the padded gather-table matrix (batch changed).
-        self.table_rebuilds = 0
-        #: Single-row refreshes of the cached matrix (one table changed).
-        self.table_row_updates = 0
         #: Key positions the steps so far gathered per layer (every group's
         #: rows x its padded width) and how many of those were live history
         #: (each row's own window); the gap is padding, gathered and scored
@@ -457,10 +447,6 @@ class PagedKVCache:
         self.key_positions_gathered = 0
         self.key_positions_live = 0
         self.attention_groups = 0
-
-    def _mutated(self) -> None:
-        """Note a table/pool mutation so cached step plans revalidate."""
-        self._epoch += 1
 
     # ------------------------------------------------------------------ #
     @property
@@ -473,7 +459,7 @@ class PagedKVCache:
 
     @property
     def num_sessions(self) -> int:
-        return len(self._tables)
+        return len(self._rows)
 
     @property
     def blocks_in_use(self) -> int:
@@ -490,14 +476,26 @@ class PagedKVCache:
         return (self.key_positions_gathered, self.key_positions_live,
                 self.attention_groups)
 
-    def length(self, session_id: int) -> int:
+    def _row(self, session_id: int) -> int:
         try:
-            return self._lengths[session_id]
+            return self._rows[session_id]
         except KeyError:
             raise ValueError(f"session {session_id} is not live") from None
 
+    def _batch_rows(self, session_ids: Sequence[int]) -> np.ndarray:
+        """The table rows of a batch of live sessions, in batch order."""
+        ids = np.asarray(session_ids, dtype=np.int64).tolist()
+        try:
+            return np.fromiter(map(self._rows.__getitem__, ids), np.int64, len(ids))
+        except KeyError as missing:
+            raise ValueError(f"session {missing.args[0]} is not live") from None
+
+    def length(self, session_id: int) -> int:
+        return self._length.item(self._row(session_id))
+
     def table(self, session_id: int) -> Tuple[int, ...]:
-        return tuple(self._tables[session_id])
+        row = self._rows[session_id]
+        return tuple(self._table[row, :self._nblocks[row]].tolist())
 
     def blocks_needed(self, length: int) -> int:
         return -(-length // self.block_size)
@@ -519,6 +517,34 @@ class PagedKVCache:
                 self.allocator.release(block)
             raise
         return blocks
+
+    def _reserve(self, rows: int, width: int) -> None:
+        """Grow the table matrix geometrically to at least ``rows x width``."""
+        have_rows, have_width = self._table.shape
+        if rows <= have_rows and width <= have_width:
+            return
+        rows = max(rows, 2 * have_rows) if rows > have_rows else have_rows
+        width = max(width, 2 * have_width) if width > have_width else have_width
+        table = np.zeros((rows, width), dtype=np.int64)
+        table[:have_rows, :have_width] = self._table
+        self._table = table
+        if rows > have_rows:
+            spare = np.zeros(rows - have_rows, dtype=np.int64)
+            self._nblocks = np.concatenate([self._nblocks, spare])
+            self._length = np.concatenate([self._length, spare])
+            self._free_rows.extend(range(rows - 1, have_rows - 1, -1))
+
+    def _open(self, blocks: Sequence[int], length: int) -> int:
+        """Enter a session holding ``blocks`` (references already taken) and
+        ``length`` tokens under the next id; return the id."""
+        self._reserve(len(self._rows) + 1, len(blocks))  # a free row exists
+        row = self._free_rows.pop()
+        self._table[row, :len(blocks)] = blocks
+        self._nblocks[row] = len(blocks)
+        self._length[row] = length
+        session_id = next(self._ids)
+        self._rows[session_id] = row
+        return session_id
 
     def admit(self, cache: KVCache, row: int = 0, length: Optional[int] = None,
               shared_blocks: Sequence[int] = ()) -> int:
@@ -618,13 +644,9 @@ class PagedKVCache:
         session_ids = []
         offset = 0
         for length, count in zip(lengths, fresh_counts):
-            session_id = next(self._ids)
-            self._tables[session_id] = shared + fresh[offset:offset + count]
-            self._lengths[session_id] = length
-            self._versions[session_id] = 0
-            session_ids.append(session_id)
+            session_ids.append(
+                self._open(shared + fresh[offset:offset + count], length))
             offset += count
-        self._mutated()
         return session_ids
 
     def extend_session(self, session_id: int, cache: KVCache, row: int = 0,
@@ -637,18 +659,17 @@ class PagedKVCache:
         laid out into the session's blocks — filling the partially used tail
         block first, then appending fresh blocks.  ``new_length`` defaults to
         the cache's full length.  A shared tail block (a forked sibling) is
-        copy-on-write split before the chunk lands in it, exactly as
-        :meth:`prepare_step` does for decode writes.
+        copy-on-write split before the chunk lands in it, by the
+        routine that does it for decode writes (:meth:`_grow`).
         """
         if self.fault_hook is not None:
             self.fault_hook("kv.extend")
-        if session_id not in self._tables:
-            raise ValueError(f"session {session_id} is not live")
+        table_row = self._row(session_id)
         if cache.num_layers != self.num_layers:
             raise ValueError(
                 f"session cache has {cache.num_layers} layers but the paged "
                 f"cache has {self.num_layers}")
-        old = self._lengths[session_id]
+        old = int(self._length[table_row])
         full = cache.seq_len
         new_length = full if new_length is None else new_length
         if not old < new_length <= full:
@@ -660,29 +681,13 @@ class PagedKVCache:
             raise ValueError(f"row {row} outside prefilled batch of "
                              f"{template.shape[0]}")
         block_size = self.block_size
-        table = self._tables[session_id]
-        tail_offset = old % block_size
-        needs_cow = tail_offset and self.allocator.refcounts[table[-1]] > 1
-        grow = self.blocks_needed(new_length) - len(table)
-        fresh = self._allocate_many(grow + (1 if needs_cow else 0))
-        self._ensure_storage(template.shape[1], template.shape[3],
-                             template.dtype)
-        if needs_cow:
-            replacement = fresh.pop(0)
-            for layer in self.layers:
-                layer.copy_block(table[-1], replacement)
-            # Unlike prepare_step's batched CoW, no sibling can drop the last
-            # reference within this single-session call: the block stays live
-            # for its other holder(s), never freed here.
-            self.allocator.release(table[-1])
-            table[-1] = replacement
-        table.extend(fresh)
-        start_block = old // block_size
+        self._grow(np.asarray([table_row]), np.asarray([old]), np.asarray([new_length]))
+        table = self._table[table_row, :self._nblocks[table_row]].tolist()
         for source, layer in zip(cache.layers, self.layers):
             for source_array, storage in ((source.keys, layer._keys),
                                           (source.values, layer._values)):
                 history = source_array[row]
-                position, index = old, start_block
+                position, index = old, old // block_size
                 while position < new_length:
                     offset = position % block_size
                     took = min(block_size - offset, new_length - position)
@@ -690,9 +695,7 @@ class PagedKVCache:
                         history[:, position:position + took]
                     position += took
                     index += 1
-        self._lengths[session_id] = new_length
-        self._versions[session_id] += 1
-        self._mutated()
+        self._length[table_row] = new_length
 
     def register_blocks(self, keys_per_layer: Sequence[np.ndarray],
                         values_per_layer: Sequence[np.ndarray]) -> List[int]:
@@ -719,82 +722,84 @@ class PagedKVCache:
                          self.block_size, template.shape[2], template.dtype)
         for layer, keys, values in zip(self.layers, keys_per_layer, values_per_layer):
             layer.write_blocks(blocks, keys, values)
-        self._mutated()
         return blocks
 
     def release_blocks(self, block_ids: Sequence[int]) -> None:
-        """Drop the caller's reference on externally held blocks."""
+        """Drop one reference on each block — the caller's, on blocks from
+        :meth:`register_blocks`; a session's, when its table lets go of them.
+        A block that frees is re-zeroed (see :class:`PagedLayerKVCache`)."""
         for block in block_ids:
             if self.allocator.release(block):
                 for layer in self.layers:
                     layer.clear_block(block)
-        self._mutated()
 
     def fork(self, session_id: int) -> int:
         """Clone a session by sharing its blocks (copy-on-write protected)."""
-        table = self._tables[session_id]
-        for block in table:
+        blocks = self.table(session_id)
+        for block in blocks:
             self.allocator.share(block)
-        clone = next(self._ids)
-        self._tables[clone] = list(table)
-        self._lengths[clone] = self._lengths[session_id]
-        self._versions[clone] = 0
-        self._mutated()
-        return clone
+        return self._open(blocks, self.length(session_id))
 
     def evict(self, session_id: int) -> None:
         """Release a session's blocks back to the pool."""
-        if session_id not in self._tables:
+        row = self._rows.pop(session_id, None)
+        if row is None:
             raise ValueError(f"session {session_id} is not live (double evict?)")
-        for block in self._tables.pop(session_id):
-            if self.allocator.release(block):
-                for layer in self.layers:
-                    layer.clear_block(block)
-        del self._lengths[session_id]
-        del self._versions[session_id]
-        self._mutated()
+        held = int(self._nblocks[row])
+        self.release_blocks(self._table[row, :held].tolist())
+        self._table[row, :held] = 0
+        self._nblocks[row] = self._length[row] = 0
+        self._free_rows.append(row)
 
     # ------------------------------------------------------------------ #
-    def _build_plan(self, session_ids: np.ndarray) -> _StepPlan:
-        """Construct the padded gather plan for a (new) batch of sessions."""
-        n = len(session_ids)
-        rows: List[List[int]] = []
-        for sid in session_ids:
-            table = self._tables.get(int(sid))
-            if table is None:
-                raise ValueError(f"session {int(sid)} is not live")
-            rows.append(table)
-        width = max(len(row) for row in rows)
-        tables = np.zeros((n, width), dtype=np.int64)
-        lengths = np.empty(n, dtype=np.int64)
-        tail_blocks = np.empty(n, dtype=np.int64)
-        versions = np.empty(n, dtype=np.int64)
-        for i, (sid, row) in enumerate(zip(session_ids, rows)):
-            tables[i, :len(row)] = row
-            lengths[i] = self._lengths[int(sid)]
-            tail_blocks[i] = row[-1]
-            versions[i] = self._versions[int(sid)]
-        self.table_rebuilds += 1
-        return _StepPlan(session_ids, tables, lengths, tail_blocks, versions,
-                         self._epoch)
+    def _template_dims(self) -> Tuple[int, int, np.dtype]:
+        template = self.layers[0]._keys
+        if template is None:
+            raise RuntimeError("paged cache has no admitted sessions")
+        return template.shape[1], template.shape[3], template.dtype
 
-    def _refresh_plan_row(self, plan: _StepPlan, i: int, sid: int) -> None:
-        """Rewrite one cached row after its session's table changed."""
-        table = self._tables[sid]
-        if len(table) > plan.tables.shape[1]:
-            # Widen to exactly the new longest table: the matrix copy is a few
-            # hundred int64s, while every extra column would cost a full extra
-            # block of gathered K/V per row on every subsequent step.
-            wider = np.zeros((plan.tables.shape[0], len(table)), dtype=np.int64)
-            wider[:, :plan.tables.shape[1]] = plan.tables
-            plan.tables = wider
-        plan.tables[i, :len(table)] = table
-        plan.tables[i, len(table):] = 0
-        plan.tail_blocks[i] = table[-1]
-        plan.lengths[i] = self._lengths[sid]
-        plan.versions[i] = self._versions[sid]
-        plan.groups = None
-        self.table_row_updates += 1
+    def _grow(self, rows: np.ndarray, lengths: np.ndarray,
+              totals: np.ndarray) -> List[int]:
+        """Ready the tables of ``rows`` for writes up to ``totals`` tokens;
+        return each row's block count afterwards.
+
+        A row gains however many whole blocks it is short of, and a row
+        whose partially filled tail block is shared (a forked sibling, a
+        partial prefix) first gets its own copy of it, so the write that
+        follows cannot leak into the other holder.  Every fresh block comes
+        from one all-or-nothing allocation made before any table is touched:
+        on pool exhaustion the caller can evict a session and retry.
+        """
+        block_size = self.block_size
+        have = self._nblocks[rows]
+        needs = (totals + (block_size - 1)) // block_size
+        tails = self._table[rows, have - 1]
+        split = self.allocator.refcounts[tails] > 1
+        # The common step moves no table; for a few dozen rows, finding that
+        # out on lists costs less than the array reductions would.
+        needs_list = needs.tolist()
+        if needs_list == have.tolist() and not any(split.tolist()):
+            return needs_list
+        split &= lengths % block_size != 0  # a full tail takes no write
+        fresh_needed = needs - have + split
+        fresh = self._allocate_many(int(fresh_needed.sum()))
+        self._ensure_storage(*self._template_dims())
+        self._reserve(0, max(needs_list))
+        taken = 0
+        for i in np.flatnonzero(fresh_needed).tolist():
+            row, end, count = rows[i], have[i], int(fresh_needed[i])
+            if split[i]:
+                end -= 1  # the copy takes the shared tail's place
+                for layer in self.layers:
+                    layer.copy_block(tails[i], fresh[taken])
+                # The split can drop the last reference (the sibling already
+                # copy-on-wrote its own tail this same step): the release keeps
+                # the freed-blocks-are-zeroed invariant.
+                self.release_blocks((int(tails[i]),))
+            self._table[row, end:end + count] = fresh[taken:taken + count]
+            taken += count
+        self._nblocks[rows] = needs
+        return needs_list
 
     def _counted(self, step: PagedStepContext, live: int) -> PagedStepContext:
         """Count what ``step``'s attention will read (per layer); ``live`` is
@@ -805,256 +810,117 @@ class PagedKVCache:
         self.attention_groups += len(step.groups)
         return step
 
-    def prepare_step(self, session_ids: np.ndarray) -> PagedStepContext:
-        """Build the step plan for one new token on each listed session.
+    def _plan(self, session_ids: np.ndarray,
+              counts: np.ndarray) -> PagedStepContext:
+        """The one step plan: row *i* will write ``counts[i] >= 1`` new tokens.
 
-        Allocates a fresh block for sessions whose length is at a block
-        boundary; copies the tail block of sessions whose tail is shared
-        (copy-on-write) so the write below cannot leak into a sibling.
-        Allocation is all-or-nothing: on pool exhaustion no table is touched,
-        so the caller can evict a session and retry the step safely.
-
-        The padded gather tables are cached between steps: an unchanged batch
-        reuses the previous matrix outright, and only rows whose block table
-        actually changed since the last step are rewritten (see
-        ``table_rebuilds`` / ``table_row_updates``).
-        """
-        session_ids = np.asarray(session_ids, dtype=np.int64)
-        n = len(session_ids)
-        if n == 0:
-            raise ValueError("prepare_step called with no active sessions")
-        block_size = self.block_size
-        plan = self._plan
-        if plan is None or plan.ids_key != session_ids.tobytes():
-            plan = self._build_plan(session_ids)
-            self._plan = plan
-        elif plan.epoch != self._epoch:
-            # Same batch, but tables mutated since the plan was built (block
-            # appended, chunk admitted, fork/CoW, eviction elsewhere): refresh
-            # only the rows whose per-session version moved.
-            for i, sid in enumerate(session_ids):
-                sid = int(sid)
-                version = self._versions.get(sid)
-                if version is None:
-                    raise ValueError(f"session {sid} is not live")
-                if version != plan.versions[i]:
-                    self._refresh_plan_row(plan, i, sid)
-            plan.epoch = self._epoch
-
-        # Which rows need a fresh block this step: boundary append, or
-        # copy-on-write split of a shared tail (vectorized over the batch).
-        offsets = np.mod(plan.lengths, block_size, out=plan.offsets_buf)
-        boundary = offsets == 0
-        shared_tail = self.allocator.refcounts[plan.tail_blocks] > 1
-        fresh_rows = np.flatnonzero(boundary | (shared_tail & ~boundary))
-        if fresh_rows.size:
-            fresh = self._allocate_many(len(fresh_rows))  # atomic on exhaustion
-            self._ensure_storage(*self._template_dims())
-            for block, i in zip(fresh, fresh_rows):
-                i = int(i)
-                sid = int(session_ids[i])
-                table = self._tables[sid]
-                if boundary[i]:
-                    table.append(block)
-                    if len(table) > plan.tables.shape[1]:
-                        self._refresh_plan_row(plan, i, sid)
-                    else:
-                        plan.tables[i, len(table) - 1] = block
-                else:
-                    # Copy-on-write: the partially filled tail block is shared
-                    # (forked session / partial prefix); give this session its
-                    # own copy before the new token lands in it.
-                    for layer in self.layers:
-                        layer.copy_block(table[-1], block)
-                    if self.allocator.release(table[-1]):
-                        # Last reference died during the split (e.g. the
-                        # sibling already copy-on-wrote its own tail this same
-                        # step): keep the freed-blocks-are-zeroed invariant.
-                        for layer in self.layers:
-                            layer.clear_block(table[-1])
-                    table[-1] = block
-                    plan.tables[i, len(table) - 1] = block
-                plan.tail_blocks[i] = block
-                self._versions[sid] += 1
-                plan.versions[i] = self._versions[sid]
-            plan.groups = None
-            self._mutated()
-            plan.epoch = self._epoch
-        totals = np.add(plan.lengths, 1, out=plan.totals_buf)
-        np.copyto(plan.positions_buf, plan.lengths)
-        if plan.groups is None:
-            plan.groups = _row_groups(plan.tables,
-                                      (-(-totals // block_size)).tolist())
-        return self._counted(
-            PagedStepContext(session_ids, plan.groups, plan.tail_blocks,
-                             offsets, plan.rows, plan.first_token,
-                             plan.positions_buf[:, None], totals[:, None],
-                             block_size), int(totals.sum()))
-
-    def _template_dims(self) -> Tuple[int, int, np.dtype]:
-        template = self.layers[0]._keys
-        if template is None:
-            raise RuntimeError("paged cache has no admitted sessions")
-        return template.shape[1], template.shape[3], template.dtype
-
-    def commit_step(self, session_ids: np.ndarray) -> None:
-        """Advance the per-session lengths after every layer has written."""
-        for sid in session_ids:
-            self._lengths[int(sid)] += 1
-        plan = self._plan
-        if plan is not None:
-            if plan.ids_key == np.asarray(session_ids,
-                                          dtype=np.int64).tobytes():
-                plan.lengths += 1  # keep the cached batch lengths in lockstep
-            else:
-                self._plan = None  # committed a different batch: drop the plan
-
-    def prepare_multi_step(self, session_ids: np.ndarray,
-                           counts: np.ndarray) -> PagedStepContext:
-        """Build the plan for a ragged multi-token (speculative) step.
-
-        Row ``i`` will write ``counts[i] >= 1`` new tokens — its pending
-        sampled token plus its draft tokens — so its table grows by however
-        many whole blocks that needs, and a shared partially-filled tail
-        block is copy-on-write split first, exactly as :meth:`prepare_step`
-        does for the single-token case.  Allocation is all-or-nothing across
-        the whole batch.
-
-        Unlike the single-token hot path this does not use the cached step
-        plan: speculative batches change shape every step (counts vary with
-        draft acceptance), so the padded tables are built fresh and the
-        cached plan is dropped (rows mutated here would be refreshed by the
-        next ``prepare_step`` anyway, via the version bump).
+        Decode is ``counts == 1``; a verification row feeds its pending
+        sampled token plus its drafts.  Grows and copy-on-write splits the
+        tables first (:meth:`_grow` — atomic on exhaustion, and before any
+        write), then reads the batch's padded tables straight off the table
+        matrix and lays out where each *valid* token lands and the (clamped)
+        position of every query token, which is also its causal cutoff.
         """
         session_ids = np.asarray(session_ids, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
-        n = len(session_ids)
-        if n == 0:
-            raise ValueError("prepare_multi_step called with no active sessions")
-        if len(counts) != n:
-            raise ValueError(f"{len(counts)} counts for {n} sessions")
-        if counts.min() < 1:
-            raise ValueError("every session must consume at least one token")
-        block_size = self.block_size
-
-        rows: List[List[int]] = []
-        lengths = np.empty(n, dtype=np.int64)
-        for i, sid in enumerate(session_ids):
-            table = self._tables.get(int(sid))
-            if table is None:
-                raise ValueError(f"session {int(sid)} is not live")
-            rows.append(table)
-            lengths[i] = self._lengths[int(sid)]
-
-        # Per-row growth and copy-on-write needs, then one atomic allocation.
-        grows = [self.blocks_needed(int(lengths[i] + counts[i])) - len(rows[i])
-                 for i in range(n)]
-        cow = [bool(lengths[i] % block_size)
-               and self.allocator.refcounts[rows[i][-1]] > 1
-               for i in range(n)]
-        fresh = self._allocate_many(sum(grows) + sum(cow))
-        self._ensure_storage(*self._template_dims())
-        taken = 0
-        for i in range(n):
-            table = rows[i]
-            if cow[i]:
-                replacement = fresh[taken]
-                taken += 1
-                for layer in self.layers:
-                    layer.copy_block(table[-1], replacement)
-                if self.allocator.release(table[-1]):
-                    # Sibling already split its own tail this step: keep the
-                    # freed-blocks-are-zeroed invariant.
-                    for layer in self.layers:
-                        layer.clear_block(table[-1])
-                table[-1] = replacement
-            if grows[i]:
-                table.extend(fresh[taken:taken + grows[i]])
-                taken += grows[i]
-            if cow[i] or grows[i]:
-                self._versions[int(session_ids[i])] += 1
-        self._mutated()
-        self._plan = None  # shape-shifting batches never reuse the decode plan
-
-        needs = [len(row) for row in rows]
-        tables = np.zeros((n, max(needs)), dtype=np.int64)
-        for i, row in enumerate(rows):
-            tables[i, :len(row)] = row
-
-        max_count = int(counts.max())
-        t_grid = _position_range(max_count)[None, :]
-        valid = t_grid < counts[:, None]
-        pos = lengths[:, None] + t_grid
-        blk_col = np.where(valid, pos // block_size, 0)
-        write_blocks = tables[np.arange(n)[:, None], blk_col][valid]
-        write_offsets = (pos % block_size)[valid]
-        row_index, token_index = np.nonzero(valid)
-        # Padded query positions clamp to the row's last valid position so
-        # their (discarded) outputs stay in positional-embedding range.
-        positions = lengths[:, None] + np.minimum(t_grid, counts[:, None] - 1)
+        if len(session_ids) == 0:
+            raise ValueError("step prepared with no active sessions")
+        if len(counts) != len(session_ids):
+            raise ValueError(f"{len(counts)} counts for {len(session_ids)} sessions")
+        row_index, token_index, clamped = _token_grid(counts.tobytes())
+        rows = self._batch_rows(session_ids)
+        lengths = self._length[rows]
+        totals = lengths + counts
+        needs = self._grow(rows, lengths, totals)
+        tables = self._table[rows, :max(needs)]
+        blocks, write_offsets = np.divmod(lengths[row_index] + token_index,
+                                          self.block_size)
+        positions = lengths[:, None] + clamped
         return self._counted(
             PagedStepContext(session_ids, _row_groups(tables, needs),
-                             write_blocks, write_offsets, row_index,
-                             token_index, positions, positions + 1,
-                             block_size), int((lengths + counts).sum()))
+                             tables[row_index, blocks], write_offsets,
+                             row_index, token_index, positions, self.block_size),
+            int(totals.sum()))
+
+    def _advance(self, session_ids: np.ndarray, counts) -> None:
+        """The one commit: lengths move once every layer has written."""
+        self._length[self._batch_rows(session_ids)] += counts
+
+    # The four public spellings of the plan and the commit.  Each calls the
+    # body directly, never another spelling: ``bench/trace.py`` times them by
+    # name, and a nested call would be counted twice.
+    def prepare_step(self, session_ids: np.ndarray) -> PagedStepContext:
+        """Plan one new token on each listed session: :meth:`prepare_multi_step`
+        with every count 1."""
+        return self._plan(session_ids, np.ones(len(session_ids), dtype=np.int64))
+
+    def prepare_multi_step(self, session_ids: np.ndarray,
+                           counts: np.ndarray) -> PagedStepContext:
+        """Plan a ragged multi-token step (see :meth:`_plan`): allocates and
+        copy-on-writes all or nothing, returns the gather/scatter plan."""
+        return self._plan(session_ids, counts)
+
+    def commit_step(self, session_ids: np.ndarray) -> None:
+        """Advance each listed session by the one token its layers wrote."""
+        self._advance(session_ids, 1)
 
     def commit_multi_step(self, session_ids: np.ndarray,
                           counts: np.ndarray) -> None:
         """Advance per-session lengths after a ragged multi-token step."""
-        for sid, count in zip(session_ids, counts):
-            self._lengths[int(sid)] += int(count)
-            self._versions[int(sid)] += 1
-        self._mutated()
-        self._plan = None
+        self._advance(session_ids, counts)
 
     def truncate_session(self, session_id: int, new_length: int) -> None:
         """Roll a session back to ``new_length`` tokens (speculation rollback).
 
         Releases the tail blocks past ``ceil(new_length / block_size)`` —
-        freshly appended by :meth:`prepare_multi_step`, hence exclusively
+        freshly appended by the step being rolled back, hence exclusively
         owned (forks happen between steps, and a shared partial tail was
         already copy-on-write split before any draft token landed in it), so
         the release cannot disturb a sibling.  Rejected tokens left inside
         the kept tail block are invisible: every future gather masks at the
-        committed length and every future append overwrites them.
+        committed length and every future append overwrites them.  Truncating
+        to the current length abandons a step that was prepared and never
+        committed: the blocks its plan appended go back.
         """
-        if session_id not in self._tables:
-            raise ValueError(f"session {session_id} is not live")
-        current = self._lengths[session_id]
+        row = self._row(session_id)
+        current = int(self._length[row])
         if not 0 < new_length <= current:
             raise ValueError(
                 f"cannot truncate session {session_id} from {current} to "
                 f"{new_length} tokens")
-        if new_length == current:
-            return
-        table = self._tables[session_id]
-        keep = self.blocks_needed(new_length)
-        while len(table) > keep:
-            block = table.pop()
-            if self.allocator.release(block):
-                for layer in self.layers:
-                    layer.clear_block(block)
-        self._lengths[session_id] = new_length
-        self._versions[session_id] += 1
-        self._mutated()
-        self._plan = None
+        keep, held = self.blocks_needed(new_length), int(self._nblocks[row])
+        self.release_blocks(self._table[row, keep:held].tolist())
+        self._table[row, keep:held] = 0
+        self._nblocks[row] = keep
+        self._length[row] = new_length
 
     # ------------------------------------------------------------------ #
     def check_invariants(self, external_refs: Optional[Dict[int, int]] = None) -> None:
         """Assert pool-accounting consistency (used by the stress tests).
 
-        ``external_refs`` maps block id -> references held outside any
-        session table (e.g. by a prefix cache).  Raises ``AssertionError``
-        with a description on the first violated invariant.
+        The table rows split exactly into live sessions' rows and free ones;
+        a session holds ``blocks_needed(length)`` blocks and its row is zero
+        past them; the references counted off the table matrix (plus
+        ``external_refs``: block id -> references held outside any session
+        table, e.g. by a prefix cache) equal the allocator's; and the
+        allocator's free list, in-use counter and high-water mark balance.
+        Raises ``AssertionError`` naming the first violated invariant.
         """
         alloc = self.allocator
-        table_refs = np.zeros(alloc.num_blocks, dtype=np.int64)
-        for sid, table in self._tables.items():
-            assert len(table) == self.blocks_needed(self._lengths[sid]), (
-                f"session {sid}: {len(table)} blocks for length "
-                f"{self._lengths[sid]} (block_size {self.block_size})")
-            for block in table:
-                table_refs[block] += 1
+        live_rows = sorted(self._rows.values())
+        assert sorted(live_rows + self._free_rows) == list(range(len(self._table))), (
+            "the row map and the free rows do not partition the table rows: "
+            f"live {live_rows}, free {sorted(self._free_rows)}")
+        for sid, row in self._rows.items():
+            assert self._nblocks[row] == self.blocks_needed(self._length[row]), (
+                f"session {sid}: {self._nblocks[row]} blocks for length "
+                f"{self._length[row]} (block_size {self.block_size})")
+        assert not self._nblocks[self._free_rows].any(), (
+            "a free table row still holds blocks")
+        held = np.arange(self._table.shape[1]) < self._nblocks[:, None]
+        assert not self._table[~held].any(), (
+            "a table row is not zero past its session's blocks")
+        table_refs = np.bincount(self._table[held], minlength=alloc.num_blocks)
         for block, count in (external_refs or {}).items():
             table_refs[block] += count
         live = np.flatnonzero(alloc.refcounts > 0)
@@ -1081,32 +947,3 @@ class PagedKVCache:
         single = np.flatnonzero(alloc.refcounts == 1)
         owners = table_refs[single]
         assert np.all(owners == 1), "exclusively owned block with wrong ref tally"
-        assert set(self._versions) == set(self._tables), (
-            "table-version bookkeeping out of sync with live sessions")
-        # A cached step plan that claims to be current must actually mirror
-        # the live tables and lengths of its batch.
-        plan = self._plan
-        if plan is not None and plan.epoch == self._epoch:
-            for i, sid in enumerate(plan.session_ids):
-                sid = int(sid)
-                if sid not in self._tables:
-                    continue  # stale ids force a rebuild on the next step
-                if plan.versions[i] != self._versions[sid]:
-                    continue  # row pending refresh (epoch check already bumped)
-                table = self._tables[sid]
-                assert list(plan.tables[i, :len(table)]) == table, (
-                    f"cached gather row for session {sid} diverged from its "
-                    f"block table")
-                assert plan.lengths[i] == self._lengths[sid], (
-                    f"cached length for session {sid} diverged")
-            if plan.groups is not None:
-                # Cached length groups are copies of table rows: each must
-                # still mirror the matrix, and together cover every row once.
-                covered = np.zeros(len(plan.session_ids), dtype=np.int64)
-                for rows, tables in plan.groups:
-                    covered[rows] += 1
-                    assert np.array_equal(
-                        tables, plan.tables[rows, :tables.shape[1]]), (
-                        "cached length group diverged from the gather tables")
-                assert np.all(covered == 1), (
-                    "cached length groups do not partition the batch rows")

@@ -152,62 +152,61 @@ class TransformerBackbone(Module):
     def forward_step(self, embeddings: Tensor, cache: PagedKVCache,
                      session_ids: np.ndarray,
                      counts: Optional[np.ndarray] = None) -> Tensor:
-        """Advance ``len(session_ids)`` independent sessions by one token each.
+        """Advance ``len(session_ids)`` independent paged sessions in one forward.
 
-        ``embeddings`` is ``(n, 1, d_model)``; row *i* is the newest token of
-        the paged-cache session ``session_ids[i]``.  Each session keeps its
-        own position (the length of its cached history), so sessions admitted
-        at different times — with different prompt lengths — decode together
-        in a single batched forward with per-session positional embeddings.
-        The cache is updated in place (allocating or copy-on-writing tail
-        blocks as needed) and the per-session lengths advance by one.
+        One ragged step over the paged cache: ``embeddings`` is
+        ``(n, max(counts), d_model)`` and row *i* feeds the first
+        ``counts[i]`` of its positions to session ``session_ids[i]`` (padded
+        positions replicate the last valid token and their outputs are
+        ignored).  Each session keeps its own position (the length of its
+        cached history), so sessions admitted at different times — with
+        different prompt lengths — advance together with per-session
+        positional embeddings.  The cache is updated in place (allocating or
+        copy-on-writing tail blocks as needed) and per-session lengths
+        advance by ``counts[i]``.
 
-        With ``counts`` given the step is a ragged *multi-token* verification
-        forward (speculative decoding): ``embeddings`` is
-        ``(n, max(counts), d_model)``, row *i* consumes its first
-        ``counts[i]`` positions (the pending sampled token plus draft
-        tokens; padded positions replicate the last valid token and their
-        outputs are ignored), and per-session lengths advance by
-        ``counts[i]``.  Rejected tokens are rolled back by the caller via
-        :meth:`PagedKVCache.truncate_session`.
+        Plain decode is the all-ones step and is spelled ``counts=None``
+        (``embeddings`` then ``(n, 1, d_model)``); a speculative verification
+        row feeds its pending sampled token plus its drafts, and the caller
+        rolls rejected tokens back via :meth:`PagedKVCache.truncate_session`.
+        Both run the same plan, the same forward and the same commit.
         """
         session_ids = np.asarray(session_ids, dtype=np.int64)
         n, seq, d_model = embeddings.shape
         if d_model != self.d_model:
             raise ValueError(f"expected embedding dim {self.d_model}, got {d_model}")
-        if counts is None and seq != 1:
-            raise ValueError("forward_step consumes one token per session")
         if n != len(session_ids):
             raise ValueError(f"{n} embedding rows for {len(session_ids)} sessions")
         if len(session_ids) != len(set(session_ids.tolist())):
             raise ValueError("duplicate sessions in one batched step")
-        if counts is not None:
+        if counts is None:
+            if seq != 1:
+                raise ValueError("forward_step consumes one token per session")
+        else:
             counts = np.asarray(counts, dtype=np.int64)
-            if len(counts) != n:
-                raise ValueError(f"{len(counts)} counts for {n} sessions")
             if seq != int(counts.max()):
                 raise ValueError(f"{seq} embedding positions for a step of "
                                  f"up to {int(counts.max())} tokens")
-            worst = max(cache.length(int(sid)) + int(count)
-                        for sid, count in zip(session_ids, counts))
-        else:
-            worst = max(cache.length(int(sid)) for sid in session_ids) + 1
+        # One plan and one commit under two names each, kept apart only so the
+        # benchmark's trace still tells a decode step from a verify step.
+        step = (cache.prepare_step(session_ids) if counts is None
+                else cache.prepare_multi_step(session_ids, counts))
+        worst = int(step.positions.max()) + 1
         if worst > self.max_seq_len:
+            # Refused with nothing written: hand back what the plan appended.
+            for sid in session_ids.tolist():
+                cache.truncate_session(sid, cache.length(sid))
             raise ValueError(f"sequence length {worst} exceeds maximum {self.max_seq_len}")
-        if counts is not None:
-            step = cache.prepare_multi_step(session_ids, counts)
-        else:
-            step = cache.prepare_step(session_ids)
         # Raw arrays from here to the final norm: the step is inference-only
         # (the attention layers refuse to run with grad enabled), so nothing
         # in between needs a graph node.
         x = embeddings.data + self.position_embedding.data[step.positions]
         for block, layer_cache in zip(self.blocks, cache.layers):
             x = block.forward_step(x, layer_cache, step)
-        if counts is not None:
-            cache.commit_multi_step(session_ids, counts)
-        else:
+        if counts is None:
             cache.commit_step(session_ids)
+        else:
+            cache.commit_multi_step(session_ids, counts)
         features = self.final_norm.apply(x)
         return Tensor(features, dtype=features.dtype)  # repro: noqa[REP007] the step's one output wrap
 

@@ -19,18 +19,13 @@ also instrumented with the named fault-injection sites ``prefill.band``,
 ``decode.verify`` and ``prefix.seed`` (see :mod:`repro.serve.faults`) —
 each a single ``is None`` check when no injector is wired in.
 
-Speculative decoding (``speculation="ngram"``): each decode step first asks
-the :class:`~repro.serve.speculative.NgramProposer` for up to ``k`` draft
-tokens per session (copied from the session's own history), then verifies
-pending-token-plus-drafts in one ragged multi-token forward
-(:meth:`~repro.nn.PagedKVCache.prepare_multi_step`).  Each verified logits
-column is consumed by the *same* :meth:`SessionManager._consume_logits`
-path sequential decode uses — same sampler, same per-session RNG draws,
-same EOS/limit eviction — so a draft token is accepted exactly when the
-session would have sampled it anyway, and the emitted stream is
-token-identical to ``speculation="off"`` at any temperature.  KV written
-for rejected drafts is rolled back with
-:meth:`~repro.nn.PagedKVCache.truncate_session`.
+There is one decode step (:meth:`SessionManager.step`): every row feeds its
+pending token plus whatever the :class:`~repro.serve.speculative.NgramProposer`
+drafted for it (``speculation="ngram"``) through one ragged ``forward_step``;
+plain decode is the step whose rows all feed one token.  Every logits column
+goes through the same :meth:`SessionManager._consume_logits`, which is why
+the emitted stream is token-identical to ``speculation="off"`` at any
+temperature (``docs/speculative.md``).
 """
 
 from __future__ import annotations
@@ -211,7 +206,9 @@ class SessionManager:
         self._adaptive = AdaptiveK(speculation_k) if self.proposer else None
         #: Drafts planned for the upcoming decode step, keyed by cache slot
         #: (filled by :meth:`plan_decode_tokens`, consumed by :meth:`step`).
-        self._planned_drafts: Dict[int, List[int]] = {}
+        #: None is "no plan was made"; an empty dict is a plan made while
+        #: nothing was running, under which nobody drafts.
+        self._planned_drafts: Optional[Dict[int, List[int]]] = None
         #: Lifetime speculative counters (feed ``ServerStats``).
         self.tokens_drafted = 0
         self.tokens_accepted = 0
@@ -673,11 +670,11 @@ class SessionManager:
             session.slot = None
 
     def _forget_speculation(self, slot: int) -> None:
-        """Drop a departing slot's drafter/adaptive-k state and planned drafts."""
+        """Drop a departing slot's drafter/adaptive-k state.  (Drafts planned
+        for it are never read: :meth:`step` looks up running slots only.)"""
         if self.proposer is not None:
             self.proposer.forget(slot)
             self._adaptive.forget(slot)
-        self._planned_drafts.pop(slot, None)
 
     # ------------------------------------------------------------------ #
     def plan_decode_tokens(self, token_budget: Optional[int] = None) -> int:
@@ -736,14 +733,23 @@ class SessionManager:
 
     # ------------------------------------------------------------------ #
     def step(self) -> Tuple[List[GenerationSession], int]:
-        """Advance every running session by one token.
+        """Advance every running session by one decode step.
 
-        One batched ``forward_step`` feeds each session's most recent token
-        and samples its next one.  Sessions that hit EOS, their token budget
-        or the context cap are evicted, freeing slots for queued requests.
-        Returns ``(completed_sessions, occupancy)`` where ``occupancy`` is the
-        batch size of the forward actually executed (0 when every running
-        session finished at the context cap before the forward).
+        Row *i* feeds its pending sampled token plus the drafts planned for
+        it — ``1 + len(drafts)`` positions, one when nothing was drafted —
+        through one ragged ``forward_step``; shorter rows are padded (padded
+        outputs discarded).  Each verified logits column then runs through
+        :meth:`_consume_logits`: the sampled token *is* the acceptance test
+        (equal to the draft → keep verifying; different → it is the
+        correction and verification stops), so RNG draws, EOS handling,
+        streaming callbacks and metrics are those of one-token-at-a-time
+        decode whatever was drafted.  KV written past the last emitted token
+        is rolled back via :meth:`~repro.nn.PagedKVCache.truncate_session`.
+        Sessions that hit EOS, their token budget or the context cap are
+        evicted, freeing slots for queued requests.  Returns
+        ``(completed_sessions, occupancy)`` where ``occupancy`` is the batch
+        size of the forward actually executed (0 when every running session
+        finished at the context cap before the forward).
         """
         if not self.running:
             return [], 0
@@ -754,114 +760,79 @@ class SessionManager:
             self.faults.fire("decode.step")
         # Sessions whose cache cannot take one more token finish now (their
         # already-sampled final token still counts as generated output).
-        completed: List[GenerationSession] = []
-        for slot in sorted(self.running):
-            session = self.running[slot]
-            if self.cache.length(slot) + 1 > self.max_context:
-                completed.append(session)
+        slots = sorted(self.running)
+        lengths = {slot: self.cache.length(slot) for slot in slots}
+        completed = [self.running[slot] for slot in slots
+                     if lengths[slot] + 1 > self.max_context]
         for session in completed:
             self.evict(session, REASON_CONTEXT_FULL)
-        if not self.running:
+        slots = [slot for slot in slots if slot in self.running]
+        if not slots:
             return completed, 0
 
+        drafts: Dict[int, List[int]] = {}
         if self.proposer is not None:
-            if not self._planned_drafts:
-                # Standalone use (no engine budget pass): plan here.
-                self.plan_decode_tokens()
-            drafts = self._planned_drafts
-            self._planned_drafts = {}
-            if any(drafts.get(slot) for slot in self.running):
-                return self._speculative_step(completed, drafts)
-
-        slots = np.asarray(sorted(self.running), dtype=np.int64)
-        batch = [self.running[int(slot)] for slot in slots]
-        tokens = np.asarray([s.generated[-1] for s in batch], dtype=np.int64)
+            if self._planned_drafts is None:
+                self.plan_decode_tokens()  # standalone use: no engine budget pass
+            # A row promoted after the plan has no entry and takes its one
+            # mandatory token, which is what its prefill grant paid for.
+            drafts, self._planned_drafts = self._planned_drafts, None
+        batch = [self.running[slot] for slot in slots]
+        fed = [[session.generated[-1]] + drafts.get(slot, [])
+               for slot, session in zip(slots, batch)]
+        width = max(map(len, fed))
+        # Padded columns replicate the row's last token.  (One flat list: a
+        # nested one converts several times slower.)
+        tokens = np.asarray([token for row in fed
+                             for token in row + row[-1:] * (width - len(row))],
+                            dtype=np.int64).reshape(len(fed), width)
         with cached_inference(self.model, self._toggle_eval):
-            logits = self.model.forward_step(tokens, self.cache, slots).data[:, -1, :]
+            # A step nobody drafted for is spelled counts=None: plain decode.
+            logits = self.model.forward_step(
+                tokens, self.cache, np.asarray(slots, dtype=np.int64),
+                counts=None if width == 1 else np.asarray(
+                    [len(row) for row in fed], dtype=np.int64)).data
         if self.faults is not None:
-            # Post-forward site: the K/V writes are committed; a "corrupt"
-            # spec perturbs the logits in place before sampling.
-            self.faults.fire("decode.logits", payload=logits)
-        occupancy = len(batch)
-        for row, session in enumerate(batch):
-            session.metrics.batch_sizes.append(occupancy)
-            if not self._consume_logits(session, logits[row]):
-                completed.append(session)
-        return completed, occupancy
-
-    def _speculative_step(self, completed: List[GenerationSession],
-                          drafts: Dict[int, List[int]]
-                          ) -> Tuple[List[GenerationSession], int]:
-        """One draft-and-verify decode step over the running batch.
-
-        Row *i* feeds its pending sampled token plus its draft tokens —
-        ``1 + len(drafts[slot])`` positions — through one ragged multi-token
-        forward; shorter rows are padded (padded outputs discarded).  Each
-        verified logits column then runs through :meth:`_consume_logits`
-        exactly as a sequential step would: the sampled token *is* the
-        acceptance test (equal to the draft → keep verifying; different →
-        it is the correction and verification stops), so RNG draws, EOS
-        handling, streaming callbacks and metrics all match sequential
-        decode token for token.  KV committed past the last emitted token
-        is rolled back via :meth:`~repro.nn.PagedKVCache.truncate_session`.
-        """
-        slots = np.asarray(sorted(self.running), dtype=np.int64)
-        batch = [self.running[int(slot)] for slot in slots]
-        counts = np.asarray([1 + len(drafts.get(int(slot), ())) for slot in slots],
-                            dtype=np.int64)
-        width = int(counts.max())
-        tokens = np.empty((len(batch), width), dtype=np.int64)
-        for row, session in enumerate(batch):
-            fed = [session.generated[-1]] + drafts.get(int(slots[row]), [])
-            tokens[row, :len(fed)] = fed
-            tokens[row, len(fed):] = fed[-1]  # padded columns replicate
-        pre_lengths = [self.cache.length(int(slot)) for slot in slots]
-        with cached_inference(self.model, self._toggle_eval):
-            logits = self.model.forward_step(tokens, self.cache, slots,
-                                             counts=counts).data
-        if self.faults is not None:
-            # Post-forward site: KV for every draft token is already written,
-            # acceptance is not yet decided — the adversarial moment for the
-            # rollback machinery.  A "corrupt" spec perturbs the verification
-            # logits in place before acceptance sampling.
-            self.faults.fire("decode.verify", payload=logits)
-        occupancy = len(batch)
-        step_drafted = 0
-        step_accepted = 0
-        for row, session in enumerate(batch):
-            slot = int(slots[row])
-            draft = drafts.get(slot, [])
-            session.metrics.batch_sizes.append(occupancy)
-            emitted = 0
+            # Post-forward sites: the K/V writes are committed; a "corrupt"
+            # spec perturbs the logits in place before sampling.  A drafted
+            # step — acceptance undecided, rollback still ahead — has its own.
+            if width > 1:
+                self.faults.fire("decode.verify", payload=logits)
+            else:
+                self.faults.fire("decode.logits", payload=logits[:, -1, :])
+        step_drafted = step_accepted = 0
+        for row, (slot, session) in enumerate(zip(slots, batch)):
+            session.metrics.batch_sizes.append(len(batch))
+            draft = fed[row][1:]
+            # Column t is consumed once every draft before it was accepted;
+            # what it samples is the correction of draft t or, past the last
+            # draft, the bonus token.
+            alive = self._consume_logits(session, logits[row, 0])
             accepted = 0
-            alive = True
-            for t in range(int(counts[row])):
-                alive = self._consume_logits(session, logits[row, t, :])
-                if not alive:
-                    break
-                emitted += 1
-                if not (t < len(draft) and session.generated[-1] == draft[t]):
-                    break  # rejection correction, or the bonus token
+            while (alive and accepted < len(draft)
+                   and session.generated[-1] == draft[accepted]):
                 accepted += 1
+                alive = self._consume_logits(session, logits[row, accepted])
             step_drafted += len(draft)
             step_accepted += accepted
-            self._adaptive.observe(slot, len(draft), accepted)
             if not alive:
-                # Evicted inside _consume_logits (EOS / limits): the blocks —
-                # speculative tail included — are already back in the pool.
+                # Evicted inside _consume_logits (EOS / limits): its blocks,
+                # speculative tail included, are back in the pool and its
+                # drafting state forgotten; observing now would leak an entry.
                 completed.append(session)
-                continue
-            target = pre_lengths[row] + emitted
-            if emitted < int(counts[row]):
-                # Roll back rejected draft tokens: the pending (sampled but
-                # not yet fed) token is the last emitted one, so the session
-                # keeps the usual length == prompt + generated - 1 invariant.
-                self.cache.truncate_session(slot, target)
-        self.tokens_drafted += step_drafted
-        self.tokens_accepted += step_accepted
-        if self.telemetry is not None:
-            self.telemetry.note_speculation(step_drafted, step_accepted)
-        return completed, occupancy
+            elif draft:
+                self._adaptive.observe(slot, len(draft), accepted)
+                if accepted < len(draft):
+                    # Roll back the rejected drafts: the pending (sampled, not
+                    # yet fed) token is the last emitted one, so the session
+                    # keeps the usual length == prompt + generated - 1.
+                    self.cache.truncate_session(slot, lengths[slot] + accepted + 1)
+        if step_drafted:
+            self.tokens_drafted += step_drafted
+            self.tokens_accepted += step_accepted
+            if self.telemetry is not None:
+                self.telemetry.note_speculation(step_drafted, step_accepted)
+        return completed, len(batch)
 
     # ------------------------------------------------------------------ #
     def _consume_logits(self, session: GenerationSession, logits: np.ndarray) -> bool:

@@ -2,10 +2,10 @@
 
 The serving engine's decode loop is one full transformer forward per output
 token per session.  Speculative decoding buys back wall-clock by *drafting*
-several candidate tokens cheaply, verifying them all in one ragged
-multi-token forward (the chunked-prefill causal machinery reused as a
-verification step — see :meth:`repro.nn.PagedKVCache.prepare_multi_step`),
-and keeping the longest accepted prefix.  The acceptance rule makes the
+several candidate tokens cheaply, verifying them all in the one ragged
+decode step (a row feeds its pending token plus its drafts; plain decode is
+the step whose rows all feed one token — ``docs/paged_kv.md``), and keeping
+the longest accepted prefix.  The acceptance rule makes the
 output **token-exact**: draft token ``d_t`` is accepted iff it equals the
 token the session would have sampled from the verified logits at that
 position — ``argmax`` at temperature 0, and the session's own seeded RNG
@@ -164,6 +164,9 @@ class AdaptiveK:
     sixteen sessions probing on sixteen different steps would keep every
     step two columns wide.  An accepted probe resumes the growth rule from
     1; a rejected one goes back to 0 until the next probe.
+
+    Session ids are never reused, so :meth:`observe` must not be called for
+    a session that was already forgotten: its entry would never go away.
     """
 
     def __init__(self, cap: int) -> None:

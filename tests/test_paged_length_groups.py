@@ -165,8 +165,8 @@ class TestPartition:
         assert sum(len(rows) * width for rows, width in groups) < 10 * 34 // 3
 
     def test_one_group_case_allocates_no_index_copies(self, model):
-        """Same arrays in, same object out: the unsplit step reuses the
-        cached table matrix through the whole-batch slice."""
+        """Same arrays in, same object out: the unsplit step hands attention
+        the step's table matrix itself through the whole-batch slice."""
         tables = np.arange(9, dtype=np.int64).reshape(3, 3)
         [(rows, same)] = pc._row_groups(tables, [3, 3, 3])
         assert rows == slice(None) and same is tables
@@ -178,12 +178,7 @@ class TestPartition:
             step = paged.prepare_step(ids)
             [(rows, tables, _)] = step.groups
             assert rows == slice(None)
-            assert tables is paged._plan.tables
-            cached = paged._plan.groups
-            paged.commit_step(ids)
-            # Nothing moved: the next step reuses the cached partition.
-            paged.prepare_step(ids)
-            assert paged._plan.groups is cached
+            assert tables.tolist() == [list(paged.table(twin.sid)) for twin in twins]
 
 
 # ---------------------------------------------------------------------- #
@@ -209,23 +204,24 @@ class TestSplitStepParity:
             assert live == sum(sum(lengths) + len(lengths) * (t + 1)
                                for t in range(20))
 
-    def test_block_boundary_crossing_refreshes_the_cached_partition(self, model):
+    def test_block_boundary_crossing_regroups_the_rows(self, model):
         with no_grad():
             paged = model.init_paged_cache(max_sessions=4, block_size=BLOCK)
             # Needs after the first token: 1, 1, 6 blocks.  The 6-token rows
             # cross into a second block on the third step.
             twins = [_Twin(model, paged, prompt)
                      for prompt in _prompts(model, (6, 6, 44), seed=3)]
-            assert _decode(model, paged, twins, steps=1) == [2]
-            cached = paged._plan.groups
-            assert sorted(tables.shape for _, tables in cached) == [(1, 6), (2, 1)]
-            assert _decode(model, paged, twins, steps=1) == [2]
-            assert paged._plan.groups is cached  # no table moved: reused
-            _decode(model, paged, twins, steps=1)
-            assert paged._plan.groups is not cached
-            assert sorted(tables.shape for _, tables
-                          in paged._plan.groups) == [(1, 6), (2, 2)]
-            _decode(model, paged, twins, steps=6)
+            ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
+
+            def group_shapes():
+                """The next step's groups, read by preparing a pool copy."""
+                step = copy.deepcopy(paged).prepare_step(ids)
+                return sorted(tables.shape for _, tables, _ in step.groups)
+
+            assert group_shapes() == [(1, 6), (2, 1)]
+            assert _decode(model, paged, twins, steps=2) == [2, 2]
+            assert group_shapes() == [(1, 6), (2, 2)]
+            _decode(model, paged, twins, steps=7)
 
     def test_speculative_verify_with_rollbacks(self, model):
         """Ragged multi-token steps whose rejected tails are truncated away,

@@ -221,24 +221,28 @@ class TestPagedDecodeParity:
         assert len(prefix) == 1 and len(second.block_ids) == 2
         paged.check_invariants(external_refs=prefix.external_refs())
 
-    def test_prepare_step_exhaustion_is_atomic(self, model):
+    @pytest.mark.parametrize("count", [1, 3])
+    def test_prepare_step_exhaustion_is_atomic(self, model, count):
         """Pool exhaustion mid-step must not leave orphan tail blocks.
 
         When two sessions both need a fresh block but only one is left, the
         step fails *without touching any table*, so evicting a session and
         retrying decodes correctly (regression: a partial allocation used to
         leave an appended block that shifted the next write out of the
-        attention window)."""
+        attention window).  ``count`` tokens per row: the plain step and the
+        ragged multi-token step allocate through the same all-or-nothing
+        call."""
         paged = PagedKVCache(model.backbone.init_cache().num_layers,
                              max_blocks=3, block_size=4)
+        counts = None if count == 1 else np.asarray([count, count])
         with no_grad():
             cache_a, token_a = _prefill(model, [1, 2, 3, 4])  # exactly 1 block
             cache_b, _ = _prefill(model, [5, 6, 7, 8])
             sid_a = paged.admit(cache_a)
             sid_b = paged.admit(cache_b)
             with pytest.raises(RuntimeError, match="out of KV-cache blocks"):
-                model.forward_step(np.asarray([1, 2]), paged,
-                                   np.asarray([sid_a, sid_b]))
+                model.forward_step(np.tile([[1], [2]], count), paged,
+                                   np.asarray([sid_a, sid_b]), counts=counts)
             # No table was mutated and the pool balances.
             assert len(paged.table(sid_a)) == 1 and len(paged.table(sid_b)) == 1
             paged.check_invariants()
@@ -268,7 +272,8 @@ class TestPagedDecodeParity:
         config = LLMConfig(name="cap", family="test", d_model=32, num_layers=1,
                            num_heads=2, max_seq_len=6)
         capped = LanguageModel(config, seed=0)
-        paged = capped.init_paged_cache(max_sessions=2, block_size=4)
+        # Block size 3: the refused token would have opened a third block.
+        paged = capped.init_paged_cache(max_sessions=2, block_size=3)
         with no_grad():
             cache = capped.init_cache()
             capped.forward_incremental(np.asarray([[1, 2, 3, 4, 5]]), cache)
@@ -276,6 +281,7 @@ class TestPagedDecodeParity:
             capped.forward_step(np.asarray([1]), paged, np.asarray([sid]))  # -> 6
             with pytest.raises(ValueError, match="exceeds maximum"):
                 capped.forward_step(np.asarray([1]), paged, np.asarray([sid]))
+            paged.check_invariants()  # refused before any table grew
 
     def test_forward_step_requires_no_grad(self, model):
         paged = model.init_paged_cache(max_sessions=2)
@@ -2214,57 +2220,62 @@ class TestChunkedPrefill:
 
 
 # ---------------------------------------------------------------------- #
-# prepare_step gather-plan caching (decode hot path)
+# The step plan is read off the table matrix afresh every step: the moments a
+# remembered plan would have gone stale (a row crossing into a new block, the
+# batch changing, a neighbour leaving) must stay exact against the oracle.
 # ---------------------------------------------------------------------- #
+def _decode_against_oracles(model, paged, ids, caches, tokens, steps):
+    """Greedy-decode the batch ``steps`` times; every row must match its own
+    sequential ``forward_incremental`` cache.  ``tokens`` is advanced in place."""
+    for _ in range(steps):
+        out = model.forward_step(np.asarray(tokens), paged,
+                                 np.asarray(ids, dtype=np.int64)).data[:, -1, :]
+        for row, cache in enumerate(caches):
+            expected = model.forward_incremental(
+                np.asarray([[tokens[row]]], dtype=np.int64), cache).data[0, -1]
+            np.testing.assert_allclose(out[row], expected, atol=1e-9, rtol=0)
+            tokens[row] = int(np.argmax(expected))
+        paged.check_invariants()
+
+
 class TestPrepareStepPlanCache:
-    def test_steady_decode_reuses_gather_tables(self, model):
+    def test_steady_decode_then_a_batch_change_stay_exact(self, model):
         paged = model.init_paged_cache(max_sessions=4, block_size=8)
         with no_grad():
             cache_a, token_a = _prefill(model, [1, 2, 3])
             cache_b, token_b = _prefill(model, [4, 5, 6, 7])
-            sid_a = paged.admit(cache_a)
-            sid_b = paged.admit(cache_b)
-            ids = np.asarray([sid_a, sid_b], dtype=np.int64)
-            tokens = np.asarray([token_a, token_b])
-            model.forward_step(tokens, paged, ids)  # builds the plan
-            rebuilds = paged.table_rebuilds
-            updates = paged.table_row_updates
-            # Lengths are now 4 and 5; the next 3 steps stay inside the
-            # current tail blocks: the cached plan must be reused untouched.
-            for _ in range(3):
-                model.forward_step(tokens, paged, ids)
-                paged.check_invariants()
-            assert paged.table_rebuilds == rebuilds
-            assert paged.table_row_updates == updates
-            # Step to lengths 8/9: session A crosses a block boundary; that
-            # refreshes exactly one cached row — still no full rebuild.
-            model.forward_step(tokens, paged, ids)  # a=8 boundary next step
-            assert paged.table_rebuilds == rebuilds
-            # Changing the batch composition rebuilds the plan once.
-            model.forward_step(np.asarray([token_a]), paged,
-                               np.asarray([sid_a], dtype=np.int64))
-            assert paged.table_rebuilds == rebuilds + 1
+            ids = [paged.admit(cache_a), paged.admit(cache_b)]
+            tokens = [token_a, token_b]
+            # Lengths 3 and 4: four steps inside the current tail blocks, then
+            # session A (length 8) and session B cross into a second block.
+            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
+                                    tokens, steps=7)
+            assert [len(paged.table(sid)) for sid in ids] == [2, 2]
+            # A different batch composition on the very next step, and back.
+            solo = tokens[:1]
+            _decode_against_oracles(model, paged, ids[:1], [cache_a], solo, steps=2)
+            tokens[0] = solo[0]
+            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
+                                    tokens, steps=2)
 
     def test_boundary_crossing_updates_single_row(self, model):
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
         with no_grad():
             cache_a, token_a = _prefill(model, [1, 2])        # length 2
             cache_b, token_b = _prefill(model, [3, 4, 5, 6, 7, 8])  # length 6
-            sid_a = paged.admit(cache_a)
-            sid_b = paged.admit(cache_b)
-            ids = np.asarray([sid_a, sid_b], dtype=np.int64)
-            tokens = np.asarray([token_a, token_b])
-            model.forward_step(tokens, paged, ids)  # plan built; lengths 3, 7
-            rebuilds = paged.table_rebuilds
-            updates = paged.table_row_updates
-            # Next step: a -> 4 (in tail), b -> 8 (allocates block; the plan
-            # row is patched in place, no row rewrite needed when the table
-            # still fits the cached width... b grows to 3 blocks > width 2,
-            # which widens and rewrites that one row).
-            model.forward_step(tokens, paged, ids)
-            assert paged.table_rebuilds == rebuilds
-            assert paged.table_row_updates >= updates
-            paged.check_invariants()
+            ids = [paged.admit(cache_a), paged.admit(cache_b)]
+            tokens = [token_a, token_b]
+            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
+                                    tokens, steps=2)  # lengths 4, 8
+            table_a = paged.table(ids[0])
+            # Next step A writes position 4 and B position 8: each appends a
+            # block, B's table becomes the widest the batch has had.
+            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
+                                    tokens, steps=1)
+            assert paged.table(ids[0])[:-1] == table_a
+            assert [len(paged.table(sid)) for sid in ids] == [2, 3]
+            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
+                                    tokens, steps=4)
 
     def test_plan_survives_unrelated_eviction(self, model):
         """Evicting a session outside the batch must not corrupt the plan."""
@@ -2273,24 +2284,14 @@ class TestPrepareStepPlanCache:
             cache_a, token_a = _prefill(model, [1, 2, 3])
             cache_b, token_b = _prefill(model, [4, 5])
             cache_c, _ = _prefill(model, [6, 7, 8, 9, 10])
-            sid_a = paged.admit(cache_a)
-            sid_b = paged.admit(cache_b)
+            ids = [paged.admit(cache_a), paged.admit(cache_b)]
             sid_c = paged.admit(cache_c)
-            ids = np.asarray([sid_a, sid_b], dtype=np.int64)
             tokens = [token_a, token_b]
-            out = model.forward_step(np.asarray(tokens), paged, ids).data[:, -1, :]
-            paged.evict(sid_c)  # bumps the epoch; batch rows unchanged
-            for row, cache in enumerate((cache_a, cache_b)):
-                expected = model.forward_incremental(
-                    np.asarray([[tokens[row]]], dtype=np.int64), cache).data[0, -1]
-                np.testing.assert_allclose(out[row], expected, atol=1e-9, rtol=0)
-                tokens[row] = int(np.argmax(expected))
-            out = model.forward_step(np.asarray(tokens), paged, ids).data[:, -1, :]
-            for row, cache in enumerate((cache_a, cache_b)):
-                expected = model.forward_incremental(
-                    np.asarray([[tokens[row]]], dtype=np.int64), cache).data[0, -1]
-                np.testing.assert_allclose(out[row], expected, atol=1e-9, rtol=0)
-            paged.check_invariants()
+            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
+                                    tokens, steps=1)
+            paged.evict(sid_c)  # frees a table row; the batch's rows are unchanged
+            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
+                                    tokens, steps=1)
 
     def test_stepping_an_evicted_session_still_raises(self, model):
         paged = model.init_paged_cache(max_sessions=2, block_size=4)

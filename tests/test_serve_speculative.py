@@ -44,6 +44,12 @@ def _invariants(server):
     manager.cache.check_invariants(
         external_refs=manager.prefix.external_refs()
         if manager.prefix is not None else None)
+    if manager.proposer is not None:
+        # Slot ids are never reused: state kept for a slot that is no longer
+        # running is kept for the life of the server.  Once the server has
+        # drained, both maps are empty.
+        assert set(manager.proposer._tokens) <= set(manager.running)
+        assert set(manager._adaptive._k) <= set(manager.running)
 
 
 # ---------------------------------------------------------------------- #
@@ -396,6 +402,33 @@ class TestEngineParity:
             charged = (len(record.decode_sessions) + record.tokens_drafted
                        + record.prefill_tokens)
             assert charged <= 24 + len(record.decode_sessions)
+
+    def test_a_row_promoted_into_an_empty_batch_stays_inside_the_budget(
+            self, model, monkeypatch):
+        """The plan made while nothing was running is still the plan: the row
+        its prefill promotes takes the one decode token the prefill grant
+        paid for, not ``speculation_k`` unbudgeted drafts on top."""
+        # A period-2 prompt continued by the script: the drafter always has a
+        # match to copy, from the first decode step on.
+        script = model.tokenizer.encode("ab" * 12)
+        monkeypatch.setattr(session_module, "sample_token",
+                            _scripted_sampler([script]))
+        server = InferenceServer(model=model, policy=SchedulerPolicy(
+            max_batch_size=2, block_size=16, prefill_chunk_size=32,
+            step_token_budget=32, speculation="ngram", speculation_k=4))
+        handle = server.submit(GenerateRequest(
+            prompt="ab" * 15, max_new_tokens=len(script), temperature=1.0,
+            stop_on_eos=False))
+        server.run_until_idle()
+        assert handle.result(timeout=60).token_ids == script
+        records = server.telemetry.records()
+        assert records[0].prefill_tokens == 31  # 30 characters and BOS
+        assert len(records[0].decode_sessions) == 1  # promoted the same step
+        for record in records:
+            assert (record.prefill_tokens + len(record.decode_sessions)
+                    + record.tokens_drafted) <= 32
+        assert server.stats().tokens_accepted > 0  # later steps did draft
+        _invariants(server)
 
     def test_acceptance_counters_on_stats_and_records(self, model):
         temps = [0.0] * len(PROMPTS)

@@ -16,10 +16,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from ..utils import seeded_rng
+
+# networkx is imported inside the three functions that build or walk a DAG:
+# ``repro.serve`` reaches this module through the CJS client and serves whole
+# workloads without ever building a job, and the import is a quarter of its
+# start-up.  (The ``nx.DiGraph`` annotations are strings, never evaluated.)
 
 
 @dataclass
@@ -52,6 +56,8 @@ class Job:
     arrival_time: float = 0.0
 
     def __post_init__(self) -> None:
+        import networkx as nx
+
         if not nx.is_directed_acyclic_graph(self.dag):
             raise ValueError("job graph must be a DAG")
         missing = set(self.dag.nodes) - set(self.stages)
@@ -78,6 +84,8 @@ class Job:
 
     def critical_path_length(self) -> float:
         """Longest work path through the DAG (lower bound on completion time)."""
+        import networkx as nx
+
         order = list(nx.topological_sort(self.dag))
         longest: Dict[int, float] = {}
         for node in order:
@@ -126,6 +134,8 @@ class TPCHLikeJobGenerator:
 
     # -- DAG shapes ------------------------------------------------------ #
     def _build_dag(self, num_stages: int) -> nx.DiGraph:
+        import networkx as nx
+
         shape = str(self._rng.choice(_SHAPES))
         graph = nx.DiGraph()
         graph.add_nodes_from(range(num_stages))

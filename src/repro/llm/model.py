@@ -121,17 +121,16 @@ class LanguageModel(Module):
         """Next-token logits for the new tokens of each listed paged session.
 
         One ragged step (:meth:`TransformerBackbone.forward_step`):
-        ``token_ids`` is ``(n, max(counts))``, row *i* feeds its first
-        ``counts[i]`` tokens to session ``session_ids[i]`` (per-session
-        positions come from the cache), the returned logits cover every query
-        position, and per-session columns ``< counts[i]`` match ``counts[i]``
-        sequential :meth:`forward_incremental` steps on the session alone.
-        Plain decode is the all-ones step, spelled ``counts=None`` with
-        ``token_ids`` of shape ``(n,)`` or ``(n, 1)``.
+        ``token_ids`` holds the step's ``sum(counts)`` tokens packed row
+        after row — session ``session_ids[i]`` owns ``counts[i]``
+        consecutive ones (per-session positions come from the cache) — and
+        the logits come back as ``(1, sum(counts), vocab)``: row *i*'s token
+        ``t`` is at ``[0, offset_i + t]`` and matches the ``t``-th of
+        ``counts[i]`` sequential :meth:`forward_incremental` steps on the
+        session alone.  Plain decode is the all-ones step, spelled
+        ``counts=None`` with one token per session.
         """
-        token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim == 1:
-            token_ids = token_ids[:, None]
+        token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
         embeddings = self.token_embedding(token_ids)
         features = self.backbone.forward_step(embeddings, cache, session_ids,
                                               counts=counts)

@@ -22,8 +22,8 @@ from .tensor import Tensor, get_default_dtype, is_grad_enabled, softmax_array
 
 
 @lru_cache(maxsize=16)
-def _causal_mask_base(size: int, dtype_name: str) -> np.ndarray:
-    mask = np.zeros((size, size), dtype=np.dtype(dtype_name))
+def _causal_mask_base(size: int, dtype: np.dtype) -> np.ndarray:
+    mask = np.zeros((size, size), dtype=dtype)
     mask[np.triu_indices(size, k=1)] = -1e9
     mask.setflags(write=False)  # shared across calls; must stay immutable
     return mask
@@ -54,7 +54,9 @@ def causal_mask(length: int, dtype=None) -> np.ndarray:
     """
     dtype = get_default_dtype() if dtype is None else np.dtype(dtype)
     size = max(64, 1 << max(0, length - 1).bit_length())
-    return _causal_mask_base(size, dtype.name)[:length, :length]
+    # Keyed by the dtype object: ``dtype.name`` is resolved in Python on every
+    # access, which cost more than the rest of this call.
+    return _causal_mask_base(size, dtype)[:length, :length]
 
 
 def packed_runs(lengths: Sequence[int]) -> List[Tuple[int, int, int]]:
@@ -241,44 +243,47 @@ class MultiHeadAttention(Module):
     def forward_step(self, x: np.ndarray, layer_cache, step) -> np.ndarray:
         """Batched ragged step over independent paged sessions, on raw arrays.
 
-        ``x`` is ``(n, width, d_model)``: row *i* feeds the new tokens of one
-        session (one for plain decode; the pending token plus drafts for
-        speculative verification, shorter rows padded with a replicated
-        token whose output is discarded).  ``layer_cache`` is this layer's
+        ``x`` is ``(tokens, d_model)``: the step's new tokens packed row
+        after row (one per session for plain decode; the pending token plus
+        drafts for speculative verification), nothing padded.
+        ``layer_cache`` is this layer's
         :class:`~repro.nn.paged_cache.PagedLayerKVCache` and ``step`` the
         :class:`~repro.nn.paged_cache.PagedStepContext` saying where each
-        valid token lands and which blocks cover each session's history.
-        The projections run once over all rows and only valid tokens are
-        scattered into the pool — one fancy-index write per layer.  The
-        attention itself runs once per length group of ``step.groups``, at
-        that group's key width: the group's rows attend over their gathered
-        block tables under the group's mask (causal cutoff, block padding
-        and shorter group members in one boolean mask; ``-inf`` scores
-        contribute exact zeros) and their context lands in the rows they
-        own, so a short session never reads a long neighbour's width and
-        position ``t`` of row ``i`` sees exactly what a single-session
-        :meth:`_forward_cached` decode would have seen.  A batch of similar
-        lengths is one group spanning every row: the loop body, run once.
+        token lands and which blocks cover each session's history.  The
+        projections run once over the packed tokens and their K/V go into
+        the pool as they come — one fancy-index write per layer.  Only the
+        attention itself needs a rectangle, once per length group of
+        ``step.groups``: the group's queries are gathered at its own widest
+        row's width and attend over its gathered block tables under the
+        group's mask (causal cutoff, block padding and shorter group members
+        in one boolean mask; ``-inf`` scores contribute exact zeros), and
+        the contexts of its real tokens land back in the packed array, so a
+        short session never reads a long neighbour's width, a one-token row
+        never pays for a drafting neighbour's, and position ``t`` of row
+        ``i`` sees exactly what a single-session :meth:`_forward_cached`
+        decode would have seen.  A batch of similar lengths is one group
+        spanning every row: the loop body, run once.
         """
         self._check_cached_preconditions()
-        n, width, _ = x.shape
-        q = self._split_heads(self.q_proj.apply(x), n, width)
-        k = self._split_heads(self.k_proj.apply(x), n, width)
-        v = self._split_heads(self.v_proj.apply(x), n, width)
+        by_head = (len(x), self.num_heads, self.head_dim)
+        q = self.q_proj.apply(x).reshape(by_head)
         layer_cache.append_step(step.write_blocks, step.write_offsets,
-                                k[step.row_index, :, step.token_index, :],
-                                v[step.row_index, :, step.token_index, :])
+                                self.k_proj.apply(x).reshape(by_head),
+                                self.v_proj.apply(x).reshape(by_head))
 
         scale = 1.0 / float(np.sqrt(self.head_dim))
-        merged = np.empty((n, width, self.d_model), dtype=q.dtype)
-        by_head = merged.reshape(n, width, self.num_heads, self.head_dim)
-        for rows, tables, mask in step.groups:
+        merged = np.empty(by_head, dtype=q.dtype)
+        for tokens, tables, mask, valid in step.groups:
             keys, values = layer_cache.gather(tables)
-            scores = (q[rows] @ np.swapaxes(keys, -1, -2)) * scale
+            scores = (np.swapaxes(q[tokens], 1, 2) @ np.swapaxes(keys, -1, -2)) * scale
             if mask is not None:
                 np.copyto(scores, -np.inf, where=mask[:, None, :, :])
-            by_head[rows] = np.swapaxes(softmax_array(scores) @ values, 1, 2)
-        return self.out_proj.apply(merged)
+            context = np.swapaxes(softmax_array(scores) @ values, 1, 2)
+            if valid is None:
+                merged[tokens] = context
+            else:
+                merged[tokens[valid]] = context[valid]
+        return self.out_proj.apply(merged.reshape(x.shape))
 
     def forward_packed(self, x: np.ndarray, runs: Sequence[Tuple[int, int, int]],
                        last_index: Optional[np.ndarray] = None) -> np.ndarray:
@@ -323,5 +328,5 @@ class MultiHeadAttention(Module):
     def _split_heads(self, x, batch: int, seq: int):
         """``(batch, seq, d_model)`` (or the same tokens packed 2-d) ->
         ``(batch, heads, seq, head_dim)``; a ``Tensor`` on the graph path, a
-        raw array on the step and packed paths."""
+        raw array on the cached and packed paths."""
         return x.reshape(batch, seq, self.num_heads, self.head_dim).swapaxes(1, 2)

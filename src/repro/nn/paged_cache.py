@@ -25,15 +25,19 @@ the padded tail is masked with ``-inf`` exactly like ragged batches were in
 the slot-packed design, keeping per-session logits identical to a
 single-session :class:`KVCache` decode.
 
-The step is ragged in the key dimension too.  Padding every row to the
-*batch's* longest table would make a 40-token session gather and score its
-500-token neighbour's width, so :func:`partition_rows` sorts the rows of a
-step into **length groups** by each row's own block need and the context
-carries one ``(rows, tables, mask)`` triple per group, each at that group's
-width; attention runs gather -> scores -> mask -> softmax -> ``@ values``
-once per group while everything else in the layer stays one batched call.
-A batch of similar lengths is the one-group case of the same plan (the
-whole-batch slice over the step's table matrix, no further copy).
+The step is ragged in both dimensions.  Its queries are **token-packed**:
+row *i*'s ``counts[i]`` new tokens sit back to back in one ``(sum(counts),
+...)`` array, so a row that feeds five tokens beside fifteen that feed one
+costs twenty token rows in every dense layer, not eighty.  Its keys are
+grouped: padding every row to the *batch's* longest table would make a
+40-token session gather and score its 500-token neighbour's width, so
+:func:`partition_rows` sorts the rows of a step into **length groups** by each
+row's own block need and the context carries one ``(tokens, tables, mask,
+valid)`` entry per group, each at that group's key width and its own widest
+row's query width; attention runs gather -> scores -> mask -> softmax ->
+``@ values`` once per group while everything else in the layer stays one call
+over the packed tokens.  A batch of similar lengths is the one-group case of
+the same plan (the step's table matrix itself, no further copy).
 ``key_positions_gathered`` / ``key_positions_live`` count what the padding
 that remains costs.
 
@@ -90,9 +94,14 @@ DEFAULT_BLOCK_SIZE = 16
 #: parent: the claim does not hang on this constant.
 MIN_SPLIT_SAVING_BLOCK_ROWS = 6
 
-#: The one-group partition's row selector: a basic slice, so ``q[rows]`` is a
-#: view and ``out[rows] = ...`` a plain copy.
+#: The one-group partition's row selector: a basic slice, so nothing is
+#: copied to name "every row".
 _ALL_ROWS = slice(None)
+
+#: The one-group all-ones step's token selector — row *i*'s one token is packed
+#: token *i* — as a basic index: ``q[tokens]`` is the view ``q[:, None]`` and
+#: ``out[tokens] = ...`` a plain copy.
+_ONE_TOKEN_EACH = (slice(None), None)
 
 #: How a length group names its rows: the whole-batch slice or index array.
 RowIndex = Union[slice, np.ndarray]
@@ -129,14 +138,6 @@ def partition_rows(needs: Sequence[int]) -> Tuple[Tuple[RowIndex, int], ...]:
         return ((_ALL_ROWS, width),)
     groups.append((np.asarray(sorted(order[:end])), width))
     return tuple(groups)
-
-
-def _row_groups(tables: np.ndarray, needs: Sequence[int]
-                ) -> Tuple[Tuple[RowIndex, np.ndarray], ...]:
-    """``(rows, tables)`` per length group; the one-group case is ``tables``
-    itself (``max(needs)`` is its width by construction)."""
-    return tuple((rows, tables if rows is _ALL_ROWS else tables[rows, :width])
-                 for rows, width in partition_rows(needs))
 
 
 class BlockAllocator:
@@ -266,10 +267,8 @@ class PagedLayerKVCache:
 
     def append_step(self, blocks: np.ndarray, offsets: np.ndarray,
                     keys: np.ndarray, values: np.ndarray) -> None:
-        """Write one new token per session at ``(blocks[i], offsets[i])``.
-
-        ``keys``/``values`` have shape ``(n, heads, head_dim)``.
-        """
+        """Write a step's packed tokens, token ``i`` at ``(blocks[i],
+        offsets[i])``; ``keys``/``values`` are ``(tokens, heads, head_dim)``."""
         self._keys[blocks, :, offsets] = keys
         self._values[blocks, :, offsets] = values
 
@@ -304,13 +303,18 @@ class PagedLayerKVCache:
 
 
 @lru_cache(maxsize=256)
-def _token_grid(counts_key: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Where a step's valid tokens sit: a pure function of its counts.
+def _token_grid(counts_key: bytes
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Where a step's tokens sit in the packed array: a pure function of its
+    counts.
 
-    ``counts_key`` is the step's ``int64`` counts as bytes.  Returns
-    ``(row_index, token_index, clamped)``: the (row, query position) of every
-    valid token in row-major order, and the ``(n, max(counts))`` grid of query
-    positions with each row's padded ones clamped to its last valid one.
+    ``counts_key`` is the step's ``int64`` counts as bytes; row *i*'s tokens
+    are packed tokens ``offset_i .. offset_i + counts[i] - 1``.  Returns
+    ``(row_of, place_of, index, valid)``: the owning row of every packed token
+    and its place among that row's tokens, and the ``(n, max(counts))`` grids
+    of each row's packed indices (places past a row's count clamped to its
+    last token, so they stay in range) and of which entries are real tokens
+    (None when every row feeds ``max(counts)``: all are).
     Memoised (and read-only) like :func:`~repro.nn.attention.causal_mask`:
     every decode step of ``n`` rows shares the all-ones entry.  Nothing here
     depends on the pool, so nothing ever invalidates an entry.
@@ -318,12 +322,14 @@ def _token_grid(counts_key: bytes) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     counts = np.frombuffer(counts_key, dtype=np.int64)
     if counts.min() < 1:
         raise ValueError("every session must consume at least one token")
-    t_grid = _position_range(int(counts.max()))
-    row_index, token_index = np.nonzero(t_grid < counts[:, None])
-    clamped = np.minimum(t_grid, counts[:, None] - 1)
-    for array in (row_index, token_index, clamped):
+    places = _position_range(int(counts.max()))
+    valid = places < counts[:, None]
+    row_of, place_of = np.nonzero(valid)
+    index = (np.cumsum(counts) - counts)[:, None] + np.minimum(
+        places, counts[:, None] - 1)
+    for array in (row_of, place_of, index, valid):
         array.setflags(write=False)
-    return row_index, token_index, clamped
+    return row_of, place_of, index, None if valid.all() else valid
 
 
 def _window_mask(positions: np.ndarray, gathered_len: int) -> Optional[np.ndarray]:
@@ -339,59 +345,81 @@ class PagedStepContext:
 
     One shape serves decode and speculative verification alike: row *i*
     feeds ``counts[i] >= 1`` new tokens (decode is ``counts == 1``) at
-    global positions ``lengths[i] .. lengths[i] + counts[i] - 1``, padded
-    to the batch's widest row.  Built by the one plan body behind
+    global positions ``lengths[i] .. lengths[i] + counts[i] - 1``, and the
+    step's tokens are **packed** — row after row, ``sum(counts)`` in all, no
+    padding.  Built by the one plan body behind
     :meth:`PagedKVCache.prepare_step` / :meth:`PagedKVCache.prepare_multi_step`
     (which also performs any block allocation and copy-on-write the step
-    needs) and consumed by every attention layer, so table padding and the
-    attention masks are built once per step, not per layer.
+    needs) and consumed by every attention layer, so the table padding, the
+    query index and the attention masks are built once per step, not per
+    layer.
 
-    Queries are padded to the widest row, keys are not padded to the longest
-    session: ``groups`` partitions the rows by block need
-    (:func:`partition_rows`) and attention gathers and scores each group at
-    its own width.  A batch of similar lengths has one group covering every
-    row — the same loop, run once.
-
-    The flat ``write_blocks``/``write_offsets``/``row_index``/``token_index``
-    arrays cover exactly the *valid* (row, token) pairs, so padded query
-    positions — whose outputs the caller ignores — are never scattered into
-    the pool.  Every array is the step's own copy, read from the pool as it
-    stood when the step was prepared: a context is spent once its step is
-    committed, or once any of its sessions is otherwise mutated.
+    Every packed token is real, so the flat ``write_blocks`` /
+    ``write_offsets`` / ``positions`` arrays line up with the packed
+    activations one to one and a layer scatters its K/V into the pool as they
+    come.  Only attention needs a rectangle, and only per length group:
+    ``groups`` partitions the rows by block need (:func:`partition_rows`) and
+    attention gathers, scores and scatters each group at its own key width
+    and its own widest row's query width.  A batch of similar lengths has one
+    group covering every row — the same loop, run once.  Every array is the
+    step's own copy, read from the pool as it stood when the step was
+    prepared: a context is spent once its step is committed, or once any of
+    its sessions is otherwise mutated.
     """
 
     __slots__ = ("session_ids", "groups", "write_blocks", "write_offsets",
-                 "row_index", "token_index", "positions")
+                 "positions")
 
-    def __init__(self, session_ids: np.ndarray,
-                 row_groups: Sequence[Tuple[RowIndex, np.ndarray]],
+    def __init__(self, session_ids: np.ndarray, groups: Tuple[tuple, ...],
                  write_blocks: np.ndarray, write_offsets: np.ndarray,
-                 row_index: np.ndarray, token_index: np.ndarray,
-                 positions: np.ndarray, block_size: int) -> None:
+                 positions: np.ndarray) -> None:
         self.session_ids = session_ids
-        self.write_blocks = write_blocks    #: (total,) block per valid token
+        self.write_blocks = write_blocks    #: (total,) block per packed token
         self.write_offsets = write_offsets  #: (total,) offset within that block
-        self.row_index = row_index          #: (total,) source row per valid token
-        self.token_index = token_index      #: (total,) source position per valid token
-        #: (n, width) global position per query token (padded entries are
-        #: clamped to the row's last valid position, keeping them in range).
+        #: (total,) global position per packed token: where it is written,
+        #: its positional embedding and its causal cutoff.
         self.positions = positions
-        #: One ``(rows, tables, mask)`` per length group.  ``rows`` selects
-        #: the group's rows of the batch (``slice(None)`` when the batch is
-        #: one group), ``tables`` is their ``(g, group_blocks)`` padded block
-        #: ids, and ``mask`` the boolean ``(g, width, group_blocks *
-        #: block_size)`` invisibility mask over the group's gathered window,
-        #: or None when every query token of the group sees all of it.
-        #: ``mask[i, t, j]`` is True when gathered position ``j`` lies past
-        #: ``positions[i, t]``, query token ``t`` of row ``i``'s own position
-        #: (the causal cutoff) — which covers future draft tokens, block
-        #: padding and shorter group members at once.  Padded query rows
-        #: reuse their row's last valid position, so no softmax row is ever
-        #: fully masked.
-        self.groups = tuple(
-            (rows, tables, _window_mask(positions[rows],
-                                        int(tables.shape[1]) * block_size))
-            for rows, tables in row_groups)
+        #: One ``(tokens, tables, mask, valid)`` per length group.  ``tokens``
+        #: indexes the packed arrays: ``(g, width)``, row by row, ``width``
+        #: the group's own widest row and the places past a shorter row's
+        #: count repeating its last token (the basic index ``[:, None]``, a
+        #: view, when the batch is one group of one-token rows).  ``tables``
+        #: is the rows' ``(g, group_blocks)`` padded block ids.  ``mask`` is
+        #: the boolean ``(g, width, group_blocks * block_size)`` invisibility
+        #: mask over the group's gathered window, or None when every query
+        #: token of the group sees all of it: ``mask[i, t, j]`` is True when
+        #: gathered position ``j`` lies past the position of query token
+        #: ``t`` of row ``i`` (the causal cutoff) — which covers future draft
+        #: tokens, block padding and shorter group members at once; a
+        #: repeated token repeats its position, so no softmax row is ever
+        #: fully masked.  ``valid`` is the boolean ``(g, width)`` selector of
+        #: the real tokens among ``tokens`` — whose contexts are the only
+        #: ones scattered back — or None when the rows all feed ``width``.
+        self.groups = groups
+
+
+def _length_groups(tables: np.ndarray, needs: Sequence[int], counts: np.ndarray,
+                   index: np.ndarray, valid: Optional[np.ndarray],
+                   positions: np.ndarray, block_size: int) -> Tuple[tuple, ...]:
+    """A step's ``(tokens, tables, mask, valid)`` per length group (see
+    :class:`PagedStepContext`).  ``index`` / ``valid`` are the step's
+    :func:`_token_grid`.  The one-group case takes them and ``tables`` as
+    they stand (``max(counts)`` and ``max(needs)`` are their widths by
+    construction); a group among several is cut to its own two widths."""
+    groups = []
+    for rows, blocks in partition_rows(needs):
+        tokens, group_tables, real = index, tables, valid
+        if rows is not _ALL_ROWS:
+            own = counts[rows].tolist()  # a group is a few rows: lists are cheaper
+            width = max(own)
+            tokens, group_tables = index[rows, :width], tables[rows, :blocks]
+            real = None if min(own) == width else valid[rows, :width]
+        elif index.shape[1] == 1:
+            tokens = _ONE_TOKEN_EACH
+        groups.append((tokens, group_tables,
+                       _window_mask(positions[tokens],
+                                    group_tables.shape[1] * block_size), real))
+    return tuple(groups)
 
 
 class PagedKVCache:
@@ -805,7 +833,7 @@ class PagedKVCache:
         """Count what ``step``'s attention will read (per layer); ``live`` is
         the sum of its rows' own windows."""
         self.key_positions_gathered += self.block_size * sum(
-            tables.size for _, tables, _ in step.groups)
+            tables.size for _, tables, _, _ in step.groups)
         self.key_positions_live += live
         self.attention_groups += len(step.groups)
         return step
@@ -818,8 +846,8 @@ class PagedKVCache:
         sampled token plus its drafts.  Grows and copy-on-write splits the
         tables first (:meth:`_grow` — atomic on exhaustion, and before any
         write), then reads the batch's padded tables straight off the table
-        matrix and lays out where each *valid* token lands and the (clamped)
-        position of every query token, which is also its causal cutoff.
+        matrix and lays out, per packed token, its position (also its causal
+        cutoff) and where it lands, and per length group the query index.
         """
         session_ids = np.asarray(session_ids, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
@@ -827,19 +855,20 @@ class PagedKVCache:
             raise ValueError("step prepared with no active sessions")
         if len(counts) != len(session_ids):
             raise ValueError(f"{len(counts)} counts for {len(session_ids)} sessions")
-        row_index, token_index, clamped = _token_grid(counts.tobytes())
+        row_of, place_of, index, valid = _token_grid(counts.tobytes())
         rows = self._batch_rows(session_ids)
         lengths = self._length[rows]
         totals = lengths + counts
         needs = self._grow(rows, lengths, totals)
         tables = self._table[rows, :max(needs)]
-        blocks, write_offsets = np.divmod(lengths[row_index] + token_index,
-                                          self.block_size)
-        positions = lengths[:, None] + clamped
+        positions = lengths[row_of] + place_of
+        blocks, write_offsets = np.divmod(positions, self.block_size)
         return self._counted(
-            PagedStepContext(session_ids, _row_groups(tables, needs),
-                             tables[row_index, blocks], write_offsets,
-                             row_index, token_index, positions, self.block_size),
+            PagedStepContext(
+                session_ids,
+                _length_groups(tables, needs, counts, index, valid, positions,
+                               self.block_size),
+                tables[row_of, blocks], write_offsets, positions),
             int(totals.sum()))
 
     def _advance(self, session_ids: np.ndarray, counts) -> None:

@@ -90,7 +90,7 @@ class TransformerBlock(Module):
 
     def forward_step(self, x: np.ndarray, layer_cache: PagedLayerKVCache,
                      step: PagedStepContext) -> np.ndarray:
-        """Batched ragged paged step on raw arrays (see
+        """Batched ragged paged step on raw ``(tokens, d_model)`` arrays (see
         ``MultiHeadAttention.forward_step``)."""
         x = x + self.attention.forward_step(self.norm1.apply(x), layer_cache, step)
         return x + self.mlp.apply(self.norm2.apply(x))
@@ -155,38 +155,38 @@ class TransformerBackbone(Module):
         """Advance ``len(session_ids)`` independent paged sessions in one forward.
 
         One ragged step over the paged cache: ``embeddings`` is
-        ``(n, max(counts), d_model)`` and row *i* feeds the first
-        ``counts[i]`` of its positions to session ``session_ids[i]`` (padded
-        positions replicate the last valid token and their outputs are
-        ignored).  Each session keeps its own position (the length of its
+        ``(sum(counts), d_model)``, the step's new tokens packed row after
+        row — session ``session_ids[i]`` owns ``counts[i]`` consecutive ones
+        — so every layer runs on the tokens that exist and nothing is
+        padded.  Each session keeps its own position (the length of its
         cached history), so sessions admitted at different times — with
-        different prompt lengths — advance together with per-session
+        different prompt lengths — advance together with per-token
         positional embeddings.  The cache is updated in place (allocating or
         copy-on-writing tail blocks as needed) and per-session lengths
-        advance by ``counts[i]``.
+        advance by ``counts[i]``.  The features come back as one packed
+        sequence, ``(1, sum(counts), d_model)``: the unit axis keeps the
+        logits three-axis for callers that multiply the first two into a
+        row count (ROADMAP 1a drops it).
 
         Plain decode is the all-ones step and is spelled ``counts=None``
-        (``embeddings`` then ``(n, 1, d_model)``); a speculative verification
+        (``embeddings`` then ``(n, d_model)``); a speculative verification
         row feeds its pending sampled token plus its drafts, and the caller
         rolls rejected tokens back via :meth:`PagedKVCache.truncate_session`.
         Both run the same plan, the same forward and the same commit.
         """
         session_ids = np.asarray(session_ids, dtype=np.int64)
-        n, seq, d_model = embeddings.shape
+        tokens, d_model = embeddings.shape
         if d_model != self.d_model:
             raise ValueError(f"expected embedding dim {self.d_model}, got {d_model}")
-        if n != len(session_ids):
-            raise ValueError(f"{n} embedding rows for {len(session_ids)} sessions")
         if len(session_ids) != len(set(session_ids.tolist())):
             raise ValueError("duplicate sessions in one batched step")
-        if counts is None:
-            if seq != 1:
-                raise ValueError("forward_step consumes one token per session")
-        else:
+        if counts is not None:
             counts = np.asarray(counts, dtype=np.int64)
-            if seq != int(counts.max()):
-                raise ValueError(f"{seq} embedding positions for a step of "
-                                 f"up to {int(counts.max())} tokens")
+        expected = len(session_ids) if counts is None else int(counts.sum())
+        if tokens != expected:
+            raise ValueError(f"{tokens} packed tokens for a step that feeds "
+                             f"{expected} (one token per session unless "
+                             f"counts says otherwise)")
         # One plan and one commit under two names each, kept apart only so the
         # benchmark's trace still tells a decode step from a verify step.
         step = (cache.prepare_step(session_ids) if counts is None
@@ -207,7 +207,7 @@ class TransformerBackbone(Module):
             cache.commit_step(session_ids)
         else:
             cache.commit_multi_step(session_ids, counts)
-        features = self.final_norm.apply(x)
+        features = self.final_norm.apply(x)[None]
         return Tensor(features, dtype=features.dtype)  # repro: noqa[REP007] the step's one output wrap
 
     def last_position_features(self, tokens: np.ndarray,

@@ -22,7 +22,7 @@ each a single ``is None`` check when no injector is wired in.
 There is one decode step (:meth:`SessionManager.step`): every row feeds its
 pending token plus whatever the :class:`~repro.serve.speculative.NgramProposer`
 drafted for it (``speculation="ngram"``) through one ragged ``forward_step``;
-plain decode is the step whose rows all feed one token.  Every logits column
+plain decode is the step whose rows all feed one token.  Every logits row
 goes through the same :meth:`SessionManager._consume_logits`, which is why
 the emitted stream is token-identical to ``speculation="off"`` at any
 temperature (``docs/speculative.md``).
@@ -737,8 +737,9 @@ class SessionManager:
 
         Row *i* feeds its pending sampled token plus the drafts planned for
         it — ``1 + len(drafts)`` positions, one when nothing was drafted —
-        through one ragged ``forward_step``; shorter rows are padded (padded
-        outputs discarded).  Each verified logits column then runs through
+        through one ragged ``forward_step`` over the rows' tokens packed back
+        to back, so a row pays for its own tokens and no neighbour's.  Each
+        verified logits row then runs through
         :meth:`_consume_logits`: the sampled token *is* the acceptance test
         (equal to the draft → keep verifying; different → it is the
         correction and verification stops), so RNG draws, EOS handling,
@@ -780,39 +781,37 @@ class SessionManager:
         batch = [self.running[slot] for slot in slots]
         fed = [[session.generated[-1]] + drafts.get(slot, [])
                for slot, session in zip(slots, batch)]
-        width = max(map(len, fed))
-        # Padded columns replicate the row's last token.  (One flat list: a
-        # nested one converts several times slower.)
-        tokens = np.asarray([token for row in fed
-                             for token in row + row[-1:] * (width - len(row))],
-                            dtype=np.int64).reshape(len(fed), width)
+        # Packed: the rows' tokens back to back, nothing padded.
+        tokens = np.asarray([token for row in fed for token in row], dtype=np.int64)
+        drafted = len(tokens) > len(fed)
         with cached_inference(self.model, self._toggle_eval):
             # A step nobody drafted for is spelled counts=None: plain decode.
             logits = self.model.forward_step(
                 tokens, self.cache, np.asarray(slots, dtype=np.int64),
-                counts=None if width == 1 else np.asarray(
-                    [len(row) for row in fed], dtype=np.int64)).data
+                counts=np.asarray([len(row) for row in fed], dtype=np.int64)
+                if drafted else None).data[0]
         if self.faults is not None:
             # Post-forward sites: the K/V writes are committed; a "corrupt"
             # spec perturbs the logits in place before sampling.  A drafted
             # step — acceptance undecided, rollback still ahead — has its own.
-            if width > 1:
+            if drafted:
                 self.faults.fire("decode.verify", payload=logits)
             else:
-                self.faults.fire("decode.logits", payload=logits[:, -1, :])
-        step_drafted = step_accepted = 0
-        for row, (slot, session) in enumerate(zip(slots, batch)):
+                self.faults.fire("decode.logits", payload=logits)
+        step_drafted = step_accepted = offset = 0
+        for slot, session, row in zip(slots, batch, fed):
             session.metrics.batch_sizes.append(len(batch))
-            draft = fed[row][1:]
-            # Column t is consumed once every draft before it was accepted;
-            # what it samples is the correction of draft t or, past the last
-            # draft, the bonus token.
-            alive = self._consume_logits(session, logits[row, 0])
+            draft = row[1:]
+            # Packed token offset + t is consumed once every draft before it
+            # was accepted; what it samples is the correction of draft t or,
+            # past the last draft, the bonus token.
+            alive = self._consume_logits(session, logits[offset])
             accepted = 0
             while (alive and accepted < len(draft)
                    and session.generated[-1] == draft[accepted]):
                 accepted += 1
-                alive = self._consume_logits(session, logits[row, accepted])
+                alive = self._consume_logits(session, logits[offset + accepted])
+            offset += len(row)
             step_drafted += len(draft)
             step_accepted += accepted
             if not alive:

@@ -159,11 +159,12 @@ class AdaptiveK:
 
     A session at 0 is probed with ``k = 1`` on every :data:`PROBE_PERIOD`-th
     planned step (:meth:`begin_step` is the clock) — the back-off-then-probe
-    shape of a loss-driven rate controller.  Probes are aligned on one clock
-    rather than per session because a step is as wide as its widest row:
-    sixteen sessions probing on sixteen different steps would keep every
-    step two columns wide.  An accepted probe resumes the growth rule from
-    1; a rejected one goes back to 0 until the next probe.
+    shape of a loss-driven rate controller.  Probes share one clock rather
+    than one per session; that dates from a step padded to its widest row
+    (staggered probes kept every step two columns wide) and saves nothing
+    on the token-packed step — ROADMAP item 5 decides what replaces it
+    (``docs/speculative.md``).  An accepted probe resumes the growth rule
+    from 1; a rejected one goes back to 0 until the next probe.
 
     Session ids are never reused, so :meth:`observe` must not be called for
     a session that was already forgotten: its entry would never go away.

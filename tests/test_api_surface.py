@@ -10,6 +10,10 @@ from __future__ import annotations
 
 import dataclasses
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import repro.serve as serve
 
@@ -150,3 +154,17 @@ class TestServeSurface:
         assert {"max_attempts", "backoff_s", "backoff_multiplier",
                 "retry_on"} == set(fields)
         assert fields["max_attempts"] == 2  # one retry by default
+
+
+def test_importing_serve_does_not_import_networkx():
+    """``repro.serve`` reaches ``repro.cjs.jobs`` through the CJS client;
+    the job-DAG library (a quarter of the import) loads only once a job is
+    built.  A fresh interpreter: this process imported it long ago."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    subprocess.run(
+        [sys.executable, "-c",
+         "import repro.serve, sys; assert 'networkx' not in sys.modules; "
+         "from repro.cjs import TPCHLikeJobGenerator; "
+         "job = TPCHLikeJobGenerator(seed=0).generate(); "
+         "assert job.critical_path_length() > 0 and 'networkx' in sys.modules"],
+        check=True, env=env, timeout=60)

@@ -196,6 +196,36 @@ class TestMaskAndPositionCaches:
     def test_causal_mask_explicit_dtype_overrides_default(self, float64_default):
         assert causal_mask(5, np.float32).dtype == np.float32
 
+    def test_float32_model_gets_float32_masks(self, float64_default, monkeypatch):
+        """The base is keyed by the dtype object, however the dtype is
+        spelled; a model built under float32 keeps asking for (and getting)
+        float32 masks after the default went back to float64."""
+        from repro.nn import attention, transformer
+
+        base = causal_mask(9, np.float32)
+        for spelling in (np.dtype(np.float32), "float32", np.dtype("<f4")):
+            assert np.shares_memory(causal_mask(9, spelling), base)
+        assert not np.shares_memory(causal_mask(9, np.float64), base)
+        set_default_dtype(np.float32)
+        model = _tiny_model(0, seed=5)
+        set_default_dtype(np.float64)
+        served = []
+
+        def spy(length, dtype=None):
+            served.append(causal_mask(length, dtype))
+            return served[-1]
+
+        monkeypatch.setattr(transformer, "causal_mask", spy)
+        monkeypatch.setattr(attention, "causal_mask", spy)
+        ids = np.arange(12) % model.tokenizer.vocab_size
+        with no_grad():
+            model.forward_tokens(ids[None, :])
+            model.forward_incremental(ids[None, :], model.init_cache())
+            model.last_position_features(
+                model.token_embedding(ids).data, [5, 7])
+        assert len(served) >= 3
+        assert all(mask.dtype == np.float32 for mask in served)
+
     def test_float32_model_exact_parity_under_float64_default(self, float64_default):
         # Build under float32, use after the global default is restored to
         # float64 (the benchmark pattern): masked full forward, re-primed
@@ -428,7 +458,7 @@ class TestRawApply:
             monkeypatch.setattr(Tensor, "__init__", counting)
             model.forward_step(np.asarray([1, 2]), paged, sids)
             decode = len(built)
-            model.forward_step(np.asarray([[3, 4, 5], [6, 6, 6]]), paged, sids,
+            model.forward_step(np.asarray([3, 4, 5, 6]), paged, sids,
                                counts=np.asarray([3, 1]))
             verify = len(built) - decode
         # Embedding lookup, backbone features, logits — whatever the depth.

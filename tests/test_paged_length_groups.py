@@ -9,6 +9,9 @@ need and attends once per group at that group's width.  This suite pins
   batches built to split — plain decode, speculative verify with rollbacks,
   copy-on-write forks, prefix blocks shared across groups and block-boundary
   crossings — with ``check_invariants()`` after every step,
+* that the step is token-packed: dense layers and the LM head see
+  ``sum(counts)`` token rows, each group's queries are its own widest row
+  wide, and any ragged ``counts`` match the sequential oracle,
 * that a quarantine inside a split step implicates the same sessions as ever,
 * the padding counters on the cache, ``StepRecord``, the windows and
   ``explain_request``.
@@ -83,6 +86,11 @@ def _prompts(model, lengths, seed):
             for n in lengths]
 
 
+def _packed(fed):
+    """The rows' fed tokens laid back to back, as ``forward_step`` takes them."""
+    return np.asarray([token for row in fed for token in row], dtype=np.int64)
+
+
 def _decode(model, paged, twins, steps, external_refs=None):
     """Greedy-decode ``twins`` together; every row must match its oracle.
     Returns the group count of each step."""
@@ -91,7 +99,7 @@ def _decode(model, paged, twins, steps, external_refs=None):
     for _ in range(steps):
         before = paged.attention_groups
         tokens = np.asarray([twin.next_token for twin in twins])
-        out = model.forward_step(tokens, paged, ids).data[:, -1, :]
+        out = model.forward_step(tokens, paged, ids).data[0]
         groups.append(paged.attention_groups - before)
         for row, twin in enumerate(twins):
             expected = twin.expect(twin.next_token)
@@ -166,18 +174,27 @@ class TestPartition:
 
     def test_one_group_case_allocates_no_index_copies(self, model):
         """Same arrays in, same object out: the unsplit step hands attention
-        the step's table matrix itself through the whole-batch slice."""
+        the step's table matrix and token grid themselves, and the all-ones
+        one reaches its packed tokens through a basic index — a view."""
         tables = np.arange(9, dtype=np.int64).reshape(3, 3)
-        [(rows, same)] = pc._row_groups(tables, [3, 3, 3])
-        assert rows == slice(None) and same is tables
+        counts = np.asarray([2, 1, 2])
+        _, _, index, valid = pc._token_grid(counts.tobytes())
+        assert index.tolist() == [[0, 1], [2, 2], [3, 4]]
+        positions = np.asarray([16, 17, 20, 18, 19])
+        [(tokens, same, _, real)] = pc._length_groups(
+            tables, [3, 3, 3], counts, index, valid, positions, BLOCK)
+        assert tokens is index and same is tables and real is valid
         with no_grad():
             paged = model.init_paged_cache(max_sessions=4, block_size=BLOCK)
             twins = [_Twin(model, paged, prompt)
                      for prompt in _prompts(model, (10, 12, 9), seed=1)]
             ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
             step = paged.prepare_step(ids)
-            [(rows, tables, _)] = step.groups
-            assert rows == slice(None)
+            [(tokens, tables, _, real)] = step.groups
+            assert tokens == (slice(None), None) and real is None
+            packed = np.arange(6.0).reshape(3, 2)
+            assert np.shares_memory(packed[tokens], packed)
+            assert packed[tokens].shape == (3, 1, 2)
             assert tables.tolist() == [list(paged.table(twin.sid)) for twin in twins]
 
 
@@ -216,7 +233,7 @@ class TestSplitStepParity:
             def group_shapes():
                 """The next step's groups, read by preparing a pool copy."""
                 step = copy.deepcopy(paged).prepare_step(ids)
-                return sorted(tables.shape for _, tables, _ in step.groups)
+                return sorted(tables.shape for _, tables, _, _ in step.groups)
 
             assert group_shapes() == [(1, 6), (2, 1)]
             assert _decode(model, paged, twins, steps=2) == [2, 2]
@@ -238,16 +255,16 @@ class TestSplitStepParity:
                 counts = rng.integers(1, 6, size=len(twins))
                 fed = [[twin.next_token] + rng.integers(0, vocab, size=c - 1).tolist()
                        for twin, c in zip(twins, counts)]
-                tokens = np.asarray([row + [row[-1]] * (int(counts.max()) - len(row))
-                                     for row in fed], dtype=np.int64)
                 before = paged.attention_groups
-                logits = model.forward_step(tokens, paged, ids,
-                                            counts=counts).data
+                logits = model.forward_step(_packed(fed), paged, ids,
+                                            counts=counts).data[0]
                 assert paged.attention_groups - before >= 2
                 paged.check_invariants()
+                offsets = np.cumsum(counts) - counts
                 for row, twin in enumerate(twins):
                     for t, expected in enumerate(twin.preview(fed[row])):
-                        np.testing.assert_allclose(logits[row, t], expected, **ATOL)
+                        np.testing.assert_allclose(logits[offsets[row] + t],
+                                                   expected, **ATOL)
                     keep = int(rng.integers(1, counts[row] + 1))
                     blocks = len(paged.table(twin.sid))
                     paged.truncate_session(
@@ -308,6 +325,110 @@ class TestSplitStepParity:
             paged.check_invariants(external_refs=refs)
             groups = _decode(model, paged, twins, steps=12, external_refs=refs)
             assert min(groups) >= 3
+
+
+# ---------------------------------------------------------------------- #
+# Token packing: the forward runs on the tokens that exist
+# ---------------------------------------------------------------------- #
+class TestTokenPackedStep:
+    def test_one_drafting_row_bills_nobody_else(self, model, monkeypatch):
+        """16 rows, one of them feeding 1 + 4 tokens: every dense layer and
+        the LM head see 20 token rows (a step padded to its widest row
+        would push 80), and each length group's queries are as wide as its
+        own widest row."""
+        from repro.nn import LayerNorm, Linear, attention
+
+        lengths = [8 + 10 * row for row in range(16)]  # 8..158: the rows split
+        counts = np.ones(16, dtype=np.int64)
+        counts[5] = 5
+        rng = np.random.default_rng(11)
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=16, block_size=BLOCK)
+            twins = [_Twin(model, paged, prompt)
+                     for prompt in _prompts(model, lengths, seed=10)]
+            ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
+            fed = [[twin.next_token] + rng.integers(
+                0, model.tokenizer.vocab_size, size=count - 1).tolist()
+                for twin, count in zip(twins, counts)]
+            dense_rows, query_shapes = [], []
+            for layer in (Linear, LayerNorm):
+                def spy(self, x, _apply=layer.apply):
+                    dense_rows.append(int(np.prod(x.shape[:-1])))
+                    return _apply(self, x)
+                monkeypatch.setattr(layer, "apply", spy)
+
+            def softmax_spy(scores, _softmax=attention.softmax_array):
+                query_shapes.append((scores.shape[0], scores.shape[2]))
+                return _softmax(scores)
+            monkeypatch.setattr(attention, "softmax_array", softmax_spy)
+            logits = model.forward_step(_packed(fed), paged, ids, counts=counts).data
+            monkeypatch.undo()
+            assert logits.shape == (1, 20, model.tokenizer.vocab_size)
+            # Per block: two norms, q/k/v/out, two MLP layers; then the final
+            # norm and the LM head.
+            blocks = len(model.backbone.blocks)
+            assert dense_rows == [20] * (8 * blocks + 2)
+            needs = [-(-(length + count) // BLOCK)
+                     for length, count in zip(lengths, counts)]
+            expected = [(len(counts[rows]), int(counts[rows].max()))
+                        for rows, _ in pc.partition_rows(needs)]
+            assert len(expected) >= 2 and sorted(w for _, w in expected)[-2:] == [1, 5]
+            assert query_shapes == expected * blocks
+            offsets = np.cumsum(counts) - counts
+            for row, twin in enumerate(twins):
+                for t, oracle in enumerate(twin.preview(fed[row])):
+                    np.testing.assert_allclose(logits[0, offsets[row] + t],
+                                               oracle, **ATOL)
+
+    def test_packed_rows_match_sequential_steps(self, model):
+        """Any counts in 1..5 over rows that split into length groups — a
+        forked pair (copy-on-write inside the step) and a row on shared
+        prefix blocks among them: row *i*'s logits are those of ``counts[i]``
+        sequential ``forward_incremental`` steps."""
+        vocab = model.tokenizer.vocab_size
+        head = _prompts(model, (2 * BLOCK,), seed=20)[0]
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=8, block_size=BLOCK,
+                                           extra_blocks=2)
+            cache = model.init_cache()
+            model.forward_incremental(np.asarray(head, dtype=np.int64)[None, :], cache)
+            shared = paged.register_blocks([layer.keys[0] for layer in cache.layers],
+                                           [layer.values[0] for layer in cache.layers])
+            refs = {block: 1 for block in shared}
+            twins = [_Twin(model, paged, prompt)
+                     for prompt in _prompts(model, (301, 11, 27), seed=21)]
+            twins.append(_Twin(model, paged, head + [3, 1, 4], shared_blocks=shared))
+            fork = copy.copy(twins[1])  # shares every block, partial tail too
+            fork.oracle = copy.deepcopy(twins[1].oracle)
+            fork.sid = paged.fork(twins[1].sid)
+            twins.append(fork)
+            ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
+            paged.check_invariants(external_refs=refs)
+
+        @settings(max_examples=25, deadline=None)
+        @given(counts=st.lists(st.integers(1, 5), min_size=len(twins),
+                               max_size=len(twins)),
+               seed=st.integers(0, 2**16))
+        def check(counts, seed):
+            rng = np.random.default_rng(seed)
+            fed = [rng.integers(0, vocab, size=count).tolist() for count in counts]
+            counts = np.asarray(counts, dtype=np.int64)
+            pool = copy.deepcopy(paged)  # every example steps the same pool
+            with no_grad():
+                logits = model.forward_step(_packed(fed), pool, ids,
+                                            counts=counts).data[0]
+                assert pool.attention_groups - paged.attention_groups >= 2
+                pool.check_invariants(external_refs=refs)
+                assert pool.table(fork.sid)[-1] != pool.table(twins[1].sid)[-1]
+                assert list(pool.table(twins[3].sid)[:2]) == shared
+                offsets = np.cumsum(counts) - counts
+                for row, twin in enumerate(twins):
+                    assert pool.length(twin.sid) == paged.length(twin.sid) + counts[row]
+                    for t, oracle in enumerate(twin.preview(fed[row])):
+                        np.testing.assert_allclose(logits[offsets[row] + t],
+                                                   oracle, **ATOL)
+
+        check()
 
 
 # ---------------------------------------------------------------------- #

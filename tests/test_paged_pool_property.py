@@ -106,25 +106,27 @@ class _Pools:
 
 
 def _assert_same_plan(a, b):
-    for name in ("session_ids", "write_blocks", "write_offsets", "row_index",
-                 "token_index", "positions"):
+    for name in ("session_ids", "write_blocks", "write_offsets", "positions"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
     assert len(a.groups) == len(b.groups)
-    for (rows, tables, mask), (rows_b, tables_b, mask_b) in zip(a.groups, b.groups):
-        assert type(rows) is type(rows_b)
-        assert np.array_equal(np.arange(len(a.session_ids))[rows],
-                              np.arange(len(b.session_ids))[rows_b])
-        np.testing.assert_array_equal(tables, tables_b)
-        assert (mask is None) == (mask_b is None)
-        if mask is not None:
-            np.testing.assert_array_equal(mask, mask_b)
+    packed = np.arange(len(a.positions))
+    for (tokens, *plan), (tokens_b, *plan_b) in zip(a.groups, b.groups):
+        assert type(tokens) is type(tokens_b)
+        np.testing.assert_array_equal(packed[tokens], packed[tokens_b])
+        for mine, theirs in zip(plan, plan_b):  # tables, mask, valid
+            assert (mine is None) == (theirs is None)
+            if mine is not None:
+                np.testing.assert_array_equal(mine, theirs)
+    # The groups' real tokens partition the packed array.
+    owned = np.concatenate([packed[tokens][... if valid is None else valid].ravel()
+                            for tokens, _, _, valid in a.groups])
+    assert sorted(owned.tolist()) == packed.tolist()
 
 
 def _write(pool, step, fed):
-    """What the attention layers do with a plan: scatter the valid tokens
-    (``fed[row][token]`` is the key of that query token)."""
-    keys = np.asarray([fed[row][token] for row, token
-                       in zip(step.row_index, step.token_index)], dtype=np.float64)
+    """What the attention layers do with a plan: scatter the packed tokens
+    as they come (``fed`` row after row is the key of each)."""
+    keys = np.asarray([key for row in fed for key in row], dtype=np.float64)
     keys = np.repeat(keys[:, None, None], 2, axis=2)  # (total, heads, head_dim)
     pool.layers[0].append_step(step.write_blocks, step.write_offsets, keys, -keys)
 

@@ -95,7 +95,7 @@ class TestPagedDecodeParity:
 
             tokens = [int(np.argmax(l)) for l in reference_logits]
             for _ in range(8):
-                out = model.forward_step(np.asarray(tokens), paged, sessions).data[:, -1, :]
+                out = model.forward_step(np.asarray(tokens), paged, sessions).data[0]
                 for row, cache in enumerate(reference_caches):
                     expected = model.forward_incremental(
                         np.asarray([[tokens[row]]], dtype=np.int64), cache).data[0, -1]
@@ -120,7 +120,7 @@ class TestPagedDecodeParity:
             def step(ids):
                 ids = np.asarray(sorted(ids), dtype=np.int64)
                 tokens = np.asarray([sessions[int(s)]["token"] for s in ids])
-                out = model.forward_step(tokens, paged, ids).data[:, -1, :]
+                out = model.forward_step(tokens, paged, ids).data[0]
                 for row, sid in enumerate(ids):
                     state = sessions[int(sid)]
                     expected = model.forward_incremental(
@@ -263,10 +263,19 @@ class TestPagedDecodeParity:
             with pytest.raises(ValueError, match="duplicate"):
                 model.forward_step(np.asarray([1, 2]), paged,
                                    np.asarray([sid, sid]))
-            with pytest.raises(ValueError, match="one token"):
+            with pytest.raises(ValueError, match="one token per session"):
                 model.backbone.forward_step(
-                    model.token_embedding(np.asarray([[1, 2]])), paged,
+                    model.token_embedding(np.asarray([1, 2])), paged,
                     np.asarray([sid]))
+            with pytest.raises(ValueError, match="3 packed tokens for a step "
+                                                 "that feeds 2"):
+                model.forward_step(np.asarray([1, 2, 3]), paged,
+                                   np.asarray([sid]), counts=np.asarray([2]))
+            with pytest.raises(ValueError, match="at least one token"):
+                model.forward_step(np.asarray([], dtype=np.int64), paged,
+                                   np.asarray([sid]), counts=np.asarray([0]))
+            assert paged.length(sid) == 2  # every refusal left the pool alone
+            paged.check_invariants()
 
     def test_forward_step_respects_max_seq_len(self):
         config = LLMConfig(name="cap", family="test", d_model=32, num_layers=1,
@@ -312,7 +321,7 @@ class TestPagedDecodeParity:
             # Diverge: feed different tokens to original and fork.
             token_a, token_b = 3, 9
             out = model.forward_step(np.asarray([token_a, token_b]), paged,
-                                     np.asarray([sid_a, sid_b])).data[:, -1, :]
+                                     np.asarray([sid_a, sid_b])).data[0]
             # Copy-on-write split the shared tail block.
             assert paged.table(sid_b)[-1] != paged.table(sid_a)[-1]
             assert paged.table(sid_b)[:-1] == paged.table(sid_a)[:-1]
@@ -329,7 +338,7 @@ class TestPagedDecodeParity:
                 token_a = int(np.argmax(expected_a))
                 token_b = int(np.argmax(expected_b))
                 out = model.forward_step(np.asarray([token_a, token_b]), paged,
-                                         np.asarray([sid_a, sid_b])).data[:, -1, :]
+                                         np.asarray([sid_a, sid_b])).data[0]
                 expected_a = model.forward_incremental(
                     np.asarray([[token_a]], dtype=np.int64), cache_a).data[0, -1]
                 expected_b = model.forward_incremental(
@@ -394,7 +403,7 @@ class TestPagedStressParity:
                         continue
                     ids = np.asarray(sorted(live), dtype=np.int64)
                     tokens = np.asarray([live[int(s)]["token"] for s in ids])
-                    out = model.forward_step(tokens, paged, ids).data[:, -1, :]
+                    out = model.forward_step(tokens, paged, ids).data[0]
                     for row, sid in enumerate(ids):
                         state = live[int(sid)]
                         expected = model.forward_incremental(
@@ -1840,7 +1849,7 @@ class TestChunkedPrefill:
                 ids = np.asarray([sid_ref, sid_chunked], dtype=np.int64)
                 for _ in range(6):
                     out = model.forward_step(np.asarray([token, token]),
-                                             paged, ids).data[:, -1, :]
+                                             paged, ids).data[0]
                     np.testing.assert_allclose(out[1], out[0], atol=1e-9,
                                                rtol=0, err_msg=f"chunk={chunk}")
                     token = int(np.argmax(out[0]))
@@ -1871,7 +1880,7 @@ class TestChunkedPrefill:
             ref_part, _ = _prefill(model, prompt[:6])
             for token in (3, 7):
                 out = model.forward_step(np.asarray([token, token]), paged,
-                                         np.asarray([sid, clone])).data[:, -1, :]
+                                         np.asarray([sid, clone])).data[0]
                 exp_full = model.forward_incremental(
                     np.asarray([[token]], dtype=np.int64), ref_full).data[0, -1]
                 exp_part = model.forward_incremental(
@@ -2229,7 +2238,7 @@ def _decode_against_oracles(model, paged, ids, caches, tokens, steps):
     sequential ``forward_incremental`` cache.  ``tokens`` is advanced in place."""
     for _ in range(steps):
         out = model.forward_step(np.asarray(tokens), paged,
-                                 np.asarray(ids, dtype=np.int64)).data[:, -1, :]
+                                 np.asarray(ids, dtype=np.int64)).data[0]
         for row, cache in enumerate(caches):
             expected = model.forward_incremental(
                 np.asarray([[tokens[row]]], dtype=np.int64), cache).data[0, -1]

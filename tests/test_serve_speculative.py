@@ -269,17 +269,16 @@ class TestMultiStepSubstrate:
                     np.asarray([rid], dtype=np.int64)).data[0, -1, :]
                 ref_logits[sid].append(out)
         # Ragged multi-token verification forward: both rows in one call.
+        # The rows' tokens packed back to back: 4 + 2, nothing padded.
         counts = np.asarray([4, 2], dtype=np.int64)
-        tokens = np.asarray([feeds[sid_a],
-                             feeds[sid_b] + [feeds[sid_b][-1]] * 2],
-                            dtype=np.int64)
+        tokens = np.asarray(feeds[sid_a] + feeds[sid_b], dtype=np.int64)
         logits = model.forward_step(tokens, cache,
                                     np.asarray([sid_a, sid_b], dtype=np.int64),
                                     counts=counts).data
-        for row, sid in enumerate((sid_a, sid_b)):
-            for t in range(int(counts[row])):
-                np.testing.assert_allclose(logits[row, t, :],
-                                           ref_logits[sid][t],
+        assert logits.shape[:2] == (1, 6)
+        for offset, sid in ((0, sid_a), (4, sid_b)):
+            for t, expected in enumerate(ref_logits[sid]):
+                np.testing.assert_allclose(logits[0, offset + t, :], expected,
                                            rtol=1e-5, atol=1e-6)
         cache.check_invariants()
 

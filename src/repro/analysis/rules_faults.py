@@ -34,8 +34,8 @@ from .walker import Project, SourceFile
 CATALOG_NAME = "FAULT_SITES"
 
 #: Callable names whose first string-literal argument is a fault site:
-#: ``self._faults.fire("decode.step")`` and the paged cache's injected
-#: ``self.fault_hook("kv.admit")``.
+#: ``self._faults.fire("decode.step")``, and ``self.fault_hook("kv.admit")``
+#: for an object handed the injector's ``fire`` as a bare hook.
 _FIRE_NAMES = {"fire", "fault_hook"}
 
 

@@ -454,7 +454,7 @@ def _optional_self_attrs(cls: ast.ClassDef) -> Dict[str, int]:
 
     Three declaration shapes count:
 
-    * a class-body ``attr = None`` (e.g. ``PagedKVCache.fault_hook``),
+    * a class-body ``attr = None`` (e.g. a ``fault_hook`` class default),
     * ``self.attr: Optional[X] = ...`` (e.g. the engine's ``_trace``),
     * ``self.attr = param`` where the method parameter is annotated
       ``Optional[X]`` / ``X | None`` (e.g. the session manager's

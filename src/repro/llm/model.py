@@ -128,7 +128,9 @@ class LanguageModel(Module):
         ``t`` is at ``[0, offset_i + t]`` and matches the ``t``-th of
         ``counts[i]`` sequential :meth:`forward_incremental` steps on the
         session alone.  Plain decode is the all-ones step, spelled
-        ``counts=None`` with one token per session.
+        ``counts=None`` with one token per session; a prompt is prefilled by
+        the same call — ``counts[i]`` of its tokens on a session opened empty
+        (:meth:`~repro.nn.PagedKVCache.open_session`) or partly filled.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
         embeddings = self.token_embedding(token_ids)

@@ -41,11 +41,14 @@ the same plan (the step's table matrix itself, no further copy).
 ``key_positions_gathered`` / ``key_positions_live`` count what the padding
 that remains costs.
 
-Sessions need not be admitted fully prefilled: :meth:`PagedKVCache.admit_rows`
-accepts a partial prompt (``lengths`` shorter than the prefilled history) and
-:meth:`PagedKVCache.extend_session` scatters each further **prefill chunk**
-into the session's blocks, growing its table incrementally — the substrate
-for chunked prefill interleaved with decode steps.
+A session starts empty (:meth:`PagedKVCache.open_session`, or on a cached
+prompt head's blocks, mapped by reference) and every token it ever holds is
+written by a step: a **prefill chunk** is a row of the one plan with
+``counts[i] = take``, beside rows that take other amounts at other lengths.
+:meth:`PagedKVCache.admit_rows`, :meth:`PagedKVCache.extend_session` and
+:meth:`PagedKVCache.register_blocks` import a contiguous
+:class:`~repro.nn.attention.KVCache` computed elsewhere (the sequential
+oracle of the tests) through that same plan, so the pool has one writer.
 
 There is one step plan.  Because the block tables already are a matrix, a
 step's padded gather tables are ``table[rows, :width]`` — one fancy index, read
@@ -173,17 +176,22 @@ class BlockAllocator:
     def blocks_free(self) -> int:
         return self.num_blocks - self._in_use
 
+    def require(self, count: int) -> None:
+        """Raise the pool's one exhaustion error unless ``count`` blocks are free."""
+        if count > self.blocks_free:
+            raise RuntimeError(
+                f"out of KV-cache blocks ({count} needed, {self.blocks_free} of "
+                f"{self.num_blocks} x {self.block_size} tokens free); evict a "
+                f"session first")
+
     def allocate(self) -> int:
         """Hand out one block (refcount 1), reusing freed ids lowest-first."""
+        self.require(1)
         if self._free:
             block = self._free.pop()
-        elif self._next < self.num_blocks:
+        else:
             block = self._next
             self._next += 1
-        else:
-            raise RuntimeError(
-                f"out of KV-cache blocks ({self.num_blocks} x {self.block_size} "
-                f"tokens all in use); evict a session first")
         self.refcounts[block] = 1
         self._in_use += 1
         return block
@@ -241,21 +249,6 @@ class PagedLayerKVCache:
             values[:self._values.shape[0]] = self._values
         self._keys, self._values = keys, values
 
-    def write_blocks(self, block_ids: Sequence[int], keys: np.ndarray,
-                     values: np.ndarray) -> None:
-        """Lay a contiguous ``(heads, length, head_dim)`` history out in blocks.
-
-        ``block_ids[j]`` receives tokens ``[j*block_size, (j+1)*block_size)``;
-        the final block may be partially filled.
-        """
-        block_size = self._keys.shape[2]
-        length = keys.shape[1]
-        for j, block in enumerate(block_ids):
-            start = j * block_size
-            took = min(block_size, length - start)
-            self._keys[block, :, :took] = keys[:, start:start + took]
-            self._values[block, :, :took] = values[:, start:start + took]
-
     def copy_block(self, source: int, target: int) -> None:
         """Clone a block's contents (the copy half of copy-on-write)."""
         self._keys[target] = self._keys[source]
@@ -275,7 +268,7 @@ class PagedLayerKVCache:
     def read_blocks(self, block_ids: Sequence[int]
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Contiguous ``(heads, len(block_ids)*block_size, head_dim)`` copies
-        of the listed blocks' K/V (the inverse of :meth:`write_blocks`)."""
+        of the listed blocks' K/V (tests read a session's history back with it)."""
         index = np.asarray(block_ids, dtype=np.int64)
         _, heads, block_size, head_dim = self._keys.shape
         keys = self._keys[index].transpose(1, 0, 2, 3).reshape(
@@ -439,25 +432,26 @@ class PagedKVCache:
     never reused; the row of an evicted session is.  A batch's padded gather
     tables are therefore ``_table[rows, :width]``, read afresh each step.
 
-    Sharing: :meth:`admit` can map already-filled blocks (a cached prompt
-    prefix) into a new session's table, and :meth:`fork` clones a whole
+    Sharing: :meth:`open_session` maps already-filled blocks (a cached prompt
+    head) into a new session's table, and :meth:`fork` clones a whole
     session, both by bumping block refcounts instead of copying.  Any write
     into a block with refcount > 1 triggers copy-on-write before the step
-    that writes it (:meth:`prepare_step` / :meth:`prepare_multi_step` /
-    :meth:`extend_session`, one routine), so sharing is invisible to
-    correctness.
+    that writes it (:meth:`_grow`, inside the one plan), so sharing is
+    invisible to correctness.
+
+    ``num_heads`` / ``head_dim`` / ``dtype`` are the K/V shape the pool stores
+    (:meth:`~repro.nn.TransformerBackbone.init_paged_cache` gives them); a
+    pool built without them learns them from the first cache it imports.
     """
 
-    #: Optional chaos hook (``FaultInjector.fire``): called at the named
-    #: fault sites ``kv.admit`` / ``kv.extend`` before any pool mutation, so
-    #: an injected fault never leaves partially-admitted state behind.  None
-    #: (the class default) costs one attribute check per call.
-    fault_hook = None
-
     def __init__(self, num_layers: int, max_blocks: int,
-                 block_size: int = DEFAULT_BLOCK_SIZE) -> None:
+                 block_size: int = DEFAULT_BLOCK_SIZE,
+                 num_heads: Optional[int] = None, head_dim: Optional[int] = None,
+                 dtype: Optional[np.dtype] = None) -> None:
         if num_layers < 1:
             raise ValueError("num_layers must be >= 1")
+        self._kv_dims = (None if num_heads is None
+                         else (num_heads, head_dim, np.dtype(dtype)))
         self.allocator = BlockAllocator(max_blocks, block_size)
         self.layers: List[PagedLayerKVCache] = [
             PagedLayerKVCache() for _ in range(num_layers)]
@@ -529,22 +523,19 @@ class PagedKVCache:
         return -(-length // self.block_size)
 
     # ------------------------------------------------------------------ #
-    def _ensure_storage(self, heads: int, head_dim: int, dtype: np.dtype) -> None:
+    def _ensure_storage(self) -> None:
+        if self._kv_dims is None:
+            raise RuntimeError("paged cache was built without K/V dims and has "
+                               "imported no session to learn them from")
+        heads, head_dim, dtype = self._kv_dims
         for layer in self.layers:
             layer.ensure(self.allocator.high_water, heads, self.block_size,
                          head_dim, dtype)
 
     def _allocate_many(self, count: int) -> List[int]:
-        """Allocate ``count`` blocks atomically (roll back on exhaustion)."""
-        blocks: List[int] = []
-        try:
-            for _ in range(count):
-                blocks.append(self.allocator.allocate())
-        except RuntimeError:
-            for block in blocks:
-                self.allocator.release(block)
-            raise
-        return blocks
+        """Allocate ``count`` blocks, all or nothing."""
+        self.allocator.require(count)
+        return [self.allocator.allocate() for _ in range(count)]
 
     def _reserve(self, rows: int, width: int) -> None:
         """Grow the table matrix geometrically to at least ``rows x width``."""
@@ -562,10 +553,24 @@ class PagedKVCache:
             self._length = np.concatenate([self._length, spare])
             self._free_rows.extend(range(rows - 1, have_rows - 1, -1))
 
-    def _open(self, blocks: Sequence[int], length: int) -> int:
-        """Enter a session holding ``blocks`` (references already taken) and
-        ``length`` tokens under the next id; return the id."""
-        self._reserve(len(self._rows) + 1, len(blocks))  # a free row exists
+    def open_session(self, shared_blocks: Sequence[int] = (),
+                     length: int = 0) -> int:
+        """Enter a session under the next id; return the id.
+
+        With no arguments the session is empty: it holds no block until its
+        first step writes one.  ``shared_blocks`` are already-filled blocks —
+        a cached prompt head's, a sibling's — mapped into the new table by
+        reference, holding ``length`` tokens between them (the last one may
+        be partly filled; the first write into it copies it first).
+        """
+        blocks = list(shared_blocks)
+        if len(blocks) != self.blocks_needed(length):
+            raise ValueError(f"{len(blocks)} shared blocks cannot hold exactly "
+                             f"{length} tokens (block size {self.block_size})")
+        for block in blocks:
+            self.allocator.share(block)
+        # A free row exists afterwards; one column, so an empty row has a table.
+        self._reserve(len(self._rows) + 1, max(1, len(blocks)))
         row = self._free_rows.pop()
         self._table[row, :len(blocks)] = blocks
         self._nblocks[row] = len(blocks)
@@ -574,22 +579,31 @@ class PagedKVCache:
         self._rows[session_id] = row
         return session_id
 
+    # ------------------------------------------------------------------ #
+    # Importing a contiguous cache.  The served path never does: its prompts
+    # are written by ``forward_step``.  These lay a history computed elsewhere
+    # (the tests' sequential oracle) into blocks through the same plan.
+    # ------------------------------------------------------------------ #
+    def _import(self, session_id: int, history: Sequence[Tuple[np.ndarray, np.ndarray]],
+                new_length: int) -> None:
+        """Append tokens ``[length(session_id), new_length)`` of ``history`` —
+        per layer the ``(heads, tokens, head_dim)`` keys and values of one
+        session — as a one-row step would have written them."""
+        old = self.length(session_id)
+        if self._kv_dims is None:
+            heads, _, head_dim = history[0][0].shape
+            self._kv_dims = (heads, head_dim, history[0][0].dtype)
+        ids, counts = np.asarray([session_id]), np.asarray([new_length - old])
+        step = self._plan(ids, counts, attended=False)
+        for layer, (keys, values) in zip(self.layers, history):
+            layer.append_step(step.write_blocks, step.write_offsets,
+                              keys[:, old:new_length].swapaxes(0, 1),
+                              values[:, old:new_length].swapaxes(0, 1))
+        self._advance(ids, counts)
+
     def admit(self, cache: KVCache, row: int = 0, length: Optional[int] = None,
               shared_blocks: Sequence[int] = ()) -> int:
-        """Map one prefilled session into the pool; return its session id.
-
-        ``cache`` is the single-session :class:`KVCache` the prompt was
-        prefilled through; ``row`` selects the session when several prompts
-        were prefilled together.  ``length`` trims a right-padded batched
-        prefill to the session's true history (default: the full cache
-        length).  ``shared_blocks`` maps already-filled *full* blocks — a
-        cached common prefix — into the head of the new session's table
-        without copying; ``cache`` must still contain the complete history
-        (prefix included) so the fresh tail can be copied from it.
-        """
-        template = cache.layers[0].keys if cache.layers else None
-        if template is not None and not 0 <= row < template.shape[0]:
-            raise ValueError(f"row {row} outside prefilled batch of {template.shape[0]}")
+        """:meth:`admit_rows` for one row of ``cache``; returns its session id."""
         return self.admit_rows(cache, rows=[row],
                                lengths=None if length is None else [length],
                                shared_blocks=shared_blocks)[0]
@@ -597,144 +611,78 @@ class PagedKVCache:
     def admit_rows(self, cache: KVCache, rows: Optional[Sequence[int]] = None,
                    lengths: Optional[Sequence[int]] = None,
                    shared_blocks: Sequence[int] = ()) -> List[int]:
-        """Map several rows of one batched prefill into the pool at once.
+        """Open one session per listed row of a prefilled ``cache``.
 
-        The whole group's fresh key/value history is laid out into blocks
-        with one scatter per layer (instead of per-session per-block copies),
-        which is what keeps ragged batched admission cheap.  ``lengths[i]``
-        trims row ``rows[i]`` of the (right-padded) prefill to its true
-        history; ``shared_blocks`` is prepended to every admitted session's
-        table by reference (see :meth:`admit`).  Returns the session ids in
-        row order.
+        ``lengths[i]`` trims row ``rows[i]`` of a right-padded batched prefill
+        to its true history (default: the cache's full length).
+        ``shared_blocks`` — already-filled *full* blocks, a common head — go
+        at the front of every table by reference; ``cache`` must still hold
+        the complete history so the rest can be copied from it.  All or
+        nothing: on exhaustion no session is opened and no id is spent.
+        Returns the session ids in row order.
         """
-        if self.fault_hook is not None:
-            self.fault_hook("kv.admit")
-        if cache.num_layers != self.num_layers:
-            raise ValueError(
-                f"session cache has {cache.num_layers} layers but the paged "
-                f"cache has {self.num_layers}")
         full = cache.seq_len
         if full < 1:
             raise ValueError("cannot admit an empty session cache; prefill first")
-        batch = cache.layers[0].keys.shape[0]
-        rows = list(range(batch)) if rows is None else list(rows)
-        if not rows:
-            return []
-        for row in rows:
-            if not 0 <= row < batch:
-                raise ValueError(f"row {row} outside prefilled batch of {batch}")
-        lengths = [full] * len(rows) if lengths is None else list(lengths)
-        if len(lengths) != len(rows):
-            raise ValueError(f"{len(lengths)} lengths for {len(rows)} rows")
+        if rows is None:
+            rows = range(cache.layers[0].keys.shape[0])
+        histories = [self._row_history(cache, row) for row in rows]
+        lengths = [full] * len(histories) if lengths is None else list(lengths)
+        if len(lengths) != len(histories):
+            raise ValueError(f"{len(lengths)} lengths for {len(histories)} rows")
         shared = list(shared_blocks)
         shared_len = len(shared) * self.block_size
         for length in lengths:
-            if not 1 <= length <= full:
-                raise ValueError(f"length {length} outside prefilled range 1..{full}")
-            if shared_len >= length:
+            if not shared_len < length <= full:
                 raise ValueError(
-                    f"{len(shared)} shared blocks cover {shared_len} tokens but "
-                    f"the session is only {length} long; at least one fresh "
-                    f"token is required")
-        template = cache.layers[0].keys
-        block_size = self.block_size
-
-        fresh_counts = [self.blocks_needed(length - shared_len) for length in lengths]
-        fresh = self._allocate_many(sum(fresh_counts))
-        for _ in rows:
-            for block in shared:
-                self.allocator.share(block)
-        self._ensure_storage(template.shape[1], template.shape[3], template.dtype)
-
-        # One scatter per layer: gather the group's fresh token range, pad it
-        # to whole blocks, fold into (row, block, heads, block_size, head_dim)
-        # and write every session's blocks with a single fancy index.
-        rows_index = np.asarray(rows, dtype=np.int64)
-        max_blocks = max(fresh_counts)
-        padded_len = max_blocks * block_size
-        valid = np.zeros((len(rows), max_blocks), dtype=bool)
-        for i, count in enumerate(fresh_counts):
-            valid[i, :count] = True
-        targets = np.asarray(fresh, dtype=np.int64)
-        n, heads, _, head_dim = template.shape
-        for source, layer in zip(cache.layers, self.layers):
-            for source_array, storage in ((source.keys, layer._keys),
-                                          (source.values, layer._values)):
-                chunk = source_array[rows_index, :, shared_len:shared_len + padded_len]
-                take = chunk.shape[2]
-                folded = np.zeros((len(rows), heads, padded_len, head_dim),
-                                  dtype=chunk.dtype)
-                folded[:, :, :take] = chunk
-                folded = folded.reshape(len(rows), heads, max_blocks, block_size,
-                                        head_dim).transpose(0, 2, 1, 3, 4)
-                storage[targets] = folded[valid]
-
+                    f"length {length} outside {shared_len + 1}..{full}: the "
+                    f"{len(shared)} shared blocks, then at least one fresh "
+                    f"token of the prefilled history")
+        self.allocator.require(sum(self.blocks_needed(length - shared_len)
+                                   for length in lengths))
         session_ids = []
-        offset = 0
-        for length, count in zip(lengths, fresh_counts):
-            session_ids.append(
-                self._open(shared + fresh[offset:offset + count], length))
-            offset += count
+        for history, length in zip(histories, lengths):
+            session_ids.append(self.open_session(shared, shared_len))
+            self._import(session_ids[-1], history, length)
         return session_ids
 
-    def extend_session(self, session_id: int, cache: KVCache, row: int = 0,
-                       new_length: Optional[int] = None) -> None:
-        """Scatter the next prefill chunk of a partially admitted session.
-
-        ``cache`` is the session's resumable single-session prefill cache: it
-        holds the full history computed so far (shared prefix head included),
-        of which tokens ``[length(session_id), new_length)`` are new and get
-        laid out into the session's blocks — filling the partially used tail
-        block first, then appending fresh blocks.  ``new_length`` defaults to
-        the cache's full length.  A shared tail block (a forked sibling) is
-        copy-on-write split before the chunk lands in it, by the
-        routine that does it for decode writes (:meth:`_grow`).
-        """
-        if self.fault_hook is not None:
-            self.fault_hook("kv.extend")
-        table_row = self._row(session_id)
+    def _row_history(self, cache: KVCache, row: int
+                     ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Row ``row`` of a prefilled contiguous cache, as :meth:`_import`
+        takes it."""
         if cache.num_layers != self.num_layers:
             raise ValueError(
                 f"session cache has {cache.num_layers} layers but the paged "
                 f"cache has {self.num_layers}")
-        old = int(self._length[table_row])
-        full = cache.seq_len
+        batch = cache.layers[0].keys.shape[0]
+        if not 0 <= row < batch:
+            raise ValueError(f"row {row} outside prefilled batch of {batch}")
+        return [(layer.keys[row], layer.values[row]) for layer in cache.layers]
+
+    def extend_session(self, session_id: int, cache: KVCache, row: int = 0,
+                       new_length: Optional[int] = None) -> None:
+        """Append what row ``row`` of ``cache`` holds past the session's length.
+
+        ``cache`` holds the session's full history so far (shared head
+        included); tokens ``[length(session_id), new_length)`` are new
+        (``new_length`` defaults to the cache's full length).
+        """
+        old, full = self.length(session_id), cache.seq_len
         new_length = full if new_length is None else new_length
         if not old < new_length <= full:
             raise ValueError(
                 f"cannot extend session {session_id} from {old} to "
                 f"{new_length} tokens (prefilled history holds {full})")
-        template = cache.layers[0].keys
-        if not 0 <= row < template.shape[0]:
-            raise ValueError(f"row {row} outside prefilled batch of "
-                             f"{template.shape[0]}")
-        block_size = self.block_size
-        self._grow(np.asarray([table_row]), np.asarray([old]), np.asarray([new_length]))
-        table = self._table[table_row, :self._nblocks[table_row]].tolist()
-        for source, layer in zip(cache.layers, self.layers):
-            for source_array, storage in ((source.keys, layer._keys),
-                                          (source.values, layer._values)):
-                history = source_array[row]
-                position, index = old, old // block_size
-                while position < new_length:
-                    offset = position % block_size
-                    took = min(block_size - offset, new_length - position)
-                    storage[table[index], :, offset:offset + took] = \
-                        history[:, position:position + took]
-                    position += took
-                    index += 1
-        self._length[table_row] = new_length
+        self._import(session_id, self._row_history(cache, row), new_length)
 
     def register_blocks(self, keys_per_layer: Sequence[np.ndarray],
                         values_per_layer: Sequence[np.ndarray]) -> List[int]:
         """Fill fresh blocks with a block-aligned history owned by the caller.
 
-        ``keys_per_layer[l]``/``values_per_layer[l]`` are contiguous
-        ``(heads, length, head_dim)`` arrays with ``length`` a multiple of
-        the block size.  Used by the shared-prefix cache to park a common
-        prompt head in the pool outside any session; sessions then map the
-        returned blocks via :meth:`admit`'s ``shared_blocks``.  The caller
-        holds one reference per block until :meth:`release_blocks`.
+        ``keys_per_layer[l]`` / ``values_per_layer[l]`` are contiguous
+        ``(heads, length, head_dim)`` arrays, ``length`` a positive multiple
+        of the block size.  They become a session that is detached at once
+        (:meth:`detach`), so the caller keeps one reference per block.
         """
         if len(keys_per_layer) != self.num_layers:
             raise ValueError(f"expected {self.num_layers} layers of keys, "
@@ -743,19 +691,26 @@ class PagedKVCache:
         if length < 1 or length % self.block_size:
             raise ValueError(f"registered history length {length} must be a "
                              f"positive multiple of block size {self.block_size}")
-        blocks = self._allocate_many(length // self.block_size)
-        template = keys_per_layer[0]
-        for layer in self.layers:
-            layer.ensure(self.allocator.high_water, template.shape[0],
-                         self.block_size, template.shape[2], template.dtype)
-        for layer, keys, values in zip(self.layers, keys_per_layer, values_per_layer):
-            layer.write_blocks(blocks, keys, values)
+        self.allocator.require(length // self.block_size)
+        owner = self.open_session()
+        self._import(owner, list(zip(keys_per_layer, values_per_layer)), length)
+        return list(self.detach(owner))
+
+    # ------------------------------------------------------------------ #
+    def detach(self, session_id: int) -> Tuple[int, ...]:
+        """End a session but keep its blocks: the caller now holds one
+        reference on each (a prompt head parked outside any session) until
+        :meth:`release_blocks`."""
+        blocks = self.table(session_id)
+        for block in blocks:
+            self.allocator.share(block)
+        self.evict(session_id)
         return blocks
 
     def release_blocks(self, block_ids: Sequence[int]) -> None:
         """Drop one reference on each block — the caller's, on blocks from
-        :meth:`register_blocks`; a session's, when its table lets go of them.
-        A block that frees is re-zeroed (see :class:`PagedLayerKVCache`)."""
+        :meth:`detach`; a session's, when its table lets go of them.  A block
+        that frees is re-zeroed (see :class:`PagedLayerKVCache`)."""
         for block in block_ids:
             if self.allocator.release(block):
                 for layer in self.layers:
@@ -763,10 +718,7 @@ class PagedKVCache:
 
     def fork(self, session_id: int) -> int:
         """Clone a session by sharing its blocks (copy-on-write protected)."""
-        blocks = self.table(session_id)
-        for block in blocks:
-            self.allocator.share(block)
-        return self._open(blocks, self.length(session_id))
+        return self.open_session(self.table(session_id), self.length(session_id))
 
     def evict(self, session_id: int) -> None:
         """Release a session's blocks back to the pool."""
@@ -780,12 +732,6 @@ class PagedKVCache:
         self._free_rows.append(row)
 
     # ------------------------------------------------------------------ #
-    def _template_dims(self) -> Tuple[int, int, np.dtype]:
-        template = self.layers[0]._keys
-        if template is None:
-            raise RuntimeError("paged cache has no admitted sessions")
-        return template.shape[1], template.shape[3], template.dtype
-
     def _grow(self, rows: np.ndarray, lengths: np.ndarray,
               totals: np.ndarray) -> List[int]:
         """Ready the tables of ``rows`` for writes up to ``totals`` tokens;
@@ -801,6 +747,8 @@ class PagedKVCache:
         block_size = self.block_size
         have = self._nblocks[rows]
         needs = (totals + (block_size - 1)) // block_size
+        # An empty row has no tail block: column -1 is read in its place and
+        # dropped below with the full tails (length 0 fills no block partly).
         tails = self._table[rows, have - 1]
         split = self.allocator.refcounts[tails] > 1
         # The common step moves no table; for a few dozen rows, finding that
@@ -811,7 +759,7 @@ class PagedKVCache:
         split &= lengths % block_size != 0  # a full tail takes no write
         fresh_needed = needs - have + split
         fresh = self._allocate_many(int(fresh_needed.sum()))
-        self._ensure_storage(*self._template_dims())
+        self._ensure_storage()
         self._reserve(0, max(needs_list))
         taken = 0
         for i in np.flatnonzero(fresh_needed).tolist():
@@ -829,25 +777,21 @@ class PagedKVCache:
         self._nblocks[rows] = needs
         return needs_list
 
-    def _counted(self, step: PagedStepContext, live: int) -> PagedStepContext:
-        """Count what ``step``'s attention will read (per layer); ``live`` is
-        the sum of its rows' own windows."""
-        self.key_positions_gathered += self.block_size * sum(
-            tables.size for _, tables, _, _ in step.groups)
-        self.key_positions_live += live
-        self.attention_groups += len(step.groups)
-        return step
-
-    def _plan(self, session_ids: np.ndarray,
-              counts: np.ndarray) -> PagedStepContext:
+    def _plan(self, session_ids: np.ndarray, counts: np.ndarray,
+              limit: Optional[int] = None, attended: bool = True) -> PagedStepContext:
         """The one step plan: row *i* will write ``counts[i] >= 1`` new tokens.
 
         Decode is ``counts == 1``; a verification row feeds its pending
-        sampled token plus its drafts.  Grows and copy-on-write splits the
-        tables first (:meth:`_grow` — atomic on exhaustion, and before any
-        write), then reads the batch's padded tables straight off the table
-        matrix and lays out, per packed token, its position (also its causal
-        cutoff) and where it lands, and per length group the query index.
+        sampled token plus its drafts; a prefill row feeds the next
+        ``counts[i]`` tokens of its prompt, from whatever length it stands at
+        (0 for a row just opened).  A step that would take any row past
+        ``limit`` tokens is refused before anything is touched.  Grows and
+        copy-on-write splits the tables first (:meth:`_grow` — atomic on
+        exhaustion, and before any write), then reads the batch's padded
+        tables straight off the table matrix and lays out, per packed token,
+        its position (also its causal cutoff) and where it lands, and per
+        length group the query index.  ``attended`` is False for an import,
+        whose tokens no attention reads: it is left out of the counters.
         """
         session_ids = np.asarray(session_ids, dtype=np.int64)
         counts = np.asarray(counts, dtype=np.int64)
@@ -859,17 +803,26 @@ class PagedKVCache:
         rows = self._batch_rows(session_ids)
         lengths = self._length[rows]
         totals = lengths + counts
+        if limit is not None and int(totals.max()) > limit:
+            raise ValueError(f"sequence length {int(totals.max())} exceeds "
+                             f"maximum {limit}")
         needs = self._grow(rows, lengths, totals)
         tables = self._table[rows, :max(needs)]
         positions = lengths[row_of] + place_of
         blocks, write_offsets = np.divmod(positions, self.block_size)
-        return self._counted(
-            PagedStepContext(
-                session_ids,
-                _length_groups(tables, needs, counts, index, valid, positions,
-                               self.block_size),
-                tables[row_of, blocks], write_offsets, positions),
-            int(totals.sum()))
+        step = PagedStepContext(
+            session_ids,
+            _length_groups(tables, needs, counts, index, valid, positions,
+                           self.block_size),
+            tables[row_of, blocks], write_offsets, positions)
+        if attended:
+            # What the step's attention will read, per layer: every group's
+            # rows x its padded width, against the rows' own windows.
+            self.key_positions_gathered += self.block_size * sum(
+                tables.size for _, tables, _, _ in step.groups)
+            self.key_positions_live += int(totals.sum())
+            self.attention_groups += len(step.groups)
+        return step
 
     def _advance(self, session_ids: np.ndarray, counts) -> None:
         """The one commit: lengths move once every layer has written."""
@@ -878,16 +831,19 @@ class PagedKVCache:
     # The four public spellings of the plan and the commit.  Each calls the
     # body directly, never another spelling: ``bench/trace.py`` times them by
     # name, and a nested call would be counted twice.
-    def prepare_step(self, session_ids: np.ndarray) -> PagedStepContext:
+    def prepare_step(self, session_ids: np.ndarray,
+                     limit: Optional[int] = None) -> PagedStepContext:
         """Plan one new token on each listed session: :meth:`prepare_multi_step`
         with every count 1."""
-        return self._plan(session_ids, np.ones(len(session_ids), dtype=np.int64))
+        return self._plan(session_ids, np.ones(len(session_ids), dtype=np.int64),
+                          limit)
 
-    def prepare_multi_step(self, session_ids: np.ndarray,
-                           counts: np.ndarray) -> PagedStepContext:
-        """Plan a ragged multi-token step (see :meth:`_plan`): allocates and
-        copy-on-writes all or nothing, returns the gather/scatter plan."""
-        return self._plan(session_ids, counts)
+    def prepare_multi_step(self, session_ids: np.ndarray, counts: np.ndarray,
+                           limit: Optional[int] = None) -> PagedStepContext:
+        """Plan a ragged multi-token step (see :meth:`_plan`): refuses a row
+        past ``limit`` tokens, allocates and copy-on-writes all or nothing,
+        returns the gather/scatter plan."""
+        return self._plan(session_ids, counts, limit)
 
     def commit_step(self, session_ids: np.ndarray) -> None:
         """Advance each listed session by the one token its layers wrote."""

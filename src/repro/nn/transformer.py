@@ -147,7 +147,11 @@ class TransformerBackbone(Module):
     def init_paged_cache(self, max_blocks: int,
                          block_size: int = DEFAULT_BLOCK_SIZE) -> PagedKVCache:
         """Return an empty paged multi-session KV cache for this backbone."""
-        return PagedKVCache(len(self.blocks), max_blocks, block_size=block_size)
+        attention = self.blocks[0].attention
+        return PagedKVCache(len(self.blocks), max_blocks, block_size=block_size,
+                            num_heads=attention.num_heads,
+                            head_dim=attention.head_dim,
+                            dtype=self.position_embedding.data.dtype)
 
     def forward_step(self, embeddings: Tensor, cache: PagedKVCache,
                      session_ids: np.ndarray,
@@ -171,8 +175,11 @@ class TransformerBackbone(Module):
         Plain decode is the all-ones step and is spelled ``counts=None``
         (``embeddings`` then ``(n, d_model)``); a speculative verification
         row feeds its pending sampled token plus its drafts, and the caller
-        rolls rejected tokens back via :meth:`PagedKVCache.truncate_session`.
-        Both run the same plan, the same forward and the same commit.
+        rolls rejected tokens back via :meth:`PagedKVCache.truncate_session`;
+        a prefill row feeds the next ``counts[i]`` tokens of its prompt, from
+        length 0 if it was just opened.  All run the same plan, the same
+        forward and the same commit.  A step that would take a session past
+        ``max_seq_len`` is refused before the pool is touched.
         """
         session_ids = np.asarray(session_ids, dtype=np.int64)
         tokens, d_model = embeddings.shape
@@ -188,15 +195,10 @@ class TransformerBackbone(Module):
                              f"{expected} (one token per session unless "
                              f"counts says otherwise)")
         # One plan and one commit under two names each, kept apart only so the
-        # benchmark's trace still tells a decode step from a verify step.
-        step = (cache.prepare_step(session_ids) if counts is None
-                else cache.prepare_multi_step(session_ids, counts))
-        worst = int(step.positions.max()) + 1
-        if worst > self.max_seq_len:
-            # Refused with nothing written: hand back what the plan appended.
-            for sid in session_ids.tolist():
-                cache.truncate_session(sid, cache.length(sid))
-            raise ValueError(f"sequence length {worst} exceeds maximum {self.max_seq_len}")
+        # benchmark's trace still tells a decode step from a verify step.  The
+        # plan refuses a row past ``max_seq_len`` before it grows any table.
+        step = (cache.prepare_step(session_ids, self.max_seq_len) if counts is None
+                else cache.prepare_multi_step(session_ids, counts, self.max_seq_len))
         # Raw arrays from here to the final norm: the step is inference-only
         # (the attention layers refuse to run with grad enabled), so nothing
         # in between needs a graph node.

@@ -34,8 +34,8 @@ request id and leaves it through one terminal function
 shed, or still live at ``stop(drain=False)`` / a crashed step — so every
 ending is counted once in ``stats()``.  An exception in one phase of a step
 is *quarantined* to the requests it implicates — the sessions of the failed
-decode batch, the sessions of the failed prefill band/chunk, or the entries
-of the failed decision group.  Their blocks are evicted and reclaimed,
+decode batch, the session whose prefill row still raised when retried alone,
+or the entries of the failed decision group.  Their blocks are evicted and reclaimed,
 :meth:`~repro.nn.PagedKVCache.check_invariants` proves the pool is still
 sound, and each implicated request meets the one retry rule
 (:meth:`InferenceServer._retry_or_fail`): a transient error under
@@ -311,7 +311,6 @@ class InferenceServer:
         self._manager = (SessionManager(model, max_slots=self.policy.max_batch_size,
                                         max_context=self.policy.max_context,
                                         block_size=self.policy.block_size,
-                                        prefill_padding=self.policy.prefill_padding,
                                         prefix_cache=self.policy.enable_prefix_cache,
                                         max_prefixes=self.policy.max_prefixes,
                                         fault_injector=fault_injector,

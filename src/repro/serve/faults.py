@@ -3,8 +3,8 @@
 Fault tolerance claims are only as good as the faults they were tested
 against, so the serve stack carries its own chaos harness: a seeded
 :class:`FaultInjector` scripted by :class:`FaultSpec` entries fires at
-**named injection sites** threaded through the engine, session manager,
-paged KV cache and task runtimes.  A fired spec can ``raise`` (a typed
+**named injection sites** threaded through the engine, session manager
+and task runtimes.  A fired spec can ``raise`` (a typed
 :class:`InjectedFault` / :class:`TransientFault`), ``delay`` (sleep, to
 surface timing races and deadline paths) or ``corrupt`` (perturb a numeric
 payload in place, e.g. decode logits).  Everything is deterministic: the
@@ -20,11 +20,11 @@ and the fault-free reference run.
     One decision batch about to run through its :class:`TaskRuntime`
     (``InferenceServer._execute_decision_group``).
 ``prefill.band``
-    One ragged length-banded prompt-prefill forward, fired per band
-    (``SessionManager.admit_many``).
+    A prefill forward that admits at least one new session's whole prompt
+    tail in one shot (``SessionManager._prefill_rows``).
 ``prefill.chunk``
-    One chunked-prefill forward, of a single session or a fused group
-    (``SessionManager.prefill_chunk`` / ``prefill_chunk_group``).
+    A prefill forward carrying at least one chunk — a row that resumes a
+    prompt or does not finish it (``SessionManager._prefill_rows``).
 ``decode.step``
     The batched decode forward, fired *before* the model runs
     (``SessionManager.step``) — a raise here leaves the pool untouched.
@@ -39,14 +39,21 @@ and the fault-free reference run.
     forward — KV already grown, acceptance not yet decided — with the
     logits array as corruptible ``payload`` (``SessionManager.step``).
 ``kv.admit``
-    Paged-pool admission of prefilled rows, fired before any allocation
-    (:meth:`~repro.nn.PagedKVCache.admit_rows`).
+    A prefill forward about to open at least one new pool session
+    (``SessionManager._prefill_rows``).
 ``kv.extend``
-    Paged-pool extension with a prefill chunk, fired before any allocation
-    (:meth:`~repro.nn.PagedKVCache.extend_session`).
+    A prefill forward about to append to at least one session that already
+    holds part of its prompt (``SessionManager._prefill_rows``).
 ``prefix.seed``
-    Seeding a prefill from a cached prompt head (the
-    ``PrefixCache.seed_cache`` call site in the session manager).
+    A prefill forward about to map a cached prompt head's blocks into a new
+    session (``SessionManager._prefill_rows``, ahead of its
+    ``PrefixCache.seed_cache`` call).
+
+The five prefill sites fire at most once each per forward (band, chunk,
+admit, extend, seed, in that order), all of them **before anything is
+touched**: a raise there has nothing to undo, the
+step's rows are then retried one at a time (``SessionManager.prefill_step``),
+and a row that raises alone is the only request that fails.
 
 Injection can never be enabled by accident: constructing a
 :class:`FaultInjector` raises unless the :data:`REPRO_FAULTS_ENV`
@@ -74,9 +81,10 @@ REPRO_FAULTS_ENV = "REPRO_FAULTS"
 FAULT_SITES: Dict[str, str] = {
     "runtime.execute_batch": "decision-batch runtime forward "
                              "(InferenceServer._execute_decision_group)",
-    "prefill.band": "ragged banded prompt prefill (SessionManager.admit_many)",
-    "prefill.chunk": "chunked-prefill forward (SessionManager.prefill_chunk, "
-                     "prefill_chunk_group)",
+    "prefill.band": "prefill forward admitting a whole prompt tail in one "
+                    "shot, pre-pool (SessionManager._prefill_rows)",
+    "prefill.chunk": "prefill forward carrying a chunk row, pre-pool "
+                     "(SessionManager._prefill_rows)",
     "decode.step": "batched decode forward, pre-model (SessionManager.step)",
     "decode.logits": "batched decode logits, post-forward, corruptible "
                      "payload (SessionManager.step)",
@@ -84,10 +92,12 @@ FAULT_SITES: Dict[str, str] = {
                      "(SessionManager.step)",
     "decode.verify": "speculative verification logits, post-forward, "
                      "corruptible payload (SessionManager.step)",
-    "kv.admit": "paged-pool admission (PagedKVCache.admit_rows)",
-    "kv.extend": "paged-pool chunk extension (PagedKVCache.extend_session)",
-    "prefix.seed": "prefix-cache prefill seeding (SessionManager call site "
-                   "of PrefixCache.seed_cache)",
+    "kv.admit": "prefill forward opening a new pool session, pre-pool "
+                "(SessionManager._prefill_rows)",
+    "kv.extend": "prefill forward appending to a session mid-prompt, "
+                 "pre-pool (SessionManager._prefill_rows)",
+    "prefix.seed": "prefill forward mapping a cached head's blocks into a "
+                   "new session, pre-pool (SessionManager._prefill_rows)",
 }
 
 #: What a fired spec does at its site.

@@ -7,13 +7,14 @@ the head itself, so they are identical across every session that starts with
 it.  :class:`PrefixCache` exploits both halves of that:
 
 * **Compute reuse** — each registered preamble's per-layer K/V is computed
-  once; admission of a matching prompt seeds the prefill with the stored
-  tensors and only runs the transformer over the prompt *tail*.
-* **Memory reuse** — the preamble's full blocks are parked in the paged pool
-  (:meth:`~repro.nn.PagedKVCache.register_blocks`) and mapped into each
-  matching session's block table by reference.  Blocks are refcounted and
-  copy-on-write protected, so a session can never corrupt a sibling through
-  the shared head.
+  once, by the paged step every other token goes through, straight into pool
+  blocks; a matching prompt starts at the head's length and only runs the
+  transformer over its *tail*.
+* **Memory reuse** — the head lives once, in those blocks (its partly filled
+  last block included), and is mapped into each matching session's block
+  table by reference.  Blocks are refcounted and copy-on-write protected —
+  a session's first write splits the partial last block off for itself — so
+  a session can never corrupt a sibling through the shared head.
 
 Entries are LRU-bounded: registering beyond ``max_entries`` releases the
 least recently matched preamble and its blocks.
@@ -29,7 +30,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..llm import LanguageModel
-from ..nn import KVCache, PagedKVCache, no_grad
+from ..nn import PagedKVCache, no_grad
 
 
 @contextmanager
@@ -58,20 +59,11 @@ def cached_inference(model: LanguageModel, toggle_eval: bool) -> Iterator[None]:
 
 @dataclass
 class PrefixEntry:
-    """One cached prompt head.
-
-    The block-aligned part of the head's K/V lives *only* in the pool blocks
-    (``block_ids``); the entry itself keeps just the sub-block remainder
-    (``len % block_size`` tokens), so a resident head is never stored twice.
-    """
+    """One cached prompt head: its tokens and the pool blocks holding its K/V
+    (``blocks_needed(length)`` of them; the last is partly filled unless the
+    head is block-aligned).  The entry holds one reference on each."""
 
     token_ids: Tuple[int, ...]
-    #: Per-layer ``(heads, len % block_size, head_dim)`` K/V of the head's
-    #: unaligned tail (empty arrays when the head is block-aligned).
-    tail_keys: List[np.ndarray]
-    tail_values: List[np.ndarray]
-    #: Pool blocks holding the head's *full* blocks (``len // block_size`` of
-    #: them); mapped by reference into matching sessions' block tables.
     block_ids: Tuple[int, ...]
     hits: int = 0
 
@@ -147,26 +139,19 @@ class PrefixCache:
             _, evicted = self._entries.popitem(last=False)
             self.cache.release_blocks(evicted.block_ids)
 
-        with cached_inference(self.model, self._toggle_eval):
-            head_cache = self.model.init_cache()
-            self.model.forward_incremental(
-                np.asarray(ids, dtype=np.int64)[None, :], head_cache)
-        keys = [layer.keys[0] for layer in head_cache.layers]
-        values = [layer.values[0] for layer in head_cache.layers]
-
-        block_size = self.cache.block_size
-        aligned = (len(ids) // block_size) * block_size
-        if aligned:
-            block_ids = tuple(self.cache.register_blocks(
-                [k[:, :aligned] for k in keys], [v[:, :aligned] for v in values]))
-        else:
-            block_ids = ()  # head shorter than one block: compute reuse only
-        # Keep only the sub-block remainder; the aligned part now lives in
-        # the pool blocks and is read back from there when seeding prefills.
-        entry = PrefixEntry(token_ids=ids,
-                            tail_keys=[k[:, aligned:].copy() for k in keys],
-                            tail_values=[v[:, aligned:].copy() for v in values],
-                            block_ids=block_ids)
+        # The head is a session for the length of one step: opened empty,
+        # written by the forward every prompt goes through, then detached so
+        # its blocks outlive it under the entry's references.
+        head = self.cache.open_session()
+        try:
+            with cached_inference(self.model, self._toggle_eval):
+                self.model.forward_step(
+                    np.asarray(ids, dtype=np.int64), self.cache,
+                    np.asarray([head]), counts=np.asarray([len(ids)]))
+        except Exception:
+            self.cache.evict(head)
+            raise
+        entry = PrefixEntry(token_ids=ids, block_ids=self.cache.detach(head))
         self._entries[ids] = entry
         return entry
 
@@ -174,10 +159,10 @@ class PrefixCache:
     def is_live(self, entry: PrefixEntry) -> bool:
         """Whether this exact entry is still registered (not LRU-evicted).
 
-        A chunked-prefill session holds its matched entry across engine
-        steps; before the first chunk seeds from the entry's pool blocks it
-        must confirm the entry survived any intervening ``register`` — an
-        evicted entry's blocks may already belong to a newer head.
+        A queued session holds its matched entry across engine steps; before
+        its first chunk maps the entry's pool blocks it must confirm the
+        entry survived any intervening ``register`` — an evicted entry's
+        blocks may already belong to a newer head.
         """
         return self._entries.get(entry.token_ids) is entry
 
@@ -202,23 +187,12 @@ class PrefixCache:
         self.tokens_reused += best.length
         return best
 
-    def seed_cache(self, entry: PrefixEntry, batch: int) -> KVCache:
-        """Fresh :class:`KVCache` pre-loaded with the head's K/V, ``batch`` wide.
+    def seed_cache(self, entry: PrefixEntry, batch: int) -> List[int]:
+        """Open ``batch`` pool sessions on the head's blocks; return their ids.
 
-        The block-aligned part is read back from the pool blocks and the
-        sub-block remainder from the entry; ``forward_incremental`` on the
-        prompt tails then starts at position ``entry.length``, exactly as if
-        the head had just been prefilled.
+        Each starts at length ``entry.length`` with the head's blocks mapped
+        by reference, exactly as if it had just prefilled the head itself;
+        its first step copies the partial last block before writing into it.
         """
-        seeded = self.model.init_cache()
-        for seed_layer, pool_layer, tail_keys, tail_values in zip(
-                seeded.layers, self.cache.layers, entry.tail_keys, entry.tail_values):
-            if entry.block_ids:
-                head_keys, head_values = pool_layer.read_blocks(entry.block_ids)
-                keys = np.concatenate([head_keys, tail_keys], axis=1)
-                values = np.concatenate([head_values, tail_values], axis=1)
-            else:
-                keys, values = tail_keys, tail_values
-            seed_layer.append(np.repeat(keys[None], batch, axis=0),
-                              np.repeat(values[None], batch, axis=0))
-        return seeded
+        return [self.cache.open_session(entry.block_ids, entry.length)
+                for _ in range(batch)]

@@ -88,13 +88,8 @@ class SchedulerPolicy:
     traffic (``None`` disables aging: strict classes).  ``block_size`` is the
     paged KV-cache block granularity (an explicit ``max_context`` must be a
     whole number of blocks so the context cap and the pool reservation
-    agree).  ``prefill_padding`` bounds padding waste in ragged batched
-    prefill: prompt tails are partitioned into length bands (greedily, over
-    the sorted lengths) such that each band's right-padded token count stays
-    within ``(1 + prefill_padding)`` of its real token count — small bound,
-    many narrow bands; large bound, few wide ones.  ``enable_prefix_cache``
-    turns shared prompt-head caching on; ``max_prefixes`` bounds how many
-    heads stay resident (LRU beyond that).
+    agree).  ``enable_prefix_cache`` turns shared prompt-head caching on;
+    ``max_prefixes`` bounds how many heads stay resident (LRU beyond that).
 
     **Chunked prefill / token-budget stepping** (Sarathi-style stall-free
     batching):
@@ -105,11 +100,11 @@ class SchedulerPolicy:
     resumable offset — so in-flight decode sessions keep producing tokens
     *between* the chunks of a long prompt instead of stalling for its whole
     prefill (the head-of-line stall that blows up inter-token p95 exactly
-    when the server is busiest).  Prompts whose tail fits inside one chunk
-    still ride the ragged length-banded batched prefill.  ``None`` (default)
-    means the chunk is the whole context: the same route, with every prompt
-    tail admitted in a single forward — the baseline the latency benchmark
-    compares against.
+    when the server is busiest).  A step's chunks and whole tails, of however
+    many sessions, ride one token-packed forward, nothing padded.  ``None``
+    (default) means the chunk is the whole context: the same route, with
+    every prompt tail admitted in a single forward — the baseline the
+    latency benchmark compares against.
 
     ``step_token_budget`` bounds the *total* tokens one engine step schedules:
     every in-flight decode row spends one token first, and only the remaining
@@ -159,7 +154,6 @@ class SchedulerPolicy:
     max_queue: Optional[int] = None
     priority_aging_s: Optional[float] = 30.0
     block_size: int = DEFAULT_BLOCK_SIZE
-    prefill_padding: float = 0.5
     enable_prefix_cache: bool = True
     max_prefixes: int = 8
     prefill_chunk_size: Optional[int] = None
@@ -202,9 +196,6 @@ class SchedulerPolicy:
                     "budget is spent in prefill-chunk grants")
         if self.block_size < 1:
             raise ValueError(f"block_size must be >= 1, got {self.block_size}")
-        if self.prefill_padding < 0:
-            raise ValueError(
-                f"prefill_padding must be >= 0, got {self.prefill_padding}")
         if self.max_prefixes < 1:
             raise ValueError(f"max_prefixes must be >= 1, got {self.max_prefixes}")
         if self.priority_aging_s is not None and self.priority_aging_s <= 0:

@@ -3,10 +3,10 @@
 A :class:`GenerationSession` is one streaming autoregressive request (prompt
 in, tokens out).  The :class:`SessionManager` owns the model's
 :class:`~repro.nn.PagedKVCache`: it prefills prompts through one body
-(:meth:`SessionManager._prefill_rows` — a ragged one-shot band, a solo chunk
-and a fused chunk wave are the same right-padded forward plus pool commit),
-maps cached common prompt heads in by reference
-(:class:`~repro.serve.prefix.PrefixCache`),
+(:meth:`SessionManager._prefill_rows` — a whole prompt tail, a chunk of one
+and chunks of several sessions are rows of one token-packed ``forward_step``
+that writes straight into pool blocks), maps cached common prompt heads in by
+reference (:class:`~repro.serve.prefix.PrefixCache`),
 advances every running session with one batched ``forward_step`` per engine
 step, and evicts completed sessions so their blocks return to the pool —
 continuous batching over paged storage.
@@ -15,9 +15,10 @@ Fault semantics: every failure path here releases the session's slot and
 blocks (:meth:`SessionManager.abort`) before surfacing the error, so the
 engine's quarantine can prove pool soundness afterwards.  The manager is
 also instrumented with the named fault-injection sites ``prefill.band``,
-``prefill.chunk``, ``decode.step``, ``decode.logits``, ``draft.propose``,
-``decode.verify`` and ``prefix.seed`` (see :mod:`repro.serve.faults`) —
-each a single ``is None`` check when no injector is wired in.
+``prefill.chunk``, ``kv.admit``, ``kv.extend``, ``prefix.seed``,
+``decode.step``, ``decode.logits``, ``draft.propose`` and ``decode.verify``
+(see :mod:`repro.serve.faults`) — each a single ``is None`` check when no
+injector is wired in.
 
 There is one decode step (:meth:`SessionManager.step`): every row feeds its
 pending token plus whatever the :class:`~repro.serve.speculative.NgramProposer`
@@ -38,7 +39,7 @@ import numpy as np
 
 from ..llm import LanguageModel
 from ..llm.generation import GenerationResult, sample_token
-from ..nn import DEFAULT_BLOCK_SIZE, KVCache
+from ..nn import DEFAULT_BLOCK_SIZE
 from ..utils import seeded_rng
 from .metrics import RequestMetrics
 from .prefix import PrefixCache, PrefixEntry, cached_inference
@@ -46,7 +47,7 @@ from .speculative import AdaptiveK, NgramProposer
 
 #: Session lifecycle states.
 QUEUED = "queued"
-PREFILLING = "prefilling"  # prompt partially committed (chunked prefill)
+PREFILLING = "prefilling"  # prompt partly in the pool (chunked prefill)
 RUNNING = "running"
 FINISHED = "finished"
 FAILED = "failed"
@@ -80,9 +81,6 @@ class GenerationSession:
     #: Prompt tokens already committed to the paged cache (chunked prefill
     #: resumes from here; equals ``len(prompt_ids)`` once prefill completes).
     prompt_pos: int = 0
-    #: Resumable single-session prefill cache holding the history computed so
-    #: far; dropped as soon as the prompt completes.
-    prefill_cache: Optional[KVCache] = field(default=None, repr=False)
     #: Matched shared-prefix entry (None on a miss), set at prompt preparation.
     prefix_entry: Optional[PrefixEntry] = field(default=None, repr=False)
     generated: List[int] = field(default_factory=list)
@@ -94,6 +92,11 @@ class GenerationSession:
     on_token: Optional[Callable[[int], None]] = field(default=None, repr=False)
     _rng: Optional[np.random.Generator] = field(default=None, repr=False)
     _last_step_at: Optional[float] = field(default=None, repr=False)
+
+    @property
+    def prompt_left(self) -> int:
+        """Prompt tokens not yet committed to the paged cache."""
+        return len(self.prompt_ids) - self.prompt_pos
 
     def is_expired(self, now: Optional[float] = None) -> bool:
         if self.deadline_at is None:
@@ -137,11 +140,10 @@ class SessionManager:
     one engine step); ``max_context`` bounds each session's total context.
     The KV pool is paged (:class:`~repro.nn.PagedKVCache`): a session holds
     exactly the blocks its history needs, so memory follows live tokens
-    instead of ``max_slots × max_context``.  Prompts are prefilled in ragged
-    length-bucketed batches — mixed-length prompts ride one right-padded
-    forward, with padding waste bounded by ``prefill_padding`` — and prompts
-    starting with a registered prefix skip recomputing (and re-storing) the
-    shared head entirely.
+    instead of ``max_slots × max_context``.  Prompts are prefilled together
+    — mixed-length tails and chunks ride one token-packed forward, nothing
+    padded — and prompts starting with a registered prefix skip recomputing
+    (and re-storing) the shared head entirely.
 
     Unlike eval-mode :func:`repro.llm.generation.generate`, the engine does
     not re-prime a sliding window when the context fills up — the session is
@@ -152,7 +154,6 @@ class SessionManager:
     def __init__(self, model: LanguageModel, max_slots: int = 16,
                  max_context: Optional[int] = None,
                  block_size: int = DEFAULT_BLOCK_SIZE,
-                 prefill_padding: float = 0.5,
                  prefix_cache: bool = True,
                  max_prefixes: int = 8,
                  fault_injector: Optional[object] = None,
@@ -161,8 +162,6 @@ class SessionManager:
                  speculation_k: int = 4) -> None:
         if max_slots < 1:
             raise ValueError("max_slots must be >= 1")
-        if prefill_padding < 0:
-            raise ValueError("prefill_padding must be >= 0")
         self.model = model
         #: Decided once: only a model with active dropout needs eval mode
         #: around its KV-cached forwards (see ``cached_inference``).
@@ -172,7 +171,6 @@ class SessionManager:
         self.max_context = min(max_context or model_limit, model_limit)
         if self.max_context < 2:
             raise ValueError("max_context must leave room for at least one new token")
-        self.prefill_padding = prefill_padding
         # Reserve pool capacity for the prefix cache's residents so prompt
         # traffic can never be starved by registered preambles (or vice versa).
         blocks_per_session = -(-self.max_context // block_size)
@@ -185,14 +183,11 @@ class SessionManager:
                         max_length=self.max_context - 1)
             if prefix_cache else None)
         self.running: Dict[int, GenerationSession] = {}  # cache session id -> session
-        #: Sessions mid chunked prefill, keyed by *request* session_id (they
-        #: may not have a paged-cache slot yet).  They hold a batch slot.
+        #: Sessions mid chunked prefill, keyed by *request* session_id.  They
+        #: hold a batch slot and a pool session with part of the prompt in it.
         self.prefilling: Dict[int, GenerationSession] = {}
-        #: Optional seeded :class:`~repro.serve.faults.FaultInjector`; the
-        #: paged pool's ``kv.admit``/``kv.extend`` sites hook into it too.
+        #: Optional seeded :class:`~repro.serve.faults.FaultInjector`.
         self.faults = fault_injector
-        if fault_injector is not None:
-            self.cache.fault_hook = fault_injector.fire
         #: Optional :class:`~repro.serve.telemetry.ServeTelemetry`; the
         #: engine wires it in only when enabled, so every instrumented site
         #: here is a single ``is None`` check (same idiom as ``faults``).
@@ -212,10 +207,6 @@ class SessionManager:
         #: Lifetime speculative counters (feed ``ServerStats``).
         self.tokens_drafted = 0
         self.tokens_accepted = 0
-        #: ``((session ids), committed length) -> stacked KVCache`` left by
-        #: the previous fused wave (see :meth:`_stacked_history`).
-        self._fused_prefill: Optional[Tuple[Tuple[Tuple[int, ...], int],
-                                            KVCache]] = None
 
     # ------------------------------------------------------------------ #
     @property
@@ -238,29 +229,14 @@ class SessionManager:
         return self.prefix.register(text)
 
     def admit_many(self, sessions: List[GenerationSession]) -> None:
-        """Prefill queued sessions in ragged length-banded batches.
-
-        Sessions are grouped by matched prefix, then partitioned into length
-        bands (:meth:`_length_bands`); each band is one :meth:`_prefill_rows`
-        call taking every row's whole prompt tail.
-        """
+        """Prefill queued sessions' whole prompt tails in one forward:
+        :meth:`_prefill_rows` with every take the row's whole tail."""
         if len(sessions) > self.num_free:
             raise RuntimeError(
                 f"cannot admit {len(sessions)} sessions into {self.num_free} free slots")
-        by_prefix: Dict[Optional[Tuple[int, ...]], List[GenerationSession]] = {}
         for session in sessions:
             self._prepare_prompt(session)
-            self._mark_started(session)
-            entry = session.prefix_entry
-            by_prefix.setdefault(
-                entry.token_ids if entry is not None else None, []).append(session)
-        for group in by_prefix.values():
-            # A queued session's committed history is exactly its matched head.
-            for band in self._length_bands(group, group[0].prompt_pos):
-                if self.faults is not None:
-                    self.faults.fire("prefill.band")
-                self._prefill_rows(
-                    band, [len(s.prompt_ids) - s.prompt_pos for s in band])
+        self._prefill_rows(sessions, [s.prompt_left for s in sessions])
 
     def _prepare_prompt(self, session: GenerationSession) -> None:
         """Tokenize the prompt once and match it against the prefix cache.
@@ -305,35 +281,8 @@ class SessionManager:
         if session.metrics.admitted_at is None:
             session.metrics.mark_admitted()
 
-    def _length_bands(self, sessions: List[GenerationSession],
-                      head_len: int) -> List[List[GenerationSession]]:
-        """Partition sessions into prefill bands with bounded padding waste.
-
-        Greedy over tail lengths sorted ascending: a band absorbs the next
-        (longer) session while the band's right-padded token count stays
-        within ``1 + prefill_padding`` of its real token count.  A small
-        bound yields many narrow bands (little padding, many forwards); a
-        large one, few wide bands — the knob trades per-forward overhead
-        against padded FLOPs.
-        """
-        ordered = sorted(sessions, key=lambda s: len(s.prompt_ids))
-        bands: List[List[GenerationSession]] = []
-        band: List[GenerationSession] = []
-        real_tokens = 0
-        for session in ordered:
-            tail = len(session.prompt_ids) - head_len
-            padded = (len(band) + 1) * tail  # sorted: this tail is the new max
-            if band and padded > (1.0 + self.prefill_padding) * (real_tokens + tail):
-                bands.append(band)
-                band, real_tokens = [], 0
-            band.append(session)
-            real_tokens += tail
-        if band:
-            bands.append(band)
-        return bands
-
     # ------------------------------------------------------------------ #
-    # Chunked prefill (token-budget step scheduling)
+    # Prefill (token-budget step scheduling)
     # ------------------------------------------------------------------ #
     def prefill_step(self, new_sessions: List[GenerationSession],
                      chunk_size: Optional[int] = None,
@@ -343,14 +292,15 @@ class SessionManager:
                                 List[GenerationSession]]:
         """Spend up to ``token_budget`` prompt tokens on prefill work.
 
-        In-flight ``PREFILLING`` sessions resume first (admission order),
-        each granted up to ``chunk_size`` tokens (``None``: the chunk is the
-        whole context, so every prompt is one-shot); the remaining budget then
-        starts ``new_sessions``.  New sessions whose whole prompt tail fits
-        in one chunk (and in the remaining budget) are batched through the
-        ragged length-banded one-shot path (:meth:`admit_many`), so chunking
-        composes with banded prefill instead of replacing it; longer prompts
-        enter the ``PREFILLING`` state and continue across steps.
+        One grant loop, one forward.  In-flight ``PREFILLING`` sessions are
+        granted first (admission order), then ``new_sessions``, each up to
+        ``chunk_size`` tokens (``None``: the chunk is the whole context, so
+        every prompt is one-shot) while the budget lasts; every granted row —
+        whole tails and chunks, at whatever lengths the rows stand — rides
+        one :meth:`prefill_chunk_group` call.  Should that forward raise
+        (nothing committed), the rows are retried one at a time through
+        :meth:`prefill_chunk`, so a single bad request cannot take the
+        others down; a row that raises alone is aborted.
 
         Returns ``(tokens_spent, terminal, failures, deferred)``:
         ``terminal`` lists sessions that reached ``FINISHED`` during the
@@ -370,271 +320,149 @@ class SessionManager:
         if chunk_size is None:
             chunk_size = self.max_context
         spent = 0
-        terminal: List[GenerationSession] = []
+        rows: List[Tuple[GenerationSession, int, int]] = []  # session, take, cost
         failures: List[Tuple[GenerationSession, BaseException]] = []
         deferred: List[GenerationSession] = []
-
-        def allowance() -> Optional[int]:
-            return None if token_budget is None else token_budget - spent
-
-        def grant_and_cost(session, left) -> Tuple[int, int]:
-            """(prompt tokens to prefill, budget tokens that will cost)."""
-            remaining = len(session.prompt_ids) - session.prompt_pos
-            grant = chunk_size if left is None else min(chunk_size, left)
-            if grant >= remaining:
-                if left is None or left >= remaining + 1:
-                    return remaining, remaining + 1
-                return max(0, left - 1), max(0, left - 1)
-            return grant, grant
-
-        def run_chunk(session, grant) -> bool:
-            """Prefill one solo chunk; a failure aborts and records the session."""
-            try:
-                self.prefill_chunk(session, grant)
-                return True
-            except Exception as error:
-                self.abort(session)
-                failures.append((session, error))
-                return False
-
-        # Grant the in-flight PREFILLING sessions first (admission order),
-        # then fuse grants with equal committed history and equal size into
-        # one ragged banded forward (the multi-chunk analogue of banded
-        # admission) — concurrent same-shape prompts pay one forward per
-        # step, not one each.
-        fused_groups: Dict[Tuple[int, int], List[Tuple[GenerationSession, int]]] = {}
-        for session in list(self.prefilling.values()):
-            left = allowance()
-            if left is not None and left <= 0:
-                break
-            grant, cost = grant_and_cost(session, left)
-            if grant <= 0:
-                break
-            fused_groups.setdefault((session.prefill_cache.seq_len, grant),
-                                    []).append((session, cost))
-            spent += cost  # refunded below if the chunk fails
-        for (_, grant), members in fused_groups.items():
-            solo = list(members)
-            if len(members) >= 2:
-                try:
-                    chunk_failures = self.prefill_chunk_group(
-                        [session for session, _ in members], grant)
-                except Exception:
-                    # The fused forward itself failed before any session was
-                    # committed: fall back to one-at-a-time chunks below so a
-                    # single bad session cannot take down its whole group.
-                    pass
-                else:
-                    solo = []
-                    costs = dict((id(s), c) for s, c in members)
-                    for session, error in chunk_failures:
-                        spent -= costs[id(session)]
-                        failures.append((session, error))
-            for session, cost in solo:
-                if not run_chunk(session, grant):
-                    spent -= cost
-            terminal.extend(session for session, _ in members
-                            if session.state == FINISHED)
-
-        one_shot: List[GenerationSession] = []
-        for session in new_sessions:
+        for session in [*self.prefilling.values(), *new_sessions]:
             self._prepare_prompt(session)
-            tail = len(session.prompt_ids) - session.prompt_pos
-            left = allowance()
-            if tail <= chunk_size and (left is None or tail + 1 <= left):
-                one_shot.append(session)
-                spent += tail + 1  # banded prefill + same-step decode row
+            remaining = session.prompt_left
+            take = min(chunk_size, remaining)
+            if token_budget is not None and token_budget - spent <= remaining:
+                # Completing would cost one token more than is left (the
+                # same-step decode row): the grant stays short of it.
+                take = min(take, token_budget - spent, remaining - 1)
+            cost = take + (take == remaining)
+            if take <= 0:
+                # The budget ran dry before this session's next token.  A new
+                # one stays QUEUED for the caller to requeue rather than
+                # holding a slot at zero progress (the admission cap makes
+                # that rare — e.g. a one-token tail with exactly one budget
+                # token left); one in flight simply waits a step.
+                if session.state == QUEUED:
+                    deferred.append(session)
                 continue
-            grant, cost = grant_and_cost(session, left)
-            if grant <= 0:
-                # The budget ran dry before this session's first token (the
-                # admission cap makes that rare — e.g. a one-token tail with
-                # exactly one budget token left).  It stays QUEUED for the
-                # caller to requeue rather than holding a slot at zero
-                # progress.
-                deferred.append(session)
-                continue
-            if run_chunk(session, grant):
-                spent += cost
-        if one_shot:
+            rows.append((session, take, cost))
+            spent += cost
+        if rows:
             try:
-                self.admit_many(one_shot)
+                self.prefill_chunk_group([session for session, _, _ in rows],
+                                         [take for _, take, _ in rows])
             except Exception:
-                # Batched prefill failed: retry one by one so a single bad
-                # request cannot reject the whole band.
-                for session in one_shot:
-                    if session.state != QUEUED:
-                        continue
+                for session, take, cost in rows:
                     try:
-                        self.admit_many([session])
+                        self.prefill_chunk(session, take)
                     except Exception as error:
                         self.abort(session)
                         failures.append((session, error))
-            terminal.extend(s for s in one_shot if s.state == FINISHED)
+                        spent -= cost
+        terminal = [session for session, _, _ in rows if session.state == FINISHED]
         return spent, terminal, failures, deferred
 
     def prefill_chunk(self, session: GenerationSession, max_tokens: int) -> int:
-        """Advance one session's prefill by up to ``max_tokens`` prompt tokens.
-
-        A group of one through :meth:`_prefill_rows`: the chunk runs on the
-        session's own resumable cache
-        (:attr:`GenerationSession.prefill_cache`) — attention over the
-        already-committed history is the ordinary incremental causal forward,
-        so chunked logits match one-shot prefill exactly.  Failures raise
-        (the caller aborts the session).  Returns the prompt tokens consumed.
-        """
-        if session.state not in (QUEUED, PREFILLING):
-            raise ValueError(f"cannot prefill a {session.state} session")
-        if max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
+        """Advance one session's prefill by up to ``max_tokens`` prompt tokens:
+        a group of one through :meth:`_prefill_rows`.  A failure raises with
+        the session as it was (the caller aborts it).  Returns the prompt
+        tokens consumed."""
         self._prepare_prompt(session)
-        if session.state == QUEUED:
-            session.state = PREFILLING
-            self.prefilling[session.session_id] = session
-        self._mark_started(session)
-        take = min(max_tokens, len(session.prompt_ids) - session.prompt_pos)
-        if take <= 0:
-            raise ValueError(f"session {session.session_id} has no prompt "
-                             f"tokens left to prefill")
-        if self.faults is not None:
-            self.faults.fire("prefill.chunk")
-        failures = self._prefill_rows([session], [take])
-        if failures:
-            raise failures[0][1]
+        take = min(max_tokens, session.prompt_left)
+        self._prefill_rows([session], [take])
         return take
 
-    def prefill_chunk_group(self, group: List[GenerationSession], take: int
-                            ) -> List[Tuple[GenerationSession, BaseException]]:
-        """Advance several equal-history ``PREFILLING`` sessions in one forward.
+    def prefill_chunk_group(self, group: List[GenerationSession],
+                            takes: Sequence[int]) -> None:
+        """Advance ``group[i]`` by ``takes[i]`` prompt tokens, all in one
+        forward: the public spelling of :meth:`_prefill_rows`, and the call
+        :meth:`prefill_step` makes — so whoever replaces it with something
+        that raises gets the one-at-a-time route for every step."""
+        self._prefill_rows(group, takes)
 
-        Every session must hold a resumable prefill cache of the same
-        committed length and be due exactly ``take`` more prompt tokens (the
-        grouping :meth:`prefill_step` performs).  Per-session commit failures
-        abort only that session and are returned as ``(session, error)``
-        pairs; the fused forward itself raising (before any commit) leaves
-        every session untouched, so the caller can fall back to one-at-a-time
-        chunks.
-        """
-        if self.faults is not None:
-            # One forward, one fire — the fused analogue of ``prefill.band``.
-            self.faults.fire("prefill.chunk")
-        return self._prefill_rows(group, [take] * len(group))
-
-    def _prefill_rows(self, group: List[GenerationSession], takes: Sequence[int]
-                      ) -> List[Tuple[GenerationSession, BaseException]]:
+    def _prefill_rows(self, group: List[GenerationSession],
+                      takes: Sequence[int]) -> None:
         """Prefill ``takes[i]`` more prompt tokens of ``group[i]`` in one forward.
 
-        The one prefill body: a one-shot band is this with ``takes`` = whole
-        tails, a solo chunk a group of one, a fused wave several
-        ``PREFILLING`` rows.  The sessions share one committed history length
-        and are all *fresh* (no slot yet, one matched prefix entry; several
-        fresh rows each take their whole tail) or all resumable.  Stages that
-        history in a contiguous :class:`~repro.nn.KVCache`, runs one
-        right-padded ``forward_incremental``, commits each row's true new K/V
-        to the pool, writes it back to the rows with prompt left, and promotes
-        the rows that completed, sampling their first output token from their
-        true last column exactly as :func:`~repro.llm.generation.generate`
-        does.  Fresh rows commit all or nothing (a raise leaves every session
-        as it was); a resumable row whose commit fails is aborted alone and
-        returned as ``(session, error)``.
+        The one prefill body: a one-shot admission is a row whose take is its
+        whole tail, a chunk a row that takes less, and any mix of them — new
+        rows and rows mid-prompt, at any committed lengths — is one
+        ``forward_step`` over the rows' tokens packed back to back with
+        ``counts = takes``: the plan that serves decode and verification grows
+        each row's table and the layers write K/V straight into pool blocks.
+        A new row is opened in the pool first — empty, or on its matched
+        prefix's blocks by reference (the partial last one is copied by the
+        plan before the row writes into it).  A row whose prompt completes is
+        promoted and samples its first output token from its last packed
+        logits row, exactly as :func:`~repro.llm.generation.generate` does;
+        the others are ``PREFILLING``.  All or nothing: a raise leaves every
+        session, and the pool, as they were.
         """
-        past, entry = group[0].prompt_pos, group[0].prefix_entry
-        fresh = group[0].slot is None
-        for session in group:
-            if (session.prompt_pos != past or (session.slot is None) != fresh
-                    or (session.prefix_entry is not entry if fresh
-                        else session.prefill_cache.seq_len != past)):
-                raise ValueError("grouped prefill requires equal-history "
-                                 "sessions, all fresh or all resumable")
-        # Right padding: causal attention makes every real position's K/V and
-        # logits independent of what follows, so pad columns are exact — the
-        # pad id is arbitrary and its K/V never reach the pool.
-        width = max(takes)
-        tokens = np.full((len(group), width), self.model.tokenizer.pad_id,
-                         dtype=np.int64)
-        for row, (session, take) in enumerate(zip(group, takes)):
-            tokens[row, :take] = session.prompt_ids[past:past + take]
-        new_lengths = [past + take for take in takes]
-        failures: List[Tuple[GenerationSession, BaseException]] = []
-        with cached_inference(self.model, self._toggle_eval):
-            if not fresh:
-                # A lone session runs on its own resumable cache: no stacking.
-                staging = (group[0].prefill_cache if len(group) == 1
-                           else self._stacked_history(group, past))
-            elif entry is not None:
-                if self.faults is not None:
-                    self.faults.fire("prefix.seed")
-                staging = self.prefix.seed_cache(entry, len(group))  # repro: noqa[REP005] a live entry implies the prefix cache exists
-            else:
-                staging = self.model.init_cache()
-            logits = self.model.forward_incremental(tokens, staging)
+        for session, take in zip(group, takes):
+            if session.state not in (QUEUED, PREFILLING):
+                raise ValueError(f"cannot prefill a {session.state} session")
+            if not 1 <= take <= session.prompt_left:
+                raise ValueError(
+                    f"session {session.session_id} cannot take {take} of its "
+                    f"{session.prompt_left} remaining prompt tokens")
+        fresh = [session for session in group if session.slot is None]
+        if self.faults is not None:
+            # Every site this forward stands for, once each and before
+            # anything is touched: a raise here has nothing to undo.
+            one_shot = sum(take == s.prompt_left
+                           for s, take in zip(group, takes) if s.slot is None)
+            if one_shot:
+                self.faults.fire("prefill.band")
+            if one_shot < len(group):
+                self.faults.fire("prefill.chunk")
             if fresh:
-                slots = self.cache.admit_rows(
-                    staging, lengths=new_lengths,
-                    shared_blocks=entry.block_ids if entry is not None else ())
-                for session, slot in zip(group, slots):
-                    session.slot = slot
-            else:
-                for row, session in enumerate(group):
-                    try:
-                        self.cache.extend_session(session.slot, staging, row=row,
-                                                  new_length=new_lengths[row])
-                    except Exception as error:
-                        self.abort(session)
-                        failures.append((session, error))
-        for row, session in enumerate(group):
-            if session.state == FAILED:
-                continue
-            session.prompt_pos = new_lengths[row]
+                self.faults.fire("kv.admit")
+            if len(fresh) < len(group):
+                self.faults.fire("kv.extend")
+            if any(session.prefix_entry is not None for session in fresh):
+                self.faults.fire("prefix.seed")
+        tokens = np.asarray(
+            [token for session, take in zip(group, takes)
+             for token in session.prompt_ids[session.prompt_pos:
+                                             session.prompt_pos + take]],
+            dtype=np.int64)
+        opened: List[GenerationSession] = []
+        try:
+            for session in fresh:
+                entry = session.prefix_entry
+                session.slot = (
+                    self.cache.open_session() if entry is None
+                    else self.prefix.seed_cache(entry, 1)[0])  # repro: noqa[REP005] a live entry implies the prefix cache exists
+                opened.append(session)
+                self._mark_started(session)
+            with cached_inference(self.model, self._toggle_eval):
+                logits = self.model.forward_step(
+                    tokens, self.cache,
+                    np.asarray([session.slot for session in group], dtype=np.int64),
+                    counts=np.asarray(takes, dtype=np.int64)).data[0]
+        except Exception:
+            # Nothing was committed.  The rows opened here leave the pool;
+            # the others get back whatever blocks the plan appended to them.
+            for session in opened:
+                self.cache.evict(session.slot)
+                session.slot = None
+            for session in group:
+                if session.slot is not None:
+                    self.cache.truncate_session(
+                        session.slot, self.cache.length(session.slot))
+            raise
+        offset = 0
+        for session, take in zip(group, takes):
+            offset += take
+            session.prompt_pos += take
             if self.telemetry is not None:
                 # One chunk per take, so the flight recorder reads a one-shot
                 # tail as a single PREFILLING entry.
-                self.telemetry.note_prefill_chunk(session.session_id, takes[row])
-            if session.prompt_pos == len(session.prompt_ids):
+                self.telemetry.note_prefill_chunk(session.session_id, take)
+            if session.prompt_left:
+                session.state = PREFILLING
+                self.prefilling[session.session_id] = session
+            else:
                 self.prefilling.pop(session.session_id, None)
-                session.prefill_cache = None
                 self.running[session.slot] = session
                 session.state = RUNNING
-                self._consume_logits(session, logits.data[row, takes[row] - 1, :])
-            elif len(group) == 1:
-                session.prefill_cache = staging
-            else:
-                # Own resumable cache after the pool: a row whose pool commit
-                # failed was left exactly as before its chunk.
-                for staged, layer in zip(staging.layers,
-                                         session.prefill_cache.layers):
-                    layer.append(
-                        staged.keys[row:row + 1, :, past:new_lengths[row]],
-                        staged.values[row:row + 1, :, past:new_lengths[row]])
-        if (len(group) > 1 and not failures and min(takes) == width
-                and all(session.state == PREFILLING for session in group)):
-            # Every member advanced in lockstep and has more prompt to go:
-            # the extended staging cache is next step's stacked history.
-            self._fused_prefill = (
-                (tuple(session.session_id for session in group), past + width),
-                staging)
-        return failures
-
-    def _stacked_history(self, group: List[GenerationSession], past: int
-                         ) -> KVCache:
-        """The members' resumable caches stacked row-wise into one cache.
-
-        When the same group returns at the length its previous wave left it
-        at, that wave's extended staging cache *is* the stacked history —
-        reusing it skips re-concatenating every member's full K/V each chunk.
-        The memo is consumed either way (a forward extends what it is given).
-        """
-        key = (tuple(session.session_id for session in group), past)
-        memo, self._fused_prefill = self._fused_prefill, None
-        if memo is not None and memo[0] == key:
-            return memo[1]
-        stacked = self.model.init_cache()
-        for stacked_layer, layers in zip(
-                stacked.layers, zip(*(s.prefill_cache.layers for s in group))):
-            stacked_layer.append(
-                np.concatenate([layer.keys for layer in layers], axis=0),
-                np.concatenate([layer.values for layer in layers], axis=0))
-        return stacked
+                self._consume_logits(session, logits[offset - 1])
 
     def abort(self, session: GenerationSession) -> None:
         """Release a failed session's slot/blocks without finishing it.
@@ -653,7 +481,6 @@ class SessionManager:
             except ValueError:
                 pass  # slot already gone; check_invariants judges the pool
             session.slot = None
-        session.prefill_cache = None
         session.state = FAILED
 
     def evict(self, session: GenerationSession, reason: str) -> None:
@@ -662,7 +489,6 @@ class SessionManager:
         session.state = FINISHED
         session.metrics.mark_finished()
         self.prefilling.pop(session.session_id, None)
-        session.prefill_cache = None
         if session.slot is not None:
             self.running.pop(session.slot, None)
             self._forget_speculation(session.slot)

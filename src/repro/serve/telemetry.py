@@ -68,8 +68,8 @@ class StepRecord:
     ``decode_sessions`` lists the request ids advanced one token by this
     step's batched decode forward (phase ``DECODING``); ``prefill_chunks``
     pairs each request id that committed prompt tokens this step with how
-    many it committed (phase ``PREFILLING`` — one-shot banded admissions
-    appear here too, with their whole tail as a single chunk).  The
+    many it committed (phase ``PREFILLING`` — one-shot admissions appear
+    here too, with their whole tail as a single chunk).  The
     remaining fields are the step's event counters and end-of-step gauges.
     """
 
@@ -113,7 +113,8 @@ class StepRecord:
     #: Paged attention this step, per layer: key positions gathered (every
     #: length group's rows x its block-padded width), how many of them were
     #: live history of the row that read them, and the number of length
-    #: groups the rows ran in.  All zero on a step with no decode forward.
+    #: groups the rows ran in, over the step's prefill and decode forwards
+    #: alike.  All zero on a step that ran neither.
     kv_positions_gathered: int = 0
     kv_positions_live: int = 0
     kv_groups: int = 0

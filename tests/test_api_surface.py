@@ -130,7 +130,7 @@ class TestServeSurface:
     def test_scheduler_policy_knobs(self):
         fields = _fields(serve.SchedulerPolicy)
         assert {"max_batch_size", "max_context", "max_queue",
-                "priority_aging_s", "block_size", "prefill_padding",
+                "priority_aging_s", "block_size",
                 "enable_prefix_cache", "max_prefixes",
                 "prefill_chunk_size", "step_token_budget",
                 "retry_policy", "shed_queue_depth", "shed_queue_age_s",

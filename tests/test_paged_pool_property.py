@@ -1,8 +1,10 @@
 """Random pool histories against a model of what every session should hold.
 
 Twin :class:`~repro.nn.PagedKVCache` pools take the same history — admissions
-with and without shared prefix blocks, forks, prefill chunks, single- and
-multi-token steps, rollbacks, evictions, pool exhaustion — except that one
+with and without shared prefix blocks, rows opened empty and fed their first
+tokens through the plan (what a served prompt does), forks, prefill chunks,
+single- and multi-token steps, rollbacks, evictions, pool exhaustion — except
+that one
 steps through ``prepare_step`` / ``commit_step`` and the other through
 ``prepare_multi_step`` / ``commit_multi_step`` with every count 1.  The two
 spellings must produce array-equal plans and leave equal pools; a
@@ -153,6 +155,7 @@ def _pick(live, selector):
 
 _operation = st.one_of(
     st.tuples(st.just("admit"), st.integers(1, 30), st.booleans()),
+    st.tuples(st.just("open"), st.integers(1, 30)),
     st.tuples(st.just("fork"), st.integers(0, 64)),
     st.tuples(st.just("extend"), st.integers(0, 64), st.integers(1, 9)),
     st.tuples(st.just("step"), st.integers(0, 63)),
@@ -180,6 +183,21 @@ def test_random_pool_histories(operations):
                 _staged(history), shared_blocks=state.shared if shared else ()))
             if sid is not EXHAUSTED:
                 expected[sid] = history
+        elif name == "open":
+            # A served prompt: a row opened empty, its first ``take`` tokens
+            # written by the plan.  Refused for want of blocks, the row stays
+            # — empty, holding nothing — and later operations fork, extend,
+            # step and evict it like any other.
+            if len(live) >= MAX_LIVE:
+                continue
+            sid = state.both(lambda pool: pool.open_session())
+            expected[sid] = []
+            state.check()
+            fed = [state.fresh(args[0])]
+            ids, counts = np.asarray([sid]), np.asarray([args[0]])
+            if state.both(lambda pool: _run_step(
+                    pool, ids, counts, fed, plain=False) and None) is not EXHAUSTED:
+                expected[sid] = fed[0]
         elif not live:
             continue
         elif name == "fork":

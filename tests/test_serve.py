@@ -212,8 +212,7 @@ class TestPagedDecodeParity:
     def test_register_at_entry_cap_evicts_before_allocating(self, model):
         """Registration at max_entries frees the LRU head *first*, so it
         succeeds even when the resident heads occupy the whole reservation."""
-        paged = PagedKVCache(model.backbone.init_cache().num_layers,
-                             max_blocks=2, block_size=4)
+        paged = model.backbone.init_paged_cache(max_blocks=2, block_size=4)
         prefix = PrefixCache(model, paged, max_entries=1)
         first = prefix.register("abcdefg")   # 8 tokens with BOS -> both blocks
         assert len(first.block_ids) == 2 and paged.blocks_free == 0
@@ -291,6 +290,34 @@ class TestPagedDecodeParity:
             with pytest.raises(ValueError, match="exceeds maximum"):
                 capped.forward_step(np.asarray([1]), paged, np.asarray([sid]))
             paged.check_invariants()  # refused before any table grew
+
+    @pytest.mark.parametrize("history", [0, 4])
+    def test_overflow_is_refused_before_anything_grows(self, history):
+        """The bound is checked from lengths + counts, ahead of the plan: an
+        empty row (nothing to truncate back to) and a row with history alike
+        keep exactly the blocks they had."""
+        config = LLMConfig(name="cap", family="test", d_model=32, num_layers=1,
+                           num_heads=2, max_seq_len=6)
+        capped = LanguageModel(config, seed=0)
+        paged = capped.init_paged_cache(max_sessions=2, block_size=3)
+        with no_grad():
+            sid = paged.open_session()
+            if history:
+                capped.forward_step(np.arange(history), paged, np.asarray([sid]),
+                                    counts=np.asarray([history]))
+            blocks, table = paged.blocks_in_use, paged.table(sid)
+            feed = config.max_seq_len - history + 1
+            with pytest.raises(ValueError, match="sequence length 7 exceeds maximum 6"):
+                capped.forward_step(np.zeros(feed, dtype=np.int64), paged,
+                                    np.asarray([sid]), counts=np.asarray([feed]))
+            assert paged.blocks_in_use == blocks and paged.table(sid) == table
+            assert paged.length(sid) == history
+            paged.check_invariants()
+            # One token fewer fits, from the same untouched row.
+            capped.forward_step(np.zeros(feed - 1, dtype=np.int64), paged,
+                                np.asarray([sid]), counts=np.asarray([feed - 1]))
+            assert paged.length(sid) == config.max_seq_len
+            paged.check_invariants()
 
     def test_forward_step_requires_no_grad(self, model):
         paged = model.init_paged_cache(max_sessions=2)
@@ -432,7 +459,7 @@ class TestPagedStressParity:
         rng = np.random.default_rng(7)
         preamble = "predict the bandwidth: "
         server = InferenceServer(model, SchedulerPolicy(
-            max_batch_size=3, prefill_padding=0.25, block_size=4))
+            max_batch_size=3, block_size=4))
         server.register_prefix(preamble)
         prompts = []
         for i in range(12):
@@ -471,14 +498,14 @@ def _drive_solo_chunks(manager, sessions, check):
 
 
 def _drive_fused_groups(manager, sessions, check):
-    """First chunk solo (as ``prefill_step`` starts a session), then fused."""
+    """First chunk solo, then every session still prefilling in one call."""
     for session in sessions:
         manager.prefill_chunk(session, 5)
         check()
     while manager.prefilling:
         group = list(manager.prefilling.values())
         take = min([5] + [len(s.prompt_ids) - s.prompt_pos for s in group])
-        assert manager.prefill_chunk_group(group, take) == []
+        manager.prefill_chunk_group(group, [take] * len(group))
         check()
 
 
@@ -487,36 +514,43 @@ class TestOnePrefillBody:
 
     PREAMBLE = "bitrate selection task: "  # 25 tokens with BOS: 6 blocks + 1
 
-    @pytest.mark.parametrize("prompts,prefix,drive,rows", [
-        # Ragged one-shot bands: tails 3/8/10 share a forward, 35 rides alone.
+    @pytest.mark.parametrize("prompts,prefix,drive,tokens", [
+        # One-shot tails of 3/8/10/35 tokens: one packed forward, no padding.
         (["ab", "abcdefg", "abcdefghi", "a much longer prompt than the rest"],
-         False, _drive_band, [3, 1]),
-        # ... a ragged band behind a prefix hit, next to a miss.
+         False, _drive_band, [56]),
+        # ... two tails behind a prefix hit beside a miss, still one forward.
         ([PREAMBLE + "now", PREAMBLE + "a longer", "no head here"],
-         True, _drive_band, [2, 1]),
+         True, _drive_band, [24]),
         # Solo chunks of a long prompt, cold and behind a prefix hit.
         (["a considerably longer prompt spanning many chunks",
           PREAMBLE + "history 1.0 2.0 3.0 4.0"], True, _drive_solo_chunks,
-         [1] * 15),
-        # A fused group of three advancing (and completing) in lockstep.
+         [5] * 10 + [5, 5, 5, 5, 3]),
+        # A group of three advancing (and completing) in lockstep.
         (["p0 " * 7, "p1 " * 7, "p2 " * 7], False, _drive_fused_groups,
-         [1, 1, 1, 3, 3, 3, 3]),
+         [5, 5, 5, 15, 15, 15, 6]),
         # A group in which one row completes while the others continue.
         (["q0 q0 q0 q0 q0", "q1 " * 7, "q2 " * 7], False, _drive_fused_groups,
-         [1, 1, 1, 3, 3, 2, 2]),
+         [5, 5, 5, 15, 15, 10, 4]),
     ], ids=["band", "band-prefix-hit", "solo-chunks", "fused-three",
             "fused-one-completes"])
     def test_every_entry_matches_generate(self, model, monkeypatch, prompts,
-                                          prefix, drive, rows):
+                                          prefix, drive, tokens):
         manager = SessionManager(model, max_slots=4, block_size=4,
                                  prefix_cache=prefix)
         if prefix:
             manager.register_prefix(self.PREAMBLE)
-        forwards = []  # rows of every prefill forward, in call order
-        forward = model.forward_incremental
-        monkeypatch.setattr(
-            model, "forward_incremental",
-            lambda ids, cache: forwards.append(len(ids)) or forward(ids, cache))
+        forwards = []  # packed tokens of every prefill forward, in call order
+        forward = model.forward_step
+
+        def spy(ids, cache, slots, counts=None):
+            assert len(ids) == int(np.sum(counts)) and len(slots) == len(counts)
+            forwards.append(len(ids))
+            return forward(ids, cache, slots, counts=counts)
+
+        monkeypatch.setattr(model, "forward_step", spy)
+        # The served path builds no contiguous cache at all.
+        monkeypatch.setattr(model, "forward_incremental", None)
+        monkeypatch.setattr(model, "init_cache", None)
 
         def check():
             manager.cache.check_invariants(
@@ -527,10 +561,11 @@ class TestOnePrefillBody:
                     for i, prompt in enumerate(prompts)]
         drive(manager, sessions, check)
         monkeypatch.undo()
-        assert forwards == rows
+        # One forward per drive step, carrying exactly the tokens it took.
+        assert forwards == tokens
         assert not manager.prefilling
-        assert all(s.state == "running" and s.prefill_cache is None
-                   and len(s.generated) == 1 for s in sessions)
+        assert all(s.state == "running" and len(s.generated) == 1
+                   for s in sessions)
         if prefix:
             hits = [s for s in sessions if s.prompt.startswith(self.PREAMBLE)]
             assert manager.prefix.hits == len(hits)
@@ -572,30 +607,79 @@ class TestOnePrefillBody:
             == list(range(1, len(prompts) + 1))
 
 
+class TestNoContiguousCacheOnTheServedPath:
+    def test_mixed_run_with_the_staging_route_removed(self, model, monkeypatch):
+        """One-shot, chunked, prefix-hit and speculative traffic, with
+        ``init_cache`` and ``forward_incremental`` made to raise: every served
+        stream still equals what ``generate()`` recorded beforehand."""
+        preamble = "predict the bandwidth: "
+        prompts = ["ab", preamble + "history 1.0 2.0 3.0 1.0 2.0 3.0",
+                   "a considerably longer prompt spanning many chunks",
+                   preamble + "now", "status: ok; status: ok; status: ok; status:"]
+        requests = [GenerateRequest(prompt=prompt, max_new_tokens=8,
+                                    temperature=0.7 * (i % 2), seed=40 + i,
+                                    stop_on_eos=False)
+                    for i, prompt in enumerate(prompts)]
+        expected = [generate(model, r.prompt, max_new_tokens=r.max_new_tokens,
+                             temperature=r.temperature, seed=r.seed,
+                             stop_on_eos=False).token_ids for r in requests]
+
+        def removed(*args, **kwargs):
+            raise AssertionError("the served path built a contiguous KV cache")
+
+        monkeypatch.setattr(LanguageModel, "init_cache", removed)
+        monkeypatch.setattr(LanguageModel, "forward_incremental", removed)
+        server = InferenceServer(model, SchedulerPolicy(
+            max_batch_size=3, block_size=4, prefill_chunk_size=6,
+            step_token_budget=24, speculation="ngram", speculation_k=3))
+        server.register_prefix(preamble)
+        handles = [server.submit(request) for request in requests]
+        while server.has_pending_work():
+            server.step()
+            server._manager.cache.check_invariants(
+                external_refs=server._manager.prefix.external_refs())
+        assert [handle.result().token_ids for handle in handles] == expected
+        stats = server.stats()
+        assert stats.prefix_hits == 2 and stats.tokens_drafted > 0
+        assert any(len(chunks) > 1 for chunks in _chunks_by_request(server).values())
+        assert server._manager.cache.num_sessions == 0
+
+
+def _chunks_by_request(server):
+    """request id -> the prefill chunk sizes the flight recorder saw for it."""
+    chunks = {}
+    for record in server.telemetry.records():
+        for request_id, take in record.prefill_chunks:
+            chunks.setdefault(request_id, []).append(take)
+    return chunks
+
+
 # ---------------------------------------------------------------------- #
 # Shared prompt-prefix cache
 # ---------------------------------------------------------------------- #
 class TestPrefixCache:
     def test_prefix_hit_shares_blocks_and_keeps_parity(self, model):
-        manager = SessionManager(model, max_slots=4, block_size=4,
-                                 prefill_padding=0.25)
+        manager = SessionManager(model, max_slots=4, block_size=4)
         preamble = "bitrate selection task: "  # 25 tokens with BOS
         entry = manager.register_prefix(preamble)
         assert entry.length == len(model.tokenizer.encode(preamble, add_bos=True))
-        assert len(entry.block_ids) == entry.length // 4
+        # The whole head lives in pool blocks, its partial last one included.
+        assert len(entry.block_ids) == manager.cache.blocks_needed(entry.length) == 7
         blocks_before = manager.cache.blocks_in_use
 
         session = GenerationSession(session_id=1, prompt=preamble + "now",
                                     max_new_tokens=6, stop_on_eos=False)
         manager.admit_many([session])
-        # The session's table starts with the cached head's blocks, shared.
+        # The session's table starts with the cached head's full blocks,
+        # shared; the head's partial last block was copied before the tail
+        # landed in it, so the entry's copy still holds the head alone.
         table = manager.cache.table(session.slot)
-        assert table[:len(entry.block_ids)] == entry.block_ids
+        assert table[:6] == entry.block_ids[:6]
+        assert table[6] != entry.block_ids[6]
         assert session.metrics.prefix_tokens == entry.length
-        # Shared mapping allocated only the tail's blocks.
-        tail_tokens = len(session.prompt_ids) - len(entry.block_ids) * 4
+        # Shared mapping allocated only the blocks past the head's full ones.
         assert (manager.cache.blocks_in_use - blocks_before
-                == manager.cache.blocks_needed(tail_tokens))
+                == manager.cache.blocks_needed(len(session.prompt_ids) - 6 * 4))
         manager.cache.check_invariants(
             external_refs=manager.prefix.external_refs())
 
@@ -609,6 +693,49 @@ class TestPrefixCache:
         assert manager.cache.blocks_in_use == blocks_before
         manager.cache.check_invariants(
             external_refs=manager.prefix.external_refs())
+
+    def test_unaligned_head_is_split_once_and_never_written(self, model, monkeypatch):
+        """A hit on a head that ends mid-block maps every block by reference;
+        the session's first write copies exactly that one block, and the
+        head's own K/V never change."""
+        from repro.nn.paged_cache import PagedLayerKVCache
+
+        server = InferenceServer(model, SchedulerPolicy(
+            max_batch_size=2, block_size=4, prefill_chunk_size=3))
+        manager = server._manager
+        preamble = "bitrate selection task: "  # 25 tokens with BOS: 6 blocks + 1
+        entry = manager.register_prefix(preamble)
+        assert entry.length % 4 == 1 and len(entry.block_ids) == 7
+        tables = np.asarray([entry.block_ids])
+
+        def head_bytes():
+            return [tuple(array[:, :, :entry.length].tobytes()
+                          for array in layer.gather(tables))
+                    for layer in manager.cache.layers]
+
+        registered = head_bytes()
+        splits = set()
+        copy_block = PagedLayerKVCache.copy_block
+        monkeypatch.setattr(
+            PagedLayerKVCache, "copy_block",
+            lambda self, source, target: (splits.add((int(source), int(target))),
+                                          copy_block(self, source, target))[1])
+        handle = server.submit(GenerateRequest(
+            prompt=preamble + "history 1.0 2.0", max_new_tokens=6,
+            stop_on_eos=False))
+        server.step()  # first chunk: the first write behind the head
+        [(source, target)] = splits
+        assert source == entry.block_ids[-1] and target not in entry.block_ids
+        while server.has_pending_work():
+            server.step()
+            manager.cache.check_invariants(
+                external_refs=manager.prefix.external_refs())
+            assert head_bytes() == registered
+        assert len(splits) == 1
+        assert handle.result().token_ids == generate(
+            model, preamble + "history 1.0 2.0", max_new_tokens=6,
+            stop_on_eos=False).token_ids
+        assert manager.prefix.hits == 1 and manager.cache.num_sessions == 0
 
     def test_prefix_miss_and_strictness(self, model):
         manager = SessionManager(model, max_slots=2, block_size=4)
@@ -639,12 +766,14 @@ class TestPrefixCache:
         first = manager.register_prefix("first preamble text")
         manager.register_prefix("second preamble text")
         held = manager.cache.blocks_in_use
-        manager.register_prefix("third preamble text!")  # evicts "first" (LRU)
+        third = manager.register_prefix("third preamble text!")  # evicts "first" (LRU)
         assert len(manager.prefix) == 2
         assert manager.prefix.match(
             model.tokenizer.encode("first preamble text plus", add_bos=True)) is None
-        # first's blocks were released; third's were allocated.
-        assert manager.cache.blocks_in_use == held
+        # first's blocks (5 full) were released; third's (5 full and a
+        # partial one) were allocated.
+        assert (manager.cache.blocks_in_use
+                == held - len(first.block_ids) + len(third.block_ids) == held + 1)
         manager.cache.check_invariants(
             external_refs=manager.prefix.external_refs())
         assert manager.cache.blocks_in_use == manager.prefix.blocks_held
@@ -1089,8 +1218,6 @@ class TestScheduler:
             SchedulerPolicy(max_queue=0)
         with pytest.raises(ValueError, match="block_size must be >= 1"):
             SchedulerPolicy(block_size=0)
-        with pytest.raises(ValueError, match="prefill_padding"):
-            SchedulerPolicy(prefill_padding=-0.1)
         with pytest.raises(ValueError, match="max_prefixes"):
             SchedulerPolicy(max_prefixes=0)
 
@@ -1106,8 +1233,6 @@ class TestScheduler:
     def test_session_manager_requires_capacity(self, model):
         with pytest.raises(ValueError, match="max_slots"):
             SessionManager(model, max_slots=0)
-        with pytest.raises(ValueError, match="prefill_padding"):
-            SessionManager(model, max_slots=1, prefill_padding=-1.0)
 
 
 # ---------------------------------------------------------------------- #
@@ -1419,7 +1544,7 @@ class TestCancellation:
         interleaving, and surviving streams still match standalone generate."""
         rng = np.random.default_rng(42)
         server = InferenceServer(model, SchedulerPolicy(
-            max_batch_size=3, block_size=4, prefill_padding=0.25))
+            max_batch_size=3, block_size=4))
         manager = server._manager
         prompts = {}
         handles = {}
@@ -2024,7 +2149,7 @@ class TestChunkedPrefill:
         rng = np.random.default_rng(77)
         server = InferenceServer(model, SchedulerPolicy(
             max_batch_size=3, block_size=4, prefill_chunk_size=3,
-            step_token_budget=10, prefill_padding=0.25))
+            step_token_budget=10))
         manager = server._manager
         prompts, handles = {}, {}
         next_id = 0

@@ -15,7 +15,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.llm import LanguageModel, build_llm
+from repro.llm import LanguageModel, build_llm, generate
 from repro.llm.config import LLMConfig
 from repro.serve import (
     FAULT_SITES,
@@ -35,7 +35,7 @@ from repro.serve import (
     TransientFault,
 )
 from repro.serve.faults import injection_allowed
-from repro.serve.session import GenerationSession
+from repro.serve.session import GenerationSession, SessionManager
 
 
 @pytest.fixture(scope="module")
@@ -269,7 +269,12 @@ class TestQuarantine:
         assert server._manager.cache.num_sessions == 0
 
     def test_chunked_prefill_fault_quarantined(self, model):
-        injector = FaultInjector([FaultSpec(site="prefill.chunk", at=2)])
+        # The step's one forward carries the long prompt's chunk and the
+        # short prompt's whole tail.  It faults, and so does the chunk row
+        # retried alone: the blast radius is that one request — the short
+        # one, retried alone, is no chunk and completes.
+        injector = FaultInjector(
+            [FaultSpec(site="prefill.chunk", every=1, max_fires=2)])
         server = InferenceServer(
             model, SchedulerPolicy(max_batch_size=2, prefill_chunk_size=4),
             fault_injector=injector)
@@ -283,7 +288,65 @@ class TestQuarantine:
         with pytest.raises(RequestFailed, match="prefill"):
             doomed.result(timeout=5)
         assert len(short.result(timeout=5).token_ids) == 3
+        assert injector.total_fired == 2
         _invariants(server)
+
+    def test_single_chunk_fault_is_absorbed_by_the_one_at_a_time_retry(self, model):
+        injector = FaultInjector([FaultSpec(site="prefill.chunk", at=2)])
+        server = InferenceServer(
+            model, SchedulerPolicy(max_batch_size=2, prefill_chunk_size=4),
+            fault_injector=injector)
+        handle = server.submit(GenerateRequest(prompt="tok " * 12,
+                                               max_new_tokens=3,
+                                               stop_on_eos=False))
+        server.run_until_idle()
+        assert len(handle.result(timeout=5).token_ids) == 3
+        assert injector.total_fired == 1
+        _invariants(server)
+
+    # (site, which visit is the mixed forward's: the first chunk below has
+    # already passed ``prefill.chunk`` and ``kv.admit`` once).
+    @pytest.mark.parametrize("site,visit", [
+        ("prefill.band", 1), ("prefill.chunk", 2), ("kv.admit", 2),
+        ("kv.extend", 1), ("prefix.seed", 1)])
+    def test_prefill_sites_fire_before_any_pool_mutation(self, model, site, visit):
+        """One forward passes all five sites: a new one-shot row behind a
+        prefix hit beside a row mid-prompt.  Whichever site raises, sessions
+        and pool are as they were, and the same call then succeeds."""
+        injector = FaultInjector([FaultSpec(site=site, at=visit)])
+        manager = SessionManager(model, max_slots=2, block_size=4,
+                                 fault_injector=injector)
+        head = "shared head 123"
+        manager.register_prefix(head)
+        resumed = GenerationSession(session_id=1, prompt="a prompt in two chunks",
+                                    max_new_tokens=3, stop_on_eos=False)
+        manager.prefill_chunk(resumed, 6)  # first visit of its sites: no fault
+        hit = GenerationSession(session_id=2, prompt=head + " tail",
+                                max_new_tokens=3, stop_on_eos=False)
+        manager._prepare_prompt(hit)
+        rows = [resumed, hit]
+        takes = [len(s.prompt_ids) - s.prompt_pos for s in rows]
+
+        def facts():
+            cache = manager.cache
+            return (cache.blocks_in_use, cache.num_sessions, cache.length(resumed.slot),
+                    cache.table(resumed.slot), cache.allocator.refcounts.tolist(),
+                    [(s.state, s.slot, s.prompt_pos) for s in rows])
+
+        before = facts()
+        with pytest.raises(InjectedFault, match=site):
+            manager.prefill_chunk_group(rows, takes)
+        assert facts() == before
+        manager.cache.check_invariants(external_refs=manager.prefix.external_refs())
+        manager.prefill_chunk_group(rows, takes)
+        while manager.running:
+            manager.step()
+        for session in rows:
+            assert session.generated == generate(
+                model, session.prompt, max_new_tokens=3,
+                stop_on_eos=False).token_ids
+        manager.cache.check_invariants(external_refs=manager.prefix.external_refs())
+        assert manager.cache.num_sessions == 0
 
     def test_decision_fault_blast_radius_is_one_batch(self, model):
         """Satellite regression test: a runtime raising inside one decision

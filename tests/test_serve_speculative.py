@@ -7,9 +7,10 @@ and the headline acceptance property: the speculative engine's emitted
 token streams are **exactly** the sequential engine's, at every draft
 length and at temperature 0 and temperature > 0 (seeded), while the pool
 invariants hold after every step — interleaved with chunked prefill,
-prefix-cache hits and random cancels.  The fused multi-chunk prefill path
-is pinned the same way: grouped equal-history chunks must commit logits
-identical to the one-at-a-time path.
+prefix-cache hits and random cancels.  Multi-row prefill is pinned the same
+way: several sessions' chunks in one forward — at equal or different
+committed lengths, with equal or different takes — must emit the tokens of
+the one-at-a-time path.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.llm import LanguageModel
+from repro.llm import LanguageModel, generate
 from repro.llm.config import LLMConfig
 from repro.nn import no_grad
 from repro.serve import (
@@ -626,7 +627,7 @@ class TestInterleavedChaosFreeProperty:
 
 
 # ---------------------------------------------------------------------- #
-# Fused multi-chunk prefill: grouped equal-history chunks, exact parity
+# Multi-row prefill: several sessions' chunks in one forward, exact parity
 # ---------------------------------------------------------------------- #
 class TestFusedPrefill:
     def test_fused_groups_fire_and_match_solo_chunks(self, model, monkeypatch):
@@ -666,44 +667,44 @@ class TestFusedPrefill:
         # the run completes either way — and the streams are identical.
         assert fused_streams == solo_streams
 
-    def test_fused_history_memo_tracks_group_lifecycle(self, model):
-        policy = SchedulerPolicy(max_batch_size=8, block_size=16,
-                                 prefill_chunk_size=8)
-        server = InferenceServer(model=model, policy=policy)
-        handles = [server.submit(GenerateRequest(
-            prompt="m " * 30, max_new_tokens=2, stop_on_eos=False))
-            for _ in range(4)]
-        manager = server._manager
-        server.step()   # admission chunk: sessions become PREFILLING
-        server.step()   # first fused wave: the stacked cache is memoized
-        memo = manager._fused_prefill
-        assert memo is not None
-        (ids, length), fused = memo
-        assert set(ids) == set(manager.prefilling.keys())
-        assert fused.seq_len == length
-        assert all(s.prefill_cache.seq_len == length
-                   for s in manager.prefilling.values())
-        server.run_until_idle()
-        # Dropped once the group leaves PREFILLING (no stale K/V pinned).
-        assert manager._fused_prefill is None
-        for handle in handles:
-            handle.result(timeout=30)
-        _invariants(server)
+    def test_unequal_histories_and_takes_match_generate(self, model):
+        """One call, four rows: two mid-prompt at different committed lengths,
+        one behind a prefix hit, one brand new — each with its own take."""
+        manager = SessionManager(model, max_slots=4, block_size=16)
+        head = "system: answer briefly. "
+        manager.register_prefix(head)
 
-    def test_fused_rejects_unequal_history(self, model):
-        policy = SchedulerPolicy(max_batch_size=4, block_size=16,
-                                 prefill_chunk_size=8)
-        server = InferenceServer(model=model, policy=policy)
-        a = server.submit(GenerateRequest(prompt="x " * 30, max_new_tokens=2,
-                                          stop_on_eos=False))
-        server.step()  # a is mid-prefill now
-        manager = server._manager
-        sessions = list(manager.prefilling.values())
-        assert sessions
-        with pytest.raises(ValueError, match="equal-history"):
-            fake = type(sessions[0])(session_id=999, prompt="y",
-                                     max_new_tokens=1)
-            fake.prefill_cache = server.model.init_cache()
-            manager.prefill_chunk_group([sessions[0], fake], 4)
-        server.run_until_idle()
-        a.result(timeout=30)
+        def check():
+            manager.cache.check_invariants(
+                external_refs=manager.prefix.external_refs())
+
+        prompts = ["x " * 30, "a different and shorter prompt",
+                   head + "alpha beta gamma delta", "brand new row"]
+        sessions = [session_module.GenerationSession(
+            session_id=i, prompt=prompt, max_new_tokens=5, stop_on_eos=False)
+            for i, prompt in enumerate(prompts)]
+        manager.prefill_chunk(sessions[0], 17)  # past a block boundary
+        manager.prefill_chunk(sessions[1], 4)
+        assert [manager.cache.length(s.slot) for s in sessions[:2]] == [17, 4]
+        for session in sessions[2:]:
+            manager._prepare_prompt(session)  # tokenize + match, as admission does
+        takes = [9, 20, 7, 14]  # the last one is the new row's whole tail
+        manager.prefill_chunk_group(sessions, takes)
+        assert sessions[2].metrics.prefix_tokens == len(head) + 1
+        assert [s.state for s in sessions] == ["prefilling"] * 3 + ["running"]
+        assert [manager.cache.length(s.slot) for s in sessions] == [
+            26, 24, len(head) + 1 + 7, 14]
+        check()
+        while manager.prefilling:
+            group = list(manager.prefilling.values())
+            manager.prefill_chunk_group(
+                group, [min(11, len(s.prompt_ids) - s.prompt_pos) for s in group])
+            check()
+        while manager.running:
+            manager.step()
+            check()
+        for session in sessions:
+            reference = generate(model, session.prompt, max_new_tokens=5,
+                                 stop_on_eos=False)
+            assert session.generated == reference.token_ids, session.prompt
+        assert manager.cache.num_sessions == 0

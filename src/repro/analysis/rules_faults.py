@@ -8,7 +8,7 @@ two drift in both directions:
 
 * a new instrumented site whose string never lands in the catalog is
   undiscoverable — ``REPRO_FAULTS`` can name it but nothing documents it
-  and ``fires_since`` accounting misattributes it;
+  and a ``StepRecord.faults`` entry names a site no reader can look up;
 * a catalog entry whose call site was refactored away is a documented
   fault that can never fire — chaos tests targeting it silently test
   nothing.

@@ -72,7 +72,8 @@ import queue as queue_module
 import threading
 import time
 from collections import deque
-from typing import Any, Deque, Dict, Hashable, Iterator, List, Optional, Tuple, Union
+from typing import (Any, Deque, Dict, Hashable, Iterable, Iterator, List,
+                    Optional, Tuple, Union)
 
 from ..llm import LanguageModel
 from .faults import FaultInjector
@@ -305,7 +306,9 @@ class InferenceServer:
         #: The flight recorder (always an object; possibly disabled).
         self.telemetry = telemetry
         # Hot-path guard: None when disabled, so every instrumented site is
-        # a single ``is None`` check (same idiom as fault injection).
+        # a single ``is None`` check (same idiom as fault injection).  The
+        # step path reaches the recorder only through it, writing the fields
+        # of the open record ``self._trace.step`` where the events happen.
         self._trace: Optional[ServeTelemetry] = (
             telemetry if telemetry.enabled else None)
         self._manager = (SessionManager(model, max_slots=self.policy.max_batch_size,
@@ -342,7 +345,6 @@ class InferenceServer:
         # Fault-tolerance bookkeeping (all under self._lock).
         self._faults_quarantined = 0
         self._retries = 0
-        self._shed = 0
         self._crashed = False
         self._last_fault_at: Optional[float] = None
         for task, adapter in (adapters or {}).items():
@@ -423,7 +425,6 @@ class InferenceServer:
                 overload = (f"request queue full ({self.policy.max_queue}); "
                             f"retry later")
             if overload is not None:
-                self._shed += 1
                 self._finish(handle, OUTCOME_SHED, error=ServerOverloaded(
                     f"request {handle.request_id} ({handle.task}) shed: "
                     f"{overload}"))
@@ -532,10 +533,13 @@ class InferenceServer:
                 return ServerHealth.DEGRADED
             return ServerHealth.HEALTHY
 
-    def _note_fault(self) -> None:
-        """Count one quarantine event (lock held)."""
+    def _note_fault(self, request_ids: Iterable[int]) -> None:
+        """Count one quarantine event implicating these requests (lock held)."""
         self._faults_quarantined += 1
         self._last_fault_at = time.perf_counter()
+        if self._trace is not None:
+            self._trace.step.quarantines += 1
+            self._trace.step.quarantined.extend(request_ids)
 
     # ------------------------------------------------------------------ #
     # Lifecycle: the terminal transition, cancellation and deadlines
@@ -556,7 +560,7 @@ class InferenceServer:
             return
         self._live.pop(handle.request_id, None)
         handle._group_key = None  # clients may keep handles; don't pin the key
-        session, metrics, telemetry = handle._session, handle.metrics, self.telemetry
+        session, metrics = handle._session, handle.metrics
         metrics.outcome = outcome
         metrics.mark_finished()
         self._completed.append(metrics)
@@ -564,22 +568,22 @@ class InferenceServer:
         if outcome == OUTCOME_OK:
             self._tokens_generated += metrics.tokens_generated
         self._last_finished_at = metrics.finished_at
-        if outcome != OUTCOME_OK:
-            if session is not None:
-                session.state = FAILED
-            if outcome == OUTCOME_CANCELLED:
-                telemetry.note_cancelled()
-            elif outcome == OUTCOME_EXPIRED:
-                telemetry.note_expired()
-            elif outcome == OUTCOME_SHED:
-                telemetry.note_shed()
+        if session is not None:
+            if outcome == OUTCOME_OK:
+                result = session.to_result(self.model.tokenizer)
             else:
-                telemetry.note_failed()
-        elif session is None:
-            telemetry.note_decisions(1)
-        else:
-            telemetry.note_finished(handle.request_id)
-            result = session.to_result(self.model.tokenizer)
+                session.state = FAILED
+        if self._trace is not None:
+            # Between steps (a shed at submit, a client's cancel) the open
+            # record is the next step's, which is where the ending shows.
+            step = self._trace.step
+            if outcome != OUTCOME_OK:
+                # StepRecord counts each other ending under the outcome's name.
+                setattr(step, outcome, getattr(step, outcome) + 1)
+            elif session is None:
+                step.decisions += 1
+            else:
+                step.finished.append(handle.request_id)
         handle._settle(result, error)
 
     def _withdraw(self, handle: RequestHandle, reason: str) -> None:
@@ -667,7 +671,7 @@ class InferenceServer:
                     self._commit_step_trace(did_work)
 
     def _commit_step_trace(self, did_work: bool) -> None:
-        """Freeze this step's trace draft with the end-of-step gauges."""
+        """Commit this step's record with the end-of-step gauges."""
         manager = self._manager
         prefix = manager.prefix if manager is not None else None
         cache = manager.cache if manager is not None else None
@@ -903,9 +907,10 @@ class InferenceServer:
         admitted = self._scheduler.admissions(cap) if cap > 0 else []
         if not admitted and not manager.num_prefilling:
             return False
-        if self._trace is not None:
-            self._trace.note_prefill_budget(budget)
-            self._trace.note_admitted(s.session_id for s in admitted)
+        step = self._trace.step if self._trace is not None else None
+        if step is not None:
+            step.prefill_budget = budget
+            step.admitted.extend(s.session_id for s in admitted)
         spent, terminal, failures, deferred = manager.prefill_step(
             admitted, self.policy.prefill_chunk_size, budget)
         for session in terminal:
@@ -919,8 +924,10 @@ class InferenceServer:
         # so aging and FIFO ordering continue as if they had never left.
         # Reversed so the earliest-admitted deferral keeps the earliest seq.
         for session in reversed(deferred):
-            if self._trace is not None:
-                self._trace.note_deferred(session.session_id)
+            if step is not None:
+                # A deferral never started: it does not count as admitted.
+                step.admitted.remove(session.session_id)
+                step.deferred.append(session.session_id)
             self._scheduler.requeue_front(session)
         return bool(admitted or spent or terminal or failures)
 
@@ -929,7 +936,7 @@ class InferenceServer:
             return False
         batch = list(self._manager.running.values())
         if self._trace is not None:
-            self._trace.note_decode(s.session_id for s in batch)
+            self._trace.step.decode_sessions.extend(s.session_id for s in batch)
         try:
             completed, occupancy = self._manager.step()
         except Exception as error:
@@ -958,9 +965,7 @@ class InferenceServer:
         means the fault corrupted shared state — that escalates (raises) into
         the fail-all crash guard in :meth:`step`.
         """
-        self._note_fault()
-        if self._trace is not None:
-            self._trace.note_quarantine(s.session_id for s in sessions)
+        self._note_fault(s.session_id for s in sessions)
         for session in sessions:
             self._manager.abort(session)
         self._verify_pool_sound(error)
@@ -1008,7 +1013,7 @@ class InferenceServer:
             metrics.begin_retry()
             self._retries += 1
             if self._trace is not None:
-                self._trace.note_retry()
+                self._trace.step.retries += 1
             return True
         self._finish(handle, OUTCOME_FAILED, error=RequestFailed(
             f"request {handle.request_id} ({handle.task}) {what}: {error}",
@@ -1077,9 +1082,7 @@ class InferenceServer:
             # Runtimes never touch the KV pool, so no invariant check is
             # needed; each entry is retried under the retry policy or failed
             # with RequestFailed.
-            self._note_fault()
-            if self._trace is not None:
-                self._trace.note_quarantine(h.request_id for h in group)
+            self._note_fault(h.request_id for h in group)
             now = time.perf_counter()
             for handle in group:
                 if self._retry_or_fail(handle, error, now,
@@ -1109,7 +1112,7 @@ class InferenceServer:
                                       if prefix is not None else 0),
                 faults_quarantined=self._faults_quarantined,
                 retries=self._retries,
-                shed=self._shed,
+                shed=self._outcomes.get(OUTCOME_SHED, 0),
                 tokens_drafted=(self._manager.tokens_drafted
                                 if self._manager is not None else 0),
                 tokens_accepted=(self._manager.tokens_accepted

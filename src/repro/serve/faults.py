@@ -190,7 +190,9 @@ class FaultInjector:
     ``fire(site)`` is called by the instrumented code; it bumps the site's
     visit counter, evaluates every matching :class:`FaultSpec` and performs
     the triggered actions.  ``fired_log`` records ``(site, visit, action)``
-    for every fired spec, so tests can assert the exact fault sequence.
+    for every fired spec, so tests can assert the exact fault sequence; the
+    flight recorder is handed the list at step start and keeps what the step
+    appended (every site fires inside ``step()``, under the engine lock).
     """
 
     def __init__(self, schedule: Sequence[FaultSpec], seed: int = 0) -> None:
@@ -213,16 +215,6 @@ class FaultInjector:
     def visit_count(self, site: str) -> int:
         """How many times ``site`` has been reached so far."""
         return self.visits.get(site, 0)
-
-    def fires_since(self, baseline: int) -> List[Tuple[str, int, str]]:
-        """The ``fired_log`` entries appended after length ``baseline``.
-
-        The telemetry flight recorder snapshots ``len(fired_log)`` at step
-        start and slices here at commit — exact per-step attribution,
-        because every fault site fires inside ``step()`` under the engine
-        lock.
-        """
-        return self.fired_log[baseline:]
 
     @property
     def total_fired(self) -> int:

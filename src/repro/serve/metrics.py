@@ -9,10 +9,32 @@ those into throughput / tail-latency / occupancy statistics.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from ..utils import percentile
+
+
+def export(record: object, derived: Sequence[str] = ()) -> Dict[str, object]:
+    """JSON-friendly form of a dataclass: a field is exported by being declared.
+
+    Every field under its own name — tuples as lists, mapping keys as
+    strings, at any depth — then the ``derived`` properties named.  The one
+    body behind ``StepRecord.to_dict``, ``WindowStats.to_dict`` and
+    ``ServerStats.report``.
+    """
+    out = {f.name: _jsonable(getattr(record, f.name)) for f in fields(record)}
+    for name in derived:
+        out[name] = getattr(record, name)
+    return out
+
+
+def _jsonable(value: object) -> object:
+    if isinstance(value, (tuple, list)):
+        return [_jsonable(item) for item in value]
+    if isinstance(value, Mapping):
+        return {str(key): _jsonable(item) for key, item in value.items()}
+    return value
 
 
 #: Request outcomes (``RequestMetrics.outcome``).
@@ -330,40 +352,4 @@ class ServerStats:
 
     def report(self) -> Dict[str, object]:
         """JSON-friendly summary (used by the serving benchmark)."""
-        return {
-            "requests_completed": self.requests_completed,
-            "tokens_generated": self.tokens_generated,
-            "wall_seconds": self.wall_seconds,
-            "tokens_per_second": self.tokens_per_second,
-            "latency_p50_s": self.latency_p50_s,
-            "latency_p95_s": self.latency_p95_s,
-            "queue_p50_s": self.queue_p50_s,
-            "queue_p95_s": self.queue_p95_s,
-            "ttft_p50_s": self.ttft_p50_s,
-            "ttft_p95_s": self.ttft_p95_s,
-            "itl_p50_s": self.itl_p50_s,
-            "itl_p95_s": self.itl_p95_s,
-            "mean_batch_occupancy": self.mean_batch_occupancy,
-            "max_queue_depth": self.max_queue_depth,
-            "per_task": dict(self.per_task),
-            "queue_by_priority": {str(priority): dict(stats)
-                                  for priority, stats in self.queue_by_priority.items()},
-            "cancelled": self.cancelled,
-            "expired": self.expired,
-            "mean_blocks_in_use": self.mean_blocks_in_use,
-            "peak_blocks_in_use": self.peak_blocks_in_use,
-            "block_capacity": self.block_capacity,
-            "block_occupancy": self.block_occupancy,
-            "prefix_hits": self.prefix_hits,
-            "prefix_misses": self.prefix_misses,
-            "prefix_tokens_reused": self.prefix_tokens_reused,
-            "failed": self.failed,
-            "faults_quarantined": self.faults_quarantined,
-            "retries": self.retries,
-            "shed": self.shed,
-            "tokens_drafted": self.tokens_drafted,
-            "tokens_accepted": self.tokens_accepted,
-            "acceptance_rate": self.acceptance_rate,
-            "health": self.health,
-            "telemetry": dict(self.telemetry),
-        }
+        return export(self, derived=("block_occupancy", "acceptance_rate"))

@@ -190,7 +190,8 @@ class SessionManager:
         self.faults = fault_injector
         #: Optional :class:`~repro.serve.telemetry.ServeTelemetry`; the
         #: engine wires it in only when enabled, so every instrumented site
-        #: here is a single ``is None`` check (same idiom as ``faults``).
+        #: here is a single ``is None`` check (same idiom as ``faults``)
+        #: ahead of a write to its open record, ``telemetry.step``.
         self.telemetry = telemetry
         if speculation not in ("off", "ngram"):
             raise ValueError(f"speculation must be 'off' or 'ngram', got "
@@ -454,7 +455,8 @@ class SessionManager:
             if self.telemetry is not None:
                 # One chunk per take, so the flight recorder reads a one-shot
                 # tail as a single PREFILLING entry.
-                self.telemetry.note_prefill_chunk(session.session_id, take)
+                self.telemetry.step.prefill_chunks.append(
+                    (session.session_id, take))
             if session.prompt_left:
                 session.state = PREFILLING
                 self.prefilling[session.session_id] = session
@@ -656,7 +658,8 @@ class SessionManager:
             self.tokens_drafted += step_drafted
             self.tokens_accepted += step_accepted
             if self.telemetry is not None:
-                self.telemetry.note_speculation(step_drafted, step_accepted)
+                self.telemetry.step.tokens_drafted += step_drafted
+                self.telemetry.step.tokens_accepted += step_accepted
         return completed, len(batch)
 
     # ------------------------------------------------------------------ #

@@ -35,7 +35,10 @@ retry activity — "who was in the batch when my ITL spiked", directly
 answerable from the flight recorder instead of from guesswork.
 
 All mutation happens under the engine lock (the engine serializes steps),
-so the recorder needs no locking of its own; readers (``windows()``,
+so the recorder needs no locking of its own: the engine and the session
+manager write the fields of the open record, :attr:`ServeTelemetry.step`,
+where the events happen, and a field exists by being declared on its
+dataclass (the exports are derived from it).  Readers (``windows()``,
 ``records()``, ``explain_request``) should be called through the engine's
 public surface which takes the lock.
 """
@@ -43,8 +46,10 @@ public surface which takes the lock.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, fields, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .metrics import export
 
 #: Batch-composition phases a session can occupy within one step record.
 PHASE_DECODING = "decoding"
@@ -61,7 +66,7 @@ HIGH_KV_PADDING_SHARE = 0.5
 FaultEvent = Tuple[str, int, str]
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepRecord:
     """One engine step, compactly: who ran, what it cost, what went wrong.
 
@@ -71,28 +76,34 @@ class StepRecord:
     many it committed (phase ``PREFILLING`` — one-shot admissions appear
     here too, with their whole tail as a single chunk).  The
     remaining fields are the step's event counters and end-of-step gauges.
+
+    This class is the only declaration of a field: while the step runs the
+    record is open (:attr:`ServeTelemetry.step`) and whoever causes an event
+    writes it here; ``commit_step`` stamps the gauges and turns the id lists
+    into tuples.  A committed record is not written again.
     """
 
     seq: int
     started_at: float
     ended_at: float
     #: Request ids advanced by the batched decode forward this step.
-    decode_sessions: Tuple[int, ...] = ()
+    decode_sessions: Sequence[int] = field(default_factory=list)
     #: ``(request_id, prompt_tokens_committed)`` per prefill this step.
-    prefill_chunks: Tuple[Tuple[int, int], ...] = ()
+    prefill_chunks: Sequence[Tuple[int, int]] = field(default_factory=list)
     #: Prompt-token budget granted to prefill this step (None: unbounded).
     prefill_budget: Optional[int] = None
     #: Request ids popped from the queue into prefill this step.
-    admitted: Tuple[int, ...] = ()
+    admitted: Sequence[int] = field(default_factory=list)
     #: Admissions bounced back to the queue head (budget ran dry first).
-    deferred: Tuple[int, ...] = ()
+    deferred: Sequence[int] = field(default_factory=list)
     #: Request ids that completed (EOS / max tokens / context cap).
-    finished: Tuple[int, ...] = ()
+    finished: Sequence[int] = field(default_factory=list)
     #: Request ids implicated in a fault quarantine this step.
-    quarantined: Tuple[int, ...] = ()
+    quarantined: Sequence[int] = field(default_factory=list)
     #: Quarantine events contained this step (one per failed phase).
     quarantines: int = 0
     retries: int = 0
+    #: Requests that ended so, each counted under its outcome's name.
     failed: int = 0
     cancelled: int = 0
     expired: int = 0
@@ -148,41 +159,17 @@ class StepRecord:
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-friendly form (the JSONL export row)."""
-        return {
-            "seq": self.seq,
-            "started_at": self.started_at,
-            "ended_at": self.ended_at,
-            "duration_s": self.duration_s,
-            "decode_sessions": list(self.decode_sessions),
-            "prefill_chunks": [list(chunk) for chunk in self.prefill_chunks],
-            "decode_tokens": self.decode_tokens,
-            "prefill_tokens": self.prefill_tokens,
-            "prefill_budget": self.prefill_budget,
-            "admitted": list(self.admitted),
-            "deferred": list(self.deferred),
-            "finished": list(self.finished),
-            "quarantined": list(self.quarantined),
-            "quarantines": self.quarantines,
-            "retries": self.retries,
-            "failed": self.failed,
-            "cancelled": self.cancelled,
-            "expired": self.expired,
-            "shed": self.shed,
-            "decisions": self.decisions,
-            "tokens_drafted": self.tokens_drafted,
-            "tokens_accepted": self.tokens_accepted,
-            "faults": [list(event) for event in self.faults],
-            "queue_depth": self.queue_depth,
-            "queue_depth_by_priority": {str(priority): depth
-                                        for priority, depth
-                                        in self.queue_depth_by_priority.items()},
-            "blocks_in_use": self.blocks_in_use,
-            "prefix_hits": self.prefix_hits,
-            "kv_positions_gathered": self.kv_positions_gathered,
-            "kv_positions_live": self.kv_positions_live,
-            "kv_groups": self.kv_groups,
-            "kv_padding_share": self.kv_padding_share,
-        }
+        return export(self, derived=("duration_s", "decode_tokens",
+                                     "prefill_tokens", "kv_padding_share"))
+
+
+#: The fields an open record collects ids in; tuples once committed.
+_ID_LISTS = tuple(f.name for f in fields(StepRecord)
+                  if f.default_factory is list)
+#: What ``commit_step`` has not stamped yet when it decides whether a step
+#: that did no work still carries an event (all of it falsy by default).
+_EVENT_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in
+                      ("seq", "started_at", "ended_at", "prefill_budget"))
 
 
 def _padding_share(gathered: int, live: int) -> float:
@@ -243,17 +230,23 @@ class TraceLog:
         return len(records)
 
 
-@dataclass(frozen=True)
+@dataclass
 class WindowStats:
-    """One fixed wall-clock window of aggregated step activity."""
+    """One fixed wall-clock window of aggregated step activity.
+
+    The row keeps the raw sums its three means come from (``queue_depth_sum``
+    and ``occupancy_sum`` over ``steps``, the two ``kv_positions_*``), so two
+    rows can be merged by adding them.
+    """
 
     index: int
     start_at: float
     end_at: float
     steps: int = 0
-    queue_depth_mean: float = 0.0
+    queue_depth_sum: int = 0
     queue_depth_max: int = 0
-    batch_occupancy_mean: float = 0.0
+    #: Decode rows plus prefill chunks, summed over the window's steps.
+    occupancy_sum: int = 0
     decode_tokens: int = 0
     prefill_tokens: int = 0
     admissions: int = 0
@@ -265,56 +258,27 @@ class WindowStats:
     faults: int = 0
     decisions: int = 0
     blocks_in_use_max: int = 0
-    #: Share of the key positions the window's steps gathered that were
-    #: padding (``StepRecord.kv_positions_*`` summed over the window).
-    kv_padding_share: float = 0.0
+    #: ``StepRecord.kv_positions_*`` summed over the window.
+    kv_positions_gathered: int = 0
+    kv_positions_live: int = 0
+
+    @property
+    def queue_depth_mean(self) -> float:
+        return self.queue_depth_sum / self.steps if self.steps else 0.0
+
+    @property
+    def batch_occupancy_mean(self) -> float:
+        return self.occupancy_sum / self.steps if self.steps else 0.0
+
+    @property
+    def kv_padding_share(self) -> float:
+        """Share of the key positions the window's steps gathered that were
+        padding."""
+        return _padding_share(self.kv_positions_gathered, self.kv_positions_live)
 
     def to_dict(self) -> Dict[str, object]:
-        return {
-            "index": self.index,
-            "start_at": self.start_at,
-            "end_at": self.end_at,
-            "steps": self.steps,
-            "queue_depth_mean": self.queue_depth_mean,
-            "queue_depth_max": self.queue_depth_max,
-            "batch_occupancy_mean": self.batch_occupancy_mean,
-            "decode_tokens": self.decode_tokens,
-            "prefill_tokens": self.prefill_tokens,
-            "admissions": self.admissions,
-            "evictions": self.evictions,
-            "sheds": self.sheds,
-            "retries": self.retries,
-            "faults": self.faults,
-            "decisions": self.decisions,
-            "blocks_in_use_max": self.blocks_in_use_max,
-            "kv_padding_share": self.kv_padding_share,
-        }
-
-
-class _WindowAccumulator:
-    """Mutable per-window sums (frozen into :class:`WindowStats` on read)."""
-
-    __slots__ = ("steps", "queue_depth_sum", "queue_depth_max",
-                 "occupancy_sum", "decode_tokens", "prefill_tokens",
-                 "admissions", "evictions", "sheds", "retries", "faults",
-                 "decisions", "blocks_in_use_max", "kv_gathered", "kv_live")
-
-    def __init__(self) -> None:
-        self.steps = 0
-        self.queue_depth_sum = 0
-        self.queue_depth_max = 0
-        self.occupancy_sum = 0
-        self.decode_tokens = 0
-        self.prefill_tokens = 0
-        self.admissions = 0
-        self.evictions = 0
-        self.sheds = 0
-        self.retries = 0
-        self.faults = 0
-        self.decisions = 0
-        self.blocks_in_use_max = 0
-        self.kv_gathered = 0
-        self.kv_live = 0
+        return export(self, derived=("queue_depth_mean", "batch_occupancy_mean",
+                                     "kv_padding_share"))
 
 
 class WindowAggregator:
@@ -336,76 +300,63 @@ class WindowAggregator:
         self.window_s = window_s
         self.max_windows = max_windows
         self.epoch: Optional[float] = None
-        self._windows: Dict[int, _WindowAccumulator] = {}
+        self._windows: Dict[int, WindowStats] = {}
         self.windows_dropped = 0
 
     def window_index(self, timestamp: float) -> int:
         """Which window a timestamp falls in (epoch must be set)."""
         return int((timestamp - self.epoch) // self.window_s)
 
+    def _empty(self, index: int) -> WindowStats:
+        start = self.epoch + index * self.window_s
+        return WindowStats(index, start, start + self.window_s)
+
     def observe(self, record: StepRecord) -> None:
         if self.epoch is None:
             self.epoch = record.started_at
         index = self.window_index(record.ended_at)
-        acc = self._windows.get(index)
-        if acc is None:
-            acc = self._windows[index] = _WindowAccumulator()
+        window = self._windows.get(index)
+        if window is None:
+            window = self._windows[index] = self._empty(index)
             if len(self._windows) > self.max_windows:
-                oldest = min(self._windows)
-                del self._windows[oldest]
+                del self._windows[min(self._windows)]
                 self.windows_dropped += 1
-        acc.steps += 1
-        acc.queue_depth_sum += record.queue_depth
-        acc.queue_depth_max = max(acc.queue_depth_max, record.queue_depth)
-        occupancy = len(record.decode_sessions) + len(record.prefill_chunks)
-        acc.occupancy_sum += occupancy
-        acc.decode_tokens += record.decode_tokens
-        acc.prefill_tokens += record.prefill_tokens
-        acc.admissions += len(record.admitted)
-        acc.evictions += (len(record.finished) + record.cancelled
-                          + record.expired + record.failed)
-        acc.sheds += record.shed
-        acc.retries += record.retries
-        acc.faults += record.quarantines + len(record.faults)
-        acc.decisions += record.decisions
-        acc.blocks_in_use_max = max(acc.blocks_in_use_max,
-                                    record.blocks_in_use)
-        acc.kv_gathered += record.kv_positions_gathered
-        acc.kv_live += record.kv_positions_live
+        window.steps += 1
+        window.queue_depth_sum += record.queue_depth
+        window.queue_depth_max = max(window.queue_depth_max, record.queue_depth)
+        window.occupancy_sum += (len(record.decode_sessions)
+                                 + len(record.prefill_chunks))
+        window.decode_tokens += record.decode_tokens
+        window.prefill_tokens += record.prefill_tokens
+        window.admissions += len(record.admitted)
+        window.evictions += (len(record.finished) + record.cancelled
+                             + record.expired + record.failed)
+        window.sheds += record.shed
+        window.retries += record.retries
+        window.faults += record.quarantines + len(record.faults)
+        window.decisions += record.decisions
+        window.blocks_in_use_max = max(window.blocks_in_use_max,
+                                       record.blocks_in_use)
+        window.kv_positions_gathered += record.kv_positions_gathered
+        window.kv_positions_live += record.kv_positions_live
 
-    def windows(self, fill_empty: bool = True) -> List[WindowStats]:
-        """Retained windows oldest-first (empty gaps materialized by default)."""
+    def windows(self, fill_empty: bool = True,
+                last: Optional[int] = None) -> List[WindowStats]:
+        """Retained windows oldest-first (empty gaps materialized by default).
+
+        ``last`` keeps the newest that many and builds no other: with gaps
+        filled, the rows between two records number the idle seconds between
+        them, and ``stats()`` reads this with the engine lock held.
+        """
         if not self._windows:
             return []
-        lo, hi = min(self._windows), max(self._windows)
-        indices = (range(lo, hi + 1) if fill_empty
-                   else sorted(self._windows))
-        out: List[WindowStats] = []
-        for index in indices:
-            start = self.epoch + index * self.window_s
-            acc = self._windows.get(index)
-            if acc is None:
-                out.append(WindowStats(index=index, start_at=start,
-                                       end_at=start + self.window_s))
-                continue
-            out.append(WindowStats(
-                index=index, start_at=start, end_at=start + self.window_s,
-                steps=acc.steps,
-                queue_depth_mean=acc.queue_depth_sum / acc.steps,
-                queue_depth_max=acc.queue_depth_max,
-                batch_occupancy_mean=acc.occupancy_sum / acc.steps,
-                decode_tokens=acc.decode_tokens,
-                prefill_tokens=acc.prefill_tokens,
-                admissions=acc.admissions,
-                evictions=acc.evictions,
-                sheds=acc.sheds,
-                retries=acc.retries,
-                faults=acc.faults,
-                decisions=acc.decisions,
-                blocks_in_use_max=acc.blocks_in_use_max,
-                kv_padding_share=_padding_share(acc.kv_gathered, acc.kv_live),
-            ))
-        return out
+        indices = (range(min(self._windows), max(self._windows) + 1)
+                   if fill_empty else sorted(self._windows))
+        if last is not None:
+            indices = indices[max(0, len(indices) - last):]
+        # Copies: a window still filling must not change under its reader.
+        return [replace(self._windows[index]) if index in self._windows
+                else self._empty(index) for index in indices]
 
 
 @dataclass(frozen=True)
@@ -496,65 +447,17 @@ class RequestExplanation:
         }
 
 
-class _StepDraft:
-    """Per-step accumulator the engine phases write into (engine lock held)."""
-
-    __slots__ = ("started_at", "fault_log", "fault_baseline",
-                 "decode_sessions", "prefill_chunks", "prefill_budget",
-                 "admitted", "deferred", "finished", "quarantined",
-                 "quarantines", "retries", "failed", "cancelled", "expired",
-                 "shed", "decisions", "tokens_drafted", "tokens_accepted",
-                 "dirty")
-
-    def __init__(self, started_at: float,
-                 fault_log: Optional[Sequence[FaultEvent]]) -> None:
-        self.started_at = started_at
-        self.fault_log = fault_log
-        self.fault_baseline = len(fault_log) if fault_log is not None else 0
-        self.decode_sessions: List[int] = []
-        self.prefill_chunks: List[Tuple[int, int]] = []
-        self.prefill_budget: Optional[int] = None
-        self.admitted: List[int] = []
-        self.deferred: List[int] = []
-        self.finished: List[int] = []
-        self.quarantined: List[int] = []
-        self.quarantines = 0
-        self.retries = 0
-        self.failed = 0
-        self.cancelled = 0
-        self.expired = 0
-        self.shed = 0
-        self.decisions = 0
-        self.tokens_drafted = 0
-        self.tokens_accepted = 0
-        self.dirty = False
-
-
-class _PendingEvents:
-    """Out-of-step events (submit-side sheds, client cancels) awaiting the
-    next committed step record."""
-
-    __slots__ = ("shed", "cancelled", "expired")
-
-    def __init__(self) -> None:
-        self.shed = 0
-        self.cancelled = 0
-        self.expired = 0
-
-    def any(self) -> bool:
-        return bool(self.shed or self.cancelled or self.expired)
-
-
 class ServeTelemetry:
     """The serve loop's flight recorder (trace + windows + attribution).
 
     Construct enabled (the default) to record every engine step into a
     bounded :class:`TraceLog` and fold it into :class:`WindowAggregator`
-    windows; construct with ``enabled=False`` for a permanent no-op whose
-    every note call returns immediately (the engine additionally skips
-    building the per-step id lists, so the disabled cost is one ``None``
-    check per instrumented site).  ``enabled`` is fixed at construction —
-    a toggle mid-run would leave half-recorded steps in the ring.
+    windows; construct with ``enabled=False`` for a permanent no-op:
+    :attr:`step` is ``None``, ``begin_step`` / ``commit_step`` return at once
+    and the engine, which holds ``None`` in place of a disabled recorder,
+    pays one ``is None`` check per instrumented site.  ``enabled`` is fixed
+    at construction — a toggle mid-run would leave half-recorded steps in
+    the ring.
     """
 
     def __init__(self, enabled: bool = True, trace_capacity: int = 4096,
@@ -563,179 +466,70 @@ class ServeTelemetry:
         self.trace = TraceLog(capacity=trace_capacity)
         self.aggregator = WindowAggregator(window_s=window_s,
                                            max_windows=max_windows)
-        self._draft: Optional[_StepDraft] = None
-        self._pending = _PendingEvents()
+        #: The open record (engine lock held to write it): the step in
+        #: progress or, between steps, the next one — so a shed at submit or
+        #: a client's cancel lands in the next committed record.  Whoever
+        #: causes an event writes the field itself (``step.retries += 1``,
+        #: ``step.finished.append(rid)``); ``None`` when disabled.
+        self.step: Optional[StepRecord] = self._open() if enabled else None
+        self._fault_log: Optional[Sequence[FaultEvent]] = None
+        self._fault_baseline = 0
         self._last_prefix_hits = 0
         self._last_kv_totals = (0, 0, 0)
         #: Steps begun but discarded as fully idle (nothing to record).
         self.idle_steps = 0
 
+    def _open(self) -> StepRecord:
+        # A record's seq is its append index (``TraceLog.for_seq``).
+        return StepRecord(self.trace.total, 0.0, 0.0)
+
     # -- step lifecycle (engine lock held) ------------------------------- #
     def begin_step(self, started_at: float,
                    fault_log: Optional[Sequence[FaultEvent]] = None) -> None:
-        if not self.enabled:
+        if self.step is None:
             return
-        self._draft = _StepDraft(started_at, fault_log)
+        self.step.started_at = started_at
+        self._fault_log = fault_log
+        self._fault_baseline = len(fault_log) if fault_log is not None else 0
 
     def commit_step(self, ended_at: float, did_work: bool, queue_depth: int,
                     queue_depth_by_priority: Mapping[int, int],
                     blocks_in_use: int, prefix_hits_total: int,
                     kv_totals: Tuple[int, int, int] = (0, 0, 0)
                     ) -> Optional[StepRecord]:
-        """Freeze the draft into a :class:`StepRecord` (or discard an idle one).
+        """Stamp, append and return the open record, and open the next.
 
-        A step that did no work, noted no events and has no pending
-        out-of-step events is discarded — idle polling must not flood the
-        ring.  Returns the committed record, or None when discarded.
-        ``kv_totals`` is the paged cache's running ``(key_positions_gathered,
-        key_positions_live, attention_groups)``; like the prefix hits, the
-        record keeps what this step added.
+        A step that did no work and whose record carries no event — in-step
+        or out-of-step — is discarded (``None``): idle polling must not flood
+        the ring.  ``kv_totals`` is the paged cache's running
+        ``(key_positions_gathered, key_positions_live, attention_groups)``;
+        like the prefix hits, the record keeps what this step added.
         """
-        draft, self._draft = self._draft, None
-        if draft is None:
+        step = self.step
+        if step is None:
             return None
-        if not (did_work or draft.dirty or self._pending.any()):
+        if not (did_work or any(getattr(step, name) for name in _EVENT_FIELDS)):
             self.idle_steps += 1
+            self.step = self._open()  # whatever it was stamped with goes too
             return None
-        pending, self._pending = self._pending, _PendingEvents()
-        faults: Tuple[FaultEvent, ...] = ()
-        if draft.fault_log is not None:
-            faults = tuple(draft.fault_log[draft.fault_baseline:])
-        prefix_delta = max(0, prefix_hits_total - self._last_prefix_hits)
+        step.ended_at = ended_at
+        for name in _ID_LISTS:
+            setattr(step, name, tuple(getattr(step, name)))
+        if self._fault_log is not None:
+            step.faults = tuple(self._fault_log[self._fault_baseline:])
+        step.queue_depth = queue_depth
+        step.queue_depth_by_priority = dict(queue_depth_by_priority)
+        step.blocks_in_use = blocks_in_use
+        step.prefix_hits = max(0, prefix_hits_total - self._last_prefix_hits)
         self._last_prefix_hits = prefix_hits_total
-        gathered, live, groups = (max(0, now - before) for now, before
-                                  in zip(kv_totals, self._last_kv_totals))
+        step.kv_positions_gathered, step.kv_positions_live, step.kv_groups = (
+            max(0, now - before)
+            for now, before in zip(kv_totals, self._last_kv_totals))
         self._last_kv_totals = kv_totals
-        record = StepRecord(
-            seq=self.trace.total,
-            started_at=draft.started_at,
-            ended_at=ended_at,
-            decode_sessions=tuple(draft.decode_sessions),
-            prefill_chunks=tuple(draft.prefill_chunks),
-            prefill_budget=draft.prefill_budget,
-            admitted=tuple(draft.admitted),
-            deferred=tuple(draft.deferred),
-            finished=tuple(draft.finished),
-            quarantined=tuple(draft.quarantined),
-            quarantines=draft.quarantines,
-            retries=draft.retries,
-            failed=draft.failed,
-            cancelled=draft.cancelled + pending.cancelled,
-            expired=draft.expired + pending.expired,
-            shed=draft.shed + pending.shed,
-            decisions=draft.decisions,
-            tokens_drafted=draft.tokens_drafted,
-            tokens_accepted=draft.tokens_accepted,
-            faults=faults,
-            queue_depth=queue_depth,
-            queue_depth_by_priority=dict(queue_depth_by_priority),
-            blocks_in_use=blocks_in_use,
-            prefix_hits=prefix_delta,
-            kv_positions_gathered=gathered,
-            kv_positions_live=live,
-            kv_groups=groups,
-        )
-        self.trace.append(record)
-        self.aggregator.observe(record)
-        return record
-
-    # -- notes from the engine phases ------------------------------------ #
-    # Each is a no-op unless a step draft is open; submit-side events
-    # (sheds) and client-side events (cancels) may land between steps and
-    # are folded into the next committed record instead.
-    def _note(self) -> Optional[_StepDraft]:
-        draft = self._draft
-        if draft is not None:
-            draft.dirty = True
-        return draft
-
-    def note_decode(self, session_ids: Iterable[int]) -> None:
-        draft = self._note()
-        if draft is not None:
-            draft.decode_sessions.extend(session_ids)
-
-    def note_prefill_chunk(self, session_id: int, tokens: int) -> None:
-        draft = self._note()
-        if draft is not None:
-            draft.prefill_chunks.append((session_id, tokens))
-
-    def note_prefill_budget(self, budget: Optional[int]) -> None:
-        draft = self._draft
-        if draft is not None:
-            draft.prefill_budget = budget
-
-    def note_admitted(self, session_ids: Iterable[int]) -> None:
-        draft = self._note()
-        if draft is not None:
-            draft.admitted.extend(session_ids)
-
-    def note_deferred(self, session_id: int) -> None:
-        draft = self._note()
-        if draft is not None:
-            draft.deferred.append(session_id)
-            # A deferral never started: it does not count as admitted.
-            if session_id in draft.admitted:
-                draft.admitted.remove(session_id)
-
-    def note_finished(self, session_id: int) -> None:
-        draft = self._note()
-        if draft is not None:
-            draft.finished.append(session_id)
-
-    def note_quarantine(self, session_ids: Iterable[int]) -> None:
-        draft = self._note()
-        if draft is not None:
-            draft.quarantines += 1
-            draft.quarantined.extend(session_ids)
-
-    def note_retry(self) -> None:
-        draft = self._note()
-        if draft is not None:
-            draft.retries += 1
-
-    def note_failed(self) -> None:
-        draft = self._note()
-        if draft is not None:
-            draft.failed += 1
-
-    def note_decisions(self, count: int) -> None:
-        draft = self._note()
-        if draft is not None:
-            draft.decisions += count
-
-    def note_speculation(self, drafted: int, accepted: int) -> None:
-        """Record a speculative decode step's draft/accept totals."""
-        draft = self._note()
-        if draft is not None:
-            draft.tokens_drafted += drafted
-            draft.tokens_accepted += accepted
-
-    def note_shed(self) -> None:
-        if not self.enabled:
-            return
-        draft = self._note()
-        if draft is not None:
-            draft.shed += 1
-        else:
-            self._pending.shed += 1
-
-    def note_cancelled(self) -> None:
-        if not self.enabled:
-            return
-        draft = self._note()
-        if draft is not None:
-            draft.cancelled += 1
-        else:
-            self._pending.cancelled += 1
-
-    def note_expired(self) -> None:
-        if not self.enabled:
-            return
-        draft = self._note()
-        if draft is not None:
-            draft.expired += 1
-        else:
-            self._pending.expired += 1
+        self.trace.append(step)
+        self.aggregator.observe(step)
+        self.step = self._open()
+        return step
 
     # -- read side -------------------------------------------------------- #
     def records(self) -> List[StepRecord]:
@@ -752,7 +546,6 @@ class ServeTelemetry:
 
     def summary(self, max_windows: int = 16) -> Dict[str, object]:
         """Compact JSON-friendly state for ``ServerStats.report()``."""
-        windows = self.windows() if self.enabled else []
         return {
             "enabled": self.enabled,
             "window_s": self.aggregator.window_s,
@@ -760,7 +553,8 @@ class ServeTelemetry:
             "steps_retained": len(self.trace),
             "steps_dropped": self.trace.dropped,
             "idle_steps": self.idle_steps,
-            "windows": [w.to_dict() for w in windows[-max_windows:]],
+            "windows": [w.to_dict() for w
+                        in self.aggregator.windows(last=max_windows)],
         }
 
     # -- attribution ------------------------------------------------------ #

@@ -86,5 +86,5 @@ def _check_export_surface(owner, export, containers=None, derived=()):
 
 @pytest.fixture(scope="session")
 def check_export_surface():
-    """Checker for the hand-spelled ``to_dict()`` / ``report()`` exports."""
+    """The contract of the ``to_dict()`` / ``report()`` exports."""
     return _check_export_surface

@@ -149,6 +149,24 @@ class TestServeSurface:
         assert fields["speculation"] == "off"
         assert fields["speculation_k"] == 4
 
+    def test_names_the_benchmark_reads(self):
+        """``bench/`` reads these by name and no PR that claims a gain may
+        edit it to follow a rename: fail here, in the fast lane."""
+        record = serve.StepRecord(seq=0, started_at=0.0, ended_at=0.0)
+        for name in ("started_at", "prefill_budget", "prefill_tokens",
+                     "decode_sessions", "blocks_in_use", "deferred"):
+            assert hasattr(record, name), name
+        report = serve.ServerStats.from_requests(
+            [], wall_seconds=0.0, occupancy_samples=[],
+            queue_depth_samples=[]).report()
+        assert {"requests_completed", "health", "failed", "faults_quarantined",
+                "retries", "shed", "cancelled", "expired", "max_queue_depth",
+                "mean_batch_occupancy", "block_capacity", "prefix_hits",
+                "prefix_misses", "prefix_tokens_reused", "tokens_drafted",
+                "tokens_accepted"} <= set(report)
+        for method in ("begin_step", "commit_step", "records"):
+            assert callable(getattr(serve.ServeTelemetry, method))
+
     def test_retry_policy_knobs(self):
         fields = _fields(serve.RetryPolicy)
         assert {"max_attempts", "backoff_s", "backoff_multiplier",

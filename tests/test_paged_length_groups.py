@@ -554,7 +554,7 @@ class TestPaddingTelemetry:
         records = []
         for index, kv_totals in enumerate(totals):
             telemetry.begin_step(float(index))
-            telemetry.note_decode([1, 2])
+            telemetry.step.decode_sessions.extend([1, 2])
             records.append(telemetry.commit_step(
                 index + 0.5, True, 0, {}, 0, 0, kv_totals=kv_totals))
         assert [(r.kv_positions_gathered, r.kv_positions_live, r.kv_groups)
@@ -570,7 +570,7 @@ class TestPaddingTelemetry:
                                        (200, 180, 2)]):
             running = [total + new for total, new in zip(running, added)]
             telemetry.begin_step(1.0 + index)
-            telemetry.note_decode([7, 8])
+            telemetry.step.decode_sessions.extend([7, 8])
             telemetry.commit_step(1.0 + index + (0.9 if index == 1 else 0.1),
                                   True, 0, {}, 0, 0, kv_totals=tuple(running))
         metrics = RequestMetrics(task="generate", request_id=7, submitted_at=0.5)

@@ -95,7 +95,7 @@ class TestTraceLog:
 
 
 # ---------------------------------------------------------------------- #
-# The export surface: spelled by hand, so pinned field by field
+# The export surface: derived from the dataclasses, pinned field by field
 # ---------------------------------------------------------------------- #
 class TestExportSurface:
     def test_step_record_to_dict_spells_every_field(self, check_export_surface):
@@ -109,7 +109,10 @@ class TestExportSurface:
                      "kv_padding_share"))
 
     def test_window_stats_to_dict_spells_every_field(self, check_export_surface):
-        check_export_surface(WindowStats, WindowStats.to_dict)
+        check_export_surface(
+            WindowStats, WindowStats.to_dict,
+            derived=("queue_depth_mean", "batch_occupancy_mean",
+                     "kv_padding_share"))
 
 
 # ---------------------------------------------------------------------- #
@@ -177,6 +180,29 @@ class TestWindowAggregator:
         assert window.faults == 2  # one quarantine + one injector fire
         assert window.blocks_in_use_max == 7
 
+    def test_summary_builds_only_the_windows_it_reports(self):
+        """Two records 10^9 s of idle apart: ``summary()`` is the newest 16
+        rows (gaps filled), not every second in between cut down to 16."""
+        telemetry = ServeTelemetry()
+        for start in (0.0, 1e9):
+            telemetry.begin_step(start)
+            telemetry.step.decode_sessions.extend([1])
+            telemetry.commit_step(start + 0.5, True, 0, {}, 0, 0)
+        rows = telemetry.summary()["windows"]
+        assert len(rows) == 16
+        assert [row["index"] for row in rows] == list(
+            range(10**9 - 15, 10**9 + 1))
+        assert rows[-1]["steps"] == 1 and rows[-1]["decode_tokens"] == 1
+        assert all(row["steps"] == 0 for row in rows[:-1])
+        # A short span reads as it always did, with or without the cut.
+        agg = WindowAggregator(window_s=1.0)
+        agg.observe(_record(0, 0.0, 0.5))
+        agg.observe(_record(1, 3.2, 3.5))
+        assert [w.index for w in agg.windows()] == [0, 1, 2, 3]
+        assert [w.index for w in agg.windows(last=16)] == [0, 1, 2, 3]
+        assert [w.index for w in agg.windows(last=2)] == [2, 3]
+        assert [w.index for w in agg.windows(fill_empty=False, last=1)] == [3]
+
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError, match="window_s"):
             WindowAggregator(window_s=0.0)
@@ -201,8 +227,8 @@ class TestServeTelemetry:
     def test_out_of_step_events_fold_into_next_record(self):
         telemetry = ServeTelemetry()
         # Shed at submit time and a client-thread cancel, both between steps.
-        telemetry.note_shed()
-        telemetry.note_cancelled()
+        telemetry.step.shed += 1
+        telemetry.step.cancelled += 1
         telemetry.begin_step(1.0)
         record = telemetry.commit_step(1.1, did_work=False, queue_depth=0,
                                        queue_depth_by_priority={},
@@ -210,42 +236,51 @@ class TestServeTelemetry:
         assert record is not None  # pending events rescue an idle step
         assert record.shed == 1 and record.cancelled == 1
         # Folded exactly once.
-        telemetry.note_decode([1])
+        telemetry.step.decode_sessions.extend([1])
         telemetry.begin_step(2.0)
         second = telemetry.commit_step(2.1, did_work=True, queue_depth=0,
                                        queue_depth_by_priority={},
                                        blocks_in_use=0, prefix_hits_total=0)
         assert second.shed == 0 and second.cancelled == 0
 
-    def test_deferred_admission_not_counted_admitted(self):
+    def test_workless_step_is_kept_for_an_event_not_for_a_stamp(self):
         telemetry = ServeTelemetry()
+        idle = dict(did_work=False, queue_depth=0, queue_depth_by_priority={},
+                    blocks_in_use=0, prefix_hits_total=0)
+        # A budget stamped on a step that then found nothing to do is not an
+        # event: the step is discarded, and the stamp with it.
         telemetry.begin_step(0.0)
-        telemetry.note_admitted([4, 5])
-        telemetry.note_deferred(5)
-        record = telemetry.commit_step(0.1, did_work=True, queue_depth=1,
-                                       queue_depth_by_priority={0: 1},
-                                       blocks_in_use=0, prefix_hits_total=0)
-        assert record.admitted == (4,) and record.deferred == (5,)
+        telemetry.step.prefill_budget = 7
+        assert telemetry.commit_step(0.1, **idle) is None
+        assert telemetry.idle_steps == 1
+        # A quarantine with nothing admitted (a draft-proposal fault) did no
+        # work either, but the record carries an event: it is kept.
+        telemetry.begin_step(1.0)
+        telemetry.step.quarantines += 1
+        telemetry.step.quarantined.extend([3])
+        record = telemetry.commit_step(1.1, **idle)
+        assert record is not None and record.seq == 0
+        assert record.quarantines == 1 and record.quarantined == (3,)
+        assert record.prefill_budget is None  # the discarded stamp did not leak
+        assert telemetry.idle_steps == 1 and telemetry.records() == [record]
 
     def test_prefix_hit_gauge_is_per_step_delta(self):
         telemetry = ServeTelemetry()
         telemetry.begin_step(0.0)
-        telemetry.note_decode([1])
+        telemetry.step.decode_sessions.extend([1])
         first = telemetry.commit_step(0.1, True, 0, {}, 0,
                                       prefix_hits_total=3)
         telemetry.begin_step(0.2)
-        telemetry.note_decode([1])
+        telemetry.step.decode_sessions.extend([1])
         second = telemetry.commit_step(0.3, True, 0, {}, 0,
                                        prefix_hits_total=4)
         assert first.prefix_hits == 3 and second.prefix_hits == 1
 
     def test_disabled_is_noop_everywhere(self):
         telemetry = ServeTelemetry(enabled=False)
+        assert telemetry.step is None  # nothing to write: writers check this
         telemetry.begin_step(0.0)
-        telemetry.note_decode([1])
-        telemetry.note_shed()
-        telemetry.note_cancelled()
-        telemetry.note_expired()
+        assert telemetry.step is None
         assert telemetry.commit_step(0.1, did_work=True, queue_depth=0,
                                      queue_depth_by_priority={},
                                      blocks_in_use=0,
@@ -344,6 +379,34 @@ class TestEngineTelemetry:
         first.result()
         assert shed.done() and not shed.cancelled()
         assert sum(r.shed for r in server.telemetry.records()) == 1
+
+    def test_deferred_admission_not_counted_admitted(self, model, monkeypatch):
+        """A deferral never started: the step that bounced it lists it under
+        ``deferred`` only, and the step that later runs it under ``admitted``."""
+        server = InferenceServer(model=model, policy=SchedulerPolicy(
+            prefill_chunk_size=4, step_token_budget=4))
+        first = server.submit_generation("a prompt of many tokens",
+                                         max_new_tokens=2)
+        second = server.submit_generation("another long prompt",
+                                          max_new_tokens=2)
+        # The admission cap sizes a wave so that its last session still gets
+        # a token; widen it by one and the first chunk starves the second.
+        admissions = server._scheduler.admissions
+        with monkeypatch.context() as patch:
+            patch.setattr(server._scheduler, "admissions",
+                          lambda cap: admissions(cap + 1))
+            server.step()
+        (starved,) = server.telemetry.records()
+        assert starved.admitted == (first.request_id,)
+        assert starved.deferred == (second.request_id,)
+        assert starved.prefill_budget == 4 and starved.prefill_tokens == 4
+        server.run_until_idle()
+        first.result(); second.result()
+        later = server.telemetry.records()[1:]
+        assert any(second.request_id in r.admitted for r in later)
+        assert not any(r.deferred for r in later)
+        assert sum(first.request_id in r.admitted
+                   for r in server.telemetry.records()) == 1
 
     def test_queue_depth_by_priority_gauge(self):
         scheduler = ContinuousBatchingScheduler()

@@ -2,8 +2,8 @@
 
 Exit codes follow the gate contract: 0 means no unsuppressed findings,
 1 means at least one, 2 means the run itself failed (bad arguments,
-missing paths).  ``--format=json`` emits a machine-readable report that
-``benchmarks/check_lint.py`` diffs against its committed baseline.
+missing paths).  ``--format=json`` emits a machine-readable report with
+per-rule suppressed/unsuppressed counts.
 """
 
 from __future__ import annotations

@@ -2,9 +2,9 @@
 
 A finding is one violation of one project invariant at one source
 location.  Findings are plain frozen dataclasses so they sort, dedupe and
-serialize trivially — the CLI's ``--format=json`` output and the
-``benchmarks/check_lint.py`` gate both consume :meth:`Finding.as_dict`
-verbatim, which is what makes lint results machine-diffable across PRs.
+serialize trivially — the CLI's ``--format=json`` output is
+:meth:`Finding.as_dict` verbatim, and the fast-lane gates
+(``tests/test_static_analysis.py::TestTreeGates``) count them by rule.
 """
 
 from __future__ import annotations

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
@@ -11,6 +10,7 @@ from .attention import (
     KVCache,
     LayerKVCache,
     MultiHeadAttention,
+    _position_range,
     causal_mask,
     packed_runs,
 )
@@ -23,13 +23,6 @@ from .paged_cache import (
 from .layers import Dropout, GELU, LayerNorm, Linear, Module, ModuleList, Sequential
 from .lora import LoRALinear
 from .tensor import Tensor, gelu_array, is_grad_enabled
-
-
-@lru_cache(maxsize=256)
-def _position_index(start: int, stop: int) -> np.ndarray:
-    index = np.arange(start, stop)
-    index.setflags(write=False)  # shared across calls; must stay immutable
-    return index
 
 
 class FeedForward(Module):
@@ -240,7 +233,7 @@ class TransformerBackbone(Module):
                              f"maximum {self.max_seq_len}")
         runs = packed_runs(lengths)
         positions = np.concatenate(
-            [np.tile(_position_index(0, length), rows) for _, rows, length in runs])
+            [np.tile(_position_range(length), rows) for _, rows, length in runs])
         last_index = np.cumsum(lengths) - 1
         x = tokens + self.position_embedding.data[positions]
         *body, final = self.blocks
@@ -262,7 +255,7 @@ class TransformerBackbone(Module):
         past = cache.seq_len if cache is not None else 0
         if past + seq > self.max_seq_len:
             raise ValueError(f"sequence length {past + seq} exceeds maximum {self.max_seq_len}")
-        x = embeddings + self.position_embedding[_position_index(past, past + seq)]
+        x = embeddings + self.position_embedding[_position_range(past + seq)[past:]]
         if cache is not None:
             if not causal:
                 raise ValueError("KV-cached decoding is inherently causal; "

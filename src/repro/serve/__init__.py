@@ -24,10 +24,8 @@ aging); overload sheds new submissions with :class:`ServerOverloaded`;
 ``server.health`` and the fault counters on :class:`ServerStats` surface the
 state.  :mod:`repro.serve.faults` provides the deterministic
 :class:`FaultInjector` (gated behind the ``REPRO_FAULTS`` env toggle) whose
-named sites — ``runtime.execute_batch``, ``prefill.band``,
-``prefill.chunk``, ``decode.step``, ``decode.logits``, ``draft.propose``,
-``decode.verify``, ``kv.admit``, ``kv.extend``, ``prefix.seed`` — drive the
-chaos test suite through exactly the production quarantine paths.
+named sites (the catalog is :data:`FAULT_SITES`) drive the chaos test suite
+through exactly the production quarantine paths.
 
 **Speculative decoding**: ``SchedulerPolicy(speculation="ngram")`` turns on
 draft-and-verify multi-token decode — each session drafts up to

@@ -14,7 +14,7 @@ One engine serves two kinds of traffic through a single shared model:
 * **Decision requests** (:class:`~repro.serve.requests.DecisionRequest`):
   per-step adapter inferences answered by pluggable
   :class:`~repro.serve.runtimes.TaskRuntime` registrations (built-ins:
-  ``vp``/``abr``/``cjs``).  Pending requests of a task are grouped by the
+  ``vp``/``abr``/``cjs``).  The live requests of a task are grouped by the
   runtime's ``group_key`` between decode steps and executed as one batched
   forward.
 
@@ -42,7 +42,7 @@ sound, and each implicated request meets the one retry rule
 ``SchedulerPolicy.retry_policy``, with attempts left, the deadline not passed
 and no token already streamed, earns another attempt after an exponential
 backoff — a generation restarts as a fresh session at the front of the queue
-with its original aging, a decision rejoins its task's pending list — and
+with its original aging, a decision stays live until its backoff elapses — and
 anything else fails that handle alone
 (:class:`~repro.serve.requests.RequestFailed` carrying the original error)
 while the loop keeps serving everything else.  Only a violated pool
@@ -326,10 +326,10 @@ class InferenceServer:
         self._ids = itertools.count(1)
         self._lock = threading.RLock()
         self._work = threading.Condition(self._lock)
-        #: request id -> handle of every request not yet terminal (where it
-        #: waits: ``session.state``, or its task's pending list for decisions).
+        #: request id -> handle of every request not yet terminal.  Where a
+        #: generation waits is its ``session.state``; a decision waits here and
+        #: nowhere else, so this table is the decision queue.
         self._live: Dict[int, RequestHandle] = {}
-        self._pending_decisions: Dict[str, List[RequestHandle]] = {}
         # Bounded retention: a long-lived server keeps the most recent
         # completions for stats() instead of growing without limit.
         self._completed: Deque[RequestMetrics] = deque(maxlen=16384)
@@ -429,8 +429,6 @@ class InferenceServer:
                     f"request {handle.request_id} ({handle.task}) shed: "
                     f"{overload}"))
                 return handle
-            if session is None:
-                self._pending_decisions.setdefault(handle.task, []).append(handle)
             self._live[handle.request_id] = handle
             self._work.notify_all()
         return handle
@@ -499,7 +497,7 @@ class InferenceServer:
         """
         policy = self.policy
         if policy.shed_queue_depth is not None:
-            depth = self._scheduler.queue_depth + self._decisions_waiting()
+            depth = self._scheduler.queue_depth + len(self._live_decisions())
             if depth >= policy.shed_queue_depth:
                 return (f"queue depth {depth} at the shed bound "
                         f"{policy.shed_queue_depth}")
@@ -510,8 +508,9 @@ class InferenceServer:
                         f"past the shed bound {policy.shed_queue_age_s}s")
         return None
 
-    def _decisions_waiting(self) -> int:
-        return sum(len(pending) for pending in self._pending_decisions.values())
+    def _live_decisions(self) -> List[RequestHandle]:
+        """The decision queue: the live handles that have no session."""
+        return [h for h in self._live.values() if h._session is None]
 
     @property
     def health(self) -> str:
@@ -590,9 +589,7 @@ class InferenceServer:
         """Take a live request out of wherever it waits or runs (lock held)."""
         session = handle._session
         if session is None:
-            self._pending_decisions[handle.task] = [
-                h for h in self._pending_decisions.get(handle.task, [])
-                if h is not handle]
+            pass  # a decision waits in ``_live`` alone, which ``_finish`` clears
         elif session.state == QUEUED:
             self._scheduler.remove(session)
         elif session.state in (PREFILLING, RUNNING):
@@ -722,7 +719,7 @@ class InferenceServer:
         with self._lock:
             running = (self._manager.num_running + self._manager.num_prefilling
                        if self._manager else 0)
-            return bool(running or self._decisions_waiting()
+            return bool(running or self._live_decisions()
                         or self._scheduler.queue_depth)
 
     # ------------------------------------------------------------------ #
@@ -815,7 +812,6 @@ class InferenceServer:
         """
         with self._lock:
             self._scheduler.drain()
-            self._pending_decisions.clear()
             for handle in list(self._live.values()):
                 session = handle._session
                 if session is not None and session.state in (PREFILLING, RUNNING):
@@ -867,11 +863,13 @@ class InferenceServer:
     def _admit_queued(self) -> bool:
         """Admission/prefill phase of one engine step (see SchedulerPolicy).
 
-        The unified token-budget scheduler: in-flight prefills resume one
-        chunk each, then new sessions are admitted while slots and the
-        step's token budget last (decode rows are charged against
-        ``step_token_budget`` first).  ``prefill_chunk_size=None`` runs the
-        same route with the whole context as the chunk.
+        Decode rows are charged against ``step_token_budget`` first; the
+        scheduler's best-ranked queued sessions, one per free slot, go to
+        ``SessionManager.prefill_step`` with the rest.  Its grant loop is the
+        admission rule: in-flight prefills resume a chunk each, the candidates
+        start in rank order while the budget lasts, and one it cannot give a
+        token to comes back ``deferred``.  ``prefill_chunk_size=None`` runs
+        the same route with the whole context as the chunk.
         """
         manager = self._manager
         if manager is None:
@@ -888,23 +886,9 @@ class InferenceServer:
                                       phase="draft propose")
             planned = manager.num_running
         budget = self._scheduler.prefill_budget(planned)
-        cap = manager.num_free
-        if budget is not None:
-            # In-flight prefills draw from the budget first — reserve the
-            # worst case for each (a full chunk plus the same-step decode row
-            # of a completion) — and earlier admissions in the wave may draw
-            # that much before later ones.  Size the wave so even then every
-            # admitted session gets at least one token this step: a session
-            # admitted with zero progress would leave the priority queue only
-            # to hoard a batch slot in FIFO prefill order.
-            # Worst per-session budget draw (chunk + decode); a budget is
-            # only valid with a chunk size (SchedulerPolicy validates it).
-            draw = self.policy.prefill_chunk_size + 1
-            remaining = budget - draw * manager.num_prefilling
-            # The last admission may need 2 tokens (a one-token tail costs
-            # prefill + its same-step decode row), hence the -2.
-            cap = 0 if remaining < 2 else min(cap, (remaining - 2) // draw + 1)
-        admitted = self._scheduler.admissions(cap) if cap > 0 else []
+        # Candidates for the free slots; none when decode spent the budget.
+        admitted = (self._scheduler.admissions(manager.num_free)
+                    if manager.num_free and budget != 0 else [])
         if not admitted and not manager.num_prefilling:
             return False
         step = self._trace.step if self._trace is not None else None
@@ -919,10 +903,10 @@ class InferenceServer:
             # The manager already aborted the session (abort is idempotent);
             # quarantine re-verifies the pool and retries-or-fails the handle.
             self._quarantine_sessions([session], error, phase="prefill chunk")
-        # Budget ran dry before these admissions' first token: put them back
+        # Budget ran dry before these candidates' first token: put them back
         # at the head of the priority queue with their original wait intact,
         # so aging and FIFO ordering continue as if they had never left.
-        # Reversed so the earliest-admitted deferral keeps the earliest seq.
+        # Reversed so the best-ranked deferral keeps the earliest seq.
         for session in reversed(deferred):
             if step is not None:
                 # A deferral never started: it does not count as admitted.
@@ -998,8 +982,9 @@ class InferenceServer:
         Granted when the error is transient under the retry policy, attempts
         remain, the deadline has not passed and no token was already streamed
         to the client (a replay would repeat it): the backoff goes on the
-        handle and the caller parks the request where its kind waits.
-        Otherwise the handle fails with :class:`RequestFailed`.
+        handle, where a decision waits it out and from where a generation's
+        caller requeues it as a fresh session.  Otherwise the handle fails
+        with :class:`RequestFailed`.
         """
         policy = self.policy.retry_policy
         metrics = handle.metrics
@@ -1021,47 +1006,37 @@ class InferenceServer:
         return False
 
     def _next_retry_at(self) -> Optional[float]:
-        """Earliest pending retry wake-up across both queues (None: no retries)."""
+        """Earliest retry wake-up, parked decisions and the queue (None: none)."""
         with self._lock:
-            wakes = [handle._retry_at
-                     for pending in self._pending_decisions.values()
-                     for handle in pending if handle._retry_at is not None]
-            queued = self._scheduler.next_retry_at()
-            if queued is not None:
-                wakes.append(queued)
-            return min(wakes, default=None)
+            wakes = [self._scheduler.next_retry_at()]
+            wakes += [handle._retry_at for handle in self._live_decisions()]
+            return min((at for at in wakes if at is not None), default=None)
 
     def _flush_decisions(self) -> bool:
-        did_work = False
+        """One pass over the live decisions: past its deadline -> expired,
+        retry-parked or not; backoff elapsed (or none) -> into its
+        ``(task, group_key)`` batch.  A server without a runtime has none."""
+        if not self._runtimes:
+            return False
         now = time.perf_counter()
-        ready: List[Tuple[str, List[RequestHandle]]] = []
-        for task, pending in list(self._pending_decisions.items()):
-            if not pending:
-                continue
-            # Retry-parked entries stay queued until their backoff elapses.
-            eligible = [h for h in pending
-                        if h._retry_at is None or h._retry_at <= now]
-            self._pending_decisions[task] = [
-                h for h in pending
-                if h._retry_at is not None and h._retry_at > now]
-            if not eligible:
-                continue
-            groups: Dict[Hashable, List[RequestHandle]] = {}
-            for handle in eligible:
-                if handle._past_deadline(now):
-                    self._expire(handle, "while queued")
-                else:
-                    groups.setdefault(handle._group_key, []).append(handle)
-            ready.extend((task, group) for group in groups.values())
-            did_work = True
+        groups: Dict[Tuple[str, Hashable], List[RequestHandle]] = {}
+        expired = False
+        for handle in self._live_decisions():
+            if handle._past_deadline(now):
+                self._expire(handle, "while queued")
+                expired = True
+            elif handle._retry_at is None or handle._retry_at <= now:
+                groups.setdefault((handle.task, handle._group_key),
+                                  []).append(handle)
         # Higher-priority groups execute first within the flush round (every
-        # pending decision still runs this step; priority orders the batched
+        # eligible decision still runs this step; priority orders the batched
         # forwards, which is what bounds a high-priority request's latency).
-        ready.sort(key=lambda item: -max(h.request.priority for h in item[1]))
-        for task, group in ready:
+        for (task, _), group in sorted(
+                groups.items(),
+                key=lambda item: -max(h.request.priority for h in item[1])):
             self._execute_decision_group(task, group)
             self._scheduler.record_step(len(group))
-        return did_work
+        return bool(groups) or expired
 
     def _execute_decision_group(self, task: str,
                                 group: List[RequestHandle]) -> None:
@@ -1084,10 +1059,8 @@ class InferenceServer:
             # with RequestFailed.
             self._note_fault(h.request_id for h in group)
             now = time.perf_counter()
-            for handle in group:
-                if self._retry_or_fail(handle, error, now,
-                                       "decision batch failed"):
-                    self._pending_decisions.setdefault(task, []).append(handle)
+            for handle in group:  # a granted retry stays live, parked
+                self._retry_or_fail(handle, error, now, "decision batch failed")
             return
         for handle, result in zip(group, results):
             self._finish(handle, OUTCOME_OK, result=result)
@@ -1096,7 +1069,9 @@ class InferenceServer:
     # Introspection
     # ------------------------------------------------------------------ #
     def stats(self) -> ServerStats:
-        """Aggregate throughput/latency/occupancy over completed requests."""
+        """Aggregate throughput/latency/occupancy over completed requests —
+        snapshot under the engine lock, percentiles after releasing it
+        (terminal metrics are never written again)."""
         with self._lock:
             end = (self._last_finished_at
                    if self._last_finished_at is not None
@@ -1117,16 +1092,16 @@ class InferenceServer:
                                 if self._manager is not None else 0),
                 tokens_accepted=(self._manager.tokens_accepted
                                  if self._manager is not None else 0))
-            return ServerStats.from_requests(
-                list(self._completed), wall,
-                list(self._scheduler.occupancy_samples),
-                list(self._scheduler.queue_depth_samples),
+            snapshot = dict(
+                requests=list(self._completed), wall_seconds=wall,
+                occupancy_samples=list(self._scheduler.occupancy_samples),
+                queue_depth_samples=list(self._scheduler.queue_depth_samples),
                 block_usage_samples=list(self._scheduler.block_usage_samples),
                 block_capacity=(self._manager.cache.allocator.num_blocks
                                 if self._manager is not None else 0),
-                counters=counters,
-                health=self.health,
+                counters=counters, health=self.health,
                 telemetry=self.telemetry.summary())
+        return ServerStats.from_requests(**snapshot)
 
     def explain_request(self, request_id: int,
                         top_gaps: int = 3) -> RequestExplanation:

@@ -286,10 +286,11 @@ class ContinuousBatchingScheduler:
     def requeue_front(self, session: GenerationSession) -> None:
         """Return a popped-but-never-started session to the queue.
 
-        Used when the step token budget ran dry before an admitted session's
-        first prefill token.  Unlike :meth:`enqueue`, the entry keeps the
-        session's full wait: ``enqueued_at`` is its submission time (so
-        priority aging resumes where it left off, not from zero) and its seq
+        Used for an admission candidate the step token budget could not give
+        a first prefill token to (``prefill_step``'s ``deferred``), and for a
+        retried request's fresh session.  Unlike :meth:`enqueue`, the entry
+        keeps the session's full wait: ``enqueued_at`` is its submission time
+        (so priority aging resumes where it left off, not from zero) and its seq
         precedes every live entry (so it keeps winning FIFO ties against
         later arrivals).  The queue bound does not apply — the session was
         already accounted for when it first entered.

@@ -14,11 +14,9 @@ continuous batching over paged storage.
 Fault semantics: every failure path here releases the session's slot and
 blocks (:meth:`SessionManager.abort`) before surfacing the error, so the
 engine's quarantine can prove pool soundness afterwards.  The manager is
-also instrumented with the named fault-injection sites ``prefill.band``,
-``prefill.chunk``, ``kv.admit``, ``kv.extend``, ``prefix.seed``,
-``decode.step``, ``decode.logits``, ``draft.propose`` and ``decode.verify``
-(see :mod:`repro.serve.faults`) — each a single ``is None`` check when no
-injector is wired in.
+also instrumented with named fault-injection sites (the catalog is
+:data:`repro.serve.faults.FAULT_SITES`) — each a single ``is None`` check
+when no injector is wired in.
 
 There is one decode step (:meth:`SessionManager.step`): every row feeds its
 pending token plus whatever the :class:`~repro.serve.speculative.NgramProposer`
@@ -293,10 +291,13 @@ class SessionManager:
                                 List[GenerationSession]]:
         """Spend up to ``token_budget`` prompt tokens on prefill work.
 
-        One grant loop, one forward.  In-flight ``PREFILLING`` sessions are
-        granted first (admission order), then ``new_sessions``, each up to
-        ``chunk_size`` tokens (``None``: the chunk is the whole context, so
-        every prompt is one-shot) while the budget lasts; every granted row —
+        One grant loop, one forward — and the engine's only admission rule:
+        ``new_sessions`` are the scheduler's candidates for the free slots,
+        in rank order, and this loop decides which of them start.  In-flight
+        ``PREFILLING`` sessions are granted first (admission order), then
+        ``new_sessions``, each up to ``chunk_size`` tokens (``None``: the
+        chunk is the whole context, so every prompt is one-shot) while the
+        budget lasts; every granted row —
         whole tails and chunks, at whatever lengths the rows stand — rides
         one :meth:`prefill_chunk_group` call.  Should that forward raise
         (nothing committed), the rows are retried one at a time through
@@ -308,9 +309,11 @@ class SessionManager:
         phase (e.g. EOS sampled straight from prefill logits), ``failures``
         pairs sessions with the error that aborted them (their slot and
         blocks are already released), and ``deferred`` holds *new* sessions
-        the budget could not give a single token to — they stay ``QUEUED``
-        (no slot held) so the caller can put them back in its priority queue
-        instead of letting them hoard batch slots in FIFO prefill order.
+        the budget could not give a single token to — the budget's ordinary
+        back-pressure on a queue deeper than it can fund.  They stay
+        ``QUEUED`` (no slot held) so the caller can put them back in its
+        priority queue instead of letting them hoard batch slots in FIFO
+        prefill order.
 
         Budget accounting is exact: a session whose prompt *completes* this
         step joins the decode batch of the same engine step, so completion is
@@ -336,9 +339,8 @@ class SessionManager:
             if take <= 0:
                 # The budget ran dry before this session's next token.  A new
                 # one stays QUEUED for the caller to requeue rather than
-                # holding a slot at zero progress (the admission cap makes
-                # that rare — e.g. a one-token tail with exactly one budget
-                # token left); one in flight simply waits a step.
+                # holding a slot at zero progress; one in flight simply waits
+                # a step.
                 if session.state == QUEUED:
                     deferred.append(session)
                 continue

@@ -83,10 +83,7 @@ class NgramProposer:
     cost is O(new tokens), not O(history).
     """
 
-    def __init__(self, min_order: int = 1) -> None:
-        if not 1 <= min_order <= MAX_ORDER:
-            raise ValueError(f"min_order must be in 1..{MAX_ORDER}")
-        self.min_order = min_order
+    def __init__(self) -> None:
         self._tokens: Dict[int, List[int]] = {}
         #: session -> {ngram tuple -> position after its latest occurrence}
         self._index: Dict[int, Dict[Tuple[int, ...], int]] = {}
@@ -110,8 +107,8 @@ class NgramProposer:
         # ending at position e (exclusive) maps to e — the position of the
         # token that followed it.  Later occurrences overwrite earlier ones,
         # so lookups always copy from the most recent match.
-        for end in range(max(done, self.min_order), len(history)):
-            for order in range(self.min_order, MAX_ORDER + 1):
+        for end in range(max(done, 1), len(history)):
+            for order in range(1, MAX_ORDER + 1):
                 if order > end:
                     break
                 index[tuple(history[end - order:end])] = end
@@ -122,7 +119,7 @@ class NgramProposer:
         if not history or k < 1:
             return []
         index = self._index[session_id]
-        for order in range(min(MAX_ORDER, len(history)), self.min_order - 1, -1):
+        for order in range(min(MAX_ORDER, len(history)), 0, -1):
             match = index.get(tuple(history[-order:]))
             # Indexed positions always lie strictly before end-of-history
             # (the current suffix itself is only indexed once more tokens

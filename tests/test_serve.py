@@ -1018,6 +1018,24 @@ class TestMetricsAggregation:
                     "per_task"):
             assert key in report
 
+    def test_stats_aggregates_outside_the_engine_lock(self, model, monkeypatch):
+        """``stats()`` snapshots under the lock and sorts the retained
+        requests' gaps after releasing it: a polled long-lived server used
+        to stall its decode loop for the whole aggregation."""
+        server = InferenceServer(model, SchedulerPolicy(max_batch_size=2))
+        server.submit_generation("poll me", max_new_tokens=3).result()
+        from_requests = ServerStats.from_requests
+        owned = []
+
+        def watched(*args, **kwargs):
+            owned.append(server._lock._is_owned())
+            return from_requests(*args, **kwargs)
+
+        monkeypatch.setattr(ServerStats, "from_requests", watched)
+        stats = server.stats()
+        assert owned == [False]
+        assert stats.requests_completed == 1 and stats.tokens_generated == 3
+
 
 # ---------------------------------------------------------------------- #
 # Served generation end to end
@@ -2259,6 +2277,35 @@ class TestChunkedPrefill:
             reference = generate(model, prompt, max_new_tokens=2,
                                  stop_on_eos=False)
             assert handle.result().token_ids == reference.token_ids
+
+    def test_deep_queue_under_a_small_budget_drains_in_rank_order(self, model):
+        """The grant loop is the admission rule: with more queued sessions
+        than free slots and a budget that funds only a few chunks a step,
+        candidates the budget cannot start come back deferred — and who
+        starts first is still the scheduler's order, nothing else's."""
+        server = InferenceServer(model, SchedulerPolicy(
+            max_batch_size=8, block_size=4, prefill_chunk_size=4,
+            step_token_budget=12, priority_aging_s=None,
+            enable_prefix_cache=False))
+        prompts = [f"request {i} " + "ab" * (1 + i % 7) for i in range(40)]
+        handles = [server.submit(GenerateRequest(
+            prompt=prompt, max_new_tokens=3, stop_on_eos=False,
+            temperature=0.8 if i % 3 else 0.0, seed=100 + i, priority=i % 2))
+            for i, prompt in enumerate(prompts)]
+        server.run_until_idle()
+        for i, (handle, prompt) in enumerate(zip(handles, prompts)):
+            reference = generate(model, prompt, max_new_tokens=3,
+                                 stop_on_eos=False,
+                                 temperature=0.8 if i % 3 else 0.0, seed=100 + i)
+            assert handle.result().token_ids == reference.token_ids
+        records = server.telemetry.records()
+        assert not any(set(r.admitted) & set(r.deferred) for r in records)
+        assert any(r.deferred for r in records), "the budget never pushed back"
+        started = [rid for r in records for rid in r.admitted]
+        # Each exactly once; the higher class first, FIFO inside a class.
+        priority = {h.request_id: h.request.priority for h in handles}
+        assert started == sorted(priority, key=lambda rid: (-priority[rid], rid))
+        server._manager.cache.check_invariants()
 
     def test_prefix_eviction_before_one_shot_readmission_falls_back(self, model):
         """Review regression: a deferred session re-admitted through the

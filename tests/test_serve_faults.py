@@ -768,6 +768,29 @@ def _shed_decision(model):
     return server, lambda: server.submit(_echo())
 
 
+def _shed_lone_decision(model):
+    server = _server(model, shed_queue_depth=1)
+    server.submit(_echo())
+    return server, lambda: server.submit(_echo())
+
+
+def _retried_decision(model, faults):
+    server = _server(
+        model, [FaultSpec(site="runtime.execute_batch", at=visit, transient=True)
+                for visit in faults],
+        retry_policy=RetryPolicy(max_attempts=2, backoff_s=0.01))
+    handle = server.submit(_echo())
+    return server, _then(handle, server.run_until_idle)
+
+
+def _retry_decision_ok(model):
+    return _retried_decision(model, faults=(1,))
+
+
+def _retry_decision_fail(model):
+    return _retried_decision(model, faults=(1, 2))
+
+
 def _stop_queued(model):
     server = _server(model)
     handle = server.submit(_gen("never admitted"))
@@ -954,6 +977,36 @@ class TestRequestLifecycle:
         assert handle.metrics.tokens_generated == 6
         assert server.stats().requests_completed == 1
         _invariants(server)
+
+    @pytest.mark.parametrize("route, outcome", [
+        (_cancel_decision, "cancelled"), (_expire_decision, "expired"),
+        (_shed_lone_decision, "shed"), (_retry_decision_ok, "ok"),
+        (_retry_decision_fail, "failed"), (_stop_decision, "failed")],
+        ids=["cancel", "expire", "shed", "retry_ok", "retry_fail", "stop"])
+    def test_a_decision_waits_in_the_live_table_alone(self, model, route,
+                                                      outcome):
+        """Between ``submit`` and ``_finish`` a decision is held by ``_live``
+        and nothing else, so every ending leaves no trace of it."""
+        server, act = route(model)
+        handle = act()
+        assert handle.done() and handle.metrics.outcome == outcome
+        server.run_until_idle()
+        assert server._live == {} and not server.has_pending_work()
+
+    def test_parked_decision_expires_on_its_deadline(self, model):
+        """A retry-parked decision used to be looked at only once its backoff
+        had elapsed, outliving ``deadline_s=0.1`` by ``backoff_s=1.0``."""
+        server = _server(
+            model,
+            [FaultSpec(site="runtime.execute_batch", at=1, transient=True)],
+            retry_policy=RetryPolicy(max_attempts=2, backoff_s=1.0))
+        handle = server.submit(_echo(deadline_s=0.1))
+        started = time.perf_counter()
+        with pytest.raises(DeadlineExceeded, match="while queued"):
+            handle.result(timeout=5)
+        assert time.perf_counter() - started < 0.3
+        assert handle.metrics.attempts == 2  # the retry was granted, parked
+        assert server._live == {} and not server.has_pending_work()
 
 
 # ---------------------------------------------------------------------- #

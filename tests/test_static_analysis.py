@@ -7,8 +7,9 @@ Three layers:
   silently rotted; a rule without a non-triggering fixture is a rule
   whose false-positive boundary nobody pinned);
 * **gate tests** — the live tree: zero unsuppressed findings on ``src/``,
-  the serve stack's lock-order graph cycle-free, and the whole run inside
-  its 5-second fast-lane budget;
+  the suppression inventory equal to the reviewed one, the serve stack's
+  lock-order graph cycle-free, and the whole run inside its 5-second
+  fast-lane budget;
 * **regression tests** — the behavior of the genuine bugs the analyzer
   surfaced when first run on this tree (falsy-timestamp fallback in
   ``record_token``, unlocked ``_runtimes`` read racing
@@ -21,6 +22,7 @@ import subprocess
 import sys
 import threading
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -522,6 +524,13 @@ class TestTreeGates:
     def test_src_tree_has_zero_unsuppressed_findings(self):
         findings = run([SRC])
         assert findings == [], "\n" + "\n".join(f.format() for f in findings)
+
+    def test_suppression_inventory_is_the_reviewed_one(self):
+        """A new ``# repro: noqa[...]`` is a reviewed decision: it lands
+        together with an edit to this inventory, never silently."""
+        suppressed = Counter(f.rule for f in run([SRC], include_suppressed=True)
+                             if f.suppressed)
+        assert suppressed == {"REP002": 4, "REP005": 2, "REP007": 1}
 
     def test_serve_lock_order_graph_is_cycle_free(self):
         project = load_project([SRC / "repro" / "serve"])

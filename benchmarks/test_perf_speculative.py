@@ -85,12 +85,19 @@ def _fused_prefill(model, fused: bool):
         model, _policy(False, prefill_chunk_size=FUSED_CHUNK),
         telemetry=False)
     if not fused:
-        # Force the one-chunk-at-a-time fallback: the engine treats a fused
-        # forward that raises pre-commit as "fall back to solo chunks", so
-        # this measures exactly the unfused admission path.
-        def no_fusion(group, take):
-            raise RuntimeError("fusion disabled for baseline measurement")
-        server._manager.prefill_chunk_group = no_fusion
+        # Force the one-chunk-at-a-time fallback: a forward that carries a
+        # prompt row beside any other row raises pre-commit, which the
+        # manager treats as "fall back to solo chunks" — for the completing
+        # rows of `prefill_step` and for the chunks riding the decode step
+        # alike — so this measures exactly the unfused admission path.
+        manager = server._manager
+        forward = manager._forward
+
+        def no_fusion(slots, fed, group, takes):
+            if group and len(slots) + len(group) > 1:
+                raise RuntimeError("fusion disabled for baseline measurement")
+            return forward(slots, fed, group, takes)
+        manager._forward = no_fusion
     prompt = "h" * (FUSED_PROMPT_TOKENS - 1)  # BOS pads to the full length
     handles = [server.submit(GenerateRequest(
         prompt=prompt, max_new_tokens=1, stop_on_eos=False))

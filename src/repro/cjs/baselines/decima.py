@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ...nn import Adam, GraphEncoder, Linear, MLP, Module, ReLU, Sequential, Tensor, concatenate, cross_entropy
+from ...nn import Adam, GraphEncoder, Linear, MLP, Module, Tensor, concatenate, cross_entropy
 from ...utils import seeded_rng
 from ..env import (
     CANDIDATE_FEATURES,

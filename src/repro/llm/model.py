@@ -117,7 +117,8 @@ class LanguageModel(Module):
 
     def forward_step(self, token_ids: np.ndarray, cache: PagedKVCache,
                      session_ids: np.ndarray,
-                     counts: Optional[np.ndarray] = None) -> Tensor:
+                     counts: Optional[np.ndarray] = None,
+                     prompt_from: Optional[int] = None) -> Tensor:
         """Next-token logits for the new tokens of each listed paged session.
 
         One ragged step (:meth:`TransformerBackbone.forward_step`):
@@ -130,12 +131,14 @@ class LanguageModel(Module):
         session alone.  Plain decode is the all-ones step, spelled
         ``counts=None`` with one token per session; a prompt is prefilled by
         the same call — ``counts[i]`` of its tokens on a session opened empty
-        (:meth:`~repro.nn.PagedKVCache.open_session`) or partly filled.
+        (:meth:`~repro.nn.PagedKVCache.open_session`) or partly filled, and
+        prompt rows can ride behind decode rows in one call: ``prompt_from``
+        is the index of the first of them.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
         embeddings = self.token_embedding(token_ids)
         features = self.backbone.forward_step(embeddings, cache, session_ids,
-                                              counts=counts)
+                                              counts=counts, prompt_from=prompt_from)
         return self.lm_head(features)
 
     def forward_embeddings(self, embeddings: Tensor, causal: bool = True) -> Tensor:

@@ -245,7 +245,8 @@ class MultiHeadAttention(Module):
 
         ``x`` is ``(tokens, d_model)``: the step's new tokens packed row
         after row (one per session for plain decode; the pending token plus
-        drafts for speculative verification), nothing padded.
+        drafts for speculative verification; a prompt chunk's tokens for a
+        prefill row), nothing padded.
         ``layer_cache`` is this layer's
         :class:`~repro.nn.paged_cache.PagedLayerKVCache` and ``step`` the
         :class:`~repro.nn.paged_cache.PagedStepContext` saying where each
@@ -257,12 +258,17 @@ class MultiHeadAttention(Module):
         row's width and attend over its gathered block tables under the
         group's mask (causal cutoff, block padding and shorter group members
         in one boolean mask; ``-inf`` scores contribute exact zeros), and
-        the contexts of its real tokens land back in the packed array, so a
-        short session never reads a long neighbour's width, a one-token row
-        never pays for a drafting neighbour's, and position ``t`` of row
-        ``i`` sees exactly what a single-session :meth:`_forward_cached`
-        decode would have seen.  A batch of similar lengths is one group
-        spanning every row: the loop body, run once.
+        the contexts of its real tokens land back in the packed array, so
+        position ``t`` of row ``i`` sees exactly what a single-session
+        :meth:`_forward_cached` decode would have seen.  A row pays for its
+        neighbours only inside its group: every row there is scored at the
+        group's key width and at its widest row's query width, so a
+        one-token row beside a drafting row of its group pays for the
+        drafts' width in scores and softmax (the dense layers still see its
+        one token only).  Prompt rows never share a group with decode or
+        verification rows (``prompt_from`` in the plan), so a chunk never
+        widens a decoder's rectangle.  A batch of similar lengths is one
+        group spanning every row: the loop body, run once.
         """
         self._check_cached_preconditions()
         by_head = (len(x), self.num_heads, self.head_dim)

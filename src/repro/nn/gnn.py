@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .layers import Linear, Module, ReLU, Sequential
+from .layers import Linear, Module
 from .tensor import Tensor, concatenate, get_default_dtype
 
 

@@ -110,7 +110,8 @@ _ONE_TOKEN_EACH = (slice(None), None)
 RowIndex = Union[slice, np.ndarray]
 
 
-def partition_rows(needs: Sequence[int]) -> Tuple[Tuple[RowIndex, int], ...]:
+def partition_rows(needs: Sequence[int], prompt_from: Optional[int] = None
+                   ) -> Tuple[Tuple[RowIndex, int], ...]:
     """Sort a step's rows into length groups by their own block need.
 
     ``needs[i]`` is the number of blocks row *i*'s attention window covers
@@ -126,7 +127,17 @@ def partition_rows(needs: Sequence[int]) -> Tuple[Tuple[RowIndex, int], ...]:
     pair ``(slice(None), max(needs))`` without building an index array.
     Plain Python on purpose: a batch is a few dozen rows at most, where a
     sort and one pass cost less than a single numpy call.
+
+    ``prompt_from`` splits the rows first: rows ``prompt_from..`` are prompt
+    chunks and never share a group with the rows before them, whose query
+    width is one token or a few drafts — each side is partitioned on its
+    own, and a side that stays whole is the basic slice of its rows.
     """
+    if prompt_from is not None and 0 < prompt_from < len(needs):
+        return tuple(
+            (slice(start, stop) if rows is _ALL_ROWS else rows + start, width)
+            for start, stop in ((0, prompt_from), (prompt_from, len(needs)))
+            for rows, width in partition_rows(needs[start:stop]))
     order = sorted(range(len(needs)), key=needs.__getitem__)  # stable
     groups: List[Tuple[RowIndex, int]] = []
     end, width = len(order), needs[order[-1]]
@@ -393,14 +404,15 @@ class PagedStepContext:
 
 def _length_groups(tables: np.ndarray, needs: Sequence[int], counts: np.ndarray,
                    index: np.ndarray, valid: Optional[np.ndarray],
-                   positions: np.ndarray, block_size: int) -> Tuple[tuple, ...]:
+                   positions: np.ndarray, block_size: int,
+                   prompt_from: Optional[int] = None) -> Tuple[tuple, ...]:
     """A step's ``(tokens, tables, mask, valid)`` per length group (see
     :class:`PagedStepContext`).  ``index`` / ``valid`` are the step's
     :func:`_token_grid`.  The one-group case takes them and ``tables`` as
     they stand (``max(counts)`` and ``max(needs)`` are their widths by
     construction); a group among several is cut to its own two widths."""
     groups = []
-    for rows, blocks in partition_rows(needs):
+    for rows, blocks in partition_rows(needs, prompt_from):
         tokens, group_tables, real = index, tables, valid
         if rows is not _ALL_ROWS:
             own = counts[rows].tolist()  # a group is a few rows: lists are cheaper
@@ -778,13 +790,16 @@ class PagedKVCache:
         return needs_list
 
     def _plan(self, session_ids: np.ndarray, counts: np.ndarray,
-              limit: Optional[int] = None, attended: bool = True) -> PagedStepContext:
+              limit: Optional[int] = None, attended: bool = True,
+              prompt_from: Optional[int] = None) -> PagedStepContext:
         """The one step plan: row *i* will write ``counts[i] >= 1`` new tokens.
 
         Decode is ``counts == 1``; a verification row feeds its pending
         sampled token plus its drafts; a prefill row feeds the next
         ``counts[i]`` tokens of its prompt, from whatever length it stands at
-        (0 for a row just opened).  A step that would take any row past
+        (0 for a row just opened).  Rows ``prompt_from..`` are prompt rows
+        behind decode / verification rows and are grouped apart from them
+        (:func:`partition_rows`).  A step that would take any row past
         ``limit`` tokens is refused before anything is touched.  Grows and
         copy-on-write splits the tables first (:meth:`_grow` — atomic on
         exhaustion, and before any write), then reads the batch's padded
@@ -813,7 +828,7 @@ class PagedKVCache:
         step = PagedStepContext(
             session_ids,
             _length_groups(tables, needs, counts, index, valid, positions,
-                           self.block_size),
+                           self.block_size, prompt_from),
             tables[row_of, blocks], write_offsets, positions)
         if attended:
             # What the step's attention will read, per layer: every group's
@@ -839,11 +854,13 @@ class PagedKVCache:
                           limit)
 
     def prepare_multi_step(self, session_ids: np.ndarray, counts: np.ndarray,
-                           limit: Optional[int] = None) -> PagedStepContext:
+                           limit: Optional[int] = None,
+                           prompt_from: Optional[int] = None) -> PagedStepContext:
         """Plan a ragged multi-token step (see :meth:`_plan`): refuses a row
         past ``limit`` tokens, allocates and copy-on-writes all or nothing,
+        groups rows ``prompt_from..`` apart from the rows before them,
         returns the gather/scatter plan."""
-        return self._plan(session_ids, counts, limit)
+        return self._plan(session_ids, counts, limit, prompt_from=prompt_from)
 
     def commit_step(self, session_ids: np.ndarray) -> None:
         """Advance each listed session by the one token its layers wrote."""

@@ -20,7 +20,7 @@ from .paged_cache import (
     PagedLayerKVCache,
     PagedStepContext,
 )
-from .layers import Dropout, GELU, LayerNorm, Linear, Module, ModuleList, Sequential
+from .layers import Dropout, GELU, LayerNorm, Linear, Module, ModuleList
 from .lora import LoRALinear
 from .tensor import Tensor, gelu_array, is_grad_enabled
 
@@ -148,7 +148,8 @@ class TransformerBackbone(Module):
 
     def forward_step(self, embeddings: Tensor, cache: PagedKVCache,
                      session_ids: np.ndarray,
-                     counts: Optional[np.ndarray] = None) -> Tensor:
+                     counts: Optional[np.ndarray] = None,
+                     prompt_from: Optional[int] = None) -> Tensor:
         """Advance ``len(session_ids)`` independent paged sessions in one forward.
 
         One ragged step over the paged cache: ``embeddings`` is
@@ -171,8 +172,11 @@ class TransformerBackbone(Module):
         rolls rejected tokens back via :meth:`PagedKVCache.truncate_session`;
         a prefill row feeds the next ``counts[i]`` tokens of its prompt, from
         length 0 if it was just opened.  All run the same plan, the same
-        forward and the same commit.  A step that would take a session past
-        ``max_seq_len`` is refused before the pool is touched.
+        forward and the same commit; when prompt rows ride behind decode or
+        verification rows, ``prompt_from`` is the index of the first of them
+        and attention never groups the two kinds together.  A step that
+        would take a session past ``max_seq_len`` is refused before the pool
+        is touched.
         """
         session_ids = np.asarray(session_ids, dtype=np.int64)
         tokens, d_model = embeddings.shape
@@ -191,7 +195,8 @@ class TransformerBackbone(Module):
         # benchmark's trace still tells a decode step from a verify step.  The
         # plan refuses a row past ``max_seq_len`` before it grows any table.
         step = (cache.prepare_step(session_ids, self.max_seq_len) if counts is None
-                else cache.prepare_multi_step(session_ids, counts, self.max_seq_len))
+                else cache.prepare_multi_step(session_ids, counts, self.max_seq_len,
+                                              prompt_from))
         # Raw arrays from here to the final norm: the step is inference-only
         # (the attention layers refuse to run with grad enabled), so nothing
         # in between needs a graph node.

@@ -916,17 +916,25 @@ class InferenceServer:
         return bool(admitted or spent or terminal or failures)
 
     def _decode_step(self) -> bool:
-        if self._manager is None or self._manager.num_running == 0:
+        """The decode forward, carrying the prompt chunks that ride it."""
+        manager = self._manager
+        if manager is None or not (manager.running or manager.riding):
             return False
-        batch = list(self._manager.running.values())
+        batch = list(manager.running.values())
         if self._trace is not None:
             self._trace.step.decode_sessions.extend(s.session_id for s in batch)
+        failure = None
         try:
-            completed, occupancy = self._manager.step()
+            completed, occupancy = manager.step()
         except Exception as error:
+            failure = error
+        for session, error in manager.chunk_failures:
+            # Failed alone after the joint forward raised: already aborted.
+            self._quarantine_sessions([session], error, phase="prefill chunk")
+        if failure is not None:
             # The whole decode batch is implicated: a mid-forward failure may
             # have left any of its rows with partially-committed KV state.
-            self._quarantine_sessions(batch, error, phase="decode step")
+            self._quarantine_sessions(batch, failure, phase="decode step")
             return True
         if occupancy:
             self._scheduler.record_step(

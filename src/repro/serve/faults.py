@@ -21,38 +21,43 @@ and the fault-free reference run.
     (``InferenceServer._execute_decision_group``).
 ``prefill.band``
     A prefill forward that admits at least one new session's whole prompt
-    tail in one shot (``SessionManager._prefill_rows``).
+    tail in one shot (``SessionManager._forward``).
 ``prefill.chunk``
     A prefill forward carrying at least one chunk — a row that resumes a
-    prompt or does not finish it (``SessionManager._prefill_rows``).
+    prompt or does not finish it (``SessionManager._forward``).
 ``decode.step``
     The batched decode forward, fired *before* the model runs
     (``SessionManager.step``) — a raise here leaves the pool untouched.
 ``decode.logits``
-    The batched decode logits, fired *after* the forward with the logits
-    array as corruptible ``payload`` (``SessionManager.step``).
+    The batched decode logits, fired *after* the forward with the decode
+    rows' logits as corruptible ``payload`` — never a riding chunk's
+    (``SessionManager.step``).
 ``draft.propose``
     Speculative draft proposal for the decode batch, fired before any
     drafting or KV growth (``SessionManager.step``).
 ``decode.verify``
     The speculative verification logits, fired after the multi-token
     forward — KV already grown, acceptance not yet decided — with the
-    logits array as corruptible ``payload`` (``SessionManager.step``).
+    decode rows' logits as corruptible ``payload`` (``SessionManager.step``).
 ``kv.admit``
     A prefill forward about to open at least one new pool session
-    (``SessionManager._prefill_rows``).
+    (``SessionManager._forward``).
 ``kv.extend``
     A prefill forward about to append to at least one session that already
-    holds part of its prompt (``SessionManager._prefill_rows``).
+    holds part of its prompt (``SessionManager._forward``).
 ``prefix.seed``
     A prefill forward about to map a cached prompt head's blocks into a new
-    session (``SessionManager._prefill_rows``, ahead of its
+    session (``SessionManager._forward``, ahead of its
     ``PrefixCache.seed_cache`` call).
 
-The five prefill sites fire at most once each per forward (band, chunk,
-admit, extend, seed, in that order), all of them **before anything is
-touched**: a raise there has nothing to undo, the
-step's rows are then retried one at a time (``SessionManager.prefill_step``),
+A "prefill forward" is any forward carrying prompt rows: the forward of the
+chunks that complete their prompt (``SessionManager.prefill_step``) and the
+decode forward that the mid-prompt chunks ride (``SessionManager.step``,
+after ``decode.step``) — so the five prefill sites fire in both.  They fire
+at most once each per forward (band, chunk, admit, extend, seed, in that
+order), for its prompt rows only and all of them **before anything is
+touched**: a raise there has nothing to undo, the prompt rows are then
+retried one at a time — in the decode step the decode rows then run alone —
 and a row that raises alone is the only request that fails.
 
 Injection can never be enabled by accident: constructing a
@@ -82,9 +87,9 @@ FAULT_SITES: Dict[str, str] = {
     "runtime.execute_batch": "decision-batch runtime forward "
                              "(InferenceServer._execute_decision_group)",
     "prefill.band": "prefill forward admitting a whole prompt tail in one "
-                    "shot, pre-pool (SessionManager._prefill_rows)",
-    "prefill.chunk": "prefill forward carrying a chunk row, pre-pool "
-                     "(SessionManager._prefill_rows)",
+                    "shot, pre-pool (SessionManager._forward)",
+    "prefill.chunk": "forward carrying a chunk row, pre-pool "
+                     "(SessionManager._forward; in prefill_step and step)",
     "decode.step": "batched decode forward, pre-model (SessionManager.step)",
     "decode.logits": "batched decode logits, post-forward, corruptible "
                      "payload (SessionManager.step)",
@@ -92,12 +97,13 @@ FAULT_SITES: Dict[str, str] = {
                      "(SessionManager.step)",
     "decode.verify": "speculative verification logits, post-forward, "
                      "corruptible payload (SessionManager.step)",
-    "kv.admit": "prefill forward opening a new pool session, pre-pool "
-                "(SessionManager._prefill_rows)",
-    "kv.extend": "prefill forward appending to a session mid-prompt, "
-                 "pre-pool (SessionManager._prefill_rows)",
-    "prefix.seed": "prefill forward mapping a cached head's blocks into a "
-                   "new session, pre-pool (SessionManager._prefill_rows)",
+    "kv.admit": "forward opening a new pool session, pre-pool "
+                "(SessionManager._forward; in prefill_step and step)",
+    "kv.extend": "forward appending to a session mid-prompt, pre-pool "
+                 "(SessionManager._forward; in prefill_step and step)",
+    "prefix.seed": "forward mapping a cached head's blocks into a new "
+                   "session, pre-pool (SessionManager._forward; in "
+                   "prefill_step and step)",
 }
 
 #: What a fired spec does at its site.

@@ -2,14 +2,15 @@
 
 A :class:`GenerationSession` is one streaming autoregressive request (prompt
 in, tokens out).  The :class:`SessionManager` owns the model's
-:class:`~repro.nn.PagedKVCache`: it prefills prompts through one body
-(:meth:`SessionManager._prefill_rows` — a whole prompt tail, a chunk of one
-and chunks of several sessions are rows of one token-packed ``forward_step``
-that writes straight into pool blocks), maps cached common prompt heads in by
-reference (:class:`~repro.serve.prefix.PrefixCache`),
+:class:`~repro.nn.PagedKVCache`: it runs every forward through one body
+(:meth:`SessionManager._forward` — decode rows, a whole prompt tail, a chunk
+of one and chunks of several sessions are rows of one token-packed
+``forward_step`` that writes straight into pool blocks), maps cached common
+prompt heads in by reference (:class:`~repro.serve.prefix.PrefixCache`),
 advances every running session with one batched ``forward_step`` per engine
-step, and evicts completed sessions so their blocks return to the pool —
-continuous batching over paged storage.
+step — the prompt chunks that emit no token ride it, so a step is one
+forward unless a prompt completes — and evicts completed sessions so their
+blocks return to the pool: continuous batching over paged storage.
 
 Fault semantics: every failure path here releases the session's slot and
 blocks (:meth:`SessionManager.abort`) before surfacing the error, so the
@@ -140,7 +141,8 @@ class SessionManager:
     exactly the blocks its history needs, so memory follows live tokens
     instead of ``max_slots × max_context``.  Prompts are prefilled together
     — mixed-length tails and chunks ride one token-packed forward, nothing
-    padded — and prompts starting with a registered prefix skip recomputing
+    padded; a chunk that emits no token rides the decode forward — and
+    prompts starting with a registered prefix skip recomputing
     (and re-storing) the shared head entirely.
 
     Unlike eval-mode :func:`repro.llm.generation.generate`, the engine does
@@ -203,6 +205,12 @@ class SessionManager:
         #: None is "no plan was made"; an empty dict is a plan made while
         #: nothing was running, under which nobody drafts.
         self._planned_drafts: Optional[Dict[int, List[int]]] = None
+        #: ``(session, take)`` chunks granted by :meth:`prefill_step` that do
+        #: not complete their prompt; they ride the next :meth:`step`.
+        self.riding: List[Tuple[GenerationSession, int]] = []
+        #: Riding chunks that failed in the last :meth:`step`, each aborted,
+        #: with its error (the engine quarantines them).
+        self.chunk_failures: List[Tuple[GenerationSession, BaseException]] = []
         #: Lifetime speculative counters (feed ``ServerStats``).
         self.tokens_drafted = 0
         self.tokens_accepted = 0
@@ -291,18 +299,24 @@ class SessionManager:
                                 List[GenerationSession]]:
         """Spend up to ``token_budget`` prompt tokens on prefill work.
 
-        One grant loop, one forward — and the engine's only admission rule:
+        One grant loop — and the engine's only admission rule:
         ``new_sessions`` are the scheduler's candidates for the free slots,
         in rank order, and this loop decides which of them start.  In-flight
         ``PREFILLING`` sessions are granted first (admission order), then
         ``new_sessions``, each up to ``chunk_size`` tokens (``None``: the
         chunk is the whole context, so every prompt is one-shot) while the
-        budget lasts; every granted row —
-        whole tails and chunks, at whatever lengths the rows stand — rides
-        one :meth:`prefill_chunk_group` call.  Should that forward raise
-        (nothing committed), the rows are retried one at a time through
+        budget lasts.  Where a grant goes depends on whether it emits a
+        token.  The rows whose grant *completes* their prompt — whole tails
+        and last chunks, at whatever lengths they stand — run now, in one
+        :meth:`prefill_chunk_group` call, so each samples its first token
+        before the decode forward.  Should that forward raise (nothing
+        committed), they are retried one at a time through
         :meth:`prefill_chunk`, so a single bad request cannot take the
-        others down; a row that raises alone is aborted.
+        others down; a row that raises alone is aborted.  A grant that stops
+        short of its prompt's end emits nothing: the row is ``PREFILLING``
+        from here on (a new one before it holds any block) and its chunk
+        rides the decode forward of the next :meth:`step` (:attr:`riding`),
+        which reports its failures in :attr:`chunk_failures`.
 
         Returns ``(tokens_spent, terminal, failures, deferred)``:
         ``terminal`` lists sessions that reached ``FINISHED`` during the
@@ -346,20 +360,35 @@ class SessionManager:
                 continue
             rows.append((session, take, cost))
             spent += cost
-        if rows:
+        completing = [(session, take) for session, take, cost in rows if cost > take]
+        self.riding = [(session, take) for session, take, cost in rows if cost == take]
+        for session, _ in self.riding:
+            session.state = PREFILLING
+            self.prefilling[session.session_id] = session
+        if completing:
             try:
-                self.prefill_chunk_group([session for session, _, _ in rows],
-                                         [take for _, take, _ in rows])
+                self.prefill_chunk_group([session for session, _ in completing],
+                                         [take for _, take in completing])
             except Exception:
-                for session, take, cost in rows:
-                    try:
-                        self.prefill_chunk(session, take)
-                    except Exception as error:
-                        self.abort(session)
-                        failures.append((session, error))
-                        spent -= cost
-        terminal = [session for session, _, _ in rows if session.state == FINISHED]
+                failures = self._prefill_alone(completing)
+                # A completion that failed gave back its take + 1.
+                spent -= sum(session.prompt_left + 1 for session, _ in failures)
+        terminal = [session for session, _ in completing if session.state == FINISHED]
         return spent, terminal, failures, deferred
+
+    def _prefill_alone(self, rows: Sequence[Tuple[GenerationSession, int]]
+                       ) -> List[Tuple[GenerationSession, BaseException]]:
+        """Retry prefill grants one at a time after their joint forward
+        raised: each row is a :meth:`prefill_chunk` of its own, and a row
+        that raises alone is aborted and returned with its error."""
+        failures: List[Tuple[GenerationSession, BaseException]] = []
+        for session, take in rows:
+            try:
+                self.prefill_chunk(session, take)
+            except Exception as error:
+                self.abort(session)
+                failures.append((session, error))
+        return failures
 
     def prefill_chunk(self, session: GenerationSession, max_tokens: int) -> int:
         """Advance one session's prefill by up to ``max_tokens`` prompt tokens:
@@ -375,27 +404,50 @@ class SessionManager:
                             takes: Sequence[int]) -> None:
         """Advance ``group[i]`` by ``takes[i]`` prompt tokens, all in one
         forward: the public spelling of :meth:`_prefill_rows`, and the call
-        :meth:`prefill_step` makes — so whoever replaces it with something
-        that raises gets the one-at-a-time route for every step."""
+        :meth:`prefill_step` makes for the rows that complete their prompt —
+        so whoever replaces it with something that raises gets the
+        one-at-a-time route for those."""
         self._prefill_rows(group, takes)
 
     def _prefill_rows(self, group: List[GenerationSession],
                       takes: Sequence[int]) -> None:
-        """Prefill ``takes[i]`` more prompt tokens of ``group[i]`` in one forward.
+        """Prefill ``takes[i]`` more prompt tokens of ``group[i]`` in one
+        forward of prompt rows alone (:meth:`_forward`).  A one-shot admission
+        is a row whose take is its whole tail, a chunk a row that takes less,
+        and any mix of them is one call.  A row whose prompt completes samples
+        its first output token from its last packed logits row, exactly as
+        :func:`~repro.llm.generation.generate` does; the others are
+        ``PREFILLING``.  All or nothing: a raise leaves every session, and
+        the pool, as they were.
+        """
+        logits = self._forward((), (), group, takes)
+        end = 0
+        for session, take in zip(group, takes):
+            end += take
+            if session.state == RUNNING:
+                self._consume_logits(session, logits[end - 1])
 
-        The one prefill body: a one-shot admission is a row whose take is its
-        whole tail, a chunk a row that takes less, and any mix of them — new
-        rows and rows mid-prompt, at any committed lengths — is one
-        ``forward_step`` over the rows' tokens packed back to back with
-        ``counts = takes``: the plan that serves decode and verification grows
-        each row's table and the layers write K/V straight into pool blocks.
-        A new row is opened in the pool first — empty, or on its matched
-        prefix's blocks by reference (the partial last one is copied by the
-        plan before the row writes into it).  A row whose prompt completes is
-        promoted and samples its first output token from its last packed
-        logits row, exactly as :func:`~repro.llm.generation.generate` does;
-        the others are ``PREFILLING``.  All or nothing: a raise leaves every
-        session, and the pool, as they were.
+    def _forward(self, slots: Sequence[int], fed: Sequence[List[int]],
+                 group: Sequence[GenerationSession], takes: Sequence[int]
+                 ) -> np.ndarray:
+        """One ``forward_step`` over decode rows, then prompt rows; return
+        its packed logits.
+
+        The one body behind prefill and decode: running session ``slots[i]``
+        feeds ``fed[i]`` (its pending token plus any drafts), then
+        ``group[i]`` feeds the next ``takes[i]`` tokens of its prompt — the
+        plan that serves decode and verification grows each row's table and
+        the layers write K/V straight into pool blocks.  The prompt rows are
+        grouped apart from the decode rows in attention (``prompt_from``), so
+        a chunk never widens a decoder's query rectangle.  A new prompt row is
+        opened in the pool first — empty, or on its matched prefix's blocks
+        by reference (the partial last one is copied by the plan before the
+        row writes into it).  All or nothing: the prefill fault sites fire
+        before anything is touched, and a raise evicts the rows opened here
+        and hands every other row back what the plan appended to it.  After
+        the forward each prompt row's ``prompt_pos`` moves: it stays
+        ``PREFILLING`` or, its prompt complete, is promoted to ``running``
+        (the caller samples its first token).
         """
         for session, take in zip(group, takes):
             if session.state not in (QUEUED, PREFILLING):
@@ -420,11 +472,13 @@ class SessionManager:
                 self.faults.fire("kv.extend")
             if any(session.prefix_entry is not None for session in fresh):
                 self.faults.fire("prefix.seed")
-        tokens = np.asarray(
-            [token for session, take in zip(group, takes)
-             for token in session.prompt_ids[session.prompt_pos:
-                                             session.prompt_pos + take]],
-            dtype=np.int64)
+        # Packed: the rows' tokens back to back, nothing padded.
+        tokens = [token for row in fed for token in row]
+        for session, take in zip(group, takes):
+            tokens += session.prompt_ids[session.prompt_pos:session.prompt_pos + take]
+        # A step of one-token rows alone is spelled counts=None: plain decode.
+        counts = (None if not group and len(tokens) == len(fed)
+                  else np.asarray([*map(len, fed), *takes], dtype=np.int64))
         opened: List[GenerationSession] = []
         try:
             for session in fresh:
@@ -436,23 +490,21 @@ class SessionManager:
                 self._mark_started(session)
             with cached_inference(self.model, self._toggle_eval):
                 logits = self.model.forward_step(
-                    tokens, self.cache,
-                    np.asarray([session.slot for session in group], dtype=np.int64),
-                    counts=np.asarray(takes, dtype=np.int64)).data[0]
+                    np.asarray(tokens, dtype=np.int64), self.cache,
+                    np.asarray([*slots, *[session.slot for session in group]],
+                               dtype=np.int64),
+                    counts=counts, prompt_from=len(slots)).data[0]
         except Exception:
             # Nothing was committed.  The rows opened here leave the pool;
             # the others get back whatever blocks the plan appended to them.
             for session in opened:
                 self.cache.evict(session.slot)
                 session.slot = None
-            for session in group:
-                if session.slot is not None:
-                    self.cache.truncate_session(
-                        session.slot, self.cache.length(session.slot))
+            for slot in [*slots, *(session.slot for session in group)]:
+                if slot is not None:
+                    self.cache.truncate_session(slot, self.cache.length(slot))
             raise
-        offset = 0
         for session, take in zip(group, takes):
-            offset += take
             session.prompt_pos += take
             if self.telemetry is not None:
                 # One chunk per take, so the flight recorder reads a one-shot
@@ -466,7 +518,7 @@ class SessionManager:
                 self.prefilling.pop(session.session_id, None)
                 self.running[session.slot] = session
                 session.state = RUNNING
-                self._consume_logits(session, logits[offset - 1])
+        return logits
 
     def abort(self, session: GenerationSession) -> None:
         """Release a failed session's slot/blocks without finishing it.
@@ -563,12 +615,21 @@ class SessionManager:
 
     # ------------------------------------------------------------------ #
     def step(self) -> Tuple[List[GenerationSession], int]:
-        """Advance every running session by one decode step.
+        """Advance every running session by one decode step, with the
+        :attr:`riding` prompt chunks in the same forward.
 
         Row *i* feeds its pending sampled token plus the drafts planned for
         it — ``1 + len(drafts)`` positions, one when nothing was drafted —
-        through one ragged ``forward_step`` over the rows' tokens packed back
-        to back, so a row pays for its own tokens and no neighbour's.  Each
+        and each riding chunk its granted prompt tokens behind them, through
+        one ragged ``forward_step`` (:meth:`_forward`) over the rows' tokens
+        packed back to back, so a row pays for its own tokens and no
+        neighbour's.  The chunk rows' bookkeeping settles first; only the
+        decode rows' logits are the ``decode.logits`` / ``decode.verify``
+        payload.  Should the forward raise (nothing committed), the chunks
+        are retried one at a time (:meth:`prefill_chunk`; one that raises
+        alone is aborted into :attr:`chunk_failures`) and the decode rows
+        run alone through the same forward — so a request fails exactly
+        when it would have in forwards of its own.  Each
         verified logits row then runs through
         :meth:`_consume_logits`: the sampled token *is* the acceptance test
         (equal to the draft → keep verifying; different → it is the
@@ -582,12 +643,16 @@ class SessionManager:
         size of the forward actually executed (0 when every running session
         finished at the context cap before the forward).
         """
-        if not self.running:
+        # A riding row a deadline or a cancel ended since its grant is gone.
+        chunks = [(session, take) for session, take in self.riding
+                  if session.state == PREFILLING]
+        self.riding, self.chunk_failures = [], []
+        if not self.running and not chunks:
             return [], 0
-        if self.faults is not None:
+        if self.faults is not None and self.running:
             # Pre-forward site: a raise here leaves the pool untouched, the
             # cheapest-to-recover decode fault (the engine quarantines the
-            # whole batch either way).
+            # whole batch either way; the chunks wait for the next grant).
             self.faults.fire("decode.step")
         # Sessions whose cache cannot take one more token finish now (their
         # already-sampled final token still counts as generated output).
@@ -598,11 +663,11 @@ class SessionManager:
         for session in completed:
             self.evict(session, REASON_CONTEXT_FULL)
         slots = [slot for slot in slots if slot in self.running]
-        if not slots:
+        if not slots and not chunks:
             return completed, 0
 
         drafts: Dict[int, List[int]] = {}
-        if self.proposer is not None:
+        if self.proposer is not None and slots:
             if self._planned_drafts is None:
                 self.plan_decode_tokens()  # standalone use: no engine budget pass
             # A row promoted after the plan has no entry and takes its one
@@ -611,15 +676,19 @@ class SessionManager:
         batch = [self.running[slot] for slot in slots]
         fed = [[session.generated[-1]] + drafts.get(slot, [])
                for slot, session in zip(slots, batch)]
-        # Packed: the rows' tokens back to back, nothing padded.
-        tokens = np.asarray([token for row in fed for token in row], dtype=np.int64)
-        drafted = len(tokens) > len(fed)
-        with cached_inference(self.model, self._toggle_eval):
-            # A step nobody drafted for is spelled counts=None: plain decode.
-            logits = self.model.forward_step(
-                tokens, self.cache, np.asarray(slots, dtype=np.int64),
-                counts=np.asarray([len(row) for row in fed], dtype=np.int64)
-                if drafted else None).data[0]
+        group, takes = [session for session, _ in chunks], [take for _, take in chunks]
+        try:
+            logits = self._forward(slots, fed, group, takes)
+        except Exception:
+            if not chunks:
+                raise
+            self.chunk_failures = self._prefill_alone(chunks)
+            logits = self._forward(slots, fed, (), ()) if slots else None
+        if not slots:
+            return completed, 0
+        decoded = sum(map(len, fed))
+        logits = logits[:decoded]  # a view: a corrupt payload is what is sampled
+        drafted = decoded > len(fed)
         if self.faults is not None:
             # Post-forward sites: the K/V writes are committed; a "corrupt"
             # spec perturbs the logits in place before sampling.  A drafted

@@ -158,6 +158,33 @@ class TestPartition:
         [(rows, width)] = pc.partition_rows([need] * n)
         assert rows == slice(None) and width == need
 
+    @settings(max_examples=200, deadline=None)
+    @given(needs=_needs, data=st.data())
+    def test_prompt_rows_never_share_a_group_with_the_rows_before(self, needs, data):
+        prompt_from = data.draw(st.integers(0, len(needs)))
+        groups = pc.partition_rows(needs, prompt_from)
+
+        def members(groups, start, stop):
+            return [(np.arange(start, stop)[rows].tolist(), width)
+                    for rows, width in groups]
+
+        if prompt_from in (0, len(needs)):  # one kind of row: no boundary
+            assert members(groups, 0, len(needs)) == members(
+                pc.partition_rows(needs), 0, len(needs))
+            return
+        named = members(groups, 0, len(needs))
+        assert sorted(row for rows, _ in named for row in rows) == list(range(len(needs)))
+        for rows, _ in named:
+            assert max(rows) < prompt_from or min(rows) >= prompt_from
+        # Each side is partitioned as if it were the whole step.
+        assert named == (
+            members(pc.partition_rows(needs[:prompt_from]), 0, prompt_from)
+            + members(pc.partition_rows(needs[prompt_from:]), prompt_from, len(needs)))
+        # A side that stays whole is named by a basic slice, not an index copy.
+        for rows, _ in groups:
+            if isinstance(rows, slice):
+                assert rows in (slice(0, prompt_from), slice(prompt_from, len(needs)))
+
     def test_a_split_must_save_the_minimum(self):
         floor = pc.MIN_SPLIT_SAVING_BLOCK_ROWS
         # `floor - 1` rows one block short save one block-row too few ...
@@ -380,6 +407,44 @@ class TestTokenPackedStep:
                     np.testing.assert_allclose(logits[0, offsets[row] + t],
                                                oracle, **ATOL)
 
+    def test_prompt_rows_behind_decode_rows_keep_their_own_groups(
+            self, model, monkeypatch):
+        """Six decode rows and two 12-token prompt chunks of similar lengths
+        in one step: with ``prompt_from`` no decode row is scored at a
+        chunk's query width, and every row still matches the oracle."""
+        from repro.nn import attention
+
+        lengths = [40, 44, 41, 46, 43, 45, 33, 34]  # one need: one group unsplit
+        counts = np.asarray([1] * 6 + [12, 12], dtype=np.int64)
+        rng = np.random.default_rng(12)
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=8, block_size=BLOCK)
+            twins = [_Twin(model, paged, prompt)
+                     for prompt in _prompts(model, lengths, seed=13)]
+            ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
+            fed = [[twin.next_token] + rng.integers(
+                0, model.tokenizer.vocab_size, size=count - 1).tolist()
+                for twin, count in zip(twins, counts)]
+            widths = []
+
+            def softmax_spy(scores, _softmax=attention.softmax_array):
+                widths.append((scores.shape[0], scores.shape[2]))
+                return _softmax(scores)
+
+            monkeypatch.setattr(attention, "softmax_array", softmax_spy)
+            mixed = copy.deepcopy(paged)
+            model.forward_step(_packed(fed), mixed, ids, counts=counts)
+            logits = model.forward_step(_packed(fed), paged, ids, counts=counts,
+                                        prompt_from=6).data[0]
+            monkeypatch.undo()
+            blocks = len(model.backbone.blocks)
+            assert widths == [(8, 12)] * blocks + [(6, 1), (2, 12)] * blocks
+            paged.check_invariants()
+            offsets = np.cumsum(counts) - counts
+            for row, twin in enumerate(twins):
+                for t, oracle in enumerate(twin.preview(fed[row])):
+                    np.testing.assert_allclose(logits[offsets[row] + t], oracle, **ATOL)
+
     def test_packed_rows_match_sequential_steps(self, model):
         """Any counts in 1..5 over rows that split into length groups — a
         forked pair (copy-on-write inside the step) and a row on shared
@@ -482,13 +547,52 @@ class TestServedSplitSteps:
         server._manager.cache.check_invariants(
             external_refs=server._manager.prefix.external_refs())
 
-    @pytest.mark.parametrize("site,speculation", [("decode.step", "off"),
-                                                  ("decode.verify", "ngram")])
+    def test_a_chunk_that_emits_no_token_rides_the_decode_forward(
+            self, model, monkeypatch):
+        """While a long prompt is mid-way beside running decoders, an engine
+        step is one model forward; the step its last chunk completes is two
+        (the completing chunk first, so it samples its first token before
+        the decode forward) — and every stream is token-exact."""
+        greedy = dict(max_new_tokens=40, temperature=0.0, stop_on_eos=False)
+        prompts = ["abc abc abc", "bitrate now", "x", _long_prompt("trace c", 300)]
+        server = InferenceServer(model, _policy(max_batch_size=4))
+        handles = [server.submit(GenerateRequest(prompt=prompt, **greedy))
+                   for prompt in prompts[:3]]
+        server.step()  # three one-shot admissions: they decode from here on
+        assert server._manager.num_running == 3
+        handles.append(server.submit(GenerateRequest(prompt=prompts[3], **greedy)))
+        forwards = []
+        forward_step = LanguageModel.forward_step
+
+        def spy(self, *args, **kwargs):
+            forwards[-1] += 1
+            return forward_step(self, *args, **kwargs)
+
+        monkeypatch.setattr(LanguageModel, "forward_step", spy)
+        while handles[3]._session.state != "running":
+            forwards.append(0)
+            server.step()
+        monkeypatch.undo()
+        chunks = -(-len(handles[3]._session.prompt_ids) // 32)
+        assert chunks >= 5 and server._manager.num_running == 4
+        assert forwards == [1] * (chunks - 1) + [2]
+        server.run_until_idle()
+        for prompt, handle in zip(prompts, handles):
+            reference = generate(model, prompt, **greedy)
+            assert handle.result(timeout=5).token_ids == reference.token_ids
+        assert server._manager.cache.num_sessions == 0
+
+    @pytest.mark.parametrize("site,speculation,action", [
+        ("decode.step", "off", "raise"), ("decode.verify", "ngram", "raise"),
+        ("decode.verify", "ngram", "corrupt")],
+        ids=["decode.step-off", "decode.verify-ngram", "decode.verify-ngram-corrupt"])
     def test_quarantine_in_a_split_step_keeps_its_blast_radius(
-            self, model, monkeypatch, site, speculation):
+            self, model, monkeypatch, site, speculation, action):
         """The faulted step's decode batch fails, exactly as before the step
         was split; the session still prefilling and the one still queued are
-        untouched and finish token-exact."""
+        untouched and finish token-exact.  A corrupted payload in a step
+        whose forward carries a riding chunk lands on the decode rows alone:
+        the prefilling request stays token-exact."""
         greedy = dict(max_new_tokens=40, temperature=0.0, stop_on_eos=False)
         prompts = [_long_prompt("trace a", 300), "abc abc abc abc abc abc",
                    "ab ab ab ab ab ab ab", _long_prompt("trace b", 420),
@@ -507,24 +611,39 @@ class TestServedSplitSteps:
         # whose batch has all three decoders, a prefill in flight and a
         # request queued.  Steps are deterministic, so the visit number holds.
         clean, _ = serve(None)
-        visits = [r for r in clean.telemetry.records()
+        records = clean.telemetry.records()
+
+        def rides(index):
+            """Step ``index`` carries a chunk that is not its prompt's last."""
+            later = {sid for r in records[index + 1:] for sid, _ in r.prefill_chunks}
+            return any(sid in later for sid, _ in records[index].prefill_chunks)
+
+        visits = [i for i, r in enumerate(records)
                   if (r.tokens_drafted if site == "decode.verify"
                       else r.decode_sessions)]
-        target = next(r for r in visits
-                      if len(r.decode_sessions) == 3 and r.kv_groups >= 2
-                      and r.prefill_chunks and r.queue_depth)
+        target = next(i for i in visits
+                      if len(records[i].decode_sessions) == 3
+                      and records[i].kv_groups >= 2 and records[i].prefill_chunks
+                      and records[i].queue_depth and (action == "raise" or rides(i)))
 
         monkeypatch.setenv("REPRO_FAULTS", "1")
-        injector = FaultInjector([FaultSpec(site=site,
-                                            at=visits.index(target) + 1)])
+        injector = FaultInjector([FaultSpec(site=site, action=action,
+                                            at=visits.index(target) + 1,
+                                            corrupt_scale=50.0)])
         server, handles = serve(injector)
         assert injector.total_fired == 1
-        [culprit] = [r for r in server.telemetry.records() if r.quarantines]
-        assert culprit.quarantined == target.decode_sessions
-        assert set(culprit.quarantined) == {h.request_id for h in handles[:3]}
-        for handle in handles[:3]:
-            with pytest.raises(RequestFailed, match="decode step"):
-                handle.result(timeout=5)
+        if action == "corrupt":
+            assert not any(r.quarantines for r in server.telemetry.records())
+            assert any(handle.result(timeout=5).token_ids
+                       != generate(model, prompt, **greedy).token_ids
+                       for prompt, handle in zip(prompts[:3], handles[:3]))
+        else:
+            [culprit] = [r for r in server.telemetry.records() if r.quarantines]
+            assert culprit.quarantined == records[target].decode_sessions
+            assert set(culprit.quarantined) == {h.request_id for h in handles[:3]}
+            for handle in handles[:3]:
+                with pytest.raises(RequestFailed, match="decode step"):
+                    handle.result(timeout=5)
         for prompt, handle in zip(prompts[3:], handles[3:]):
             reference = generate(model, prompt, **greedy)
             assert handle.result(timeout=5).token_ids == reference.token_ids

@@ -542,10 +542,11 @@ class TestOnePrefillBody:
         forwards = []  # packed tokens of every prefill forward, in call order
         forward = model.forward_step
 
-        def spy(ids, cache, slots, counts=None):
+        def spy(ids, cache, slots, counts=None, prompt_from=None):
             assert len(ids) == int(np.sum(counts)) and len(slots) == len(counts)
+            assert prompt_from == 0  # prompt rows alone
             forwards.append(len(ids))
-            return forward(ids, cache, slots, counts=counts)
+            return forward(ids, cache, slots, counts=counts, prompt_from=prompt_from)
 
         monkeypatch.setattr(model, "forward_step", spy)
         # The served path builds no contiguous cache at all.

@@ -304,6 +304,52 @@ class TestQuarantine:
         assert injector.total_fired == 1
         _invariants(server)
 
+    def test_a_raise_inside_the_riding_forward_rolls_every_row_back(
+            self, model, monkeypatch):
+        """A decode forward carrying a riding chunk raises after its plan
+        grew every row's table (both decoders cross a block boundary, the
+        new chunk row holds two blocks): every row is rolled back, the chunk
+        is retried alone, the decode rows run alone — nobody fails and every
+        stream is token-exact."""
+        from repro.nn import MultiHeadAttention
+
+        greedy = dict(max_new_tokens=6, stop_on_eos=False)
+        prompts = ["abcdef", "ghijkl", "tok " * 12]  # 7, 7 and 49 tokens
+        server = InferenceServer(model, SchedulerPolicy(
+            max_batch_size=4, block_size=4, prefill_chunk_size=8))
+        handles = [server.submit(GenerateRequest(prompt=p, **greedy))
+                   for p in prompts[:2]]
+        server.step()  # both one-shot, then one decode token: length 8
+        handles.append(server.submit(GenerateRequest(prompt=prompts[2], **greedy)))
+        forward_step, raised = MultiHeadAttention.forward_step, []
+        prefill_alone, retried = SessionManager._prefill_alone, []
+
+        def flaky(self, x, layer_cache, step):
+            if not raised:
+                raised.append(len(step.session_ids))
+                raise RuntimeError("mid-forward failure")
+            return forward_step(self, x, layer_cache, step)
+
+        def checked(self, rows):
+            _invariants(server)  # all rolled back before anything is retried
+            retried.append(len(rows))
+            return prefill_alone(self, rows)
+
+        monkeypatch.setattr(MultiHeadAttention, "forward_step", flaky)
+        monkeypatch.setattr(SessionManager, "_prefill_alone", checked)
+        server.step()
+        monkeypatch.undo()
+        assert raised == [3] and retried == [1]  # decoders and chunk, together
+        _invariants(server)
+        assert handles[2]._session.prompt_pos == 8
+        server.run_until_idle()
+        assert not any(r.quarantines for r in server.telemetry.records())
+        for prompt, handle in zip(prompts, handles):
+            assert handle.result(timeout=5).token_ids == generate(
+                model, prompt, **greedy).token_ids
+        _invariants(server)
+        assert server._manager.cache.num_sessions == 0
+
     # (site, which visit is the mixed forward's: the first chunk below has
     # already passed ``prefill.chunk`` and ``kv.admit`` once).
     @pytest.mark.parametrize("site,visit", [

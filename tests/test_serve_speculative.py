@@ -631,14 +631,19 @@ class TestInterleavedChaosFreeProperty:
 # ---------------------------------------------------------------------- #
 class TestFusedPrefill:
     def test_fused_groups_fire_and_match_solo_chunks(self, model, monkeypatch):
-        fused_calls = []
-        original = SessionManager.prefill_chunk_group
+        prompt_forwards = []  # rows of every forward that carries a prompt row
+        original = SessionManager._forward
 
-        def spy(self, group, take):
-            fused_calls.append(len(group))
-            return original(self, group, take)
+        def spy(self, slots, fed, group, takes):
+            if group:
+                prompt_forwards.append(len(slots) + len(group))
+            return original(self, slots, fed, group, takes)
 
-        monkeypatch.setattr(SessionManager, "prefill_chunk_group", spy)
+        def solo_only(self, slots, fed, group, takes):
+            if group and len(slots) + len(group) > 1:
+                raise RuntimeError("solo only")
+            return spy(self, slots, fed, group, takes)
+
         # Five equal-length prompts: after admission they are PREFILLING
         # with equal committed history, so every later chunk wave fuses.
         prompts = [f"w{i} " * 24 for i in range(5)]
@@ -647,10 +652,10 @@ class TestFusedPrefill:
             policy = SchedulerPolicy(max_batch_size=8, block_size=16,
                                      prefill_chunk_size=8)
             server = InferenceServer(model=model, policy=policy)
-            if not fused:  # force the one-at-a-time path
-                monkeypatch.setattr(SessionManager, "prefill_chunk_group",
-                                    lambda self, group, take: (_ for _ in ())
-                                    .throw(RuntimeError("solo only")))
+            # Solo: a prompt row beside any other raises pre-commit, in
+            # prefill_step and in the decode step it would ride alike.
+            monkeypatch.setattr(SessionManager, "_forward",
+                                spy if fused else solo_only)
             handles = [server.submit(GenerateRequest(
                 prompt=prompt, max_new_tokens=8, temperature=0.0,
                 stop_on_eos=False)) for prompt in prompts]
@@ -660,9 +665,10 @@ class TestFusedPrefill:
             return streams
 
         fused_streams = run(fused=True)
-        assert fused_calls and max(fused_calls) >= 4  # >= 4 sessions fused
-        fused_calls.clear()
+        assert prompt_forwards and max(prompt_forwards) >= 4  # >= 4 sessions fused
+        prompt_forwards.clear()
         solo_streams = run(fused=False)
+        assert prompt_forwards and max(prompt_forwards) == 1  # really solo
         # The fused forward raising pre-commit falls back to solo chunks, so
         # the run completes either way — and the streams are identical.
         assert fused_streams == solo_streams

@@ -5,9 +5,11 @@ the same build with the knob off (``bench/`` drives only the served path, so
 this is the one perf check of non-served ``generate()``):
 
 * **KV-cache decoding** — autoregressive tokens/sec with the cached
-  single-token path versus the full-window forward recomputed per token (the
-  seed behaviour).  Acceptance: the cached path is at least 2.5x faster,
-  with exact parity proven by ``tests/test_nn_inference.py``.
+  single-token path (one session of a paged pool) versus the full-window
+  forward recomputed per token (the seed behaviour, and the parity
+  reference).  Acceptance: the cached path is at least 2.5x faster; its
+  logits stay within the parity policy's bound of the reference
+  (``docs/paged_kv.md``), checked by ``tests/test_nn_inference.py``.
 * **no_grad** — full-forward latency with autograd recording on versus off
   (reported, not gated).
 * **float32** — full-forward latency at float64 (default) versus float32

@@ -61,7 +61,8 @@ STREAM_GATE = 0.5
 
 
 def _paged_sessions(model, prompt_lengths, seed: int):
-    """A paged cache holding one prefilled session per prompt length."""
+    """A paged cache holding one prefilled session per prompt length, each
+    prefilled on its own one-session pool (``init_cache``) and copied in."""
     rng = np.random.default_rng(seed)
     paged = model.init_paged_cache(max_sessions=len(prompt_lengths))
     ids = []

@@ -85,15 +85,19 @@ def generate(model: LanguageModel, prompt: str, max_new_tokens: int = 64,
 
     Decoding runs under :func:`~repro.nn.no_grad` with the model in eval mode
     (restored afterwards), so dropout never desynchronizes the two paths.
-    With ``use_cache`` (the default) each step feeds only the newest token
-    through the transformer and attends against cached keys/values — O(T·L)
-    for the whole answer instead of O(T·L²) — producing logits identical to
-    the full-window forward.  Once the context window overflows
-    ``max_seq_len`` the cache is re-primed on the trimmed window, which
-    matches the sliding-window semantics of the uncached path exactly; in
-    that saturated regime every step recomputes the window, so caching only
-    speeds up the portion of the answer that fits within ``max_seq_len``
-    (exact parity is deliberately kept over amortized sliding).
+    With ``use_cache`` (the default) the prompt is one prefill row on a
+    one-session paged pool (:meth:`LanguageModel.init_cache`) and each later
+    step feeds only the newest token, attending against the cached
+    keys/values — O(T·L) for the whole answer instead of O(T·L²) — through
+    the same ``forward_step`` the serving engine runs.  Its logits agree with
+    the full-window forward of ``use_cache=False`` (the reference) to within
+    rounding, not bit for bit (``docs/paged_kv.md``, "Parity policy").  Once
+    the context window overflows ``max_seq_len`` the session is evicted,
+    reopened and prefilled on the trimmed window, which keeps the
+    sliding-window semantics of the uncached path; in that saturated regime
+    every step recomputes the window, so caching only speeds up the portion
+    of the answer that fits within ``max_seq_len`` (parity with the
+    reference is deliberately kept over amortized sliding).
     ``num_inferences`` still counts one transformer inference per generated
     token (the paper's Figure 2 metric).
 
@@ -127,11 +131,15 @@ def generate(model: LanguageModel, prompt: str, max_new_tokens: int = 64,
                     logits = model.forward_tokens(
                         np.asarray(window, dtype=np.int64)[None, :])
                 else:
-                    if pending is None or cache.seq_len + len(pending) > max_context:
+                    [session] = cache.sessions
+                    held = cache.length(session)
+                    if pending is None or held + len(pending) > max_context:
                         # First step, or the sliding window dropped old tokens
                         # (whose cached positional embeddings would be stale):
-                        # re-prime the cache on the current window.
-                        cache.reset()
+                        # re-prime on the current window — evict, reopen and
+                        # prefill it as one row.
+                        cache.evict(session)
+                        cache.open_session()
                         pending = (context + generated)[-max_context:]
                     logits = model.forward_incremental(
                         np.asarray(pending, dtype=np.int64)[None, :], cache)

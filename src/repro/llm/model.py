@@ -25,7 +25,6 @@ import numpy as np
 from ..nn import (
     DEFAULT_BLOCK_SIZE,
     Embedding,
-    KVCache,
     LayerNorm,
     Linear,
     Module,
@@ -77,25 +76,34 @@ class LanguageModel(Module):
         features = self.backbone(embeddings, causal=True)
         return self.lm_head(features)
 
-    def init_cache(self) -> KVCache:
-        """Fresh KV cache for incremental decoding (one slot per block)."""
-        return self.backbone.init_cache()
+    def init_cache(self) -> PagedKVCache:
+        """A one-session paged pool for :meth:`forward_incremental`: room for
+        ``max_seq_len`` tokens and its one session open, empty."""
+        cache = self.init_paged_cache(max_sessions=1)
+        cache.open_session()
+        return cache
 
-    def forward_incremental(self, token_ids: np.ndarray, cache: KVCache) -> Tensor:
+    def forward_incremental(self, token_ids: np.ndarray, cache: PagedKVCache) -> Tensor:
         """Next-token logits for the *new* tokens only, using the KV cache.
 
-        ``token_ids`` holds the tokens that follow the positions already in
-        ``cache`` (the whole prompt on the first call, usually a single token
-        afterwards).  The cache is updated in place; the returned logits cover
-        only the new positions and match :meth:`forward_tokens` on the full
-        window to machine precision.
+        ``cache`` is a pool with one live session (:meth:`init_cache`) and
+        ``token_ids`` the ``(1, n)`` tokens that follow its history (the
+        whole prompt on the first call, usually a single token afterwards):
+        one :meth:`forward_step` row of ``n`` tokens on that session.  The
+        cache is updated in place; the ``(1, n, vocab)`` logits cover only
+        the new positions and agree with :meth:`forward_tokens` on the full
+        window to within rounding (``docs/paged_kv.md``, "Parity policy").
         """
         token_ids = np.asarray(token_ids, dtype=np.int64)
-        if token_ids.ndim == 1:
-            token_ids = token_ids[None, :]
-        embeddings = self.token_embedding(token_ids)
-        features = self.backbone(embeddings, causal=True, cache=cache)
-        return self.lm_head(features)
+        if token_ids.ndim > 1 and token_ids.shape[0] != 1:
+            raise ValueError(f"a one-session cache decodes one row of tokens, "
+                             f"got {token_ids.shape[0]}")
+        sessions = cache.sessions
+        if len(sessions) != 1:
+            raise ValueError(f"forward_incremental needs a cache with one live "
+                             f"session, this one has {len(sessions)}")
+        token_ids = token_ids.reshape(-1)
+        return self.forward_step(token_ids, cache, sessions, counts=[len(token_ids)])
 
     def init_paged_cache(self, max_sessions: int = 16,
                          max_context: Optional[int] = None,
@@ -127,10 +135,10 @@ class LanguageModel(Module):
         consecutive ones (per-session positions come from the cache) — and
         the logits come back as ``(1, sum(counts), vocab)``: row *i*'s token
         ``t`` is at ``[0, offset_i + t]`` and matches the ``t``-th of
-        ``counts[i]`` sequential :meth:`forward_incremental` steps on the
-        session alone.  Plain decode is the all-ones step, spelled
-        ``counts=None`` with one token per session; a prompt is prefilled by
-        the same call — ``counts[i]`` of its tokens on a session opened empty
+        ``counts[i]`` sequential one-token steps on the session alone.
+        Plain decode is the all-ones step, spelled ``counts=None`` with one
+        token per session; a prompt is prefilled by the same call —
+        ``counts[i]`` of its tokens on a session opened empty
         (:meth:`~repro.nn.PagedKVCache.open_session`) or partly filled, and
         prompt rows can ride behind decode rows in one call: ``prompt_from``
         is the index of the first of them.

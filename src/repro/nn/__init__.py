@@ -48,12 +48,7 @@ from .layers import (
     Tanh,
 )
 from .conv import Conv1D, PatchImageEncoder, TemporalConvEncoder
-from .attention import (
-    KVCache,
-    LayerKVCache,
-    MultiHeadAttention,
-    causal_mask,
-)
+from .attention import MultiHeadAttention, causal_mask
 from .paged_cache import (
     DEFAULT_BLOCK_SIZE,
     BlockAllocator,
@@ -77,7 +72,7 @@ __all__ = [
     "Dropout", "Embedding", "GELU", "LayerNorm", "Linear", "MLP", "Module", "ModuleList",
     "Parameter", "ReLU", "Sequential", "Tanh",
     "Conv1D", "PatchImageEncoder", "TemporalConvEncoder",
-    "KVCache", "LayerKVCache", "MultiHeadAttention", "causal_mask",
+    "MultiHeadAttention", "causal_mask",
     "DEFAULT_BLOCK_SIZE", "BlockAllocator",
     "PagedKVCache", "PagedLayerKVCache", "PagedStepContext",
     "FeedForward", "TransformerBackbone", "TransformerBlock",

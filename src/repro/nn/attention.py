@@ -1,12 +1,14 @@
 """Multi-head self-attention used by the transformer backbone.
 
-Besides the classic full-sequence forward, this module implements the KV-cache
-fast path for autoregressive decoding: each layer keeps the key/value
-projections of every past position so that a decoding step only projects the
-*new* token(s) and attends against the cached history — O(T) per step instead
-of recomputing the whole O(T²) window.  A third entry, ``forward_packed``,
-serves one-shot inference over many independent rows of different lengths
-packed back to back (the NetLLM decision path; ``docs/decisions.md``).
+Three bodies compute one operation.  The graph ``forward`` runs full
+sequences under autograd (training, and the reference every inference path
+is checked against).  ``forward_step`` is the KV-cache fast path for
+autoregressive decoding: a ragged step over paged sessions that projects
+only the *new* tokens and attends against their cached history — O(T) per
+token instead of recomputing the whole O(T²) window (``docs/paged_kv.md``).
+``forward_packed`` serves one-shot inference over many independent rows of
+different lengths packed back to back (the NetLLM decision path;
+``docs/decisions.md``).
 """
 
 from __future__ import annotations
@@ -74,80 +76,6 @@ def packed_runs(lengths: Sequence[int]) -> List[Tuple[int, int, int]]:
     return runs
 
 
-class LayerKVCache:
-    """Cached key/value projections of one attention layer.
-
-    Arrays have shape ``(batch, num_heads, seq, head_dim)``.  Storage grows
-    geometrically so appending a token is amortized O(1) — no per-step O(T)
-    re-concatenation of the whole history.
-    """
-
-    __slots__ = ("_keys", "_values", "_length")
-
-    def __init__(self) -> None:
-        self._keys: Optional[np.ndarray] = None
-        self._values: Optional[np.ndarray] = None
-        self._length = 0
-
-    @property
-    def seq_len(self) -> int:
-        return self._length
-
-    @property
-    def keys(self) -> Optional[np.ndarray]:
-        return None if self._keys is None else self._keys[:, :, :self._length]
-
-    @property
-    def values(self) -> Optional[np.ndarray]:
-        return None if self._values is None else self._values[:, :, :self._length]
-
-    def _grow(self, template: np.ndarray, needed: int) -> None:
-        batch, heads, _, head_dim = template.shape
-        current = 0 if self._keys is None else self._keys.shape[2]
-        capacity = max(16, needed, 2 * current)
-        keys = np.empty((batch, heads, capacity, head_dim), dtype=template.dtype)
-        values = np.empty_like(keys)
-        if self._length:
-            keys[:, :, :self._length] = self._keys[:, :, :self._length]
-            values[:, :, :self._length] = self._values[:, :, :self._length]
-        self._keys, self._values = keys, values
-
-    def append(self, keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Append new-token projections; return the full cached (keys, values)."""
-        new = keys.shape[2]
-        if self._keys is None or self._length + new > self._keys.shape[2]:
-            self._grow(keys, self._length + new)
-        self._keys[:, :, self._length:self._length + new] = keys
-        self._values[:, :, self._length:self._length + new] = values
-        self._length += new
-        return self._keys[:, :, :self._length], self._values[:, :, :self._length]
-
-    def reset(self) -> None:
-        self._keys = None
-        self._values = None
-        self._length = 0
-
-
-class KVCache:
-    """Per-layer key/value cache for incremental transformer decoding."""
-
-    def __init__(self, num_layers: int) -> None:
-        self.layers: List[LayerKVCache] = [LayerKVCache() for _ in range(num_layers)]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-    @property
-    def seq_len(self) -> int:
-        """Number of positions already cached (0 for a fresh cache)."""
-        return self.layers[0].seq_len if self.layers else 0
-
-    def reset(self) -> None:
-        for layer in self.layers:
-            layer.reset()
-
-
 class MultiHeadAttention(Module):
     """Multi-head scaled dot-product attention.
 
@@ -178,20 +106,8 @@ class MultiHeadAttention(Module):
         self.out_proj = make_proj()
         self.attn_dropout = Dropout(dropout)
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None,
-                layer_cache: Optional[LayerKVCache] = None) -> Tensor:
-        """Apply self-attention to ``x`` of shape ``(batch, seq, d_model)``.
-
-        When ``layer_cache`` is given the input holds only the *new* tokens;
-        their key/value projections are appended to the cache and attention
-        runs against the full cached history (inference-only: attention
-        dropout is skipped and no gradients flow through the cached past).
-        """
-        if layer_cache is not None:
-            if mask is not None:
-                raise ValueError("custom masks are not supported with a KV cache; "
-                                 "cached attention is always causal")
-            return self._forward_cached(x, layer_cache)
+    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+        """Apply self-attention to ``x`` of shape ``(batch, seq, d_model)``."""
         batch, seq, _ = x.shape
         q = self._split_heads(self.q_proj(x), batch, seq)
         k = self._split_heads(self.k_proj(x), batch, seq)
@@ -216,30 +132,6 @@ class MultiHeadAttention(Module):
                 "KV-cached attention skips attention dropout and would "
                 "diverge from the full forward; call eval() first")
 
-    def _forward_cached(self, x: Tensor, layer_cache: LayerKVCache) -> Tensor:
-        """Single/few-token decoding step against the cached keys/values.
-
-        The computation mirrors the full forward exactly (same projection
-        kernels, same numerically stable softmax), so incremental logits match
-        the full-window forward to machine precision.
-        """
-        self._check_cached_preconditions()
-        batch, new, _ = x.shape
-        past = layer_cache.seq_len
-        q = self._split_heads(self.q_proj(x), batch, new).data
-        k = self._split_heads(self.k_proj(x), batch, new).data
-        v = self._split_heads(self.v_proj(x), batch, new).data
-        keys, values = layer_cache.append(k, v)
-
-        scores = (q @ np.swapaxes(keys, -1, -2)) * (1.0 / float(np.sqrt(self.head_dim)))
-        if new > 1:
-            # New token i (global position past+i) may only attend to <= past+i.
-            total = past + new
-            scores = scores + causal_mask(total, scores.dtype)[past:total, :]
-        merged = np.swapaxes(softmax_array(scores) @ values, 1, 2).reshape(
-            batch, new, self.d_model)
-        return self.out_proj(Tensor(merged, dtype=merged.dtype))
-
     def forward_step(self, x: np.ndarray, layer_cache, step) -> np.ndarray:
         """Batched ragged step over independent paged sessions, on raw arrays.
 
@@ -259,8 +151,8 @@ class MultiHeadAttention(Module):
         group's mask (causal cutoff, block padding and shorter group members
         in one boolean mask; ``-inf`` scores contribute exact zeros), and
         the contexts of its real tokens land back in the packed array, so
-        position ``t`` of row ``i`` sees exactly what a single-session
-        :meth:`_forward_cached` decode would have seen.  A row pays for its
+        position ``t`` of row ``i`` sees exactly the keys the graph
+        :meth:`forward` shows it under the causal mask.  A row pays for its
         neighbours only inside its group: every row there is scored at the
         group's key width and at its widest row's query width, so a
         one-token row beside a drafting row of its group pays for the
@@ -334,5 +226,5 @@ class MultiHeadAttention(Module):
     def _split_heads(self, x, batch: int, seq: int):
         """``(batch, seq, d_model)`` (or the same tokens packed 2-d) ->
         ``(batch, heads, seq, head_dim)``; a ``Tensor`` on the graph path, a
-        raw array on the cached and packed paths."""
+        raw array on the step and packed paths."""
         return x.reshape(batch, seq, self.num_heads, self.head_dim).swapaxes(1, 2)

@@ -22,8 +22,9 @@ tokens each):
 Attention gathers each session's history with one fancy index over the block
 axis (``keys[tables]``), which pads every row to a whole number of blocks;
 the padded tail is masked with ``-inf`` exactly like ragged batches were in
-the slot-packed design, keeping per-session logits identical to a
-single-session :class:`KVCache` decode.
+the slot-packed design, so a padded key adds an exact zero and per-session
+logits agree with the full-window graph forward to within rounding (the
+parity policy of ``docs/paged_kv.md``).
 
 The step is ragged in both dimensions.  Its queries are **token-packed**:
 row *i*'s ``counts[i]`` new tokens sit back to back in one ``(sum(counts),
@@ -45,10 +46,11 @@ A session starts empty (:meth:`PagedKVCache.open_session`, or on a cached
 prompt head's blocks, mapped by reference) and every token it ever holds is
 written by a step: a **prefill chunk** is a row of the one plan with
 ``counts[i] = take``, beside rows that take other amounts at other lengths.
-:meth:`PagedKVCache.admit_rows`, :meth:`PagedKVCache.extend_session` and
-:meth:`PagedKVCache.register_blocks` import a contiguous
-:class:`~repro.nn.attention.KVCache` computed elsewhere (the sequential
-oracle of the tests) through that same plan, so the pool has one writer.
+:meth:`PagedKVCache.admit_rows` and :meth:`PagedKVCache.extend_session`
+import a session of another pool (the one-session oracle of the tests,
+``LanguageModel.init_cache``), and :meth:`PagedKVCache.register_blocks` a
+caller's contiguous arrays, through that same plan, so the pool has one
+writer.
 
 There is one step plan.  Because the block tables already are a matrix, a
 step's padded gather tables are ``table[rows, :width]`` — one fancy index, read
@@ -68,7 +70,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .attention import KVCache, _position_range
+from .attention import _position_range
 
 #: Default tokens per block — small enough that short sessions waste little,
 #: large enough that block tables and gathers stay cheap.
@@ -496,6 +498,11 @@ class PagedKVCache:
         return len(self._rows)
 
     @property
+    def sessions(self) -> Tuple[int, ...]:
+        """The live session ids, oldest first."""
+        return tuple(self._rows)
+
+    @property
     def blocks_in_use(self) -> int:
         return self.allocator.blocks_in_use
 
@@ -528,7 +535,7 @@ class PagedKVCache:
         return self._length.item(self._row(session_id))
 
     def table(self, session_id: int) -> Tuple[int, ...]:
-        row = self._rows[session_id]
+        row = self._row(session_id)
         return tuple(self._table[row, :self._nblocks[row]].tolist())
 
     def blocks_needed(self, length: int) -> int:
@@ -592,9 +599,10 @@ class PagedKVCache:
         return session_id
 
     # ------------------------------------------------------------------ #
-    # Importing a contiguous cache.  The served path never does: its prompts
-    # are written by ``forward_step``.  These lay a history computed elsewhere
-    # (the tests' sequential oracle) into blocks through the same plan.
+    # Importing another pool's session.  The served path never does: its
+    # prompts are written by ``forward_step``.  These lay a history computed
+    # elsewhere (the tests' one-session oracle) into blocks through the same
+    # plan.
     # ------------------------------------------------------------------ #
     def _import(self, session_id: int, history: Sequence[Tuple[np.ndarray, np.ndarray]],
                 new_length: int) -> None:
@@ -613,43 +621,55 @@ class PagedKVCache:
                               values[:, old:new_length].swapaxes(0, 1))
         self._advance(ids, counts)
 
-    def admit(self, cache: KVCache, row: int = 0, length: Optional[int] = None,
-              shared_blocks: Sequence[int] = ()) -> int:
-        """:meth:`admit_rows` for one row of ``cache``; returns its session id."""
-        return self.admit_rows(cache, rows=[row],
+    def history(self, session_id: int) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """Per layer, contiguous ``(heads, length, head_dim)`` copies of a
+        session's keys and values (what :meth:`_import` takes)."""
+        table, length = self.table(session_id), self.length(session_id)
+        return [tuple(half[:, :length] for half in layer.read_blocks(table))
+                for layer in self.layers]
+
+    def admit(self, source: "PagedKVCache", session: Optional[int] = None,
+              length: Optional[int] = None, shared_blocks: Sequence[int] = ()) -> int:
+        """:meth:`admit_rows` for one session of ``source`` (default: its
+        only one); returns the new session id."""
+        if session is None:
+            [session] = source.sessions
+        return self.admit_rows(source, [session],
                                lengths=None if length is None else [length],
                                shared_blocks=shared_blocks)[0]
 
-    def admit_rows(self, cache: KVCache, rows: Optional[Sequence[int]] = None,
+    def admit_rows(self, source: "PagedKVCache",
+                   sessions: Optional[Sequence[int]] = None,
                    lengths: Optional[Sequence[int]] = None,
                    shared_blocks: Sequence[int] = ()) -> List[int]:
-        """Open one session per listed row of a prefilled ``cache``.
+        """Open one session per listed session of a prefilled ``source`` pool.
 
-        ``lengths[i]`` trims row ``rows[i]`` of a right-padded batched prefill
-        to its true history (default: the cache's full length).
-        ``shared_blocks`` — already-filled *full* blocks, a common head — go
-        at the front of every table by reference; ``cache`` must still hold
-        the complete history so the rest can be copied from it.  All or
-        nothing: on exhaustion no session is opened and no id is spent.
-        Returns the session ids in row order.
+        ``sessions`` defaults to every live session of ``source``, oldest
+        first; ``lengths[i]`` trims the import of ``sessions[i]`` to its
+        first tokens (default: all it holds).  ``shared_blocks`` —
+        already-filled *full* blocks, a common head — go at the front of
+        every table by reference; the source session must still hold the
+        complete history so the rest can be copied from it.  All or nothing:
+        on exhaustion no session is opened and no id is spent.  Returns the
+        session ids in the order of ``sessions``.
         """
-        full = cache.seq_len
-        if full < 1:
-            raise ValueError("cannot admit an empty session cache; prefill first")
-        if rows is None:
-            rows = range(cache.layers[0].keys.shape[0])
-        histories = [self._row_history(cache, row) for row in rows]
-        lengths = [full] * len(histories) if lengths is None else list(lengths)
-        if len(lengths) != len(histories):
-            raise ValueError(f"{len(lengths)} lengths for {len(histories)} rows")
+        if sessions is None:
+            sessions = source.sessions
+        fulls = [source.length(session) for session in sessions]
+        lengths = fulls if lengths is None else list(lengths)
+        if len(lengths) != len(fulls):
+            raise ValueError(f"{len(lengths)} lengths for {len(fulls)} sessions")
         shared = list(shared_blocks)
         shared_len = len(shared) * self.block_size
-        for length in lengths:
+        for length, full in zip(lengths, fulls):
+            if full < 1:
+                raise ValueError("cannot admit an empty session; prefill first")
             if not shared_len < length <= full:
                 raise ValueError(
                     f"length {length} outside {shared_len + 1}..{full}: the "
                     f"{len(shared)} shared blocks, then at least one fresh "
                     f"token of the prefilled history")
+        histories = [self._source_history(source, session) for session in sessions]
         self.allocator.require(sum(self.blocks_needed(length - shared_len)
                                    for length in lengths))
         session_ids = []
@@ -658,34 +678,35 @@ class PagedKVCache:
             self._import(session_ids[-1], history, length)
         return session_ids
 
-    def _row_history(self, cache: KVCache, row: int
-                     ) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Row ``row`` of a prefilled contiguous cache, as :meth:`_import`
-        takes it."""
-        if cache.num_layers != self.num_layers:
+    def _source_history(self, source: "PagedKVCache", session: int
+                        ) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """:meth:`history` of a session of ``source``, checked to match this
+        pool's depth."""
+        if source.num_layers != self.num_layers:
             raise ValueError(
-                f"session cache has {cache.num_layers} layers but the paged "
+                f"session cache has {source.num_layers} layers but the paged "
                 f"cache has {self.num_layers}")
-        batch = cache.layers[0].keys.shape[0]
-        if not 0 <= row < batch:
-            raise ValueError(f"row {row} outside prefilled batch of {batch}")
-        return [(layer.keys[row], layer.values[row]) for layer in cache.layers]
+        return source.history(session)
 
-    def extend_session(self, session_id: int, cache: KVCache, row: int = 0,
+    def extend_session(self, session_id: int, source: "PagedKVCache",
+                       session: Optional[int] = None,
                        new_length: Optional[int] = None) -> None:
-        """Append what row ``row`` of ``cache`` holds past the session's length.
+        """Append what a session of ``source`` (default: its only one) holds
+        past this session's length.
 
-        ``cache`` holds the session's full history so far (shared head
-        included); tokens ``[length(session_id), new_length)`` are new
-        (``new_length`` defaults to the cache's full length).
+        The source session holds this session's full history so far (shared
+        head included); tokens ``[length(session_id), new_length)`` are new
+        (``new_length`` defaults to the source session's full length).
         """
-        old, full = self.length(session_id), cache.seq_len
+        if session is None:
+            [session] = source.sessions
+        old, full = self.length(session_id), source.length(session)
         new_length = full if new_length is None else new_length
         if not old < new_length <= full:
             raise ValueError(
                 f"cannot extend session {session_id} from {old} to "
                 f"{new_length} tokens (prefilled history holds {full})")
-        self._import(session_id, self._row_history(cache, row), new_length)
+        self._import(session_id, self._source_history(source, session), new_length)
 
     def register_blocks(self, keys_per_layer: Sequence[np.ndarray],
                         values_per_layer: Sequence[np.ndarray]) -> List[int]:

@@ -6,14 +6,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .attention import (
-    KVCache,
-    LayerKVCache,
-    MultiHeadAttention,
-    _position_range,
-    causal_mask,
-    packed_runs,
-)
+from .attention import MultiHeadAttention, _position_range, causal_mask, packed_runs
 from .paged_cache import (
     DEFAULT_BLOCK_SIZE,
     PagedKVCache,
@@ -75,9 +68,8 @@ class TransformerBlock(Module):
         self.mlp = FeedForward(d_model, d_hidden, dropout=dropout,
                                lora_rank=lora_rank, lora_alpha=lora_alpha, rng=rng)
 
-    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None,
-                layer_cache: Optional[LayerKVCache] = None) -> Tensor:
-        x = x + self.attention(self.norm1(x), mask=mask, layer_cache=layer_cache)
+    def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
+        x = x + self.attention(self.norm1(x), mask=mask)
         x = x + self.mlp(self.norm2(x))
         return x
 
@@ -107,8 +99,8 @@ class TransformerBackbone(Module):
     by the NetLLM multimodal encoder) and produces contextualized output
     features of the same dimension.
 
-    Autoregressive decoding should use :meth:`init_cache` plus the ``cache``
-    argument of :meth:`forward`: each call then consumes only the new token
+    Autoregressive decoding should use :meth:`init_paged_cache` plus
+    :meth:`forward_step`: each step then consumes only the new token
     embeddings and attends against the cached keys/values, turning O(T·L²)
     full-window decoding into O(T·L).
     """
@@ -132,10 +124,6 @@ class TransformerBackbone(Module):
             for _ in range(num_layers)
         ])
         self.final_norm = LayerNorm(d_model)
-
-    def init_cache(self) -> KVCache:
-        """Return a fresh, empty KV cache sized for this backbone."""
-        return KVCache(len(self.blocks))
 
     def init_paged_cache(self, max_blocks: int,
                          block_size: int = DEFAULT_BLOCK_SIZE) -> PagedKVCache:
@@ -176,12 +164,16 @@ class TransformerBackbone(Module):
         verification rows, ``prompt_from`` is the index of the first of them
         and attention never groups the two kinds together.  A step that
         would take a session past ``max_seq_len`` is refused before the pool
-        is touched.
+        is touched, and so is a cache built for another depth.
         """
         session_ids = np.asarray(session_ids, dtype=np.int64)
         tokens, d_model = embeddings.shape
         if d_model != self.d_model:
             raise ValueError(f"expected embedding dim {self.d_model}, got {d_model}")
+        if cache.num_layers != len(self.blocks):
+            raise ValueError(
+                f"cache has {cache.num_layers} layers but backbone has "
+                f"{len(self.blocks)}; build it with init_paged_cache()")
         if len(session_ids) != len(set(session_ids.tolist())):
             raise ValueError("duplicate sessions in one batched step")
         if counts is not None:
@@ -246,32 +238,14 @@ class TransformerBackbone(Module):
             x = block.forward_packed(x, runs)
         return self.final_norm.apply(final.forward_packed(x, runs, last_index))
 
-    def forward(self, embeddings: Tensor, causal: bool = True,
-                cache: Optional[KVCache] = None) -> Tensor:
-        """Run the backbone over ``(batch, seq, d_model)`` embeddings.
-
-        With ``cache`` given, ``embeddings`` holds only the tokens that follow
-        the already-cached positions; positional embeddings are offset by the
-        cache length and the cache is updated in place.
-        """
+    def forward(self, embeddings: Tensor, causal: bool = True) -> Tensor:
+        """Run the backbone over ``(batch, seq, d_model)`` embeddings."""
         batch, seq, d_model = embeddings.shape
         if d_model != self.d_model:
             raise ValueError(f"expected embedding dim {self.d_model}, got {d_model}")
-        past = cache.seq_len if cache is not None else 0
-        if past + seq > self.max_seq_len:
-            raise ValueError(f"sequence length {past + seq} exceeds maximum {self.max_seq_len}")
-        x = embeddings + self.position_embedding[_position_range(past + seq)[past:]]
-        if cache is not None:
-            if not causal:
-                raise ValueError("KV-cached decoding is inherently causal; "
-                                 "causal=False is not supported with a cache")
-            if cache.num_layers != len(self.blocks):
-                raise ValueError(
-                    f"cache has {cache.num_layers} layers but backbone has "
-                    f"{len(self.blocks)}; build it with init_cache()")
-            for block, layer_cache in zip(self.blocks, cache.layers):
-                x = block(x, layer_cache=layer_cache)
-            return self.final_norm(x)
+        if seq > self.max_seq_len:
+            raise ValueError(f"sequence length {seq} exceeds maximum {self.max_seq_len}")
+        x = embeddings + self.position_embedding[_position_range(seq)]
         mask = causal_mask(seq, x.dtype) if causal else None
         for block in self.blocks:
             x = block(x, mask=mask)

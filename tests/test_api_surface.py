@@ -1,9 +1,10 @@
-"""Public-API snapshot for ``repro.serve``.
+"""Public-API snapshots for ``repro.serve`` and ``repro.nn``.
 
 The serving package is the repo's outward-facing surface: these tests pin
 ``repro.serve.__all__`` and the signatures of the typed request/result
 dataclasses so a future PR that changes the wire surface has to edit this
-file — breaking the API consciously instead of by accident.
+file — breaking the API consciously instead of by accident.  ``repro.nn``'s
+``__all__`` is pinned the same way.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import repro.nn as nn
 import repro.serve as serve
 
 #: The exported surface.  Additions are fine (extend the list); removals or
@@ -46,6 +48,30 @@ EXPECTED_ALL = {
     # Task-side clients.
     "LockstepABRDriver", "ServedABRPolicy", "ServedCJSScheduler",
     "ServedVPPredictor", "serve_vp_predictions",
+}
+
+
+#: ``repro.nn``'s exported surface, under the same rule.  Recorded breaks:
+#: ``KVCache`` and ``LayerKVCache`` are gone — autoregressive decoding runs on
+#: a one-session ``PagedKVCache`` (``LanguageModel.init_cache``).
+EXPECTED_NN_ALL = {
+    "Tensor", "concatenate", "stack", "where",
+    "no_grad", "set_grad_enabled", "is_grad_enabled",
+    "set_default_dtype", "get_default_dtype",
+    "clip_grad_norm", "cross_entropy", "dropout", "gelu", "huber_loss", "log_softmax",
+    "mae_loss", "mse_loss", "one_hot", "relu", "sigmoid", "softmax", "tanh",
+    "Dropout", "Embedding", "GELU", "LayerNorm", "Linear", "MLP", "Module", "ModuleList",
+    "Parameter", "ReLU", "Sequential", "Tanh",
+    "Conv1D", "PatchImageEncoder", "TemporalConvEncoder",
+    "MultiHeadAttention", "causal_mask",
+    "DEFAULT_BLOCK_SIZE", "BlockAllocator",
+    "PagedKVCache", "PagedLayerKVCache", "PagedStepContext",
+    "FeedForward", "TransformerBackbone", "TransformerBlock",
+    "LSTM", "LSTMCell",
+    "GraphConv", "GraphEncoder", "normalized_adjacency",
+    "LoRALinear", "iter_lora_layers", "mark_only_lora_trainable",
+    "Adam", "CosineSchedule", "Optimizer", "SGD",
+    "load_into", "load_state_dict", "save_state_dict",
 }
 
 
@@ -172,6 +198,14 @@ class TestServeSurface:
         assert {"max_attempts", "backoff_s", "backoff_multiplier",
                 "retry_on"} == set(fields)
         assert fields["max_attempts"] == 2  # one retry by default
+
+
+class TestNnSurface:
+    def test_all_matches_snapshot(self):
+        assert set(nn.__all__) == EXPECTED_NN_ALL
+        assert len(nn.__all__) == len(EXPECTED_NN_ALL)  # no name listed twice
+        for name in nn.__all__:
+            assert hasattr(nn, name), f"__all__ lists missing name {name!r}"
 
 
 def test_importing_serve_does_not_import_networkx():

@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from repro.llm import LanguageModel, generate
 from repro.llm.config import LLMConfig
 from repro.nn import (
-    KVCache,
     Linear,
     Tensor,
     TransformerBackbone,
@@ -248,67 +249,109 @@ class TestMaskAndPositionCaches:
         np.testing.assert_allclose(incremental, full, atol=1e-5, rtol=0)
 
 
-def _tiny_model(lora_rank: int, seed: int = 0) -> LanguageModel:
+#: The parity policy (``docs/paged_kv.md``): cached logits stay within this
+#: of the full-window graph forward, the one reference.
+PARITY_ATOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-4}
+
+#: ``(dtype, temperature, lora_rank)``: every combination the parity tests
+#: run.  A loop inside each test rather than pytest ids, so the tests keep
+#: their names.
+MATRIX = list(itertools.product((np.float64, np.float32), (0.0, 0.8), (0, 4)))
+
+
+def _tiny_model(lora_rank: int, seed: int = 0, dtype=None) -> LanguageModel:
+    """A parity model, built under ``dtype`` (default: the current default)."""
     config = LLMConfig(name="parity", family="test", d_model=32, num_layers=2,
                        num_heads=2, max_seq_len=48)
-    model = LanguageModel(config, lora_rank=lora_rank, seed=seed)
+    previous = set_default_dtype(dtype or get_default_dtype())
+    try:
+        model = LanguageModel(config, lora_rank=lora_rank, seed=seed)
+    finally:
+        set_default_dtype(previous)
+    dtype = model.lm_head.weight.data.dtype
     if lora_rank:
         # Standard LoRA init keeps B at zero (update inert); randomize it so
         # the parity test actually exercises the LoRA path.
         rng = np.random.default_rng(seed + 1)
         for name, param in model.named_parameters():
             if name.endswith("lora_b"):
-                param.data = rng.normal(0.0, 0.05, size=param.data.shape)
+                param.data = rng.normal(0.0, 0.05, size=param.data.shape).astype(dtype)
     return model
+
+
+def _assert_same_stream(model, prompt, cached, reference, temperature, seed):
+    """Cached and reference token streams are equal, except for a token the
+    reference's sampler chose by less than the policy bound: the first flip
+    is reported by step with its margin (the gap between the top two logits
+    when greedy; between the uniform draw and the nearest CDF edge when
+    sampling)."""
+    if cached.token_ids == reference.token_ids:
+        return
+    step = next(i for i, (a, b) in enumerate(zip(cached.token_ids, reference.token_ids))
+                if a != b)
+    context = model.tokenizer.encode(prompt, add_bos=True) + reference.token_ids[:step]
+    with no_grad():
+        logits = model.forward_tokens(np.asarray(
+            context[-model.config.max_seq_len:])[None, :]).data[0, -1]
+    if temperature:
+        rng = np.random.default_rng(seed)
+        draw = [rng.random() for _ in range(step + 1)][-1]
+        probs = np.exp((logits - logits.max()) / temperature)
+        cdf = probs.cumsum(dtype=np.float64) / probs.sum(dtype=np.float64)
+        margin = float(np.abs(cdf - draw).min())
+    else:
+        top = np.sort(logits)[-2:]
+        margin = float(top[1] - top[0])
+    bound = PARITY_ATOL[logits.dtype]
+    assert margin < bound, (f"token flipped at step {step} with margin "
+                            f"{margin:.3g} (bound {bound:g})")
 
 
 class TestKVCacheParity:
     @pytest.mark.parametrize("lora_rank", [0, 4])
     def test_incremental_logits_match_full_forward(self, lora_rank):
-        model = _tiny_model(lora_rank)
-        ids = np.random.default_rng(0).integers(0, model.tokenizer.vocab_size, size=32)
-        with no_grad():
-            full = model.forward_tokens(ids[None, :]).data
-            cache = model.init_cache()
-            chunks = [model.forward_incremental(ids[None, :6], cache).data]
-            for step in range(6, len(ids)):
-                chunks.append(model.forward_incremental(ids[None, step:step + 1], cache).data)
-            incremental = np.concatenate(chunks, axis=1)
-        assert cache.seq_len == len(ids)
-        np.testing.assert_allclose(incremental, full, atol=1e-9, rtol=0)
-
-    def test_backbone_cache_parity_with_batch(self):
-        backbone = TransformerBackbone(d_model=16, num_layers=2, num_heads=2, max_seq_len=24)
-        emb = np.random.default_rng(3).normal(size=(2, 10, 16))
-        with no_grad():
-            full = backbone(Tensor(emb)).data
-            cache = backbone.init_cache()
-            parts = [backbone(Tensor(emb[:, :4, :]), cache=cache).data]
-            for t in range(4, 10):
-                parts.append(backbone(Tensor(emb[:, t:t + 1, :]), cache=cache).data)
-            incremental = np.concatenate(parts, axis=1)
-        np.testing.assert_allclose(incremental, full, atol=1e-9, rtol=0)
+        for dtype in (np.float64, np.float32):
+            model = _tiny_model(lora_rank, dtype=dtype)
+            vocab = model.tokenizer.vocab_size
+            ids = np.random.default_rng(0).integers(0, vocab, size=32)
+            with no_grad():
+                full = model.forward_tokens(ids[None, :]).data
+                cache = model.init_cache()
+                chunks = [model.forward_incremental(ids[None, :6], cache).data]
+                for step in range(6, len(ids)):
+                    chunks.append(
+                        model.forward_incremental(ids[None, step:step + 1], cache).data)
+                incremental = np.concatenate(chunks, axis=1)
+            assert cache.length(cache.sessions[0]) == len(ids)
+            assert incremental.dtype == full.dtype == dtype
+            np.testing.assert_allclose(incremental, full, rtol=0,
+                                       atol=PARITY_ATOL[np.dtype(dtype)],
+                                       err_msg=np.dtype(dtype).name)
 
     def test_cache_overflow_raises(self):
-        backbone = TransformerBackbone(d_model=16, num_layers=1, num_heads=2, max_seq_len=8)
-        cache = backbone.init_cache()
-        emb = np.zeros((1, 8, 16))
+        config = LLMConfig(name="cap", family="test", d_model=16, num_layers=1,
+                           num_heads=2, max_seq_len=8)
+        model = LanguageModel(config, seed=0)
+        cache = model.init_cache()
         with no_grad():
-            backbone(Tensor(emb), cache=cache)
+            model.forward_incremental(np.arange(8)[None, :], cache)
             with pytest.raises(ValueError, match="exceeds maximum"):
-                backbone(Tensor(emb[:, :1, :]), cache=cache)
+                model.forward_incremental(np.asarray([[1]]), cache)
+        assert cache.length(cache.sessions[0]) == 8  # refused before it grew
 
     def test_cached_path_requires_no_grad(self):
-        backbone = TransformerBackbone(d_model=16, num_layers=1, num_heads=2, max_seq_len=8)
-        cache = backbone.init_cache()
+        model = _tiny_model(0)
         with pytest.raises(RuntimeError, match="no_grad"):
-            backbone(Tensor(np.zeros((1, 2, 16))), cache=cache)
+            model.forward_incremental(np.asarray([[1, 2]]), model.init_cache())
 
     def test_mismatched_cache_layer_count_raises(self):
-        backbone = TransformerBackbone(d_model=16, num_layers=2, num_heads=2, max_seq_len=8)
+        config = LLMConfig(name="shallow", family="test", d_model=32, num_layers=1,
+                           num_heads=2, max_seq_len=48)
+        shallow = LanguageModel(config, seed=0)
         with no_grad():
             with pytest.raises(ValueError, match="cache has 1 layers"):
-                backbone(Tensor(np.zeros((1, 2, 16))), cache=KVCache(1))
+                _tiny_model(0).forward_incremental(np.asarray([[1, 2]]),
+                                                   shallow.init_cache())
 
     def test_load_state_dict_preserves_model_dtype(self, float64_default):
         layer = Linear(3, 2)  # built under the float64 default
@@ -317,20 +360,15 @@ class TestKVCacheParity:
         layer.load_state_dict(state)
         assert layer.weight.dtype == np.float64
 
-    def test_cache_reset(self):
-        cache = KVCache(3)
-        assert cache.seq_len == 0
-        cache.layers[0].append(np.zeros((1, 2, 5, 4)), np.zeros((1, 2, 5, 4)))
-        assert cache.seq_len == 5
-        cache.reset()
-        assert cache.seq_len == 0
-
     def test_generate_cached_matches_uncached(self):
-        model = _tiny_model(0, seed=7)
-        cached = generate(model, "abc 1.0 2.0", max_new_tokens=20, use_cache=True)
-        uncached = generate(model, "abc 1.0 2.0", max_new_tokens=20, use_cache=False)
-        assert cached.token_ids == uncached.token_ids
-        assert cached.num_inferences == uncached.num_inferences
+        for dtype, temperature, lora_rank in MATRIX:
+            model = _tiny_model(lora_rank, seed=7, dtype=dtype)
+            cached = generate(model, "abc 1.0 2.0", max_new_tokens=20,
+                              temperature=temperature, seed=3, use_cache=True)
+            uncached = generate(model, "abc 1.0 2.0", max_new_tokens=20,
+                                temperature=temperature, seed=3, use_cache=False)
+            _assert_same_stream(model, "abc 1.0 2.0", cached, uncached, temperature, 3)
+            assert cached.num_inferences == uncached.num_inferences
 
     def test_generate_evals_dropout_model_so_paths_agree(self):
         # A dropout model left in training mode: generate() must switch to
@@ -345,44 +383,30 @@ class TestKVCacheParity:
         assert cached.token_ids == uncached.token_ids
         assert model.training  # mode restored
 
-    def test_non_causal_with_cache_rejected(self):
-        backbone = TransformerBackbone(d_model=16, num_layers=1, num_heads=2, max_seq_len=8)
-        with no_grad():
-            with pytest.raises(ValueError, match="causal"):
-                backbone(Tensor(np.zeros((1, 2, 16))), causal=False,
-                         cache=backbone.init_cache())
-
     def test_cached_path_with_active_dropout_rejected(self):
-        from repro.nn import MultiHeadAttention
-        from repro.nn.attention import LayerKVCache
-
-        attn = MultiHeadAttention(d_model=16, num_heads=2, dropout=0.3)
-        assert attn.training
+        config = LLMConfig(name="drop", family="test", d_model=32, num_layers=2,
+                           num_heads=2, max_seq_len=48, dropout=0.3)
+        model = LanguageModel(config, seed=0)
+        assert model.training
+        cache = model.init_cache()
         with no_grad():
             with pytest.raises(RuntimeError, match="dropout"):
-                attn(Tensor(np.zeros((1, 2, 16))), layer_cache=LayerKVCache())
-        attn.eval()
-        with no_grad():
-            attn(Tensor(np.zeros((1, 2, 16))), layer_cache=LayerKVCache())
-
-    def test_custom_mask_with_cache_rejected(self):
-        from repro.nn import MultiHeadAttention
-        from repro.nn.attention import LayerKVCache
-
-        attn = MultiHeadAttention(d_model=16, num_heads=2)
-        with no_grad():
-            with pytest.raises(ValueError, match="causal"):
-                attn(Tensor(np.zeros((1, 2, 16))), mask=np.zeros((2, 2)),
-                     layer_cache=LayerKVCache())
+                model.forward_incremental(np.asarray([[1, 2]]), cache)
+            model.eval()
+            model.forward_incremental(np.asarray([[1, 2]]), cache)
+        assert cache.length(cache.sessions[0]) == 2
 
     def test_generate_cached_matches_uncached_past_window_overflow(self):
         # max_seq_len=48: generating 60 tokens forces the sliding-window
-        # re-priming path; token streams must still agree.
-        model = _tiny_model(0, seed=11)
-        cached = generate(model, "xyz", max_new_tokens=60, stop_on_eos=False)
-        uncached = generate(model, "xyz", max_new_tokens=60, stop_on_eos=False,
-                            use_cache=False)
-        assert cached.token_ids == uncached.token_ids
+        # re-priming path (evict, reopen, one prefill row); token streams
+        # must still agree.
+        for dtype, temperature, lora_rank in MATRIX:
+            model = _tiny_model(lora_rank, seed=11, dtype=dtype)
+            cached = generate(model, "xyz", max_new_tokens=60, stop_on_eos=False,
+                              temperature=temperature, seed=5)
+            uncached = generate(model, "xyz", max_new_tokens=60, stop_on_eos=False,
+                                temperature=temperature, seed=5, use_cache=False)
+            _assert_same_stream(model, "xyz", cached, uncached, temperature, 5)
 
 
 def _randomize(module, rng) -> None:

@@ -55,9 +55,9 @@ def model():
 
 
 class _Twin:
-    """One paged session beside its sequential oracle: a private contiguous
-    ``KVCache`` that sees the same tokens one ``forward_incremental`` at a
-    time."""
+    """One paged session beside its sequential oracle: a private one-session
+    pool (``init_cache``) that sees the same tokens one
+    ``forward_incremental`` at a time."""
 
     def __init__(self, model, paged, prompt, shared_blocks=()):
         self.model = model
@@ -340,8 +340,7 @@ class TestSplitStepParity:
                                            extra_blocks=2)
             cache = model.init_cache()
             model.forward_incremental(np.asarray(head, dtype=np.int64)[None, :], cache)
-            shared = paged.register_blocks([layer.keys[0] for layer in cache.layers],
-                                           [layer.values[0] for layer in cache.layers])
+            shared = paged.register_blocks(*zip(*cache.history(0)))
             refs = {block: 1 for block in shared}
             tails = _prompts(model, (3, 470, 40), seed=8)
             twins = [_Twin(model, paged, head + tail, shared_blocks=shared)
@@ -457,8 +456,7 @@ class TestTokenPackedStep:
                                            extra_blocks=2)
             cache = model.init_cache()
             model.forward_incremental(np.asarray(head, dtype=np.int64)[None, :], cache)
-            shared = paged.register_blocks([layer.keys[0] for layer in cache.layers],
-                                           [layer.values[0] for layer in cache.layers])
+            shared = paged.register_blocks(*zip(*cache.history(0)))
             refs = {block: 1 for block in shared}
             twins = [_Twin(model, paged, prompt)
                      for prompt in _prompts(model, (301, 11, 27), seed=21)]

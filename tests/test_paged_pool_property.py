@@ -28,7 +28,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import KVCache, PagedKVCache
+from repro.nn import PagedKVCache
 
 BLOCK = 4
 MAX_BLOCKS = 24
@@ -37,14 +37,24 @@ PREFIX_BLOCKS = 2
 EXHAUSTED = object()
 
 
+def _keys(history, length=None):
+    """``history`` as one layer's ``(heads=1, length, head_dim=2)`` keys,
+    zero-padded to ``length`` tokens (default: no padding)."""
+    keys = np.zeros((1, length or len(history), 2))
+    keys[0, :len(history)] = np.asarray(history, dtype=np.float64)[:, None]
+    return keys
+
+
 def _staged(history):
-    """A one-layer contiguous cache whose keys are ``history`` (values the
-    negation), shaped like a prefill's: ``(1, heads=1, len, head_dim=2)``."""
-    keys = np.repeat(np.asarray(history, dtype=np.float64)[None, None, :, None],
-                     2, axis=3)
-    cache = KVCache(1)
-    cache.layers[0].append(keys, -keys)
-    return cache
+    """A one-layer source pool whose one session holds ``history`` as keys
+    (values the negation): what ``admit`` / ``extend_session`` import."""
+    blocks = -(-len(history) // BLOCK)
+    source = PagedKVCache(1, blocks, block_size=BLOCK)
+    keys = _keys(history, blocks * BLOCK)
+    shared = source.register_blocks([keys], [-keys])
+    source.open_session(shared, len(history))
+    source.release_blocks(shared)  # the session is their one holder now
+    return source
 
 
 class _Pools:
@@ -55,9 +65,9 @@ class _Pools:
         self.single = PagedKVCache(1, MAX_BLOCKS, block_size=BLOCK)
         self.multi = PagedKVCache(1, MAX_BLOCKS, block_size=BLOCK)
         self.prefix = [next(self.serial) for _ in range(PREFIX_BLOCKS * BLOCK)]
-        staged = _staged(self.prefix).layers[0]
+        staged = _keys(self.prefix)
         for pool in self.pools:
-            self.shared = pool.register_blocks([staged.keys[0]], [staged.values[0]])
+            self.shared = pool.register_blocks([staged], [-staged])
         self.refs = {block: 1 for block in self.shared}
         self.expected = {}  # session id -> the serial number at each position
 

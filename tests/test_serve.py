@@ -155,7 +155,7 @@ class TestPagedDecodeParity:
 
     def test_block_exhaustion_and_errors(self, model):
         # Pool with room for exactly 2 blocks of 4 tokens.
-        paged = PagedKVCache(model.backbone.init_cache().num_layers,
+        paged = PagedKVCache(model.config.num_layers,
                              max_blocks=2, block_size=4)
         with no_grad():
             cache = model.init_cache()
@@ -167,8 +167,11 @@ class TestPagedDecodeParity:
                 paged.admit(other)
             paged.check_invariants()  # failed admit must not leak blocks
             paged.evict(sid)
-            with pytest.raises(ValueError, match="not live"):
-                paged.evict(sid)
+            # Every entry keyed by a session id refuses a dead one alike.
+            for call in (paged.evict, paged.length, paged.table, paged.fork,
+                         paged.detach, lambda dead: paged.truncate_session(dead, 1)):
+                with pytest.raises(ValueError, match=f"session {sid} is not live"):
+                    call(sid)
             assert paged.blocks_in_use == 0
             paged.admit(other)  # freed blocks are usable again
         with pytest.raises(ValueError, match="prefill first"):
@@ -184,9 +187,9 @@ class TestPagedDecodeParity:
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
         with no_grad():
             cache, _ = _prefill(model, [1, 2, 3])
-            for bad in (3, -1):
-                with pytest.raises(ValueError, match="outside prefilled batch"):
-                    paged.admit_rows(cache, rows=[bad])
+            for bad in (3, -1):  # no such session in the source pool
+                with pytest.raises(ValueError, match="not live"):
+                    paged.admit_rows(cache, sessions=[bad])
             assert paged.blocks_in_use == 0  # nothing leaked
             paged.check_invariants()
 
@@ -231,7 +234,7 @@ class TestPagedDecodeParity:
         attention window).  ``count`` tokens per row: the plain step and the
         ragged multi-token step allocate through the same all-or-nothing
         call."""
-        paged = PagedKVCache(model.backbone.init_cache().num_layers,
+        paged = PagedKVCache(model.config.num_layers,
                              max_blocks=3, block_size=4)
         counts = None if count == 1 else np.asarray([count, count])
         with no_grad():
@@ -549,7 +552,7 @@ class TestOnePrefillBody:
             return forward(ids, cache, slots, counts=counts, prompt_from=prompt_from)
 
         monkeypatch.setattr(model, "forward_step", spy)
-        # The served path builds no contiguous cache at all.
+        # The served path never takes generate()'s one-session route.
         monkeypatch.setattr(model, "forward_incremental", None)
         monkeypatch.setattr(model, "init_cache", None)
 
@@ -626,7 +629,7 @@ class TestNoContiguousCacheOnTheServedPath:
                              stop_on_eos=False).token_ids for r in requests]
 
         def removed(*args, **kwargs):
-            raise AssertionError("the served path built a contiguous KV cache")
+            raise AssertionError("the served path took generate()'s one-session route")
 
         monkeypatch.setattr(LanguageModel, "init_cache", removed)
         monkeypatch.setattr(LanguageModel, "forward_incremental", removed)
@@ -1954,8 +1957,7 @@ def _admit_chunked(model, paged, prompt_ids, chunk):
         piece = np.asarray(prompt_ids[start:start + chunk], dtype=np.int64)[None, :]
         logits = model.forward_incremental(piece, cache)
         if sid is None:
-            sid = paged.admit_rows(cache, rows=[0],
-                                   lengths=[min(chunk, len(prompt_ids))])[0]
+            sid = paged.admit_rows(cache, lengths=[min(chunk, len(prompt_ids))])[0]
         else:
             paged.extend_session(sid, cache)
         paged.check_invariants()
@@ -2009,7 +2011,7 @@ class TestChunkedPrefill:
             cache = model.init_cache()
             model.forward_incremental(
                 np.asarray(prompt[:6], dtype=np.int64)[None, :], cache)
-            sid = paged.admit_rows(cache, rows=[0], lengths=[6])[0]
+            sid = paged.admit_rows(cache, lengths=[6])[0]
             clone = paged.fork(sid)  # shares the partially filled tail block
             shared_tail = paged.table(sid)[-1]
             model.forward_incremental(

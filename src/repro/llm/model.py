@@ -132,16 +132,24 @@ class LanguageModel(Module):
         One ragged step (:meth:`TransformerBackbone.forward_step`):
         ``token_ids`` holds the step's ``sum(counts)`` tokens packed row
         after row — session ``session_ids[i]`` owns ``counts[i]``
-        consecutive ones (per-session positions come from the cache) — and
-        the logits come back as ``(1, sum(counts), vocab)``: row *i*'s token
-        ``t`` is at ``[0, offset_i + t]`` and matches the ``t``-th of
-        ``counts[i]`` sequential one-token steps on the session alone.
+        consecutive ones (per-session positions come from the cache).
         Plain decode is the all-ones step, spelled ``counts=None`` with one
         token per session; a prompt is prefilled by the same call —
         ``counts[i]`` of its tokens on a session opened empty
         (:meth:`~repro.nn.PagedKVCache.open_session`) or partly filled, and
         prompt rows can ride behind decode rows in one call: ``prompt_from``
-        is the index of the first of them.
+        is the index of the first of them (0 when every row is a prompt row).
+
+        The logits are packed on a unit leading axis.  With
+        ``prompt_from=None`` they are ``(1, sum(counts), vocab)``: row *i*'s
+        token ``t`` is at ``[0, offset_i + t]`` and matches the ``t``-th of
+        ``counts[i]`` sequential one-token steps on the session alone.  With
+        ``prompt_from`` only the logits something samples from are computed
+        — the final block, final norm and ``lm_head`` run on those tokens
+        alone (every layer still writes every token's K/V): every token of
+        the rows before ``prompt_from``, laid out as above, then one row per
+        prompt row, at its last token — ``(1, sum(counts[:prompt_from]) +
+        len(counts) - prompt_from, vocab)``.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
         embeddings = self.token_embedding(token_ids)

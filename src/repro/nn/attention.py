@@ -161,16 +161,24 @@ class MultiHeadAttention(Module):
         verification rows (``prompt_from`` in the plan), so a chunk never
         widens a decoder's rectangle.  A batch of similar lengths is one
         group spanning every row: the loop body, run once.
+
+        With ``step.keep`` (the final layer's view of a step that carries
+        prompt rows, :attr:`~repro.nn.paged_cache.PagedStepContext.last`)
+        keys and values are still computed and written for every token, but
+        the query, and so the output, only at the kept tokens: ``(tokens,
+        d_model)`` in, ``(len(step.keep), d_model)`` out.
         """
         self._check_cached_preconditions()
         by_head = (len(x), self.num_heads, self.head_dim)
-        q = self.q_proj.apply(x).reshape(by_head)
         layer_cache.append_step(step.write_blocks, step.write_offsets,
                                 self.k_proj.apply(x).reshape(by_head),
                                 self.v_proj.apply(x).reshape(by_head))
+        if step.keep is not None:
+            x = x[step.keep]
+        q = self.q_proj.apply(x).reshape(len(x), self.num_heads, self.head_dim)
 
         scale = 1.0 / float(np.sqrt(self.head_dim))
-        merged = np.empty(by_head, dtype=q.dtype)
+        merged = np.empty_like(q)
         for tokens, tables, mask, valid in step.groups:
             keys, values = layer_cache.gather(tables)
             scores = (np.swapaxes(q[tokens], 1, 2) @ np.swapaxes(keys, -1, -2)) * scale

@@ -40,7 +40,10 @@ row's query width; attention runs gather -> scores -> mask -> softmax ->
 over the packed tokens.  A batch of similar lengths is the one-group case of
 the same plan (the step's table matrix itself, no further copy).
 ``key_positions_gathered`` / ``key_positions_live`` count what the padding
-that remains costs.
+that remains costs.  A step whose prompt rows feed several tokens also
+carries the final layer's view of itself (:attr:`PagedStepContext.last`),
+which queries each prompt row at its last token only — the one token of the
+row anybody samples from.
 
 A session starts empty (:meth:`PagedKVCache.open_session`, or on a cached
 prompt head's blocks, mapped by reference) and every token it ever holds is
@@ -371,14 +374,21 @@ class PagedStepContext:
     step's own copy, read from the pool as it stood when the step was
     prepared: a context is spent once its step is committed, or once any of
     its sessions is otherwise mutated.
+
+    A step whose prompt rows (``prompt_from`` in the plan) feed more than one
+    token carries a second context, ``last``, for the final layer: the same
+    writes and the same partition, but queries only at the tokens whose
+    logits are read — every token of the rows before ``prompt_from``, then
+    each prompt row's last — listed by ``keep``.  Every layer writes K/V for
+    every token; only the final one stops computing the rest.
     """
 
     __slots__ = ("session_ids", "groups", "write_blocks", "write_offsets",
-                 "positions")
+                 "positions", "keep", "last")
 
     def __init__(self, session_ids: np.ndarray, groups: Tuple[tuple, ...],
                  write_blocks: np.ndarray, write_offsets: np.ndarray,
-                 positions: np.ndarray) -> None:
+                 positions: np.ndarray, keep: Optional[np.ndarray] = None) -> None:
         self.session_ids = session_ids
         self.write_blocks = write_blocks    #: (total,) block per packed token
         self.write_offsets = write_offsets  #: (total,) offset within that block
@@ -402,18 +412,44 @@ class PagedStepContext:
         #: the real tokens among ``tokens`` — whose contexts are the only
         #: ones scattered back — or None when the rows all feed ``width``.
         self.groups = groups
+        #: The packed indices of the tokens this context queries, in the
+        #: order its output returns them; None: every packed token.  A
+        #: context with ``keep`` indexes its groups' ``tokens`` into the kept
+        #: tokens, not into the packed arrays.
+        self.keep = keep
+        #: The final layer's context when it queries fewer tokens than this
+        #: one, else None (the final layer runs on this context).
+        self.last: Optional[PagedStepContext] = None
 
 
 def _length_groups(tables: np.ndarray, needs: Sequence[int], counts: np.ndarray,
                    index: np.ndarray, valid: Optional[np.ndarray],
                    positions: np.ndarray, block_size: int,
-                   prompt_from: Optional[int] = None) -> Tuple[tuple, ...]:
+                   prompt_from: Optional[int] = None
+                   ) -> Tuple[Tuple[tuple, ...], Optional[np.ndarray], Tuple[tuple, ...]]:
     """A step's ``(tokens, tables, mask, valid)`` per length group (see
     :class:`PagedStepContext`).  ``index`` / ``valid`` are the step's
     :func:`_token_grid`.  The one-group case takes them and ``tables`` as
     they stand (``max(counts)`` and ``max(needs)`` are their widths by
-    construction); a group among several is cut to its own two widths."""
-    groups = []
+    construction); a group among several is cut to its own two widths.
+
+    Returns ``(groups, keep, last_groups)``.  When some prompt row (rows
+    ``prompt_from..``) feeds more than one token, the same pass also builds
+    the final layer's view: ``keep`` lists the packed indices of the tokens
+    whose logits are read — the rows before ``prompt_from`` whole, then each
+    prompt row's last token — and ``last_groups`` is ``groups`` with every
+    prompt group cut to one query per row, the row's last token, indexed into
+    ``keep``, under its ``(g, 1)`` window mask.  The groups before
+    ``prompt_from`` carry over as they are: their tokens lead the packed
+    arrays, so their packed indices are their kept ones.  Otherwise ``keep``
+    is None and ``last_groups`` empty.
+    """
+    keep = None
+    if prompt_from is not None and any(
+            count > 1 for count in counts[prompt_from:].tolist()):
+        decoded = index.item(prompt_from, 0)  # packed offset of the first prompt row
+        keep = np.concatenate([_position_range(decoded), index[prompt_from:, -1]])
+    groups, last_groups = [], []
     for rows, blocks in partition_rows(needs, prompt_from):
         tokens, group_tables, real = index, tables, valid
         if rows is not _ALL_ROWS:
@@ -423,10 +459,21 @@ def _length_groups(tables: np.ndarray, needs: Sequence[int], counts: np.ndarray,
             real = None if min(own) == width else valid[rows, :width]
         elif index.shape[1] == 1:
             tokens = _ONE_TOKEN_EACH
+        gathered = group_tables.shape[1] * block_size
         groups.append((tokens, group_tables,
-                       _window_mask(positions[tokens],
-                                    group_tables.shape[1] * block_size), real))
-    return tuple(groups)
+                       _window_mask(positions[tokens], gathered), real))
+        if keep is None:
+            continue
+        members = _position_range(len(needs))[rows]
+        if members[0] < prompt_from:
+            last_groups.append(groups[-1])
+        else:
+            # ``index[:, -1]`` is each row's last packed token (the grid
+            # clamps the places past a row's count to it).
+            last = positions[index[rows, -1]][:, None]
+            last_groups.append(((members + (decoded - prompt_from))[:, None],
+                                group_tables, _window_mask(last, gathered), None))
+    return tuple(groups), keep, tuple(last_groups)
 
 
 class PagedKVCache:
@@ -820,7 +867,10 @@ class PagedKVCache:
         ``counts[i]`` tokens of its prompt, from whatever length it stands at
         (0 for a row just opened).  Rows ``prompt_from..`` are prompt rows
         behind decode / verification rows and are grouped apart from them
-        (:func:`partition_rows`).  A step that would take any row past
+        (:func:`partition_rows`); only a prompt row's last token is read, so
+        the same pass gives the step its final-layer view
+        (:attr:`PagedStepContext.last`) when a prompt row feeds more than
+        one token.  A step that would take any row past
         ``limit`` tokens is refused before anything is touched.  Grows and
         copy-on-write splits the tables first (:meth:`_grow` — atomic on
         exhaustion, and before any write), then reads the batch's padded
@@ -846,11 +896,15 @@ class PagedKVCache:
         tables = self._table[rows, :max(needs)]
         positions = lengths[row_of] + place_of
         blocks, write_offsets = np.divmod(positions, self.block_size)
-        step = PagedStepContext(
-            session_ids,
-            _length_groups(tables, needs, counts, index, valid, positions,
-                           self.block_size, prompt_from),
-            tables[row_of, blocks], write_offsets, positions)
+        write_blocks = tables[row_of, blocks]
+        groups, keep, last_groups = _length_groups(
+            tables, needs, counts, index, valid, positions, self.block_size,
+            prompt_from)
+        step = PagedStepContext(session_ids, groups, write_blocks, write_offsets,
+                                positions)
+        if keep is not None:
+            step.last = PagedStepContext(session_ids, last_groups, write_blocks,
+                                         write_offsets, positions, keep)
         if attended:
             # What the step's attention will read, per layer: every group's
             # rows x its padded width, against the rows' own windows.
@@ -879,8 +933,9 @@ class PagedKVCache:
                            prompt_from: Optional[int] = None) -> PagedStepContext:
         """Plan a ragged multi-token step (see :meth:`_plan`): refuses a row
         past ``limit`` tokens, allocates and copy-on-writes all or nothing,
-        groups rows ``prompt_from..`` apart from the rows before them,
-        returns the gather/scatter plan."""
+        groups rows ``prompt_from..`` apart from the rows before them and
+        plans the final layer at their last tokens, returns the
+        gather/scatter plan."""
         return self._plan(session_ids, counts, limit, prompt_from=prompt_from)
 
     def commit_step(self, session_ids: np.ndarray) -> None:

@@ -76,8 +76,10 @@ class TransformerBlock(Module):
     def forward_step(self, x: np.ndarray, layer_cache: PagedLayerKVCache,
                      step: PagedStepContext) -> np.ndarray:
         """Batched ragged paged step on raw ``(tokens, d_model)`` arrays (see
-        ``MultiHeadAttention.forward_step``)."""
-        x = x + self.attention.forward_step(self.norm1.apply(x), layer_cache, step)
+        ``MultiHeadAttention.forward_step``).  With ``step.keep`` the
+        residual stream, and so the MLP, continues at the kept tokens only."""
+        attended = self.attention.forward_step(self.norm1.apply(x), layer_cache, step)
+        x = (x if step.keep is None else x[step.keep]) + attended
         return x + self.mlp.apply(self.norm2.apply(x))
 
     def forward_packed(self, x: np.ndarray, runs: Sequence[Tuple[int, int, int]],
@@ -150,7 +152,7 @@ class TransformerBackbone(Module):
         positional embeddings.  The cache is updated in place (allocating or
         copy-on-writing tail blocks as needed) and per-session lengths
         advance by ``counts[i]``.  The features come back as one packed
-        sequence, ``(1, sum(counts), d_model)``: the unit axis keeps the
+        sequence, ``(1, rows out, d_model)``: the unit axis keeps the
         logits three-axis for callers that multiply the first two into a
         row count (ROADMAP 1a drops it).
 
@@ -160,11 +162,18 @@ class TransformerBackbone(Module):
         rolls rejected tokens back via :meth:`PagedKVCache.truncate_session`;
         a prefill row feeds the next ``counts[i]`` tokens of its prompt, from
         length 0 if it was just opened.  All run the same plan, the same
-        forward and the same commit; when prompt rows ride behind decode or
-        verification rows, ``prompt_from`` is the index of the first of them
-        and attention never groups the two kinds together.  A step that
-        would take a session past ``max_seq_len`` is refused before the pool
-        is touched, and so is a cache built for another depth.
+        forward and the same commit.  ``prompt_from`` is the index of the
+        first prompt row (0 when every row is one): attention never groups
+        prompt rows with the rows before them, and since only a prompt row's
+        last token is ever sampled from, the final block runs on the step's
+        final-layer view (:attr:`PagedStepContext.last`) — every layer
+        still writes every token's K/V, but the final one queries, and
+        returns features for, every token of the rows before
+        ``prompt_from`` and then one per prompt row, its last.  Rows out is
+        therefore ``sum(counts[:prompt_from]) + len(counts) - prompt_from``,
+        and ``sum(counts)`` with ``prompt_from=None``.  A step that would
+        take a session past ``max_seq_len`` is refused before the pool is
+        touched, and so is a cache built for another depth.
         """
         session_ids = np.asarray(session_ids, dtype=np.int64)
         tokens, d_model = embeddings.shape
@@ -193,8 +202,10 @@ class TransformerBackbone(Module):
         # (the attention layers refuse to run with grad enabled), so nothing
         # in between needs a graph node.
         x = embeddings.data + self.position_embedding.data[step.positions]
-        for block, layer_cache in zip(self.blocks, cache.layers):
+        *body, (final, final_cache) = zip(self.blocks, cache.layers)
+        for block, layer_cache in body:
             x = block.forward_step(x, layer_cache, step)
+        x = final.forward_step(x, final_cache, step if step.last is None else step.last)
         if counts is None:
             cache.commit_step(session_ids)
         else:

@@ -141,13 +141,15 @@ class PrefixCache:
 
         # The head is a session for the length of one step: opened empty,
         # written by the forward every prompt goes through, then detached so
-        # its blocks outlive it under the entry's references.
+        # its blocks outlive it under the entry's references.  Nothing samples
+        # from it, so it is a prompt row: its last layer runs at one token.
         head = self.cache.open_session()
         try:
             with cached_inference(self.model, self._toggle_eval):
                 self.model.forward_step(
                     np.asarray(ids, dtype=np.int64), self.cache,
-                    np.asarray([head]), counts=np.asarray([len(ids)]))
+                    np.asarray([head]), counts=np.asarray([len(ids)]),
+                    prompt_from=0)
         except Exception:
             self.cache.evict(head)
             raise

@@ -414,24 +414,24 @@ class SessionManager:
         """Prefill ``takes[i]`` more prompt tokens of ``group[i]`` in one
         forward of prompt rows alone (:meth:`_forward`).  A one-shot admission
         is a row whose take is its whole tail, a chunk a row that takes less,
-        and any mix of them is one call.  A row whose prompt completes samples
-        its first output token from its last packed logits row, exactly as
-        :func:`~repro.llm.generation.generate` does; the others are
-        ``PREFILLING``.  All or nothing: a raise leaves every session, and
-        the pool, as they were.
+        and any mix of them is one call.  Every row is a prompt row, so the
+        forward returns one logits row per row, its last token's: a row
+        whose prompt completes samples its first output token from logits
+        row ``i``, exactly as :func:`~repro.llm.generation.generate` does;
+        the others are ``PREFILLING``.  All or nothing: a raise leaves every
+        session, and the pool, as they were.
         """
         logits = self._forward((), (), group, takes)
-        end = 0
-        for session, take in zip(group, takes):
-            end += take
+        for row, session in enumerate(group):
             if session.state == RUNNING:
-                self._consume_logits(session, logits[end - 1])
+                self._consume_logits(session, logits[row])
 
     def _forward(self, slots: Sequence[int], fed: Sequence[List[int]],
                  group: Sequence[GenerationSession], takes: Sequence[int]
                  ) -> np.ndarray:
         """One ``forward_step`` over decode rows, then prompt rows; return
-        its packed logits.
+        its packed logits: every fed token of the decode rows, then one row
+        per prompt row, at its last token.
 
         The one body behind prefill and decode: running session ``slots[i]``
         feeds ``fed[i]`` (its pending token plus any drafts), then

@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.llm import LanguageModel, generate
 from repro.llm.config import LLMConfig
-from repro.nn import no_grad
+from repro.nn import no_grad, set_default_dtype
 from repro.nn import paged_cache as pc
 from repro.serve import (
     FaultInjector,
@@ -208,9 +208,10 @@ class TestPartition:
         _, _, index, valid = pc._token_grid(counts.tobytes())
         assert index.tolist() == [[0, 1], [2, 2], [3, 4]]
         positions = np.asarray([16, 17, 20, 18, 19])
-        [(tokens, same, _, real)] = pc._length_groups(
+        [(tokens, same, _, real)], keep, _ = pc._length_groups(
             tables, [3, 3, 3], counts, index, valid, positions, BLOCK)
         assert tokens is index and same is tables and real is valid
+        assert keep is None  # no prompt rows: no final-layer view
         with no_grad():
             paged = model.init_paged_cache(max_sessions=4, block_size=BLOCK)
             twins = [_Twin(model, paged, prompt)
@@ -410,7 +411,8 @@ class TestTokenPackedStep:
             self, model, monkeypatch):
         """Six decode rows and two 12-token prompt chunks of similar lengths
         in one step: with ``prompt_from`` no decode row is scored at a
-        chunk's query width, and every row still matches the oracle."""
+        chunk's query width, the final layer queries each chunk at its last
+        token only, and every returned row still matches the oracle."""
         from repro.nn import attention
 
         lengths = [40, 44, 41, 46, 43, 45, 33, 34]  # one need: one group unsplit
@@ -437,12 +439,14 @@ class TestTokenPackedStep:
                                         prompt_from=6).data[0]
             monkeypatch.undo()
             blocks = len(model.backbone.blocks)
-            assert widths == [(8, 12)] * blocks + [(6, 1), (2, 12)] * blocks
+            assert widths == ([(8, 12)] * blocks + [(6, 1), (2, 12)] * (blocks - 1)
+                              + [(6, 1), (2, 1)])
             paged.check_invariants()
-            offsets = np.cumsum(counts) - counts
+            # Six one-token decode rows, then one row per chunk: its last token.
+            assert logits.shape[0] == 8
             for row, twin in enumerate(twins):
-                for t, oracle in enumerate(twin.preview(fed[row])):
-                    np.testing.assert_allclose(logits[offsets[row] + t], oracle, **ATOL)
+                np.testing.assert_allclose(logits[row], twin.preview(fed[row])[-1],
+                                           **ATOL)
 
     def test_packed_rows_match_sequential_steps(self, model):
         """Any counts in 1..5 over rows that split into length groups — a
@@ -492,6 +496,119 @@ class TestTokenPackedStep:
                                                    oracle, **ATOL)
 
         check()
+
+
+# ---------------------------------------------------------------------- #
+# The final layer runs at the tokens whose logits are read
+# ---------------------------------------------------------------------- #
+#: The parity policy's bound per dtype (``docs/paged_kv.md``).
+_BOUND = {np.float64: 1e-12, np.float32: 1e-4}
+
+
+class TestFinalLayerView:
+    """``forward_step`` with ``prompt_from`` against the same step with
+    ``prompt_from=None`` on a deep copy of the pool: the trimmed step returns
+    every token of the rows before ``prompt_from`` and then one row per
+    prompt row, each within the parity bound of its untrimmed twin.
+
+    ``prompt_from=None`` also partitions the rows without the decode /
+    prompt split, so from the second layer on its attention rounds in other
+    batch shapes and its K/V agree within the bound, bit for bit only when
+    the two partitions coincide (``prompt_from=0``).  A third twin runs the
+    trimmed step's own plan with the final-layer view taken out: its K/V are
+    the trimmed step's, bit for bit, in every layer — the view changes what
+    the final layer queries, never what any layer writes."""
+
+    @pytest.fixture(scope="class", params=[np.float64, np.float32],
+                    ids=["float64", "float32"])
+    def pool(self, request):
+        """A model of the dtype and a pool whose rows split into several
+        length groups: long and short sessions, a forked pair sharing a
+        partial tail block (the step copy-on-write splits it), a row on
+        shared prefix blocks and a row opened empty."""
+        previous = set_default_dtype(request.param)
+        try:
+            config = LLMConfig(name="view-test", family="test", d_model=32,
+                               num_layers=2, num_heads=2, max_seq_len=640)
+            model = LanguageModel(config, seed=5).eval()
+        finally:
+            set_default_dtype(previous)
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=10, block_size=BLOCK,
+                                           extra_blocks=2)
+            head = _prompts(model, (2 * BLOCK,), seed=30)[0]
+            owner = paged.open_session()
+            model.forward_step(np.asarray(head), paged, [owner], counts=[len(head)])
+            shared = list(paged.detach(owner))
+            ids = []
+            for prompt in _prompts(model, (301, 150, 11, 27, 45), seed=31):
+                ids.append(paged.open_session())
+                model.forward_step(np.asarray(prompt), paged, ids[-1:],
+                                   counts=[len(prompt)])
+            ids.append(paged.fork(ids[3]))  # 27 tokens: a shared partial tail
+            ids.append(paged.open_session(shared, len(head)))
+            empty = paged.open_session()
+        refs = {block: 1 for block in shared}
+        paged.check_invariants(external_refs=refs)
+        return model, paged, ids, empty, refs, _BOUND[request.param]
+
+    @pytest.mark.parametrize("case", [f"mixed-{seed}" for seed in range(6)]
+                             + ["prompt_from=0", "one-token prompt rows"])
+    def test_trimmed_step_matches_the_untrimmed_one(self, pool, case, monkeypatch):
+        model, paged, ids, empty, refs, bound = pool
+        rng = np.random.default_rng(sum(map(ord, case)))
+        order = rng.permutation(ids).tolist()
+        prompt_from = 0 if case == "prompt_from=0" else int(rng.integers(1, len(order)))
+        # Decode (1) and verification (2..5) rows first, then prompt rows —
+        # chunks of 1..40 tokens, the empty row's first one among them.
+        rows = order + [empty]
+        takes = len(rows) - prompt_from
+        counts = np.concatenate([
+            rng.integers(1, 6, size=prompt_from),
+            np.ones(takes, dtype=np.int64) if case == "one-token prompt rows"
+            else rng.integers(1, 41, size=takes)])
+        vocab = model.tokenizer.vocab_size
+        tokens = rng.integers(0, vocab, size=int(counts.sum()))
+        length_groups = pc._length_groups
+
+        def without_view(*args):
+            groups, _, _ = length_groups(*args)
+            return groups, None, ()
+
+        trimmed_pool, full_pool, planned_pool = (copy.deepcopy(paged) for _ in range(3))
+        with no_grad():
+            trimmed = model.forward_step(tokens, trimmed_pool, rows, counts=counts,
+                                         prompt_from=prompt_from).data[0]
+            full = model.forward_step(tokens, full_pool, rows, counts=counts).data[0]
+            monkeypatch.setattr(pc, "_length_groups", without_view)
+            planned = model.forward_step(tokens, planned_pool, rows, counts=counts,
+                                         prompt_from=prompt_from).data[0]
+            monkeypatch.undo()
+            assert trimmed_pool.attention_groups - paged.attention_groups >= 2
+            assert full.shape == planned.shape == (counts.sum(), vocab)
+            decoded = int(counts[:prompt_from].sum())
+            read = np.concatenate([np.arange(decoded),
+                                   np.cumsum(counts)[prompt_from:] - 1])
+            assert trimmed.shape == (decoded + len(rows) - prompt_from, vocab)
+            np.testing.assert_allclose(trimmed, full[read], atol=bound, rtol=0)
+            np.testing.assert_allclose(trimmed, planned[read], atol=bound, rtol=0)
+            for mine, planned_layer, full_layer in zip(
+                    trimmed_pool.layers, planned_pool.layers, full_pool.layers):
+                for name in ("_keys", "_values"):
+                    written = getattr(mine, name)
+                    assert np.array_equal(written, getattr(planned_layer, name))
+                    np.testing.assert_allclose(written, getattr(full_layer, name),
+                                               atol=bound, rtol=0)
+                    if prompt_from == 0:
+                        assert np.array_equal(written, getattr(full_layer, name))
+            fork, sibling = ids[5], ids[3]
+            for stepped in (trimmed_pool, full_pool):
+                stepped.check_invariants(external_refs=refs)
+                assert stepped.table(fork)[-1] != stepped.table(sibling)[-1]
+            nxt = rng.integers(0, vocab, size=len(rows))
+            np.testing.assert_allclose(
+                model.forward_step(nxt, trimmed_pool, rows).data[0],
+                model.forward_step(nxt, full_pool, rows).data[0], atol=bound, rtol=0)
 
 
 # ---------------------------------------------------------------------- #

@@ -741,6 +741,41 @@ class TestPrefixCache:
             stop_on_eos=False).token_ids
         assert manager.prefix.hits == 1 and manager.cache.num_sessions == 0
 
+    def test_registration_runs_the_last_layer_at_one_token(self, model, monkeypatch):
+        """A head is registered as a prompt row: its forward returns one
+        logits row, and every layer's K/V of its blocks are those an
+        untrimmed registration (``prompt_from=None``) writes, bit for bit."""
+        preamble = "bitrate selection task: "  # 25 tokens with BOS
+        forward = model.forward_step
+        rows = []
+
+        def untrimmed(ids, cache, slots, counts=None, prompt_from=None):
+            return forward(ids, cache, slots, counts=counts)
+
+        def spy(ids, cache, slots, counts=None, prompt_from=None):
+            logits = forward(ids, cache, slots, counts=counts, prompt_from=prompt_from)
+            rows.append(logits.shape[1])
+            return logits
+
+        managers = []
+        for stand_in in (untrimmed, spy):
+            monkeypatch.setattr(model, "forward_step", stand_in)
+            managers.append(SessionManager(model, max_slots=2, block_size=4))
+            managers[-1].register_prefix(preamble)
+            monkeypatch.undo()
+        assert rows == [1]
+        reference, trimmed = [manager.prefix.match(model.tokenizer.encode(
+            preamble + "now", add_bos=True)) for manager in managers]
+        assert trimmed.block_ids == reference.block_ids
+        for manager in managers:
+            manager.cache.check_invariants(
+                external_refs=manager.prefix.external_refs())
+        for want, got in zip(managers[0].cache.layers, managers[1].cache.layers):
+            for want_half, got_half in zip(want.read_blocks(reference.block_ids),
+                                           got.read_blocks(trimmed.block_ids)):
+                assert np.array_equal(want_half[:, :reference.length],
+                                      got_half[:, :trimmed.length])
+
     def test_prefix_miss_and_strictness(self, model):
         manager = SessionManager(model, max_slots=2, block_size=4)
         preamble = "shared head 123"

@@ -244,8 +244,7 @@ class FalsyCollectionGuard(Rule):
     and ``""`` strings.  The one benign shape is the None-defaulted
     argument idiom, ``def f(kwargs=None): ... (kwargs or {})`` — there the
     parameter is either None or caller-supplied, and an empty caller value
-    means the same thing as None (see ``engine.py`` adapters/runtimes and
-    ``paged_cache.py`` external_refs).
+    means the same thing as None (see ``engine.py`` adapters/runtimes).
     """
 
     id = "REP001"

@@ -45,15 +45,17 @@ carries the final layer's view of itself (:attr:`PagedStepContext.last`),
 which queries each prompt row at its last token only — the one token of the
 row anybody samples from.
 
-A session starts empty (:meth:`PagedKVCache.open_session`, or on a cached
-prompt head's blocks, mapped by reference) and every token it ever holds is
-written by a step: a **prefill chunk** is a row of the one plan with
+A session starts empty (:meth:`PagedKVCache.open_session`) or as a
+:meth:`PagedKVCache.fork` of another — a cached prompt head is an ordinary
+session, forked by every prompt that matches it — and every token it ever
+holds is written by a step: a **prefill chunk** is a row of the one plan with
 ``counts[i] = take``, beside rows that take other amounts at other lengths.
 :meth:`PagedKVCache.admit_rows` and :meth:`PagedKVCache.extend_session`
 import a session of another pool (the one-session oracle of the tests,
-``LanguageModel.init_cache``), and :meth:`PagedKVCache.register_blocks` a
-caller's contiguous arrays, through that same plan, so the pool has one
-writer.
+``LanguageModel.init_cache``) through that same plan, so the pool has one
+writer.  Every block reference is an entry of a live session's table, so
+:meth:`PagedKVCache.check_invariants` needs nothing but the pool to prove
+the refcounts.
 
 There is one step plan.  Because the block tables already are a matrix, a
 step's padded gather tables are ``table[rows, :width]`` — one fancy index, read
@@ -212,11 +214,14 @@ class BlockAllocator:
         self._in_use += 1
         return block
 
-    def share(self, block: int) -> None:
-        """Add a reference to an already-live block (prefix reuse / fork)."""
-        if self.refcounts[block] < 1:
-            raise ValueError(f"cannot share block {block}: it is not allocated")
-        self.refcounts[block] += 1
+    def share(self, blocks: Sequence[int]) -> None:
+        """Add a reference to each of some already-live blocks (a fork), all
+        or nothing: one dead block refuses the lot before any count moves."""
+        index = np.asarray(blocks, dtype=np.int64)
+        dead = index[self.refcounts[index] < 1]
+        if dead.size:
+            raise ValueError(f"cannot share block {dead.item(0)}: it is not allocated")
+        np.add.at(self.refcounts, index, 1)
 
     def release(self, block: int) -> bool:
         """Drop one reference; return True when the block actually freed."""
@@ -493,26 +498,25 @@ class PagedKVCache:
     never reused; the row of an evicted session is.  A batch's padded gather
     tables are therefore ``_table[rows, :width]``, read afresh each step.
 
-    Sharing: :meth:`open_session` maps already-filled blocks (a cached prompt
-    head) into a new session's table, and :meth:`fork` clones a whole
-    session, both by bumping block refcounts instead of copying.  Any write
+    Sharing: :meth:`fork` clones a session (a cached prompt head is one) and
+    :meth:`open_session` maps a list of its blocks into a new table, both by
+    bumping block refcounts instead of copying.  Every reference to a block
+    is an entry of some live session's table — nothing outside the matrix
+    holds one — so the tables alone account for every refcount.  Any write
     into a block with refcount > 1 triggers copy-on-write before the step
     that writes it (:meth:`_grow`, inside the one plan), so sharing is
     invisible to correctness.
 
     ``num_heads`` / ``head_dim`` / ``dtype`` are the K/V shape the pool stores
-    (:meth:`~repro.nn.TransformerBackbone.init_paged_cache` gives them); a
-    pool built without them learns them from the first cache it imports.
+    (:meth:`~repro.nn.TransformerBackbone.init_paged_cache` gives them).
     """
 
     def __init__(self, num_layers: int, max_blocks: int,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
-                 num_heads: Optional[int] = None, head_dim: Optional[int] = None,
-                 dtype: Optional[np.dtype] = None) -> None:
+                 block_size: int = DEFAULT_BLOCK_SIZE, *,
+                 num_heads: int, head_dim: int, dtype: np.dtype) -> None:
         if num_layers < 1:
             raise ValueError("num_layers must be >= 1")
-        self._kv_dims = (None if num_heads is None
-                         else (num_heads, head_dim, np.dtype(dtype)))
+        self._kv_dims = (num_heads, head_dim, np.dtype(dtype))
         self.allocator = BlockAllocator(max_blocks, block_size)
         self.layers: List[PagedLayerKVCache] = [
             PagedLayerKVCache() for _ in range(num_layers)]
@@ -590,9 +594,6 @@ class PagedKVCache:
 
     # ------------------------------------------------------------------ #
     def _ensure_storage(self) -> None:
-        if self._kv_dims is None:
-            raise RuntimeError("paged cache was built without K/V dims and has "
-                               "imported no session to learn them from")
         heads, head_dim, dtype = self._kv_dims
         for layer in self.layers:
             layer.ensure(self.allocator.high_water, heads, self.block_size,
@@ -624,17 +625,19 @@ class PagedKVCache:
         """Enter a session under the next id; return the id.
 
         With no arguments the session is empty: it holds no block until its
-        first step writes one.  ``shared_blocks`` are already-filled blocks —
-        a cached prompt head's, a sibling's — mapped into the new table by
-        reference, holding ``length`` tokens between them (the last one may
-        be partly filled; the first write into it copies it first).
+        first step writes one.  ``shared_blocks`` are already-filled blocks of
+        live sessions — a cached prompt head's, a sibling's — mapped into the
+        new table by reference, holding ``length`` tokens between them (the
+        last one may be partly filled; the first write into it copies it
+        first).  All or nothing: a block that is not live refuses the call
+        before any reference is taken.
         """
         blocks = list(shared_blocks)
         if len(blocks) != self.blocks_needed(length):
             raise ValueError(f"{len(blocks)} shared blocks cannot hold exactly "
                              f"{length} tokens (block size {self.block_size})")
-        for block in blocks:
-            self.allocator.share(block)
+        if blocks:
+            self.allocator.share(blocks)
         # A free row exists afterwards; one column, so an empty row has a table.
         self._reserve(len(self._rows) + 1, max(1, len(blocks)))
         row = self._free_rows.pop()
@@ -657,9 +660,6 @@ class PagedKVCache:
         per layer the ``(heads, tokens, head_dim)`` keys and values of one
         session — as a one-row step would have written them."""
         old = self.length(session_id)
-        if self._kv_dims is None:
-            heads, _, head_dim = history[0][0].shape
-            self._kv_dims = (heads, head_dim, history[0][0].dtype)
         ids, counts = np.asarray([session_id]), np.asarray([new_length - old])
         step = self._plan(ids, counts, attended=False)
         for layer, (keys, values) in zip(self.layers, history):
@@ -755,42 +755,10 @@ class PagedKVCache:
                 f"{new_length} tokens (prefilled history holds {full})")
         self._import(session_id, self._source_history(source, session), new_length)
 
-    def register_blocks(self, keys_per_layer: Sequence[np.ndarray],
-                        values_per_layer: Sequence[np.ndarray]) -> List[int]:
-        """Fill fresh blocks with a block-aligned history owned by the caller.
-
-        ``keys_per_layer[l]`` / ``values_per_layer[l]`` are contiguous
-        ``(heads, length, head_dim)`` arrays, ``length`` a positive multiple
-        of the block size.  They become a session that is detached at once
-        (:meth:`detach`), so the caller keeps one reference per block.
-        """
-        if len(keys_per_layer) != self.num_layers:
-            raise ValueError(f"expected {self.num_layers} layers of keys, "
-                             f"got {len(keys_per_layer)}")
-        length = keys_per_layer[0].shape[1]
-        if length < 1 or length % self.block_size:
-            raise ValueError(f"registered history length {length} must be a "
-                             f"positive multiple of block size {self.block_size}")
-        self.allocator.require(length // self.block_size)
-        owner = self.open_session()
-        self._import(owner, list(zip(keys_per_layer, values_per_layer)), length)
-        return list(self.detach(owner))
-
     # ------------------------------------------------------------------ #
-    def detach(self, session_id: int) -> Tuple[int, ...]:
-        """End a session but keep its blocks: the caller now holds one
-        reference on each (a prompt head parked outside any session) until
-        :meth:`release_blocks`."""
-        blocks = self.table(session_id)
-        for block in blocks:
-            self.allocator.share(block)
-        self.evict(session_id)
-        return blocks
-
-    def release_blocks(self, block_ids: Sequence[int]) -> None:
-        """Drop one reference on each block — the caller's, on blocks from
-        :meth:`detach`; a session's, when its table lets go of them.  A block
-        that frees is re-zeroed (see :class:`PagedLayerKVCache`)."""
+    def _release_blocks(self, block_ids: Sequence[int]) -> None:
+        """Drop one reference on each block, as a table lets go of it.  A
+        block that frees is re-zeroed (see :class:`PagedLayerKVCache`)."""
         for block in block_ids:
             if self.allocator.release(block):
                 for layer in self.layers:
@@ -806,7 +774,7 @@ class PagedKVCache:
         if row is None:
             raise ValueError(f"session {session_id} is not live (double evict?)")
         held = int(self._nblocks[row])
-        self.release_blocks(self._table[row, :held].tolist())
+        self._release_blocks(self._table[row, :held].tolist())
         self._table[row, :held] = 0
         self._nblocks[row] = self._length[row] = 0
         self._free_rows.append(row)
@@ -851,7 +819,7 @@ class PagedKVCache:
                 # The split can drop the last reference (the sibling already
                 # copy-on-wrote its own tail this same step): the release keeps
                 # the freed-blocks-are-zeroed invariant.
-                self.release_blocks((int(tails[i]),))
+                self._release_blocks((int(tails[i]),))
             self._table[row, end:end + count] = fresh[taken:taken + count]
             taken += count
         self._nblocks[rows] = needs
@@ -967,22 +935,22 @@ class PagedKVCache:
                 f"cannot truncate session {session_id} from {current} to "
                 f"{new_length} tokens")
         keep, held = self.blocks_needed(new_length), int(self._nblocks[row])
-        self.release_blocks(self._table[row, keep:held].tolist())
+        self._release_blocks(self._table[row, keep:held].tolist())
         self._table[row, keep:held] = 0
         self._nblocks[row] = keep
         self._length[row] = new_length
 
     # ------------------------------------------------------------------ #
-    def check_invariants(self, external_refs: Optional[Dict[int, int]] = None) -> None:
+    def check_invariants(self) -> None:
         """Assert pool-accounting consistency (used by the stress tests).
 
         The table rows split exactly into live sessions' rows and free ones;
         a session holds ``blocks_needed(length)`` blocks and its row is zero
-        past them; the references counted off the table matrix (plus
-        ``external_refs``: block id -> references held outside any session
-        table, e.g. by a prefix cache) equal the allocator's; and the
-        allocator's free list, in-use counter and high-water mark balance.
-        Raises ``AssertionError`` naming the first violated invariant.
+        past them; the references counted off the table matrix equal the
+        allocator's — every reference is a table entry, so nothing else may
+        be counted; and the allocator's free list, in-use counter and
+        high-water mark balance.  Raises ``AssertionError`` naming the first
+        violated invariant.
         """
         alloc = self.allocator
         live_rows = sorted(self._rows.values())
@@ -999,8 +967,6 @@ class PagedKVCache:
         assert not self._table[~held].any(), (
             "a table row is not zero past its session's blocks")
         table_refs = np.bincount(self._table[held], minlength=alloc.num_blocks)
-        for block, count in (external_refs or {}).items():
-            table_refs[block] += count
         live = np.flatnonzero(alloc.refcounts > 0)
         assert np.array_equal(table_refs, alloc.refcounts), (
             "refcount mismatch: counted "
@@ -1019,9 +985,9 @@ class PagedKVCache:
             "allocator accounting does not balance: "
             f"{alloc.blocks_in_use} in use + {len(free)} free != "
             f"high water {alloc.high_water}")
-        # A block referenced exactly once belongs to exactly one table (or one
-        # external holder) — exclusive ownership; shared blocks are read-only
-        # until copy-on-write gives the writer its own copy.
+        # A block referenced exactly once belongs to exactly one table —
+        # exclusive ownership; shared blocks are read-only until
+        # copy-on-write gives the writer its own copy.
         single = np.flatnonzero(alloc.refcounts == 1)
         owners = table_refs[single]
         assert np.all(owners == 1), "exclusively owned block with wrong ref tally"

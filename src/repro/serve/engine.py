@@ -972,12 +972,8 @@ class InferenceServer:
 
     def _verify_pool_sound(self, error: BaseException) -> None:
         """Prove the KV pool survived a quarantine; escalate if it did not."""
-        manager = self._manager
-        prefix = manager.prefix
         try:
-            manager.cache.check_invariants(
-                external_refs=prefix.external_refs() if prefix is not None
-                else None)
+            self._manager.cache.check_invariants()
         except AssertionError as violation:
             raise RuntimeError(
                 f"unrecoverable fault: KV-pool invariants violated after "

@@ -11,13 +11,16 @@ it.  :class:`PrefixCache` exploits both halves of that:
   blocks; a matching prompt starts at the head's length and only runs the
   transformer over its *tail*.
 * **Memory reuse** — the head lives once, in those blocks (its partly filled
-  last block included), and is mapped into each matching session's block
-  table by reference.  Blocks are refcounted and copy-on-write protected —
-  a session's first write splits the partial last block off for itself — so
-  a session can never corrupt a sibling through the shared head.
+  last block included), held by a pool session of its own that never steps
+  again; each matching prompt's session is a fork of it, mapping the blocks
+  by reference.  Blocks are refcounted and copy-on-write protected — a
+  session's first write splits the partial last block off for itself — so a
+  session can never corrupt a sibling through the shared head.  Every
+  reference is a block-table entry, so the pool checks its own refcounts.
 
-Entries are LRU-bounded: registering beyond ``max_entries`` releases the
-least recently matched preamble and its blocks.
+Entries are LRU-bounded: registering beyond ``max_entries`` evicts the head
+session of the least recently matched preamble; its blocks free once the
+last session still mapping them ends.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -59,12 +62,13 @@ def cached_inference(model: LanguageModel, toggle_eval: bool) -> Iterator[None]:
 
 @dataclass
 class PrefixEntry:
-    """One cached prompt head: its tokens and the pool blocks holding its K/V
-    (``blocks_needed(length)`` of them; the last is partly filled unless the
-    head is block-aligned).  The entry holds one reference on each."""
+    """One cached prompt head: its tokens and the pool session holding its
+    K/V.  The session's table (``cache.table(session)``, ``blocks_needed(
+    length)`` blocks, the last partly filled unless the head is
+    block-aligned) holds one reference on each block."""
 
     token_ids: Tuple[int, ...]
-    block_ids: Tuple[int, ...]
+    session: int
     hits: int = 0
 
     @property
@@ -98,16 +102,9 @@ class PrefixCache:
         return len(self._entries)
 
     @property
-    def blocks_held(self) -> int:
-        return sum(len(entry.block_ids) for entry in self._entries.values())
-
-    def external_refs(self) -> Dict[int, int]:
-        """Block references this cache holds outside any session table."""
-        refs: Dict[int, int] = {}
-        for entry in self._entries.values():
-            for block in entry.block_ids:
-                refs[block] = refs.get(block, 0) + 1
-        return refs
+    def sessions(self) -> Tuple[int, ...]:
+        """The pool sessions holding the registered heads, oldest first."""
+        return tuple(sorted(entry.session for entry in self._entries.values()))
 
     # ------------------------------------------------------------------ #
     def register(self, text: str) -> PrefixEntry:
@@ -137,12 +134,12 @@ class PrefixCache:
         # registration at the cap must free the LRU head first to fit.
         while len(self._entries) >= self.max_entries:
             _, evicted = self._entries.popitem(last=False)
-            self.cache.release_blocks(evicted.block_ids)
+            self.cache.evict(evicted.session)
 
-        # The head is a session for the length of one step: opened empty,
-        # written by the forward every prompt goes through, then detached so
-        # its blocks outlive it under the entry's references.  Nothing samples
-        # from it, so it is a prompt row: its last layer runs at one token.
+        # The head is a session: opened empty, written by the forward every
+        # prompt goes through, then left open for as long as the entry lives.
+        # Nothing samples from it, so it is a prompt row: its last layer runs
+        # at one token.
         head = self.cache.open_session()
         try:
             with cached_inference(self.model, self._toggle_eval):
@@ -153,7 +150,7 @@ class PrefixCache:
         except Exception:
             self.cache.evict(head)
             raise
-        entry = PrefixEntry(token_ids=ids, block_ids=self.cache.detach(head))
+        entry = PrefixEntry(token_ids=ids, session=head)
         self._entries[ids] = entry
         return entry
 
@@ -162,9 +159,9 @@ class PrefixCache:
         """Whether this exact entry is still registered (not LRU-evicted).
 
         A queued session holds its matched entry across engine steps; before
-        its first chunk maps the entry's pool blocks it must confirm the
+        its first chunk forks the entry's head session it must confirm the
         entry survived any intervening ``register`` — an evicted entry's
-        blocks may already belong to a newer head.
+        session is gone.
         """
         return self._entries.get(entry.token_ids) is entry
 
@@ -190,11 +187,10 @@ class PrefixCache:
         return best
 
     def seed_cache(self, entry: PrefixEntry, batch: int) -> List[int]:
-        """Open ``batch`` pool sessions on the head's blocks; return their ids.
+        """Fork the head's session ``batch`` times; return the forks' ids.
 
         Each starts at length ``entry.length`` with the head's blocks mapped
         by reference, exactly as if it had just prefilled the head itself;
         its first step copies the partial last block before writing into it.
         """
-        return [self.cache.open_session(entry.block_ids, entry.length)
-                for _ in range(batch)]
+        return [self.cache.fork(entry.session) for _ in range(batch)]

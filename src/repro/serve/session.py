@@ -440,11 +440,12 @@ class SessionManager:
         the layers write K/V straight into pool blocks.  The prompt rows are
         grouped apart from the decode rows in attention (``prompt_from``), so
         a chunk never widens a decoder's query rectangle.  A new prompt row is
-        opened in the pool first — empty, or on its matched prefix's blocks
-        by reference (the partial last one is copied by the plan before the
-        row writes into it).  All or nothing: the prefill fault sites fire
-        before anything is touched, and a raise evicts the rows opened here
-        and hands every other row back what the plan appended to it.  After
+        opened in the pool first — empty, or as a fork of its matched
+        prefix's head session (the partial last block is copied by the plan
+        before the row writes into it).  All or nothing: the prefill fault
+        sites fire before anything is touched, and a raise evicts the rows
+        opened here and hands every other row back what the plan appended to
+        it.  After
         the forward each prompt row's ``prompt_pos`` moves: it stays
         ``PREFILLING`` or, its prompt complete, is promoted to ``running``
         (the caller samples its first token).

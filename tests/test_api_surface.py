@@ -74,6 +74,30 @@ EXPECTED_NN_ALL = {
     "load_into", "load_state_dict", "save_state_dict",
 }
 
+#: ``PagedKVCache``'s public methods and properties, pinned like the
+#: ``SchedulerPolicy`` fields: an import or ownership helper cannot come back
+#: (``register_blocks``, ``detach`` and a public ``release_blocks`` are gone —
+#: every block reference is a table entry) and a name cannot go unnoticed.
+#: ``True`` marks the names ``bench/trace.py::TARGETS`` times: the benchmark
+#: is edited only by a PR of its own, so these outlive any refactor of the
+#: pool until then.
+PAGED_KV_PUBLIC = {
+    # Sessions and their tables.
+    "open_session": False, "fork": False, "evict": True, "length": False,
+    "table": False, "sessions": False, "num_sessions": False,
+    "blocks_needed": False,
+    # The one step plan and the one commit, in their four spellings.
+    "prepare_step": True, "prepare_multi_step": True, "commit_step": True,
+    "commit_multi_step": True, "truncate_session": True,
+    # Importing a session of another pool (the tests' oracle).
+    "admit": False, "admit_rows": True, "extend_session": True,
+    "history": False,
+    # Pool facts and the self-contained accounting check.
+    "num_layers": False, "block_size": False, "blocks_in_use": False,
+    "blocks_free": False, "attention_totals": False,
+    "check_invariants": False,
+}
+
 
 def _fields(cls):
     return {f.name: f.default for f in dataclasses.fields(cls)}
@@ -206,6 +230,19 @@ class TestNnSurface:
         assert len(nn.__all__) == len(EXPECTED_NN_ALL)  # no name listed twice
         for name in nn.__all__:
             assert hasattr(nn, name), f"__all__ lists missing name {name!r}"
+
+    def test_paged_kv_cache_methods(self):
+        public = {name for name in vars(nn.PagedKVCache) if not name.startswith("_")}
+        assert public == set(PAGED_KV_PUBLIC)
+        # Self-contained: the tables are the only holders there are to count.
+        assert list(inspect.signature(
+            nn.PagedKVCache.check_invariants).parameters) == ["self"]
+
+    def test_paged_kv_cache_names_the_benchmark_times(self):
+        from bench.trace import TARGETS  # run from the repo root, like bench/
+
+        timed = {target.attr for target in TARGETS if target.owner == "PagedKVCache"}
+        assert timed == {name for name, pinned in PAGED_KV_PUBLIC.items() if pinned}
 
 
 def test_importing_serve_does_not_import_networkx():

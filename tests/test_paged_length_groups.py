@@ -91,7 +91,7 @@ def _packed(fed):
     return np.asarray([token for row in fed for token in row], dtype=np.int64)
 
 
-def _decode(model, paged, twins, steps, external_refs=None):
+def _decode(model, paged, twins, steps):
     """Greedy-decode ``twins`` together; every row must match its oracle.
     Returns the group count of each step."""
     ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
@@ -106,7 +106,7 @@ def _decode(model, paged, twins, steps, external_refs=None):
             np.testing.assert_allclose(out[row], expected, **ATOL)
             assert int(np.argmax(out[row])) == int(np.argmax(expected))
             twin.next_token = int(np.argmax(out[row]))
-        paged.check_invariants(external_refs=external_refs)
+        paged.check_invariants()
     return groups
 
 
@@ -341,16 +341,16 @@ class TestSplitStepParity:
                                            extra_blocks=2)
             cache = model.init_cache()
             model.forward_incremental(np.asarray(head, dtype=np.int64)[None, :], cache)
-            shared = paged.register_blocks(*zip(*cache.history(0)))
-            refs = {block: 1 for block in shared}
+            holder = paged.admit(cache)  # the head's one holder: a session
+            shared = list(paged.table(holder))
             tails = _prompts(model, (3, 470, 40), seed=8)
             twins = [_Twin(model, paged, head + tail, shared_blocks=shared)
                      for tail in tails]
             twins.append(_Twin(model, paged, _prompts(model, (9,), seed=9)[0]))
             for twin in twins[:3]:
                 assert list(paged.table(twin.sid)[:2]) == shared
-            paged.check_invariants(external_refs=refs)
-            groups = _decode(model, paged, twins, steps=12, external_refs=refs)
+            paged.check_invariants()
+            groups = _decode(model, paged, twins, steps=12)
             assert min(groups) >= 3
 
 
@@ -460,8 +460,8 @@ class TestTokenPackedStep:
                                            extra_blocks=2)
             cache = model.init_cache()
             model.forward_incremental(np.asarray(head, dtype=np.int64)[None, :], cache)
-            shared = paged.register_blocks(*zip(*cache.history(0)))
-            refs = {block: 1 for block in shared}
+            holder = paged.admit(cache)  # the head's one holder: a session
+            shared = list(paged.table(holder))
             twins = [_Twin(model, paged, prompt)
                      for prompt in _prompts(model, (301, 11, 27), seed=21)]
             twins.append(_Twin(model, paged, head + [3, 1, 4], shared_blocks=shared))
@@ -470,7 +470,7 @@ class TestTokenPackedStep:
             fork.sid = paged.fork(twins[1].sid)
             twins.append(fork)
             ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
-            paged.check_invariants(external_refs=refs)
+            paged.check_invariants()
 
         @settings(max_examples=25, deadline=None)
         @given(counts=st.lists(st.integers(1, 5), min_size=len(twins),
@@ -485,7 +485,7 @@ class TestTokenPackedStep:
                 logits = model.forward_step(_packed(fed), pool, ids,
                                             counts=counts).data[0]
                 assert pool.attention_groups - paged.attention_groups >= 2
-                pool.check_invariants(external_refs=refs)
+                pool.check_invariants()
                 assert pool.table(fork.sid)[-1] != pool.table(twins[1].sid)[-1]
                 assert list(pool.table(twins[3].sid)[:2]) == shared
                 offsets = np.cumsum(counts) - counts
@@ -539,7 +539,7 @@ class TestFinalLayerView:
             head = _prompts(model, (2 * BLOCK,), seed=30)[0]
             owner = paged.open_session()
             model.forward_step(np.asarray(head), paged, [owner], counts=[len(head)])
-            shared = list(paged.detach(owner))
+            shared = list(paged.table(owner))  # the owner stays open: it holds them
             ids = []
             for prompt in _prompts(model, (301, 150, 11, 27, 45), seed=31):
                 ids.append(paged.open_session())
@@ -548,14 +548,13 @@ class TestFinalLayerView:
             ids.append(paged.fork(ids[3]))  # 27 tokens: a shared partial tail
             ids.append(paged.open_session(shared, len(head)))
             empty = paged.open_session()
-        refs = {block: 1 for block in shared}
-        paged.check_invariants(external_refs=refs)
-        return model, paged, ids, empty, refs, _BOUND[request.param]
+        paged.check_invariants()
+        return model, paged, ids, empty, _BOUND[request.param]
 
     @pytest.mark.parametrize("case", [f"mixed-{seed}" for seed in range(6)]
                              + ["prompt_from=0", "one-token prompt rows"])
     def test_trimmed_step_matches_the_untrimmed_one(self, pool, case, monkeypatch):
-        model, paged, ids, empty, refs, bound = pool
+        model, paged, ids, empty, bound = pool
         rng = np.random.default_rng(sum(map(ord, case)))
         order = rng.permutation(ids).tolist()
         prompt_from = 0 if case == "prompt_from=0" else int(rng.integers(1, len(order)))
@@ -603,7 +602,7 @@ class TestFinalLayerView:
                         assert np.array_equal(written, getattr(full_layer, name))
             fork, sibling = ids[5], ids[3]
             for stepped in (trimmed_pool, full_pool):
-                stepped.check_invariants(external_refs=refs)
+                stepped.check_invariants()
                 assert stepped.table(fork)[-1] != stepped.table(sibling)[-1]
             nxt = rng.integers(0, vocab, size=len(rows))
             np.testing.assert_allclose(
@@ -659,8 +658,7 @@ class TestServedSplitSteps:
         if speculation == "ngram":
             stats = server.stats()
             assert stats.tokens_drafted > stats.tokens_accepted > 0  # rollbacks
-        server._manager.cache.check_invariants(
-            external_refs=server._manager.prefix.external_refs())
+        server._manager.cache.check_invariants()
 
     def test_a_chunk_that_emits_no_token_rides_the_decode_forward(
             self, model, monkeypatch):
@@ -762,8 +760,7 @@ class TestServedSplitSteps:
         for prompt, handle in zip(prompts[3:], handles[3:]):
             reference = generate(model, prompt, **greedy)
             assert handle.result(timeout=5).token_ids == reference.token_ids
-        server._manager.cache.check_invariants(
-            external_refs=server._manager.prefix.external_refs())
+        server._manager.cache.check_invariants()
         assert server._manager.cache.num_sessions == 0
 
 

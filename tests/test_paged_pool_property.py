@@ -37,38 +37,43 @@ PREFIX_BLOCKS = 2
 EXHAUSTED = object()
 
 
-def _keys(history, length=None):
-    """``history`` as one layer's ``(heads=1, length, head_dim=2)`` keys,
-    zero-padded to ``length`` tokens (default: no padding)."""
-    keys = np.zeros((1, length or len(history), 2))
-    keys[0, :len(history)] = np.asarray(history, dtype=np.float64)[:, None]
-    return keys
+def _pool(blocks):
+    """A one-layer pool whose K/V are ``(heads=1, head_dim=2)`` serial numbers."""
+    return PagedKVCache(1, blocks, block_size=BLOCK, num_heads=1, head_dim=2,
+                        dtype=np.float64)
+
+
+def _fill(pool, history):
+    """Open a session and write ``history`` into it through the plan."""
+    sid = pool.open_session()
+    _run_step(pool, np.asarray([sid]), np.asarray([len(history)]), [history],
+              plain=False)
+    return sid
 
 
 def _staged(history):
     """A one-layer source pool whose one session holds ``history`` as keys
     (values the negation): what ``admit`` / ``extend_session`` import."""
-    blocks = -(-len(history) // BLOCK)
-    source = PagedKVCache(1, blocks, block_size=BLOCK)
-    keys = _keys(history, blocks * BLOCK)
-    shared = source.register_blocks([keys], [-keys])
-    source.open_session(shared, len(history))
-    source.release_blocks(shared)  # the session is their one holder now
+    source = _pool(-(-len(history) // BLOCK))
+    _fill(source, history)
     return source
 
 
 class _Pools:
-    """The twin pools, the registered prefix and the expected histories."""
+    """The twin pools, the prefix holder and the expected histories.
+
+    The shared prefix lives in a holder session of each pool — opened first,
+    so it has the same id in both — that no operation touches and
+    ``expected`` leaves out."""
 
     def __init__(self):
         self.serial = itertools.count(1)
-        self.single = PagedKVCache(1, MAX_BLOCKS, block_size=BLOCK)
-        self.multi = PagedKVCache(1, MAX_BLOCKS, block_size=BLOCK)
+        self.single = _pool(MAX_BLOCKS)
+        self.multi = _pool(MAX_BLOCKS)
         self.prefix = [next(self.serial) for _ in range(PREFIX_BLOCKS * BLOCK)]
-        staged = _keys(self.prefix)
         for pool in self.pools:
-            self.shared = pool.register_blocks([staged], [-staged])
-        self.refs = {block: 1 for block in self.shared}
+            self.holder = _fill(pool, self.prefix)
+            self.shared = pool.table(self.holder)
         self.expected = {}  # session id -> the serial number at each position
 
     @property
@@ -85,8 +90,8 @@ class _Pools:
     def check(self):
         """Invariants, twin equality, and every session reads its own history."""
         for pool in self.pools:
-            pool.check_invariants(external_refs=self.refs)
-            assert pool.num_sessions == len(self.expected)
+            pool.check_invariants()
+            assert pool.sessions == (self.holder, *self.expected)
             for sid, history in self.expected.items():
                 assert pool.length(sid) == len(history)
                 keys, values = pool.layers[0].read_blocks(pool.table(sid))
@@ -269,7 +274,7 @@ def _assert_rollback_to_one_is_a_plain_step(state, ids, counts, fed):
         rolled.truncate_session(sid, state.single.length(sid) + 1)
     _run_step(plain, ids, None, [row[:1] for row in fed], plain=True)
     for pool in (plain, rolled):
-        pool.check_invariants(external_refs=state.refs)
+        pool.check_invariants()
     # Same pool up to which free block each row happened to be handed.
     assert plain.blocks_in_use == rolled.blocks_in_use
     assert (sorted(plain.allocator.refcounts.tolist())

@@ -52,6 +52,13 @@ def model():
     return LanguageModel(config, seed=3)
 
 
+def _kv_dims(model):
+    """The K/V shape of ``model``'s pool, as ``PagedKVCache`` takes it."""
+    attention = model.backbone.blocks[0].attention
+    return dict(num_heads=attention.num_heads, head_dim=attention.head_dim,
+                dtype=model.backbone.position_embedding.data.dtype)
+
+
 def _prefill(model, prompt_ids):
     """Single-session reference prefill: (cache, greedy first token)."""
     cache = model.init_cache()
@@ -156,7 +163,7 @@ class TestPagedDecodeParity:
     def test_block_exhaustion_and_errors(self, model):
         # Pool with room for exactly 2 blocks of 4 tokens.
         paged = PagedKVCache(model.config.num_layers,
-                             max_blocks=2, block_size=4)
+                             max_blocks=2, block_size=4, **_kv_dims(model))
         with no_grad():
             cache = model.init_cache()
             model.forward_incremental(np.asarray([[5, 6, 7, 1, 2]]), cache)  # 2 blocks
@@ -169,14 +176,14 @@ class TestPagedDecodeParity:
             paged.evict(sid)
             # Every entry keyed by a session id refuses a dead one alike.
             for call in (paged.evict, paged.length, paged.table, paged.fork,
-                         paged.detach, lambda dead: paged.truncate_session(dead, 1)):
+                         lambda dead: paged.truncate_session(dead, 1)):
                 with pytest.raises(ValueError, match=f"session {sid} is not live"):
                     call(sid)
             assert paged.blocks_in_use == 0
             paged.admit(other)  # freed blocks are usable again
         with pytest.raises(ValueError, match="prefill first"):
             paged.admit(model.init_cache())
-        mismatched = PagedKVCache(5, max_blocks=4, block_size=4)
+        mismatched = PagedKVCache(5, max_blocks=4, block_size=4, **_kv_dims(model))
         with pytest.raises(ValueError, match="layers"):
             with no_grad():
                 cache2 = model.init_cache()
@@ -192,6 +199,24 @@ class TestPagedDecodeParity:
                     paged.admit_rows(cache, sessions=[bad])
             assert paged.blocks_in_use == 0  # nothing leaked
             paged.check_invariants()
+
+    def test_sharing_a_dead_block_takes_no_reference(self, model):
+        """A shared-block list with a block that is not live refuses the
+        whole call before any reference is taken: the live blocks ahead of
+        it keep their refcounts (regression: they used to keep an extra
+        one each, failing ``check_invariants``)."""
+        paged = model.init_paged_cache(max_sessions=4, block_size=4)
+        with no_grad():
+            cache, _ = _prefill(model, list(range(1, 13)))  # three full blocks
+            owner = paged.admit(cache)
+            live, dead = paged.table(owner)[0], paged.allocator.num_blocks - 1
+            for share in (lambda: paged.open_session([live, dead], 8),
+                          lambda: paged.admit(cache, shared_blocks=[live, dead])):
+                with pytest.raises(ValueError, match=f"block {dead}: it is not allocated"):
+                    share()
+                assert paged.allocator.refcounts[live] == 1
+                assert paged.sessions == (owner,)
+                paged.check_invariants()
 
     def test_simultaneous_cow_rezeros_the_freed_block(self, model):
         """When every holder of a shared tail block copy-on-writes in the same
@@ -218,10 +243,11 @@ class TestPagedDecodeParity:
         paged = model.backbone.init_paged_cache(max_blocks=2, block_size=4)
         prefix = PrefixCache(model, paged, max_entries=1)
         first = prefix.register("abcdefg")   # 8 tokens with BOS -> both blocks
-        assert len(first.block_ids) == 2 and paged.blocks_free == 0
+        assert len(paged.table(first.session)) == 2 and paged.blocks_free == 0
         second = prefix.register("hijklmn")  # must evict `first` to fit
-        assert len(prefix) == 1 and len(second.block_ids) == 2
-        paged.check_invariants(external_refs=prefix.external_refs())
+        assert len(prefix) == 1 and len(paged.table(second.session)) == 2
+        assert paged.sessions == prefix.sessions == (second.session,)
+        paged.check_invariants()
 
     @pytest.mark.parametrize("count", [1, 3])
     def test_prepare_step_exhaustion_is_atomic(self, model, count):
@@ -235,7 +261,7 @@ class TestPagedDecodeParity:
         ragged multi-token step allocate through the same all-or-nothing
         call."""
         paged = PagedKVCache(model.config.num_layers,
-                             max_blocks=3, block_size=4)
+                             max_blocks=3, block_size=4, **_kv_dims(model))
         counts = None if count == 1 else np.asarray([count, count])
         with no_grad():
             cache_a, token_a = _prefill(model, [1, 2, 3, 4])  # exactly 1 block
@@ -481,8 +507,8 @@ class TestPagedStressParity:
         assert stats.prefix_hits > 0 and stats.prefix_misses > 0
         assert stats.prefix_tokens_reused >= stats.prefix_hits
         manager = server._manager
-        manager.cache.check_invariants(external_refs=manager.prefix.external_refs())
-        assert manager.cache.num_sessions == 0
+        manager.cache.check_invariants()
+        assert manager.cache.sessions == manager.prefix.sessions
 
 
 # ---------------------------------------------------------------------- #
@@ -556,9 +582,7 @@ class TestOnePrefillBody:
         monkeypatch.setattr(model, "forward_incremental", None)
         monkeypatch.setattr(model, "init_cache", None)
 
-        def check():
-            manager.cache.check_invariants(
-                external_refs=manager.prefix.external_refs() if prefix else None)
+        check = manager.cache.check_invariants
 
         sessions = [GenerationSession(session_id=i, prompt=prompt,
                                       max_new_tokens=6, stop_on_eos=False)
@@ -581,7 +605,7 @@ class TestOnePrefillBody:
             reference = generate(model, session.prompt, max_new_tokens=6,
                                  stop_on_eos=False)
             assert session.generated == reference.token_ids, session.prompt
-        assert manager.cache.num_sessions == 0
+        assert manager.cache.sessions == (manager.prefix.sessions if prefix else ())
 
     def test_default_policy_is_the_chunked_route_with_the_whole_context(self, model):
         """No fork: ``prefill_chunk_size=None`` == a chunk of ``max_context``."""
@@ -640,13 +664,12 @@ class TestNoContiguousCacheOnTheServedPath:
         handles = [server.submit(request) for request in requests]
         while server.has_pending_work():
             server.step()
-            server._manager.cache.check_invariants(
-                external_refs=server._manager.prefix.external_refs())
+            server._manager.cache.check_invariants()
         assert [handle.result().token_ids for handle in handles] == expected
         stats = server.stats()
         assert stats.prefix_hits == 2 and stats.tokens_drafted > 0
         assert any(len(chunks) > 1 for chunks in _chunks_by_request(server).values())
-        assert server._manager.cache.num_sessions == 0
+        assert server._manager.cache.sessions == server._manager.prefix.sessions
 
 
 def _chunks_by_request(server):
@@ -668,7 +691,8 @@ class TestPrefixCache:
         entry = manager.register_prefix(preamble)
         assert entry.length == len(model.tokenizer.encode(preamble, add_bos=True))
         # The whole head lives in pool blocks, its partial last one included.
-        assert len(entry.block_ids) == manager.cache.blocks_needed(entry.length) == 7
+        head = manager.cache.table(entry.session)
+        assert len(head) == manager.cache.blocks_needed(entry.length) == 7
         blocks_before = manager.cache.blocks_in_use
 
         session = GenerationSession(session_id=1, prompt=preamble + "now",
@@ -678,14 +702,13 @@ class TestPrefixCache:
         # shared; the head's partial last block was copied before the tail
         # landed in it, so the entry's copy still holds the head alone.
         table = manager.cache.table(session.slot)
-        assert table[:6] == entry.block_ids[:6]
-        assert table[6] != entry.block_ids[6]
+        assert table[:6] == head[:6]
+        assert table[6] != head[6]
         assert session.metrics.prefix_tokens == entry.length
         # Shared mapping allocated only the blocks past the head's full ones.
         assert (manager.cache.blocks_in_use - blocks_before
                 == manager.cache.blocks_needed(len(session.prompt_ids) - 6 * 4))
-        manager.cache.check_invariants(
-            external_refs=manager.prefix.external_refs())
+        manager.cache.check_invariants()
 
         # Decode to completion; the stream must match standalone generate().
         while manager.num_running:
@@ -695,8 +718,7 @@ class TestPrefixCache:
         assert session.generated == reference.token_ids
         # Eviction returned the tail blocks but kept the cached head resident.
         assert manager.cache.blocks_in_use == blocks_before
-        manager.cache.check_invariants(
-            external_refs=manager.prefix.external_refs())
+        manager.cache.check_invariants()
 
     def test_unaligned_head_is_split_once_and_never_written(self, model, monkeypatch):
         """A hit on a head that ends mid-block maps every block by reference;
@@ -709,8 +731,9 @@ class TestPrefixCache:
         manager = server._manager
         preamble = "bitrate selection task: "  # 25 tokens with BOS: 6 blocks + 1
         entry = manager.register_prefix(preamble)
-        assert entry.length % 4 == 1 and len(entry.block_ids) == 7
-        tables = np.asarray([entry.block_ids])
+        head = manager.cache.table(entry.session)
+        assert entry.length % 4 == 1 and len(head) == 7
+        tables = np.asarray([head])
 
         def head_bytes():
             return [tuple(array[:, :, :entry.length].tobytes()
@@ -729,17 +752,17 @@ class TestPrefixCache:
             stop_on_eos=False))
         server.step()  # first chunk: the first write behind the head
         [(source, target)] = splits
-        assert source == entry.block_ids[-1] and target not in entry.block_ids
+        assert source == head[-1] and target not in head
         while server.has_pending_work():
             server.step()
-            manager.cache.check_invariants(
-                external_refs=manager.prefix.external_refs())
+            manager.cache.check_invariants()
             assert head_bytes() == registered
         assert len(splits) == 1
         assert handle.result().token_ids == generate(
             model, preamble + "history 1.0 2.0", max_new_tokens=6,
             stop_on_eos=False).token_ids
-        assert manager.prefix.hits == 1 and manager.cache.num_sessions == 0
+        assert manager.prefix.hits == 1
+        assert manager.cache.sessions == manager.prefix.sessions
 
     def test_registration_runs_the_last_layer_at_one_token(self, model, monkeypatch):
         """A head is registered as a prompt row: its forward returns one
@@ -766,13 +789,14 @@ class TestPrefixCache:
         assert rows == [1]
         reference, trimmed = [manager.prefix.match(model.tokenizer.encode(
             preamble + "now", add_bos=True)) for manager in managers]
-        assert trimmed.block_ids == reference.block_ids
+        want_blocks = managers[0].cache.table(reference.session)
+        got_blocks = managers[1].cache.table(trimmed.session)
+        assert got_blocks == want_blocks
         for manager in managers:
-            manager.cache.check_invariants(
-                external_refs=manager.prefix.external_refs())
+            manager.cache.check_invariants()
         for want, got in zip(managers[0].cache.layers, managers[1].cache.layers):
-            for want_half, got_half in zip(want.read_blocks(reference.block_ids),
-                                           got.read_blocks(trimmed.block_ids)):
+            for want_half, got_half in zip(want.read_blocks(want_blocks),
+                                           got.read_blocks(got_blocks)):
                 assert np.array_equal(want_half[:, :reference.length],
                                       got_half[:, :trimmed.length])
 
@@ -803,19 +827,49 @@ class TestPrefixCache:
         manager = SessionManager(model, max_slots=2, block_size=4,
                                  max_prefixes=2)
         first = manager.register_prefix("first preamble text")
-        manager.register_prefix("second preamble text")
+        first_blocks = manager.cache.table(first.session)
+        second = manager.register_prefix("second preamble text")
         held = manager.cache.blocks_in_use
         third = manager.register_prefix("third preamble text!")  # evicts "first" (LRU)
+        # The evicted head's session is gone with it; the pool holds the rest.
+        assert manager.cache.sessions == manager.prefix.sessions == (
+            second.session, third.session)
         assert len(manager.prefix) == 2
         assert manager.prefix.match(
             model.tokenizer.encode("first preamble text plus", add_bos=True)) is None
         # first's blocks (5 full) were released; third's (5 full and a
         # partial one) were allocated.
         assert (manager.cache.blocks_in_use
-                == held - len(first.block_ids) + len(third.block_ids) == held + 1)
-        manager.cache.check_invariants(
-            external_refs=manager.prefix.external_refs())
-        assert manager.cache.blocks_in_use == manager.prefix.blocks_held
+                == held - len(first_blocks) + len(manager.cache.table(third.session))
+                == held + 1)
+        manager.cache.check_invariants()
+
+    def test_head_evicted_under_a_running_session(self, model):
+        """A head LRU-evicted while a session forked from it still decodes:
+        the session keeps the head's full blocks mapped and decodes to
+        ``generate()``'s tokens, and those blocks free only when it ends."""
+        manager = SessionManager(model, max_slots=2, block_size=4, max_prefixes=1)
+        preamble = "bitrate selection task: "  # 25 tokens with BOS: 6 blocks + 1
+        entry = manager.register_prefix(preamble)
+        full = manager.cache.table(entry.session)[:6]
+        session = GenerationSession(session_id=1, prompt=preamble + "now",
+                                    max_new_tokens=6, stop_on_eos=False)
+        manager.admit_many([session])
+        other = manager.register_prefix("a different preamble")  # evicts `entry`
+        assert not manager.prefix.is_live(entry)
+        assert manager.cache.sessions == (session.slot, other.session)
+        refcounts = manager.cache.allocator.refcounts
+        while manager.num_running:
+            manager.cache.check_invariants()
+            # The running session is the full blocks' one holder now.
+            assert manager.cache.table(session.slot)[:6] == full
+            assert refcounts[list(full)].tolist() == [1] * 6
+            manager.step()
+        manager.cache.check_invariants()
+        assert not refcounts[list(full)].any()
+        assert manager.cache.sessions == (other.session,)
+        assert session.generated == generate(
+            model, preamble + "now", max_new_tokens=6, stop_on_eos=False).token_ids
 
     def test_register_validation(self, model):
         manager = SessionManager(model, max_slots=2)
@@ -857,13 +911,13 @@ class TestBlockAllocator:
     def test_refcount_share_release(self):
         allocator = BlockAllocator(num_blocks=4, block_size=4)
         block = allocator.allocate()
-        allocator.share(block)
+        allocator.share([block])
         assert not allocator.release(block)  # still referenced
         assert allocator.release(block)      # last reference frees it
         with pytest.raises(ValueError, match="double free"):
             allocator.release(block)
         with pytest.raises(ValueError, match="not allocated"):
-            allocator.share(block)
+            allocator.share([block])
 
     def test_exhaustion_is_loud(self):
         allocator = BlockAllocator(num_blocks=2, block_size=4)
@@ -1406,9 +1460,7 @@ class TestDecisionServing:
         assert not server.is_serving
         # The crash guard evicted the admitted session: no blocks leak.
         assert server._manager.cache.num_sessions == 0
-        server._manager.cache.check_invariants(
-            external_refs=server._manager.prefix.external_refs()
-            if server._manager.prefix else None)
+        server._manager.cache.check_invariants()
 
     def test_adapter_registration_guard(self):
         server = InferenceServer()
@@ -1607,10 +1659,7 @@ class TestCancellation:
         handles = {}
         next_id = 0
 
-        def check():
-            manager.cache.check_invariants(
-                external_refs=manager.prefix.external_refs()
-                if manager.prefix else None)
+        check = manager.cache.check_invariants
 
         for step in range(150):
             action = rng.random()
@@ -2098,9 +2147,7 @@ class TestChunkedPrefill:
                                  stop_on_eos=False)
             assert handle.result().token_ids == reference.token_ids
         manager = server._manager
-        manager.cache.check_invariants(
-            external_refs=manager.prefix.external_refs()
-            if manager.prefix else None)
+        manager.cache.check_invariants()
         assert manager.cache.num_sessions == 0 and manager.num_prefilling == 0
 
     def test_long_prompt_does_not_stall_in_flight_decode(self, model):
@@ -2211,10 +2258,7 @@ class TestChunkedPrefill:
         next_id = 0
         saw_prefilling = 0
 
-        def check():
-            manager.cache.check_invariants(
-                external_refs=manager.prefix.external_refs()
-                if manager.prefix else None)
+        check = manager.cache.check_invariants
 
         for _ in range(180):
             action = rng.random()
@@ -2280,8 +2324,7 @@ class TestChunkedPrefill:
             manager.step()
         reference = generate(model, prompt, max_new_tokens=4, stop_on_eos=False)
         assert session.generated == reference.token_ids
-        manager.cache.check_invariants(
-            external_refs=manager.prefix.external_refs())
+        manager.cache.check_invariants()
 
     def test_budget_pressure_defers_admission_instead_of_zero_grants(self, model):
         """Review regression: while the budget is consumed by an in-flight
@@ -2363,8 +2406,7 @@ class TestChunkedPrefill:
             manager.step()
         reference = generate(model, prompt, max_new_tokens=3, stop_on_eos=False)
         assert session.generated == reference.token_ids
-        manager.cache.check_invariants(
-            external_refs=manager.prefix.external_refs())
+        manager.cache.check_invariants()
 
     def test_requeue_front_preserves_wait_and_fifo_position(self):
         """Review regression: a budget-deferred session goes back to the
@@ -2413,8 +2455,7 @@ class TestChunkedPrefill:
         reference = generate(model, "head text X", max_new_tokens=2,
                              stop_on_eos=False)
         assert session.generated == reference.token_ids
-        manager.cache.check_invariants(
-            external_refs=manager.prefix.external_refs())
+        manager.cache.check_invariants()
 
     def test_budget_policy_validation_and_math(self):
         with pytest.raises(ValueError, match="prefill_chunk_size"):

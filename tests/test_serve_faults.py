@@ -52,10 +52,7 @@ def _arm_faults(monkeypatch):
 
 
 def _invariants(server):
-    manager = server._manager
-    manager.cache.check_invariants(
-        external_refs=manager.prefix.external_refs()
-        if manager.prefix is not None else None)
+    server._manager.cache.check_invariants()
 
 
 class _EchoRuntime:
@@ -383,7 +380,7 @@ class TestQuarantine:
         with pytest.raises(InjectedFault, match=site):
             manager.prefill_chunk_group(rows, takes)
         assert facts() == before
-        manager.cache.check_invariants(external_refs=manager.prefix.external_refs())
+        manager.cache.check_invariants()
         manager.prefill_chunk_group(rows, takes)
         while manager.running:
             manager.step()
@@ -391,8 +388,8 @@ class TestQuarantine:
             assert session.generated == generate(
                 model, session.prompt, max_new_tokens=3,
                 stop_on_eos=False).token_ids
-        manager.cache.check_invariants(external_refs=manager.prefix.external_refs())
-        assert manager.cache.num_sessions == 0
+        manager.cache.check_invariants()
+        assert manager.cache.sessions == manager.prefix.sessions
 
     def test_decision_fault_blast_radius_is_one_batch(self, model):
         """Satellite regression test: a runtime raising inside one decision
@@ -430,7 +427,7 @@ class TestQuarantine:
         handle = server.submit(GenerateRequest(prompt="x", max_new_tokens=2,
                                                stop_on_eos=False))
 
-        def violated(external_refs=None):
+        def violated():
             raise AssertionError("refcount mismatch (simulated)")
 
         server._manager.cache.check_invariants = violated

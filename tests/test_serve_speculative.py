@@ -42,9 +42,7 @@ def model():
 
 def _invariants(server):
     manager = server._manager
-    manager.cache.check_invariants(
-        external_refs=manager.prefix.external_refs()
-        if manager.prefix is not None else None)
+    manager.cache.check_invariants()
     if manager.proposer is not None:
         # Slot ids are never reused: state kept for a slot that is no longer
         # running is kept for the life of the server.  Once the server has
@@ -616,7 +614,7 @@ class TestInterleavedChaosFreeProperty:
                 if i in cancel_at:
                     continue
                 outputs[i] = handle.result(timeout=60).token_ids
-            assert server._manager.cache.num_sessions == 0
+            assert server._manager.cache.sessions == server._manager.prefix.sessions
             return outputs, server
 
         base, _ = run("off")
@@ -680,9 +678,7 @@ class TestFusedPrefill:
         head = "system: answer briefly. "
         manager.register_prefix(head)
 
-        def check():
-            manager.cache.check_invariants(
-                external_refs=manager.prefix.external_refs())
+        check = manager.cache.check_invariants
 
         prompts = ["x " * 30, "a different and shorter prompt",
                    head + "alpha beta gamma delta", "brand new row"]
@@ -713,4 +709,4 @@ class TestFusedPrefill:
             reference = generate(model, session.prompt, max_new_tokens=5,
                                  stop_on_eos=False)
             assert session.generated == reference.token_ids, session.prompt
-        assert manager.cache.num_sessions == 0
+        assert manager.cache.sessions == manager.prefix.sessions

@@ -62,15 +62,15 @@ STREAM_GATE = 0.5
 
 def _paged_sessions(model, prompt_lengths, seed: int):
     """A paged cache holding one prefilled session per prompt length, each
-    prefilled on its own one-session pool (``init_cache``) and copied in."""
+    prompt written as the server writes one: a session opened empty and one
+    ``forward_step`` prompt row."""
     rng = np.random.default_rng(seed)
     paged = model.init_paged_cache(max_sessions=len(prompt_lengths))
     ids = []
     for length in prompt_lengths:
-        cache = model.init_cache()
-        model.forward_incremental(
-            rng.integers(0, model.tokenizer.vocab_size, size=(1, length)), cache)
-        ids.append(paged.admit(cache))
+        ids.append(paged.open_session())
+        model.forward_step(rng.integers(0, model.tokenizer.vocab_size, size=length),
+                           paged, ids[-1:], counts=[length], prompt_from=0)
     return paged, np.asarray(ids, dtype=np.int64)
 
 
@@ -92,6 +92,9 @@ def test_perf_serving_long_neighbour_tax():
         pools = {"short": _paged_sessions(model, short, seed=1),
                  "long": _paged_sessions(model, [LONG_PROMPT_TOKENS], seed=2),
                  "all": _paged_sessions(model, short + [LONG_PROMPT_TOKENS], seed=3)}
+        # The padding counters describe the timed decode steps, not the
+        # prompts that filled the pools.
+        setup = pools["all"][0].attention_totals
         for step in range(-TAX_WARMUP_STEPS, TAX_STEPS):  # warm-up untimed
             for name, (paged, ids) in pools.items():
                 tokens = rng.integers(0, model.tokenizer.vocab_size, size=len(ids))
@@ -102,8 +105,9 @@ def test_perf_serving_long_neighbour_tax():
     apart = np.asarray(seconds["short"]) + np.asarray(seconds["long"])
     ratios = np.asarray(seconds["all"]) / apart
     q1, tax, q3 = np.percentile(ratios, [25, 50, 75])
-    paged = pools["all"][0]
-    padding = 1.0 - paged.key_positions_live / paged.key_positions_gathered
+    gathered, live, groups = (after - before for after, before in zip(
+        pools["all"][0].attention_totals, setup))
+    padding = 1.0 - live / gathered
     print_table(f"Long-neighbour tax ({SHORT_SESSIONS} short sessions + one "
                 f"{LONG_PROMPT_TOKENS}-token session, {TAX_STEPS} steps)", [
         {"batch": name, "step_ms_p50": float(np.median(values)) * 1e3,
@@ -121,8 +125,7 @@ def test_perf_serving_long_neighbour_tax():
         "tax_ratio_q1": float(q1),
         "tax_ratio_q3": float(q3),
         "kv_padding_share": float(padding),
-        "attention_groups_per_step": (paged.attention_groups
-                                      / (TAX_STEPS + TAX_WARMUP_STEPS)),
+        "attention_groups_per_step": groups / (TAX_STEPS + TAX_WARMUP_STEPS),
     })
     assert tax <= TAX_GATE, (
         f"a mixed decode step costs {tax:.2f}x its short and long halves "

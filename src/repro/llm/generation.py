@@ -86,7 +86,7 @@ def generate(model: LanguageModel, prompt: str, max_new_tokens: int = 64,
     Decoding runs under :func:`~repro.nn.no_grad` with the model in eval mode
     (restored afterwards), so dropout never desynchronizes the two paths.
     With ``use_cache`` (the default) the prompt is one prefill row on a
-    one-session paged pool (:meth:`LanguageModel.init_cache`) and each later
+    one-session paged pool (``init_paged_cache(max_sessions=1)``) and each later
     step feeds only the newest token, attending against the cached
     keys/values — O(T·L) for the whole answer instead of O(T·L²) — through
     the same ``forward_step`` the serving engine runs.  Its logits agree with
@@ -123,7 +123,9 @@ def generate(model: LanguageModel, prompt: str, max_new_tokens: int = 64,
     model.eval()
     try:
         with no_grad():
-            cache = model.init_cache() if use_cache else None
+            cache = model.init_paged_cache(max_sessions=1) if use_cache else None
+            if cache is not None:
+                cache.open_session()
             pending: Optional[List[int]] = None  # tokens not yet in the cache
             for _ in range(max_new_tokens):
                 if cache is None:

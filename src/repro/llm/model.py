@@ -76,17 +76,10 @@ class LanguageModel(Module):
         features = self.backbone(embeddings, causal=True)
         return self.lm_head(features)
 
-    def init_cache(self) -> PagedKVCache:
-        """A one-session paged pool for :meth:`forward_incremental`: room for
-        ``max_seq_len`` tokens and its one session open, empty."""
-        cache = self.init_paged_cache(max_sessions=1)
-        cache.open_session()
-        return cache
-
     def forward_incremental(self, token_ids: np.ndarray, cache: PagedKVCache) -> Tensor:
         """Next-token logits for the *new* tokens only, using the KV cache.
 
-        ``cache`` is a pool with one live session (:meth:`init_cache`) and
+        ``cache`` is a pool with one live session and
         ``token_ids`` the ``(1, n)`` tokens that follow its history (the
         whole prompt on the first call, usually a single token afterwards):
         one :meth:`forward_step` row of ``n`` tokens on that session.  The

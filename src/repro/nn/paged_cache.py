@@ -51,8 +51,7 @@ session, forked by every prompt that matches it — and every token it ever
 holds is written by a step: a **prefill chunk** is a row of the one plan with
 ``counts[i] = take``, beside rows that take other amounts at other lengths.
 :meth:`PagedKVCache.admit_rows` and :meth:`PagedKVCache.extend_session`
-import a session of another pool (the one-session oracle of the tests,
-``LanguageModel.init_cache``) through that same plan, so the pool has one
+import a session of another pool through that same plan, so the pool has one
 writer.  Every block reference is an entry of a live session's table, so
 :meth:`PagedKVCache.check_invariants` needs nothing but the pool to prove
 the refcounts.
@@ -651,8 +650,7 @@ class PagedKVCache:
     # ------------------------------------------------------------------ #
     # Importing another pool's session.  The served path never does: its
     # prompts are written by ``forward_step``.  These lay a history computed
-    # elsewhere (the tests' one-session oracle) into blocks through the same
-    # plan.
+    # in another pool into blocks through the same plan.
     # ------------------------------------------------------------------ #
     def _import(self, session_id: int, history: Sequence[Tuple[np.ndarray, np.ndarray]],
                 new_length: int) -> None:
@@ -674,16 +672,6 @@ class PagedKVCache:
         table, length = self.table(session_id), self.length(session_id)
         return [tuple(half[:, :length] for half in layer.read_blocks(table))
                 for layer in self.layers]
-
-    def admit(self, source: "PagedKVCache", session: Optional[int] = None,
-              length: Optional[int] = None, shared_blocks: Sequence[int] = ()) -> int:
-        """:meth:`admit_rows` for one session of ``source`` (default: its
-        only one); returns the new session id."""
-        if session is None:
-            [session] = source.sessions
-        return self.admit_rows(source, [session],
-                               lengths=None if length is None else [length],
-                               shared_blocks=shared_blocks)[0]
 
     def admit_rows(self, source: "PagedKVCache",
                    sessions: Optional[Sequence[int]] = None,

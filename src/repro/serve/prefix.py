@@ -169,7 +169,9 @@ class PrefixCache:
         """Longest cached head that is a *strict* prefix of ``prompt_ids``.
 
         Strict because at least one tail token must remain to produce the
-        prompt's next-token logits.  Updates hit/miss/reuse counters.
+        prompt's next-token logits.  A miss is counted here; a hit only once
+        a row forked from it commits its first chunk (:meth:`count_hit`),
+        since the head may be evicted before that chunk or its forward raise.
         """
         prompt = tuple(int(i) for i in prompt_ids)
         best: Optional[PrefixEntry] = None
@@ -181,9 +183,6 @@ class PrefixCache:
             self.misses += 1
             return None
         self._entries.move_to_end(best.token_ids)
-        best.hits += 1
-        self.hits += 1
-        self.tokens_reused += best.length
         return best
 
     def seed_cache(self, entry: PrefixEntry, batch: int) -> List[int]:
@@ -194,3 +193,11 @@ class PrefixCache:
         its first step copies the partial last block before writing into it.
         """
         return [self.cache.fork(entry.session) for _ in range(batch)]
+
+    def count_hit(self, entry: PrefixEntry) -> int:
+        """Count one row forked from ``entry`` whose first forward committed;
+        return the head tokens it reused."""
+        entry.hits += 1
+        self.hits += 1
+        self.tokens_reused += entry.length
+        return entry.length

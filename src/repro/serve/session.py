@@ -250,32 +250,29 @@ class SessionManager:
 
         Idempotent: a session that already carries ``prompt_ids`` (e.g. it
         was prepared when admission classified it for chunked prefill) is
-        not re-matched, so hit/miss counters never double-count.  Keeps the
-        whole prompt when it fits, else the most recent ``max_context``
-        tokens — the same window ``generate()`` prefills, so the first
-        sampled token matches the standalone path even for prompts at the
-        cap (such a session then finishes ``context_full`` right after).
+        not re-matched, so the miss counter never double-counts (hits are
+        counted when a forked row commits).  Keeps the whole prompt when it
+        fits, else the most recent ``max_context`` tokens — the same window
+        ``generate()`` prefills, so the first sampled token matches the
+        standalone path even for prompts at the cap (such a session then
+        finishes ``context_full`` right after).
 
         A session can hold its match across engine steps (budget deferral,
         budget-starved ``PREFILLING``); if a ``register_prefix`` LRU-evicted
         the entry before the session's first chunk, its pool blocks may
-        already hold a different head's K/V — fall back to a cold prefill,
-        losing only the reuse.
+        already hold a different head's K/V — match again against the heads
+        registered now.
         """
+        entry = session.prefix_entry
         if not session.prompt_ids:
             session.prompt_ids = self.model.tokenizer.encode(
                 session.prompt, add_bos=True)[-self.max_context:]
-            session.prefix_entry = (self.prefix.match(session.prompt_ids)
-                                    if self.prefix is not None else None)
-        elif (session.slot is None and session.prefix_entry is not None
-              and (self.prefix is None
-                   or not self.prefix.is_live(session.prefix_entry))):
-            session.prefix_entry = None
-        else:
+        elif (session.slot is not None or entry is None
+              or (self.prefix is not None and self.prefix.is_live(entry))):
             return
-        entry = session.prefix_entry
+        entry = session.prefix_entry = (self.prefix.match(session.prompt_ids)
+                                        if self.prefix is not None else None)
         session.prompt_pos = entry.length if entry is not None else 0
-        session.metrics.prefix_tokens = session.prompt_pos
 
     @staticmethod
     def _mark_started(session: GenerationSession) -> None:
@@ -505,6 +502,13 @@ class SessionManager:
                 if slot is not None:
                     self.cache.truncate_session(slot, self.cache.length(slot))
             raise
+        if self.prefix is not None:
+            # Reuse counts once a forked row commits, not at the match or
+            # the fork: the head may be evicted first, the forward raise.
+            for session in fresh:
+                if session.prefix_entry is not None:
+                    session.metrics.prefix_tokens = self.prefix.count_hit(
+                        session.prefix_entry)
         for session, take in zip(group, takes):
             session.prompt_pos += take
             if self.telemetry is not None:

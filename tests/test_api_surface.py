@@ -9,6 +9,7 @@ file — breaking the API consciously instead of by accident.  ``repro.nn``'s
 
 from __future__ import annotations
 
+import ast
 import dataclasses
 import inspect
 import os
@@ -53,7 +54,7 @@ EXPECTED_ALL = {
 
 #: ``repro.nn``'s exported surface, under the same rule.  Recorded breaks:
 #: ``KVCache`` and ``LayerKVCache`` are gone — autoregressive decoding runs on
-#: a one-session ``PagedKVCache`` (``LanguageModel.init_cache``).
+#: a one-session ``PagedKVCache`` (``init_paged_cache(max_sessions=1)``).
 EXPECTED_NN_ALL = {
     "Tensor", "concatenate", "stack", "where",
     "no_grad", "set_grad_enabled", "is_grad_enabled",
@@ -77,7 +78,8 @@ EXPECTED_NN_ALL = {
 #: ``PagedKVCache``'s public methods and properties, pinned like the
 #: ``SchedulerPolicy`` fields: an import or ownership helper cannot come back
 #: (``register_blocks``, ``detach`` and a public ``release_blocks`` are gone —
-#: every block reference is a table entry) and a name cannot go unnoticed.
+#: every block reference is a table entry; ``admit`` is gone — a test fills a
+#: pool the way the server does) and a name cannot go unnoticed.
 #: ``True`` marks the names ``bench/trace.py::TARGETS`` times: the benchmark
 #: is edited only by a PR of its own, so these outlive any refactor of the
 #: pool until then.
@@ -89,14 +91,49 @@ PAGED_KV_PUBLIC = {
     # The one step plan and the one commit, in their four spellings.
     "prepare_step": True, "prepare_multi_step": True, "commit_step": True,
     "commit_multi_step": True, "truncate_session": True,
-    # Importing a session of another pool (the tests' oracle).
-    "admit": False, "admit_rows": True, "extend_session": True,
+    # Importing a session of another pool.
+    "admit_rows": True, "extend_session": True,
     "history": False,
     # Pool facts and the self-contained accounting check.
     "num_layers": False, "block_size": False, "blocks_in_use": False,
     "blocks_free": False, "attention_totals": False,
     "check_invariants": False,
 }
+
+
+#: The one-session step and the import utilities outlive their last served
+#: use only because ``bench/trace.py`` times them (ROADMAP item 1b).  Parity
+#: tests check against the graph forward and fill pools with ``forward_step``
+#: (``tests/reference.py``), so the calls left are ``generate()``'s and those
+#: of the tests whose subject is the name, which go with it:
+#: ``(file, enclosing classes and functions, name called)``.
+ONE_SESSION_NAMES = {"forward_incremental", "admit_rows", "extend_session"}
+ONE_SESSION_CALLS = {
+    ("src/repro/llm/generation.py", "generate", "forward_incremental"),
+    *(("tests/test_nn_inference.py", f"TestKVCacheParity.{test}",
+       "forward_incremental")
+      for test in ("test_cache_overflow_raises", "test_cached_path_requires_no_grad",
+                   "test_mismatched_cache_layer_count_raises")),
+    ("tests/test_serve.py", "TestPagedDecodeParity."
+     "test_admit_rows_validates_rows_without_leaking", "admit_rows"),
+    *(("tests/test_serve.py", "TestChunkedPrefill.test_extend_session_validation",
+       name) for name in ("admit_rows", "extend_session")),
+    *(("tests/test_paged_pool_property.py", "test_random_pool_histories", name)
+      for name in ("admit_rows", "extend_session")),
+}
+
+
+def _calls(node, scope=""):
+    """``(scope, name, line)`` of every call of a ``ONE_SESSION_NAMES`` name
+    under ``node``, by attribute or bare name."""
+    if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+        scope = f"{scope}.{node.name}".lstrip(".")
+    if isinstance(node, ast.Call):
+        name = getattr(node.func, "attr", getattr(node.func, "id", None))
+        if name in ONE_SESSION_NAMES:
+            yield scope, name, node.lineno
+    for child in ast.iter_child_nodes(node):
+        yield from _calls(child, scope)
 
 
 def _fields(cls):
@@ -243,6 +280,25 @@ class TestNnSurface:
 
         timed = {target.attr for target in TARGETS if target.owner == "PagedKVCache"}
         assert timed == {name for name, pinned in PAGED_KV_PUBLIC.items() if pinned}
+
+
+def test_one_session_names_are_called_only_by_their_own_tests():
+    """Item 1b deletes each name with the tests listed for it and nothing
+    else: any other call fails here with its file and line."""
+    root = Path(__file__).resolve().parents[1]
+    calls = {}
+    for folder in ("src", "tests", "benchmarks", "examples"):
+        for path in sorted((root / folder).rglob("*.py")):
+            text = path.read_text()
+            if not any(name in text for name in ONE_SESSION_NAMES):
+                continue
+            for scope, name, line in _calls(ast.parse(text)):
+                calls.setdefault((path.relative_to(root).as_posix(), scope, name), line)
+    stray = [f"{file}:{line} {scope or '<module>'} calls {name}"
+             for (file, scope, name), line in calls.items()
+             if (file, scope, name) not in ONE_SESSION_CALLS]
+    assert not stray, "\n".join(stray)
+    assert set(calls) == ONE_SESSION_CALLS  # no stale entry to let a caller in
 
 
 def test_importing_serve_does_not_import_networkx():

@@ -6,13 +6,13 @@ import itertools
 
 import numpy as np
 import pytest
+from reference import assert_logits, assert_stream, fill, reference_logits
 
 from repro.llm import LanguageModel, generate
 from repro.llm.config import LLMConfig
 from repro.nn import (
     Linear,
     Tensor,
-    TransformerBackbone,
     causal_mask,
     get_default_dtype,
     is_grad_enabled,
@@ -221,37 +221,12 @@ class TestMaskAndPositionCaches:
         ids = np.arange(12) % model.tokenizer.vocab_size
         with no_grad():
             model.forward_tokens(ids[None, :])
-            model.forward_incremental(ids[None, :], model.init_cache())
+            fill(model, model.init_paged_cache(max_sessions=1), ids)
             model.last_position_features(
                 model.token_embedding(ids).data, [5, 7])
         assert len(served) >= 3
         assert all(mask.dtype == np.float32 for mask in served)
 
-    def test_float32_model_exact_parity_under_float64_default(self, float64_default):
-        # Build under float32, use after the global default is restored to
-        # float64 (the benchmark pattern): masked full forward, re-primed
-        # multi-token and single-token cached steps must all stay float32
-        # and agree exactly.
-        set_default_dtype(np.float32)
-        model = _tiny_model(0, seed=5)
-        set_default_dtype(np.float64)
-        ids = np.random.default_rng(4).integers(0, model.tokenizer.vocab_size, size=20)
-        with no_grad():
-            full = model.forward_tokens(ids[None, :]).data
-            cache = model.init_cache()
-            parts = [model.forward_incremental(ids[None, :8], cache).data]
-            for t in range(8, 20):
-                parts.append(model.forward_incremental(ids[None, t:t + 1], cache).data)
-            incremental = np.concatenate(parts, axis=1)
-        assert full.dtype == np.float32 and incremental.dtype == np.float32
-        # Parity at float32 machine precision: batched vs single-token sgemm
-        # may round differently, unlike the exact float64 case above.
-        np.testing.assert_allclose(incremental, full, atol=1e-5, rtol=0)
-
-
-#: The parity policy (``docs/paged_kv.md``): cached logits stay within this
-#: of the full-window graph forward, the one reference.
-PARITY_ATOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-4}
 
 #: ``(dtype, temperature, lora_rank)``: every combination the parity tests
 #: run.  A loop inside each test rather than pytest ids, so the tests keep
@@ -279,60 +254,39 @@ def _tiny_model(lora_rank: int, seed: int = 0, dtype=None) -> LanguageModel:
     return model
 
 
-def _assert_same_stream(model, prompt, cached, reference, temperature, seed):
-    """Cached and reference token streams are equal, except for a token the
-    reference's sampler chose by less than the policy bound: the first flip
-    is reported by step with its margin (the gap between the top two logits
-    when greedy; between the uniform draw and the nearest CDF edge when
-    sampling)."""
-    if cached.token_ids == reference.token_ids:
-        return
-    step = next(i for i, (a, b) in enumerate(zip(cached.token_ids, reference.token_ids))
-                if a != b)
-    context = model.tokenizer.encode(prompt, add_bos=True) + reference.token_ids[:step]
-    with no_grad():
-        logits = model.forward_tokens(np.asarray(
-            context[-model.config.max_seq_len:])[None, :]).data[0, -1]
-    if temperature:
-        rng = np.random.default_rng(seed)
-        draw = [rng.random() for _ in range(step + 1)][-1]
-        probs = np.exp((logits - logits.max()) / temperature)
-        cdf = probs.cumsum(dtype=np.float64) / probs.sum(dtype=np.float64)
-        margin = float(np.abs(cdf - draw).min())
-    else:
-        top = np.sort(logits)[-2:]
-        margin = float(top[1] - top[0])
-    bound = PARITY_ATOL[logits.dtype]
-    assert margin < bound, (f"token flipped at step {step} with margin "
-                            f"{margin:.3g} (bound {bound:g})")
-
-
 class TestKVCacheParity:
     @pytest.mark.parametrize("lora_rank", [0, 4])
     def test_incremental_logits_match_full_forward(self, lora_rank):
+        """A prompt row, then single-token steps, of a model built under its
+        dtype and used after the default went back to float64 (the
+        benchmark pattern): the step's and the graph forward's logits stay
+        in the model's dtype, within the policy bound in float64 and 1e-5 in
+        float32."""
         for dtype in (np.float64, np.float32):
             model = _tiny_model(lora_rank, dtype=dtype)
             vocab = model.tokenizer.vocab_size
             ids = np.random.default_rng(0).integers(0, vocab, size=32)
             with no_grad():
-                full = model.forward_tokens(ids[None, :]).data
-                cache = model.init_cache()
-                chunks = [model.forward_incremental(ids[None, :6], cache).data]
-                for step in range(6, len(ids)):
-                    chunks.append(
-                        model.forward_incremental(ids[None, step:step + 1], cache).data)
-                incremental = np.concatenate(chunks, axis=1)
-            assert cache.length(cache.sessions[0]) == len(ids)
-            assert incremental.dtype == full.dtype == dtype
-            np.testing.assert_allclose(incremental, full, rtol=0,
-                                       atol=PARITY_ATOL[np.dtype(dtype)],
-                                       err_msg=np.dtype(dtype).name)
+                pool = model.init_paged_cache(max_sessions=1)
+                sid, prompt = fill(model, pool, ids[:6])
+                _, steps = fill(model, pool, ids[6:], chunk=1, session=sid)
+            incremental = np.concatenate([prompt, steps])
+            assert pool.length(sid) == len(ids)
+            assert incremental.dtype == reference_logits(model, ids).dtype == dtype
+            assert_logits(model, ids, incremental, err_msg=np.dtype(dtype).name,
+                          atol=1e-5 if dtype == np.float32 else None)
+
+    @staticmethod
+    def _one_session(model):
+        pool = model.init_paged_cache(max_sessions=1)
+        pool.open_session()
+        return pool
 
     def test_cache_overflow_raises(self):
         config = LLMConfig(name="cap", family="test", d_model=16, num_layers=1,
                            num_heads=2, max_seq_len=8)
         model = LanguageModel(config, seed=0)
-        cache = model.init_cache()
+        cache = self._one_session(model)
         with no_grad():
             model.forward_incremental(np.arange(8)[None, :], cache)
             with pytest.raises(ValueError, match="exceeds maximum"):
@@ -342,7 +296,7 @@ class TestKVCacheParity:
     def test_cached_path_requires_no_grad(self):
         model = _tiny_model(0)
         with pytest.raises(RuntimeError, match="no_grad"):
-            model.forward_incremental(np.asarray([[1, 2]]), model.init_cache())
+            model.forward_incremental(np.asarray([[1, 2]]), self._one_session(model))
 
     def test_mismatched_cache_layer_count_raises(self):
         config = LLMConfig(name="shallow", family="test", d_model=32, num_layers=1,
@@ -351,7 +305,7 @@ class TestKVCacheParity:
         with no_grad():
             with pytest.raises(ValueError, match="cache has 1 layers"):
                 _tiny_model(0).forward_incremental(np.asarray([[1, 2]]),
-                                                   shallow.init_cache())
+                                                   self._one_session(shallow))
 
     def test_load_state_dict_preserves_model_dtype(self, float64_default):
         layer = Linear(3, 2)  # built under the float64 default
@@ -363,12 +317,15 @@ class TestKVCacheParity:
     def test_generate_cached_matches_uncached(self):
         for dtype, temperature, lora_rank in MATRIX:
             model = _tiny_model(lora_rank, seed=7, dtype=dtype)
-            cached = generate(model, "abc 1.0 2.0", max_new_tokens=20,
-                              temperature=temperature, seed=3, use_cache=True)
-            uncached = generate(model, "abc 1.0 2.0", max_new_tokens=20,
-                                temperature=temperature, seed=3, use_cache=False)
-            _assert_same_stream(model, "abc 1.0 2.0", cached, uncached, temperature, 3)
-            assert cached.num_inferences == uncached.num_inferences
+            prompt = model.tokenizer.encode("abc 1.0 2.0", add_bos=True)
+            for use_cache in (True, False):
+                result = generate(model, "abc 1.0 2.0", max_new_tokens=20,
+                                  temperature=temperature, seed=3,
+                                  use_cache=use_cache)
+                assert_stream(model, prompt, result.token_ids, temperature, 3,
+                              result.stopped_by_eos, max_new_tokens=20)
+                assert result.num_inferences == (len(result.token_ids)
+                                                 + result.stopped_by_eos)
 
     def test_generate_evals_dropout_model_so_paths_agree(self):
         # A dropout model left in training mode: generate() must switch to
@@ -388,25 +345,85 @@ class TestKVCacheParity:
                            num_heads=2, max_seq_len=48, dropout=0.3)
         model = LanguageModel(config, seed=0)
         assert model.training
-        cache = model.init_cache()
+        pool = model.init_paged_cache(max_sessions=1)
+        sid = pool.open_session()
         with no_grad():
             with pytest.raises(RuntimeError, match="dropout"):
-                model.forward_incremental(np.asarray([[1, 2]]), cache)
+                fill(model, pool, [1, 2], session=sid)
             model.eval()
-            model.forward_incremental(np.asarray([[1, 2]]), cache)
-        assert cache.length(cache.sessions[0]) == 2
+            fill(model, pool, [1, 2], session=sid)
+        assert pool.length(sid) == 2
 
     def test_generate_cached_matches_uncached_past_window_overflow(self):
         # max_seq_len=48: generating 60 tokens forces the sliding-window
-        # re-priming path (evict, reopen, one prefill row); token streams
-        # must still agree.
+        # re-priming path (evict, reopen, one prefill row); both streams are
+        # the reference's, every step past the window on its own window.
         for dtype, temperature, lora_rank in MATRIX:
             model = _tiny_model(lora_rank, seed=11, dtype=dtype)
-            cached = generate(model, "xyz", max_new_tokens=60, stop_on_eos=False,
-                              temperature=temperature, seed=5)
-            uncached = generate(model, "xyz", max_new_tokens=60, stop_on_eos=False,
-                                temperature=temperature, seed=5, use_cache=False)
-            _assert_same_stream(model, "xyz", cached, uncached, temperature, 5)
+            prompt = model.tokenizer.encode("xyz", add_bos=True)
+            for use_cache in (True, False):
+                result = generate(model, "xyz", max_new_tokens=60, stop_on_eos=False,
+                                  temperature=temperature, seed=5,
+                                  use_cache=use_cache)
+                assert_stream(model, prompt, result.token_ids, temperature, 5,
+                              False, max_new_tokens=60)
+
+
+class TestParityOracle:
+    """``assert_stream`` (``tests/reference.py``) accepts what ``generate()``
+    samples and rejects, naming the step, a stream it did not sample.  Seed
+    7 stops on EOS after 23 tokens at temperature 1; seed 1 and the greedy
+    stream run the whole budget."""
+
+    @pytest.fixture(scope="class", params=[np.float64, np.float32],
+                    ids=["float64", "float32"])
+    def streams(self, request):
+        previous = set_default_dtype(request.param)
+        try:
+            model = LanguageModel(LLMConfig(name="oracle", family="test", d_model=32,
+                                            num_layers=2, num_heads=2, max_seq_len=64),
+                                  seed=3)
+        finally:
+            set_default_dtype(previous)
+        prompt = model.tokenizer.encode("abc abc abc", add_bos=True)
+        return model, [(prompt, generate(model, "abc abc abc", max_new_tokens=40,
+                                         temperature=temperature, seed=seed),
+                        temperature, seed)
+                       for temperature, seed in ((1.0, 7), (1.0, 1), (0.0, 0))]
+
+    def test_accepts_generated_streams(self, streams):
+        model, streams = streams
+        for prompt, result, temperature, seed in streams:
+            assert_stream(model, prompt, result.token_ids, temperature, seed,
+                          result.stopped_by_eos, max_new_tokens=40)
+        assert [stream[1].stopped_by_eos for stream in streams] == [True, False, False]
+
+    def test_rejects_a_changed_token(self, streams):
+        model, streams = streams
+        for prompt, result, temperature, seed in streams:
+            tokens, step = list(result.token_ids), len(result.token_ids) // 2
+            tokens[step] = (tokens[step] + 1) % model.tokenizer.vocab_size
+            with pytest.raises(AssertionError, match=f"^step {step}: "):
+                assert_stream(model, prompt, tokens, temperature, seed,
+                              result.stopped_by_eos, max_new_tokens=40)
+
+    def test_rejects_a_stream_cut_short(self, streams):
+        model, streams = streams
+        for prompt, result, temperature, seed in streams:
+            cut = len(result.token_ids) - 1
+            with pytest.raises(AssertionError, match=(
+                    f"^step {cut}: " if result.stopped_by_eos
+                    else f"^stream cut short at step {cut}:")):
+                assert_stream(model, prompt, result.token_ids[:cut], temperature,
+                              seed, result.stopped_by_eos, max_new_tokens=40)
+
+    def test_rejects_an_eos_the_model_did_not_sample(self, streams):
+        model, streams = streams
+        eos = model.tokenizer.eos_id
+        for prompt, result, temperature, seed in streams[1:]:
+            with pytest.raises(AssertionError, match=f"^step 12: the stream has {eos} "):
+                assert_stream(model, prompt, result.token_ids[:12], temperature,
+                              seed, True)
 
 
 def _randomize(module, rng) -> None:
@@ -466,12 +483,8 @@ class TestRawApply:
         model = LanguageModel(config, lora_rank=lora_rank, seed=0)
         paged = model.init_paged_cache(max_sessions=2, block_size=4)
         with no_grad():
-            sids = []
-            for prompt in ([5, 6, 7], [8, 9, 10, 11, 12]):
-                cache = model.init_cache()
-                model.forward_incremental(np.asarray([prompt]), cache)
-                sids.append(paged.admit(cache))
-            sids = np.asarray(sids)
+            sids = np.asarray([fill(model, paged, prompt)[0]
+                               for prompt in ([5, 6, 7], [8, 9, 10, 11, 12])])
             built = []
             original = Tensor.__init__
 

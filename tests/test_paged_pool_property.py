@@ -53,7 +53,7 @@ def _fill(pool, history):
 
 def _staged(history):
     """A one-layer source pool whose one session holds ``history`` as keys
-    (values the negation): what ``admit`` / ``extend_session`` import."""
+    (values the negation): what ``admit_rows`` / ``extend_session`` import."""
     source = _pool(-(-len(history) // BLOCK))
     _fill(source, history)
     return source
@@ -194,8 +194,8 @@ def test_random_pool_histories(operations):
                 continue
             head = state.prefix if shared else []
             history = head + state.fresh(length)
-            sid = state.both(lambda pool: pool.admit(
-                _staged(history), shared_blocks=state.shared if shared else ()))
+            sid = state.both(lambda pool: pool.admit_rows(
+                _staged(history), shared_blocks=state.shared if shared else ())[0])
             if sid is not EXHAUSTED:
                 expected[sid] = history
         elif name == "open":

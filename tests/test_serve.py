@@ -1,4 +1,4 @@
-"""Serving engine tests: paged batched/sequential parity, continuous batching,
+"""Serving engine tests: paged parity with the graph forward, continuous batching,
 block-pool invariants, prefix sharing, scheduler behaviour, the typed
 request/lifecycle surface (streaming, cancellation, deadlines, priorities),
 pluggable task runtimes and the metrics surface."""
@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 import pytest
+from reference import Twin, decode, fill, standalone
 
 from repro.llm import LanguageModel, build_llm, generate
 from repro.llm.config import LLMConfig
@@ -52,63 +53,19 @@ def model():
     return LanguageModel(config, seed=3)
 
 
-def _kv_dims(model):
-    """The K/V shape of ``model``'s pool, as ``PagedKVCache`` takes it."""
-    attention = model.backbone.blocks[0].attention
-    return dict(num_heads=attention.num_heads, head_dim=attention.head_dim,
-                dtype=model.backbone.position_embedding.data.dtype)
-
-
-def _prefill(model, prompt_ids):
-    """Single-session reference prefill: (cache, greedy first token)."""
-    cache = model.init_cache()
-    logits = model.forward_incremental(
-        np.asarray(prompt_ids, dtype=np.int64)[None, :], cache)
-    return cache, int(np.argmax(logits.data[0, -1]))
-
-
 # ---------------------------------------------------------------------- #
-# Paged batched decoding parity with sequential single-session decoding
+# Paged batched decoding parity with the graph forward (tests/reference.py)
 # ---------------------------------------------------------------------- #
 class TestPagedDecodeParity:
-    # Parity is asserted at atol=1e-9/rtol=0 (the repo's "machine precision"
-    # convention): BLAS rounds batched GEMMs differently from single-row ones
-    # at the ~1e-15 level, so bit-exactness across batch shapes is impossible
-    # by construction — 1e-9 is ~6 orders of magnitude tighter than any
-    # difference that could flip a sampled token in practice.
-
     def test_ragged_batch_matches_sequential(self, model):
         """N sessions with different prompt lengths decode identically."""
         rng = np.random.default_rng(0)
         vocab = model.tokenizer.vocab_size
-        prompts = [rng.integers(0, vocab, size=n).tolist() for n in (3, 11, 7, 1, 18)]
-
+        paged = model.init_paged_cache(max_sessions=8, block_size=4)
         with no_grad():
-            reference_caches = []
-            reference_logits = []
-            for prompt in prompts:
-                cache = model.init_cache()
-                logits = model.forward_incremental(
-                    np.asarray(prompt, dtype=np.int64)[None, :], cache)
-                reference_caches.append(cache)
-                reference_logits.append(logits.data[0, -1])
-
-            paged = model.init_paged_cache(max_sessions=8, block_size=4)
-            sessions = []
-            for prompt in prompts:
-                cache, _ = _prefill(model, prompt)
-                sessions.append(paged.admit(cache))
-            sessions = np.asarray(sessions, dtype=np.int64)
-
-            tokens = [int(np.argmax(l)) for l in reference_logits]
-            for _ in range(8):
-                out = model.forward_step(np.asarray(tokens), paged, sessions).data[0]
-                for row, cache in enumerate(reference_caches):
-                    expected = model.forward_incremental(
-                        np.asarray([[tokens[row]]], dtype=np.int64), cache).data[0, -1]
-                    np.testing.assert_allclose(out[row], expected, atol=1e-9, rtol=0)
-                tokens = [int(np.argmax(out[row])) for row in range(len(prompts))]
-                paged.check_invariants()
+            twins = [Twin(model, paged, rng.integers(0, vocab, size=n))
+                     for n in (3, 11, 7, 1, 18)]
+            decode(model, paged, twins, steps=8)
 
     def test_interleaved_admission_eviction_parity(self, model):
         """Evicting mid-flight and admitting into freed blocks keeps parity."""
@@ -117,62 +74,35 @@ class TestPagedDecodeParity:
         paged = model.init_paged_cache(max_sessions=3, block_size=4)
 
         with no_grad():
-            sessions = {}
-            for length in (5, 9, 2):
-                prompt = rng.integers(0, vocab, size=length)
-                cache, token = _prefill(model, prompt)
-                sid = paged.admit(cache)
-                sessions[sid] = {"cache": cache, "token": token}
-
-            def step(ids):
-                ids = np.asarray(sorted(ids), dtype=np.int64)
-                tokens = np.asarray([sessions[int(s)]["token"] for s in ids])
-                out = model.forward_step(tokens, paged, ids).data[0]
-                for row, sid in enumerate(ids):
-                    state = sessions[int(sid)]
-                    expected = model.forward_incremental(
-                        np.asarray([[state["token"]]], dtype=np.int64),
-                        state["cache"]).data[0, -1]
-                    np.testing.assert_allclose(out[row], expected, atol=1e-9, rtol=0)
-                    state["token"] = int(np.argmax(expected))
-                paged.check_invariants()
-
-            step(list(sessions))
-            step(list(sessions))
+            twins = [Twin(model, paged, rng.integers(0, vocab, size=length))
+                     for length in (5, 9, 2)]
+            decode(model, paged, twins, steps=2)
             # Evict the 9-token session; its blocks must return to the pool.
-            victim = list(sessions)[1]
+            victim = twins.pop(1)
             held = paged.blocks_in_use
-            victim_blocks = len(paged.table(victim))
-            paged.evict(victim)
-            del sessions[victim]
+            victim_blocks = len(paged.table(victim.sid))
+            paged.evict(victim.sid)
             assert paged.blocks_in_use == held - victim_blocks
             paged.check_invariants()
-            step(list(sessions))
-            prompt = rng.integers(0, vocab, size=13)
-            cache, token = _prefill(model, prompt)
+            decode(model, paged, twins, steps=1)
             before = paged.allocator.high_water
             reusable = before - paged.blocks_in_use  # freed, not yet reassigned
             needed = paged.blocks_needed(13)
-            sid = paged.admit(cache)
+            twins.append(Twin(model, paged, rng.integers(0, vocab, size=13)))
             # Freed blocks are reused first; the pool only grows by the deficit.
             assert paged.allocator.high_water == before + max(0, needed - reusable)
-            sessions[sid] = {"cache": cache, "token": token}
-            step(list(sessions))
-            step(list(sessions))
+            decode(model, paged, twins, steps=2)
 
     def test_block_exhaustion_and_errors(self, model):
         # Pool with room for exactly 2 blocks of 4 tokens.
-        paged = PagedKVCache(model.config.num_layers,
-                             max_blocks=2, block_size=4, **_kv_dims(model))
+        paged = model.backbone.init_paged_cache(2, block_size=4)
         with no_grad():
-            cache = model.init_cache()
-            model.forward_incremental(np.asarray([[5, 6, 7, 1, 2]]), cache)  # 2 blocks
-            sid = paged.admit(cache)
-            other = model.init_cache()
-            model.forward_incremental(np.asarray([[9]]), other)
+            sid, _ = fill(model, paged, [5, 6, 7, 1, 2])  # 2 blocks
+            other = paged.open_session()
             with pytest.raises(RuntimeError, match="out of KV-cache blocks"):
-                paged.admit(other)
-            paged.check_invariants()  # failed admit must not leak blocks
+                fill(model, paged, [9], session=other)
+            assert paged.length(other) == 0 and paged.table(other) == ()
+            paged.check_invariants()  # a refused step must not leak blocks
             paged.evict(sid)
             # Every entry keyed by a session id refuses a dead one alike.
             for call in (paged.evict, paged.length, paged.table, paged.fork,
@@ -180,23 +110,25 @@ class TestPagedDecodeParity:
                 with pytest.raises(ValueError, match=f"session {sid} is not live"):
                     call(sid)
             assert paged.blocks_in_use == 0
-            paged.admit(other)  # freed blocks are usable again
-        with pytest.raises(ValueError, match="prefill first"):
-            paged.admit(model.init_cache())
-        mismatched = PagedKVCache(5, max_blocks=4, block_size=4, **_kv_dims(model))
+            fill(model, paged, [9], session=other)  # freed blocks are usable again
+        mismatched = PagedKVCache(5, 4, block_size=4, num_heads=2, head_dim=16,
+                                  dtype=np.float64)
         with pytest.raises(ValueError, match="layers"):
             with no_grad():
-                cache2 = model.init_cache()
-                model.forward_incremental(np.asarray([[1]]), cache2)
-                mismatched.admit(cache2)
+                fill(model, mismatched, [1])
+        assert mismatched.sessions == ()  # the refused prompt's row is gone
 
     def test_admit_rows_validates_rows_without_leaking(self, model):
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
+        source = model.init_paged_cache(max_sessions=1, block_size=4)
         with no_grad():
-            cache, _ = _prefill(model, [1, 2, 3])
+            fill(model, source, [1, 2, 3])
             for bad in (3, -1):  # no such session in the source pool
                 with pytest.raises(ValueError, match="not live"):
-                    paged.admit_rows(cache, sessions=[bad])
+                    paged.admit_rows(source, sessions=[bad])
+            source.open_session()  # empty
+            with pytest.raises(ValueError, match="prefill first"):
+                paged.admit_rows(source)
             assert paged.blocks_in_use == 0  # nothing leaked
             paged.check_invariants()
 
@@ -207,27 +139,23 @@ class TestPagedDecodeParity:
         one each, failing ``check_invariants``)."""
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
         with no_grad():
-            cache, _ = _prefill(model, list(range(1, 13)))  # three full blocks
-            owner = paged.admit(cache)
-            live, dead = paged.table(owner)[0], paged.allocator.num_blocks - 1
-            for share in (lambda: paged.open_session([live, dead], 8),
-                          lambda: paged.admit(cache, shared_blocks=[live, dead])):
-                with pytest.raises(ValueError, match=f"block {dead}: it is not allocated"):
-                    share()
-                assert paged.allocator.refcounts[live] == 1
-                assert paged.sessions == (owner,)
-                paged.check_invariants()
+            owner, _ = fill(model, paged, list(range(1, 13)))  # three full blocks
+        live, dead = paged.table(owner)[0], paged.allocator.num_blocks - 1
+        with pytest.raises(ValueError, match=f"block {dead}: it is not allocated"):
+            paged.open_session([live, dead], 8)
+        assert paged.allocator.refcounts[live] == 1
+        assert paged.sessions == (owner,)
+        paged.check_invariants()
 
     def test_simultaneous_cow_rezeros_the_freed_block(self, model):
         """When every holder of a shared tail block copy-on-writes in the same
         step, the orphaned original returns to the pool zero-filled."""
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
         with no_grad():
-            cache, token = _prefill(model, [1, 2, 3])  # partial tail block
-            sid_a = paged.admit(cache)
+            sid_a, _ = fill(model, paged, [1, 2, 3])  # partial tail block
             shared_block = paged.table(sid_a)[-1]
             sid_b = paged.fork(sid_a)
-            model.forward_step(np.asarray([token, token]), paged,
+            model.forward_step(np.asarray([4, 4]), paged,
                                np.asarray([sid_a, sid_b]))
             # Both sessions split off private copies; the original freed.
             assert shared_block not in paged.table(sid_a)
@@ -260,34 +188,24 @@ class TestPagedDecodeParity:
         attention window).  ``count`` tokens per row: the plain step and the
         ragged multi-token step allocate through the same all-or-nothing
         call."""
-        paged = PagedKVCache(model.config.num_layers,
-                             max_blocks=3, block_size=4, **_kv_dims(model))
+        paged = model.backbone.init_paged_cache(3, block_size=4)
         counts = None if count == 1 else np.asarray([count, count])
         with no_grad():
-            cache_a, token_a = _prefill(model, [1, 2, 3, 4])  # exactly 1 block
-            cache_b, _ = _prefill(model, [5, 6, 7, 8])
-            sid_a = paged.admit(cache_a)
-            sid_b = paged.admit(cache_b)
+            twin = Twin(model, paged, [1, 2, 3, 4])  # exactly 1 block
+            sid_b, _ = fill(model, paged, [5, 6, 7, 8])
             with pytest.raises(RuntimeError, match="out of KV-cache blocks"):
                 model.forward_step(np.tile([[1], [2]], count), paged,
-                                   np.asarray([sid_a, sid_b]), counts=counts)
+                                   np.asarray([twin.sid, sid_b]), counts=counts)
             # No table was mutated and the pool balances.
-            assert len(paged.table(sid_a)) == 1 and len(paged.table(sid_b)) == 1
+            assert len(paged.table(twin.sid)) == 1 and len(paged.table(sid_b)) == 1
             paged.check_invariants()
             paged.evict(sid_b)
-            out = model.forward_step(np.asarray([token_a]), paged,
-                                     np.asarray([sid_a])).data[0, -1, :]
-            expected = model.forward_incremental(
-                np.asarray([[token_a]], dtype=np.int64), cache_a).data[0, -1]
-            np.testing.assert_allclose(out, expected, atol=1e-9, rtol=0)
-            paged.check_invariants()
+            decode(model, paged, [twin], steps=1)
 
     def test_forward_step_validation(self, model):
         paged = model.init_paged_cache(max_sessions=4)
         with no_grad():
-            cache = model.init_cache()
-            model.forward_incremental(np.asarray([[5, 6]]), cache)
-            sid = paged.admit(cache)
+            sid, _ = fill(model, paged, [5, 6])
             with pytest.raises(ValueError, match="duplicate"):
                 model.forward_step(np.asarray([1, 2]), paged,
                                    np.asarray([sid, sid]))
@@ -312,9 +230,7 @@ class TestPagedDecodeParity:
         # Block size 3: the refused token would have opened a third block.
         paged = capped.init_paged_cache(max_sessions=2, block_size=3)
         with no_grad():
-            cache = capped.init_cache()
-            capped.forward_incremental(np.asarray([[1, 2, 3, 4, 5]]), cache)
-            sid = paged.admit(cache)
+            sid, _ = fill(capped, paged, [1, 2, 3, 4, 5])
             capped.forward_step(np.asarray([1]), paged, np.asarray([sid]))  # -> 6
             with pytest.raises(ValueError, match="exceeds maximum"):
                 capped.forward_step(np.asarray([1]), paged, np.asarray([sid]))
@@ -332,28 +248,23 @@ class TestPagedDecodeParity:
         with no_grad():
             sid = paged.open_session()
             if history:
-                capped.forward_step(np.arange(history), paged, np.asarray([sid]),
-                                    counts=np.asarray([history]))
+                fill(capped, paged, np.arange(history), session=sid)
             blocks, table = paged.blocks_in_use, paged.table(sid)
             feed = config.max_seq_len - history + 1
             with pytest.raises(ValueError, match="sequence length 7 exceeds maximum 6"):
-                capped.forward_step(np.zeros(feed, dtype=np.int64), paged,
-                                    np.asarray([sid]), counts=np.asarray([feed]))
+                fill(capped, paged, np.zeros(feed), session=sid)
             assert paged.blocks_in_use == blocks and paged.table(sid) == table
             assert paged.length(sid) == history
             paged.check_invariants()
             # One token fewer fits, from the same untouched row.
-            capped.forward_step(np.zeros(feed - 1, dtype=np.int64), paged,
-                                np.asarray([sid]), counts=np.asarray([feed - 1]))
+            fill(capped, paged, np.zeros(feed - 1), session=sid)
             assert paged.length(sid) == config.max_seq_len
             paged.check_invariants()
 
     def test_forward_step_requires_no_grad(self, model):
         paged = model.init_paged_cache(max_sessions=2)
         with no_grad():
-            cache = model.init_cache()
-            model.forward_incremental(np.asarray([[4, 2]]), cache)
-            sid = paged.admit(cache)
+            sid, _ = fill(model, paged, [4, 2])
         with pytest.raises(RuntimeError, match="no_grad"):
             model.forward_step(np.asarray([1]), paged, np.asarray([sid]))
 
@@ -361,120 +272,88 @@ class TestPagedDecodeParity:
         """A forked session shares blocks until the first divergent write."""
         rng = np.random.default_rng(11)
         vocab = model.tokenizer.vocab_size
-        prompt = rng.integers(0, vocab, size=7).tolist()  # partial tail block
+        prompt = rng.integers(0, vocab, size=7)  # partial tail block
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
         with no_grad():
-            cache_a, _ = _prefill(model, prompt)
-            cache_b, _ = _prefill(model, prompt)  # independent reference twin
-            sid_a = paged.admit(cache_a)
+            original = Twin(model, paged, prompt)
             blocks_before = paged.blocks_in_use
-            sid_b = paged.fork(sid_a)
+            fork = original.fork()
             # Fork is free: same blocks, higher refcounts.
             assert paged.blocks_in_use == blocks_before
-            assert paged.table(sid_b) == paged.table(sid_a)
+            assert paged.table(fork.sid) == paged.table(original.sid)
             paged.check_invariants()
 
             # Diverge: feed different tokens to original and fork.
-            token_a, token_b = 3, 9
-            out = model.forward_step(np.asarray([token_a, token_b]), paged,
-                                     np.asarray([sid_a, sid_b])).data[0]
+            original.next_token, fork.next_token = 3, 9
+            decode(model, paged, [original, fork], steps=1)
             # Copy-on-write split the shared tail block.
-            assert paged.table(sid_b)[-1] != paged.table(sid_a)[-1]
-            assert paged.table(sid_b)[:-1] == paged.table(sid_a)[:-1]
-            paged.check_invariants()
-            expected_a = model.forward_incremental(
-                np.asarray([[token_a]], dtype=np.int64), cache_a).data[0, -1]
-            expected_b = model.forward_incremental(
-                np.asarray([[token_b]], dtype=np.int64), cache_b).data[0, -1]
-            np.testing.assert_allclose(out[0], expected_a, atol=1e-9, rtol=0)
-            np.testing.assert_allclose(out[1], expected_b, atol=1e-9, rtol=0)
-
+            assert paged.table(fork.sid)[-1] != paged.table(original.sid)[-1]
+            assert paged.table(fork.sid)[:-1] == paged.table(original.sid)[:-1]
             # Continue decoding both; they must stay exact.
-            for _ in range(4):
-                token_a = int(np.argmax(expected_a))
-                token_b = int(np.argmax(expected_b))
-                out = model.forward_step(np.asarray([token_a, token_b]), paged,
-                                         np.asarray([sid_a, sid_b])).data[0]
-                expected_a = model.forward_incremental(
-                    np.asarray([[token_a]], dtype=np.int64), cache_a).data[0, -1]
-                expected_b = model.forward_incremental(
-                    np.asarray([[token_b]], dtype=np.int64), cache_b).data[0, -1]
-                np.testing.assert_allclose(out[0], expected_a, atol=1e-9, rtol=0)
-                np.testing.assert_allclose(out[1], expected_b, atol=1e-9, rtol=0)
-                paged.check_invariants()
+            decode(model, paged, [original, fork], steps=4)
 
             # Evicting the original must not free blocks the fork still maps.
-            paged.evict(sid_a)
+            paged.evict(original.sid)
             paged.check_invariants()
-            expected_b = model.forward_incremental(
-                np.asarray([[1]], dtype=np.int64), cache_b).data[0, -1]
-            out = model.forward_step(np.asarray([1]), paged,
-                                     np.asarray([sid_b])).data[0, -1, :]
-            np.testing.assert_allclose(out, expected_b, atol=1e-9, rtol=0)
+            fork.next_token = 1
+            decode(model, paged, [fork], steps=1)
 
 
 # ---------------------------------------------------------------------- #
-# Randomized stress/property test: paged serving vs sequential decoding
+# Randomized stress/property test: paged serving vs the graph forward
 # ---------------------------------------------------------------------- #
 class TestPagedStressParity:
     def test_random_interleavings_match_sequential(self, model):
-        """200+ randomized admit/decode/evict steps keep exact logit parity.
+        """200+ randomized admit/decode/evict steps keep logit parity.
 
-        Every live session is shadowed by its own single-session
-        ``forward_incremental`` reference; after every batched step the paged
-        logits must match each shadow exactly (atol=1e-9/rtol=0) and the
-        block pool must satisfy all accounting invariants.
+        Every live session is a :class:`Twin`; after every batched step the
+        block pool must satisfy all accounting invariants, and every
+        session's logits, from its prompt to its eviction, must be the graph
+        forward's over its tokens within the policy bound.
         """
         rng = np.random.default_rng(1234)
         vocab = model.tokenizer.vocab_size
         max_live = 6
         paged = model.init_paged_cache(max_sessions=max_live, block_size=4)
-        live = {}  # sid -> {"cache": reference KVCache, "token": next token}
+        live = {}  # sid -> Twin
         admitted = evicted = decode_steps = 0
+
+        def evict(sid):
+            live.pop(sid).check()
+            paged.evict(sid)
 
         with no_grad():
             for step in range(220):
                 action = rng.random()
                 if (action < 0.25 and len(live) < max_live) or not live:
                     length = int(rng.integers(1, 24))
-                    prompt = rng.integers(0, vocab, size=length)
-                    cache, token = _prefill(model, prompt)
-                    sid = paged.admit(cache)
-                    live[sid] = {"cache": cache, "token": token}
+                    twin = Twin(model, paged, rng.integers(0, vocab, size=length))
+                    live[twin.sid] = twin
                     admitted += 1
                 elif action < 0.35 and len(live) > 1:
-                    victim = int(rng.choice(list(live)))
-                    paged.evict(victim)
-                    del live[victim]
+                    evict(int(rng.choice(list(live))))
                     evicted += 1
                 else:
                     # Sessions near the model's context limit must retire
                     # (mirrors the engine's context_full eviction).
                     for sid in [s for s in live
                                 if paged.length(s) + 1 > model.config.max_seq_len]:
-                        paged.evict(sid)
-                        del live[sid]
+                        evict(sid)
                         evicted += 1
                     if not live:
                         continue
-                    ids = np.asarray(sorted(live), dtype=np.int64)
-                    tokens = np.asarray([live[int(s)]["token"] for s in ids])
-                    out = model.forward_step(tokens, paged, ids).data[0]
-                    for row, sid in enumerate(ids):
-                        state = live[int(sid)]
-                        expected = model.forward_incremental(
-                            np.asarray([[state["token"]]], dtype=np.int64),
-                            state["cache"]).data[0, -1]
-                        np.testing.assert_allclose(
-                            out[row], expected, atol=1e-9, rtol=0,
-                            err_msg=f"step {step}, session {int(sid)}")
-                        state["token"] = int(np.argmax(expected))
+                    twins = [live[sid] for sid in sorted(live)]
+                    out = model.forward_step(
+                        np.asarray([twin.next_token for twin in twins]), paged,
+                        np.asarray(sorted(live), dtype=np.int64)).data[0]
+                    for twin, row in zip(twins, out):
+                        twin.feed([twin.next_token], row[None])
                     decode_steps += 1
                 paged.check_invariants()
         # The interleaving actually exercised all three operations.
         assert admitted >= 10 and evicted >= 5 and decode_steps >= 100
         for sid in list(live):
-            paged.evict(sid)
+            evict(sid)
         paged.check_invariants()
         assert paged.blocks_in_use == 0
 
@@ -497,12 +376,10 @@ class TestPagedStressParity:
         handles = [server.submit_generation(p, max_new_tokens=int(rng.integers(2, 8)),
                                  stop_on_eos=False) for p in prompts]
         server.run_until_idle()
-        for prompt, handle in zip(prompts, handles):
+        for handle in handles:
             served = handle.result()
-            reference = generate(model, prompt,
-                                 max_new_tokens=served.num_inferences,
-                                 stop_on_eos=False)
-            assert served.token_ids == reference.token_ids
+            assert served.token_ids == standalone(
+                model, handle.request, max_new_tokens=served.num_inferences)
         stats = server.stats()
         assert stats.prefix_hits > 0 and stats.prefix_misses > 0
         assert stats.prefix_tokens_reused >= stats.prefix_hits
@@ -578,9 +455,6 @@ class TestOnePrefillBody:
             return forward(ids, cache, slots, counts=counts, prompt_from=prompt_from)
 
         monkeypatch.setattr(model, "forward_step", spy)
-        # The served path never takes generate()'s one-session route.
-        monkeypatch.setattr(model, "forward_incremental", None)
-        monkeypatch.setattr(model, "init_cache", None)
 
         check = manager.cache.check_invariants
 
@@ -602,9 +476,7 @@ class TestOnePrefillBody:
             manager.step()
             check()
         for session in sessions:
-            reference = generate(model, session.prompt, max_new_tokens=6,
-                                 stop_on_eos=False)
-            assert session.generated == reference.token_ids, session.prompt
+            assert session.generated == standalone(model, session), session.prompt
         assert manager.cache.sessions == (manager.prefix.sessions if prefix else ())
 
     def test_default_policy_is_the_chunked_route_with_the_whole_context(self, model):
@@ -638,7 +510,7 @@ class TestOnePrefillBody:
 class TestNoContiguousCacheOnTheServedPath:
     def test_mixed_run_with_the_staging_route_removed(self, model, monkeypatch):
         """One-shot, chunked, prefix-hit and speculative traffic, with
-        ``init_cache`` and ``forward_incremental`` made to raise: every served
+        ``forward_incremental`` made to raise: every served
         stream still equals what ``generate()`` recorded beforehand."""
         preamble = "predict the bandwidth: "
         prompts = ["ab", preamble + "history 1.0 2.0 3.0 1.0 2.0 3.0",
@@ -648,14 +520,11 @@ class TestNoContiguousCacheOnTheServedPath:
                                     temperature=0.7 * (i % 2), seed=40 + i,
                                     stop_on_eos=False)
                     for i, prompt in enumerate(prompts)]
-        expected = [generate(model, r.prompt, max_new_tokens=r.max_new_tokens,
-                             temperature=r.temperature, seed=r.seed,
-                             stop_on_eos=False).token_ids for r in requests]
+        expected = [standalone(model, request) for request in requests]
 
         def removed(*args, **kwargs):
             raise AssertionError("the served path took generate()'s one-session route")
 
-        monkeypatch.setattr(LanguageModel, "init_cache", removed)
         monkeypatch.setattr(LanguageModel, "forward_incremental", removed)
         server = InferenceServer(model, SchedulerPolicy(
             max_batch_size=3, block_size=4, prefill_chunk_size=6,
@@ -713,9 +582,7 @@ class TestPrefixCache:
         # Decode to completion; the stream must match standalone generate().
         while manager.num_running:
             manager.step()
-        reference = generate(model, preamble + "now", max_new_tokens=6,
-                             stop_on_eos=False)
-        assert session.generated == reference.token_ids
+        assert session.generated == standalone(model, session)
         # Eviction returned the tail blocks but kept the cached head resident.
         assert manager.cache.blocks_in_use == blocks_before
         manager.cache.check_invariants()
@@ -758,9 +625,7 @@ class TestPrefixCache:
             manager.cache.check_invariants()
             assert head_bytes() == registered
         assert len(splits) == 1
-        assert handle.result().token_ids == generate(
-            model, preamble + "history 1.0 2.0", max_new_tokens=6,
-            stop_on_eos=False).token_ids
+        assert handle.result().token_ids == standalone(model, handle.request)
         assert manager.prefix.hits == 1
         assert manager.cache.sessions == manager.prefix.sessions
 
@@ -812,7 +677,62 @@ class TestPrefixCache:
         # A longer prompt starting with the head is.
         longer = model.tokenizer.encode(preamble + " tail", add_bos=True)
         assert manager.prefix.match(longer) is entry
-        assert manager.prefix.hits == 1 and manager.prefix.misses == 2
+        # A hit counts once a forked row commits, not at the match.
+        assert manager.prefix.hits == 0 and manager.prefix.misses == 2
+
+    @pytest.mark.parametrize("second,reused", [("head B ", 0), ("head ", 6)])
+    def test_reuse_is_counted_at_the_fork(self, model, second, reused):
+        """A matched request whose head is LRU-evicted before its first
+        chunk matches again against the heads registered now, and reuse
+        counts only the rows really forked from a head (regression: the hit
+        and its tokens were counted at the first match)."""
+        server = InferenceServer(model, SchedulerPolicy(
+            max_batch_size=4, block_size=4, max_context=64, max_prefixes=1,
+            prefill_chunk_size=4, step_token_budget=4))
+        server.register_prefix("head A ")
+        handles = [server.submit_generation(prompt, max_new_tokens=4,
+                                            stop_on_eos=False)
+                   for prompt in ("x" * 20, "head A tail")]
+        server.step()  # the budget defers the matched request
+        server.register_prefix(second)  # LRU-evicts head A
+        server.run_until_idle()
+        assert [handle.metrics.prefix_tokens for handle in handles] == [0, reused]
+        stats = server.stats()
+        assert stats.prefix_tokens_reused == reused
+        assert stats.prefix_hits == (reused > 0)
+        for handle in handles:
+            assert handle.result().token_ids == standalone(model, handle.request)
+
+    def test_reuse_is_not_counted_for_a_raised_forward(self, model, monkeypatch):
+        """Two rows forked from a head prefill in one forward, which raises;
+        retried alone, the first raises again and is aborted.  Only the
+        second row reused the head (regression: every fork counted, the
+        raised ones too)."""
+        server = InferenceServer(model, SchedulerPolicy(max_batch_size=4,
+                                                        block_size=4))
+        server.register_prefix("head A ")
+        [length] = {entry.length for entry in server._manager.prefix._entries.values()}
+        handles = [server.submit_generation(f"head A tail {i}", max_new_tokens=4,
+                                            stop_on_eos=False) for i in range(2)]
+        forward, calls = model.forward_step, []
+
+        def flaky(*args, **kwargs):
+            calls.append(len(args[2]))
+            if len(calls) <= 2:
+                raise RuntimeError("injected prefill fault")
+            return forward(*args, **kwargs)
+
+        monkeypatch.setattr(model, "forward_step", flaky)
+        server.run_until_idle()
+        monkeypatch.undo()
+        assert calls[:3] == [2, 1, 1]  # the group, then each row alone
+        assert [handle.metrics.prefix_tokens for handle in handles] == [0, length]
+        stats = server.stats()
+        assert (stats.prefix_hits, stats.prefix_tokens_reused) == (1, length)
+        with pytest.raises(Exception, match="injected prefill fault"):
+            handles[0].result()
+        assert handles[1].result().token_ids == standalone(model, handles[1].request)
+        server._manager.cache.check_invariants()
 
     def test_longest_prefix_wins(self, model):
         manager = SessionManager(model, max_slots=2, block_size=4)
@@ -868,8 +788,7 @@ class TestPrefixCache:
         manager.cache.check_invariants()
         assert not refcounts[list(full)].any()
         assert manager.cache.sessions == (other.session,)
-        assert session.generated == generate(
-            model, preamble + "now", max_new_tokens=6, stop_on_eos=False).token_ids
+        assert session.generated == standalone(model, session)
 
     def test_register_validation(self, model):
         manager = SessionManager(model, max_slots=2)
@@ -935,10 +854,8 @@ class TestBlockAllocator:
         """Two independently admitted sessions never map the same block."""
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
         with no_grad():
-            cache_a, _ = _prefill(model, [1, 2, 3, 4, 5])
-            cache_b, _ = _prefill(model, [6, 7, 8])
-            sid_a = paged.admit(cache_a)
-            sid_b = paged.admit(cache_b)
+            sid_a, _ = fill(model, paged, [1, 2, 3, 4, 5])
+            sid_b, _ = fill(model, paged, [6, 7, 8])
         assert not set(paged.table(sid_a)) & set(paged.table(sid_b))
         paged.check_invariants()
 
@@ -1134,6 +1051,35 @@ class TestMetricsAggregation:
 # Served generation end to end
 # ---------------------------------------------------------------------- #
 class TestServedGeneration:
+    #: Seeds whose ``generate()`` stream, at temperature 1 and 40 new tokens,
+    #: stops on EOS; the last two run their whole budget.
+    EOS_SEEDS = (0, 5, 7, 8, 15, 22, 1, 2)
+
+    @pytest.mark.parametrize("speculation", ["off", "ngram"])
+    @pytest.mark.parametrize("chunk", [None, 4], ids=["one-shot", "chunked"])
+    def test_served_streams_stop_on_eos_like_generate(self, model, speculation,
+                                                      chunk):
+        prompt = "abc abc abc"
+        references = [generate(model, prompt, max_new_tokens=40, temperature=1.0,
+                               seed=seed) for seed in self.EOS_SEEDS]
+        assert [r.stopped_by_eos for r in references] == [True] * 6 + [False] * 2
+        server = InferenceServer(model, SchedulerPolicy(
+            max_batch_size=4, block_size=4, prefill_chunk_size=chunk,
+            step_token_budget=chunk and 8, speculation=speculation))
+        handles = [server.submit(GenerateRequest(
+            prompt=prompt, max_new_tokens=40, temperature=1.0, seed=seed,
+            stream=True)) for seed in self.EOS_SEEDS]
+        server.run_until_idle()
+        for handle, reference in zip(handles, references):
+            result = handle.result()
+            assert result.token_ids == reference.token_ids
+            assert result.stopped_by_eos == reference.stopped_by_eos
+            assert handle._session.finish_reason == (
+                "eos" if reference.stopped_by_eos else "max_tokens")
+            assert "".join(handle.stream()) == result.text == reference.text
+        assert server._manager.cache.sessions == ()
+        server._manager.cache.check_invariants()
+
     def test_served_streams_match_standalone_generate(self, model):
         server = InferenceServer(model, SchedulerPolicy(max_batch_size=3))
         prompts = ["abc 1.0 2.0", "x", "hello world", "bitrate:", "zz 9 9 9", "k"]
@@ -1154,10 +1100,8 @@ class TestServedGeneration:
                                  temperature=0.8, seed=s, stop_on_eos=False)
                    for s in range(4)]
         server.run_until_idle()
-        for seed, handle in enumerate(handles):
-            reference = generate(model, "sample me", max_new_tokens=12,
-                                 temperature=0.8, seed=seed, stop_on_eos=False)
-            assert handle.result().token_ids == reference.token_ids
+        for handle in handles:
+            assert handle.result().token_ids == standalone(model, handle.request)
 
     def test_continuous_batching_reuses_slots(self, model):
         # 6 requests over 2 slots: completions must free slots for the queue.
@@ -1190,9 +1134,8 @@ class TestServedGeneration:
                                      stop_on_eos=False) for i in range(8)]
             results = [h.result(timeout=60) for h in handles]
         assert not server.is_serving
-        for i, result in enumerate(results):
-            reference = generate(model, f"t{i}", max_new_tokens=6, stop_on_eos=False)
-            assert result.token_ids == reference.token_ids
+        for handle, result in zip(handles, results):
+            assert result.token_ids == standalone(model, handle.request)
 
     def test_queue_full_rejection(self, model):
         server = InferenceServer(model, SchedulerPolicy(max_batch_size=1, max_queue=1))
@@ -1269,11 +1212,10 @@ class TestServedGeneration:
         # Prompt longer than the context: the engine prefills the same
         # trailing window generate() uses, so the first token agrees; the
         # session then finishes at the context cap instead of sliding.
-        prompt = "x" * (model.config.max_seq_len + 20)
-        served = InferenceServer(model).submit(GenerateRequest(
-            prompt=prompt, max_new_tokens=30, stop_on_eos=False)).result()
-        reference = generate(model, prompt, max_new_tokens=30, stop_on_eos=False)
-        assert served.token_ids[0] == reference.token_ids[0]
+        request = GenerateRequest(prompt="x" * (model.config.max_seq_len + 20),
+                                  max_new_tokens=30, stop_on_eos=False)
+        served = InferenceServer(model).submit(request).result()
+        assert served.token_ids[0] == standalone(model, request)[0]
         assert 0 < len(served.token_ids) < 30  # bounded by the context cap
 
     def test_server_without_model_rejects_generation(self):
@@ -1533,9 +1475,7 @@ class TestStreaming:
             assert "".join(pieces) == result.text
             # One piece per committed token (special tokens decode to "").
             assert len(pieces) == len(result.token_ids)
-            reference = generate(model, f"stream {i}", max_new_tokens=8,
-                                 stop_on_eos=False)
-            assert result.token_ids == reference.token_ids
+            assert result.token_ids == standalone(model, handle.request)
 
     def test_stream_with_background_loop(self, model):
         server = InferenceServer(model, SchedulerPolicy(max_batch_size=4))
@@ -1633,8 +1573,7 @@ class TestCancellation:
         after = server.submit(GenerateRequest(prompt="after", max_new_tokens=3,
                                               stop_on_eos=False))
         server.run_until_idle()
-        reference = generate(model, "after", max_new_tokens=3, stop_on_eos=False)
-        assert after.result().token_ids == reference.token_ids
+        assert after.result().token_ids == standalone(model, after.request)
 
     def test_cancel_pending_decision(self):
         runtime = _DoublerRuntime()
@@ -1655,23 +1594,18 @@ class TestCancellation:
         server = InferenceServer(model, SchedulerPolicy(
             max_batch_size=3, block_size=4))
         manager = server._manager
-        prompts = {}
-        handles = {}
-        next_id = 0
-
+        handles = []
         check = manager.cache.check_invariants
 
         for step in range(150):
             action = rng.random()
-            open_handles = [h for h in handles.values() if not h.done()]
+            open_handles = [h for h in handles if not h.done()]
             if action < 0.3 and len(handles) < 20:
                 prompt = "".join(rng.choice(list("abc 123."))
                                  for _ in range(int(rng.integers(1, 20))))
-                prompts[next_id] = prompt
-                handles[next_id] = server.submit(GenerateRequest(
+                handles.append(server.submit(GenerateRequest(
                     prompt=prompt, max_new_tokens=int(rng.integers(2, 10)),
-                    stop_on_eos=False))
-                next_id += 1
+                    stop_on_eos=False)))
             elif action < 0.45 and open_handles:
                 victim = open_handles[int(rng.integers(len(open_handles)))]
                 victim.cancel()
@@ -1682,7 +1616,7 @@ class TestCancellation:
         check()
         assert manager.cache.num_sessions == 0
         cancelled = finished = 0
-        for key, handle in handles.items():
+        for handle in handles:
             assert handle.done()
             try:
                 result = handle.result()
@@ -1690,10 +1624,8 @@ class TestCancellation:
                 cancelled += 1
                 continue
             finished += 1
-            reference = generate(model, prompts[key],
-                                 max_new_tokens=result.num_inferences,
-                                 stop_on_eos=False)
-            assert result.token_ids == reference.token_ids
+            assert result.token_ids == standalone(
+                model, handle.request, max_new_tokens=result.num_inferences)
         # The interleaving really exercised both exits.
         assert cancelled >= 3 and finished >= 3
         stats = server.stats()
@@ -1949,10 +1881,8 @@ class TestStopSemantics:
                                                  stop_on_eos=False))
                    for i in range(4)]
         server.stop(drain=True)
-        for i, handle in enumerate(handles):
-            reference = generate(model, f"q{i}", max_new_tokens=3,
-                                 stop_on_eos=False)
-            assert handle.result().token_ids == reference.token_ids
+        for handle in handles:
+            assert handle.result().token_ids == standalone(model, handle.request)
 
     def test_stop_drain_completes_queued_work_with_loop(self, model):
         server = InferenceServer(model, SchedulerPolicy(max_batch_size=1))
@@ -2031,23 +1961,6 @@ class TestStreamLifecycleEdges:
         assert handle.result().token_ids
 
 
-def _admit_chunked(model, paged, prompt_ids, chunk):
-    """Prefill ``prompt_ids`` into ``paged`` chunk by chunk; return the
-    session id, the resumable prefill cache and the final-position logits."""
-    cache = model.init_cache()
-    sid = None
-    logits = None
-    for start in range(0, len(prompt_ids), chunk):
-        piece = np.asarray(prompt_ids[start:start + chunk], dtype=np.int64)[None, :]
-        logits = model.forward_incremental(piece, cache)
-        if sid is None:
-            sid = paged.admit_rows(cache, lengths=[min(chunk, len(prompt_ids))])[0]
-        else:
-            paged.extend_session(sid, cache)
-        paged.check_invariants()
-    return sid, cache, logits.data[0, -1]
-
-
 # ---------------------------------------------------------------------- #
 # Chunked prefill: exact parity with one-shot prefill, lifecycle, budgets
 # ---------------------------------------------------------------------- #
@@ -2058,76 +1971,53 @@ class TestChunkedPrefill:
     CHUNKS = (1, 3, 4, 6, 64)
 
     def test_chunked_admission_exact_logit_parity(self, model):
-        """Chunked prefill + decode == one-shot prefill + decode, exactly."""
+        """Chunked prefill + decode == one-shot prefill + decode == the
+        graph forward, at every position."""
         rng = np.random.default_rng(5)
         vocab = model.tokenizer.vocab_size
-        prompt = rng.integers(0, vocab, size=23).tolist()
+        prompt = rng.integers(0, vocab, size=23)
         for chunk in self.CHUNKS:
             paged = model.init_paged_cache(max_sessions=4, block_size=4)
             with no_grad():
-                one_shot_cache, _ = _prefill(model, prompt)
-                reference = model.forward_incremental(
-                    np.asarray(prompt, dtype=np.int64)[None, :],
-                    model.init_cache()).data[0, -1]
-                sid_ref = paged.admit(one_shot_cache)
-                sid_chunked, _, last_logits = _admit_chunked(
-                    model, paged, prompt, chunk)
-                np.testing.assert_allclose(last_logits, reference, atol=1e-9,
-                                           rtol=0, err_msg=f"chunk={chunk}")
+                twins = [Twin(model, paged, prompt),
+                         Twin(model, paged, prompt, chunk=chunk)]
                 # Both sessions now decode together; every step must agree.
-                token = int(np.argmax(last_logits))
-                ids = np.asarray([sid_ref, sid_chunked], dtype=np.int64)
-                for _ in range(6):
-                    out = model.forward_step(np.asarray([token, token]),
-                                             paged, ids).data[0]
-                    np.testing.assert_allclose(out[1], out[0], atol=1e-9,
-                                               rtol=0, err_msg=f"chunk={chunk}")
-                    token = int(np.argmax(out[0]))
-                    paged.check_invariants()
+                decode(model, paged, twins, steps=6)
+                np.testing.assert_allclose(twins[1].logits, twins[0].logits,
+                                           atol=1e-12, rtol=0,
+                                           err_msg=f"chunk={chunk}")
 
-    def test_extend_session_copy_on_write_on_forked_tail(self, model):
-        """Extending a session whose partial tail is shared splits it first."""
+    def test_prompt_chunk_copy_on_write_on_forked_tail(self, model):
+        """A prompt chunk into a session whose partial tail is shared splits
+        it first."""
         rng = np.random.default_rng(9)
         vocab = model.tokenizer.vocab_size
-        prompt = rng.integers(0, vocab, size=10).tolist()
+        prompt = rng.integers(0, vocab, size=10)
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
         with no_grad():
-            cache = model.init_cache()
-            model.forward_incremental(
-                np.asarray(prompt[:6], dtype=np.int64)[None, :], cache)
-            sid = paged.admit_rows(cache, lengths=[6])[0]
-            clone = paged.fork(sid)  # shares the partially filled tail block
-            shared_tail = paged.table(sid)[-1]
-            model.forward_incremental(
-                np.asarray(prompt[6:], dtype=np.int64)[None, :], cache)
-            paged.extend_session(sid, cache)
-            # The original got its own tail copy; the clone kept the old one.
-            assert paged.table(sid)[1] != shared_tail
-            assert paged.table(clone)[-1] == shared_tail
+            part = Twin(model, paged, prompt[:6])
+            shared_tail = paged.table(part.sid)[-1]
+            # The rest of the prompt lands on a fork sharing the partial tail.
+            full = Twin(model, paged, prompt, session=paged.fork(part.sid))
+            # The fork got its own tail copy; the original kept the old one.
+            assert paged.table(full.sid)[1] != shared_tail
+            assert paged.table(part.sid)[-1] == shared_tail
             paged.check_invariants()
             # Both decode exactly like independent references.
-            ref_full, _ = _prefill(model, prompt)
-            ref_part, _ = _prefill(model, prompt[:6])
             for token in (3, 7):
-                out = model.forward_step(np.asarray([token, token]), paged,
-                                         np.asarray([sid, clone])).data[0]
-                exp_full = model.forward_incremental(
-                    np.asarray([[token]], dtype=np.int64), ref_full).data[0, -1]
-                exp_part = model.forward_incremental(
-                    np.asarray([[token]], dtype=np.int64), ref_part).data[0, -1]
-                np.testing.assert_allclose(out[0], exp_full, atol=1e-9, rtol=0)
-                np.testing.assert_allclose(out[1], exp_part, atol=1e-9, rtol=0)
-                paged.check_invariants()
+                full.next_token = part.next_token = token
+                decode(model, paged, [full, part], steps=1)
 
     def test_extend_session_validation(self, model):
         paged = model.init_paged_cache(max_sessions=2, block_size=4)
+        source = model.init_paged_cache(max_sessions=1, block_size=4)
         with no_grad():
-            cache, _ = _prefill(model, [1, 2, 3])
-            sid = paged.admit(cache)
+            fill(model, source, [1, 2, 3])
+            [sid] = paged.admit_rows(source)
             with pytest.raises(ValueError, match="cannot extend"):
-                paged.extend_session(sid, cache)  # nothing new in the cache
+                paged.extend_session(sid, source)  # nothing new in the source
             with pytest.raises(ValueError, match="not live"):
-                paged.extend_session(sid + 999, cache)
+                paged.extend_session(sid + 999, source)
             paged.check_invariants()
 
     @pytest.mark.parametrize("chunk,budget", [(1, None), (3, 8), (4, 6), (6, None)])
@@ -2142,10 +2032,8 @@ class TestChunkedPrefill:
                                                  stop_on_eos=False))
                    for p in prompts]
         server.run_until_idle()
-        for prompt, handle in zip(prompts, handles):
-            reference = generate(model, prompt, max_new_tokens=6,
-                                 stop_on_eos=False)
-            assert handle.result().token_ids == reference.token_ids
+        for handle in handles:
+            assert handle.result().token_ids == standalone(model, handle.request)
         manager = server._manager
         manager.cache.check_invariants()
         assert manager.cache.num_sessions == 0 and manager.num_prefilling == 0
@@ -2177,9 +2065,7 @@ class TestChunkedPrefill:
         assert (short._session.metrics.tokens_generated - tokens_before
                 >= prefilling_steps)
         server.run_until_idle()
-        reference = generate(model, long_prompt, max_new_tokens=4,
-                             stop_on_eos=False)
-        assert long.result().token_ids == reference.token_ids
+        assert long.result().token_ids == standalone(model, long.request)
         assert short.result().token_ids
         manager.cache.check_invariants()
 
@@ -2193,9 +2079,7 @@ class TestChunkedPrefill:
         result = handle.result()
         assert "".join(pieces) == result.text
         assert len(pieces) == len(result.token_ids)
-        reference = generate(model, "s" * 30, max_new_tokens=6,
-                             stop_on_eos=False)
-        assert result.token_ids == reference.token_ids
+        assert result.token_ids == standalone(model, handle.request)
 
     def test_step_token_budget_bounds_per_step_prefill(self, model):
         server = InferenceServer(model, SchedulerPolicy(
@@ -2254,23 +2138,19 @@ class TestChunkedPrefill:
             max_batch_size=3, block_size=4, prefill_chunk_size=3,
             step_token_budget=10))
         manager = server._manager
-        prompts, handles = {}, {}
-        next_id = 0
+        handles = []
         saw_prefilling = 0
-
         check = manager.cache.check_invariants
 
         for _ in range(180):
             action = rng.random()
-            open_handles = [h for h in handles.values() if not h.done()]
+            open_handles = [h for h in handles if not h.done()]
             if action < 0.3 and len(handles) < 24:
                 length = int(rng.integers(1, 40))  # many prompts span chunks
                 prompt = "".join(rng.choice(list("abc 123.")) for _ in range(length))
-                prompts[next_id] = prompt
-                handles[next_id] = server.submit(GenerateRequest(
+                handles.append(server.submit(GenerateRequest(
                     prompt=prompt, max_new_tokens=int(rng.integers(2, 8)),
-                    stop_on_eos=False))
-                next_id += 1
+                    stop_on_eos=False)))
             elif action < 0.45 and open_handles:
                 victim = open_handles[int(rng.integers(len(open_handles)))]
                 victim.cancel()
@@ -2283,7 +2163,7 @@ class TestChunkedPrefill:
         assert manager.cache.num_sessions == 0 and manager.num_prefilling == 0
         assert saw_prefilling > 0  # chunked admission really interleaved
         cancelled = finished = 0
-        for key, handle in handles.items():
+        for handle in handles:
             assert handle.done()
             try:
                 result = handle.result()
@@ -2291,10 +2171,8 @@ class TestChunkedPrefill:
                 cancelled += 1
                 continue
             finished += 1
-            reference = generate(model, prompts[key],
-                                 max_new_tokens=result.num_inferences,
-                                 stop_on_eos=False)
-            assert result.token_ids == reference.token_ids
+            assert result.token_ids == standalone(
+                model, handle.request, max_new_tokens=result.num_inferences)
         assert cancelled >= 3 and finished >= 5
 
     def test_prefix_eviction_between_match_and_first_chunk_falls_back(self, model):
@@ -2322,8 +2200,7 @@ class TestChunkedPrefill:
         assert session.metrics.prefix_tokens == 0  # reuse lost, not corrupted
         while manager.num_running:
             manager.step()
-        reference = generate(model, prompt, max_new_tokens=4, stop_on_eos=False)
-        assert session.generated == reference.token_ids
+        assert session.generated == standalone(model, session)
         manager.cache.check_invariants()
 
     def test_budget_pressure_defers_admission_instead_of_zero_grants(self, model):
@@ -2354,10 +2231,8 @@ class TestChunkedPrefill:
         server.run_until_idle()
         # The high-priority arrival overtook the earlier low-priority one.
         assert high.metrics.finished_at < low.metrics.finished_at
-        for handle, prompt in ((low, "low"), (high, "high")):
-            reference = generate(model, prompt, max_new_tokens=2,
-                                 stop_on_eos=False)
-            assert handle.result().token_ids == reference.token_ids
+        for handle in (low, high):
+            assert handle.result().token_ids == standalone(model, handle.request)
 
     def test_deep_queue_under_a_small_budget_drains_in_rank_order(self, model):
         """The grant loop is the admission rule: with more queued sessions
@@ -2374,11 +2249,8 @@ class TestChunkedPrefill:
             temperature=0.8 if i % 3 else 0.0, seed=100 + i, priority=i % 2))
             for i, prompt in enumerate(prompts)]
         server.run_until_idle()
-        for i, (handle, prompt) in enumerate(zip(handles, prompts)):
-            reference = generate(model, prompt, max_new_tokens=3,
-                                 stop_on_eos=False,
-                                 temperature=0.8 if i % 3 else 0.0, seed=100 + i)
-            assert handle.result().token_ids == reference.token_ids
+        for handle in handles:
+            assert handle.result().token_ids == standalone(model, handle.request)
         records = server.telemetry.records()
         assert not any(set(r.admitted) & set(r.deferred) for r in records)
         assert any(r.deferred for r in records), "the budget never pushed back"
@@ -2404,8 +2276,7 @@ class TestChunkedPrefill:
         assert session.metrics.prefix_tokens == 0
         while manager.num_running:
             manager.step()
-        reference = generate(model, prompt, max_new_tokens=3, stop_on_eos=False)
-        assert session.generated == reference.token_ids
+        assert session.generated == standalone(model, session)
         manager.cache.check_invariants()
 
     def test_requeue_front_preserves_wait_and_fifo_position(self):
@@ -2452,9 +2323,7 @@ class TestChunkedPrefill:
         assert not deferred and session.state == "running" and spent == 2
         while manager.num_running:
             manager.step()
-        reference = generate(model, "head text X", max_new_tokens=2,
-                             stop_on_eos=False)
-        assert session.generated == reference.token_ids
+        assert session.generated == standalone(model, session)
         manager.cache.check_invariants()
 
     def test_budget_policy_validation_and_math(self):
@@ -2484,85 +2353,52 @@ class TestChunkedPrefill:
 # remembered plan would have gone stale (a row crossing into a new block, the
 # batch changing, a neighbour leaving) must stay exact against the oracle.
 # ---------------------------------------------------------------------- #
-def _decode_against_oracles(model, paged, ids, caches, tokens, steps):
-    """Greedy-decode the batch ``steps`` times; every row must match its own
-    sequential ``forward_incremental`` cache.  ``tokens`` is advanced in place."""
-    for _ in range(steps):
-        out = model.forward_step(np.asarray(tokens), paged,
-                                 np.asarray(ids, dtype=np.int64)).data[0]
-        for row, cache in enumerate(caches):
-            expected = model.forward_incremental(
-                np.asarray([[tokens[row]]], dtype=np.int64), cache).data[0, -1]
-            np.testing.assert_allclose(out[row], expected, atol=1e-9, rtol=0)
-            tokens[row] = int(np.argmax(expected))
-        paged.check_invariants()
-
-
 class TestPrepareStepPlanCache:
     def test_steady_decode_then_a_batch_change_stay_exact(self, model):
         paged = model.init_paged_cache(max_sessions=4, block_size=8)
         with no_grad():
-            cache_a, token_a = _prefill(model, [1, 2, 3])
-            cache_b, token_b = _prefill(model, [4, 5, 6, 7])
-            ids = [paged.admit(cache_a), paged.admit(cache_b)]
-            tokens = [token_a, token_b]
+            twins = [Twin(model, paged, [1, 2, 3]), Twin(model, paged, [4, 5, 6, 7])]
             # Lengths 3 and 4: four steps inside the current tail blocks, then
             # session A (length 8) and session B cross into a second block.
-            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
-                                    tokens, steps=7)
-            assert [len(paged.table(sid)) for sid in ids] == [2, 2]
+            decode(model, paged, twins, steps=7)
+            assert [len(paged.table(twin.sid)) for twin in twins] == [2, 2]
             # A different batch composition on the very next step, and back.
-            solo = tokens[:1]
-            _decode_against_oracles(model, paged, ids[:1], [cache_a], solo, steps=2)
-            tokens[0] = solo[0]
-            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
-                                    tokens, steps=2)
+            decode(model, paged, twins[:1], steps=2)
+            decode(model, paged, twins, steps=2)
 
     def test_boundary_crossing_updates_single_row(self, model):
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
         with no_grad():
-            cache_a, token_a = _prefill(model, [1, 2])        # length 2
-            cache_b, token_b = _prefill(model, [3, 4, 5, 6, 7, 8])  # length 6
-            ids = [paged.admit(cache_a), paged.admit(cache_b)]
-            tokens = [token_a, token_b]
-            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
-                                    tokens, steps=2)  # lengths 4, 8
-            table_a = paged.table(ids[0])
+            twins = [Twin(model, paged, [1, 2]),                 # length 2
+                     Twin(model, paged, [3, 4, 5, 6, 7, 8])]     # length 6
+            decode(model, paged, twins, steps=2)  # lengths 4, 8
+            table_a = paged.table(twins[0].sid)
             # Next step A writes position 4 and B position 8: each appends a
             # block, B's table becomes the widest the batch has had.
-            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
-                                    tokens, steps=1)
-            assert paged.table(ids[0])[:-1] == table_a
-            assert [len(paged.table(sid)) for sid in ids] == [2, 3]
-            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
-                                    tokens, steps=4)
+            decode(model, paged, twins, steps=1)
+            assert paged.table(twins[0].sid)[:-1] == table_a
+            assert [len(paged.table(twin.sid)) for twin in twins] == [2, 3]
+            decode(model, paged, twins, steps=4)
 
     def test_plan_survives_unrelated_eviction(self, model):
         """Evicting a session outside the batch must not corrupt the plan."""
         paged = model.init_paged_cache(max_sessions=4, block_size=4)
         with no_grad():
-            cache_a, token_a = _prefill(model, [1, 2, 3])
-            cache_b, token_b = _prefill(model, [4, 5])
-            cache_c, _ = _prefill(model, [6, 7, 8, 9, 10])
-            ids = [paged.admit(cache_a), paged.admit(cache_b)]
-            sid_c = paged.admit(cache_c)
-            tokens = [token_a, token_b]
-            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
-                                    tokens, steps=1)
+            twins = [Twin(model, paged, [1, 2, 3]), Twin(model, paged, [4, 5])]
+            sid_c, _ = fill(model, paged, [6, 7, 8, 9, 10])
+            decode(model, paged, twins, steps=1)
             paged.evict(sid_c)  # frees a table row; the batch's rows are unchanged
-            _decode_against_oracles(model, paged, ids, [cache_a, cache_b],
-                                    tokens, steps=1)
+            decode(model, paged, twins, steps=1)
 
     def test_stepping_an_evicted_session_still_raises(self, model):
         paged = model.init_paged_cache(max_sessions=2, block_size=4)
         with no_grad():
-            cache, token = _prefill(model, [1, 2, 3])
-            sid = paged.admit(cache)
-            model.forward_step(np.asarray([token]), paged,
+            sid, _ = fill(model, paged, [1, 2, 3])
+            model.forward_step(np.asarray([4]), paged,
                                np.asarray([sid], dtype=np.int64))
             paged.evict(sid)
             with pytest.raises(ValueError, match="not live"):
-                model.forward_step(np.asarray([token]), paged,
+                model.forward_step(np.asarray([4]), paged,
                                    np.asarray([sid], dtype=np.int64))
 
 

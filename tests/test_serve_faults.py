@@ -14,8 +14,9 @@ import time
 
 import numpy as np
 import pytest
+from reference import standalone
 
-from repro.llm import LanguageModel, build_llm, generate
+from repro.llm import LanguageModel, build_llm
 from repro.llm.config import LLMConfig
 from repro.serve import (
     FAULT_SITES,
@@ -341,9 +342,8 @@ class TestQuarantine:
         assert handles[2]._session.prompt_pos == 8
         server.run_until_idle()
         assert not any(r.quarantines for r in server.telemetry.records())
-        for prompt, handle in zip(prompts, handles):
-            assert handle.result(timeout=5).token_ids == generate(
-                model, prompt, **greedy).token_ids
+        for handle in handles:
+            assert handle.result(timeout=5).token_ids == standalone(model, handle.request)
         _invariants(server)
         assert server._manager.cache.num_sessions == 0
 
@@ -385,9 +385,7 @@ class TestQuarantine:
         while manager.running:
             manager.step()
         for session in rows:
-            assert session.generated == generate(
-                model, session.prompt, max_new_tokens=3,
-                stop_on_eos=False).token_ids
+            assert session.generated == standalone(model, session)
         manager.cache.check_invariants()
         assert manager.cache.sessions == manager.prefix.sessions
 

@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from reference import Twin, decode, standalone
 
-from repro.llm import LanguageModel, generate
+from repro.llm import LanguageModel
 from repro.llm.config import LLMConfig
 from repro.nn import no_grad
 from repro.serve import (
@@ -244,71 +245,47 @@ class TestMultiStepSubstrate:
 
     def _admit(self, model, cache, prompt_len, seed):
         rng = np.random.default_rng(seed)
-        tokens = rng.integers(0, model.tokenizer.vocab_size,
-                              size=(1, prompt_len)).astype(np.int64)
-        kv = model.init_cache()
-        model.forward_incremental(tokens, kv)
-        [sid] = cache.admit_rows(kv, lengths=[prompt_len])
-        return sid, tokens[0]
+        return Twin(model, cache, rng.integers(0, model.tokenizer.vocab_size,
+                                               size=prompt_len))
 
     def test_ragged_multi_step_matches_sequential(self, setup):
         model, cache = setup
-        sid_a, _ = self._admit(model, cache, 13, seed=0)
-        sid_b, _ = self._admit(model, cache, 21, seed=1)
-        feeds = {sid_a: [3, 7, 11, 2], sid_b: [5, 9]}
-        # Reference: one token at a time on a parallel pool.
-        ref_cache = model.init_paged_cache(max_sessions=4, block_size=8)
-        rid_a, _ = self._admit(model, ref_cache, 13, seed=0)
-        rid_b, _ = self._admit(model, ref_cache, 21, seed=1)
-        ref_logits = {sid_a: [], sid_b: []}
-        for sid, rid in ((sid_a, rid_a), (sid_b, rid_b)):
-            for token in feeds[sid]:
-                out = model.forward_step(
-                    np.asarray([token], dtype=np.int64), ref_cache,
-                    np.asarray([rid], dtype=np.int64)).data[0, -1, :]
-                ref_logits[sid].append(out)
+        twins = [self._admit(model, cache, 13, seed=0),
+                 self._admit(model, cache, 21, seed=1)]
+        feeds = [[3, 7, 11, 2], [5, 9]]
         # Ragged multi-token verification forward: both rows in one call.
         # The rows' tokens packed back to back: 4 + 2, nothing padded.
         counts = np.asarray([4, 2], dtype=np.int64)
-        tokens = np.asarray(feeds[sid_a] + feeds[sid_b], dtype=np.int64)
-        logits = model.forward_step(tokens, cache,
-                                    np.asarray([sid_a, sid_b], dtype=np.int64),
+        logits = model.forward_step(np.asarray(feeds[0] + feeds[1]), cache,
+                                    np.asarray([twin.sid for twin in twins]),
                                     counts=counts).data
         assert logits.shape[:2] == (1, 6)
-        for offset, sid in ((0, sid_a), (4, sid_b)):
-            for t, expected in enumerate(ref_logits[sid]):
-                np.testing.assert_allclose(logits[0, offset + t, :], expected,
-                                           rtol=1e-5, atol=1e-6)
+        twins[0].feed(feeds[0], logits[0, :4])
+        twins[1].feed(feeds[1], logits[0, 4:])
+        for twin in twins:
+            twin.check()
         cache.check_invariants()
 
     def test_truncate_rolls_back_and_decode_continues_exact(self, setup):
         model, cache = setup
-        sid, _ = self._admit(model, cache, 11, seed=2)
-        base_len = cache.length(sid)
+        twin = self._admit(model, cache, 11, seed=2)
+        base_len = cache.length(twin.sid)
         # Grow by 5 speculative tokens, then reject the last 3.
-        counts = np.asarray([5], dtype=np.int64)
-        feed = np.asarray([[1, 2, 3, 4, 5]], dtype=np.int64)
-        model.forward_step(feed, cache, np.asarray([sid], dtype=np.int64),
-                           counts=counts)
-        assert cache.length(sid) == base_len + 5
-        cache.truncate_session(sid, base_len + 2)
-        assert cache.length(sid) == base_len + 2
+        logits = model.forward_step(np.asarray([1, 2, 3, 4, 5]), cache,
+                                    np.asarray([twin.sid]),
+                                    counts=np.asarray([5])).data[0]
+        twin.feed([1, 2, 3, 4, 5], logits)
+        assert cache.length(twin.sid) == base_len + 5
+        twin.truncate(base_len + 2)
+        assert cache.length(twin.sid) == base_len + 2
         cache.check_invariants()
-        # Post-rollback decode must match a pool that never speculated.
-        ref_cache = model.init_paged_cache(max_sessions=4, block_size=8)
-        rid, _ = self._admit(model, ref_cache, 11, seed=2)
-        for token in (1, 2):
-            model.forward_step(np.asarray([token], dtype=np.int64), ref_cache,
-                               np.asarray([rid], dtype=np.int64))
-        out = model.forward_step(np.asarray([9], dtype=np.int64), cache,
-                                 np.asarray([sid], dtype=np.int64)).data
-        ref = model.forward_step(np.asarray([9], dtype=np.int64), ref_cache,
-                                 np.asarray([rid], dtype=np.int64)).data
-        np.testing.assert_allclose(out, ref, rtol=1e-5, atol=1e-6)
+        # Post-rollback decode is the graph forward over the kept tokens.
+        twin.next_token = 9
+        decode(model, cache, [twin], steps=1)
 
     def test_truncate_is_cow_safe_under_forks(self, setup):
         model, cache = setup
-        sid, _ = self._admit(model, cache, 10, seed=3)
+        sid = self._admit(model, cache, 10, seed=3).sid
         fork = cache.fork(sid)
         fork_tables = list(cache.table(fork))
         fork_len = cache.length(fork)
@@ -328,7 +305,7 @@ class TestMultiStepSubstrate:
 
     def test_truncate_validation(self, setup):
         model, cache = setup
-        sid, _ = self._admit(model, cache, 9, seed=4)
+        sid = self._admit(model, cache, 9, seed=4).sid
         with pytest.raises(ValueError):
             cache.truncate_session(sid, 0)
         with pytest.raises(ValueError):
@@ -706,7 +683,5 @@ class TestFusedPrefill:
             manager.step()
             check()
         for session in sessions:
-            reference = generate(model, session.prompt, max_new_tokens=5,
-                                 stop_on_eos=False)
-            assert session.generated == reference.token_ids, session.prompt
+            assert session.generated == standalone(model, session), session.prompt
         assert manager.cache.sessions == manager.prefix.sessions

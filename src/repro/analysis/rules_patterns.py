@@ -342,11 +342,11 @@ class HotPathPower(Rule):
 # --------------------------------------------------------------------- #
 
 #: The raw-``ndarray`` inference functions, by the path they live under: the
-#: layer kernels, the paged step and the packed decision forward in
+#: layer kernels, the step, its layer loop and the decision entry in
 #: ``repro/nn``; the encoder / head kernels and the adapters' inference
 #: entries in ``repro/core``.
 _RAW_PATH_FUNCTIONS = (
-    ("repro/nn/", {"apply", "apply_sequence", "forward_step", "forward_packed",
+    ("repro/nn/", {"apply", "apply_sequence", "forward_step", "_layers",
                    "last_position_features"}),
     ("repro/llm/model.py", {"last_position_features"}),
     ("repro/core/", {"apply", "apply_sequence"}),
@@ -386,12 +386,13 @@ def _loop_targets(func: ast.AST) -> Set[str]:
 class WrapperFreeStep(Rule):
     """The raw-array inference functions stay on raw arrays.
 
-    The paged serving step and the packed decision forward run ``ndarray``
-    in, ``ndarray`` out: each layer's ``apply``, each ``forward_step`` /
-    ``forward_packed`` and the adapters' ``act_batch`` / ``predict_batch``
-    perform the graph path's numpy operations without building autograd
-    nodes, which took ~250 ``Tensor`` constructions (a quarter of the
-    step's time) off every engine step and ~15 % off every decision batch.
+    The serving step and the decision forward run ``ndarray`` in,
+    ``ndarray`` out: each layer's ``apply``, each ``forward_step``, the
+    backbone's ``last_position_features`` and the adapters' ``act_batch`` /
+    ``predict_batch`` perform the graph path's numpy operations without
+    building autograd nodes, which took ~250 ``Tensor`` constructions (a
+    quarter of the step's time) off every engine step and ~15 % off every
+    decision batch.
     The wrapper creeps back in three ways: someone constructs a
     ``Tensor(...)`` inside one of these functions, calls a graph op
     (``stack`` / ``concatenate`` / ``where`` from ``repro.nn``), or calls a
@@ -402,7 +403,7 @@ class WrapperFreeStep(Rule):
 
     id = "REP007"
     title = ("wrapper-free step path (no Tensor / graph op / Module.__call__ "
-             "in apply, forward_step, forward_packed, act_batch, ...)")
+             "in apply, forward_step, act_batch, ...)")
     hint = ("stay on raw arrays: call the submodule's .apply(x) / "
             ".forward_step(...) / np.stack(...) and wrap the result once, in "
             "the caller; noqa only the one output wrap of a step")

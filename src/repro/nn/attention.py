@@ -1,20 +1,20 @@
 """Multi-head self-attention used by the transformer backbone.
 
-Three bodies compute one operation.  The graph ``forward`` runs full
+Two bodies compute one operation.  The graph ``forward`` runs full
 sequences under autograd (training, and the reference every inference path
-is checked against).  ``forward_step`` is the KV-cache fast path for
-autoregressive decoding: a ragged step over paged sessions that projects
-only the *new* tokens and attends against their cached history — O(T) per
-token instead of recomputing the whole O(T²) window (``docs/paged_kv.md``).
-``forward_packed`` serves one-shot inference over many independent rows of
-different lengths packed back to back (the NetLLM decision path;
-``docs/decisions.md``).
+is checked against).  ``forward_step`` runs every inference forward: a
+ragged step that projects only the *new* tokens and attends against each
+row's history in the paged pool — O(T) per token instead of recomputing the
+whole O(T²) window (``docs/paged_kv.md``) — or, for rows that start empty,
+against the step's own keys; the decision path is that step with no pool
+(``docs/decisions.md``).
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -61,19 +61,27 @@ def causal_mask(length: int, dtype=None) -> np.ndarray:
     return _causal_mask_base(size, dtype)[:length, :length]
 
 
-def packed_runs(lengths: Sequence[int]) -> List[Tuple[int, int, int]]:
-    """``(token offset, rows, length)`` of every run of consecutive
-    equal-length rows in a packed ``(sum(lengths), d_model)`` token array."""
-    runs: List[Tuple[int, int, int]] = []
-    offset = 0
-    for length in lengths:
-        if runs and runs[-1][2] == length:
-            start, rows, _ = runs[-1]
-            runs[-1] = (start, rows + 1, length)
-        else:
-            runs.append((offset, 1, length))
-        offset += length
-    return runs
+@dataclass(frozen=True)
+class TokenRun:
+    """A length group's tokens when its rows are consecutive and equally
+    long: ``rows`` rows of ``width`` packed tokens from token ``start``."""
+
+    start: int
+    rows: int
+    width: int
+
+    @property
+    def size(self) -> int:
+        return self.rows * self.width
+
+
+def by_row(packed: np.ndarray, tokens) -> np.ndarray:
+    """``packed`` at a group's tokens, ``(rows, width, ...)``: a reshape of
+    one basic slice (a view) for a :class:`TokenRun`, else a fancy index."""
+    if type(tokens) is not TokenRun:
+        return packed[tokens]
+    return packed[tokens.start:tokens.start + tokens.size].reshape(
+        tokens.rows, tokens.width, *packed.shape[1:])
 
 
 class MultiHeadAttention(Module):
@@ -133,34 +141,34 @@ class MultiHeadAttention(Module):
                 "diverge from the full forward; call eval() first")
 
     def forward_step(self, x: np.ndarray, layer_cache, step) -> np.ndarray:
-        """Batched ragged step over independent paged sessions, on raw arrays.
+        """Batched ragged step over independent rows, on raw arrays.
 
         ``x`` is ``(tokens, d_model)``: the step's new tokens packed row
         after row (one per session for plain decode; the pending token plus
         drafts for speculative verification; a prompt chunk's tokens for a
-        prefill row), nothing padded.
+        prefill row; a whole window for a decision row), nothing padded.
+        ``step`` is the :class:`~repro.nn.paged_cache.PagedStepContext`
+        saying where each token lands and which keys each row sees;
         ``layer_cache`` is this layer's
-        :class:`~repro.nn.paged_cache.PagedLayerKVCache` and ``step`` the
-        :class:`~repro.nn.paged_cache.PagedStepContext` saying where each
-        token lands and which blocks cover each session's history.  The
-        projections run once over the packed tokens and their K/V go into
-        the pool as they come — one fancy-index write per layer.  Only the
-        attention itself needs a rectangle, once per length group of
-        ``step.groups``: the group's queries are gathered at its own widest
-        row's width and attend over its gathered block tables under the
-        group's mask (causal cutoff, block padding and shorter group members
-        in one boolean mask; ``-inf`` scores contribute exact zeros), and
-        the contexts of its real tokens land back in the packed array, so
-        position ``t`` of row ``i`` sees exactly the keys the graph
-        :meth:`forward` shows it under the causal mask.  A row pays for its
-        neighbours only inside its group: every row there is scored at the
-        group's key width and at its widest row's query width, so a
-        one-token row beside a drafting row of its group pays for the
-        drafts' width in scores and softmax (the dense layers still see its
-        one token only).  Prompt rows never share a group with decode or
-        verification rows (``prompt_from`` in the plan), so a chunk never
-        widens a decoder's rectangle.  A batch of similar lengths is one
-        group spanning every row: the loop body, run once.
+        :class:`~repro.nn.paged_cache.PagedLayerKVCache`, or None for a step
+        with no pool (:func:`~repro.nn.paged_cache.plan_fresh_rows`).  The
+        projections run once over the packed tokens and, with a pool, their
+        K/V go into it as they come — one fancy-index write per layer.  Only
+        the attention itself needs a rectangle, once per length group of
+        ``step.groups``: the group's queries are read at its own widest
+        row's width and attend over its keys — gathered through its block
+        tables, or for a *fresh* group (every row stood empty) the step's
+        own ``k`` / ``v`` at its tokens — under the group's mask (causal
+        cutoff, block padding and shorter group members in one boolean mask;
+        ``-inf`` scores contribute exact zeros), and the contexts of its real
+        tokens land back in the packed array, so position ``t`` of row ``i``
+        sees exactly the keys the graph :meth:`forward` shows it under the
+        causal mask.  A row pays for its neighbours only inside its group:
+        every row there is scored at the group's key width and at its widest
+        row's query width (the dense layers still see its own tokens only).
+        Prompt rows never share a group with decode or verification rows
+        (``prompt_from`` in the plan), so a chunk never widens a decoder's
+        rectangle.
 
         With ``step.keep`` (the final layer's view of a step that carries
         prompt rows, :attr:`~repro.nn.paged_cache.PagedStepContext.last`)
@@ -170,69 +178,35 @@ class MultiHeadAttention(Module):
         """
         self._check_cached_preconditions()
         by_head = (len(x), self.num_heads, self.head_dim)
-        layer_cache.append_step(step.write_blocks, step.write_offsets,
-                                self.k_proj.apply(x).reshape(by_head),
-                                self.v_proj.apply(x).reshape(by_head))
+        k = self.k_proj.apply(x).reshape(by_head)
+        v = self.v_proj.apply(x).reshape(by_head)
+        if layer_cache is not None:
+            layer_cache.append_step(step.write_blocks, step.write_offsets, k, v)
         if step.keep is not None:
             x = x[step.keep]
         q = self.q_proj.apply(x).reshape(len(x), self.num_heads, self.head_dim)
 
         scale = 1.0 / float(np.sqrt(self.head_dim))
         merged = np.empty_like(q)
-        for tokens, tables, mask, valid in step.groups:
-            keys, values = layer_cache.gather(tables)
-            scores = (np.swapaxes(q[tokens], 1, 2) @ np.swapaxes(keys, -1, -2)) * scale
+        for tokens, tables, mask, valid, fresh in step.groups:
+            if fresh is None:
+                keys, values = layer_cache.gather(tables)
+            else:
+                keys = np.swapaxes(by_row(k, fresh), 1, 2)
+                values = np.swapaxes(by_row(v, fresh), 1, 2)
+            scores = (np.swapaxes(by_row(q, tokens), 1, 2)
+                      @ np.swapaxes(keys, -1, -2)) * scale
             if mask is not None:
                 np.copyto(scores, -np.inf, where=mask[:, None, :, :])
             context = np.swapaxes(softmax_array(scores) @ values, 1, 2)
-            if valid is None:
-                merged[tokens] = context
-            else:
+            if valid is not None:
                 merged[tokens[valid]] = context[valid]
+            elif type(tokens) is TokenRun:
+                by_row(merged, tokens)[...] = context
+            else:
+                merged[tokens] = context
         return self.out_proj.apply(merged.reshape(x.shape))
 
-    def forward_packed(self, x: np.ndarray, runs: Sequence[Tuple[int, int, int]],
-                       last_index: Optional[np.ndarray] = None) -> np.ndarray:
-        """Causal self-attention over packed ragged rows, on raw arrays.
-
-        ``x`` is ``(tokens, d_model)``: independent rows of different
-        lengths laid back to back, no padding.  The projections run once
-        over the packed tokens; the attention itself runs once per entry of
-        ``runs`` (:func:`packed_runs`), whose rows share a length and so
-        reshape into one ``(rows, heads, length, head_dim)`` batch under the
-        causal mask alone — a row never sees a neighbour or a pad.  The
-        arithmetic is the full :meth:`forward`'s, operation for operation.
-
-        With ``last_index`` (each row's last token, for the final block of an
-        inference that reads only that position) keys and values are still
-        computed everywhere but the query, and so the output, only there:
-        the result is ``(rows, d_model)`` instead of ``(tokens, d_model)``.
-        """
-        self._check_cached_preconditions()
-        k = self.k_proj.apply(x)
-        v = self.v_proj.apply(x)
-        q = self.q_proj.apply(x if last_index is None else x[last_index])
-        scale = 1.0 / float(np.sqrt(self.head_dim))
-        merged = np.empty_like(q)
-        by_head = merged.reshape(len(q), self.num_heads, self.head_dim)
-        done = 0
-        for offset, rows, length in runs:
-            width = length if last_index is None else 1
-            tokens = slice(offset, offset + rows * length)
-            mine = slice(done, done + rows * width)
-            done = mine.stop
-            keys = self._split_heads(k[tokens], rows, length)
-            values = self._split_heads(v[tokens], rows, length)
-            scores = (self._split_heads(q[mine], rows, width)
-                      @ np.swapaxes(keys, -1, -2)) * scale
-            if width > 1:  # a lone last-position query sees every key
-                scores += causal_mask(length, scores.dtype)
-            by_head[mine] = np.swapaxes(softmax_array(scores) @ values, 1, 2).reshape(
-                rows * width, self.num_heads, self.head_dim)
-        return self.out_proj.apply(merged)
-
     def _split_heads(self, x, batch: int, seq: int):
-        """``(batch, seq, d_model)`` (or the same tokens packed 2-d) ->
-        ``(batch, heads, seq, head_dim)``; a ``Tensor`` on the graph path, a
-        raw array on the step and packed paths."""
+        """``(batch, seq, d_model)`` -> ``(batch, heads, seq, head_dim)``."""
         return x.reshape(batch, seq, self.num_heads, self.head_dim).swapaxes(1, 2)

@@ -34,11 +34,12 @@ grouped: padding every row to the *batch's* longest table would make a
 40-token session gather and score its 500-token neighbour's width, so
 :func:`partition_rows` sorts the rows of a step into **length groups** by each
 row's own block need and the context carries one ``(tokens, tables, mask,
-valid)`` entry per group, each at that group's key width and its own widest
-row's query width; attention runs gather -> scores -> mask -> softmax ->
-``@ values`` once per group while everything else in the layer stays one call
-over the packed tokens.  A batch of similar lengths is the one-group case of
-the same plan (the step's table matrix itself, no further copy).
+valid, fresh)`` entry per group, each at that group's key width and its own
+widest row's query width; attention runs gather -> scores -> mask -> softmax
+-> ``@ values`` once per group while everything else in the layer stays one
+call over the packed tokens.  A batch of similar lengths is the one-group
+case of the same plan (the step's table matrix itself, no further copy).  A
+group of rows that start empty is *fresh*: it keys on its own tokens.
 ``key_positions_gathered`` / ``key_positions_live`` count what the padding
 that remains costs.  A step whose prompt rows feed several tokens also
 carries the final layer's view of itself (:attr:`PagedStepContext.last`),
@@ -74,7 +75,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .attention import _position_range
+from .attention import TokenRun, _position_range, by_row
 
 #: Default tokens per block — small enough that short sessions waste little,
 #: large enough that block tables and gathers stay cheap.
@@ -106,11 +107,6 @@ MIN_SPLIT_SAVING_BLOCK_ROWS = 6
 #: The one-group partition's row selector: a basic slice, so nothing is
 #: copied to name "every row".
 _ALL_ROWS = slice(None)
-
-#: The one-group all-ones step's token selector — row *i*'s one token is packed
-#: token *i* — as a basic index: ``q[tokens]`` is the view ``q[:, None]`` and
-#: ``out[tokens] = ...`` a plain copy.
-_ONE_TOKEN_EACH = (slice(None), None)
 
 #: How a length group names its rows: the whole-batch slice or index array.
 RowIndex = Union[slice, np.ndarray]
@@ -345,12 +341,22 @@ def _token_grid(counts_key: bytes
     return row_of, place_of, index, None if valid.all() else valid
 
 
-def _window_mask(positions: np.ndarray, gathered_len: int) -> Optional[np.ndarray]:
-    """Boolean ``(g, width, gathered_len)`` mask of the gathered positions
-    past each query token's own; None when there are none."""
-    if int(positions.min()) + 1 == gathered_len:
+def _window_mask(positions: np.ndarray, keys: int) -> Optional[np.ndarray]:
+    """Boolean ``(g, width, keys)`` mask of the key positions past each query
+    token's own; None when there are none."""
+    if int(positions.min()) + 1 == keys:
         return None
-    return _position_range(gathered_len)[None, None, :] > positions[:, :, None]
+    return _position_range(keys)[None, None, :] > positions[:, :, None]
+
+
+@lru_cache(maxsize=64)
+def _causal_window(length: int) -> Optional[np.ndarray]:
+    """The ``(1, length, length)`` :func:`_window_mask` every fresh row of
+    ``length`` tokens shares (memoised, so read-only)."""
+    mask = _window_mask(_position_range(length)[None, :], length)
+    if mask is not None:
+        mask.setflags(write=False)
+    return mask
 
 
 class PagedStepContext:
@@ -370,14 +376,15 @@ class PagedStepContext:
     Every packed token is real, so the flat ``write_blocks`` /
     ``write_offsets`` / ``positions`` arrays line up with the packed
     activations one to one and a layer scatters its K/V into the pool as they
-    come.  Only attention needs a rectangle, and only per length group:
-    ``groups`` partitions the rows by block need (:func:`partition_rows`) and
-    attention gathers, scores and scatters each group at its own key width
-    and its own widest row's query width.  A batch of similar lengths has one
-    group covering every row — the same loop, run once.  Every array is the
-    step's own copy, read from the pool as it stood when the step was
-    prepared: a context is spent once its step is committed, or once any of
-    its sessions is otherwise mutated.
+    come (a step with no pool, :func:`plan_fresh_rows`, has neither writes
+    nor ``session_ids``).  Only attention needs a rectangle, and only per
+    length group: ``groups`` partitions the rows by block need
+    (:func:`partition_rows`) and attention gathers, scores and scatters each
+    group at its own key width and its own widest row's query width.  A batch of
+    similar lengths has one group covering every row — the same loop, run
+    once.  Every array is the step's own copy, read from the pool as it
+    stood when the step was prepared: a context is spent once its step is
+    committed, or once any of its sessions is otherwise mutated.
 
     A step whose prompt rows (``prompt_from`` in the plan) feed more than one
     token carries a second context, ``last``, for the final layer: the same
@@ -390,8 +397,8 @@ class PagedStepContext:
     __slots__ = ("session_ids", "groups", "write_blocks", "write_offsets",
                  "positions", "keep", "last")
 
-    def __init__(self, session_ids: np.ndarray, groups: Tuple[tuple, ...],
-                 write_blocks: np.ndarray, write_offsets: np.ndarray,
+    def __init__(self, session_ids: Optional[np.ndarray], groups: Tuple[tuple, ...],
+                 write_blocks: Optional[np.ndarray], write_offsets: Optional[np.ndarray],
                  positions: np.ndarray, keep: Optional[np.ndarray] = None) -> None:
         self.session_ids = session_ids
         self.write_blocks = write_blocks    #: (total,) block per packed token
@@ -399,22 +406,23 @@ class PagedStepContext:
         #: (total,) global position per packed token: where it is written,
         #: its positional embedding and its causal cutoff.
         self.positions = positions
-        #: One ``(tokens, tables, mask, valid)`` per length group.  ``tokens``
-        #: indexes the packed arrays: ``(g, width)``, row by row, ``width``
-        #: the group's own widest row and the places past a shorter row's
-        #: count repeating its last token (the basic index ``[:, None]``, a
-        #: view, when the batch is one group of one-token rows).  ``tables``
-        #: is the rows' ``(g, group_blocks)`` padded block ids.  ``mask`` is
-        #: the boolean ``(g, width, group_blocks * block_size)`` invisibility
-        #: mask over the group's gathered window, or None when every query
-        #: token of the group sees all of it: ``mask[i, t, j]`` is True when
-        #: gathered position ``j`` lies past the position of query token
-        #: ``t`` of row ``i`` (the causal cutoff) — which covers future draft
-        #: tokens, block padding and shorter group members at once; a
-        #: repeated token repeats its position, so no softmax row is ever
-        #: fully masked.  ``valid`` is the boolean ``(g, width)`` selector of
-        #: the real tokens among ``tokens`` — whose contexts are the only
-        #: ones scattered back — or None when the rows all feed ``width``.
+        #: One ``(tokens, tables, mask, valid, fresh)`` per length group.
+        #: ``tokens`` indexes the packed arrays: ``(g, width)``, row by row,
+        #: ``width`` the group's own widest row and the places past a shorter
+        #: row's count repeating its last token (a :class:`TokenRun`, read as
+        #: a view, when the rows are consecutive and all feed ``width``).
+        #: ``tables`` is the rows' ``(g, group_blocks)`` padded block ids.  A
+        #: *fresh* group — every row stood at length 0 — has no tables and
+        #: keys on its own tokens, ``fresh`` (else None).  ``mask`` is the
+        #: boolean ``(g, width, keys)`` invisibility mask over the group's
+        #: keys, or None when every query token of the group sees all of it: ``mask[i, t, j]`` is True when key
+        #: position ``j`` lies past the position of query token ``t`` of row
+        #: ``i`` (the causal cutoff) — which covers future draft tokens,
+        #: block padding and shorter group members at once; a repeated token
+        #: repeats its position, so no softmax row is ever fully masked.
+        #: ``valid`` is the boolean ``(g, width)`` selector of the real
+        #: tokens among ``tokens`` — whose contexts are the only ones
+        #: scattered back — or None when the rows all feed ``width``.
         self.groups = groups
         #: The packed indices of the tokens this context queries, in the
         #: order its output returns them; None: every packed token.  A
@@ -427,15 +435,16 @@ class PagedStepContext:
 
 
 def _length_groups(tables: np.ndarray, needs: Sequence[int], counts: np.ndarray,
-                   index: np.ndarray, valid: Optional[np.ndarray],
+                   lengths: np.ndarray, index: np.ndarray, valid: Optional[np.ndarray],
                    positions: np.ndarray, block_size: int,
                    prompt_from: Optional[int] = None
                    ) -> Tuple[Tuple[tuple, ...], Optional[np.ndarray], Tuple[tuple, ...]]:
-    """A step's ``(tokens, tables, mask, valid)`` per length group (see
-    :class:`PagedStepContext`).  ``index`` / ``valid`` are the step's
-    :func:`_token_grid`.  The one-group case takes them and ``tables`` as
-    they stand (``max(counts)`` and ``max(needs)`` are their widths by
-    construction); a group among several is cut to its own two widths.
+    """A step's ``(tokens, tables, mask, valid, fresh)`` per length group
+    (see :class:`PagedStepContext`).  ``index`` / ``valid`` are the step's
+    :func:`_token_grid` and ``lengths`` the rows' lengths before it.  The
+    one-group case takes them and ``tables`` as they stand (``max(counts)``
+    and ``max(needs)`` are their widths by construction); a group among
+    several is cut to its own two widths.
 
     Returns ``(groups, keep, last_groups)``.  When some prompt row (rows
     ``prompt_from..``) feeds more than one token, the same pass also builds
@@ -461,11 +470,15 @@ def _length_groups(tables: np.ndarray, needs: Sequence[int], counts: np.ndarray,
             width = max(own)
             tokens, group_tables = index[rows, :width], tables[rows, :blocks]
             real = None if min(own) == width else valid[rows, :width]
-        elif index.shape[1] == 1:
-            tokens = _ONE_TOKEN_EACH
-        gathered = group_tables.shape[1] * block_size
+        width = tokens.shape[1]
+        if real is None and isinstance(rows, slice):  # read as a view
+            tokens = TokenRun(tokens.item(0, 0), len(tokens), width)
+        fresh, keys_width = None, group_tables.shape[1] * block_size
+        if not lengths[rows].any():  # fresh: its keys are the tokens it feeds
+            fresh, group_tables, keys_width = tokens, None, width
         groups.append((tokens, group_tables,
-                       _window_mask(positions[tokens], gathered), real))
+                       _window_mask(by_row(positions, tokens), keys_width), real,
+                       fresh))
         if keep is None:
             continue
         members = _position_range(len(needs))[rows]
@@ -476,8 +489,30 @@ def _length_groups(tables: np.ndarray, needs: Sequence[int], counts: np.ndarray,
             # clamps the places past a row's count to it).
             last = positions[index[rows, -1]][:, None]
             last_groups.append(((members + (decoded - prompt_from))[:, None],
-                                group_tables, _window_mask(last, gathered), None))
+                                group_tables, _window_mask(last, keys_width), None,
+                                fresh))
     return tuple(groups), keep, tuple(last_groups)
+
+
+def plan_fresh_rows(lengths: Sequence[int]) -> PagedStepContext:
+    """The plan of a step with no pool over independent rows at positions
+    ``0..lengths[i]-1``: one fresh group per run of equal lengths, no writes,
+    and the final layer's view at each row's last token, which sees its
+    whole row.  Sorted rows make long runs; any order is correct."""
+    groups, last_groups, positions = [], [], []
+    start = row = 0
+    for length, run in itertools.groupby(lengths):
+        rows = len(list(run))
+        tokens = TokenRun(start, rows, length)
+        groups.append((tokens, None, _causal_window(length), None, tokens))
+        last_groups.append((TokenRun(row, rows, 1), None, None, None, tokens))
+        positions.append(np.tile(_position_range(length), rows))
+        start, row = start + tokens.size, row + rows
+    positions = np.concatenate(positions)
+    step = PagedStepContext(None, tuple(groups), None, None, positions)
+    step.last = PagedStepContext(None, tuple(last_groups), None, None, positions,
+                                 np.cumsum(lengths) - 1)
+    return step
 
 
 class PagedKVCache:
@@ -525,11 +560,11 @@ class PagedKVCache:
         self._rows: Dict[int, int] = {}  # live session id -> table row
         self._free_rows: List[int] = []
         self._ids = itertools.count()
-        #: Key positions the steps so far gathered per layer (every group's
-        #: rows x its padded width) and how many of those were live history
-        #: (each row's own window); the gap is padding, gathered and scored
-        #: for nothing.  ``attention_groups`` counts the length groups those
-        #: steps ran, so groups per step is its delta.
+        #: Key positions the steps so far scored per layer, gathered or read
+        #: fresh (every group's rows x its key width) and how many of those
+        #: were live history (each row's own window); the gap is padding,
+        #: scored for nothing.  ``attention_groups`` counts the length groups
+        #: those steps ran, so groups per step is its delta.
         self.key_positions_gathered = 0
         self.key_positions_live = 0
         self.attention_groups = 0
@@ -854,18 +889,19 @@ class PagedKVCache:
         blocks, write_offsets = np.divmod(positions, self.block_size)
         write_blocks = tables[row_of, blocks]
         groups, keep, last_groups = _length_groups(
-            tables, needs, counts, index, valid, positions, self.block_size,
-            prompt_from)
+            tables, needs, counts, lengths, index, valid, positions,
+            self.block_size, prompt_from)
         step = PagedStepContext(session_ids, groups, write_blocks, write_offsets,
                                 positions)
         if keep is not None:
             step.last = PagedStepContext(session_ids, last_groups, write_blocks,
                                          write_offsets, positions, keep)
         if attended:
-            # What the step's attention will read, per layer: every group's
-            # rows x its padded width, against the rows' own windows.
-            self.key_positions_gathered += self.block_size * sum(
-                tables.size for _, tables, _, _ in step.groups)
+            # What the step's attention will score, per layer: every group's
+            # rows x its key width, against the rows' own windows.
+            self.key_positions_gathered += sum(
+                self.block_size * tables.size if fresh is None else fresh.size
+                for _, tables, _, _, fresh in step.groups)
             self.key_positions_live += int(totals.sum())
             self.attention_groups += len(step.groups)
         return step

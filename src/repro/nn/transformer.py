@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .attention import MultiHeadAttention, _position_range, causal_mask, packed_runs
+from .attention import MultiHeadAttention, _position_range, causal_mask
 from .paged_cache import (
     DEFAULT_BLOCK_SIZE,
     PagedKVCache,
     PagedLayerKVCache,
     PagedStepContext,
+    plan_fresh_rows,
 )
 from .layers import Dropout, GELU, LayerNorm, Linear, Module, ModuleList
 from .lora import LoRALinear
@@ -73,23 +74,14 @@ class TransformerBlock(Module):
         x = x + self.mlp(self.norm2(x))
         return x
 
-    def forward_step(self, x: np.ndarray, layer_cache: PagedLayerKVCache,
+    def forward_step(self, x: np.ndarray, layer_cache: Optional[PagedLayerKVCache],
                      step: PagedStepContext) -> np.ndarray:
-        """Batched ragged paged step on raw ``(tokens, d_model)`` arrays (see
-        ``MultiHeadAttention.forward_step``).  With ``step.keep`` the
-        residual stream, and so the MLP, continues at the kept tokens only."""
+        """Batched ragged step on raw ``(tokens, d_model)`` arrays, with or
+        without a pool (see ``MultiHeadAttention.forward_step``).  With
+        ``step.keep`` the residual stream, and so the MLP, continues at the
+        kept tokens only."""
         attended = self.attention.forward_step(self.norm1.apply(x), layer_cache, step)
         x = (x if step.keep is None else x[step.keep]) + attended
-        return x + self.mlp.apply(self.norm2.apply(x))
-
-    def forward_packed(self, x: np.ndarray, runs: Sequence[Tuple[int, int, int]],
-                       last_index: Optional[np.ndarray] = None) -> np.ndarray:
-        """Packed ragged rows on raw arrays (see
-        ``MultiHeadAttention.forward_packed``).  With ``last_index`` the
-        residual stream, and so the MLP, continues at each row's last token
-        only: ``(tokens, d_model)`` in, ``(rows, d_model)`` out."""
-        attended = self.attention.forward_packed(self.norm1.apply(x), runs, last_index)
-        x = (x if last_index is None else x[last_index]) + attended
         return x + self.mlp.apply(self.norm2.apply(x))
 
 
@@ -154,7 +146,7 @@ class TransformerBackbone(Module):
         advance by ``counts[i]``.  The features come back as one packed
         sequence, ``(1, rows out, d_model)``: the unit axis keeps the
         logits three-axis for callers that multiply the first two into a
-        row count (ROADMAP 1a drops it).
+        row count (ROADMAP 1c drops it).
 
         Plain decode is the all-ones step and is spelled ``counts=None``
         (``embeddings`` then ``(n, d_model)``); a speculative verification
@@ -198,19 +190,11 @@ class TransformerBackbone(Module):
         step = (cache.prepare_step(session_ids, self.max_seq_len) if counts is None
                 else cache.prepare_multi_step(session_ids, counts, self.max_seq_len,
                                               prompt_from))
-        # Raw arrays from here to the final norm: the step is inference-only
-        # (the attention layers refuse to run with grad enabled), so nothing
-        # in between needs a graph node.
-        x = embeddings.data + self.position_embedding.data[step.positions]
-        *body, (final, final_cache) = zip(self.blocks, cache.layers)
-        for block, layer_cache in body:
-            x = block.forward_step(x, layer_cache, step)
-        x = final.forward_step(x, final_cache, step if step.last is None else step.last)
+        features = self._layers(embeddings.data, step, cache.layers)[None]
         if counts is None:
             cache.commit_step(session_ids)
         else:
             cache.commit_multi_step(session_ids, counts)
-        features = self.final_norm.apply(x)[None]
         return Tensor(features, dtype=features.dtype)  # repro: noqa[REP007] the step's one output wrap
 
     def last_position_features(self, tokens: np.ndarray,
@@ -220,14 +204,13 @@ class TransformerBackbone(Module):
         The one-inference-per-answer entry (inference only, raw arrays in
         and out): ``tokens`` is ``(sum(lengths), d_model)``, independent
         rows of embeddings laid back to back, row *i* owning ``lengths[i]``
-        tokens at positions ``0..lengths[i]-1``.  Norms, projections and
-        MLPs run once over the packed tokens — nothing is padded — and
-        attention once per run of consecutive equal-length rows (callers
-        with many lengths sort their rows so runs are long; any order is
-        correct).  The final block attends, projects and feeds forward at
-        each row's last position only, so the ``(rows, d_model)`` result is
-        what :meth:`forward` (causal) returns at ``[:, -1]`` for each row
-        alone, at a fraction of its cost.
+        tokens at positions ``0..lengths[i]-1``.  It is the step of
+        :meth:`forward_step` with no pool, every row a prompt row that starts
+        empty (:func:`~repro.nn.paged_cache.plan_fresh_rows`): nothing is
+        padded or written, attention runs once per run of equal-length rows,
+        and the final block only at each row's last position, so the
+        ``(rows, d_model)`` result is what :meth:`forward` (causal) returns
+        at ``[:, -1]`` for each row alone, at a fraction of its cost.
         """
         lengths = [int(length) for length in lengths]
         if tokens.ndim != 2 or tokens.shape[1] != self.d_model:
@@ -239,15 +222,19 @@ class TransformerBackbone(Module):
         if max(lengths) > self.max_seq_len:
             raise ValueError(f"sequence length {max(lengths)} exceeds "
                              f"maximum {self.max_seq_len}")
-        runs = packed_runs(lengths)
-        positions = np.concatenate(
-            [np.tile(_position_range(length), rows) for _, rows, length in runs])
-        last_index = np.cumsum(lengths) - 1
-        x = tokens + self.position_embedding.data[positions]
-        *body, final = self.blocks
-        for block in body:
-            x = block.forward_packed(x, runs)
-        return self.final_norm.apply(final.forward_packed(x, runs, last_index))
+        return self._layers(tokens, plan_fresh_rows(lengths), [None] * len(self.blocks))
+
+    def _layers(self, x: np.ndarray, step: PagedStepContext,
+                layer_caches: Sequence[Optional[PagedLayerKVCache]]) -> np.ndarray:
+        """The one raw-array layer loop (inference only: the attention layers
+        refuse to run with grad enabled); the final block runs on
+        ``step.last`` when the step has one."""
+        x = x + self.position_embedding.data[step.positions]
+        *body, (final, final_cache) = zip(self.blocks, layer_caches)
+        for block, layer_cache in body:
+            x = block.forward_step(x, layer_cache, step)
+        x = final.forward_step(x, final_cache, step if step.last is None else step.last)
+        return self.final_norm.apply(x)
 
     def forward(self, embeddings: Tensor, causal: bool = True) -> Tensor:
         """Run the backbone over ``(batch, seq, d_model)`` embeddings."""

@@ -159,7 +159,7 @@ class AdaptiveK:
     shape of a loss-driven rate controller.  Probes share one clock rather
     than one per session; that dates from a step padded to its widest row
     (staggered probes kept every step two columns wide) and saves nothing
-    on the token-packed step — ROADMAP item 6 decides what replaces it
+    on the token-packed step — ROADMAP item 7 decides what replaces it
     (``docs/speculative.md``).  An accepted probe resumes the growth rule
     from 1; a rejected one goes back to 0 until the next probe.
 

@@ -121,11 +121,11 @@ class StepRecord:
     queue_depth_by_priority: Mapping[int, int] = field(default_factory=dict)
     blocks_in_use: int = 0
     prefix_hits: int = 0
-    #: Paged attention this step, per layer: key positions gathered (every
-    #: length group's rows x its block-padded width), how many of them were
-    #: live history of the row that read them, and the number of length
-    #: groups the rows ran in, over the step's prefill and decode forwards
-    #: alike.  All zero on a step that ran neither.
+    #: Paged attention this step, per layer: key positions scored, gathered
+    #: or read fresh (every length group's rows x its key width), how many of
+    #: them were live history of the row that read them, and the number of
+    #: length groups the rows ran in, over the step's prefill and decode
+    #: forwards alike.  All zero on a step that ran neither.
     kv_positions_gathered: int = 0
     kv_positions_live: int = 0
     kv_groups: int = 0
@@ -136,7 +136,7 @@ class StepRecord:
 
     @property
     def kv_padding_share(self) -> float:
-        """Share of the gathered key positions that were padding."""
+        """Share of the scored key positions that were padding."""
         return _padding_share(self.kv_positions_gathered, self.kv_positions_live)
 
     @property

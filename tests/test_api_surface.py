@@ -101,6 +101,20 @@ PAGED_KV_PUBLIC = {
 }
 
 
+#: The methods of the attention-bearing classes.  There are two attention
+#: bodies, the graph ``forward`` (training and the reference) and
+#: ``forward_step`` (every inference forward: decode, verification, prefill
+#: and, with no pool, decisions); pinned so a third cannot come back
+#: unnoticed.
+ATTENTION_METHODS = {
+    "MultiHeadAttention": {"forward", "forward_step",
+                           "_check_cached_preconditions", "_split_heads"},
+    "TransformerBlock": {"forward", "forward_step"},
+    "TransformerBackbone": {"init_paged_cache", "forward_step",
+                            "last_position_features", "_layers", "forward"},
+}
+
+
 #: The one-session step and the import utilities outlive their last served
 #: use only because ``bench/trace.py`` times them (ROADMAP item 1b).  Parity
 #: tests check against the graph forward and fill pools with ``forward_step``
@@ -274,6 +288,12 @@ class TestNnSurface:
         # Self-contained: the tables are the only holders there are to count.
         assert list(inspect.signature(
             nn.PagedKVCache.check_invariants).parameters) == ["self"]
+
+    def test_attention_bodies(self):
+        for name, methods in ATTENTION_METHODS.items():
+            own = {attr for attr, value in vars(getattr(nn, name)).items()
+                   if callable(value) and not attr.startswith("__")}
+            assert own == methods, name
 
     def test_paged_kv_cache_names_the_benchmark_times(self):
         from bench.trace import TARGETS  # run from the repo root, like bench/

@@ -5,8 +5,10 @@ different lengths into one raw-array forward whose final block runs at each
 row's last position only.  The contract pinned here: every row of a batch
 equals the same row called alone, equals a stacked equal-length call of its
 length peers, and equals the graph ``forward`` (what DD-LRNA trains through)
-at that row's last state position — float64 at ``atol=1e-9`` and
-argmax-exact, float32 at ``atol=1e-4``.  The engine half: one group per task
+at that row's last state position — float64 at the parity policy's bound
+(``tests/reference.py``, 1e-12) and argmax-exact, float32 at
+``atol=1e-4``.  The forward is ``forward_step`` with no pool: it writes,
+gathers and builds no KV storage.  The engine half: one group per task
 whatever the window lengths, and a malformed payload refused at ``submit``
 instead of failing its task's whole group.
 """
@@ -20,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from reference import PARITY_ATOL
 
 from repro.core import DecisionAdapter, VPAdapter
 from repro.core.adapter import DecisionBatch
@@ -29,7 +32,7 @@ from repro.nn import Adam, Tensor, iter_lora_layers, no_grad, set_default_dtype
 from repro.serve import DecisionRequest, InferenceServer
 from repro.vp.task import VPSample
 
-ATOL = 1e-9
+ATOL = PARITY_ATOL[np.dtype(np.float64)]
 CONTEXT_WINDOW = 10
 STATE_DIM = {"abr": 7, "cjs": 9}
 ACTION_DIMS = {"abr": (6,), "cjs": (5, 3)}
@@ -238,6 +241,30 @@ class TestPackedParity:
                         adapter.act_batch(*_columns(windows, "returns", "states", "actions"))
                     counts.add(len(built) - before)
         assert counts == {0}  # raw arrays end to end: no graph node at any depth
+
+    def test_the_decision_forward_is_the_step_with_no_pool(self, adapters,
+                                                           monkeypatch):
+        from repro.nn import MultiHeadAttention, PagedKVCache, PagedLayerKVCache
+
+        touched, caches = [], []
+        for cls, name in ((PagedKVCache, "__init__"),
+                          (PagedLayerKVCache, "append_step"),
+                          (PagedLayerKVCache, "gather")):
+            monkeypatch.setattr(cls, name,
+                                lambda *args, _name=name, **kwargs: touched.append(_name))
+        step = MultiHeadAttention.forward_step
+
+        def spy(self, x, layer_cache, context):
+            caches.append(layer_cache)
+            return step(self, x, layer_cache, context)
+
+        monkeypatch.setattr(MultiHeadAttention, "forward_step", spy)
+        rng = np.random.default_rng(6)
+        _assert_decision_parity(adapters["cjs"], [_window(rng, "cjs", steps)
+                                                  for steps in (4, 4, 9, 1, 7)])
+        _assert_vp_parity(adapters["vp"], [_sample(rng, steps) for steps in (3, 8, 3)])
+        assert touched == []
+        assert caches and all(layer_cache is None for layer_cache in caches)
 
     def test_backbone_entry_checks_its_packing(self):
         backbone = _llm().backbone

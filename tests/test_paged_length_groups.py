@@ -12,6 +12,8 @@ need and attends once per group at that group's width.  This suite pins
 * that the step is token-packed: dense layers and the LM head see
   ``sum(counts)`` token rows, each group's queries are its own widest row
   wide, and any ragged ``counts`` match the graph forward,
+* that a group of rows opened empty attends over its own keys and gathers
+  nothing, while a group with any history still gathers,
 * that a quarantine inside a split step implicates the same sessions as ever,
 * the padding counters on the cache, ``StepRecord``, the windows and
   ``explain_request``.
@@ -25,12 +27,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from reference import PARITY_ATOL, Twin, decode, fill, standalone
+from reference import PARITY_ATOL, Twin, assert_logits, decode, fill, standalone
 
 from repro.llm import LanguageModel
 from repro.llm.config import LLMConfig
 from repro.nn import no_grad, set_default_dtype
 from repro.nn import paged_cache as pc
+from repro.nn.attention import TokenRun, by_row
 from repro.serve import (
     FaultInjector,
     FaultSpec,
@@ -158,15 +161,17 @@ class TestPartition:
     def test_one_group_case_allocates_no_index_copies(self, model):
         """Same arrays in, same object out: the unsplit step hands attention
         the step's table matrix and token grid themselves, and the all-ones
-        one reaches its packed tokens through a basic index — a view."""
+        one reaches its packed tokens through a token run — a view."""
         tables = np.arange(9, dtype=np.int64).reshape(3, 3)
         counts = np.asarray([2, 1, 2])
         _, _, index, valid = pc._token_grid(counts.tobytes())
         assert index.tolist() == [[0, 1], [2, 2], [3, 4]]
         positions = np.asarray([16, 17, 20, 18, 19])
-        [(tokens, same, _, real)], keep, _ = pc._length_groups(
-            tables, [3, 3, 3], counts, index, valid, positions, BLOCK)
+        lengths = np.asarray([16, 20, 18])
+        [(tokens, same, _, real, fresh)], keep, _ = pc._length_groups(
+            tables, [3, 3, 3], counts, lengths, index, valid, positions, BLOCK)
         assert tokens is index and same is tables and real is valid
+        assert fresh is None  # the rows have a history: the group gathers
         assert keep is None  # no prompt rows: no final-layer view
         with no_grad():
             paged = model.init_paged_cache(max_sessions=4, block_size=BLOCK)
@@ -174,11 +179,11 @@ class TestPartition:
                      for prompt in _prompts(model, (10, 12, 9), seed=1)]
             ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
             step = paged.prepare_step(ids)
-            [(tokens, tables, _, real)] = step.groups
-            assert tokens == (slice(None), None) and real is None
+            [(tokens, tables, _, real, fresh)] = step.groups
+            assert tokens == TokenRun(0, 3, 1) and real is None and fresh is None
             packed = np.arange(6.0).reshape(3, 2)
-            assert np.shares_memory(packed[tokens], packed)
-            assert packed[tokens].shape == (3, 1, 2)
+            assert np.shares_memory(by_row(packed, tokens), packed)
+            assert by_row(packed, tokens).shape == (3, 1, 2)
             assert tables.tolist() == [list(paged.table(twin.sid)) for twin in twins]
 
 
@@ -217,7 +222,7 @@ class TestSplitStepParity:
             def group_shapes():
                 """The next step's groups, read by preparing a pool copy."""
                 step = copy.deepcopy(paged).prepare_step(ids)
-                return sorted(tables.shape for _, tables, _, _ in step.groups)
+                return sorted(tables.shape for _, tables, _, _, _ in step.groups)
 
             assert group_shapes() == [(1, 6), (2, 1)]
             assert decode(model, paged, twins, steps=2) == [2, 2]
@@ -544,6 +549,90 @@ class TestFinalLayerView:
             np.testing.assert_allclose(
                 model.forward_step(nxt, trimmed_pool, rows).data[0],
                 model.forward_step(nxt, full_pool, rows).data[0], atol=bound, rtol=0)
+
+
+# ---------------------------------------------------------------------- #
+# Fresh groups: rows that start empty attend over their own keys
+# ---------------------------------------------------------------------- #
+def _counting(monkeypatch, cls, name):
+    """Count calls of ``cls.name`` and still make them."""
+    calls, original = [], getattr(cls, name)
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+class TestFreshGroups:
+    @pytest.mark.parametrize("prompt_from", [None, 0])
+    @pytest.mark.parametrize("lengths", [(5, 3, 7), (6, 6, 6), (30, 2, 19, 9)])
+    def test_rows_opened_empty_gather_nothing(self, model, monkeypatch,
+                                              lengths, prompt_from):
+        """A ragged fresh group (the places past a short row's count repeat
+        its last token), a token run, and a batch that splits: every row's
+        keys are its own, read from the step, never gathered — and the
+        logits are the reference's at the policy bound."""
+        prompts = _prompts(model, lengths, seed=sum(lengths))
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=4, block_size=BLOCK)
+            sids = [paged.open_session() for _ in prompts]
+            plan = copy.deepcopy(paged).prepare_multi_step(sids, list(lengths),
+                                                           prompt_from=prompt_from)
+            assert all(fresh is not None and tables is None
+                       for _, tables, _, _, fresh in plan.groups)
+            if len(set(lengths)) == 1:  # consecutive rows of one count
+                assert plan.groups[0][0] == TokenRun(0, len(lengths), lengths[0])
+            gathers = _counting(monkeypatch, pc.PagedLayerKVCache, "gather")
+            writes = _counting(monkeypatch, pc.PagedLayerKVCache, "append_step")
+            gathered = paged.key_positions_gathered
+            logits = model.forward_step(_packed(prompts), paged, sids,
+                                        counts=list(lengths),
+                                        prompt_from=prompt_from).data[0]
+            assert gathers == [] and len(writes) == len(model.backbone.blocks)
+            # Once written, the rows have a history: the next step gathers.
+            plan = copy.deepcopy(paged).prepare_step(sids)
+            assert all(fresh is None for *_, fresh in plan.groups)
+            # A fresh group scores its rows at its own widest count.
+            assert paged.key_positions_gathered - gathered >= sum(lengths)
+            if len(set(lengths)) > 1 and max(lengths) < BLOCK:
+                assert paged.key_positions_gathered - gathered == \
+                    len(lengths) * max(lengths)
+            paged.check_invariants()
+        offset = 0
+        for sid, prompt in zip(sids, prompts):
+            rows = len(prompt) if prompt_from is None else 1
+            assert_logits(model, prompt, logits[offset:offset + rows],
+                          err_msg=f"session {sid}")
+            offset += rows
+            assert paged.length(sid) == len(prompt)
+        # What the fresh step wrote is what a decode step reads back.
+        with no_grad():
+            after = model.forward_step(np.zeros(len(sids), dtype=np.int64),
+                                       paged, sids).data[0]
+        for prompt, row in zip(prompts, after):
+            assert_logits(model, prompt + [0], row[None])
+
+    def test_a_group_with_one_row_holding_history_still_gathers(
+            self, model, monkeypatch):
+        prompts = _prompts(model, (3, 4), seed=40)
+        with no_grad():
+            paged = model.init_paged_cache(max_sessions=2, block_size=BLOCK)
+            held = Twin(model, paged, prompts[0])
+            empty = paged.open_session()
+            fed = [[5, 9], prompts[1]]
+            step = copy.deepcopy(paged).prepare_multi_step(
+                [held.sid, empty], [2, 4])
+            [(_, tables, _, _, fresh)] = step.groups
+            assert fresh is None and tables.shape == (2, 1)
+            gathers = _counting(monkeypatch, pc.PagedLayerKVCache, "gather")
+            logits = model.forward_step(_packed(fed), paged, [held.sid, empty],
+                                        counts=[2, 4]).data[0]
+            assert len(gathers) == len(model.backbone.blocks)
+        assert_logits(model, prompts[0] + fed[0], logits[:2])
+        assert_logits(model, prompts[1], logits[2:])
 
 
 # ---------------------------------------------------------------------- #

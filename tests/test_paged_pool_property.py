@@ -29,6 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import PagedKVCache
+from repro.nn.attention import by_row
 
 BLOCK = 4
 MAX_BLOCKS = 24
@@ -127,16 +128,18 @@ def _assert_same_plan(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name), name)
     assert len(a.groups) == len(b.groups)
     packed = np.arange(len(a.positions))
-    for (tokens, *plan), (tokens_b, *plan_b) in zip(a.groups, b.groups):
-        assert type(tokens) is type(tokens_b)
-        np.testing.assert_array_equal(packed[tokens], packed[tokens_b])
+    for (tokens, *plan, fresh), (tokens_b, *plan_b, fresh_b) in zip(a.groups, b.groups):
+        assert type(tokens) is type(tokens_b) and type(fresh) is type(fresh_b)
+        for mine, theirs in ((tokens, tokens_b), (fresh, fresh_b)):
+            if mine is not None:
+                np.testing.assert_array_equal(by_row(packed, mine), by_row(packed, theirs))
         for mine, theirs in zip(plan, plan_b):  # tables, mask, valid
             assert (mine is None) == (theirs is None)
             if mine is not None:
                 np.testing.assert_array_equal(mine, theirs)
     # The groups' real tokens partition the packed array.
-    owned = np.concatenate([packed[tokens][... if valid is None else valid].ravel()
-                            for tokens, _, _, valid in a.groups])
+    owned = np.concatenate([by_row(packed, tokens)[... if valid is None else valid].ravel()
+                            for tokens, _, _, valid, _ in a.groups])
     assert sorted(owned.tolist()) == packed.tolist()
 
 

@@ -285,10 +285,10 @@ class TestRep007:
             "        return Tensor(self.norm(x).data)\n")}, select=["REP007"])
         assert findings == []
 
-    def test_flags_the_wrapper_on_the_packed_and_adapter_inference_paths(self):
+    def test_flags_the_wrapper_on_the_decision_and_adapter_inference_paths(self):
         findings = check_sources({
             "src/repro/nn/block.py": _RAW_BLOCK + (
-                "    def forward_packed(self, x, runs, last_index=None):\n"
+                "    def forward_step(self, x, layer_cache, step):\n"
                 "        return self.norm(x)\n"
                 "    def last_position_features(self, tokens, lengths):\n"
                 "        return Tensor(tokens)\n"),
@@ -307,7 +307,7 @@ class TestRep007:
         assert "graph op `stack(...)` called inside `act_batch`" in messages[3]
         assert "`self.norm(...)` called through Module.__call__ inside `act_batch`" \
             in messages[4]
-        assert "`self.norm(...)` called through Module.__call__ inside `forward_packed`" \
+        assert "`self.norm(...)` called through Module.__call__ inside `forward_step`" \
             in messages[5]
 
     def test_raw_adapter_inference_and_the_graph_forward_are_clean(self):

@@ -573,8 +573,9 @@ class SessionManager:
         prefill chunks are charged per prompt token.  With speculation off
         (or an empty batch) the plan is trivially one token per running row.
 
-        Draft lengths start from each session's adaptive ``k`` (0 for a
-        session whose drafts keep being rejected, outside its probe steps —
+        Draft lengths start from each session's adaptive ``k`` at this
+        batch's row count (0 for a new session, or one whose acceptance does
+        not pay for a verify at this batch size, outside its probe steps —
         when every row is at 0 the step is the plain decode step), are clamped
         to the session's remaining context (a session never drafts past
         ``max_context``), and are trimmed longest-first until the batch fits
@@ -591,15 +592,16 @@ class SessionManager:
             # a raise here can never leave KV to roll back.
             self.faults.fire("draft.propose")
         self._adaptive.begin_step()
+        rows = len(self.running)
         drafts: Dict[int, List[int]] = {}
         for slot in sorted(self.running):
             session = self.running[slot]
             # Room after the mandatory token: never draft past the context
             # cap (sequential decode would have stopped there too).
             room = self.max_context - (self.cache.length(slot) + 1)
-            k = min(self._adaptive.current(slot), max(0, room))
+            k = min(self._adaptive.current(slot, rows), max(0, room))
             if k > 0:
-                # A session whose k backed off to 0 is not synced until its
+                # A session that drafts nothing is not synced until its
                 # next probe; sync then catches up on everything since.
                 self.proposer.sync(slot, session.prompt_ids, session.generated)
                 drafts[slot] = self.proposer.propose(slot, k)

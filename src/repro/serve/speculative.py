@@ -19,10 +19,12 @@ history.  :class:`NgramProposer` keeps a per-session hash index from the
 last few tokens (n-grams of order 3, 2, 1) to the position after their most
 recent earlier occurrence; a draft is the run of tokens that followed the
 longest matching suffix.  On repetitive/templated text most drafts accept
-wholesale and each step emits several tokens; on incompressible text the
-per-session :class:`AdaptiveK` controller backs the draft length off to 0,
-so the batch runs the plain one-token decode step and pays for speculation
-only on the aligned probe step every :data:`PROBE_PERIOD` steps.
+wholesale and each step emits several tokens.  The per-session
+:class:`AdaptiveK` controller starts every session undrafted and lets it
+draft only while its own acceptance pays for the verify in a batch of the
+current size, so on incompressible text the batch runs the plain one-token
+decode step and pays for speculation only on the aligned probe step every
+:data:`PROBE_PERIOD` steps.
 
 Everything here is plain data-structure code — no model access, no pool
 access — so a draft fault (site ``draft.propose``) can never corrupt KV
@@ -40,9 +42,35 @@ __all__ = ["DraftProposer", "NgramProposer", "AdaptiveK"]
 #: longer matches are preferred, shorter ones are the fallback.
 MAX_ORDER = 3
 
-#: Every this-many planned decode steps, sessions whose draft length has
-#: backed off to 0 draft one token again (see :class:`AdaptiveK`).
+#: Every this-many planned decode steps, sessions that draft nothing (at
+#: ``k = 0``, or below the break-even) draft one token (see :class:`AdaptiveK`).
 PROBE_PERIOD = 16
+
+#: A session drafts its ``k`` tokens only while ``accepted * k *
+#: BREAK_EVEN_ROWS >= rows * drafted`` over its own lifetime totals, in a
+#: step of ``rows`` decode rows: its expected accepted tokens per verify,
+#: ``acceptance * k``, must cover ``rows`` times the verify premium, since
+#: every row waits for the dearer forward and the saved steps are the
+#: drafting row's alone.  So the value is about one over that premium.
+#: Chosen by measurement on 2 cores: ``bench/run.py`` (seed 0, 12 s runs,
+#: the values interleaved; medians) and the single-stream gate of
+#: ``benchmarks/test_perf_speculative.py`` (two readings each):
+#:
+#:     value                              1      2      4      8     16
+#:     templated_shared8 itl_p50_ms     3.29   3.28   3.24   3.39   3.40
+#:     decode_closed16 tokens_per_s       -    5444   5457   5371   5498
+#:     single-stream gate, x sequential 3.67   3.31   4.02   3.68   3.13
+#:                                      2.86   3.82   3.58   3.42   3.68
+#:
+#: ``speculation="off"`` read 3.15 ms and 5617 tok/s on the same runs.
+#: Up to 4 the latency row is flat within its noise (runs of one value
+#: spread by 0.4 ms); from 8 on, a row at ``k = 4`` in the 8-row batch keeps
+#: drafting at 25 % acceptance, where 4 asks for 50 %.  4 is one over the
+#: verify premium measured there (a verify forward 3.62 ms against a decode
+#: forward's 2.94, +23 %), and the largest value at the low end of the
+#: latency row.  In a one-row batch (the single-stream gate) every value
+#: drafts templated text.
+BREAK_EVEN_ROWS = 4
 
 
 class DraftProposer(Protocol):
@@ -144,27 +172,30 @@ class NgramProposer:
 
 
 class AdaptiveK:
-    """Per-session draft-length controller: exploit streaks, flee misses.
+    """Per-session draft-length controller: draft only where it pays.
 
     Tracks one draft length per session, capped at the policy's
-    ``speculation_k``.  After each verified step: a fully accepted draft
+    ``speculation_k``, and the session's running totals of drafted and
+    accepted tokens.  A session starts at ``k = 0``: it drafts nothing until
+    it has earned a draft.  After each verified step: a fully accepted draft
     grows ``k`` by one (toward the cap); a fully rejected draft halves it
     (toward 0); a partial acceptance settles at the accepted length — so a
-    templated session climbs to the cap and an incompressible one stops
-    drafting altogether, which lets a batch of such sessions run the plain
-    one-token decode step.
+    templated session climbs to the cap and an incompressible one never
+    leaves 0.
 
-    A session at 0 is probed with ``k = 1`` on every :data:`PROBE_PERIOD`-th
-    planned step (:meth:`begin_step` is the clock) — the back-off-then-probe
-    shape of a loss-driven rate controller.  Probes share one clock rather
-    than one per session; that dates from a step padded to its widest row
-    (staggered probes kept every step two columns wide) and saves nothing
-    on the token-packed step — ROADMAP item 7 decides what replaces it
-    (``docs/speculative.md``).  An accepted probe resumes the growth rule
-    from 1; a rejected one goes back to 0 until the next probe.
+    :meth:`current` drafts the session's ``k`` only while its measured
+    acceptance pays for the verify premium in a batch of ``rows`` decode
+    rows: ``accepted * k * BREAK_EVEN_ROWS >= rows * drafted``
+    (:data:`BREAK_EVEN_ROWS`).  Otherwise the session drafts nothing and is
+    probed with ``k = 1`` on every :data:`PROBE_PERIOD`-th planned step
+    (:meth:`begin_step` is the clock, one for every session) — the
+    back-off-then-probe shape of a loss-driven rate controller, where the
+    rate is set by measured loss.  An accepted probe grows ``k`` and the
+    totals; a rejected one halves ``k`` until the next probe.  The decision
+    reads counts only, so it is deterministic and the output token-exact.
 
     Session ids are never reused, so :meth:`observe` must not be called for
-    a session that was already forgotten: its entry would never go away.
+    a session that was already forgotten: its entries would never go away.
     """
 
     def __init__(self, cap: int) -> None:
@@ -172,22 +203,26 @@ class AdaptiveK:
             raise ValueError("speculation cap must be >= 1")
         self.cap = cap
         self._k: Dict[int, int] = {}
+        #: session -> (tokens drafted, tokens accepted) over its lifetime
+        self._totals: Dict[int, Tuple[int, int]] = {}
         self._steps = 0  # planned decode steps so far: the probe clock
 
     def begin_step(self) -> None:
         """Advance the probe clock; call once per planned decode step."""
         self._steps += 1
 
-    def current(self, session_id: int) -> int:
-        k = self._k.get(session_id, self.cap)
-        if k == 0 and self._steps % PROBE_PERIOD == 0:
-            return 1
-        return k
+    def current(self, session_id: int, rows: int) -> int:
+        """Draft length for ``session_id`` in a step of ``rows`` decode rows."""
+        k = self._k.get(session_id, 0)
+        drafted, accepted = self._totals.get(session_id, (0, 0))
+        if k and accepted * k * BREAK_EVEN_ROWS >= rows * drafted:
+            return k
+        return 1 if self._steps % PROBE_PERIOD == 0 else 0
 
     def observe(self, session_id: int, drafted: int, accepted: int) -> None:
         if drafted < 1:
             return
-        k = self._k.get(session_id, self.cap)
+        k = self._k.get(session_id, 0)
         if accepted >= drafted:
             k = min(self.cap, k + 1)
         elif accepted == 0:
@@ -195,6 +230,10 @@ class AdaptiveK:
         else:
             k = accepted
         self._k[session_id] = k
+        total_drafted, total_accepted = self._totals.get(session_id, (0, 0))
+        self._totals[session_id] = (total_drafted + drafted,
+                                    total_accepted + accepted)
 
     def forget(self, session_id: int) -> None:
         self._k.pop(session_id, None)
+        self._totals.pop(session_id, None)

@@ -5,7 +5,8 @@ The reference is the full-window graph forward (``docs/paged_kv.md``,
 tokens gives the expected logits of every step it took, so a check costs one
 forward per session, not one per token.  :func:`fill` writes a prompt the way
 ``SessionManager._forward`` and ``PrefixCache.register_ids`` do: as
-``forward_step`` prompt rows.
+``forward_step`` prompt rows.  :func:`always_draft` makes a speculative
+server verify on every step it has a draft for.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import numpy as np
 
 from repro.llm import generate, sample_token
 from repro.nn import no_grad
+from repro.serve import AdaptiveK
 from repro.utils import seeded_rng
 
 #: The parity policy: paged logits stay within this of the graph forward.
@@ -184,3 +186,20 @@ def standalone(model, spec, **overrides) -> List[int]:
     kwargs = dict(max_new_tokens=spec.max_new_tokens, temperature=spec.temperature,
                   seed=spec.seed, stop_on_eos=spec.stop_on_eos)
     return generate(model, spec.prompt, **{**kwargs, **overrides}).token_ids
+
+
+class _AlwaysDraft(AdaptiveK):
+    """Drafts the cap on every step, paying or not."""
+
+    def current(self, session_id: int, rows: int) -> int:
+        return self.cap
+
+
+def always_draft(server):
+    """Make ``server`` (``speculation="ngram"``) draft ``speculation_k``
+    tokens for every row on every step, from a session's first decode step
+    on — where :class:`~repro.serve.AdaptiveK` drafts only once a probe
+    earned it.  For tests of what happens on a verify step, not of when
+    verifying pays."""
+    manager = server._manager
+    manager._adaptive = _AlwaysDraft(manager._adaptive.cap)

@@ -727,8 +727,10 @@ class TestServedSplitSteps:
         whose forward carries a riding chunk lands on the decode rows alone:
         the prefilling request stays token-exact."""
         greedy = dict(max_new_tokens=40, temperature=0.0, stop_on_eos=False)
+        # "trace b" is long enough to be still prefilling on the first
+        # probe step, the first step a session starting undrafted verifies.
         prompts = [_long_prompt("trace a", 300), "abc abc abc abc abc abc",
-                   "ab ab ab ab ab ab ab", _long_prompt("trace b", 420),
+                   "ab ab ab ab ab ab ab", _long_prompt("trace b", 560),
                    "queued behind the batch"]
 
         def serve(injector):

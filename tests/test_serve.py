@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from reference import Twin, decode, fill, standalone
+from reference import Twin, always_draft, decode, fill, standalone
 
 from repro.llm import LanguageModel, build_llm, generate
 from repro.llm.config import LLMConfig
@@ -1066,6 +1066,8 @@ class TestServedGeneration:
         server = InferenceServer(model, SchedulerPolicy(
             max_batch_size=4, block_size=4, prefill_chunk_size=chunk,
             step_token_budget=chunk and 8, speculation=speculation))
+        if speculation == "ngram":
+            always_draft(server)  # EOS met on verify steps, not just probes
         handles = [server.submit(GenerateRequest(
             prompt=prompt, max_new_tokens=40, temperature=1.0, seed=seed,
             stream=True)) for seed in self.EOS_SEEDS]

@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 import pytest
-from reference import standalone
+from reference import always_draft, standalone
 
 from repro.llm import LanguageModel, build_llm
 from repro.llm.config import LLMConfig
@@ -1112,6 +1112,7 @@ class TestSpeculativeFaults:
         injector = FaultInjector([FaultSpec(site="decode.verify", at=2)])
         server = InferenceServer(model, SchedulerPolicy(**self.POLICY),
                                  fault_injector=injector)
+        always_draft(server)
         doomed = [server.submit(GenerateRequest(
             prompt="loop loop loop loop loop", max_new_tokens=12,
             stop_on_eos=False)) for _ in range(2)]
@@ -1162,6 +1163,7 @@ class TestSpeculativeFaults:
                        corrupt_scale=5.0)])
         server = InferenceServer(model, SchedulerPolicy(**self.POLICY),
                                  fault_injector=injector)
+        always_draft(server)
         handles = [server.submit(GenerateRequest(
             prompt="repeat repeat repeat repeat", max_new_tokens=10,
             stop_on_eos=False)) for _ in range(3)]
@@ -1186,6 +1188,8 @@ class TestSpeculativeFaults:
             server = InferenceServer(
                 model, SchedulerPolicy(max_batch_size=4, **policy_extra),
                 fault_injector=injector)
+            if server._manager.proposer is not None:
+                always_draft(server)
             handles = [server.submit(GenerateRequest(
                 prompt=prompt, max_new_tokens=8,
                 temperature=(0.7 if i % 2 else 0.0), seed=500 + i,
@@ -1210,6 +1214,7 @@ class TestSpeculativeFaults:
                  retry_policy=RetryPolicy(max_attempts=3)),
             injector=injector)
         assert injector.total_fired > 0
+        assert server.stats().tokens_drafted > 0
         survivors = 0
         for (kind, tokens), (_, expected) in zip(observed, reference):
             if kind == "ok":

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from reference import Twin, decode, standalone
+from reference import Twin, always_draft, decode, standalone
 
 from repro.llm import LanguageModel
 from repro.llm.config import LLMConfig
@@ -31,7 +31,7 @@ from repro.serve import (
 )
 from repro.serve import session as session_module
 from repro.serve.session import SessionManager
-from repro.serve.speculative import PROBE_PERIOD
+from repro.serve.speculative import BREAK_EVEN_ROWS, PROBE_PERIOD
 
 
 @pytest.fixture(scope="module")
@@ -50,6 +50,7 @@ def _invariants(server):
         # drained, both maps are empty.
         assert set(manager.proposer._tokens) <= set(manager.running)
         assert set(manager._adaptive._k) <= set(manager.running)
+        assert set(manager._adaptive._totals) <= set(manager.running)
 
 
 # ---------------------------------------------------------------------- #
@@ -149,78 +150,97 @@ class TestAdaptiveK:
         adaptive = AdaptiveK(cap=8)
         adaptive._k[1] = 2
         adaptive.observe(1, drafted=2, accepted=2)
-        assert adaptive.current(1) == 3
+        assert adaptive.current(1, rows=1) == 3
         for _ in range(10):
-            adaptive.observe(1, drafted=adaptive.current(1),
-                             accepted=adaptive.current(1))
-        assert adaptive.current(1) == 8
+            k = adaptive.current(1, rows=1)
+            adaptive.observe(1, drafted=k, accepted=k)
+        assert adaptive.current(1, rows=1) == 8
 
     def test_full_rejection_halves_to_zero(self):
         adaptive = AdaptiveK(cap=8)
         adaptive.begin_step()
+        adaptive._k[1] = 8  # a session that had climbed to the cap
         adaptive.observe(1, drafted=8, accepted=0)
-        assert adaptive.current(1) == 4
+        assert adaptive._k[1] == 4
+        # Nothing accepted pays for nothing, at any batch size: the session
+        # stops drafting at once, while its k keeps halving on misses.
+        assert adaptive.current(1, rows=1) == 0
         seen = []
         for _ in range(4):
-            adaptive.observe(1, drafted=adaptive.current(1), accepted=0)
-            seen.append(adaptive.current(1))
-        assert seen == [2, 1, 0, 0]  # 1 -> 0: the session stops drafting
+            adaptive.observe(1, drafted=1, accepted=0)
+            seen.append(adaptive._k[1])
+        assert seen == [2, 1, 0, 0]
+        assert adaptive._totals[1] == (12, 0)
 
     def test_sessions_at_zero_probe_on_one_aligned_step(self):
         adaptive = AdaptiveK(cap=4)
-        # Two sessions reach 0 on different steps...
-        for step in range(1, 9):
+        # Two sessions start on different steps, both undrafted, yet both
+        # probe with k = 1 on the same step, once per period, and a
+        # rejected probe leaves them at 0.
+        probes = {1: [], 2: []}
+        for step in range(1, 1 + 3 * PROBE_PERIOD):
             adaptive.begin_step()
             for sid, first in ((1, 1), (2, 4)):
                 if step >= first:
-                    k = adaptive.current(sid)
-                    adaptive.observe(sid, drafted=k, accepted=0)
-        # ...yet both probe with k = 1 on the same step, once per period,
-        # and a rejected probe leaves them at 0.
-        probes = {1: [], 2: []}
-        for step in range(9, 9 + 3 * PROBE_PERIOD):
-            adaptive.begin_step()
-            for sid in (1, 2):
-                k = adaptive.current(sid)
-                assert k in (0, 1)
-                if k:
-                    probes[sid].append(step)
-                    adaptive.observe(sid, drafted=1, accepted=0)
+                    k = adaptive.current(sid, rows=2)
+                    assert k in (0, 1)
+                    if k:
+                        probes[sid].append(step)
+                        adaptive.observe(sid, drafted=1, accepted=0)
         assert probes[1] == probes[2] == [16, 32, 48]
-        assert adaptive.current(3) == 4  # a new session starts at the cap
+        adaptive.begin_step()
+        assert adaptive.current(3, rows=2) == 0  # a new session starts undrafted
 
     def test_accepted_probe_resumes_growth(self):
         adaptive = AdaptiveK(cap=4)
-        adaptive._k[1] = 0
         for _ in range(PROBE_PERIOD):
             adaptive.begin_step()
-        assert adaptive.current(1) == 1  # the probe
+        assert adaptive.current(1, rows=1) == 1  # a new session's first probe
         adaptive.observe(1, drafted=1, accepted=1)
         grown = []
         for _ in range(4):
             adaptive.begin_step()
-            grown.append(adaptive.current(1))
+            grown.append(adaptive.current(1, rows=1))
             adaptive.observe(1, drafted=grown[-1], accepted=grown[-1])
         assert grown == [1, 2, 3, 4]
 
-    def test_forget_restarts_a_slot_at_the_cap(self):
+    def test_break_even_scales_with_the_batch(self):
         adaptive = AdaptiveK(cap=4)
         adaptive.begin_step()
-        adaptive._k[1] = 0
-        assert adaptive.current(1) == 0
+        adaptive._k[1] = 3
+        adaptive.observe(1, drafted=4, accepted=1)  # settles at k = 1
+        adaptive.observe(1, drafted=1, accepted=1)  # grows to k = 2
+        # 2 of 5 drafted tokens accepted, at k = 2: the session drafts while
+        # 2 * 2 * BREAK_EVEN_ROWS >= rows * 5, and not one row past that.
+        rows = 4 * BREAK_EVEN_ROWS // 5
+        assert 2 * 2 * BREAK_EVEN_ROWS >= rows * 5
+        assert 2 * 2 * BREAK_EVEN_ROWS < (rows + 1) * 5
+        assert adaptive.current(1, rows=rows) == 2
+        assert adaptive.current(1, rows=rows + 1) == 0
+
+    def test_forget_restarts_a_slot_undrafted(self):
+        adaptive = AdaptiveK(cap=4)
+        adaptive.begin_step()
+        adaptive._k[1] = 3
+        adaptive.observe(1, drafted=3, accepted=3)
+        assert adaptive.current(1, rows=1) == 4
         adaptive.forget(1)
-        assert adaptive.current(1) == 4  # the slot's next session is unknown
+        assert 1 not in adaptive._k and 1 not in adaptive._totals
+        # The slot's next session is unknown: it earns its drafts afresh.
+        assert adaptive.current(1, rows=1) == 0
         adaptive.forget(1)  # idempotent
 
     def test_partial_acceptance_settles_at_accepted(self):
         adaptive = AdaptiveK(cap=8)
         adaptive.observe(1, drafted=6, accepted=3)
-        assert adaptive.current(1) == 3
+        assert adaptive.current(1, rows=1) == 3
 
     def test_zero_draft_is_a_no_op(self):
         adaptive = AdaptiveK(cap=4)
+        adaptive.begin_step()
         adaptive.observe(1, drafted=0, accepted=0)
-        assert adaptive.current(1) == 4
+        assert adaptive._k == {} and adaptive._totals == {}
+        assert adaptive.current(1, rows=1) == 0
 
     def test_cap_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -428,17 +448,6 @@ class TestEngineParity:
             assert row["tokens_accepted"] == record.tokens_accepted
 
 
-class _FloorOneK(AdaptiveK):
-    """The controller before back-off reached 0: a fully rejected draft
-    halves toward 1 and stays there (the reference for 'templated traffic is
-    untouched')."""
-
-    def observe(self, session_id, drafted, accepted):
-        super().observe(session_id, drafted, accepted)
-        if drafted >= 1:
-            self._k[session_id] = max(1, self._k[session_id])
-
-
 def _scripted_sampler(scripts):
     """A ``sample_token`` stand-in that ignores the logits: the i-th session
     to sample emits ``scripts[i]``, token by token.  ``sample_token`` runs
@@ -456,7 +465,46 @@ def _scripted_sampler(scripts):
 
 
 def _decode_records(server):
+    """Records of the steps that ran decode rows.  Record ``i`` is probe
+    clock step ``i``: the first decode step runs rows its own prefill just
+    promoted, with nothing planned (record 0, before the clock starts)."""
     return [r for r in server.telemetry.records() if r.decode_sessions]
+
+
+#: Per-session template lines, no trigram twice in a line: a session that
+#: repeats its own line has every draft copied from the previous one
+#: accepted.
+TEMPLATE_LINES = [f"row {s}: abcdefghijklmnopqrstuvwxyz; "
+                  for s in range(BREAK_EVEN_ROWS + 1)]
+
+
+def _scripted_run(model, monkeypatch, speculation, prompts, scripts,
+                  eager=False):
+    """Serve ``prompts`` with the sampler replaced by ``scripts`` (so the
+    script is the output and decides acceptance); assert every stream is its
+    script — the same with speculation off — and return the server.
+    ``eager`` drafts the cap on every step (:func:`always_draft`)."""
+    monkeypatch.setattr(session_module, "sample_token",
+                        _scripted_sampler(scripts))
+    server = InferenceServer(model=model, policy=SchedulerPolicy(
+        max_batch_size=16, block_size=16, speculation=speculation,
+        speculation_k=4))
+    if eager:
+        always_draft(server)
+    handles = [server.submit(GenerateRequest(
+        prompt=prompt, max_new_tokens=len(script), temperature=1.0,
+        stop_on_eos=False)) for prompt, script in zip(prompts, scripts)]
+    server.run_until_idle()
+    assert [h.result(timeout=60).token_ids for h in handles] == scripts
+    _invariants(server)
+    return server
+
+
+def _templated(model, sessions):
+    """Prompts and scripts of ``sessions`` sessions repeating their lines."""
+    lines = TEMPLATE_LINES[:sessions]
+    return ([line * 2 for line in lines],
+            [model.tokenizer.encode(line) * 4 for line in lines])
 
 
 class TestSelfDisablingSpeculation:
@@ -481,41 +529,71 @@ class TestSelfDisablingSpeculation:
         spec, server = run("ngram")
         assert spec == base
         records = _decode_records(server)
-        assert server.stats().tokens_drafted > 0  # it did try
-        steady = records[2 * PROBE_PERIOD:]  # past the 4 -> 2 -> 1 -> 0 back-off
+        assert all(len(r.decode_sessions) == 16 for r in records)
+        # Nothing is drafted before the first probe step, and no more than
+        # a one-token probe per row on each probe step after it.
+        assert not any(r.tokens_drafted for r in records[:PROBE_PERIOD])
+        drafted = server.stats().tokens_drafted
+        assert 0 < drafted <= 16 * -(-len(records) // PROBE_PERIOD)
+        steady = records[2 * PROBE_PERIOD:]
         assert len(steady) >= 2 * PROBE_PERIOD
         idle = sum(1 for r in steady if r.tokens_drafted == 0)
         assert idle >= 0.8 * len(steady), (
             f"only {idle}/{len(steady)} steady-state steps ran undrafted")
 
     def test_templated_batch_is_untouched(self, model, monkeypatch):
-        # Each session repeats its own status line: every draft copied from
-        # the previous line is accepted, no session is ever fully rejected
-        # at k = 1, and so the back-off to 0 must change nothing at all.
-        lines = [f"status: ok; retry: {s % 3}; latency: {7 * s}ms; "
-                 for s in range(6)]
-        scripts = [model.tokenizer.encode(line) * 4 for line in lines]
-        prompts = [line * 2 for line in lines]
+        # A batch as large as one accepted probe pays for, each session
+        # repeating its own line: every draft copied from the previous line
+        # is accepted.  Starting undrafted costs them the wait for the first
+        # probe and the climb to the cap — and nothing after: once there,
+        # every row drafts at the cap every step.
+        rows = BREAK_EVEN_ROWS
+        prompts, scripts = _templated(model, rows)
+        _scripted_run(model, monkeypatch, "off", prompts, scripts)
+        eager = _scripted_run(model, monkeypatch, "ngram", prompts, scripts,
+                              eager=True)
+        stats = eager.stats()
+        assert stats.tokens_accepted > 0.7 * stats.tokens_drafted, \
+            "fixture is not templated"
+        server = _scripted_run(model, monkeypatch, "ngram", prompts, scripts)
+        records = _decode_records(server)
+        assert not any(r.tokens_drafted for r in records[:PROBE_PERIOD])
+        steady = records[PROBE_PERIOD + 4:-1]  # the last step ends the scripts
+        assert steady and all(r.tokens_drafted == r.tokens_accepted == 4 * rows
+                              for r in steady)
+        assert len(records) <= len(_decode_records(eager)) + PROBE_PERIOD + 4
 
-        def run(controller):
-            monkeypatch.setattr(session_module, "sample_token",
-                                _scripted_sampler(scripts))
-            server = InferenceServer(model=model, policy=SchedulerPolicy(
-                max_batch_size=8, block_size=16, speculation="ngram",
-                speculation_k=4))
-            server._manager._adaptive = controller(4)
-            handles = [server.submit(GenerateRequest(
-                prompt=prompt, max_new_tokens=len(script), temperature=1.0,
-                stop_on_eos=False)) for prompt, script in zip(prompts, scripts)]
-            server.run_until_idle()
-            assert [h.result(timeout=60).token_ids for h in handles] == scripts
-            stats = server.stats()
-            return (stats.tokens_drafted, stats.tokens_accepted,
-                    len(_decode_records(server)))
+    def test_templated_stream_climbs_to_the_cap(self, model, monkeypatch):
+        prompts, scripts = _templated(model, 1)
+        _scripted_run(model, monkeypatch, "off", prompts, scripts)
+        server = _scripted_run(model, monkeypatch, "ngram", prompts, scripts)
+        records = _decode_records(server)
+        assert not any(r.tokens_drafted for r in records[:PROBE_PERIOD])
+        # The accepted probe earns k = 1, and each fully accepted draft
+        # grows it by one up to the cap, where it stays.
+        ladder = records[PROBE_PERIOD:PROBE_PERIOD + 8]
+        assert [r.tokens_drafted for r in ladder] == [1, 1, 2, 3, 4, 4, 4, 4]
+        assert all(r.tokens_accepted == r.tokens_drafted for r in ladder)
 
-        floor_one = run(_FloorOneK)
-        assert floor_one[1] > 0.7 * floor_one[0], "fixture is not templated"
-        assert run(AdaptiveK) == floor_one
+    def test_break_even_boundary_pair(self, model, monkeypatch):
+        # The same history — one accepted probe at k = 1, acceptance 1 — pays
+        # for a draft in a batch of BREAK_EVEN_ROWS rows and not in one row
+        # more: there the rows wait for the next probe.
+        first = PROBE_PERIOD + 1  # the step after the first probe
+        for sessions, drafts in ((BREAK_EVEN_ROWS, True),
+                                 (BREAK_EVEN_ROWS + 1, False)):
+            prompts, scripts = _templated(model, sessions)
+            _scripted_run(model, monkeypatch, "off", prompts, scripts)
+            server = _scripted_run(model, monkeypatch, "ngram", prompts, scripts)
+            records = _decode_records(server)
+            probe = records[PROBE_PERIOD]
+            assert probe.tokens_drafted == probe.tokens_accepted == sessions
+            window = records[first:2 * PROBE_PERIOD]
+            assert all(len(r.decode_sessions) == sessions for r in window)
+            if drafts:
+                assert all(r.tokens_drafted >= sessions for r in window)
+            else:
+                assert not any(r.tokens_drafted for r in window)
 
     def test_stream_turning_repetitive_is_reprobed_back_to_the_cap(
             self, model, monkeypatch):

@@ -71,7 +71,7 @@ def _drain(server: InferenceServer, handles):
 
 
 def _single_stream(model, speculative: bool):
-    server = InferenceServer(model, _policy(speculative), telemetry=False)
+    server = InferenceServer(model, _policy(speculative))
     handle = server.submit(GenerateRequest(
         prompt=TEMPLATED_PROMPT, max_new_tokens=NEW_TOKENS,
         temperature=0.0, stop_on_eos=False))
@@ -82,8 +82,7 @@ def _single_stream(model, speculative: bool):
 
 def _fused_prefill(model, fused: bool):
     server = InferenceServer(
-        model, _policy(False, prefill_chunk_size=FUSED_CHUNK),
-        telemetry=False)
+        model, _policy(False, prefill_chunk_size=FUSED_CHUNK))
     if not fused:
         # Force the one-chunk-at-a-time fallback: a forward that carries a
         # prompt row beside any other row raises pre-commit, which the

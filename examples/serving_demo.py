@@ -274,8 +274,7 @@ def speculative_showcase(model) -> None:
         best = None
         for _ in range(2):
             server = InferenceServer(model, SchedulerPolicy(
-                max_batch_size=4, speculation=mode, speculation_k=8),
-                telemetry=False)
+                max_batch_size=4, speculation=mode, speculation_k=8))
             handle = server.submit(GenerateRequest(
                 prompt=prompt, max_new_tokens=160, temperature=0.0,
                 stop_on_eos=False))

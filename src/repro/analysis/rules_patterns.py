@@ -455,7 +455,8 @@ def _optional_self_attrs(cls: ast.ClassDef) -> Dict[str, int]:
     Three declaration shapes count:
 
     * a class-body ``attr = None`` (e.g. a ``fault_hook`` class default),
-    * ``self.attr: Optional[X] = ...`` (e.g. the engine's ``_trace``),
+    * ``self.attr: Optional[X] = ...`` (e.g. the session manager's
+      ``proposer``),
     * ``self.attr = param`` where the method parameter is annotated
       ``Optional[X]`` / ``X | None`` (e.g. the session manager's
       ``faults`` / ``telemetry``).
@@ -497,12 +498,14 @@ def _optional_self_attrs(cls: ast.ClassDef) -> Dict[str, int]:
 class TelemetryGuard(Rule):
     """Calls through optional instrumentation hooks need an `is None` guard.
 
-    The serve stack's observability/chaos contract (PR 6/PR 7): with
-    telemetry or fault injection disabled, every instrumented site costs
-    exactly one ``is None`` check — the hook attribute is ``None`` and the
-    call is skipped.  An unguarded ``self._trace.note_x(...)`` either
-    crashes the disabled path or forces the hook to exist and eat the call
-    overhead.  This rule finds method calls through attributes that are
+    The serve stack's optional-hook contract: with fault injection off (or
+    another optional hook absent — the session manager's proposer, a
+    standalone manager's recorder), every instrumented site costs exactly
+    one ``is None`` check — the hook attribute is ``None`` and the call is
+    skipped.  An unguarded ``self.faults.fire(...)`` either crashes the
+    hook-less path or forces the hook to exist and eat the call overhead.
+    The engine's flight recorder is always on and not optional, so it
+    needs no guard.  This rule finds method calls through attributes that are
     *declared* optional (``Optional[...]`` annotation, ``attr = None``
     class default, or assignment from an ``Optional`` parameter) outside a
     dominating ``is not None`` branch.
@@ -510,9 +513,9 @@ class TelemetryGuard(Rule):
 
     id = "REP005"
     title = "telemetry-guard check (optional hooks behind `is None` guards)"
-    hint = ("wrap the call: `if self._trace is not None: self._trace.m()` "
-            "— the telemetry=False contract is one None-check per "
-            "instrumented site")
+    hint = ("wrap the call: `if self.faults is not None: self.faults.m()` "
+            "— an optional hook costs one None-check per instrumented "
+            "site")
 
     def check(self, project: Project) -> Iterable[Finding]:
         for file in project.files:
@@ -528,8 +531,8 @@ class TelemetryGuard(Rule):
         for method in (n for n in cls.body
                        if isinstance(n, (ast.FunctionDef,
                                          ast.AsyncFunctionDef))):
-            # Local aliases: `trace = self._trace` makes guards on either
-            # name count (the engine's step() uses this shape).
+            # Local aliases: `hook = self._hook` makes guards on either
+            # name count.
             aliases: Dict[str, str] = {}
             for node in ast.walk(method):
                 if (isinstance(node, ast.Assign) and len(node.targets) == 1

@@ -39,7 +39,10 @@ per-step on :class:`StepRecord`.  See :mod:`repro.serve.speculative` and
 ``docs/speculative.md``.
 
 **Observability**: every engine step is recorded by a flight recorder
-(:class:`ServeTelemetry`, on by default) — step-level :class:`StepRecord`
+(:class:`ServeTelemetry`, always on) that is also the engine's one ledger —
+each request ending, quarantine, retry and draft is written once, to the
+open step record, and ``stats()`` reads its counters from the recorder's
+lifetime totals (:meth:`ServeTelemetry.totals`).  It keeps step-level :class:`StepRecord`
 traces in a bounded ring (:class:`TraceLog`, JSONL-exportable), fixed
 wall-clock window aggregates (:class:`WindowAggregator` /
 :class:`WindowStats`, surfaced via ``server.telemetry.windows()`` and
@@ -66,7 +69,7 @@ from .faults import (
     InjectedFault,
     TransientFault,
 )
-from .metrics import RequestMetrics, ServeCounters, ServerHealth, ServerStats
+from .metrics import RequestMetrics, ServerHealth, ServerStats
 from .prefix import PrefixCache, PrefixEntry
 from .requests import (
     PRIORITY_HIGH,
@@ -85,7 +88,7 @@ from .requests import (
 from .runtimes import ABRRuntime, CJSRuntime, TaskRuntime, VPRuntime, build_runtime
 from .scheduler import ContinuousBatchingScheduler, RetryPolicy, SchedulerPolicy
 from .session import GenerationSession, SessionManager
-from .speculative import AdaptiveK, DraftProposer, NgramProposer
+from .speculative import AdaptiveK, NgramProposer
 from .telemetry import (
     GapAttribution,
     RequestExplanation,
@@ -105,12 +108,12 @@ __all__ = [
     "TaskRuntime", "VPRuntime", "ABRRuntime", "CJSRuntime", "build_runtime",
     "ContinuousBatchingScheduler", "SchedulerPolicy", "RetryPolicy",
     "GenerationSession", "SessionManager",
-    "DraftProposer", "NgramProposer", "AdaptiveK",
+    "NgramProposer", "AdaptiveK",
     "PrefixCache", "PrefixEntry",
     "FaultInjector", "FaultSpec", "InjectedFault", "TransientFault",
     "FAULT_SITES",
     "InferenceServer", "RequestHandle",
-    "RequestMetrics", "ServeCounters", "ServerStats", "ServerHealth",
+    "RequestMetrics", "ServerStats", "ServerHealth",
     "ServeTelemetry", "StepRecord", "TraceLog",
     "WindowAggregator", "WindowStats",
     "GapAttribution", "RequestExplanation",

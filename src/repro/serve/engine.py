@@ -84,7 +84,6 @@ from .metrics import (
     OUTCOME_OK,
     OUTCOME_SHED,
     RequestMetrics,
-    ServeCounters,
     ServerHealth,
     ServerStats,
 )
@@ -279,12 +278,15 @@ class InferenceServer:
         through the session manager and paged pool (chaos testing only;
         constructing one requires the ``REPRO_FAULTS`` env toggle).
     telemetry:
-        The flight recorder (:class:`~repro.serve.telemetry.ServeTelemetry`).
-        ``None``/``True`` record with the defaults, ``False`` disables
-        tracing entirely (hot paths pay one ``None`` check), and a
-        pre-built instance customizes capacity/window width.  Read it back
-        via ``server.telemetry`` (``records()``/``windows()``/
-        ``export_jsonl()``) and :meth:`explain_request`.
+        The flight recorder (:class:`~repro.serve.telemetry.ServeTelemetry`),
+        always on: ``None`` records with the defaults, and a pre-built
+        instance customizes capacity/window width.  It is the engine's one
+        ledger — every request ending, quarantine, retry and draft is written
+        to its open step record where it happens, and ``stats()`` reads the
+        counters from its lifetime :meth:`~repro.serve.telemetry.
+        ServeTelemetry.totals`.  Read it back via ``server.telemetry``
+        (``records()``/``windows()``/``export_jsonl()``) and
+        :meth:`explain_request`.
     """
 
     #: Seconds ``stop()`` waits for the loop thread before declaring a leak.
@@ -295,29 +297,25 @@ class InferenceServer:
                  adapters: Optional[Dict[str, Any]] = None,
                  runtimes: Optional[Dict[str, TaskRuntime]] = None,
                  fault_injector: Optional[FaultInjector] = None,
-                 telemetry: Union[ServeTelemetry, bool, None] = None) -> None:
+                 telemetry: Optional[ServeTelemetry] = None) -> None:
+        if telemetry is not None and not isinstance(telemetry, ServeTelemetry):
+            raise TypeError(f"telemetry must be a ServeTelemetry or None, got "
+                            f"{type(telemetry).__name__}")
         self.policy = policy or SchedulerPolicy()
         self.model = model
         self._faults = fault_injector
-        if telemetry is None or telemetry is True:
-            telemetry = ServeTelemetry()
-        elif telemetry is False:
-            telemetry = ServeTelemetry(enabled=False)
-        #: The flight recorder (always an object; possibly disabled).
-        self.telemetry = telemetry
-        # Hot-path guard: None when disabled, so every instrumented site is
-        # a single ``is None`` check (same idiom as fault injection).  The
-        # step path reaches the recorder only through it, writing the fields
-        # of the open record ``self._trace.step`` where the events happen.
-        self._trace: Optional[ServeTelemetry] = (
-            telemetry if telemetry.enabled else None)
+        #: The flight recorder and the engine's one ledger: the step path
+        #: writes the fields of its open record, ``telemetry.step``, where
+        #: the events happen.
+        self.telemetry: ServeTelemetry = (
+            telemetry if telemetry is not None else ServeTelemetry())
         self._manager = (SessionManager(model, max_slots=self.policy.max_batch_size,
                                         max_context=self.policy.max_context,
                                         block_size=self.policy.block_size,
                                         prefix_cache=self.policy.enable_prefix_cache,
                                         max_prefixes=self.policy.max_prefixes,
                                         fault_injector=fault_injector,
-                                        telemetry=self._trace,
+                                        telemetry=self.telemetry,
                                         speculation=self.policy.speculation,
                                         speculation_k=self.policy.speculation_k)
                          if model is not None else None)
@@ -333,9 +331,6 @@ class InferenceServer:
         # Bounded retention: a long-lived server keeps the most recent
         # completions for stats() instead of growing without limit.
         self._completed: Deque[RequestMetrics] = deque(maxlen=16384)
-        #: Terminal outcome -> requests that ended so, over the server's life
-        #: (``_completed`` forgets; the outcome counts of ``stats()`` must not).
-        self._outcomes: Dict[str, int] = {}
         #: Tokens generated by completed requests, over the server's life.
         self._tokens_generated = 0
         self._started_at: Optional[float] = None
@@ -343,8 +338,6 @@ class InferenceServer:
         self._thread: Optional[threading.Thread] = None
         self._running = False
         # Fault-tolerance bookkeeping (all under self._lock).
-        self._faults_quarantined = 0
-        self._retries = 0
         self._crashed = False
         self._last_fault_at: Optional[float] = None
         for task, adapter in (adapters or {}).items():
@@ -534,11 +527,10 @@ class InferenceServer:
 
     def _note_fault(self, request_ids: Iterable[int]) -> None:
         """Count one quarantine event implicating these requests (lock held)."""
-        self._faults_quarantined += 1
         self._last_fault_at = time.perf_counter()
-        if self._trace is not None:
-            self._trace.step.quarantines += 1
-            self._trace.step.quarantined.extend(request_ids)
+        step = self.telemetry.step
+        step.quarantines += 1
+        step.quarantined.extend(request_ids)
 
     # ------------------------------------------------------------------ #
     # Lifecycle: the terminal transition, cancellation and deadlines
@@ -563,7 +555,6 @@ class InferenceServer:
         metrics.outcome = outcome
         metrics.mark_finished()
         self._completed.append(metrics)
-        self._outcomes[outcome] = self._outcomes.get(outcome, 0) + 1
         if outcome == OUTCOME_OK:
             self._tokens_generated += metrics.tokens_generated
         self._last_finished_at = metrics.finished_at
@@ -572,17 +563,16 @@ class InferenceServer:
                 result = session.to_result(self.model.tokenizer)
             else:
                 session.state = FAILED
-        if self._trace is not None:
-            # Between steps (a shed at submit, a client's cancel) the open
-            # record is the next step's, which is where the ending shows.
-            step = self._trace.step
-            if outcome != OUTCOME_OK:
-                # StepRecord counts each other ending under the outcome's name.
-                setattr(step, outcome, getattr(step, outcome) + 1)
-            elif session is None:
-                step.decisions += 1
-            else:
-                step.finished.append(handle.request_id)
+        # Between steps (a shed at submit, a client's cancel) the open record
+        # is the next step's, which is where the ending shows.
+        step = self.telemetry.step
+        if outcome != OUTCOME_OK:
+            # StepRecord counts each other ending under the outcome's name.
+            setattr(step, outcome, getattr(step, outcome) + 1)
+        elif session is None:
+            step.decisions += 1
+        else:
+            step.finished.append(handle.request_id)
         handle._settle(result, error)
 
     def _withdraw(self, handle: RequestHandle, reason: str) -> None:
@@ -643,11 +633,9 @@ class InferenceServer:
         the error propagates to the driver.
         """
         with self._lock:
-            trace = self._trace
-            if trace is not None:
-                trace.begin_step(
-                    time.perf_counter(),
-                    self._faults.fired_log if self._faults is not None else None)
+            self.telemetry.begin_step(
+                time.perf_counter(),
+                self._faults.fired_log if self._faults is not None else None)
             did_work = False
             try:
                 did_work |= self._reap_expired_queued()
@@ -664,15 +652,14 @@ class InferenceServer:
             finally:
                 # Commit on the crash path too: the record of the step that
                 # tore the server down is the one a post-mortem needs most.
-                if trace is not None:
-                    self._commit_step_trace(did_work)
+                self._commit_step_trace(did_work)
 
     def _commit_step_trace(self, did_work: bool) -> None:
         """Commit this step's record with the end-of-step gauges."""
         manager = self._manager
         prefix = manager.prefix if manager is not None else None
         cache = manager.cache if manager is not None else None
-        self._trace.commit_step(  # repro: noqa[REP005] sole caller is step()'s finally, already under the `trace is not None` guard
+        self.telemetry.commit_step(
             time.perf_counter(), did_work,
             queue_depth=self._scheduler.queue_depth,
             queue_depth_by_priority=self._scheduler.queue_depth_by_priority(),
@@ -891,10 +878,9 @@ class InferenceServer:
                     if manager.num_free and budget != 0 else [])
         if not admitted and not manager.num_prefilling:
             return False
-        step = self._trace.step if self._trace is not None else None
-        if step is not None:
-            step.prefill_budget = budget
-            step.admitted.extend(s.session_id for s in admitted)
+        step = self.telemetry.step
+        step.prefill_budget = budget
+        step.admitted.extend(s.session_id for s in admitted)
         spent, terminal, failures, deferred = manager.prefill_step(
             admitted, self.policy.prefill_chunk_size, budget)
         for session in terminal:
@@ -908,10 +894,9 @@ class InferenceServer:
         # so aging and FIFO ordering continue as if they had never left.
         # Reversed so the best-ranked deferral keeps the earliest seq.
         for session in reversed(deferred):
-            if step is not None:
-                # A deferral never started: it does not count as admitted.
-                step.admitted.remove(session.session_id)
-                step.deferred.append(session.session_id)
+            # A deferral never started: it does not count as admitted.
+            step.admitted.remove(session.session_id)
+            step.deferred.append(session.session_id)
             self._scheduler.requeue_front(session)
         return bool(admitted or spent or terminal or failures)
 
@@ -921,8 +906,7 @@ class InferenceServer:
         if manager is None or not (manager.running or manager.riding):
             return False
         batch = list(manager.running.values())
-        if self._trace is not None:
-            self._trace.step.decode_sessions.extend(s.session_id for s in batch)
+        self.telemetry.step.decode_sessions.extend(s.session_id for s in batch)
         failure = None
         try:
             completed, occupancy = manager.step()
@@ -1000,9 +984,7 @@ class InferenceServer:
             backoff = policy.backoff_for(metrics.attempts)
             handle._retry_at = (now + backoff) if backoff > 0 else None
             metrics.begin_retry()
-            self._retries += 1
-            if self._trace is not None:
-                self._trace.step.retries += 1
+            self.telemetry.step.retries += 1
             return True
         self._finish(handle, OUTCOME_FAILED, error=RequestFailed(
             f"request {handle.request_id} ({handle.task}) {what}: {error}",
@@ -1081,21 +1063,12 @@ class InferenceServer:
                    if self._last_finished_at is not None
                    else time.perf_counter())
             wall = (end - self._started_at) if self._started_at is not None else 0.0
+            counts = self.telemetry.totals()
+            counts["tokens_generated"] = self._tokens_generated
             prefix = self._manager.prefix if self._manager is not None else None
-            counters = ServeCounters(
-                outcomes=dict(self._outcomes),
-                tokens_generated=self._tokens_generated,
-                prefix_hits=prefix.hits if prefix is not None else 0,
-                prefix_misses=prefix.misses if prefix is not None else 0,
-                prefix_tokens_reused=(prefix.tokens_reused
-                                      if prefix is not None else 0),
-                faults_quarantined=self._faults_quarantined,
-                retries=self._retries,
-                shed=self._outcomes.get(OUTCOME_SHED, 0),
-                tokens_drafted=(self._manager.tokens_drafted
-                                if self._manager is not None else 0),
-                tokens_accepted=(self._manager.tokens_accepted
-                                 if self._manager is not None else 0))
+            if prefix is not None:
+                counts.update(prefix_hits=prefix.hits, prefix_misses=prefix.misses,
+                              prefix_tokens_reused=prefix.tokens_reused)
             snapshot = dict(
                 requests=list(self._completed), wall_seconds=wall,
                 occupancy_samples=list(self._scheduler.occupancy_samples),
@@ -1103,7 +1076,7 @@ class InferenceServer:
                 block_usage_samples=list(self._scheduler.block_usage_samples),
                 block_capacity=(self._manager.cache.allocator.num_blocks
                                 if self._manager is not None else 0),
-                counters=counters, health=self.health,
+                counts=counts, health=self.health,
                 telemetry=self.telemetry.summary())
         return ServerStats.from_requests(**snapshot)
 

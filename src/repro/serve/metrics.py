@@ -9,6 +9,7 @@ those into throughput / tail-latency / occupancy statistics.
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Sequence
 
@@ -164,45 +165,17 @@ class RequestMetrics:
         return sum(self.batch_sizes) / len(self.batch_sizes)
 
 
-@dataclass(frozen=True)
-class ServeCounters:
-    """Engine-side monotonic counters threaded into :class:`ServerStats`.
-
-    One small object instead of ever more loose keyword arguments on
-    ``ServerStats.from_requests``: the engine fills it from its internal
-    tallies (prefix cache, fault quarantines, retries, overload sheds) and
-    new telemetry counters extend this dataclass rather than growing the
-    ``from_requests`` signature.
-    """
-
-    prefix_hits: int = 0
-    prefix_misses: int = 0
-    prefix_tokens_reused: int = 0
-    faults_quarantined: int = 0
-    retries: int = 0
-    shed: int = 0
-    #: Speculative decoding: draft tokens proposed and draft tokens accepted
-    #: (both 0 with ``speculation="off"``).
-    tokens_drafted: int = 0
-    tokens_accepted: int = 0
-    #: Requests by terminal outcome over the server's whole life; ``None``
-    #: (stats built outside an engine) counts the requests handed in.
-    outcomes: Optional[Dict[str, int]] = None
-    #: Tokens generated by completed requests over the server's whole life;
-    #: ``None`` sums the requests handed in.
-    tokens_generated: Optional[int] = None
-
-
 @dataclass
 class ServerStats:
     """Aggregate serving statistics over the completed requests.
 
-    From an engine, the outcome counts (``requests_completed``, ``cancelled``,
-    ``expired``, ``failed``), ``tokens_generated`` (hence
-    ``tokens_per_second``, which divides by the whole-life ``wall_seconds``)
-    and the ``ServeCounters`` fields cover the server's whole life; the
-    timing percentiles and ``per_task`` cover the requests it still retains
-    (the latest 16384).
+    The counters come from ``from_requests``' ``counts`` mapping — from an
+    engine, the flight recorder's lifetime totals
+    (:meth:`~repro.serve.telemetry.ServeTelemetry.totals`) plus its
+    ``tokens_generated`` and prefix-cache counters — and so cover the
+    server's whole life (``tokens_per_second`` divides by the whole-life
+    ``wall_seconds``); the timing percentiles and ``per_task`` cover the
+    requests it still retains (the latest 16384).
     """
 
     requests_completed: int
@@ -254,7 +227,7 @@ class ServerStats:
     tokens_accepted: int = 0
     #: Engine health at report time (see :class:`ServerHealth`).
     health: str = ServerHealth.HEALTHY
-    #: Flight-recorder summary (``ServeTelemetry.summary()``): enabled flag,
+    #: Flight-recorder summary (``ServeTelemetry.summary()``): window width,
     #: step counts and the most recent time-window aggregates.  Empty when
     #: the stats were built outside an engine.
     telemetry: Dict[str, object] = field(default_factory=dict)
@@ -279,24 +252,18 @@ class ServerStats:
                       queue_depth_samples: List[int], *,
                       block_usage_samples: List[int] = (),
                       block_capacity: int = 0,
-                      counters: Optional[ServeCounters] = None,
+                      counts: Optional[Mapping[str, int]] = None,
                       health: str = ServerHealth.HEALTHY,
                       telemetry: Optional[Dict[str, object]] = None
                       ) -> "ServerStats":
-        counters = counters or ServeCounters()
+        """``counts`` holds the counters under the flight recorder's names
+        (:meth:`~repro.serve.telemetry.ServeTelemetry.totals`) plus
+        ``tokens_generated`` and the three ``prefix_*``; a missing key is 0.
+        ``requests`` feed only the timing percentiles and ``per_task``."""
+        count = Counter(counts or {})
         terminal = [r for r in requests if r.finished_at is not None]
         finished = [r for r in terminal if r.outcome == OUTCOME_OK]
-
-        def ended(outcome: str) -> int:
-            # The engine retains a bounded window of ``requests`` for the
-            # timing percentiles; how many ended how is counted for life.
-            if counters.outcomes is not None:
-                return counters.outcomes.get(outcome, 0)
-            return sum(r.outcome == outcome for r in terminal)
-
-        tokens = (counters.tokens_generated
-                  if counters.tokens_generated is not None
-                  else sum(r.tokens_generated for r in finished))
+        tokens = count["tokens_generated"]
         latencies = [r.total_seconds for r in finished]
         queues = [r.queue_seconds for r in finished]
         ttfts = [r.ttft_s for r in finished if r.first_token_at is not None]
@@ -314,7 +281,7 @@ class ServerStats:
             }
         block_usage = list(block_usage_samples)
         return cls(
-            requests_completed=ended(OUTCOME_OK),
+            requests_completed=count["finished"] + count["decisions"],
             tokens_generated=tokens,
             wall_seconds=wall_seconds,
             tokens_per_second=tokens / wall_seconds if wall_seconds > 0 else 0.0,
@@ -331,21 +298,21 @@ class ServerStats:
             max_queue_depth=max(queue_depth_samples) if queue_depth_samples else 0,
             per_task=per_task,
             queue_by_priority=queue_by_priority,
-            cancelled=ended(OUTCOME_CANCELLED),
-            expired=ended(OUTCOME_EXPIRED),
+            cancelled=count["cancelled"],
+            expired=count["expired"],
             mean_blocks_in_use=(sum(block_usage) / len(block_usage)
                                 if block_usage else 0.0),
             peak_blocks_in_use=max(block_usage) if block_usage else 0,
             block_capacity=block_capacity,
-            prefix_hits=counters.prefix_hits,
-            prefix_misses=counters.prefix_misses,
-            prefix_tokens_reused=counters.prefix_tokens_reused,
-            failed=ended(OUTCOME_FAILED),
-            faults_quarantined=counters.faults_quarantined,
-            retries=counters.retries,
-            shed=counters.shed,
-            tokens_drafted=counters.tokens_drafted,
-            tokens_accepted=counters.tokens_accepted,
+            prefix_hits=count["prefix_hits"],
+            prefix_misses=count["prefix_misses"],
+            prefix_tokens_reused=count["prefix_tokens_reused"],
+            failed=count["failed"],
+            faults_quarantined=count["quarantines"],
+            retries=count["retries"],
+            shed=count["shed"],
+            tokens_drafted=count["tokens_drafted"],
+            tokens_accepted=count["tokens_accepted"],
             health=health,
             telemetry=dict(telemetry or {}),
         )

@@ -253,8 +253,6 @@ class ContinuousBatchingScheduler:
         self.queue_depth_samples: Deque[int] = deque(maxlen=self.MAX_SAMPLES)
         self.occupancy_samples: Deque[int] = deque(maxlen=self.MAX_SAMPLES)
         self.block_usage_samples: Deque[int] = deque(maxlen=self.MAX_SAMPLES)
-        self.admitted_total = 0
-        self.rejected_total = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -277,7 +275,6 @@ class ContinuousBatchingScheduler:
         """Queue a session for admission; False when the queue is full."""
         if (self.policy.max_queue is not None
                 and len(self._queue) >= self.policy.max_queue):
-            self.rejected_total += 1
             return False
         self._queue.append(_QueueEntry(seq=self._seq,
                                        enqueued_at=time.perf_counter(),
@@ -335,8 +332,7 @@ class ContinuousBatchingScheduler:
             return None
         return max(0, budget - decode_rows)
 
-    def admissions(self, free_slots: int,
-                   now: Optional[float] = None) -> List[GenerationSession]:
+    def admissions(self, free_slots: int) -> List[GenerationSession]:
         """Pop the sessions to admit into the freed slots.
 
         Highest effective priority class first; FIFO (submission order)
@@ -346,7 +342,7 @@ class ContinuousBatchingScheduler:
         """
         if free_slots <= 0 or not self._queue:
             return []
-        now = time.perf_counter() if now is None else now
+        now = time.perf_counter()
         eligible = [e for e in self._queue
                     if e.session.retry_at is None or e.session.retry_at <= now]
         grant = min(free_slots, len(eligible))
@@ -357,12 +353,11 @@ class ContinuousBatchingScheduler:
         chosen = ranked[:grant]
         taken = {id(entry) for entry in chosen}
         self._queue = [entry for entry in self._queue if id(entry) not in taken]
-        self.admitted_total += len(chosen)
         for entry in chosen:
             entry.session.retry_at = None
         return [entry.session for entry in chosen]
 
-    def oldest_wait_s(self, now: Optional[float] = None) -> float:
+    def oldest_wait_s(self) -> float:
         """Seconds the oldest admissible queued session has been waiting.
 
         Feeds age-based load shedding.  Sessions parked for retry backoff
@@ -371,7 +366,7 @@ class ContinuousBatchingScheduler:
         """
         if not self._queue:
             return 0.0
-        now = time.perf_counter() if now is None else now
+        now = time.perf_counter()
         waits = [now - e.enqueued_at for e in self._queue
                  if e.session.retry_at is None or e.session.retry_at <= now]
         return max(waits) if waits else 0.0
@@ -386,9 +381,9 @@ class ContinuousBatchingScheduler:
                  if e.session.retry_at is not None]
         return min(times) if times else None
 
-    def reap_expired(self, now: Optional[float] = None) -> List[GenerationSession]:
+    def reap_expired(self) -> List[GenerationSession]:
         """Pop every queued session whose deadline has already passed."""
-        now = time.perf_counter() if now is None else now
+        now = time.perf_counter()
         expired = [e.session for e in self._queue if e.session.is_expired(now)]
         if expired:
             dead = set(map(id, expired))

@@ -97,10 +97,8 @@ class GenerationSession:
         """Prompt tokens not yet committed to the paged cache."""
         return len(self.prompt_ids) - self.prompt_pos
 
-    def is_expired(self, now: Optional[float] = None) -> bool:
-        if self.deadline_at is None:
-            return False
-        return (time.perf_counter() if now is None else now) > self.deadline_at
+    def is_expired(self, now: float) -> bool:
+        return self.deadline_at is not None and now > self.deadline_at
 
     def rng(self) -> np.random.Generator:
         if self._rng is None:
@@ -188,10 +186,9 @@ class SessionManager:
         self.prefilling: Dict[int, GenerationSession] = {}
         #: Optional seeded :class:`~repro.serve.faults.FaultInjector`.
         self.faults = fault_injector
-        #: Optional :class:`~repro.serve.telemetry.ServeTelemetry`; the
-        #: engine wires it in only when enabled, so every instrumented site
-        #: here is a single ``is None`` check (same idiom as ``faults``)
-        #: ahead of a write to its open record, ``telemetry.step``.
+        #: The engine's :class:`~repro.serve.telemetry.ServeTelemetry`, whose
+        #: open record, ``telemetry.step``, this writes the prefill chunks
+        #: and draft counts to; ``None`` only for a standalone manager.
         self.telemetry = telemetry
         if speculation not in ("off", "ngram"):
             raise ValueError(f"speculation must be 'off' or 'ngram', got "
@@ -211,9 +208,6 @@ class SessionManager:
         #: Riding chunks that failed in the last :meth:`step`, each aborted,
         #: with its error (the engine quarantines them).
         self.chunk_failures: List[Tuple[GenerationSession, BaseException]] = []
-        #: Lifetime speculative counters (feed ``ServerStats``).
-        self.tokens_drafted = 0
-        self.tokens_accepted = 0
 
     # ------------------------------------------------------------------ #
     @property
@@ -732,12 +726,9 @@ class SessionManager:
                     # yet fed) token is the last emitted one, so the session
                     # keeps the usual length == prompt + generated - 1.
                     self.cache.truncate_session(slot, lengths[slot] + accepted + 1)
-        if step_drafted:
-            self.tokens_drafted += step_drafted
-            self.tokens_accepted += step_accepted
-            if self.telemetry is not None:
-                self.telemetry.step.tokens_drafted += step_drafted
-                self.telemetry.step.tokens_accepted += step_accepted
+        if step_drafted and self.telemetry is not None:
+            self.telemetry.step.tokens_drafted += step_drafted
+            self.telemetry.step.tokens_accepted += step_accepted
         return completed, len(batch)
 
     # ------------------------------------------------------------------ #

@@ -34,9 +34,9 @@ state, and rollback of rejected drafts is entirely the cache's
 
 from __future__ import annotations
 
-from typing import Dict, List, Protocol, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-__all__ = ["DraftProposer", "NgramProposer", "AdaptiveK"]
+__all__ = ["NgramProposer", "AdaptiveK"]
 
 #: Longest n-gram key indexed (and matched) by :class:`NgramProposer`;
 #: longer matches are preferred, shorter ones are the fallback.
@@ -73,29 +73,6 @@ PROBE_PERIOD = 16
 BREAK_EVEN_ROWS = 4
 
 
-class DraftProposer(Protocol):
-    """Protocol for draft-token proposers consumed by the session manager.
-
-    A proposer observes each session's token history (prompt plus generated
-    tokens) via :meth:`sync` and proposes up to ``k`` likely continuation
-    tokens via :meth:`propose`.  Proposals are *hints*: every proposed token
-    is verified against the model before it can be emitted, so a wrong
-    draft costs only wasted compute, never a wrong token.
-    """
-
-    def sync(self, session_id: int, *segments: Sequence[int]) -> None:
-        """Observe a session's full token history, given as consecutive
-        ``segments`` (prompt ids, generated ids) so the caller never joins
-        them.  Called before proposing, not necessarily every step; the
-        history grows append-only between calls for a live session."""
-
-    def propose(self, session_id: int, k: int) -> List[int]:
-        """Up to ``k`` draft tokens continuing the session's history."""
-
-    def forget(self, session_id: int) -> None:
-        """Drop all state for a finished/evicted session."""
-
-
 class NgramProposer:
     """Prompt-copy drafter: propose the continuation of the most recent
     earlier occurrence of the session's current suffix.
@@ -109,6 +86,9 @@ class NgramProposer:
     incremental: :meth:`sync` only copies and walks the tokens appended
     since the last call — however many steps ago that was — so steady-state
     cost is O(new tokens), not O(history).
+
+    Proposals are hints: every drafted token is verified against the model
+    before it can be emitted, so a wrong draft costs only wasted compute.
     """
 
     def __init__(self) -> None:
@@ -118,6 +98,9 @@ class NgramProposer:
         self._indexed: Dict[int, int] = {}  # tokens already folded into _index
 
     def sync(self, session_id: int, *segments: Sequence[int]) -> None:
+        """Observe a session's full history as consecutive ``segments``
+        (prompt ids, generated ids), so the caller never joins them; it
+        grows append-only between calls for a live session."""
         history = self._tokens.setdefault(session_id, [])
         total = sum(len(segment) for segment in segments)
         if total < len(history):
@@ -143,6 +126,7 @@ class NgramProposer:
         self._indexed[session_id] = len(history)
 
     def propose(self, session_id: int, k: int) -> List[int]:
+        """Up to ``k`` draft tokens continuing the session's history."""
         history = self._tokens.get(session_id)
         if not history or k < 1:
             return []
@@ -166,6 +150,7 @@ class NgramProposer:
         return []
 
     def forget(self, session_id: int) -> None:
+        """Drop all state for a finished or evicted session."""
         self._tokens.pop(session_id, None)
         self._index.pop(session_id, None)
         self._indexed.pop(session_id, None)

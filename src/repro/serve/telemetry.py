@@ -16,9 +16,10 @@ token counts, queue depth per priority
 class, KV blocks in use, the key positions attention gathered against the
 ones that were live (and in how many length groups) and prefix-cache hits —
 into a bounded ring buffer
-(:class:`TraceLog`) with O(1) append and JSONL export.  With telemetry
-disabled every instrumented site is one ``is None`` check, so the decode
-hot path pays nothing.
+(:class:`TraceLog`) with O(1) append and JSONL export.  The recorder is
+always on, and it is the engine's one ledger: each committed record is
+folded into lifetime totals (:meth:`ServeTelemetry.totals`) that no ring or
+window bound ever trims, and ``stats()`` reads its counters from there.
 
 **Time-window aggregation.**  A :class:`WindowAggregator` folds step
 records into fixed wall-clock windows (PrintQueue-style time-window
@@ -47,6 +48,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields, replace
+from operator import add, attrgetter
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .metrics import export
@@ -170,6 +172,17 @@ _ID_LISTS = tuple(f.name for f in fields(StepRecord)
 #: that did no work still carries an event (all of it falsy by default).
 _EVENT_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in
                       ("seq", "started_at", "ended_at", "prefill_budget"))
+#: The event counters :meth:`ServeTelemetry.totals` keeps for the server's
+#: life, beside ``finished`` (the count of its ids).
+_COUNTERS = ("decisions", "failed", "cancelled", "expired", "shed",
+             "quarantines", "retries", "tokens_drafted", "tokens_accepted")
+_TOTALS = ("finished",) + _COUNTERS
+_read_counters = attrgetter(*_COUNTERS)
+
+
+def _counts(record: StepRecord) -> Tuple[int, ...]:
+    """The record's contribution to the lifetime totals, in ``_TOTALS`` order."""
+    return (len(record.finished), *_read_counters(record))
 
 
 def _padding_share(gathered: int, live: int) -> float:
@@ -450,19 +463,15 @@ class RequestExplanation:
 class ServeTelemetry:
     """The serve loop's flight recorder (trace + windows + attribution).
 
-    Construct enabled (the default) to record every engine step into a
-    bounded :class:`TraceLog` and fold it into :class:`WindowAggregator`
-    windows; construct with ``enabled=False`` for a permanent no-op:
-    :attr:`step` is ``None``, ``begin_step`` / ``commit_step`` return at once
-    and the engine, which holds ``None`` in place of a disabled recorder,
-    pays one ``is None`` check per instrumented site.  ``enabled`` is fixed
-    at construction — a toggle mid-run would leave half-recorded steps in
-    the ring.
+    Records every engine step into a bounded :class:`TraceLog`, folds it
+    into :class:`WindowAggregator` windows and into lifetime
+    :meth:`totals` — the one count of every request ending, quarantine,
+    retry and draft the engine keeps.  It cannot be turned off: a recorder
+    that might be absent would put an ``is None`` guard on every write.
     """
 
-    def __init__(self, enabled: bool = True, trace_capacity: int = 4096,
-                 window_s: float = 1.0, max_windows: int = 512) -> None:
-        self.enabled = enabled
+    def __init__(self, trace_capacity: int = 4096, window_s: float = 1.0,
+                 max_windows: int = 512) -> None:
         self.trace = TraceLog(capacity=trace_capacity)
         self.aggregator = WindowAggregator(window_s=window_s,
                                            max_windows=max_windows)
@@ -470,8 +479,11 @@ class ServeTelemetry:
         #: progress or, between steps, the next one — so a shed at submit or
         #: a client's cancel lands in the next committed record.  Whoever
         #: causes an event writes the field itself (``step.retries += 1``,
-        #: ``step.finished.append(rid)``); ``None`` when disabled.
-        self.step: Optional[StepRecord] = self._open() if enabled else None
+        #: ``step.finished.append(rid)``).
+        self.step: StepRecord = self._open()
+        #: Committed records' counts summed, in ``_TOTALS`` order
+        #: (:meth:`totals` adds the open record's).
+        self._totals: Tuple[int, ...] = (0,) * len(_TOTALS)
         self._fault_log: Optional[Sequence[FaultEvent]] = None
         self._fault_baseline = 0
         self._last_prefix_hits = 0
@@ -486,8 +498,6 @@ class ServeTelemetry:
     # -- step lifecycle (engine lock held) ------------------------------- #
     def begin_step(self, started_at: float,
                    fault_log: Optional[Sequence[FaultEvent]] = None) -> None:
-        if self.step is None:
-            return
         self.step.started_at = started_at
         self._fault_log = fault_log
         self._fault_baseline = len(fault_log) if fault_log is not None else 0
@@ -501,13 +511,13 @@ class ServeTelemetry:
 
         A step that did no work and whose record carries no event — in-step
         or out-of-step — is discarded (``None``): idle polling must not flood
-        the ring.  ``kv_totals`` is the paged cache's running
-        ``(key_positions_gathered, key_positions_live, attention_groups)``;
-        like the prefix hits, the record keeps what this step added.
+        the ring, and such a record has nothing to count.  ``kv_totals`` is
+        the paged cache's running ``(key_positions_gathered,
+        key_positions_live, attention_groups)``; like the prefix hits, the
+        record keeps what this step added.  A committed record's counters
+        are folded into the lifetime :meth:`totals`.
         """
         step = self.step
-        if step is None:
-            return None
         if not (did_work or any(getattr(step, name) for name in _EVENT_FIELDS)):
             self.idle_steps += 1
             self.step = self._open()  # whatever it was stamped with goes too
@@ -526,12 +536,25 @@ class ServeTelemetry:
             max(0, now - before)
             for now, before in zip(kv_totals, self._last_kv_totals))
         self._last_kv_totals = kv_totals
+        self._totals = tuple(map(add, self._totals, _counts(step)))
         self.trace.append(step)
         self.aggregator.observe(step)
         self.step = self._open()
         return step
 
     # -- read side -------------------------------------------------------- #
+    def totals(self) -> Dict[str, int]:
+        """Lifetime event counts: every committed record plus the open one.
+
+        Keys are the :class:`StepRecord` fields they sum — ``finished``
+        (requests that completed generating), ``decisions``, ``failed``,
+        ``cancelled``, ``expired``, ``shed``, ``quarantines``, ``retries``,
+        ``tokens_drafted``, ``tokens_accepted``.  The open record is counted
+        too, so an ending between steps (a shed at submit, a client's
+        cancel, ``stop(drain=False)``) shows at once.
+        """
+        return dict(zip(_TOTALS, map(add, self._totals, _counts(self.step))))
+
     def records(self) -> List[StepRecord]:
         """Retained step records, oldest first."""
         return self.trace.records()
@@ -547,7 +570,6 @@ class ServeTelemetry:
     def summary(self, max_windows: int = 16) -> Dict[str, object]:
         """Compact JSON-friendly state for ``ServerStats.report()``."""
         return {
-            "enabled": self.enabled,
             "window_s": self.aggregator.window_s,
             "steps_recorded": self.trace.total,
             "steps_retained": len(self.trace),
@@ -569,10 +591,6 @@ class ServeTelemetry:
         attributes to zero steps (the explanation says so via empty
         ``steps``), never to wrong ones.
         """
-        if not self.enabled:
-            raise RuntimeError(
-                "telemetry is disabled for this server; construct the "
-                "engine with telemetry enabled to record step traces")
         if metrics.finished_at is None:
             raise ValueError(
                 f"request {metrics.request_id} has not finished; "

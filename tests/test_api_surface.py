@@ -22,6 +22,10 @@ import repro.serve as serve
 
 #: The exported surface.  Additions are fine (extend the list); removals or
 #: renames are breaking changes — update every client with the same PR.
+#: Recorded breaks: ``ServeCounters`` is gone — ``ServerStats.from_requests``
+#: takes one ``counts`` mapping, from an engine the flight recorder's
+#: ``ServeTelemetry.totals()``; ``DraftProposer`` is gone — ``NgramProposer``
+#: is the one proposer and nothing was typed against the protocol.
 EXPECTED_ALL = {
     # Typed requests / results / errors.
     "GenerateRequest", "DecisionRequest",
@@ -35,10 +39,10 @@ EXPECTED_ALL = {
     "InferenceServer", "RequestHandle",
     "ContinuousBatchingScheduler", "SchedulerPolicy", "RetryPolicy",
     "GenerationSession", "SessionManager",
-    # Speculative decoding (draft proposers + adaptive draft length).
-    "DraftProposer", "NgramProposer", "AdaptiveK",
+    # Speculative decoding (the draft proposer + adaptive draft length).
+    "NgramProposer", "AdaptiveK",
     "PrefixCache", "PrefixEntry",
-    "RequestMetrics", "ServeCounters", "ServerStats", "ServerHealth",
+    "RequestMetrics", "ServerStats", "ServerHealth",
     # Flight-recorder observability (trace / windows / attribution).
     "ServeTelemetry", "StepRecord", "TraceLog",
     "WindowAggregator", "WindowStats",

@@ -26,7 +26,6 @@ from repro.serve import (
     RequestCancelled,
     RequestMetrics,
     SchedulerPolicy,
-    ServeCounters,
     ServerStats,
     SessionManager,
 )
@@ -905,8 +904,10 @@ class TestMetricsAggregation:
             requests + [unfinished], wall_seconds=10.0,
             occupancy_samples=[1, 2, 3, 4], queue_depth_samples=[0, 5, 2],
             block_usage_samples=[4, 8, 12], block_capacity=16,
-            counters=ServeCounters(prefix_hits=3, prefix_misses=1,
-                                   prefix_tokens_reused=75))
+            counts={"finished": 10, "decisions": 10,
+                    "tokens_generated": sum(range(1, 21)),
+                    "prefix_hits": 3, "prefix_misses": 1,
+                    "prefix_tokens_reused": 75})
         assert stats.requests_completed == 20
         assert stats.tokens_generated == sum(range(1, 21))
         assert stats.tokens_per_second == pytest.approx(stats.tokens_generated / 10.0)
@@ -961,7 +962,7 @@ class TestMetricsAggregation:
             dict(per_task={"generate": 3, "vp": 1}, health="degraded",
                  queue_by_priority={0: {"count": 2, "queue_p50_s": 0.1,
                                         "queue_p95_s": 0.2}},
-                 telemetry={"enabled": True, "windows": []}),
+                 telemetry={"window_s": 1.0, "windows": []}),
             derived=("block_occupancy", "acceptance_rate"))
 
     def test_ttft_itl_empty_defaults(self):
@@ -995,9 +996,10 @@ class TestMetricsAggregation:
         assert expired.queue_seconds == pytest.approx(3.0)  # queued lifetime
         requests += [cancelled, expired]
 
-        stats = ServerStats.from_requests(requests, wall_seconds=10.0,
-                                          occupancy_samples=[1],
-                                          queue_depth_samples=[0])
+        stats = ServerStats.from_requests(
+            requests, wall_seconds=10.0, occupancy_samples=[1],
+            queue_depth_samples=[0],
+            counts={"finished": 12, "cancelled": 1, "expired": 1})
         assert stats.requests_completed == 12  # ok outcomes only
         assert stats.cancelled == 1 and stats.expired == 1
         assert set(stats.queue_by_priority) == {0, 2}
@@ -1246,14 +1248,16 @@ class TestScheduler:
         assert scheduler.queue_depth == 2
         admitted = scheduler.admissions(free_slots=8)
         assert [s.session_id for s in admitted] == [3, 4]
-        assert scheduler.admitted_total == 5
+        assert scheduler.queue_depth == 0
 
     def test_queue_bound(self):
         scheduler = ContinuousBatchingScheduler(SchedulerPolicy(max_queue=2))
         assert scheduler.enqueue(self._session(0))
         assert scheduler.enqueue(self._session(1))
         assert not scheduler.enqueue(self._session(2))
-        assert scheduler.rejected_total == 1
+        assert scheduler.queue_depth == 2  # the rejected session never entered
+        scheduler.admissions(free_slots=1)
+        assert scheduler.enqueue(self._session(3))  # a freed place is taken
 
     def test_step_sampling(self):
         scheduler = ContinuousBatchingScheduler()

@@ -2,8 +2,11 @@
 
 Covers the trace ring buffer (O(1) seq lookup, wraparound), the wall-clock
 window aggregator (empty windows, boundary landing, bounded retention), the
-disabled no-op paths, the engine integration (step records, JSONL export,
-``ServerStats.report()["telemetry"]``), and the headline acceptance test:
+lifetime totals that make the recorder the engine's one ledger (exact past
+every ring and window bound, and equal to what a faulty run's handles and
+injector say happened), the engine integration (step records, JSONL
+export, ``ServerStats.report()["telemetry"]``), and the headline acceptance
+test:
 a seeded ``decode.step`` delay fault produces an ITL spike that
 ``explain_request`` attributes to the correct step record — right seq,
 right co-batched session set, right fault event.
@@ -18,10 +21,13 @@ import pytest
 from repro.llm import LanguageModel
 from repro.llm.config import LLMConfig
 from repro.serve import (
+    DecisionRequest,
     FaultInjector,
     FaultSpec,
+    GenerateRequest,
     GenerationSession,
     InferenceServer,
+    RetryPolicy,
     SchedulerPolicy,
     ServeTelemetry,
     StepRecord,
@@ -37,6 +43,16 @@ def model():
     config = LLMConfig(name="telemetry-test", family="test", d_model=32,
                        num_layers=2, num_heads=2, max_seq_len=64)
     return LanguageModel(config, seed=3)
+
+
+class _EchoRuntime:
+    """One decision group; echoes each payload."""
+
+    def group_key(self, request):
+        return ()
+
+    def execute_batch(self, requests):
+        return [request.payload for request in requests]
 
 
 def _record(seq, start, end, **fields):
@@ -276,20 +292,43 @@ class TestServeTelemetry:
                                        prefix_hits_total=4)
         assert first.prefix_hits == 3 and second.prefix_hits == 1
 
-    def test_disabled_is_noop_everywhere(self):
-        telemetry = ServeTelemetry(enabled=False)
-        assert telemetry.step is None  # nothing to write: writers check this
-        telemetry.begin_step(0.0)
-        assert telemetry.step is None
-        assert telemetry.commit_step(0.1, did_work=True, queue_depth=0,
-                                     queue_depth_by_priority={},
-                                     blocks_in_use=0,
-                                     prefix_hits_total=0) is None
-        assert telemetry.records() == [] and telemetry.windows() == []
-        summary = telemetry.summary()
-        assert summary["enabled"] is False and summary["windows"] == []
-        with pytest.raises(RuntimeError, match="disabled"):
-            telemetry.explain_request(object())
+    def test_totals_outlive_the_ring_and_the_windows(self):
+        # 12 records through a 3-slot ring and 2 retained one-second
+        # windows: the totals still sum every committed record, plus the
+        # open one.
+        telemetry = ServeTelemetry(trace_capacity=3, max_windows=2)
+        committed = []
+        for i in range(12):
+            telemetry.begin_step(float(i))
+            step = telemetry.step
+            step.finished.extend(range(i % 3))
+            step.decisions += i % 2
+            step.failed += i % 4 == 0
+            step.cancelled += i % 5 == 0
+            step.expired += i % 6 == 0
+            step.shed += i % 7 == 0
+            step.quarantines += i % 3 == 1
+            step.retries += i % 3 == 2
+            step.tokens_drafted += i
+            step.tokens_accepted += i // 2
+            committed.append(telemetry.commit_step(float(i) + 0.5, True, 0,
+                                                   {}, 0, 0))
+        telemetry.step.shed += 1  # between steps: counted before it commits
+        telemetry.step.finished.append(99)
+        assert telemetry.trace.dropped == 9
+        assert telemetry.aggregator.windows_dropped == 10
+        expected = {name: sum(getattr(r, name) for r in committed)
+                    for name in ("decisions", "failed", "cancelled",
+                                 "expired", "shed", "quarantines", "retries",
+                                 "tokens_drafted", "tokens_accepted")}
+        expected["finished"] = sum(len(r.finished) for r in committed) + 1
+        expected["shed"] += 1
+        assert telemetry.totals() == expected
+
+    def test_has_no_off_switch(self):
+        with pytest.raises(TypeError):
+            ServeTelemetry(enabled=False)
+        assert "enabled" not in ServeTelemetry().summary()
 
 
 # ---------------------------------------------------------------------- #
@@ -321,17 +360,14 @@ class TestEngineTelemetry:
         assert (sum(w.decode_tokens for w in server.telemetry.windows())
                 == sum(r.decode_tokens for r in records))
 
-    def test_disabled_engine_pays_no_bookkeeping(self, model):
-        server = InferenceServer(model=model, telemetry=False)
-        assert server._trace is None  # hot-path guard collapses to one check
-        assert server._manager.telemetry is None
-        handle = server.submit_generation("hello", max_new_tokens=4)
-        server.run_until_idle()
-        handle.result()
-        assert server.telemetry.records() == []
-        assert server.stats().report()["telemetry"]["enabled"] is False
-        with pytest.raises(RuntimeError, match="disabled"):
-            server.explain_request(handle.request_id)
+    def test_recorder_cannot_be_turned_off(self, model):
+        for value in (False, True, "off"):
+            with pytest.raises(TypeError, match="ServeTelemetry or None"):
+                InferenceServer(model=model, telemetry=value)
+        recorder = ServeTelemetry(trace_capacity=8)
+        server = InferenceServer(model=model, telemetry=recorder)
+        assert server.telemetry is recorder
+        assert server._manager.telemetry is recorder
 
     def test_trace_ring_wraps_during_long_run(self, model):
         telemetry = ServeTelemetry(trace_capacity=4)
@@ -360,12 +396,11 @@ class TestEngineTelemetry:
         server = InferenceServer(model=model)
         server.submit_generation("stats please", max_new_tokens=4).result()
         report = server.stats().report()
-        # Backward-compatible keys survive the ServeCounters refactor.
+        # The counters read from the recorder keep their report names.
         for key in ("tokens_per_second", "prefix_hits", "faults_quarantined",
                     "retries", "shed", "health", "itl_p95_s"):
             assert key in report
         telemetry = report["telemetry"]
-        assert telemetry["enabled"] is True
         assert telemetry["steps_recorded"] > 0
         assert telemetry["windows"], "at least one window must be live"
         assert "queue_depth_mean" in telemetry["windows"][-1]
@@ -379,6 +414,76 @@ class TestEngineTelemetry:
         first.result()
         assert shed.done() and not shed.cancelled()
         assert sum(r.shed for r in server.telemetry.records()) == 1
+
+    def test_shed_at_submit_counts_before_any_step(self, model):
+        server = InferenceServer(
+            model=model, policy=SchedulerPolicy(shed_queue_depth=1))
+        server.submit_generation("one", max_new_tokens=4)
+        shed = server.submit_generation("two", max_new_tokens=4)
+        assert shed.done() and server.telemetry.records() == []
+        stats = server.stats()
+        assert stats.shed == 1 and stats.requests_completed == 0
+
+    def test_stats_counts_every_event_once_past_the_ring(self, model,
+                                                          monkeypatch):
+        """A chaos run through a 4-record ring: a permanent decode fault, a
+        transient decision fault retried, a cancel, a deadline expiry, a
+        shed and speculative drafts — every counter ``stats()`` reports
+        equals what the handles and the injector say happened."""
+        monkeypatch.setenv("REPRO_FAULTS", "1")
+        injector = FaultInjector([
+            FaultSpec(site="decode.step", at=2),
+            FaultSpec(site="runtime.execute_batch", at=1, transient=True)])
+        telemetry = ServeTelemetry(trace_capacity=4)
+        server = InferenceServer(
+            model, SchedulerPolicy(max_batch_size=2, max_queue=6,
+                                   speculation="ngram",
+                                   retry_policy=RetryPolicy(max_attempts=2)),
+            runtimes={"echo": _EchoRuntime()}, fault_injector=injector,
+            telemetry=telemetry)
+        committed = []
+        commit = telemetry.commit_step
+
+        def spy(*args, **kwargs):
+            record = commit(*args, **kwargs)
+            if record is not None:
+                committed.append(record)
+            return record
+
+        monkeypatch.setattr(telemetry, "commit_step", spy)
+        handles = [server.submit(GenerateRequest(
+            prompt="ok; ok; ok; ok;", max_new_tokens=40, stop_on_eos=False))
+            for _ in range(5)]
+        handles.append(server.submit(GenerateRequest(
+            prompt="too late", max_new_tokens=4, deadline_s=1e-6)))
+        handles.append(server.submit(GenerateRequest(prompt="no room")))
+        handles += [server.submit(DecisionRequest(task="echo", payload=i))
+                    for i in range(3)]
+        for _ in range(3):
+            server.step()
+        running = [h for h in handles[:5] if not h.done()
+                   and h._session.state == "running"]
+        assert running and running[0].cancel()
+        server.run_until_idle()
+
+        outcomes = [h.metrics.outcome for h in handles]
+        assert {"ok", "failed", "cancelled", "expired", "shed"} <= set(outcomes)
+        assert telemetry.trace.dropped > 0  # the ring wrapped
+        stats = server.stats()
+        assert stats.requests_completed == outcomes.count("ok")
+        for outcome in ("failed", "cancelled", "expired", "shed"):
+            assert getattr(stats, outcome) == outcomes.count(outcome), outcome
+        assert stats.retries == sum(h.metrics.attempts - 1 for h in handles) > 0
+        assert stats.faults_quarantined == sum(
+            action == "raise" for _, _, action in injector.fired_log) == 2
+        assert stats.tokens_generated == sum(
+            h.metrics.tokens_generated for h in handles
+            if h.metrics.outcome == "ok")
+        assert stats.tokens_accepted <= stats.tokens_drafted
+        assert stats.tokens_drafted > 0  # the probe clock drafted
+        assert stats.tokens_drafted == sum(r.tokens_drafted for r in committed)
+        assert stats.tokens_accepted == sum(r.tokens_accepted
+                                            for r in committed)
 
     def test_deferred_admission_not_counted_admitted(self, model):
         """A deferral never started: the step that bounced it lists it under

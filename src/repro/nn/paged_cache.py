@@ -84,24 +84,26 @@ DEFAULT_BLOCK_SIZE = 16
 #: Fewest padded block-rows (one row gathering and scoring one block it does
 #: not own) a further split of a step's rows must save; below that the extra
 #: gather / matmul / softmax / matmul round per layer costs more than the
-#: padding did.  Chosen by measurement: ``forward_step`` on the benchmark's
-#: model shape, one pool per value stepped in turn on the same tokens and
-#: regrouped every step, median step time as a share of never splitting
-#: (two runs agreed to within 0.03).
+#: padding did.  Measured: ``forward_step`` on the benchmark's model shape,
+#: one pool per value stepped in turn on the same tokens (each step rolled
+#: back) and regrouped every step, median step time as a share of never
+#: splitting (mean of two 400-step runs, which agreed to within 0.06).
 #:
 #:     value                          2      4      6      8     12     16
-#:     2 rows of 8..96 tokens       1.06   1.02   1.00   1.00   0.98   0.98
-#:     3 rows of 8..96 tokens       1.13   1.06   1.03   1.02   1.02   1.00
-#:     8 rows of 200..340           0.88   0.87   0.90   0.91   0.91   0.92
-#:     the same, 5-token verify     0.88   0.89   0.90   0.92   0.92   0.93
-#:     16 rows of 8..160            0.75   0.74   0.74   0.75   0.77   0.77
+#:     2 rows of 8..96 tokens       1.18   1.02   1.00   1.00   1.00   1.00
+#:     3 rows of 8..96 tokens       1.15   1.12   1.12   1.02   1.01   1.00
+#:     8 rows of 200..340           1.08   1.04   1.00   1.01   1.02   1.10
+#:     the same, 5-token verify     0.86   0.85   0.84   0.88   0.84   0.86
+#:     16 rows of 8..160            0.82   0.81   0.79   0.79   0.76   0.77
 #:
 #: Small batches of short rows want it high (a split there saves a few
 #: kilobytes and pays the round in full), large ones low (smaller groups also
-#: stay in cache).  6 is where the first two rows stop paying for splits that
-#: the other three still profit from.  End to end (``bench/run.py``) every
-#: value from 1 to 32 gives ``longctx_closed10`` the same 1.8x of the unsplit
-#: parent: the claim does not hang on this constant.
+#: stay in cache).  6 was picked when a gather copied twice, where the first
+#: two rows stopped paying for splits; with one copy 12 reads better on the
+#: 3- and 16-row rows and 0.02 worse on the 8-row one, which only an
+#: end-to-end run can settle.  End to end (``bench/run.py``) every value from
+#: 1 to 32 gave ``longctx_closed10`` the same 1.8x of the unsplit parent: the
+#: claim does not hang on this constant.
 MIN_SPLIT_SAVING_BLOCK_ROWS = 6
 
 #: The one-group partition's row selector: a basic slice, so nothing is
@@ -237,10 +239,13 @@ class BlockAllocator:
 class PagedLayerKVCache:
     """One attention layer's K/V arrays, block-indexed.
 
-    Arrays have shape ``(blocks, num_heads, block_size, head_dim)`` and grow
-    geometrically to the allocator's high-water mark.  Storage is zero-filled
-    and freed blocks are re-zeroed, so gathering a padded block never mixes
-    stale non-finite values into masked-out attention scores.
+    Arrays have shape ``(blocks, block_size, num_heads, head_dim)`` — token
+    major, the layout the projections emit — and grow geometrically to the
+    allocator's high-water mark.  :meth:`gather` copies a padded table
+    matrix out with one fancy index and hands attention head-major views of
+    that copy.  Storage is zero-filled and freed blocks are re-zeroed, so
+    gathering a padded block never mixes stale non-finite values into
+    masked-out attention scores.
     """
 
     __slots__ = ("_keys", "_values")
@@ -258,7 +263,7 @@ class PagedLayerKVCache:
         if self._keys is not None and self._keys.shape[0] >= blocks:
             return
         new_capacity = max(4, blocks, 2 * self.capacity_blocks)
-        keys = np.zeros((new_capacity, heads, block_size, head_dim), dtype=dtype)
+        keys = np.zeros((new_capacity, block_size, heads, head_dim), dtype=dtype)
         values = np.zeros_like(keys)
         if self._keys is not None:
             keys[:self._keys.shape[0]] = self._keys
@@ -278,37 +283,29 @@ class PagedLayerKVCache:
                     keys: np.ndarray, values: np.ndarray) -> None:
         """Write a step's packed tokens, token ``i`` at ``(blocks[i],
         offsets[i])``; ``keys``/``values`` are ``(tokens, heads, head_dim)``."""
-        self._keys[blocks, :, offsets] = keys
-        self._values[blocks, :, offsets] = values
+        self._keys[blocks, offsets] = keys
+        self._values[blocks, offsets] = values
 
     def read_blocks(self, block_ids: Sequence[int]
                     ) -> Tuple[np.ndarray, np.ndarray]:
         """Contiguous ``(heads, len(block_ids)*block_size, head_dim)`` copies
         of the listed blocks' K/V (tests read a session's history back with it)."""
-        index = np.asarray(block_ids, dtype=np.int64)
-        _, heads, block_size, head_dim = self._keys.shape
-        keys = self._keys[index].transpose(1, 0, 2, 3).reshape(
-            heads, len(index) * block_size, head_dim)
-        values = self._values[index].transpose(1, 0, 2, 3).reshape(
-            heads, len(index) * block_size, head_dim)
-        return keys, values
+        keys, values = self.gather(np.asarray([block_ids], dtype=np.int64))
+        return np.ascontiguousarray(keys[0]), np.ascontiguousarray(values[0])
 
     def gather(self, tables: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Per-session histories for attention, gathered via block tables.
 
         ``tables`` is ``(n, max_blocks)`` — each row a session's block ids,
         padded with any valid id (padded positions are masked by the caller).
-        Returns ``(n, heads, max_blocks*block_size, head_dim)`` arrays.
+        Returns ``(n, heads, max_blocks*block_size, head_dim)`` views of one
+        token-major copy each — the shape a fresh group reads its own K/V in.
         """
         n, max_blocks = tables.shape
-        _, heads, block_size, head_dim = self._keys.shape
-        keys = self._keys[tables]      # (n, max_blocks, heads, block, head_dim)
-        values = self._values[tables]
-        keys = keys.transpose(0, 2, 1, 3, 4).reshape(
-            n, heads, max_blocks * block_size, head_dim)
-        values = values.transpose(0, 2, 1, 3, 4).reshape(
-            n, heads, max_blocks * block_size, head_dim)
-        return keys, values
+        _, block_size, heads, head_dim = self._keys.shape
+        by_token = (n, max_blocks * block_size, heads, head_dim)
+        return (self._keys[tables].reshape(by_token).transpose(0, 2, 1, 3),
+                self._values[tables].reshape(by_token).transpose(0, 2, 1, 3))
 
 
 @lru_cache(maxsize=256)
@@ -702,8 +699,8 @@ class PagedKVCache:
         self._advance(ids, counts)
 
     def history(self, session_id: int) -> List[Tuple[np.ndarray, np.ndarray]]:
-        """Per layer, contiguous ``(heads, length, head_dim)`` copies of a
-        session's keys and values (what :meth:`_import` takes)."""
+        """Per layer, a session's keys and values as ``(heads, length,
+        head_dim)`` slices of contiguous copies (what :meth:`_import` takes)."""
         table, length = self.table(session_id), self.length(session_id)
         return [tuple(half[:, :length] for half in layer.read_blocks(table))
                 for layer in self.layers]

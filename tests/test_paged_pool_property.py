@@ -16,6 +16,8 @@ token scattered to the wrong block or offset, or a rollback that kept a
 rejected token shows up as a wrong number); and ``check_invariants()`` holds
 after every operation.  No model: K/V are the serial numbers themselves, and
 the pool is small enough that about one history in three exhausts it.
+``test_layer_layout_contract`` holds one layer's storage to the same kind of
+model, keyed by ``(block, offset)``, whatever its array layout.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn import PagedKVCache
+from repro.nn import PagedKVCache, PagedLayerKVCache
 from repro.nn.attention import by_row
 
 BLOCK = 4
@@ -289,3 +291,82 @@ def _assert_rollback_to_one_is_a_plain_step(state, ids, counts, fed):
         keys, _ = plain.layers[0].read_blocks(plain.table(sid))
         rolled_keys, _ = rolled.layers[0].read_blocks(rolled.table(sid))
         assert np.array_equal(keys[0, :length], rolled_keys[0, :length])
+
+
+LAYOUT_HEADS, LAYOUT_HEAD_DIM, LAYOUT_BLOCKS = 3, 2, 6
+
+
+@settings(max_examples=40, deadline=None)
+@given(writes=st.sets(st.tuples(st.integers(0, LAYOUT_BLOCKS - 1),
+                                st.integers(0, BLOCK - 1)), min_size=1, max_size=20),
+       rows=st.lists(st.lists(st.integers(0, LAYOUT_BLOCKS - 1), min_size=1, max_size=4),
+                     min_size=1, max_size=4),
+       pad=st.integers(0, LAYOUT_BLOCKS - 1),
+       copied=st.tuples(st.integers(0, LAYOUT_BLOCKS - 1),
+                        st.integers(0, LAYOUT_BLOCKS - 1)),
+       cleared=st.integers(0, LAYOUT_BLOCKS - 1),
+       seed=st.integers(0, 2**16))
+def test_layer_layout_contract(writes, rows, pad, copied, cleared, seed):
+    """One layer's storage against a model keyed by ``(block, offset)``:
+    whatever the layout, ``append_step`` puts a token where ``gather`` and
+    ``read_blocks`` find it, a padded table entry reads its pad block, an
+    ``ensure`` growth keeps every byte, and ``copy_block`` / ``clear_block``
+    move whole blocks and nothing else."""
+    rng = np.random.default_rng(seed)
+    shape = (LAYOUT_HEADS, LAYOUT_HEAD_DIM)
+    layer = PagedLayerKVCache()
+    layer.ensure(LAYOUT_BLOCKS, LAYOUT_HEADS, BLOCK, LAYOUT_HEAD_DIM, np.float64)
+    at = sorted(writes)
+    keys = rng.normal(size=(len(at), *shape))
+    values = rng.normal(size=(len(at), *shape))
+    blocks, offsets = (np.asarray(column, dtype=np.int64) for column in zip(*at))
+    layer.append_step(blocks, offsets, keys, values)
+    model = {place: (key, value) for place, key, value in zip(at, keys, values)}
+    zero = (np.zeros(shape), np.zeros(shape))
+
+    def expect(table):
+        """``(heads, len(table)*BLOCK, head_dim)`` keys and values of a table."""
+        tokens = [model.get((block, offset), zero)
+                  for block in table for offset in range(BLOCK)]
+        return tuple(np.reshape([token[half] for token in tokens],
+                                (len(tokens), *shape)).swapaxes(0, 1)
+                     for half in (0, 1))
+
+    def check_every_block():
+        for block in range(LAYOUT_BLOCKS):
+            for got, want in zip(layer.read_blocks([block]), expect([block])):
+                assert got.flags.c_contiguous
+                np.testing.assert_array_equal(got, want)
+
+    width = max(map(len, rows))
+    tables = np.asarray([row + [pad] * (width - len(row)) for row in rows])
+    gathered = layer.gather(tables)
+    for half in gathered:
+        assert half.shape == (len(rows), LAYOUT_HEADS, width * BLOCK, LAYOUT_HEAD_DIM)
+    for i, row in enumerate(rows):
+        for got, read, want, padded in zip(
+                (half[i] for half in gathered), layer.read_blocks(row),
+                expect(row), expect([pad] * (width - len(row)))):
+            live = len(row) * BLOCK
+            np.testing.assert_array_equal(got[:, :live], read)
+            np.testing.assert_array_equal(read, want)
+            np.testing.assert_array_equal(got[:, live:], padded)
+
+    layer.ensure(3 * LAYOUT_BLOCKS, LAYOUT_HEADS, BLOCK, LAYOUT_HEAD_DIM, np.float64)
+    assert layer.capacity_blocks >= 3 * LAYOUT_BLOCKS
+    check_every_block()
+    np.testing.assert_array_equal(
+        layer.read_blocks([LAYOUT_BLOCKS])[0], np.zeros((LAYOUT_HEADS, BLOCK, LAYOUT_HEAD_DIM)))
+
+    source, target = copied
+    layer.copy_block(source, target)
+    moved = [model.get((source, offset)) for offset in range(BLOCK)]
+    for offset, token in enumerate(moved):
+        model.pop((target, offset), None)
+        if token is not None:
+            model[target, offset] = token
+    check_every_block()
+    layer.clear_block(cleared)
+    for offset in range(BLOCK):
+        model.pop((cleared, offset), None)
+    check_every_block()

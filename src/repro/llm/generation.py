@@ -10,9 +10,10 @@ Figure 2 benchmark.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -49,28 +50,72 @@ class GenerationResult:
         return sum(rest) / len(rest)
 
 
+class SamplingTable:
+    """Every row's next-token choice for one ``(rows, vocab)`` logits block.
+
+    Built in one vectorized pass: a row whose temperature is not above 0
+    keeps its greedy argmax, and every other row gets the normalised float64
+    CDF of its temperature-scaled softmax.  The temperature is cast to the
+    logits' dtype, so float32 logits divide, exponentiate and normalise in
+    float32 exactly as one row of them would.  Nothing is drawn here:
+    :func:`draw_token` takes one row's token when, and only when, a caller
+    consumes that row, so rows nobody reads cost no generator draw and a
+    non-finite row raises only once it is drawn.
+    """
+
+    __slots__ = ("greedy", "cdf")
+
+    def __init__(self, logits: np.ndarray, temperatures: Sequence[float]) -> None:
+        rows = len(temperatures)
+        # A NaN temperature fails the test too: it decodes greedily.
+        sampled = [row for row, temperature in enumerate(temperatures)
+                   if temperature > 0]
+        #: Row -> its normalised CDF (a view of one block), None when greedy.
+        self.cdf: List[Optional[np.ndarray]] = [None] * rows
+        #: Row -> its argmax id (read for greedy rows only).
+        self.greedy: List[int] = (logits.argmax(axis=1).tolist()
+                                  if len(sampled) < rows else [])
+        if not sampled:
+            return
+        block = logits if len(sampled) == rows else logits[sampled]
+        scale = np.asarray([temperatures[row] for row in sampled], dtype=block.dtype)
+        scaled = block / scale[:, None]
+        scaled = scaled - scaled.max(axis=1, keepdims=True)
+        probs = np.exp(scaled)
+        probs = probs / probs.sum(axis=1, keepdims=True)
+        # The CDF ``rng.choice(vocab, p=probs)`` builds internally: float64,
+        # summed left to right, divided by its last entry.
+        cdf = probs.cumsum(axis=1, dtype=np.float64)
+        cdf /= cdf[:, -1:]
+        for row, cdf_row in zip(sampled, cdf):
+            self.cdf[row] = cdf_row
+
+
+def draw_token(table: SamplingTable, row: int, rng: np.random.Generator) -> int:
+    """Take row ``row``'s token from ``table``: its argmax when greedy, else
+    one ``rng.random()`` and a right bisect of its CDF — the draw
+    ``rng.choice(vocab, p=probs)`` performs, minus its argument handling, so
+    the ids and the generator state afterwards are that call's."""
+    cdf = table.cdf[row]
+    if cdf is None:
+        return table.greedy[row]
+    # A finite total normalises to exactly 1; NaN or inf logits give NaN.
+    if not math.isfinite(cdf[-1]):
+        raise ValueError("probabilities contain NaN")
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
 def sample_token(logits: np.ndarray, temperature: float,
                  rng: np.random.Generator) -> int:
     """Sample one token id from unnormalized next-token ``logits``.
 
     ``temperature == 0`` is greedy argmax; otherwise temperature-scaled
-    softmax sampling.  Shared by :func:`generate` and the serving engine's
-    decode loop so served sessions reproduce the standalone token stream.
+    softmax sampling.  The one-row case of :class:`SamplingTable` and
+    :func:`draw_token`, which the serving engine's decode step runs over
+    all of its rows at once, so served sessions reproduce the standalone
+    token stream of :func:`generate`.
     """
-    if temperature and temperature > 0:
-        scaled = logits / temperature
-        scaled = scaled - scaled.max()
-        probs = np.exp(scaled)
-        probs = probs / probs.sum()
-        # The draw ``rng.choice(len(probs), p=probs)`` performs internally
-        # (float64 CDF, one uniform, right-bisect), minus its argument
-        # handling — half the cost per token; same ids, same generator state.
-        cdf = probs.cumsum(dtype=np.float64)
-        if not np.isfinite(cdf[-1]):
-            raise ValueError("probabilities contain NaN")
-        cdf /= cdf[-1]
-        return int(cdf.searchsorted(rng.random(), side="right"))
-    return int(np.argmax(logits))
+    return draw_token(SamplingTable(logits[None], [temperature]), 0, rng)
 
 
 def generate(model: LanguageModel, prompt: str, max_new_tokens: int = 64,
@@ -108,6 +153,8 @@ def generate(model: LanguageModel, prompt: str, max_new_tokens: int = 64,
     """
     if max_new_tokens < 1:
         raise ValueError("max_new_tokens must be >= 1")
+    if not temperature >= 0:  # NaN fails too
+        raise ValueError(f"temperature must be >= 0, got {temperature}")
     tokenizer = model.tokenizer
     rng = seeded_rng(seed)
     context = tokenizer.encode(prompt, add_bos=True)

@@ -89,7 +89,7 @@ class ServerOverloaded(RuntimeError):
 def _validate_lifecycle(priority: int, deadline_s: Optional[float]) -> None:
     if not isinstance(priority, int) or isinstance(priority, bool):
         raise TypeError(f"priority must be an int class, got {priority!r}")
-    if deadline_s is not None and deadline_s <= 0:
+    if deadline_s is not None and not deadline_s > 0:  # NaN fails too
         raise ValueError(f"deadline_s must be positive seconds, got {deadline_s}")
 
 
@@ -118,7 +118,7 @@ class GenerateRequest:
             raise TypeError(f"prompt must be a string, got {type(self.prompt).__name__}")
         if self.max_new_tokens < 1:
             raise ValueError("max_new_tokens must be >= 1")
-        if self.temperature < 0:
+        if not self.temperature >= 0:  # NaN fails too
             raise ValueError(f"temperature must be >= 0, got {self.temperature}")
         _validate_lifecycle(self.priority, self.deadline_s)
 

@@ -22,10 +22,12 @@ when no injector is wired in.
 There is one decode step (:meth:`SessionManager.step`): every row feeds its
 pending token plus whatever the :class:`~repro.serve.speculative.NgramProposer`
 drafted for it (``speculation="ngram"``) through one ragged ``forward_step``;
-plain decode is the step whose rows all feed one token.  Every logits row
-goes through the same :meth:`SessionManager._consume_logits`, which is why
-the emitted stream is token-identical to ``speculation="off"`` at any
-temperature (``docs/speculative.md``).
+plain decode is the step whose rows all feed one token.  The step samples
+its logits rows in one pass (:class:`~repro.llm.generation.SamplingTable`),
+and every row it reads draws its token through the same
+:meth:`SessionManager._consume_logits`, which is why the emitted stream is
+token-identical to ``speculation="off"`` at any temperature
+(``docs/speculative.md``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..llm import LanguageModel
-from ..llm.generation import GenerationResult, sample_token
+from ..llm.generation import GenerationResult, SamplingTable, draw_token
+# Unused here: the benchmark's trace pins this name (ROADMAP 1(b)/(c)).
+from ..llm.generation import sample_token
 from ..nn import DEFAULT_BLOCK_SIZE
 from ..utils import seeded_rng
 from .metrics import RequestMetrics
@@ -407,15 +411,17 @@ class SessionManager:
         is a row whose take is its whole tail, a chunk a row that takes less,
         and any mix of them is one call.  Every row is a prompt row, so the
         forward returns one logits row per row, its last token's: a row
-        whose prompt completes samples its first output token from logits
-        row ``i``, exactly as :func:`~repro.llm.generation.generate` does;
+        whose prompt completes draws its first output token from row ``i``
+        of one :class:`~repro.llm.generation.SamplingTable` over them, as
+        :func:`~repro.llm.generation.generate` samples its first;
         the others are ``PREFILLING``.  All or nothing: a raise leaves every
         session, and the pool, as they were.
         """
         logits = self._forward((), (), group, takes)
+        table = SamplingTable(logits, [session.temperature for session in group])
         for row, session in enumerate(group):
             if session.state == RUNNING:
-                self._consume_logits(session, logits[row])
+                self._consume_logits(session, table, row)
 
     def _forward(self, slots: Sequence[int], fed: Sequence[List[int]],
                  group: Sequence[GenerationSession], takes: Sequence[int]
@@ -630,8 +636,9 @@ class SessionManager:
         are retried one at a time (:meth:`prefill_chunk`; one that raises
         alone is aborted into :attr:`chunk_failures`) and the decode rows
         run alone through the same forward — so a request fails exactly
-        when it would have in forwards of its own.  Each
-        verified logits row then runs through
+        when it would have in forwards of its own.  The decoded rows'
+        logits become one :class:`~repro.llm.generation.SamplingTable`, and
+        each verified row then draws its token from it through
         :meth:`_consume_logits`: the sampled token *is* the acceptance test
         (equal to the draft → keep verifying; different → it is the
         correction and verification stops), so RNG draws, EOS handling,
@@ -698,6 +705,11 @@ class SessionManager:
                 self.faults.fire("decode.verify", payload=logits)
             else:
                 self.faults.fire("decode.logits", payload=logits)
+        # One sampling pass over every decoded row, after the fault site so a
+        # corrupted payload is what gets sampled; rows draw as they are read.
+        table = SamplingTable(logits, [session.temperature
+                                       for session, row in zip(batch, fed)
+                                       for _ in row])
         step_drafted = step_accepted = offset = 0
         for slot, session, row in zip(slots, batch, fed):
             session.metrics.batch_sizes.append(len(batch))
@@ -705,12 +717,12 @@ class SessionManager:
             # Packed token offset + t is consumed once every draft before it
             # was accepted; what it samples is the correction of draft t or,
             # past the last draft, the bonus token.
-            alive = self._consume_logits(session, logits[offset])
+            alive = self._consume_logits(session, table, offset)
             accepted = 0
             while (alive and accepted < len(draft)
                    and session.generated[-1] == draft[accepted]):
                 accepted += 1
-                alive = self._consume_logits(session, logits[offset + accepted])
+                alive = self._consume_logits(session, table, offset + accepted)
             offset += len(row)
             step_drafted += len(draft)
             step_accepted += accepted
@@ -732,15 +744,20 @@ class SessionManager:
         return completed, len(batch)
 
     # ------------------------------------------------------------------ #
-    def _consume_logits(self, session: GenerationSession, logits: np.ndarray) -> bool:
-        """Sample one token from ``logits``; return False when the session ends.
+    def _consume_logits(self, session: GenerationSession, table: SamplingTable,
+                        row: int) -> bool:
+        """Emit ``session``'s next token, drawn from row ``row`` of the
+        forward's ``table``; return False when the session ends.
 
-        Uses the same :func:`~repro.llm.generation.sample_token` as standalone
-        :func:`~repro.llm.generation.generate`, so a served session reproduces
-        the standalone token stream.
+        This is the served path's one draw
+        (:func:`~repro.llm.generation.draw_token`): one generator draw per
+        sampled token, none for a greedy one.
+        :func:`~repro.llm.generation.sample_token` is the one-row case of the
+        same table and draw, so a served session reproduces the standalone
+        :func:`~repro.llm.generation.generate` token stream.
         """
         session.num_inferences += 1
-        next_id = sample_token(logits, session.temperature, session.rng())
+        next_id = draw_token(table, row, session.rng())
         session.record_token()
         tokenizer = self.model.tokenizer
         if session.stop_on_eos and next_id == tokenizer.eos_id:

@@ -181,6 +181,10 @@ class TestGeneration:
     def test_generation_validates_budget(self, tiny_llm_plain):
         with pytest.raises(ValueError):
             generate(tiny_llm_plain, "abc", max_new_tokens=0)
+        # The served request's check: neither decodes greedily any more.
+        for temperature in (-0.5, float("nan")):
+            with pytest.raises(ValueError, match="temperature must be >= 0"):
+                generate(tiny_llm_plain, "abc", temperature=temperature)
 
     def test_profile_generation_validity_fraction(self, tiny_llm_plain):
         profile = profile_generation(tiny_llm_plain, ["1.0 2.0", "3.0 4.0"],
@@ -248,6 +252,65 @@ class TestSampleToken:
                 draws += 1
             assert ours.bit_generator.state == reference.bit_generator.state
         assert draws >= 5000  # x2 dtypes
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_table_rows_match_the_one_row_case(self, dtype):
+        """``SamplingTable`` over a ``(rows, vocab)`` block, drawn row by row
+        with ``draw_token``, is ``sample_token`` on each row: the same ids as
+        ``Generator.choice`` (argmax for greedy rows), the same generator
+        state afterwards, and every CDF row bitwise equal to the one-row
+        table's."""
+        from repro.llm.generation import SamplingTable, draw_token
+
+        meta = np.random.default_rng(1)
+        rows_checked = 0
+        for seed in range(250):
+            rows = int(meta.integers(1, 24))
+            vocab = int(meta.integers(2, 301))
+            temperatures = [float(t) for t in
+                            meta.choice([0.0, 0.3, 0.7, 1.0, 2.5], size=rows)]
+            logits = (meta.normal(size=(rows, vocab))
+                      * meta.choice([0.1, 1.0, 10.0])).astype(dtype)
+            table = SamplingTable(logits, temperatures)
+            ours = np.random.default_rng(seed)
+            reference = np.random.default_rng(seed)
+            for row, temperature in enumerate(temperatures):
+                if temperature > 0:
+                    scaled = logits[row] / temperature
+                    scaled = scaled - scaled.max()
+                    probs = np.exp(scaled)
+                    probs = probs / probs.sum()
+                    expected = int(reference.choice(vocab, p=probs))
+                    one_row = SamplingTable(logits[row][None], [temperature])
+                    assert table.cdf[row].tobytes() == one_row.cdf[0].tobytes()
+                else:
+                    expected = int(np.argmax(logits[row]))
+                    assert table.cdf[row] is None
+                assert draw_token(table, row, ours) == expected
+                rows_checked += 1
+            assert ours.bit_generator.state == reference.bit_generator.state
+        assert rows_checked >= 2500  # x2 dtypes
+
+    def test_table_raises_only_for_a_drawn_non_finite_row(self):
+        from repro.llm.generation import SamplingTable, draw_token
+
+        logits = np.asarray([[0.1, 3.0, -1.0],
+                             [0.1, np.nan, -1.0],
+                             [0.2, np.inf, 0.0],
+                             [np.nan, 1.0, 0.0]])
+        with np.errstate(invalid="ignore"):
+            table = SamplingTable(logits, [1.0, 1.0, 0.7, 0.0])
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        draw_token(table, 0, rng)  # a finite row draws past its neighbours
+        assert rng.bit_generator.state != state
+        for row in (1, 2):  # as Generator.choice: "contain NaN"
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="NaN"):
+                draw_token(table, row, rng)
+            assert rng.bit_generator.state == state  # nothing was drawn
+        # A greedy row is an argmax, NaN and all: it never raises.
+        assert draw_token(table, 3, rng) == int(np.argmax(logits[3]))
 
     def test_greedy_and_non_finite_logits(self):
         from repro.llm.generation import sample_token

@@ -1431,8 +1431,13 @@ class TestTypedRequests:
             GenerateRequest(prompt="x", max_new_tokens=0)
         with pytest.raises(ValueError, match="temperature"):
             GenerateRequest(prompt="x", temperature=-0.1)
+        # NaN compares False both ways: it would decode greedily / never expire.
+        with pytest.raises(ValueError, match="temperature must be >= 0"):
+            GenerateRequest(prompt="x", temperature=float("nan"))
         with pytest.raises(ValueError, match="deadline_s"):
             GenerateRequest(prompt="x", deadline_s=0.0)
+        with pytest.raises(ValueError, match="deadline_s must be positive"):
+            GenerateRequest(prompt="x", deadline_s=float("nan"))
         with pytest.raises(TypeError, match="priority"):
             GenerateRequest(prompt="x", priority="high")
         with pytest.raises(TypeError, match="prompt"):
@@ -1443,6 +1448,8 @@ class TestTypedRequests:
             DecisionRequest(task="")
         with pytest.raises(ValueError, match="deadline_s"):
             DecisionRequest(task="vp", deadline_s=-1.0)
+        with pytest.raises(ValueError, match="deadline_s"):
+            DecisionRequest(task="vp", deadline_s=float("nan"))
 
     def test_requests_are_frozen(self):
         request = GenerateRequest(prompt="x")

@@ -205,6 +205,29 @@ class TestQuarantine:
         assert stats.faults_quarantined == 1
         assert stats.requests_completed == 1
 
+    def test_nan_decode_logits_quarantine_the_sampled_batch(self, model):
+        """A sampled decode row whose logits are NaN cannot be drawn: the step
+        raises ``ValueError`` and the engine quarantines the decode batch
+        like any decode fault, with the pool sound."""
+        injector = FaultInjector([FaultSpec(
+            site="decode.logits", action="corrupt", at=1,
+            corrupt_scale=float("nan"))])
+        server = InferenceServer(model, SchedulerPolicy(max_batch_size=2),
+                                 fault_injector=injector)
+        doomed = [server.submit(GenerateRequest(
+            prompt=f"n{i}", max_new_tokens=4, temperature=1.0,
+            stop_on_eos=False)) for i in range(2)]
+        server.run_until_idle()
+        assert injector.total_fired == 1
+        for handle in doomed:
+            with pytest.raises(RequestFailed, match="decode step") as info:
+                handle.result(timeout=5)
+            assert isinstance(info.value.cause, ValueError)
+            assert "NaN" in str(info.value.cause)
+        _invariants(server)
+        assert server._manager.cache.num_sessions == 0
+        assert server.stats().faults_quarantined == 1
+
     def test_request_failed_chains_original_error(self, model):
         injector = FaultInjector([FaultSpec(site="decode.step", at=1)])
         server = InferenceServer(model, SchedulerPolicy(max_batch_size=1),

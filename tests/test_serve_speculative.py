@@ -406,7 +406,7 @@ class TestEngineParity:
         # A period-2 prompt continued by the script: the drafter always has a
         # match to copy, from the first decode step on.
         script = model.tokenizer.encode("ab" * 12)
-        monkeypatch.setattr(session_module, "sample_token",
+        monkeypatch.setattr(session_module, "draw_token",
                             _scripted_sampler([script]))
         server = InferenceServer(model=model, policy=SchedulerPolicy(
             max_batch_size=2, block_size=16, prefill_chunk_size=32,
@@ -449,14 +449,15 @@ class TestEngineParity:
 
 
 def _scripted_sampler(scripts):
-    """A ``sample_token`` stand-in that ignores the logits: the i-th session
-    to sample emits ``scripts[i]``, token by token.  ``sample_token`` runs
-    once per emitted token and a draft is accepted iff it equals the sampled
-    token, so the script *is* the session's output and decides acceptance.
-    Sessions are told apart by the per-session generator they pass in."""
+    """A ``draw_token`` stand-in that ignores the sampling table: the i-th
+    session to draw emits ``scripts[i]``, token by token.  ``draw_token``
+    runs once per emitted token and a draft is accepted iff it equals the
+    drawn token, so the script *is* the session's output and decides
+    acceptance.  Sessions are told apart by the per-session generator they
+    pass in."""
     streams = {}
 
-    def sample(logits, temperature, rng):
+    def sample(table, row, rng):
         if id(rng) not in streams:
             streams[id(rng)] = iter(scripts[len(streams)])
         return next(streams[id(rng)])
@@ -484,7 +485,7 @@ def _scripted_run(model, monkeypatch, speculation, prompts, scripts,
     script is the output and decides acceptance); assert every stream is its
     script — the same with speculation off — and return the server.
     ``eager`` drafts the cap on every step (:func:`always_draft`)."""
-    monkeypatch.setattr(session_module, "sample_token",
+    monkeypatch.setattr(session_module, "draw_token",
                         _scripted_sampler(scripts))
     server = InferenceServer(model=model, policy=SchedulerPolicy(
         max_batch_size=16, block_size=16, speculation=speculation,
@@ -602,7 +603,7 @@ class TestSelfDisablingSpeculation:
         noise, cycle = 80, 90
         script = (rng.integers(10, 16, size=noise).tolist()
                   + [20, 21, 22] * (cycle // 3))
-        monkeypatch.setattr(session_module, "sample_token",
+        monkeypatch.setattr(session_module, "draw_token",
                             _scripted_sampler([script]))
         server = InferenceServer(model=model, policy=SchedulerPolicy(
             max_batch_size=2, block_size=16, speculation="ngram",

@@ -146,7 +146,7 @@ class TransformerBackbone(Module):
         advance by ``counts[i]``.  The features come back as one packed
         sequence, ``(1, rows out, d_model)``: the unit axis keeps the
         logits three-axis for callers that multiply the first two into a
-        row count (ROADMAP 1c drops it).
+        row count (ROADMAP 2(c) drops it).
 
         Plain decode is the all-ones step and is spelled ``counts=None``
         (``embeddings`` then ``(n, d_model)``); a speculative verification

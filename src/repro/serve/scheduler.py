@@ -129,11 +129,10 @@ class SchedulerPolicy:
     acceptance rule replays the session's own sampling, RNG draws
     included); only the forwards-per-token ratio changes.  Draft length
     adapts per session between 0 and ``speculation_k``: a session starts
-    at 0 and earns its first draft through an accepted one-token probe on
-    every 16th planned step; fully accepted drafts grow it, rejected drafts
-    halve it; and a session drafts only while its own acceptance pays for a
-    verify at the current batch size — otherwise it takes the plain decode
-    step until the next probe (see ``docs/speculative.md``).  Under
+    at 0, fully accepted drafts grow it and rejected drafts halve it, and a
+    session drafts only while the acceptance replayed from its own emitted
+    stream pays for a verify at the current batch size — otherwise it takes
+    the plain decode step (see ``docs/speculative.md``).  Under
     ``step_token_budget`` each speculative row is charged ``1 + drafted``
     tokens — draft lengths are trimmed, longest first, to fit the budget —
     so prefill chunks and speculation share one token-accounting regime.

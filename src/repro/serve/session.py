@@ -40,7 +40,7 @@ import numpy as np
 
 from ..llm import LanguageModel
 from ..llm.generation import GenerationResult, SamplingTable, draw_token
-# Unused here: the benchmark's trace pins this name (ROADMAP 1(b)/(c)).
+# Unused here: the benchmark's trace pins this name (ROADMAP 2(b)/(c)).
 from ..llm.generation import sample_token
 from ..nn import DEFAULT_BLOCK_SIZE
 from ..utils import seeded_rng
@@ -199,7 +199,7 @@ class SessionManager:
                              f"{speculation!r}")
         #: Draft proposer for speculative decoding (None: speculation off).
         self.proposer: Optional[NgramProposer] = (
-            NgramProposer() if speculation == "ngram" else None)
+            NgramProposer(speculation_k) if speculation == "ngram" else None)
         self._adaptive = AdaptiveK(speculation_k) if self.proposer else None
         #: Drafts planned for the upcoming decode step, keyed by cache slot
         #: (filled by :meth:`plan_decode_tokens`, consumed by :meth:`step`).
@@ -573,14 +573,11 @@ class SessionManager:
         prefill chunks are charged per prompt token.  With speculation off
         (or an empty batch) the plan is trivially one token per running row.
 
-        Draft lengths start from each session's adaptive ``k`` at this
-        batch's row count (0 for a new session, or one whose acceptance does
-        not pay for a verify at this batch size, outside its probe steps —
-        when every row is at 0 the step is the plain decode step), are clamped
-        to the session's remaining context (a session never drafts past
-        ``max_context``), and are trimmed longest-first until the batch fits
-        ``token_budget`` (each row always keeps its 1 mandatory token).  The
-        drafts are stashed per slot and consumed by the next :meth:`step`.
+        A row drafts its adaptive ``k`` while the acceptance its proposer
+        replayed from its own stream pays at this batch's row count (all rows
+        at 0: the plain decode step); drafts are clamped to the remaining
+        context, trimmed longest-first until the batch fits ``token_budget``
+        (each row keeps its 1 mandatory token) and stashed for :meth:`step`.
         """
         self._planned_drafts = {}
         if not self.running:
@@ -591,22 +588,27 @@ class SessionManager:
             # Pre-drafting site: proposing touches no model or pool state, so
             # a raise here can never leave KV to roll back.
             self.faults.fire("draft.propose")
-        self._adaptive.begin_step()
-        rows = len(self.running)
+        rows, cap = len(self.running), self._adaptive.cap
         drafts: Dict[int, List[int]] = {}
         for slot in sorted(self.running):
-            session = self.running[slot]
-            # Room after the mandatory token: never draft past the context
-            # cap (sequential decode would have stopped there too).
-            room = self.max_context - (self.cache.length(slot) + 1)
-            k = min(self._adaptive.current(slot, rows), max(0, room))
-            if k > 0:
-                # A session that drafts nothing is not synced until its
-                # next probe; sync then catches up on everything since.
+            session, held = self.running[slot], self.proposer.held(slot)
+            drafts[slot] = []
+            if held is not None and not self._adaptive.current(
+                    slot, rows, (1, 1)):
+                continue  # not even a flawless replay pays at this batch size
+            k = self._adaptive.current(slot, rows, self.proposer.replayed(slot))
+            # A drafting row syncs every step; an undrafted one when first
+            # planned and once a cap-length draft step (cap + 1 tokens) is
+            # unsynced, then drafts if its replay pays.
+            if k or held is None or (len(session.prompt_ids)
+                                     + len(session.generated) - held > cap):
                 self.proposer.sync(slot, session.prompt_ids, session.generated)
+                k = self._adaptive.current(slot, rows,
+                                           self.proposer.replayed(slot))
+            # Never draft past the context cap (sequential decode stops there).
+            k = min(k, self.max_context - (self.cache.length(slot) + 1))
+            if k > 0:
                 drafts[slot] = self.proposer.propose(slot, k)
-            else:
-                drafts[slot] = []
         total = sum(1 + len(d) for d in drafts.values())
         if token_budget is not None:
             # Trim longest-first until the step fits the budget; the 1-token

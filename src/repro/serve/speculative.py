@@ -1,30 +1,20 @@
 """Draft proposers for speculative multi-token decoding.
 
-The serving engine's decode loop is one full transformer forward per output
-token per session.  Speculative decoding buys back wall-clock by *drafting*
-several candidate tokens cheaply, verifying them all in the one ragged
-decode step (a row feeds its pending token plus its drafts; plain decode is
-the step whose rows all feed one token — ``docs/paged_kv.md``), and keeping
-the longest accepted prefix.  The acceptance rule makes the
-output **token-exact**: draft token ``d_t`` is accepted iff it equals the
-token the session would have sampled from the verified logits at that
-position — ``argmax`` at temperature 0, and the session's own seeded RNG
-draw at temperature > 0 — so the emitted stream is bit-identical to
-sequential decoding at any temperature, and the only thing speculation
-changes is how many forwards it took to produce it.
+Speculative decoding drafts several candidate tokens cheaply, verifies them
+all in the one ragged decode step (``docs/paged_kv.md``) and keeps the
+longest accepted prefix.  Draft token ``d_t`` is accepted iff it equals the
+token the session would have sampled at that position (``argmax`` at
+temperature 0, the session's own seeded draw above it), so the emitted
+stream is bit-identical to sequential decoding and only the number of
+forwards changes.
 
-There is no second model: the paper's decision traffic is dominated by
-*templated* prompts, so drafts are copied out of each session's own
-history.  :class:`NgramProposer` keeps a per-session hash index from the
-last few tokens (n-grams of order 3, 2, 1) to the position after their most
-recent earlier occurrence; a draft is the run of tokens that followed the
-longest matching suffix.  On repetitive/templated text most drafts accept
-wholesale and each step emits several tokens.  The per-session
-:class:`AdaptiveK` controller starts every session undrafted and lets it
-draft only while its own acceptance pays for the verify in a batch of the
-current size, so on incompressible text the batch runs the plain one-token
-decode step and pays for speculation only on the aligned probe step every
-:data:`PROBE_PERIOD` steps.
+There is no second model: the paper's traffic is dominated by *templated*
+prompts, so :class:`NgramProposer` copies drafts out of each session's own
+history.  As acceptance is token-exact, how well drafting *would* pay is
+already in the emitted stream: the proposer replays it, and
+:class:`AdaptiveK` lets a session draft only while that replayed acceptance
+pays for the verify at the current batch size.  On incompressible text the
+batch runs the plain one-token decode step and never verifies.
 
 Everything here is plain data-structure code — no model access, no pool
 access — so a draft fault (site ``draft.propose``) can never corrupt KV
@@ -34,7 +24,7 @@ state, and rollback of rejected drafts is entirely the cache's
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 __all__ = ["NgramProposer", "AdaptiveK"]
 
@@ -42,35 +32,26 @@ __all__ = ["NgramProposer", "AdaptiveK"]
 #: longer matches are preferred, shorter ones are the fallback.
 MAX_ORDER = 3
 
-#: Every this-many planned decode steps, sessions that draft nothing (at
-#: ``k = 0``, or below the break-even) draft one token (see :class:`AdaptiveK`).
-PROBE_PERIOD = 16
-
-#: A session drafts its ``k`` tokens only while ``accepted * k *
-#: BREAK_EVEN_ROWS >= rows * drafted`` over its own lifetime totals, in a
-#: step of ``rows`` decode rows: its expected accepted tokens per verify,
-#: ``acceptance * k``, must cover ``rows`` times the verify premium, since
-#: every row waits for the dearer forward and the saved steps are the
-#: drafting row's alone.  So the value is about one over that premium.
-#: Chosen by measurement on 2 cores: ``bench/run.py`` (seed 0, 12 s runs,
-#: the values interleaved; medians) and the single-stream gate of
-#: ``benchmarks/test_perf_speculative.py`` (two readings each):
-#:
-#:     value                              1      2      4      8     16
-#:     templated_shared8 itl_p50_ms     3.29   3.28   3.24   3.39   3.40
-#:     decode_closed16 tokens_per_s       -    5444   5457   5371   5498
-#:     single-stream gate, x sequential 3.67   3.31   4.02   3.68   3.13
-#:                                      2.86   3.82   3.58   3.42   3.68
-#:
-#: ``speculation="off"`` read 3.15 ms and 5617 tok/s on the same runs.
-#: Up to 4 the latency row is flat within its noise (runs of one value
-#: spread by 0.4 ms); from 8 on, a row at ``k = 4`` in the 8-row batch keeps
-#: drafting at 25 % acceptance, where 4 asks for 50 %.  4 is one over the
-#: verify premium measured there (a verify forward 3.62 ms against a decode
-#: forward's 2.94, +23 %), and the largest value at the low end of the
-#: latency row.  In a one-row batch (the single-stream gate) every value
-#: drafts templated text.
+#: A session drafts only while ``accepted * k * BREAK_EVEN_ROWS >= rows *
+#: drafted`` over its replayed totals, in a step of ``rows`` decode rows: its
+#: expected accepted tokens per verify, ``acceptance * k``, must cover
+#: ``rows`` times the verify premium, since every row waits for the dearer
+#: forward and the saved steps are the drafting row's alone.  So the value is
+#: about one over that premium; ``docs/speculative.md`` has the sweep that
+#: chose it.
 BREAK_EVEN_ROWS = 4
+
+
+def _copy(history: Sequence[int], match: int, end: int, k: int) -> List[int]:
+    """``k`` tokens of ``history[:end]`` copied from ``match`` on."""
+    period = end - match
+    if period >= k:
+        return list(history[match:match + k])
+    # The matched continuation runs right up to ``end``: the session is
+    # emitting a cycle of this period.  Continue the cycle — exact for truly
+    # periodic text, and merely a (verified) guess otherwise — instead of
+    # clamping the draft to the period.
+    return [history[match + i % period] for i in range(k)]
 
 
 class NgramProposer:
@@ -79,23 +60,31 @@ class NgramProposer:
 
     Per session, an index maps each n-gram (orders ``MAX_ORDER`` down to 1)
     to the position *after* its most recent occurrence strictly before the
-    end of history.  ``propose`` looks up the current suffix longest-order
-    first and copies ``k`` tokens from the match onward; a copy that reaches
-    the end of history continues cyclically (the session is repeating a
-    short cycle — extend it rather than clamp the draft).  Indexing is
-    incremental: :meth:`sync` only copies and walks the tokens appended
-    since the last call — however many steps ago that was — so steady-state
-    cost is O(new tokens), not O(history).
+    end of history.  ``propose`` copies ``k`` tokens from the current
+    suffix's longest-order match onward, continuing cyclically past the end
+    of history.  :meth:`sync` folds in only the tokens appended since the
+    last call, however many steps ago that was.
+
+    The same walk replays drafting at ``cap`` tokens.  From where the first
+    sync leaves off (the session's first planned decode position), at each
+    walk position it takes the draft ``propose(cap)`` returned there — looked
+    up before the n-grams ending at that position are written — counts how
+    many of its tokens the session went on to emit, and moves to ``position
+    + accepted + 1``: the verify steps of a session that always drafts the
+    cap.  A draft whose emitted tokens all match waits for its tail.
 
     Proposals are hints: every drafted token is verified against the model
     before it can be emitted, so a wrong draft costs only wasted compute.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, cap: int = 4) -> None:
+        self.cap = cap  # draft length the replay scores
         self._tokens: Dict[int, List[int]] = {}
         #: session -> {ngram tuple -> position after its latest occurrence}
         self._index: Dict[int, Dict[Tuple[int, ...], int]] = {}
-        self._indexed: Dict[int, int] = {}  # tokens already folded into _index
+        #: session -> [walk position, draft waiting there or None,
+        #: replayed drafted, replayed accepted]
+        self._walk: Dict[int, list] = {}
 
     def sync(self, session_id: int, *segments: Sequence[int]) -> None:
         """Observe a session's full history as consecutive ``segments``
@@ -107,80 +96,98 @@ class NgramProposer:
             raise ValueError(
                 f"session {session_id} history shrank from {len(history)} to "
                 f"{total} tokens; histories are append-only")
-        seen = len(history)  # tokens of the remaining segments already held
+        done = seen = len(history)  # seen: tokens of the remaining segments held
         for segment in segments:
             if seen < len(segment):
                 history.extend(segment[seen:])
             seen = max(0, seen - len(segment))
         index = self._index.setdefault(session_id, {})
-        done = self._indexed.get(session_id, 0)
+        walk = self._walk.setdefault(session_id, [max(1, len(history)), None, 0, 0])
+        if walk[1] is not None:
+            self._score(history, walk, walk[0], walk[1])
         # Index every n-gram ending at positions [done, len); an n-gram
         # ending at position e (exclusive) maps to e — the position of the
         # token that followed it.  Later occurrences overwrite earlier ones,
         # so lookups always copy from the most recent match.
+        # At a walk position, each key is looked up before it is written.
         for end in range(max(done, 1), len(history)):
-            for order in range(1, MAX_ORDER + 1):
-                if order > end:
-                    break
-                index[tuple(history[end - order:end])] = end
-        self._indexed[session_id] = len(history)
+            lookup, match = end == walk[0] and walk[1] is None, None
+            for order in range(min(MAX_ORDER, end), 0, -1):
+                key = tuple(history[end - order:end])
+                if lookup and match is None:
+                    match = index.get(key)
+                index[key] = end
+            if lookup:
+                self._score(history, walk, end, [] if match is None else
+                            _copy(history, match, end, self.cap))
+
+    @staticmethod
+    def _score(history: List[int], walk: list, position: int,
+               draft: List[int]) -> None:
+        """Score ``draft`` at walk ``position`` and move the walk past its
+        accepted prefix, or park it while every emitted token matches."""
+        emitted = history[position:position + len(draft)]
+        accepted = 0
+        while accepted < len(emitted) and draft[accepted] == emitted[accepted]:
+            accepted += 1
+        if accepted == len(emitted) < len(draft):
+            walk[1] = draft
+            return
+        drafted, total = walk[2], walk[3]
+        if draft and not accepted:
+            # A draft that accepts nothing halves the totals, as it halves
+            # ``AdaptiveK``'s k: old evidence fades once the text changes.
+            drafted, total = drafted // 2, total // 2
+        walk[:] = [position + accepted + 1, None, drafted + len(draft),
+                   total + accepted]
+
+    def replayed(self, session_id: int) -> Tuple[int, int]:
+        """The session's replayed ``(drafted, accepted)`` totals."""
+        walk = self._walk.get(session_id)
+        return (walk[2], walk[3]) if walk else (0, 0)
+
+    def held(self, session_id: int) -> Optional[int]:
+        """History length synced so far; ``None`` before the first sync."""
+        return len(self._tokens[session_id]) if session_id in self._tokens else None
 
     def propose(self, session_id: int, k: int) -> List[int]:
         """Up to ``k`` draft tokens continuing the session's history."""
         history = self._tokens.get(session_id)
         if not history or k < 1:
             return []
-        index = self._index[session_id]
-        for order in range(min(MAX_ORDER, len(history)), 0, -1):
+        index, end = self._index[session_id], len(history)
+        for order in range(min(MAX_ORDER, end), 0, -1):
             match = index.get(tuple(history[-order:]))
-            # Indexed positions always lie strictly before end-of-history
-            # (the current suffix itself is only indexed once more tokens
-            # land), but guard anyway: a match at the end has no follower.
-            if match is not None and match < len(history):
-                run = list(history[match:])
-                if len(run) >= k:
-                    return run[:k]
-                # The matched continuation runs right up to the present
-                # token: the session is emitting a cycle whose period is
-                # ``len(run)``.  Extend the draft by continuing the cycle —
-                # exact for truly periodic text, and merely a (verified)
-                # guess otherwise — instead of clamping the draft to the
-                # period and wasting the rest of the budget.
-                return [run[i % len(run)] for i in range(k)]
+            # Indexed positions always lie strictly before the end of history
+            # (the current suffix is only indexed once more tokens land), but
+            # guard anyway: a match at the end has no follower.
+            if match is not None and match < end:
+                return _copy(history, match, end, k)
         return []
 
     def forget(self, session_id: int) -> None:
         """Drop all state for a finished or evicted session."""
         self._tokens.pop(session_id, None)
         self._index.pop(session_id, None)
-        self._indexed.pop(session_id, None)
+        self._walk.pop(session_id, None)
 
 
 class AdaptiveK:
     """Per-session draft-length controller: draft only where it pays.
 
-    Tracks one draft length per session, capped at the policy's
-    ``speculation_k``, and the session's running totals of drafted and
-    accepted tokens.  A session starts at ``k = 0``: it drafts nothing until
-    it has earned a draft.  After each verified step: a fully accepted draft
-    grows ``k`` by one (toward the cap); a fully rejected draft halves it
-    (toward 0); a partial acceptance settles at the accepted length — so a
-    templated session climbs to the cap and an incompressible one never
-    leaves 0.
-
-    :meth:`current` drafts the session's ``k`` only while its measured
-    acceptance pays for the verify premium in a batch of ``rows`` decode
-    rows: ``accepted * k * BREAK_EVEN_ROWS >= rows * drafted``
-    (:data:`BREAK_EVEN_ROWS`).  Otherwise the session drafts nothing and is
-    probed with ``k = 1`` on every :data:`PROBE_PERIOD`-th planned step
-    (:meth:`begin_step` is the clock, one for every session) — the
-    back-off-then-probe shape of a loss-driven rate controller, where the
-    rate is set by measured loss.  An accepted probe grows ``k`` and the
-    totals; a rejected one halves ``k`` until the next probe.  The decision
-    reads counts only, so it is deterministic and the output token-exact.
+    One draft length ``k`` per session, capped at the policy's
+    ``speculation_k`` and starting at 0.  After each verified step
+    (:meth:`observe`) a fully accepted draft grows ``k`` by one, a fully
+    rejected one halves it, and a partial acceptance settles at the accepted
+    length.  :meth:`current` drafts ``max(k, 1)`` tokens only while the
+    session's replayed totals (:meth:`NgramProposer.replayed`) pay for the
+    verify premium in a batch of ``rows`` decode rows, ``accepted * k *
+    BREAK_EVEN_ROWS >= rows * drafted``, and nothing otherwise: a rate set by
+    loss read from traffic that was sent anyway, not from probes.  It reads
+    counts only, so the output stays token-exact.
 
     Session ids are never reused, so :meth:`observe` must not be called for
-    a session that was already forgotten: its entries would never go away.
+    a session that was already forgotten: its entry would never go away.
     """
 
     def __init__(self, cap: int) -> None:
@@ -188,21 +195,16 @@ class AdaptiveK:
             raise ValueError("speculation cap must be >= 1")
         self.cap = cap
         self._k: Dict[int, int] = {}
-        #: session -> (tokens drafted, tokens accepted) over its lifetime
-        self._totals: Dict[int, Tuple[int, int]] = {}
-        self._steps = 0  # planned decode steps so far: the probe clock
 
-    def begin_step(self) -> None:
-        """Advance the probe clock; call once per planned decode step."""
-        self._steps += 1
-
-    def current(self, session_id: int, rows: int) -> int:
-        """Draft length for ``session_id`` in a step of ``rows`` decode rows."""
-        k = self._k.get(session_id, 0)
-        drafted, accepted = self._totals.get(session_id, (0, 0))
-        if k and accepted * k * BREAK_EVEN_ROWS >= rows * drafted:
+    def current(self, session_id: int, rows: int,
+                replayed: Tuple[int, int]) -> int:
+        """Draft length for ``session_id`` in a step of ``rows`` decode rows,
+        given its replayed ``(drafted, accepted)`` totals."""
+        drafted, accepted = replayed
+        k = max(self._k.get(session_id, 0), 1)
+        if accepted and accepted * k * BREAK_EVEN_ROWS >= rows * drafted:
             return k
-        return 1 if self._steps % PROBE_PERIOD == 0 else 0
+        return 0
 
     def observe(self, session_id: int, drafted: int, accepted: int) -> None:
         if drafted < 1:
@@ -215,10 +217,6 @@ class AdaptiveK:
         else:
             k = accepted
         self._k[session_id] = k
-        total_drafted, total_accepted = self._totals.get(session_id, (0, 0))
-        self._totals[session_id] = (total_drafted + drafted,
-                                    total_accepted + accepted)
 
     def forget(self, session_id: int) -> None:
         self._k.pop(session_id, None)
-        self._totals.pop(session_id, None)

@@ -191,15 +191,17 @@ def standalone(model, spec, **overrides) -> List[int]:
 class _AlwaysDraft(AdaptiveK):
     """Drafts the cap on every step, paying or not."""
 
-    def current(self, session_id: int, rows: int) -> int:
+    def current(self, session_id: int, rows: int,
+                replayed: Tuple[int, int]) -> int:
         return self.cap
 
 
 def always_draft(server):
     """Make ``server`` (``speculation="ngram"``) draft ``speculation_k``
-    tokens for every row on every step, from a session's first decode step
-    on — where :class:`~repro.serve.AdaptiveK` drafts only once a probe
-    earned it.  For tests of what happens on a verify step, not of when
-    verifying pays."""
+    tokens for every row on every step, from a session's first planned
+    decode step on — where :class:`~repro.serve.AdaptiveK` drafts only once
+    the acceptance its proposer replays from the stream pays.  For tests of
+    what happens on a verify step, not of when verifying pays; its verify
+    steps are the ones :meth:`~repro.serve.NgramProposer.replayed` scores."""
     manager = server._manager
     manager._adaptive = _AlwaysDraft(manager._adaptive.cap)

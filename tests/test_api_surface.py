@@ -120,7 +120,7 @@ ATTENTION_METHODS = {
 
 
 #: The one-session step and the import utilities outlive their last served
-#: use only because ``bench/trace.py`` times them (ROADMAP item 1b).  Parity
+#: use only because ``bench/trace.py`` times them (ROADMAP item 2(b)).  Parity
 #: tests check against the graph forward and fill pools with ``forward_step``
 #: (``tests/reference.py``), so the calls left are ``generate()``'s and those
 #: of the tests whose subject is the name, which go with it:

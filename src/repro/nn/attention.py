@@ -20,7 +20,7 @@ import numpy as np
 
 from .layers import Dropout, Linear, Module
 from .lora import LoRALinear
-from .tensor import Tensor, get_default_dtype, is_grad_enabled, softmax_array
+from .tensor import Tensor, get_default_dtype, is_grad_enabled
 
 
 @lru_cache(maxsize=16)
@@ -185,20 +185,27 @@ class MultiHeadAttention(Module):
         if step.keep is not None:
             x = x[step.keep]
         q = self.q_proj.apply(x).reshape(len(x), self.num_heads, self.head_dim)
+        # The score scale, folded into the queries once per layer instead of
+        # once per group: exact when it is a power of two (head_dim 4, 16,
+        # 64, ...), within the parity bound otherwise.
+        q *= 1.0 / float(np.sqrt(self.head_dim))
 
-        scale = 1.0 / float(np.sqrt(self.head_dim))
         merged = np.empty_like(q)
         for tokens, tables, mask, valid, fresh in step.groups:
             if fresh is None:
                 keys, values = layer_cache.gather(tables)
             else:
-                keys = np.swapaxes(by_row(k, fresh), 1, 2)
-                values = np.swapaxes(by_row(v, fresh), 1, 2)
-            scores = (np.swapaxes(by_row(q, tokens), 1, 2)
-                      @ np.swapaxes(keys, -1, -2)) * scale
+                keys = by_row(k, fresh).transpose(0, 2, 1, 3)
+                values = by_row(v, fresh).transpose(0, 2, 1, 3)
+            scores = (by_row(q, tokens).transpose(0, 2, 1, 3)
+                      @ keys.transpose(0, 1, 3, 2))
             if mask is not None:
                 np.copyto(scores, -np.inf, where=mask[:, None, :, :])
-            context = np.swapaxes(softmax_array(scores) @ values, 1, 2)
+            # softmax_array's arithmetic, in place on the group's own scores.
+            scores -= scores.max(axis=-1, keepdims=True)
+            np.exp(scores, out=scores)
+            scores /= scores.sum(axis=-1, keepdims=True)
+            context = (scores @ values).transpose(0, 2, 1, 3)
             if valid is not None:
                 merged[tokens[valid]] = context[valid]
             elif type(tokens) is TokenRun:

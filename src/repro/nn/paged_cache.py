@@ -84,34 +84,52 @@ DEFAULT_BLOCK_SIZE = 16
 #: Fewest padded block-rows (one row gathering and scoring one block it does
 #: not own) a further split of a step's rows must save; below that the extra
 #: gather / matmul / softmax / matmul round per layer costs more than the
-#: padding did.  Measured: ``forward_step`` on the benchmark's model shape,
-#: one pool per value stepped in turn on the same tokens (each step rolled
-#: back) and regrouped every step, median step time as a share of never
-#: splitting (mean of two 400-step runs, which agreed to within 0.06).
+#: padding did.  Measured by ``benchmarks/partition_sweep.py`` (2 cores,
+#: 400 steps, mean of 6 seeds): ``forward_step`` on the benchmark's model
+#: shape, rows in ascending length as the served step orders them, one pool
+#: per value stepped in turn on the same tokens (each step rolled back) and
+#: regrouped every step, median step time as a share of never splitting.
 #:
-#:     value                          2      4      6      8     12     16
-#:     2 rows of 8..96 tokens       1.18   1.02   1.00   1.00   1.00   1.00
-#:     3 rows of 8..96 tokens       1.15   1.12   1.12   1.02   1.01   1.00
-#:     8 rows of 200..340           1.08   1.04   1.00   1.01   1.02   1.10
-#:     the same, 5-token verify     0.86   0.85   0.84   0.88   0.84   0.86
-#:     16 rows of 8..160            0.82   0.81   0.79   0.79   0.76   0.77
+#:     value                      2     4     6     8    12    16    24    32
+#:     2 rows of 8..96          1.03  1.02  1.00  0.99  0.99  0.99  0.99  1.00
+#:     3 rows of 8..96          1.11  1.06  1.03  1.03  1.00  1.00  1.00  1.00
+#:     8 rows of 200..340       1.02  0.99  0.99  1.01  1.00  1.00  1.00  1.00
+#:     the same, 5-token verify 0.95  0.94  0.95  0.96  0.96  0.96  0.97  1.01
+#:     16 rows of 8..160        0.95  0.94  0.92  0.90  0.86  0.89  0.90  0.91
 #:
 #: Small batches of short rows want it high (a split there saves a few
-#: kilobytes and pays the round in full), large ones low (smaller groups also
-#: stay in cache).  6 was picked when a gather copied twice, where the first
-#: two rows stopped paying for splits; with one copy 12 reads better on the
-#: 3- and 16-row rows and 0.02 worse on the 8-row one, which only an
-#: end-to-end run can settle.  End to end (``bench/run.py``) every value from
-#: 1 to 32 gave ``longctx_closed10`` the same 1.8x of the unsplit parent: the
-#: claim does not hang on this constant.
-MIN_SPLIT_SAVING_BLOCK_ROWS = 6
+#: kilobytes and pays the round in full); the full batch of short rows, the
+#: benchmark's decode step, reads best at 12, where the small batches have
+#: stopped paying for splits.  The curve is shallow: a partition chosen by a
+#: cost model instead of a threshold would gain little on it.
+MIN_SPLIT_SAVING_BLOCK_ROWS = 12
 
 #: The one-group partition's row selector: a basic slice, so nothing is
 #: copied to name "every row".
 _ALL_ROWS = slice(None)
 
-#: How a length group names its rows: the whole-batch slice or index array.
+#: How a length group names its rows: a basic slice or an index array.
 RowIndex = Union[slice, np.ndarray]
+
+
+def _run_or_index(members: List[int]) -> RowIndex:
+    """Ascending row indices as a basic slice when they are one contiguous
+    run — numpy then reads the group's rows as views — else as an index
+    array."""
+    first, last = members[0], members[-1]
+    if last - first == len(members) - 1:
+        return slice(first, last + 1)
+    return np.asarray(members)
+
+
+def _shifted(rows: RowIndex, offset: int, stop: int) -> RowIndex:
+    """``rows`` of a side of the batch that starts at row ``offset`` and
+    ends before ``stop``, named in the whole batch."""
+    if rows is _ALL_ROWS:
+        return slice(offset, stop)
+    if isinstance(rows, slice):
+        return slice(rows.start + offset, rows.stop + offset)
+    return rows + offset
 
 
 def partition_rows(needs: Sequence[int], prompt_from: Optional[int] = None
@@ -129,8 +147,12 @@ def partition_rows(needs: Sequence[int], prompt_from: Optional[int] = None
     depends only on the multiset of needs (rows of equal need always share a
     group), and a batch that is not worth splitting comes back as the single
     pair ``(slice(None), max(needs))`` without building an index array.
-    Plain Python on purpose: a batch is a few dozen rows at most, where a
-    sort and one pass cost less than a single numpy call.
+    A group whose rows are one contiguous run is named by the basic slice
+    of that run: a caller that lists its rows in ascending need (the served
+    decode step does) gets a slice for every group, and one that does not
+    gets index arrays where the runs break.  Plain Python on purpose: a
+    batch is a few dozen rows at most, where a sort and one pass cost less
+    than a single numpy call.
 
     ``prompt_from`` splits the rows first: rows ``prompt_from..`` are prompt
     chunks and never share a group with the rows before them, whose query
@@ -139,7 +161,7 @@ def partition_rows(needs: Sequence[int], prompt_from: Optional[int] = None
     """
     if prompt_from is not None and 0 < prompt_from < len(needs):
         return tuple(
-            (slice(start, stop) if rows is _ALL_ROWS else rows + start, width)
+            (_shifted(rows, start, stop), width)
             for start, stop in ((0, prompt_from), (prompt_from, len(needs)))
             for rows, width in partition_rows(needs[start:stop]))
     order = sorted(range(len(needs)), key=needs.__getitem__)  # stable
@@ -150,11 +172,11 @@ def partition_rows(needs: Sequence[int], prompt_from: Optional[int] = None
         level = needs[order[start - 1]]
         if (level < needs[order[start]]
                 and start * (width - level) >= MIN_SPLIT_SAVING_BLOCK_ROWS):
-            groups.append((np.asarray(sorted(order[start:end])), width))
+            groups.append((_run_or_index(sorted(order[start:end])), width))
             end, width = start, level
     if not groups:
         return ((_ALL_ROWS, width),)
-    groups.append((np.asarray(sorted(order[:end])), width))
+    groups.append((_run_or_index(sorted(order[:end])), width))
     return tuple(groups)
 
 
@@ -441,7 +463,9 @@ def _length_groups(tables: np.ndarray, needs: Sequence[int], counts: np.ndarray,
     :func:`_token_grid` and ``lengths`` the rows' lengths before it.  The
     one-group case takes them and ``tables`` as they stand (``max(counts)``
     and ``max(needs)`` are their widths by construction); a group among
-    several is cut to its own two widths.
+    several is cut to its own two widths — views of them when the partition
+    names its rows by a slice, and then its tokens are a :class:`TokenRun`
+    whenever its rows feed equal counts.
 
     Returns ``(groups, keep, last_groups)``.  When some prompt row (rows
     ``prompt_from..``) feeds more than one token, the same pass also builds
@@ -463,6 +487,7 @@ def _length_groups(tables: np.ndarray, needs: Sequence[int], counts: np.ndarray,
     for rows, blocks in partition_rows(needs, prompt_from):
         tokens, group_tables, real = index, tables, valid
         if rows is not _ALL_ROWS:
+            # A slice of rows cuts views; an index array copies.
             own = counts[rows].tolist()  # a group is a few rows: lists are cheaper
             width = max(own)
             tokens, group_tables = index[rows, :width], tables[rows, :blocks]

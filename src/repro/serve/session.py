@@ -632,9 +632,12 @@ class SessionManager:
         and each riding chunk its granted prompt tokens behind them, through
         one ragged ``forward_step`` (:meth:`_forward`) over the rows' tokens
         packed back to back, so a row pays for its own tokens and no
-        neighbour's.  The chunk rows' bookkeeping settles first; only the
-        decode rows' logits are the ``decode.logits`` / ``decode.verify``
-        payload.  Should the forward raise (nothing committed), the chunks
+        neighbour's.  The decode rows go in ascending block need, so each
+        length group of the forward is a contiguous run of them (a view in
+        the plan and in attention).  The chunk rows' bookkeeping settles
+        first; only the decode rows' logits are the ``decode.logits`` /
+        ``decode.verify`` payload.  Should the forward raise (nothing
+        committed), the chunks
         are retried one at a time (:meth:`prefill_chunk`; one that raises
         alone is aborted into :attr:`chunk_failures`) and the decode rows
         run alone through the same forward — so a request fails exactly
@@ -683,6 +686,10 @@ class SessionManager:
             # A row promoted after the plan has no entry and takes its one
             # mandatory token, which is what its prefill grant paid for.
             drafts, self._planned_drafts = self._planned_drafts, None
+        # Rows in ascending block need (length plus tokens fed, ties by slot):
+        # every length group of the forward is then a contiguous run of rows,
+        # which the plan and attention read as views, not copies.
+        slots.sort(key=lambda slot: lengths[slot] + 1 + len(drafts.get(slot, ())))
         batch = [self.running[slot] for slot in slots]
         fed = [[session.generated[-1]] + drafts.get(slot, [])
                for slot, session in zip(slots, batch)]

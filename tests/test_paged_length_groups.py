@@ -139,10 +139,19 @@ class TestPartition:
         assert named == (
             members(pc.partition_rows(needs[:prompt_from]), 0, prompt_from)
             + members(pc.partition_rows(needs[prompt_from:]), prompt_from, len(needs)))
-        # A side that stays whole is named by a basic slice, not an index copy.
+        # A group whose rows are one contiguous run — a side that stays whole
+        # among them — is named by the basic slice of that run, never by an
+        # index copy; any other group by its ascending index array.
         for rows, _ in groups:
-            if isinstance(rows, slice):
-                assert rows in (slice(0, prompt_from), slice(prompt_from, len(needs)))
+            run = np.arange(len(needs))[rows]
+            if run[-1] - run[0] == len(run) - 1:
+                assert rows == slice(int(run[0]), int(run[-1]) + 1)
+            else:
+                assert isinstance(rows, np.ndarray) and np.array_equal(rows, run)
+        slices = [rows for rows, _ in groups if isinstance(rows, slice)]
+        for start, stop in ((0, prompt_from), (prompt_from, len(needs))):
+            if len(pc.partition_rows(needs[start:stop])) == 1:
+                assert slice(start, stop) in slices
 
     def test_a_split_must_save_the_minimum(self):
         floor = pc.MIN_SPLIT_SAVING_BLOCK_ROWS
@@ -156,7 +165,8 @@ class TestPartition:
         groups = pc.partition_rows([3, 34, 5, 4, 3, 28, 5, 6, 4, 3])
         widths = [width for _, width in groups]
         assert widths == sorted(widths, reverse=True) and widths[:2] == [34, 28]
-        assert sum(len(rows) * width for rows, width in groups) < 10 * 34 // 3
+        assert sum(len(np.arange(10)[rows]) * width
+                   for rows, width in groups) < 10 * 34 // 3
 
     def test_one_group_case_allocates_no_index_copies(self, model):
         """Same arrays in, same object out: the unsplit step hands attention
@@ -213,10 +223,12 @@ class TestSplitStepParity:
     def test_block_boundary_crossing_regroups_the_rows(self, model):
         with no_grad():
             paged = model.init_paged_cache(max_sessions=4, block_size=BLOCK)
-            # Needs after the first token: 1, 1, 6 blocks.  The 6-token rows
-            # cross into a second block on the third step.
+            # Needs after the first token: 1, 1, 9 blocks, so splitting the
+            # short rows off saves 2 x 8 block-rows, and 2 x 7 once they
+            # cross into a second block on the third step: both reach
+            # MIN_SPLIT_SAVING_BLOCK_ROWS.
             twins = [Twin(model, paged, prompt)
-                     for prompt in _prompts(model, (6, 6, 44), seed=3)]
+                     for prompt in _prompts(model, (6, 6, 68), seed=3)]
             ids = np.asarray([twin.sid for twin in twins], dtype=np.int64)
 
             def group_shapes():
@@ -224,9 +236,9 @@ class TestSplitStepParity:
                 step = copy.deepcopy(paged).prepare_step(ids)
                 return sorted(tables.shape for _, tables, _, _, _ in step.groups)
 
-            assert group_shapes() == [(1, 6), (2, 1)]
+            assert group_shapes() == [(1, 9), (2, 1)]
             assert decode(model, paged, twins, steps=2) == [2, 2]
-            assert group_shapes() == [(1, 6), (2, 2)]
+            assert group_shapes() == [(1, 9), (2, 2)]
             decode(model, paged, twins, steps=7)
 
     def test_speculative_verify_with_rollbacks(self, model):
@@ -294,7 +306,9 @@ class TestSplitStepParity:
                                            extra_blocks=2)
             holder, _ = fill(model, paged, head)  # the head's one holder: a session
             shared = list(paged.table(holder))
-            tails = _prompts(model, (3, 470, 40), seed=8)
+            # Needs 3, 61, 17 and 2 blocks: three groups, the head's rows
+            # in all three.
+            tails = _prompts(model, (3, 470, 120), seed=8)
             twins = [Twin(model, paged, head + tail,
                           session=paged.open_session(shared, len(head)))
                      for tail in tails]
@@ -309,13 +323,49 @@ class TestSplitStepParity:
 # ---------------------------------------------------------------------- #
 # Token packing: the forward runs on the tokens that exist
 # ---------------------------------------------------------------------- #
+def _counting(monkeypatch, cls, name):
+    """Count calls of ``cls.name`` and still make them."""
+    calls, original = [], getattr(cls, name)
+
+    def spy(self, *args, **kwargs):
+        calls.append(args)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, name, spy)
+    return calls
+
+
+def _planned(monkeypatch):
+    """Collect every step plan the pool makes, and still make them."""
+    plans, plan = [], pc.PagedKVCache._plan
+
+    def spy(self, *args, **kwargs):
+        plans.append(plan(self, *args, **kwargs))
+        return plans[-1]
+
+    monkeypatch.setattr(pc.PagedKVCache, "_plan", spy)
+    return plans
+
+
+def _attention_rounds(step, layers):
+    """``(rows, query width)`` of each attention round a ``layers``-deep
+    forward runs on ``step``: one per group of its plan, the final layer's
+    groups read from its final-layer view when it carries one."""
+    def shapes(groups):
+        return [(tokens.rows, tokens.width) if type(tokens) is TokenRun
+                else tokens.shape for tokens, *_ in groups]
+
+    final = step if step.last is None else step.last
+    return shapes(step.groups) * (layers - 1) + shapes(final.groups)
+
+
 class TestTokenPackedStep:
     def test_one_drafting_row_bills_nobody_else(self, model, monkeypatch):
         """16 rows, one of them feeding 1 + 4 tokens: every dense layer and
         the LM head see 20 token rows (a step padded to its widest row
         would push 80), and each length group's queries are as wide as its
         own widest row."""
-        from repro.nn import LayerNorm, Linear, attention
+        from repro.nn import LayerNorm, Linear
 
         lengths = [8 + 10 * row for row in range(16)]  # 8..158: the rows split
         counts = np.ones(16, dtype=np.int64)
@@ -329,17 +379,14 @@ class TestTokenPackedStep:
             fed = [[twin.next_token] + rng.integers(
                 0, model.tokenizer.vocab_size, size=count - 1).tolist()
                 for twin, count in zip(twins, counts)]
-            dense_rows, query_shapes = [], []
+            dense_rows = []
             for layer in (Linear, LayerNorm):
                 def spy(self, x, _apply=layer.apply):
                     dense_rows.append(int(np.prod(x.shape[:-1])))
                     return _apply(self, x)
                 monkeypatch.setattr(layer, "apply", spy)
-
-            def softmax_spy(scores, _softmax=attention.softmax_array):
-                query_shapes.append((scores.shape[0], scores.shape[2]))
-                return _softmax(scores)
-            monkeypatch.setattr(attention, "softmax_array", softmax_spy)
+            plans = _planned(monkeypatch)
+            gathers = _counting(monkeypatch, pc.PagedLayerKVCache, "gather")
             logits = model.forward_step(_packed(fed), paged, ids, counts=counts).data
             monkeypatch.undo()
             assert logits.shape == (1, 20, model.tokenizer.vocab_size)
@@ -352,7 +399,11 @@ class TestTokenPackedStep:
             expected = [(len(counts[rows]), int(counts[rows].max()))
                         for rows, _ in pc.partition_rows(needs)]
             assert len(expected) >= 2 and sorted(w for _, w in expected)[-2:] == [1, 5]
+            [step] = plans
+            query_shapes = _attention_rounds(step, blocks)
             assert query_shapes == expected * blocks
+            assert [tables.shape[0] for tables, in gathers] == [
+                rows for rows, _ in query_shapes]
             offsets = np.cumsum(counts) - counts
             for row, twin in enumerate(twins):
                 np.testing.assert_allclose(
@@ -365,8 +416,6 @@ class TestTokenPackedStep:
         in one step: with ``prompt_from`` no decode row is scored at a
         chunk's query width, the final layer queries each chunk at its last
         token only, and every returned row still matches the graph forward."""
-        from repro.nn import attention
-
         lengths = [40, 44, 41, 46, 43, 45, 33, 34]  # one need: one group unsplit
         counts = np.asarray([1] * 6 + [12, 12], dtype=np.int64)
         rng = np.random.default_rng(12)
@@ -378,21 +427,20 @@ class TestTokenPackedStep:
             fed = [[twin.next_token] + rng.integers(
                 0, model.tokenizer.vocab_size, size=count - 1).tolist()
                 for twin, count in zip(twins, counts)]
-            widths = []
-
-            def softmax_spy(scores, _softmax=attention.softmax_array):
-                widths.append((scores.shape[0], scores.shape[2]))
-                return _softmax(scores)
-
-            monkeypatch.setattr(attention, "softmax_array", softmax_spy)
+            plans = _planned(monkeypatch)
+            gathers = _counting(monkeypatch, pc.PagedLayerKVCache, "gather")
             mixed = copy.deepcopy(paged)
             model.forward_step(_packed(fed), mixed, ids, counts=counts)
             logits = model.forward_step(_packed(fed), paged, ids, counts=counts,
                                         prompt_from=6).data[0]
             monkeypatch.undo()
             blocks = len(model.backbone.blocks)
+            widths = [shape for step in plans
+                      for shape in _attention_rounds(step, blocks)]
             assert widths == ([(8, 12)] * blocks + [(6, 1), (2, 12)] * (blocks - 1)
                               + [(6, 1), (2, 1)])
+            assert [tables.shape[0] for tables, in gathers] == [
+                rows for rows, _ in widths]
             paged.check_invariants()
             # Six one-token decode rows, then one row per chunk: its last token.
             assert logits.shape[0] == 8
@@ -554,18 +602,6 @@ class TestFinalLayerView:
 # ---------------------------------------------------------------------- #
 # Fresh groups: rows that start empty attend over their own keys
 # ---------------------------------------------------------------------- #
-def _counting(monkeypatch, cls, name):
-    """Count calls of ``cls.name`` and still make them."""
-    calls, original = [], getattr(cls, name)
-
-    def spy(self, *args, **kwargs):
-        calls.append(args)
-        return original(self, *args, **kwargs)
-
-    monkeypatch.setattr(cls, name, spy)
-    return calls
-
-
 class TestFreshGroups:
     @pytest.mark.parametrize("prompt_from", [None, 0])
     @pytest.mark.parametrize("lengths", [(5, 3, 7), (6, 6, 6), (30, 2, 19, 9)])
@@ -782,6 +818,77 @@ class TestServedSplitSteps:
             assert handle.result(timeout=5).token_ids == standalone(model, handle.request)
         server._manager.cache.check_invariants()
         assert server._manager.cache.num_sessions == 0
+
+
+class TestGroupsAsViews:
+    """The served decode step lists its rows in ascending block need, so
+    every length group is a contiguous run of rows: the plan and attention
+    read it through views, not fancy-index copies."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(needs=_needs, seed=st.integers(0, 2**16))
+    def test_sorted_rows_make_slices_and_shuffled_rows_the_same_groups(
+            self, needs, seed):
+        ordered = sorted(needs)
+        groups = pc.partition_rows(ordered)
+        assert all(isinstance(rows, slice) for rows, _ in groups)
+        order = np.random.default_rng(seed).permutation(len(needs))
+        shuffled = pc.partition_rows([ordered[i] for i in order])
+        assert len(shuffled) == len(groups)
+        for (rows, width), (moved, moved_width) in zip(groups, shuffled):
+            assert moved_width == width
+            # The same rows, named by their positions in the shuffled batch.
+            assert np.array_equal(np.arange(len(needs))[rows], np.sort(order[moved]))
+            named = np.arange(len(needs))[moved]
+            if named[-1] - named[0] == len(named) - 1:
+                assert isinstance(moved, slice)
+            else:
+                assert isinstance(moved, np.ndarray) and np.array_equal(moved, named)
+
+    def test_a_served_decode_step_reads_every_group_as_a_view(
+            self, model, monkeypatch):
+        """16 running rows of 8..158-token prompts, admitted in an order
+        that is not their length order: one decode step splits them into
+        several groups, each a token run over a view of the step's tables."""
+        lengths = [8 + 10 * ((7 * row) % 16) for row in range(16)]
+        server = InferenceServer(model, _policy(max_batch_size=16, speculation="off",
+                                                prefill_chunk_size=64,
+                                                step_token_budget=256))
+        for row, length in enumerate(lengths):
+            server.submit(GenerateRequest(prompt=_long_prompt(f"row {row}", length),
+                                          max_new_tokens=64, stop_on_eos=False,
+                                          temperature=0.8, seed=row))
+        manager = server._manager
+        while manager.num_running < 16 or manager.prefilling:
+            server.step()
+        slots = sorted(manager.running)
+        assert [manager.cache.length(slot) for slot in slots] != sorted(
+            manager.cache.length(slot) for slot in slots), "admitted in length order"
+        plans, length_groups = [], pc._length_groups
+
+        def spy(tables, *args):
+            groups, keep, last = length_groups(tables, *args)
+            plans.append((tables, groups))
+            return groups, keep, last
+
+        monkeypatch.setattr(pc, "_length_groups", spy)
+        server.step()
+        monkeypatch.undo()
+        [(tables, groups)] = plans
+        assert len(groups) >= 3
+        runs = []
+        for tokens, group_tables, _, valid, fresh in groups:
+            assert type(tokens) is TokenRun and tokens.width == 1
+            assert valid is None and fresh is None
+            assert np.shares_memory(group_tables, tables)
+            runs.append((tokens.start, tokens.rows))
+        position = 0
+        for start, rows in sorted(runs):  # the runs tile the batch
+            assert start == position
+            position += rows
+        assert position == 16
+        server.run_until_idle()
+        manager.cache.check_invariants()
 
 
 class TestPaddingTelemetry:

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import init as weight_init
 from .layers import Linear, Module, Parameter, ReLU, Sequential
-from .tensor import Tensor, concatenate, gelu_array, get_default_dtype, stack
+from .tensor import Tensor, add_into, concatenate, gelu_array, get_default_dtype, stack
 
 
 class Conv1D(Module):
@@ -63,17 +63,22 @@ class Conv1D(Module):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Inference-only forward on a raw array: the graph path's numpy
-        operations in the same order, with no ``Tensor``."""
+        operations in the same order, with no ``Tensor``, written only into
+        arrays it allocated.  The zero padding is a slice assignment into a
+        zeroed array: ``np.pad``'s values, at a tenth of its cost."""
         out_length = self._out_length(x.shape)
         if self.padding:
-            x = np.pad(x, ((0, 0), (self.padding, self.padding), (0, 0)))
+            batch, length, channels = x.shape
+            padded = np.zeros((batch, length + 2 * self.padding, channels), dtype=x.dtype)
+            padded[:, self.padding:self.padding + length] = x
+            x = padded
         span = self.stride * (out_length - 1) + 1
         unfolded = np.concatenate(
             [x[:, offset:offset + span:self.stride, :]
              for offset in range(self.kernel_size)], axis=2)
         out = unfolded @ self.weight.data
         if self.use_bias:
-            out = out + self.bias.data
+            out = add_into(out, self.bias.data)
         return out
 
     def forward(self, x: Tensor) -> Tensor:
@@ -177,7 +182,8 @@ class PatchImageEncoder(Module):
     def apply(self, images: np.ndarray) -> np.ndarray:
         """Inference-only forward: ``(batch, feature_dim)`` features as a raw
         array, the graph path's numpy operations in the same order."""
-        embedded = gelu_array(self.patch_embed.apply(self._to_patches(images)))
+        embedded = self.patch_embed.apply(self._to_patches(images))
+        gelu_array(embedded, out=embedded)
         pooled = embedded.sum(axis=1) * (1.0 / embedded.shape[1])
         return self.mixer.apply(pooled)
 

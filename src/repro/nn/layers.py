@@ -16,7 +16,7 @@ import numpy as np
 
 from . import init as weight_init
 from .functional import dropout as dropout_fn
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, add_into, is_grad_enabled, mul_into
 
 
 class Parameter(Tensor):
@@ -153,10 +153,13 @@ class Linear(Module):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Inference-only forward on a raw array: the graph path's numpy
-        operations in the same order (bit-identical), with no ``Tensor``."""
+        operations in the same order (bit-identical), with no ``Tensor``.
+        Like every raw-array ``apply``, it writes only into arrays it
+        allocated — never into its argument, a parameter, or a view of
+        either."""
         out = x @ self.weight.data
         if self.use_bias:
-            out = out + self.bias.data
+            out = add_into(out, self.bias.data)
         return out
 
     def forward(self, x: Tensor) -> Tensor:
@@ -181,12 +184,19 @@ class LayerNorm(Module):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Inference-only forward on a raw array, bit-identical to the graph
-        path (which computes ``x - mean`` twice; once is the same value)."""
+        path (which computes ``x - mean`` twice; once is the same value, and
+        ``x - mean`` is its ``x + mean * -1.0`` exactly, negation being
+        exact).  It writes only into arrays it allocated: the centred
+        activations become the output in place."""
         scale = 1.0 / x.shape[-1]
-        centered = x + (x.sum(axis=-1, keepdims=True) * scale) * -1.0
-        var = (centered * centered).sum(axis=-1, keepdims=True) * scale
-        rstd = np.power(var + self.eps, -0.5)  # repro: noqa[REP002] one variance per token, and 1/sqrt would not match Tensor.pow bit for bit
-        return (centered * rstd) * self.gamma.data + self.beta.data
+        mean = x.sum(axis=-1, keepdims=True)
+        mean *= scale
+        centered = x - mean
+        var = (centered * centered).sum(axis=-1, keepdims=True)
+        var *= scale
+        var += self.eps
+        centered *= np.power(var, -0.5, out=var)  # repro: noqa[REP002] one variance per token, and 1/sqrt would not match Tensor.pow bit for bit
+        return add_into(mul_into(centered, self.gamma.data), self.beta.data)
 
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled():

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import init as weight_init
 from .layers import Module, Parameter
-from .tensor import Tensor, is_grad_enabled
+from .tensor import Tensor, add_into, is_grad_enabled
 
 
 class LoRALinear(Module):
@@ -80,12 +80,16 @@ class LoRALinear(Module):
     # ------------------------------------------------------------------ #
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Inference-only forward on a raw array: the graph path's numpy
-        operations in the same order (bit-identical), with no ``Tensor``."""
+        operations in the same order (bit-identical), with no ``Tensor``,
+        written only into arrays it allocated — never into its argument, a
+        parameter, or a view of either."""
         out = x @ self.weight.data
         if self._lora_enabled:
-            out = out + ((x @ self.lora_a.data) @ self.lora_b.data) * self.scale
+            update = (x @ self.lora_a.data) @ self.lora_b.data
+            update *= self.scale
+            out = add_into(out, update)
         if self.use_bias:
-            out = out + self.bias.data
+            out = add_into(out, self.bias.data)
         return out
 
     def forward(self, x: Tensor) -> Tensor:

@@ -464,10 +464,21 @@ class Tensor:
         def _backward() -> None:
             if out.grad is None or not self.requires_grad:
                 return
-            sech2 = 1.0 - tanh_inner * tanh_inner
-            d_inner = _GELU_C * (1.0 + 3 * 0.044715 * (x * x))
-            grad = 0.5 * (1.0 + tanh_inner) + 0.5 * x * sech2 * d_inner
-            self._accumulate(out.grad * grad)
+            # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3a * x * x),
+            # evaluated in that order (bit for bit) on four fresh arrays.
+            sech2 = tanh_inner * tanh_inner
+            np.subtract(1.0, sech2, out=sech2)
+            d_inner = x * x
+            d_inner *= 3 * 0.044715
+            d_inner += 1.0
+            d_inner *= _GELU_C
+            slope = x * 0.5
+            slope *= sech2
+            slope *= d_inner
+            grad = tanh_inner + 1.0
+            grad *= 0.5
+            grad += slope
+            self._accumulate(mul_into(grad, out.grad))
 
         out._backward = _backward
         return out
@@ -675,12 +686,26 @@ def _noop_backward() -> None:
 _GELU_C = float(np.sqrt(2.0 / np.pi))
 
 
-def _gelu_kernel(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """``(gelu(x), tanh term)``; the tanh term is what backward reuses."""
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """``tanh(c * (x + 0.044715 * x**3))`` in one fresh array: the graph's
+    expression, each step written over the previous one (multiplication
+    and addition commute bit for bit, so the operand order is free)."""
     # x*x*x, not x**3: np.power on float64 arrays is ~70x slower than two
     # multiplies, and gelu sits on every transformer MLP forward.
-    tanh_inner = np.tanh(_GELU_C * (x + 0.044715 * (x * x * x)))
-    return 0.5 * x * (1.0 + tanh_inner), tanh_inner
+    inner = x * x
+    inner *= x
+    inner *= 0.044715
+    inner += x
+    inner *= _GELU_C
+    return np.tanh(inner, out=inner)
+
+
+def _gelu_kernel(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(gelu(x), tanh term)``; the tanh term is what backward reuses."""
+    tanh_inner = _gelu_tanh(x)
+    out = x * 0.5
+    out *= tanh_inner + 1.0
+    return out, tanh_inner
 
 
 def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -689,10 +714,38 @@ def softmax_array(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return exp / exp.sum(axis=axis, keepdims=True)
 
 
-def gelu_array(x: np.ndarray) -> np.ndarray:
-    """:meth:`Tensor.gelu` on a raw array — the same kernel, so the two
-    agree bit for bit (the inference-only ``apply`` paths use this one)."""
-    return _gelu_kernel(x)[0]
+def gelu_array(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """:meth:`Tensor.gelu` on a raw array — the same arithmetic in the same
+    order, so the two agree bit for bit (the inference-only ``apply`` paths
+    use this one).  ``out=x`` overwrites ``x``, for a caller that allocated
+    it; otherwise the result is one fresh array beside the tanh term's."""
+    half = _gelu_tanh(x)
+    half += 1.0
+    out = np.multiply(x, 0.5, out=out)
+    out *= half
+    return out
+
+
+def add_into(own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``own + other`` written into ``own``, an array the caller allocated.
+
+    Bit for bit the sum ``own + other`` returns (addition commutes, so the
+    caller picks which operand it owns) and in its dtype: when numpy would
+    promote the sum past ``own``'s dtype — float64 ``other`` into float32
+    ``own`` — the sum gets a fresh array instead of an in-place downcast.
+    ``other`` must broadcast to ``own``'s shape."""
+    if own.dtype == other.dtype or np.result_type(own, other) == own.dtype:
+        own += other
+        return own
+    return own + other
+
+
+def mul_into(own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """``own * other`` written into ``own``: :func:`add_into` for a product."""
+    if own.dtype == other.dtype or np.result_type(own, other) == own.dtype:
+        own *= other
+        return own
+    return own * other
 
 
 # ---------------------------------------------------------------------- #

@@ -16,7 +16,7 @@ from .paged_cache import (
 )
 from .layers import Dropout, GELU, LayerNorm, Linear, Module, ModuleList
 from .lora import LoRALinear
-from .tensor import Tensor, gelu_array, is_grad_enabled
+from .tensor import Tensor, add_into, gelu_array, is_grad_enabled
 
 
 class FeedForward(Module):
@@ -40,12 +40,15 @@ class FeedForward(Module):
 
     def apply(self, x: np.ndarray) -> np.ndarray:
         """Inference-only forward on a raw array (bit-identical to the graph
-        path with dropout inactive, which is the only case it accepts)."""
+        path with dropout inactive, which is the only case it accepts).  It
+        writes only into arrays it allocated: GELU runs in place on fc1's
+        own output."""
         if self.training and self.dropout.p > 0:
             raise RuntimeError(
                 "FeedForward.apply skips dropout and would diverge from the "
                 "full forward; call eval() first")
-        return self.fc2.apply(gelu_array(self.fc1.apply(x)))
+        hidden = self.fc1.apply(x)
+        return self.fc2.apply(gelu_array(hidden, out=hidden))
 
     def forward(self, x: Tensor) -> Tensor:
         if not is_grad_enabled() and not (self.training and self.dropout.p > 0):
@@ -79,10 +82,12 @@ class TransformerBlock(Module):
         """Batched ragged step on raw ``(tokens, d_model)`` arrays, with or
         without a pool (see ``MultiHeadAttention.forward_step``).  With
         ``step.keep`` the residual stream, and so the MLP, continues at the
-        kept tokens only."""
+        kept tokens only.  ``x`` is only read: each residual add goes into
+        the attention or MLP output, which the step allocated (addition
+        commutes bit for bit)."""
         attended = self.attention.forward_step(self.norm1.apply(x), layer_cache, step)
-        x = (x if step.keep is None else x[step.keep]) + attended
-        return x + self.mlp.apply(self.norm2.apply(x))
+        x = add_into(attended, x if step.keep is None else x[step.keep])
+        return add_into(self.mlp.apply(self.norm2.apply(x)), x)
 
 
 class TransformerBackbone(Module):
@@ -228,8 +233,10 @@ class TransformerBackbone(Module):
                 layer_caches: Sequence[Optional[PagedLayerKVCache]]) -> np.ndarray:
         """The one raw-array layer loop (inference only: the attention layers
         refuse to run with grad enabled); the final block runs on
-        ``step.last`` when the step has one."""
-        x = x + self.position_embedding.data[step.positions]
+        ``step.last`` when the step has one.  ``x`` is only read: the
+        positional add goes into the embedding gather (``step.positions`` is
+        an index array, so the gather is a copy, never a view)."""
+        x = add_into(self.position_embedding.data[step.positions], x)
         *body, (final, final_cache) = zip(self.blocks, layer_caches)
         for block, layer_cache in body:
             x = block.forward_step(x, layer_cache, step)

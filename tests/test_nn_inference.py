@@ -503,3 +503,114 @@ class TestRawApply:
             verify = len(built) - decode
         # Embedding lookup, backbone features, logits — whatever the depth.
         assert 0 < decode <= 3 and 0 < verify <= 3
+
+    def test_apply_writes_only_into_arrays_it_allocated(self):
+        """Every raw-array entry point leaves its input, and the layer's
+        parameters, byte-identical, and returns an array of its own."""
+        from repro.nn import (SGD, FeedForward, LayerNorm, LoRALinear,
+                              TransformerBackbone, TransformerBlock)
+        from repro.nn.paged_cache import plan_fresh_rows
+        from repro.nn.tensor import gelu_array
+
+        rng = np.random.default_rng(7)
+        lora_off = LoRALinear(24, 40, rank=4, alpha=8.0)
+        lora_off.enable_lora(False)
+        stepped = LoRALinear(24, 40, rank=4, alpha=8.0)
+        _randomize(stepped, rng)
+        arrays = (stepped.lora_a.data, stepped.lora_b.data)
+        stepped(Tensor(rng.normal(size=(3, 24)))).sum().backward()
+        SGD(stepped.lora_parameters(), lr=0.1).step()
+        assert stepped.lora_a.data is not arrays[0] and stepped.lora_b.data is not arrays[1]
+        block = TransformerBlock(24, 2, lora_rank=4, lora_alpha=8.0, rng=rng).eval()
+        backbone = TransformerBackbone(24, 2, 2, max_seq_len=16, lora_rank=4,
+                                       lora_alpha=8.0, rng=rng).eval()
+        lengths = [5, 7, 7]  # 19 packed tokens: a run of one row, then of two
+        layers = {"Linear": Linear(24, 40), "Linear, no bias": Linear(24, 40, bias=False),
+                  "LoRALinear": LoRALinear(24, 40, rank=4, alpha=8.0),
+                  "LoRALinear, LoRA off": lora_off, "LoRALinear, after SGD": stepped,
+                  "LayerNorm": LayerNorm(24), "FeedForward": FeedForward(24, 96),
+                  "TransformerBlock": block, "TransformerBackbone": backbone}
+        for name, layer in layers.items():
+            if name != "LoRALinear, after SGD":
+                _randomize(layer, rng)
+        calls = {name: layers[name].apply for name in
+                 ("Linear", "Linear, no bias", "LoRALinear", "LoRALinear, LoRA off",
+                  "LoRALinear, after SGD", "LayerNorm", "FeedForward")}
+        calls["gelu_array"] = gelu_array
+        calls["TransformerBlock"] = lambda x: block.forward_step(
+            x, None, plan_fresh_rows(lengths))
+        calls["TransformerBackbone"] = lambda x: backbone.last_position_features(
+            x, lengths)
+        with no_grad():
+            for name, call in calls.items():
+                x = rng.normal(0.0, 2.0, size=(sum(lengths), 24))
+                before = x.tobytes()
+                params = [p.data for p in layers[name].parameters()] if name in layers else []
+                kept = [p.copy() for p in params]
+                out = call(x)
+                assert x.tobytes() == before, name
+                assert all(np.array_equal(p, k) for p, k in zip(params, kept)), name
+                assert not any(np.shares_memory(out, a) for a in (x, *params)), name
+
+    @pytest.mark.parametrize("activations,layers", [(np.float32, np.float64),
+                                                    (np.float64, np.float32)])
+    def test_mixed_dtypes_promote_as_the_graph_does(self, activations, layers,
+                                                    float64_default):
+        """An in-place ``+=`` or ``*=`` keeps its left operand's dtype where
+        ``a + b`` would promote; every ``apply`` still returns
+        ``np.result_type`` of its input and its parameters, with the graph
+        path's values."""
+        from repro.nn import FeedForward, LayerNorm, LoRALinear, TransformerBackbone
+        from repro.nn.tensor import gelu_array
+
+        set_default_dtype(layers)
+        rng = np.random.default_rng(11)
+        x = rng.normal(0.0, 2.0, size=(6, 24)).astype(activations)
+        promoted = np.result_type(activations, layers)
+        for layer in (Linear(24, 40), LoRALinear(24, 40, rank=4, alpha=8.0),
+                      LayerNorm(24), FeedForward(24, 96, lora_rank=4, lora_alpha=8.0)):
+            _randomize(layer, rng)
+            raw = layer.apply(x)
+            graph = layer(Tensor(x, requires_grad=True, dtype=activations))
+            assert raw.dtype == promoted == graph.dtype, type(layer).__name__
+            assert np.array_equal(raw, graph.data), type(layer).__name__
+        assert gelu_array(x).dtype == activations
+        assert np.array_equal(gelu_array(x), Tensor(x, dtype=activations).gelu().data)
+
+        backbone = TransformerBackbone(24, 2, 2, max_seq_len=16, lora_rank=4, lora_alpha=8.0,
+                                       rng=rng).eval()
+        _randomize(backbone, rng)
+        with no_grad():
+            features = backbone.last_position_features(x, [2, 4])
+            rows = [backbone(Tensor(x[None, start:stop], dtype=activations)).data[0, -1]
+                    for start, stop in ((0, 2), (2, 6))]
+        assert features.dtype == promoted
+        np.testing.assert_allclose(features, np.stack(rows), rtol=0, atol=1e-4)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_conv_applies_are_bit_identical_and_leave_their_input(self, dtype,
+                                                                  float64_default):
+        """The encoders' raw-array bodies keep the same rule: the graph's
+        bits, written only into arrays they allocated."""
+        from repro.nn import Conv1D, PatchImageEncoder, TemporalConvEncoder
+
+        set_default_dtype(dtype)
+        rng = np.random.default_rng(13)
+        series = rng.normal(0.0, 2.0, size=(4, 9, 3)).astype(dtype)
+        images = rng.random((3, 16, 16, 1)).astype(dtype)
+        padded, strided = Conv1D(3, 5, kernel_size=3, padding=1), Conv1D(3, 5, 2, stride=2)
+        temporal = TemporalConvEncoder(3, 8, hidden_channels=6)
+        patches = PatchImageEncoder(image_size=16, patch_size=4, feature_dim=12)
+        cases = [(padded.apply, padded, series), (strided.apply, strided, series),
+                 (temporal.apply_sequence,
+                  lambda x: temporal.project(temporal.convs(x)), series),
+                 (patches.apply, lambda x: patches(x.data), images)]
+        for module in (padded, strided, temporal, patches):
+            _randomize(module, rng)
+        for apply, graph, x in cases:
+            before = x.tobytes()
+            raw = apply(x)
+            assert x.tobytes() == before
+            expected = graph(Tensor(x, requires_grad=True, dtype=dtype))
+            assert raw.dtype == dtype
+            assert np.array_equal(raw, expected.data)

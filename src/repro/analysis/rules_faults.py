@@ -34,8 +34,9 @@ from .walker import Project, SourceFile
 CATALOG_NAME = "FAULT_SITES"
 
 #: Callable names whose first string-literal argument is a fault site:
-#: ``self._faults.fire("decode.step")``, and ``self.fault_hook("kv.admit")``
-#: for an object handed the injector's ``fire`` as a bare hook.
+#: ``self._faults.fire("decode.step")``, and
+#: ``self.fault_hook("prefill.rows")`` for an object handed the injector's
+#: ``fire`` as a bare hook.
 _FIRE_NAMES = {"fire", "fault_hook"}
 
 

@@ -566,7 +566,7 @@ class TelemetryGuard(Rule):
                            aliases: Dict[str, str]) -> Optional[str]:
         """The optional attr a call goes through: ``self.X(...)``,
         ``self.X.m(...)``, ``alias(...)`` or ``alias.m(...)``."""
-        # self.X(...) — calling the hook itself (e.g. fault_hook("kv.admit"))
+        # self.X(...) — calling the hook itself (e.g. fault_hook("prefill.rows"))
         if (isinstance(func, ast.Attribute)
                 and isinstance(func.value, ast.Name)):
             if func.value.id == "self" and func.attr in optional:

@@ -76,8 +76,7 @@ class Module:
 
     # -- mode / grad control --------------------------------------------- #
     def train(self, mode: bool = True) -> "Module":
-        # A bool is neither Parameter nor Module: skip __setattr__'s dispatch
-        # (eval() walks the whole tree before every adapter inference).
+        # A bool is neither Parameter nor Module: skip __setattr__'s dispatch.
         object.__setattr__(self, "training", mode)
         for module in self._modules.values():
             module.train(mode)

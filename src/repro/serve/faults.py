@@ -14,51 +14,36 @@ seeded RNG — the same seed replays the same fault sequence, which is what
 lets the chaos suite assert exact parity between a faulty run's survivors
 and the fault-free reference run.
 
-**Site catalog** (see :data:`FAULT_SITES`):
+**Site catalog** (see :data:`FAULT_SITES`).  A site is one recovery point:
+what the engine does on a raise there is the same whichever forward reaches
+it.
 
 ``runtime.execute_batch``
     One decision batch about to run through its :class:`TaskRuntime`
-    (``InferenceServer._execute_decision_group``).
-``prefill.band``
-    A prefill forward that admits at least one new session's whole prompt
-    tail in one shot (``SessionManager._forward``).
-``prefill.chunk``
-    A prefill forward carrying at least one chunk — a row that resumes a
-    prompt or does not finish it (``SessionManager._forward``).
-``decode.step``
-    The batched decode forward, fired *before* the model runs
-    (``SessionManager.step``) — a raise here leaves the pool untouched.
-``decode.logits``
-    The batched decode logits, fired *after* the forward with the decode
-    rows' logits as corruptible ``payload`` — never a riding chunk's
-    (``SessionManager.step``).
+    (``InferenceServer._execute_decision_group``).  On a raise: retry or
+    fail that decision batch alone.
+``prefill.rows``
+    A forward carrying prompt rows, before anything is touched
+    (``SessionManager._forward``): the forward of the rows that complete
+    their prompt (``prefill_step``) and the decode forward that mid-prompt
+    chunks ride (``step``, after ``decode.step``), whatever mix of one-shot
+    tails, chunks, new sessions and prefix hits it carries.  On a raise:
+    nothing to undo; retry the prompt rows one at a time — in the decode
+    step, then run the decode rows alone — and a row that raises alone is
+    the only request that fails.
 ``draft.propose``
-    Speculative draft proposal for the decode batch, fired before any
-    drafting or KV growth (``SessionManager.step``).
-``decode.verify``
-    The speculative verification logits, fired after the multi-token
-    forward — KV already grown, acceptance not yet decided — with the
-    decode rows' logits as corruptible ``payload`` (``SessionManager.step``).
-``kv.admit``
-    A prefill forward about to open at least one new pool session
-    (``SessionManager._forward``).
-``kv.extend``
-    A prefill forward about to append to at least one session that already
-    holds part of its prompt (``SessionManager._forward``).
-``prefix.seed``
-    A prefill forward about to map a cached prompt head's blocks into a new
-    session (``SessionManager._forward``, ahead of its
-    ``PrefixCache.seed_cache`` call).
-
-A "prefill forward" is any forward carrying prompt rows: the forward of the
-chunks that complete their prompt (``SessionManager.prefill_step``) and the
-decode forward that the mid-prompt chunks ride (``SessionManager.step``,
-after ``decode.step``) — so the five prefill sites fire in both.  They fire
-at most once each per forward (band, chunk, admit, extend, seed, in that
-order), for its prompt rows only and all of them **before anything is
-touched**: a raise there has nothing to undo, the prompt rows are then
-retried one at a time — in the decode step the decode rows then run alone —
-and a row that raises alone is the only request that fails.
+    Speculative draft proposal for the decode batch, before any drafting or
+    KV growth (``SessionManager.plan_decode_tokens``).  On a raise:
+    quarantine the decode batch.
+``decode.step``
+    The batched decode forward, before the model runs
+    (``SessionManager.step``); the pool is untouched.  On a raise:
+    quarantine the decode batch.
+``decode.logits``
+    The decode rows' logits after every decode forward, drafted or not — KV
+    committed, acceptance not yet decided — as corruptible ``payload``,
+    never a riding chunk's (``SessionManager.step``).  On a raise:
+    quarantine the decode batch, its speculative KV tails included.
 
 Injection can never be enabled by accident: constructing a
 :class:`FaultInjector` raises unless the :data:`REPRO_FAULTS_ENV`
@@ -80,30 +65,27 @@ from ..utils import seeded_rng
 #: Environment toggle arming fault injection (truthy: ``1/true/yes/on``).
 REPRO_FAULTS_ENV = "REPRO_FAULTS"
 
-#: Named injection sites instrumented across the serve stack (name ->
-#: where it fires).  ``FaultSpec`` rejects unknown names so a schedule can
-#: never silently target a site that does not exist.
+#: Named injection sites instrumented across the serve stack (name -> where
+#: it fires and what the engine does on a raise there).  ``FaultSpec``
+#: rejects unknown names so a schedule can never silently target a site that
+#: does not exist.
 FAULT_SITES: Dict[str, str] = {
     "runtime.execute_batch": "decision-batch runtime forward "
-                             "(InferenceServer._execute_decision_group)",
-    "prefill.band": "prefill forward admitting a whole prompt tail in one "
-                    "shot, pre-pool (SessionManager._forward)",
-    "prefill.chunk": "forward carrying a chunk row, pre-pool "
-                     "(SessionManager._forward; in prefill_step and step)",
-    "decode.step": "batched decode forward, pre-model (SessionManager.step)",
-    "decode.logits": "batched decode logits, post-forward, corruptible "
-                     "payload (SessionManager.step)",
+                             "(InferenceServer._execute_decision_group); "
+                             "on a raise, retry or fail that batch alone",
+    "prefill.rows": "forward carrying prompt rows, before anything is "
+                    "touched (SessionManager._forward; in prefill_step and "
+                    "step); on a raise, retry the prompt rows one at a time; "
+                    "in the decode step, then run the decode rows alone",
     "draft.propose": "speculative draft proposal, pre-drafting "
-                     "(SessionManager.step)",
-    "decode.verify": "speculative verification logits, post-forward, "
-                     "corruptible payload (SessionManager.step)",
-    "kv.admit": "forward opening a new pool session, pre-pool "
-                "(SessionManager._forward; in prefill_step and step)",
-    "kv.extend": "forward appending to a session mid-prompt, pre-pool "
-                 "(SessionManager._forward; in prefill_step and step)",
-    "prefix.seed": "forward mapping a cached head's blocks into a new "
-                   "session, pre-pool (SessionManager._forward; in "
-                   "prefill_step and step)",
+                     "(SessionManager.plan_decode_tokens); on a raise, "
+                     "quarantine the decode batch",
+    "decode.step": "batched decode forward, pre-model (SessionManager.step); "
+                   "on a raise, quarantine the decode batch",
+    "decode.logits": "decode rows' logits after every decode forward, "
+                     "drafted or not, corruptible payload "
+                     "(SessionManager.step); on a raise, quarantine the "
+                     "decode batch",
 }
 
 #: What a fired spec does at its site.

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -185,14 +185,14 @@ class PrefixCache:
         self._entries.move_to_end(best.token_ids)
         return best
 
-    def seed_cache(self, entry: PrefixEntry, batch: int) -> List[int]:
-        """Fork the head's session ``batch`` times; return the forks' ids.
+    def seed_cache(self, entry: PrefixEntry) -> int:
+        """Fork the head's session; return the fork's id.
 
-        Each starts at length ``entry.length`` with the head's blocks mapped
-        by reference, exactly as if it had just prefilled the head itself;
-        its first step copies the partial last block before writing into it.
+        It starts at length ``entry.length`` with the head's blocks mapped by
+        reference, exactly as if it had just prefilled the head itself; its
+        first step copies the partial last block before writing into it.
         """
-        return [self.cache.fork(entry.session) for _ in range(batch)]
+        return self.cache.fork(entry.session)
 
     def count_hit(self, entry: PrefixEntry) -> int:
         """Count one row forked from ``entry`` whose first forward committed;

@@ -305,13 +305,14 @@ class SessionManager:
         and last chunks, at whatever lengths they stand — run now, in one
         :meth:`prefill_chunk_group` call, so each samples its first token
         before the decode forward.  Should that forward raise (nothing
-        committed), they are retried one at a time through
-        :meth:`prefill_chunk`, so a single bad request cannot take the
-        others down; a row that raises alone is aborted.  A grant that stops
-        short of its prompt's end emits nothing: the row is ``PREFILLING``
-        from here on (a new one before it holds any block) and its chunk
-        rides the decode forward of the next :meth:`step` (:attr:`riding`),
-        which reports its failures in :attr:`chunk_failures`.
+        committed; ``prefill.rows`` is its fault site), they are retried one
+        at a time through :meth:`prefill_chunk`, so a single bad request
+        cannot take the others down; a row that raises alone is aborted.  A
+        grant that stops short of its prompt's end emits nothing: the row is
+        ``PREFILLING`` from here on (a new one before it holds any block) and
+        its chunk rides the decode forward of the next :meth:`step`
+        (:attr:`riding`), which reports its failures in
+        :attr:`chunk_failures`.
 
         Returns ``(tokens_spent, terminal, failures, deferred)``:
         ``terminal`` lists sessions that reached ``FINISHED`` during the
@@ -439,13 +440,13 @@ class SessionManager:
         a chunk never widens a decoder's query rectangle.  A new prompt row is
         opened in the pool first — empty, or as a fork of its matched
         prefix's head session (the partial last block is copied by the plan
-        before the row writes into it).  All or nothing: the prefill fault
-        sites fire before anything is touched, and a raise evicts the rows
-        opened here and hands every other row back what the plan appended to
-        it.  After
-        the forward each prompt row's ``prompt_pos`` moves: it stays
-        ``PREFILLING`` or, its prompt complete, is promoted to ``running``
-        (the caller samples its first token).
+        before the row writes into it).  All or nothing: a forward carrying
+        prompt rows fires ``prefill.rows`` before anything is touched, and a
+        raise evicts the rows opened here and hands every other row back what
+        the plan appended to it.  After the forward each prompt row's
+        ``prompt_pos`` moves: it stays ``PREFILLING`` or, its prompt
+        complete, is promoted to ``running`` (the caller samples its first
+        token).
         """
         for session, take in zip(group, takes):
             if session.state not in (QUEUED, PREFILLING):
@@ -454,22 +455,10 @@ class SessionManager:
                 raise ValueError(
                     f"session {session.session_id} cannot take {take} of its "
                     f"{session.prompt_left} remaining prompt tokens")
+        if self.faults is not None and group:
+            # Before anything is touched: a raise here has nothing to undo.
+            self.faults.fire("prefill.rows")
         fresh = [session for session in group if session.slot is None]
-        if self.faults is not None:
-            # Every site this forward stands for, once each and before
-            # anything is touched: a raise here has nothing to undo.
-            one_shot = sum(take == s.prompt_left
-                           for s, take in zip(group, takes) if s.slot is None)
-            if one_shot:
-                self.faults.fire("prefill.band")
-            if one_shot < len(group):
-                self.faults.fire("prefill.chunk")
-            if fresh:
-                self.faults.fire("kv.admit")
-            if len(fresh) < len(group):
-                self.faults.fire("kv.extend")
-            if any(session.prefix_entry is not None for session in fresh):
-                self.faults.fire("prefix.seed")
         # Packed: the rows' tokens back to back, nothing padded.
         tokens = [token for row in fed for token in row]
         for session, take in zip(group, takes):
@@ -483,7 +472,7 @@ class SessionManager:
                 entry = session.prefix_entry
                 session.slot = (
                     self.cache.open_session() if entry is None
-                    else self.prefix.seed_cache(entry, 1)[0])  # repro: noqa[REP005] a live entry implies the prefix cache exists
+                    else self.prefix.seed_cache(entry))  # repro: noqa[REP005] a live entry implies the prefix cache exists
                 opened.append(session)
                 self._mark_started(session)
             with cached_inference(self.model, self._toggle_eval):
@@ -635,9 +624,9 @@ class SessionManager:
         neighbour's.  The decode rows go in ascending block need, so each
         length group of the forward is a contiguous run of them (a view in
         the plan and in attention).  The chunk rows' bookkeeping settles
-        first; only the decode rows' logits are the ``decode.logits`` /
-        ``decode.verify`` payload.  Should the forward raise (nothing
-        committed), the chunks
+        first; only the decode rows' logits, drafted or not, are the
+        ``decode.logits`` payload.  Should the forward raise (nothing
+        committed; ``prefill.rows`` fires in it when chunks ride), the chunks
         are retried one at a time (:meth:`prefill_chunk`; one that raises
         alone is aborted into :attr:`chunk_failures`) and the decode rows
         run alone through the same forward — so a request fails exactly
@@ -705,15 +694,11 @@ class SessionManager:
             return completed, 0
         decoded = sum(map(len, fed))
         logits = logits[:decoded]  # a view: a corrupt payload is what is sampled
-        drafted = decoded > len(fed)
         if self.faults is not None:
-            # Post-forward sites: the K/V writes are committed; a "corrupt"
-            # spec perturbs the logits in place before sampling.  A drafted
-            # step — acceptance undecided, rollback still ahead — has its own.
-            if drafted:
-                self.faults.fire("decode.verify", payload=logits)
-            else:
-                self.faults.fire("decode.logits", payload=logits)
+            # Post-forward site: the K/V writes, drafts' included, are
+            # committed and acceptance is undecided; a "corrupt" spec perturbs
+            # the logits in place before sampling.
+            self.faults.fire("decode.logits", payload=logits)
         # One sampling pass over every decoded row, after the fault site so a
         # corrupted payload is what gets sampled; rows draw as they are read.
         table = SamplingTable(logits, [session.temperature

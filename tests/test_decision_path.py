@@ -396,3 +396,62 @@ class TestServedDecisionGroups:
         for sample, handle in zip(samples, handles):
             np.testing.assert_allclose(handle.result().viewport,
                                        adapters["vp"].predict(sample), atol=ATOL, rtol=0)
+
+
+# ---------------------------------------------------------------------- #
+# Mode: an adapter already in eval mode is not walked again
+# ---------------------------------------------------------------------- #
+class TestInferenceMode:
+    def test_a_round_on_eval_adapters_calls_no_module_train(self, adapters,
+                                                            monkeypatch):
+        from repro.nn import Module
+
+        rng = np.random.default_rng(10)
+        tasks = ["abr"] * 16 + ["cjs"] * 8 + ["vp"] * 8
+        payloads = [_payload(rng, task, int(rng.integers(1, CONTEXT_WINDOW + 1)))
+                    for task in tasks]
+        server = _server(adapters)
+        for adapter in adapters.values():
+            adapter.eval()
+        walked = []
+        train = Module.train
+
+        def counting(self, mode=True):
+            walked.append(type(self).__name__)
+            return train(self, mode)
+
+        monkeypatch.setattr(Module, "train", counting)
+        handles = [server.submit(DecisionRequest(task=task, payload=payload))
+                   for task, payload in zip(tasks, payloads)]
+        server.run_until_idle()
+        assert all(handle.result() is not None for handle in handles)
+        assert walked == []
+
+    @pytest.mark.parametrize("task", ["abr", "cjs", "vp"])
+    def test_train_mode_still_answers_as_eval(self, task):
+        # Dropout in the LLM: an inference left in training mode would
+        # either raise (raw-array apply) or draw masks; it must do neither.
+        config = LLMConfig(name="decisions", family="test", d_model=32,
+                           num_layers=2, num_heads=2, max_seq_len=48, dropout=0.2)
+        llm = LanguageModel(config, lora_rank=4, seed=0)
+        rng = np.random.default_rng(11)
+        if task == "vp":
+            adapter = VPAdapter(llm, prediction_steps=PREDICTION_STEPS, seed=0)
+            samples = [_sample(rng, steps) for steps in (3, 7, 3)]
+
+            def answer():
+                return np.stack(adapter.predict_batch(samples))
+        else:
+            adapter = _decision_adapter(task, llm)
+            windows = [_window(rng, task, steps) for steps in (2, 9, 5)]
+            columns = _columns(windows, "returns", "states", "actions")
+
+            def answer():
+                return np.concatenate([*adapter.last_logits(*columns),
+                                       np.asarray(adapter.act_batch(*columns))], axis=1)
+        assert adapter.llm.has_active_dropout()
+        adapter.eval()
+        expected = answer()
+        adapter.train()
+        assert np.array_equal(answer(), expected)
+        assert not adapter.training

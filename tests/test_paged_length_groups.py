@@ -752,9 +752,9 @@ class TestServedSplitSteps:
         assert server._manager.cache.num_sessions == 0
 
     @pytest.mark.parametrize("site,speculation,action", [
-        ("decode.step", "off", "raise"), ("decode.verify", "ngram", "raise"),
-        ("decode.verify", "ngram", "corrupt")],
-        ids=["decode.step-off", "decode.verify-ngram", "decode.verify-ngram-corrupt"])
+        ("decode.step", "off", "raise"), ("decode.logits", "ngram", "raise"),
+        ("decode.logits", "ngram", "corrupt")],
+        ids=["decode.step-off", "decode.logits-ngram", "decode.logits-ngram-corrupt"])
     def test_quarantine_in_a_split_step_keeps_its_blast_radius(
             self, model, monkeypatch, site, speculation, action):
         """The faulted step's decode batch fails, exactly as before the step
@@ -763,8 +763,8 @@ class TestServedSplitSteps:
         whose forward carries a riding chunk lands on the decode rows alone:
         the prefilling request stays token-exact."""
         greedy = dict(max_new_tokens=40, temperature=0.0, stop_on_eos=False)
-        # "trace b" is long enough to be still prefilling on the first
-        # probe step, the first step a session starting undrafted verifies.
+        # "trace b" is long enough to be still prefilling on a step that
+        # verifies drafts.
         prompts = [_long_prompt("trace a", 300), "abc abc abc abc abc abc",
                    "ab ab ab ab ab ab ab", _long_prompt("trace b", 560),
                    "queued behind the batch"]
@@ -789,11 +789,12 @@ class TestServedSplitSteps:
             later = {sid for r in records[index + 1:] for sid, _ in r.prefill_chunks}
             return any(sid in later for sid, _ in records[index].prefill_chunks)
 
-        visits = [i for i, r in enumerate(records)
-                  if (r.tokens_drafted if site == "decode.verify"
-                      else r.decode_sessions)]
+        # Both sites fire once per decode step; with speculation on, the
+        # faulted one verifies drafts.
+        visits = [i for i, r in enumerate(records) if r.decode_sessions]
         target = next(i for i in visits
-                      if len(records[i].decode_sessions) == 3
+                      if (speculation == "off" or records[i].tokens_drafted)
+                      and len(records[i].decode_sessions) == 3
                       and records[i].kv_groups >= 2 and records[i].prefill_chunks
                       and records[i].queue_depth and (action == "raise" or rides(i)))
 

@@ -100,7 +100,7 @@ class TestFaultInjector:
     def test_at_and_every_triggers(self):
         injector = FaultInjector([
             FaultSpec(site="decode.step", at=2),
-            FaultSpec(site="kv.admit", every=3, max_fires=2),
+            FaultSpec(site="prefill.rows", every=3, max_fires=2),
         ])
         fired = []
         for visit in range(1, 10):
@@ -109,12 +109,13 @@ class TestFaultInjector:
             except InjectedFault as fault:
                 fired.append(("decode.step", fault.occurrence))
             try:
-                injector.fire("kv.admit")
+                injector.fire("prefill.rows")
             except InjectedFault as fault:
-                fired.append(("kv.admit", fault.occurrence))
+                fired.append(("prefill.rows", fault.occurrence))
         # at=2 fires exactly once; every=3 fires on visits 3 and 6 only
         # (max_fires=2 suppresses visit 9).
-        assert fired == [("decode.step", 2), ("kv.admit", 3), ("kv.admit", 6)]
+        assert fired == [("decode.step", 2), ("prefill.rows", 3),
+                         ("prefill.rows", 6)]
         assert injector.visit_count("decode.step") == 9
         assert injector.total_fired == 3
 
@@ -169,11 +170,35 @@ class TestFaultInjector:
 
     def test_site_catalog_is_documented(self):
         assert set(FAULT_SITES) == {
-            "runtime.execute_batch", "prefill.band", "prefill.chunk",
-            "decode.step", "decode.logits", "draft.propose", "decode.verify",
-            "kv.admit", "kv.extend", "prefix.seed"}
+            "runtime.execute_batch", "prefill.rows", "draft.propose",
+            "decode.step", "decode.logits"}
         for site, where in FAULT_SITES.items():
-            assert where, f"site {site!r} has no description"
+            assert "on a raise" in where, f"site {site!r} states no recovery"
+
+    def test_every_catalog_site_is_reached(self, model):
+        """REP003 proves a ``fire`` literal exists for every catalog entry;
+        this proves a served run reaches each one: a decision through a
+        stub runtime, n-gram speculation over decoding rows, a chunked
+        prompt and a prefix hit."""
+        injector = FaultInjector([])
+        server = InferenceServer(
+            model, SchedulerPolicy(max_batch_size=4, prefill_chunk_size=8,
+                                   speculation="ngram"),
+            runtimes={"echo": _EchoRuntime()}, fault_injector=injector)
+        head = "a shared head "
+        server.register_prefix(head)
+        handles = [server.submit(GenerateRequest(prompt=prompt, max_new_tokens=6,
+                                                 stop_on_eos=False))
+                   for prompt in ("tok " * 12, head + "tail", "ab ab ab ab")]
+        handles.append(server.submit(DecisionRequest(task="echo", payload=21)))
+        server.run_until_idle()
+        assert handles[-1].result(timeout=5) == 42
+        assert all(len(h.result(timeout=5).token_ids) == 6 for h in handles[:3])
+        assert server.stats().prefix_hits == 1
+        assert len([sid for record in server.telemetry.records()
+                    for sid, _ in record.prefill_chunks
+                    if sid == handles[0].request_id]) > 1  # chunked
+        assert set(injector.visits) == set(FAULT_SITES)
 
 
 # ---------------------------------------------------------------------- #
@@ -241,11 +266,11 @@ class TestQuarantine:
         assert info.value.__cause__ is info.value.cause
         assert "injected fault at 'decode.step'" in str(info.value)
 
-    def test_single_band_fault_is_absorbed_by_per_session_retry(self, model):
-        # A batched prefill band that faults once is retried session by
-        # session (the pre-existing admission fallback); one band fault is
-        # absorbed transparently and the request still completes.
-        injector = FaultInjector([FaultSpec(site="prefill.band", at=1)])
+    def test_single_prefill_fault_is_absorbed_by_per_session_retry(self, model):
+        # A batched prefill forward that faults once is retried session by
+        # session (the admission fallback); one prefill fault is absorbed
+        # transparently and the request still completes.
+        injector = FaultInjector([FaultSpec(site="prefill.rows", at=1)])
         server = InferenceServer(model, SchedulerPolicy(max_batch_size=2),
                                  fault_injector=injector)
         first = server.submit(GenerateRequest(prompt="aaa", max_new_tokens=3,
@@ -256,11 +281,11 @@ class TestQuarantine:
         _invariants(server)
 
     def test_persistent_prefill_fault_quarantines_only_that_admission(self, model):
-        # Both the batched band and the per-session retry fault: now the
-        # admission is quarantined — and only this admission, the next
-        # submission (fires exhausted) completes.
+        # Both the batched forward and the per-session retry fault: now the
+        # admission is quarantined, its pool session gone — and only this
+        # admission, the next submission (fires exhausted) completes.
         injector = FaultInjector(
-            [FaultSpec(site="prefill.band", every=1, max_fires=2)])
+            [FaultSpec(site="prefill.rows", every=1, max_fires=2)])
         server = InferenceServer(model, SchedulerPolicy(max_batch_size=2),
                                  fault_injector=injector)
         first = server.submit(GenerateRequest(prompt="aaa", max_new_tokens=3,
@@ -269,33 +294,20 @@ class TestQuarantine:
         with pytest.raises(RequestFailed, match="prefill"):
             first.result(timeout=5)
         _invariants(server)
+        assert server._manager.cache.num_sessions == 0
         second = server.submit(GenerateRequest(prompt="bbb", max_new_tokens=3,
                                                stop_on_eos=False))
         server.run_until_idle()
         assert len(second.result(timeout=5).token_ids) == 3
 
-    def test_kv_admit_fault_leaves_pool_sound(self, model):
-        # every=1: fault both the batched admission and its per-session retry
-        # (a single admission fault is absorbed by the retry fallback).
-        injector = FaultInjector(
-            [FaultSpec(site="kv.admit", every=1, max_fires=2)])
-        server = InferenceServer(model, SchedulerPolicy(max_batch_size=2),
-                                 fault_injector=injector)
-        handle = server.submit(GenerateRequest(prompt="x", max_new_tokens=2,
-                                               stop_on_eos=False))
-        server.run_until_idle()
-        with pytest.raises(RequestFailed):
-            handle.result(timeout=5)
-        _invariants(server)
-        assert server._manager.cache.num_sessions == 0
-
     def test_chunked_prefill_fault_quarantined(self, model):
-        # The step's one forward carries the long prompt's chunk and the
-        # short prompt's whole tail.  It faults, and so does the chunk row
-        # retried alone: the blast radius is that one request — the short
-        # one, retried alone, is no chunk and completes.
-        injector = FaultInjector(
-            [FaultSpec(site="prefill.chunk", every=1, max_fires=2)])
+        # Visit 1 is the short prompt's one-shot forward.  Visit 2 is the
+        # decode forward its first token rides into with the long prompt's
+        # first chunk: it faults, and so does the chunk row retried alone
+        # (visit 3).  The blast radius is that one request — the short one,
+        # whose decode row then runs alone, completes.
+        injector = FaultInjector([FaultSpec(site="prefill.rows", at=2),
+                                  FaultSpec(site="prefill.rows", at=3)])
         server = InferenceServer(
             model, SchedulerPolicy(max_batch_size=2, prefill_chunk_size=4),
             fault_injector=injector)
@@ -309,11 +321,13 @@ class TestQuarantine:
         with pytest.raises(RequestFailed, match="prefill"):
             doomed.result(timeout=5)
         assert len(short.result(timeout=5).token_ids) == 3
-        assert injector.total_fired == 2
+        assert injector.fired_log == [("prefill.rows", 2, "raise"),
+                                      ("prefill.rows", 3, "raise")]
         _invariants(server)
 
     def test_single_chunk_fault_is_absorbed_by_the_one_at_a_time_retry(self, model):
-        injector = FaultInjector([FaultSpec(site="prefill.chunk", at=2)])
+        # Visit 1 is the first chunk's forward, visit 2 the second's.
+        injector = FaultInjector([FaultSpec(site="prefill.rows", at=2)])
         server = InferenceServer(
             model, SchedulerPolicy(max_batch_size=2, prefill_chunk_size=4),
             fault_injector=injector)
@@ -370,23 +384,19 @@ class TestQuarantine:
         _invariants(server)
         assert server._manager.cache.num_sessions == 0
 
-    # (site, which visit is the mixed forward's: the first chunk below has
-    # already passed ``prefill.chunk`` and ``kv.admit`` once).
-    @pytest.mark.parametrize("site,visit", [
-        ("prefill.band", 1), ("prefill.chunk", 2), ("kv.admit", 2),
-        ("kv.extend", 1), ("prefix.seed", 1)])
-    def test_prefill_sites_fire_before_any_pool_mutation(self, model, site, visit):
-        """One forward passes all five sites: a new one-shot row behind a
-        prefix hit beside a row mid-prompt.  Whichever site raises, sessions
-        and pool are as they were, and the same call then succeeds."""
-        injector = FaultInjector([FaultSpec(site=site, at=visit)])
+    def test_prefill_site_fires_before_any_pool_mutation(self, model):
+        """A mixed forward — a new one-shot row behind a prefix hit beside a
+        row mid-prompt — raises at ``prefill.rows``: sessions and pool are as
+        they were, and the same call then succeeds."""
+        # Visit 1 is the first chunk's forward; visit 2 the mixed one.
+        injector = FaultInjector([FaultSpec(site="prefill.rows", at=2)])
         manager = SessionManager(model, max_slots=2, block_size=4,
                                  fault_injector=injector)
         head = "shared head 123"
         manager.register_prefix(head)
         resumed = GenerationSession(session_id=1, prompt="a prompt in two chunks",
                                     max_new_tokens=3, stop_on_eos=False)
-        manager.prefill_chunk(resumed, 6)  # first visit of its sites: no fault
+        manager.prefill_chunk(resumed, 6)  # visit 1: no fault
         hit = GenerationSession(session_id=2, prompt=head + " tail",
                                 max_new_tokens=3, stop_on_eos=False)
         manager._prepare_prompt(hit)
@@ -400,7 +410,7 @@ class TestQuarantine:
                     [(s.state, s.slot, s.prompt_pos) for s in rows])
 
         before = facts()
-        with pytest.raises(InjectedFault, match=site):
+        with pytest.raises(InjectedFault, match="prefill.rows"):
             manager.prefill_chunk_group(rows, takes)
         assert facts() == before
         manager.cache.check_invariants()
@@ -1129,17 +1139,29 @@ class TestSpeculativeFaults:
     POLICY = dict(max_batch_size=4, speculation="ngram", speculation_k=4)
 
     def test_verify_fault_quarantines_batch_with_rolled_back_kv(self, model):
-        # The adversarial moment: decode.verify fires *after* the multi-token
-        # forward grew KV for every draft token but *before* acceptance — the
-        # quarantine must reclaim the speculative tails too.
-        injector = FaultInjector([FaultSpec(site="decode.verify", at=2)])
-        server = InferenceServer(model, SchedulerPolicy(**self.POLICY),
-                                 fault_injector=injector)
-        always_draft(server)
-        doomed = [server.submit(GenerateRequest(
-            prompt="loop loop loop loop loop", max_new_tokens=12,
-            stop_on_eos=False)) for _ in range(2)]
-        server.run_until_idle()
+        # The adversarial moment: decode.logits on a drafted step fires
+        # *after* the multi-token forward grew KV for every draft token but
+        # *before* acceptance — the quarantine must reclaim the speculative
+        # tails too.
+        def serve(injector):
+            server = InferenceServer(model, SchedulerPolicy(**self.POLICY),
+                                     fault_injector=injector)
+            always_draft(server)
+            handles = [server.submit(GenerateRequest(
+                prompt="loop loop loop loop loop", max_new_tokens=12,
+                stop_on_eos=False)) for _ in range(2)]
+            server.run_until_idle()
+            return server, handles
+
+        # The second drafted decode step's visit, from a fault-free run
+        # (runs are deterministic; every decode step visits the site once).
+        clean = FaultInjector([])
+        drafted = [r.tokens_drafted for r in serve(clean)[0].telemetry.records()
+                   if r.decode_sessions]
+        assert clean.visit_count("decode.logits") == len(drafted)
+        visit = [i for i, count in enumerate(drafted, 1) if count][1]
+        injector = FaultInjector([FaultSpec(site="decode.logits", at=visit)])
+        server, doomed = serve(injector)
         assert injector.total_fired == 1
         for handle in doomed:
             with pytest.raises(RequestFailed, match="decode step"):
@@ -1182,7 +1204,7 @@ class TestSpeculativeFaults:
         # the rollback arithmetic is logits-independent — requests complete
         # and the pool stays sound.
         injector = FaultInjector(
-            [FaultSpec(site="decode.verify", action="corrupt", every=2,
+            [FaultSpec(site="decode.logits", action="corrupt", every=2,
                        corrupt_scale=5.0)])
         server = InferenceServer(model, SchedulerPolicy(**self.POLICY),
                                  fault_injector=injector)
@@ -1191,7 +1213,9 @@ class TestSpeculativeFaults:
             prompt="repeat repeat repeat repeat", max_new_tokens=10,
             stop_on_eos=False)) for _ in range(3)]
         server.run_until_idle()
-        assert injector.total_fired > 0
+        # Corrupted steps that verified drafts: the verification payload.
+        assert any(record.tokens_drafted
+                   for record in server.telemetry.records() if record.faults)
         for handle in handles:
             assert len(handle.result(timeout=5).token_ids) == 10
         _invariants(server)
@@ -1229,7 +1253,7 @@ class TestSpeculativeFaults:
 
         reference, _ = run(dict())  # sequential, fault-free
         injector = FaultInjector([
-            FaultSpec(site="decode.verify", rate=0.10, transient=True),
+            FaultSpec(site="decode.logits", rate=0.10, transient=True),
             FaultSpec(site="draft.propose", at=4, transient=True),
         ], seed=21)
         observed, server = run(
@@ -1261,7 +1285,7 @@ class TestChaosSmoke:
 
         injector = FaultInjector([
             FaultSpec(site="decode.step", rate=0.15, transient=True),
-            FaultSpec(site="prefill.band", at=3),
+            FaultSpec(site="prefill.rows", at=3),
             FaultSpec(site="runtime.execute_batch", at=2),
         ], seed=42)
         server = InferenceServer(
@@ -1370,10 +1394,9 @@ class TestChaosProperty:
 
         injector = FaultInjector([
             FaultSpec(site="decode.step", rate=0.05, transient=True),
-            FaultSpec(site="prefill.band", rate=0.05),
-            FaultSpec(site="prefill.chunk", rate=0.03, transient=True),
+            FaultSpec(site="prefill.rows", rate=0.07),
+            FaultSpec(site="prefill.rows", rate=0.03, transient=True),
             FaultSpec(site="runtime.execute_batch", rate=0.05),
-            FaultSpec(site="kv.admit", rate=0.02),
         ], seed=99)
         observed = run(build_server(injector=injector,
                                     retry=RetryPolicy(max_attempts=2)))

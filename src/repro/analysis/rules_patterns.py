@@ -499,13 +499,13 @@ class TelemetryGuard(Rule):
     """Calls through optional instrumentation hooks need an `is None` guard.
 
     The serve stack's optional-hook contract: with fault injection off (or
-    another optional hook absent — the session manager's proposer, a
-    standalone manager's recorder), every instrumented site costs exactly
-    one ``is None`` check — the hook attribute is ``None`` and the call is
-    skipped.  An unguarded ``self.faults.fire(...)`` either crashes the
-    hook-less path or forces the hook to exist and eat the call overhead.
-    The engine's flight recorder is always on and not optional, so it
-    needs no guard.  This rule finds method calls through attributes that are
+    another optional hook absent — the session manager's proposer), every
+    instrumented site costs exactly one ``is None`` check — the hook
+    attribute is ``None`` and the call is skipped.  An unguarded
+    ``self.faults.fire(...)`` either crashes the hook-less path or forces
+    the hook to exist and eat the call overhead.  The flight recorder is
+    always on and not optional — a standalone session manager makes its
+    own — so it needs no guard.  This rule finds method calls through attributes that are
     *declared* optional (``Optional[...]`` annotation, ``attr = None``
     class default, or assignment from an ``Optional`` parameter) outside a
     dominating ``is not None`` branch.

@@ -21,7 +21,7 @@ including the return-conditioning bookkeeping used at inference time
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +60,35 @@ class AdaptationResult:
         return self.losses[0] if self.losses else float("nan")
 
 
+def _adapt(adapter, batch_loss: Callable[[np.random.Generator], Tensor],
+           iterations: int, lr: float, seed: int,
+           grad_clip: float) -> AdaptationResult:
+    """The one DD-LRNA fine-tuning loop: ``iterations`` clipped Adam steps
+    on the adapter's trainable parameters, each minimizing ``batch_loss(rng)``
+    — the task's loss on a batch it draws from the seeded ``rng``."""
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    rng = seeded_rng(seed)
+    parameters = adapter.trainable_parameters()
+    optimizer = Adam(parameters, lr=lr)
+    result = AdaptationResult(trainable_fraction=adapter.trainable_fraction())
+    timer = Timer()
+    adapter.train()
+    timer.start("update")
+    for _ in range(iterations):
+        loss = batch_loss(rng)
+        optimizer.zero_grad()
+        loss.backward()
+        clip_grad_norm(parameters, grad_clip)
+        optimizer.step()
+        result.losses.append(float(loss.data))
+        result.iterations += 1
+    timer.stop("update")
+    adapter.eval()
+    result.wall_seconds = timer.total("update")
+    return result
+
+
 # ---------------------------------------------------------------------- #
 # Prediction tasks (SL pipeline)
 # ---------------------------------------------------------------------- #
@@ -71,18 +100,10 @@ def adapt_prediction(adapter: VPAdapter, samples: Sequence, iterations: int = 20
     The loss is mean squared error in the normalized residual space, which is
     equivalent to the paper's regression loss (equation 1 with MSE).
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
     if not samples:
         raise ValueError("samples must not be empty")
-    rng = seeded_rng(seed)
-    parameters = adapter.trainable_parameters()
-    optimizer = Adam(parameters, lr=lr)
-    result = AdaptationResult(trainable_fraction=adapter.trainable_fraction())
-    timer = Timer()
-    adapter.train()
-    timer.start("update")
-    for _ in range(iterations):
+
+    def batch_loss(rng: np.random.Generator) -> Tensor:
         indices = rng.integers(0, len(samples), size=min(batch_size, len(samples)))
         batch = [samples[i] for i in indices]
         histories = np.stack([s.history for s in batch])
@@ -93,17 +114,9 @@ def adapt_prediction(adapter: VPAdapter, samples: Sequence, iterations: int = 20
             saliencies = None
         predictions = adapter.forward(histories, saliencies)
         diff = (predictions - Tensor(futures)) * (1.0 / 60.0)
-        loss = (diff * diff).mean()
-        optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(parameters, grad_clip)
-        optimizer.step()
-        result.losses.append(float(loss.data))
-        result.iterations += 1
-    timer.stop("update")
-    adapter.eval()
-    result.wall_seconds = timer.total("update")
-    return result
+        return (diff * diff).mean()
+
+    return _adapt(adapter, batch_loss, iterations, lr, seed, grad_clip)
 
 
 # ---------------------------------------------------------------------- #
@@ -119,34 +132,19 @@ def adapt_decision(adapter: DecisionAdapter, pool: ExperiencePool, iterations: i
     i.e. the model learns the distribution of actions conditioned on states
     and returns-to-go.
     """
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    rng = seeded_rng(seed)
-    parameters = adapter.trainable_parameters()
-    optimizer = Adam(parameters, lr=lr)
-    result = AdaptationResult(trainable_fraction=adapter.trainable_fraction())
-    timer = Timer()
-    adapter.train()
-    timer.start("update")
-    window = adapter.context_window
-    for _ in range(iterations):
-        returns, states, actions = pool.sample_windows(batch_size, window, rng=rng)
+
+    def batch_loss(rng: np.random.Generator) -> Tensor:
+        returns, states, actions = pool.sample_windows(
+            batch_size, adapter.context_window, rng=rng)
         batch = DecisionBatch(returns=returns, states=states, actions=actions)
         logits_list = adapter.forward(batch)
         loss = None
         for component, logits in enumerate(logits_list):
             component_loss = cross_entropy(logits, actions[..., component])
             loss = component_loss if loss is None else loss + component_loss
-        optimizer.zero_grad()
-        loss.backward()
-        clip_grad_norm(parameters, grad_clip)
-        optimizer.step()
-        result.losses.append(float(loss.data))
-        result.iterations += 1
-    timer.stop("update")
-    adapter.eval()
-    result.wall_seconds = timer.total("update")
-    return result
+        return loss
+
+    return _adapt(adapter, batch_loss, iterations, lr, seed, grad_clip)
 
 
 # ---------------------------------------------------------------------- #

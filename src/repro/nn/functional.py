@@ -90,14 +90,6 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, reduction: str = "mean") 
     return loss
 
 
-def nll_from_log_probs(log_probs: Tensor, targets: np.ndarray) -> Tensor:
-    """Negative log likelihood from pre-computed log probabilities."""
-    targets = np.asarray(targets, dtype=np.int64)
-    flat = log_probs.reshape(-1, log_probs.shape[-1])
-    picked = flat[np.arange(flat.shape[0]), targets.reshape(-1)]
-    return -picked.mean()
-
-
 def dropout(x: Tensor, p: float, training: bool, rng: Optional[np.random.Generator] = None) -> Tensor:
     """Inverted dropout: scales surviving activations by ``1/(1-p)``."""
     if not training or p <= 0.0:

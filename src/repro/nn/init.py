@@ -19,12 +19,6 @@ def xavier_uniform(shape, rng: np.random.Generator, gain: float = 1.0) -> np.nda
     return rng.uniform(-limit, limit, size=shape).astype(get_default_dtype(), copy=False)
 
 
-def xavier_normal(shape, rng: np.random.Generator, gain: float = 1.0) -> np.ndarray:
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=shape).astype(get_default_dtype(), copy=False)
-
-
 def kaiming_uniform(shape, rng: np.random.Generator) -> np.ndarray:
     """He uniform initialization suited to ReLU networks."""
     fan_in, _ = _fans(shape)

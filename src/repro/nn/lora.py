@@ -66,12 +66,6 @@ class LoRALinear(Module):
     def num_lora_parameters(self) -> int:
         return int(self.lora_a.size + self.lora_b.size)
 
-    def num_base_parameters(self) -> int:
-        total = int(self.weight.size)
-        if self.use_bias:
-            total += int(self.bias.size)
-        return total
-
     def merged_weight(self) -> np.ndarray:
         """Return the dense ``W0 + scale * A B`` matrix (for inspection/tests)."""
         update = self.lora_a.data @ self.lora_b.data * self.scale

@@ -818,8 +818,3 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
 
     out._backward = _backward
     return out
-
-
-def no_grad_copy(tensor: Tensor) -> Tensor:
-    """Deep copy of a tensor's data, detached from the graph."""
-    return Tensor(tensor.data.copy(), requires_grad=False, dtype=tensor.data.dtype)

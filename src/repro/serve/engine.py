@@ -281,10 +281,10 @@ class InferenceServer:
         The flight recorder (:class:`~repro.serve.telemetry.ServeTelemetry`),
         always on: ``None`` records with the defaults, and a pre-built
         instance customizes capacity/window width.  It is the engine's one
-        ledger — every request ending, quarantine, retry and draft is written
-        to its open step record where it happens, and ``stats()`` reads the
-        counters from its lifetime :meth:`~repro.serve.telemetry.
-        ServeTelemetry.totals`.  Read it back via ``server.telemetry``
+        ledger — every request ending, quarantine, retry, draft, prefix hit
+        and miss and generated token is written to its open step record
+        where it happens, and ``stats()`` reads the counters from its
+        lifetime :meth:`~repro.serve.telemetry.ServeTelemetry.totals`.  Read it back via ``server.telemetry``
         (``records()``/``windows()``/``export_jsonl()``) and
         :meth:`explain_request`.
     """
@@ -309,15 +309,8 @@ class InferenceServer:
         #: the events happen.
         self.telemetry: ServeTelemetry = (
             telemetry if telemetry is not None else ServeTelemetry())
-        self._manager = (SessionManager(model, max_slots=self.policy.max_batch_size,
-                                        max_context=self.policy.max_context,
-                                        block_size=self.policy.block_size,
-                                        prefix_cache=self.policy.enable_prefix_cache,
-                                        max_prefixes=self.policy.max_prefixes,
-                                        fault_injector=fault_injector,
-                                        telemetry=self.telemetry,
-                                        speculation=self.policy.speculation,
-                                        speculation_k=self.policy.speculation_k)
+        self._manager = (SessionManager(model, self.policy, self.telemetry,
+                                        fault_injector)
                          if model is not None else None)
         self._scheduler = ContinuousBatchingScheduler(self.policy)
         self._runtimes: Dict[str, TaskRuntime] = {}
@@ -331,8 +324,6 @@ class InferenceServer:
         # Bounded retention: a long-lived server keeps the most recent
         # completions for stats() instead of growing without limit.
         self._completed: Deque[RequestMetrics] = deque(maxlen=16384)
-        #: Tokens generated by completed requests, over the server's life.
-        self._tokens_generated = 0
         self._started_at: Optional[float] = None
         self._last_finished_at: Optional[float] = None
         self._thread: Optional[threading.Thread] = None
@@ -555,8 +546,6 @@ class InferenceServer:
         metrics.outcome = outcome
         metrics.mark_finished()
         self._completed.append(metrics)
-        if outcome == OUTCOME_OK:
-            self._tokens_generated += metrics.tokens_generated
         self._last_finished_at = metrics.finished_at
         if session is not None:
             if outcome == OUTCOME_OK:
@@ -573,6 +562,7 @@ class InferenceServer:
             step.decisions += 1
         else:
             step.finished.append(handle.request_id)
+            step.tokens_generated += metrics.tokens_generated
         handle._settle(result, error)
 
     def _withdraw(self, handle: RequestHandle, reason: str) -> None:
@@ -656,15 +646,12 @@ class InferenceServer:
 
     def _commit_step_trace(self, did_work: bool) -> None:
         """Commit this step's record with the end-of-step gauges."""
-        manager = self._manager
-        prefix = manager.prefix if manager is not None else None
-        cache = manager.cache if manager is not None else None
+        cache = self._manager.cache if self._manager is not None else None
         self.telemetry.commit_step(
             time.perf_counter(), did_work,
             queue_depth=self._scheduler.queue_depth,
             queue_depth_by_priority=self._scheduler.queue_depth_by_priority(),
             blocks_in_use=cache.blocks_in_use if cache is not None else 0,
-            prefix_hits_total=prefix.hits if prefix is not None else 0,
             kv_totals=cache.attention_totals if cache is not None else (0, 0, 0))
 
     def run_until_idle(self) -> None:
@@ -1063,12 +1050,6 @@ class InferenceServer:
                    if self._last_finished_at is not None
                    else time.perf_counter())
             wall = (end - self._started_at) if self._started_at is not None else 0.0
-            counts = self.telemetry.totals()
-            counts["tokens_generated"] = self._tokens_generated
-            prefix = self._manager.prefix if self._manager is not None else None
-            if prefix is not None:
-                counts.update(prefix_hits=prefix.hits, prefix_misses=prefix.misses,
-                              prefix_tokens_reused=prefix.tokens_reused)
             snapshot = dict(
                 requests=list(self._completed), wall_seconds=wall,
                 occupancy_samples=list(self._scheduler.occupancy_samples),
@@ -1076,7 +1057,7 @@ class InferenceServer:
                 block_usage_samples=list(self._scheduler.block_usage_samples),
                 block_capacity=(self._manager.cache.allocator.num_blocks
                                 if self._manager is not None else 0),
-                counts=counts, health=self.health,
+                counts=self.telemetry.totals(), health=self.health,
                 telemetry=self.telemetry.summary())
         return ServerStats.from_requests(**snapshot)
 

@@ -171,9 +171,8 @@ class ServerStats:
 
     The counters come from ``from_requests``' ``counts`` mapping — from an
     engine, the flight recorder's lifetime totals
-    (:meth:`~repro.serve.telemetry.ServeTelemetry.totals`) plus its
-    ``tokens_generated`` and prefix-cache counters — and so cover the
-    server's whole life (``tokens_per_second`` divides by the whole-life
+    (:meth:`~repro.serve.telemetry.ServeTelemetry.totals`) — and so cover
+    the server's whole life (``tokens_per_second`` divides by the whole-life
     ``wall_seconds``); the timing percentiles and ``per_task`` cover the
     requests it still retains (the latest 16384).
     """
@@ -256,9 +255,9 @@ class ServerStats:
                       health: str = ServerHealth.HEALTHY,
                       telemetry: Optional[Dict[str, object]] = None
                       ) -> "ServerStats":
-        """``counts`` holds the counters under the flight recorder's names
-        (:meth:`~repro.serve.telemetry.ServeTelemetry.totals`) plus
-        ``tokens_generated`` and the three ``prefix_*``; a missing key is 0.
+        """``counts`` is the flight recorder's totals
+        (:meth:`~repro.serve.telemetry.ServeTelemetry.totals`), under its
+        names; a missing key is 0.
         ``requests`` feed only the timing percentiles and ``per_task``."""
         count = Counter(counts or {})
         terminal = [r for r in requests if r.finished_at is not None]

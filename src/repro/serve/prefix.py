@@ -69,7 +69,6 @@ class PrefixEntry:
 
     token_ids: Tuple[int, ...]
     session: int
-    hits: int = 0
 
     @property
     def length(self) -> int:
@@ -93,9 +92,6 @@ class PrefixCache:
         self.max_length = limit if max_length is None else min(max_length, limit)
         self._toggle_eval = model.has_active_dropout()
         self._entries: "OrderedDict[Tuple[int, ...], PrefixEntry]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.tokens_reused = 0
 
     # ------------------------------------------------------------------ #
     def __len__(self) -> int:
@@ -169,9 +165,8 @@ class PrefixCache:
         """Longest cached head that is a *strict* prefix of ``prompt_ids``.
 
         Strict because at least one tail token must remain to produce the
-        prompt's next-token logits.  A miss is counted here; a hit only once
-        a row forked from it commits its first chunk (:meth:`count_hit`),
-        since the head may be evicted before that chunk or its forward raise.
+        prompt's next-token logits.  A lookup and its LRU touch, nothing
+        more: the session manager records hits and misses.
         """
         prompt = tuple(int(i) for i in prompt_ids)
         best: Optional[PrefixEntry] = None
@@ -179,10 +174,8 @@ class PrefixCache:
             if len(ids) < len(prompt) and prompt[:len(ids)] == ids:
                 if best is None or len(ids) > best.length:
                     best = entry
-        if best is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(best.token_ids)
+        if best is not None:
+            self._entries.move_to_end(best.token_ids)
         return best
 
     def seed_cache(self, entry: PrefixEntry) -> int:
@@ -193,11 +186,3 @@ class PrefixCache:
         first step copies the partial last block before writing into it.
         """
         return self.cache.fork(entry.session)
-
-    def count_hit(self, entry: PrefixEntry) -> int:
-        """Count one row forked from ``entry`` whose first forward committed;
-        return the head tokens it reused."""
-        entry.hits += 1
-        self.hits += 1
-        self.tokens_reused += entry.length
-        return entry.length

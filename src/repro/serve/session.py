@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,11 +42,14 @@ from ..llm import LanguageModel
 from ..llm.generation import GenerationResult, SamplingTable, draw_token
 # Unused here: the benchmark's trace pins this name (ROADMAP 2(b)/(c)).
 from ..llm.generation import sample_token
-from ..nn import DEFAULT_BLOCK_SIZE
 from ..utils import seeded_rng
 from .metrics import RequestMetrics
 from .prefix import PrefixCache, PrefixEntry, cached_inference
 from .speculative import AdaptiveK, NgramProposer
+from .telemetry import ServeTelemetry
+
+if TYPE_CHECKING:  # scheduler.py imports this module
+    from .scheduler import SchedulerPolicy
 
 #: Session lifecycle states.
 QUEUED = "queued"
@@ -137,14 +140,15 @@ class GenerationSession:
 class SessionManager:
     """Session bookkeeping and batched decoding over a shared model.
 
-    ``max_slots`` bounds how many sessions decode together (the batch size of
-    one engine step); ``max_context`` bounds each session's total context.
-    The KV pool is paged (:class:`~repro.nn.PagedKVCache`): a session holds
-    exactly the blocks its history needs, so memory follows live tokens
-    instead of ``max_slots × max_context``.  Prompts are prefilled together
-    — mixed-length tails and chunks ride one token-packed forward, nothing
-    padded; a chunk that emits no token rides the decode forward — and
-    prompts starting with a registered prefix skip recomputing
+    Built from the engine's :class:`~repro.serve.scheduler.SchedulerPolicy`:
+    ``max_batch_size`` bounds how many sessions decode together (the batch
+    size of one engine step); ``max_context`` bounds each session's total
+    context.  The KV pool is paged (:class:`~repro.nn.PagedKVCache`): a
+    session holds exactly the blocks its history needs, so memory follows
+    live tokens instead of ``max_batch_size × max_context``.  Prompts are
+    prefilled together — mixed-length tails and chunks ride one token-packed
+    forward, nothing padded; a chunk that emits no token rides the decode
+    forward — and prompts starting with a registered prefix skip recomputing
     (and re-storing) the shared head entirely.
 
     Unlike eval-mode :func:`repro.llm.generation.generate`, the engine does
@@ -153,54 +157,51 @@ class SessionManager:
     behaviour a serving deployment wants (bounded per-request work).
     """
 
-    def __init__(self, model: LanguageModel, max_slots: int = 16,
-                 max_context: Optional[int] = None,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
-                 prefix_cache: bool = True,
-                 max_prefixes: int = 8,
-                 fault_injector: Optional[object] = None,
-                 telemetry: Optional[object] = None,
-                 speculation: str = "off",
-                 speculation_k: int = 4) -> None:
-        if max_slots < 1:
-            raise ValueError("max_slots must be >= 1")
+    def __init__(self, model: LanguageModel, policy: SchedulerPolicy,
+                 telemetry: Optional[ServeTelemetry] = None,
+                 fault_injector: Optional[object] = None) -> None:
         self.model = model
+        #: The knobs this reads (``max_batch_size``, ``max_context``,
+        #: ``block_size``, the prefix cache's and speculation's), validated
+        #: by the policy itself.
+        self.policy = policy
         #: Decided once: only a model with active dropout needs eval mode
         #: around its KV-cached forwards (see ``cached_inference``).
         self._toggle_eval = model.has_active_dropout()
-        self.max_slots = max_slots
-        model_limit = model.config.max_seq_len
-        self.max_context = min(max_context or model_limit, model_limit)
+        self.max_context = model.config.max_seq_len
+        if policy.max_context is not None:
+            self.max_context = min(policy.max_context, self.max_context)
         if self.max_context < 2:
-            raise ValueError("max_context must leave room for at least one new token")
+            raise ValueError("the model's context must leave room for at least "
+                             "one new token")
         # Reserve pool capacity for the prefix cache's residents so prompt
         # traffic can never be starved by registered preambles (or vice versa).
-        blocks_per_session = -(-self.max_context // block_size)
+        prefixes = policy.max_prefixes if policy.enable_prefix_cache else 0
         self.cache = model.init_paged_cache(
-            max_sessions=max_slots, max_context=self.max_context,
-            block_size=block_size,
-            extra_blocks=max_prefixes * blocks_per_session if prefix_cache else 0)
+            max_sessions=policy.max_batch_size, max_context=self.max_context,
+            block_size=policy.block_size,
+            extra_blocks=prefixes * -(-self.max_context // policy.block_size))
         self.prefix: Optional[PrefixCache] = (
-            PrefixCache(model, self.cache, max_entries=max_prefixes,
+            PrefixCache(model, self.cache, max_entries=policy.max_prefixes,
                         max_length=self.max_context - 1)
-            if prefix_cache else None)
+            if policy.enable_prefix_cache else None)
         self.running: Dict[int, GenerationSession] = {}  # cache session id -> session
         #: Sessions mid chunked prefill, keyed by *request* session_id.  They
         #: hold a batch slot and a pool session with part of the prompt in it.
         self.prefilling: Dict[int, GenerationSession] = {}
         #: Optional seeded :class:`~repro.serve.faults.FaultInjector`.
         self.faults = fault_injector
-        #: The engine's :class:`~repro.serve.telemetry.ServeTelemetry`, whose
-        #: open record, ``telemetry.step``, this writes the prefill chunks
-        #: and draft counts to; ``None`` only for a standalone manager.
-        self.telemetry = telemetry
-        if speculation not in ("off", "ngram"):
-            raise ValueError(f"speculation must be 'off' or 'ngram', got "
-                             f"{speculation!r}")
+        #: The flight recorder — the engine's, or a manager's own when it
+        #: runs standalone — whose open record, ``telemetry.step``, this
+        #: writes the prefill chunks, prefix hits and misses and draft
+        #: counts to.
+        self.telemetry: ServeTelemetry = (
+            telemetry if telemetry is not None else ServeTelemetry())
         #: Draft proposer for speculative decoding (None: speculation off).
         self.proposer: Optional[NgramProposer] = (
-            NgramProposer(speculation_k) if speculation == "ngram" else None)
-        self._adaptive = AdaptiveK(speculation_k) if self.proposer else None
+            NgramProposer(policy.speculation_k)
+            if policy.speculation == "ngram" else None)
+        self._adaptive = AdaptiveK(policy.speculation_k) if self.proposer else None
         #: Drafts planned for the upcoming decode step, keyed by cache slot
         #: (filled by :meth:`plan_decode_tokens`, consumed by :meth:`step`).
         #: None is "no plan was made"; an empty dict is a plan made while
@@ -224,7 +225,8 @@ class SessionManager:
 
     @property
     def num_free(self) -> int:
-        return self.max_slots - len(self.running) - len(self.prefilling)
+        return (self.policy.max_batch_size - len(self.running)
+                - len(self.prefilling))
 
     # ------------------------------------------------------------------ #
     def register_prefix(self, text: str) -> PrefixEntry:
@@ -248,9 +250,9 @@ class SessionManager:
 
         Idempotent: a session that already carries ``prompt_ids`` (e.g. it
         was prepared when admission classified it for chunked prefill) is
-        not re-matched, so the miss counter never double-counts (hits are
-        counted when a forked row commits).  Keeps the whole prompt when it
-        fits, else the most recent ``max_context`` tokens — the same window
+        not re-matched, so a miss is recorded once (a hit is recorded when a
+        forked row commits, in :meth:`_forward`).  Keeps the whole prompt when
+        it fits, else the most recent ``max_context`` tokens — the same window
         ``generate()`` prefills, so the first sampled token matches the
         standalone path even for prompts at the cap (such a session then
         finishes ``context_full`` right after).
@@ -270,6 +272,8 @@ class SessionManager:
             return
         entry = session.prefix_entry = (self.prefix.match(session.prompt_ids)
                                         if self.prefix is not None else None)
+        if entry is None and self.prefix is not None:
+            self.telemetry.step.prefix_misses += 1
         session.prompt_pos = entry.length if entry is not None else 0
 
     @staticmethod
@@ -491,20 +495,20 @@ class SessionManager:
                 if slot is not None:
                     self.cache.truncate_session(slot, self.cache.length(slot))
             raise
-        if self.prefix is not None:
+        step = self.telemetry.step
+        for session in fresh:
             # Reuse counts once a forked row commits, not at the match or
             # the fork: the head may be evicted first, the forward raise.
-            for session in fresh:
-                if session.prefix_entry is not None:
-                    session.metrics.prefix_tokens = self.prefix.count_hit(
-                        session.prefix_entry)
+            entry = session.prefix_entry
+            if entry is not None:
+                step.prefix_hits += 1
+                step.prefix_tokens_reused += entry.length
+                session.metrics.prefix_tokens = entry.length
         for session, take in zip(group, takes):
             session.prompt_pos += take
-            if self.telemetry is not None:
-                # One chunk per take, so the flight recorder reads a one-shot
-                # tail as a single PREFILLING entry.
-                self.telemetry.step.prefill_chunks.append(
-                    (session.session_id, take))
+            # One chunk per take, so the flight recorder reads a one-shot
+            # tail as a single PREFILLING entry.
+            step.prefill_chunks.append((session.session_id, take))
             if session.prompt_left:
                 session.state = PREFILLING
                 self.prefilling[session.session_id] = session
@@ -522,15 +526,10 @@ class SessionManager:
         a pool that already dropped the slot — the engine's invariant check
         right after the quarantine is what proves the pool stayed sound.
         """
-        self.prefilling.pop(session.session_id, None)
-        if session.slot is not None:
-            self.running.pop(session.slot, None)
-            self._forget_speculation(session.slot)
-            try:
-                self.cache.evict(session.slot)
-            except ValueError:
-                pass  # slot already gone; check_invariants judges the pool
-            session.slot = None
+        try:
+            self._release(session)
+        except ValueError:
+            session.slot = None  # slot already gone; check_invariants judges the pool
         session.state = FAILED
 
     def evict(self, session: GenerationSession, reason: str) -> None:
@@ -538,6 +537,11 @@ class SessionManager:
             session.finish_reason = reason
         session.state = FINISHED
         session.metrics.mark_finished()
+        self._release(session)
+
+    def _release(self, session: GenerationSession) -> None:
+        """Take ``session`` out of the batch and give its slot's blocks back
+        to the pool (``ValueError`` when the pool no longer holds the slot)."""
         self.prefilling.pop(session.session_id, None)
         if session.slot is not None:
             self.running.pop(session.slot, None)
@@ -732,7 +736,7 @@ class SessionManager:
                     # yet fed) token is the last emitted one, so the session
                     # keeps the usual length == prompt + generated - 1.
                     self.cache.truncate_session(slot, lengths[slot] + accepted + 1)
-        if step_drafted and self.telemetry is not None:
+        if step_drafted:
             self.telemetry.step.tokens_drafted += step_drafted
             self.telemetry.step.tokens_accepted += step_accepted
         return completed, len(batch)

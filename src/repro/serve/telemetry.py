@@ -12,14 +12,14 @@ composition (which sessions were ``DECODING`` and which were
 ``PREFILLING`` and how many prompt tokens each chunk committed), token-
 budget spend and deferrals, the admissions/finishes/cancellations/
 expiries/quarantines/retries/sheds of that step, speculative draft/accept
-token counts, queue depth per priority
-class, KV blocks in use, the key positions attention gathered against the
-ones that were live (and in how many length groups) and prefix-cache hits —
-into a bounded ring buffer
-(:class:`TraceLog`) with O(1) append and JSONL export.  The recorder is
-always on, and it is the engine's one ledger: each committed record is
-folded into lifetime totals (:meth:`ServeTelemetry.totals`) that no ring or
-window bound ever trims, and ``stats()`` reads its counters from there.
+token counts, prefix-cache hits/misses and reused tokens, tokens generated,
+queue depth per priority class, KV blocks in use and the key positions
+attention gathered against the ones that were live (and in how many length
+groups) — into a bounded ring buffer (:class:`TraceLog`) with O(1) append
+and JSONL export.  The recorder is always on, and it is the engine's one
+ledger: each committed record is folded into lifetime totals
+(:meth:`ServeTelemetry.totals`) that no ring or window bound ever trims,
+and ``stats()`` reads its counters from there.
 
 **Time-window aggregation.**  A :class:`WindowAggregator` folds step
 records into fixed wall-clock windows (PrintQueue-style time-window
@@ -68,7 +68,9 @@ HIGH_KV_PADDING_SHARE = 0.5
 FaultEvent = Tuple[str, int, str]
 
 
-@dataclass
+# Slotted: past CPython's limit on instance dicts that share their keys (about
+# 30 attributes) each record of the ring would carry a dict of its own, 1.3 kB.
+@dataclass(slots=True)
 class StepRecord:
     """One engine step, compactly: who ran, what it cost, what went wrong.
 
@@ -118,11 +120,18 @@ class StepRecord:
     #: Zero on non-speculative steps, so existing traces read unchanged.
     tokens_drafted: int = 0
     tokens_accepted: int = 0
+    #: Shared-prefix cache: rows forked from a cached head whose first
+    #: forward committed this step and the head tokens they reused, and
+    #: prompts that matched no head.
+    prefix_hits: int = 0
+    prefix_tokens_reused: int = 0
+    prefix_misses: int = 0
+    #: Tokens of the generations that finished ``ok`` this step.
+    tokens_generated: int = 0
     #: End-of-step gauges.
     queue_depth: int = 0
     queue_depth_by_priority: Mapping[int, int] = field(default_factory=dict)
     blocks_in_use: int = 0
-    prefix_hits: int = 0
     #: Paged attention this step, per layer: key positions scored, gathered
     #: or read fresh (every length group's rows x its key width), how many of
     #: them were live history of the row that read them, and the number of
@@ -175,7 +184,9 @@ _EVENT_FIELDS = tuple(f.name for f in fields(StepRecord) if f.name not in
 #: The event counters :meth:`ServeTelemetry.totals` keeps for the server's
 #: life, beside ``finished`` (the count of its ids).
 _COUNTERS = ("decisions", "failed", "cancelled", "expired", "shed",
-             "quarantines", "retries", "tokens_drafted", "tokens_accepted")
+             "quarantines", "retries", "tokens_drafted", "tokens_accepted",
+             "prefix_hits", "prefix_tokens_reused", "prefix_misses",
+             "tokens_generated")
 _TOTALS = ("finished",) + _COUNTERS
 _read_counters = attrgetter(*_COUNTERS)
 
@@ -466,8 +477,9 @@ class ServeTelemetry:
     Records every engine step into a bounded :class:`TraceLog`, folds it
     into :class:`WindowAggregator` windows and into lifetime
     :meth:`totals` — the one count of every request ending, quarantine,
-    retry and draft the engine keeps.  It cannot be turned off: a recorder
-    that might be absent would put an ``is None`` guard on every write.
+    retry, draft, prefix hit and miss and generated token the engine keeps.
+    It cannot be turned off: a recorder that might be absent would put an
+    ``is None`` guard on every write.
     """
 
     def __init__(self, trace_capacity: int = 4096, window_s: float = 1.0,
@@ -486,7 +498,6 @@ class ServeTelemetry:
         self._totals: Tuple[int, ...] = (0,) * len(_TOTALS)
         self._fault_log: Optional[Sequence[FaultEvent]] = None
         self._fault_baseline = 0
-        self._last_prefix_hits = 0
         self._last_kv_totals = (0, 0, 0)
         #: Steps begun but discarded as fully idle (nothing to record).
         self.idle_steps = 0
@@ -504,7 +515,7 @@ class ServeTelemetry:
 
     def commit_step(self, ended_at: float, did_work: bool, queue_depth: int,
                     queue_depth_by_priority: Mapping[int, int],
-                    blocks_in_use: int, prefix_hits_total: int,
+                    blocks_in_use: int,
                     kv_totals: Tuple[int, int, int] = (0, 0, 0)
                     ) -> Optional[StepRecord]:
         """Stamp, append and return the open record, and open the next.
@@ -513,9 +524,9 @@ class ServeTelemetry:
         or out-of-step — is discarded (``None``): idle polling must not flood
         the ring, and such a record has nothing to count.  ``kv_totals`` is
         the paged cache's running ``(key_positions_gathered,
-        key_positions_live, attention_groups)``; like the prefix hits, the
-        record keeps what this step added.  A committed record's counters
-        are folded into the lifetime :meth:`totals`.
+        key_positions_live, attention_groups)``; the record keeps what this
+        step added.  A committed record's counters are folded into the
+        lifetime :meth:`totals`.
         """
         step = self.step
         if not (did_work or any(getattr(step, name) for name in _EVENT_FIELDS)):
@@ -530,8 +541,6 @@ class ServeTelemetry:
         step.queue_depth = queue_depth
         step.queue_depth_by_priority = dict(queue_depth_by_priority)
         step.blocks_in_use = blocks_in_use
-        step.prefix_hits = max(0, prefix_hits_total - self._last_prefix_hits)
-        self._last_prefix_hits = prefix_hits_total
         step.kv_positions_gathered, step.kv_positions_live, step.kv_groups = (
             max(0, now - before)
             for now, before in zip(kv_totals, self._last_kv_totals))
@@ -549,9 +558,10 @@ class ServeTelemetry:
         Keys are the :class:`StepRecord` fields they sum — ``finished``
         (requests that completed generating), ``decisions``, ``failed``,
         ``cancelled``, ``expired``, ``shed``, ``quarantines``, ``retries``,
-        ``tokens_drafted``, ``tokens_accepted``.  The open record is counted
-        too, so an ending between steps (a shed at submit, a client's
-        cancel, ``stop(drain=False)``) shows at once.
+        ``tokens_drafted``, ``tokens_accepted``, ``prefix_hits``,
+        ``prefix_tokens_reused``, ``prefix_misses``, ``tokens_generated``.
+        The open record is counted too, so an ending between steps (a shed
+        at submit, a client's cancel, ``stop(drain=False)``) shows at once.
         """
         return dict(zip(_TOTALS, map(add, self._totals, _counts(self.step))))
 

@@ -915,7 +915,7 @@ class TestPaddingTelemetry:
             telemetry.begin_step(float(index))
             telemetry.step.decode_sessions.extend([1, 2])
             records.append(telemetry.commit_step(
-                index + 0.5, True, 0, {}, 0, 0, kv_totals=kv_totals))
+                index + 0.5, True, 0, {}, 0, kv_totals=kv_totals))
         assert [(r.kv_positions_gathered, r.kv_positions_live, r.kv_groups)
                 for r in records] == [(1000, 300, 1), (0, 0, 0), (600, 500, 3)]
         assert records[0].kv_padding_share == pytest.approx(0.7)
@@ -931,7 +931,7 @@ class TestPaddingTelemetry:
             telemetry.begin_step(1.0 + index)
             telemetry.step.decode_sessions.extend([7, 8])
             telemetry.commit_step(1.0 + index + (0.9 if index == 1 else 0.1),
-                                  True, 0, {}, 0, 0, kv_totals=tuple(running))
+                                  True, 0, {}, 0, kv_totals=tuple(running))
         metrics = RequestMetrics(task="generate", request_id=7, submitted_at=0.5)
         metrics.first_token_at = 1.1
         metrics.token_seconds = [0.6, 1.8, 0.2]  # tokens at 1.1, 2.9, 3.1

@@ -440,8 +440,8 @@ class TestOnePrefillBody:
             "fused-one-completes"])
     def test_every_entry_matches_generate(self, model, monkeypatch, prompts,
                                           prefix, drive, tokens):
-        manager = SessionManager(model, max_slots=4, block_size=4,
-                                 prefix_cache=prefix)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=4, block_size=4, enable_prefix_cache=prefix))
         if prefix:
             manager.register_prefix(self.PREAMBLE)
         forwards = []  # packed tokens of every prefill forward, in call order
@@ -469,7 +469,7 @@ class TestOnePrefillBody:
                    for s in sessions)
         if prefix:
             hits = [s for s in sessions if s.prompt.startswith(self.PREAMBLE)]
-            assert manager.prefix.hits == len(hits)
+            assert manager.telemetry.totals()["prefix_hits"] == len(hits)
             assert all(s.metrics.prefix_tokens == 25 for s in hits)
         while manager.running:
             manager.step()
@@ -554,7 +554,8 @@ def _chunks_by_request(server):
 # ---------------------------------------------------------------------- #
 class TestPrefixCache:
     def test_prefix_hit_shares_blocks_and_keeps_parity(self, model):
-        manager = SessionManager(model, max_slots=4, block_size=4)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=4, block_size=4))
         preamble = "bitrate selection task: "  # 25 tokens with BOS
         entry = manager.register_prefix(preamble)
         assert entry.length == len(model.tokenizer.encode(preamble, add_bos=True))
@@ -625,7 +626,7 @@ class TestPrefixCache:
             assert head_bytes() == registered
         assert len(splits) == 1
         assert handle.result().token_ids == standalone(model, handle.request)
-        assert manager.prefix.hits == 1
+        assert server.telemetry.totals()["prefix_hits"] == 1
         assert manager.cache.sessions == manager.prefix.sessions
 
     def test_registration_runs_the_last_layer_at_one_token(self, model, monkeypatch):
@@ -647,7 +648,8 @@ class TestPrefixCache:
         managers = []
         for stand_in in (untrimmed, spy):
             monkeypatch.setattr(model, "forward_step", stand_in)
-            managers.append(SessionManager(model, max_slots=2, block_size=4))
+            managers.append(SessionManager(model, SchedulerPolicy(
+                max_batch_size=2, block_size=4)))
             managers[-1].register_prefix(preamble)
             monkeypatch.undo()
         assert rows == [1]
@@ -665,7 +667,8 @@ class TestPrefixCache:
                                       got_half[:, :trimmed.length])
 
     def test_prefix_miss_and_strictness(self, model):
-        manager = SessionManager(model, max_slots=2, block_size=4)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, block_size=4))
         preamble = "shared head 123"
         entry = manager.register_prefix(preamble)
         # A prompt equal to the head is NOT a hit (no tail to prefill).
@@ -676,8 +679,15 @@ class TestPrefixCache:
         # A longer prompt starting with the head is.
         longer = model.tokenizer.encode(preamble + " tail", add_bos=True)
         assert manager.prefix.match(longer) is entry
-        # A hit counts once a forked row commits, not at the match.
-        assert manager.prefix.hits == 0 and manager.prefix.misses == 2
+        # A lookup counts nothing.  Admission counts each prompt that matched
+        # no head as a miss; a hit counts once a forked row commits, not at
+        # the match.
+        totals = manager.telemetry.totals
+        assert totals()["prefix_hits"] == totals()["prefix_misses"] == 0
+        manager.admit_many([
+            GenerationSession(session_id=i, prompt=prompt, max_new_tokens=2)
+            for i, prompt in enumerate((preamble, "shared head 999 tail"))])
+        assert (totals()["prefix_hits"], totals()["prefix_misses"]) == (0, 2)
 
     @pytest.mark.parametrize("second,reused", [("head B ", 0), ("head ", 6)])
     def test_reuse_is_counted_at_the_fork(self, model, second, reused):
@@ -734,7 +744,8 @@ class TestPrefixCache:
         server._manager.cache.check_invariants()
 
     def test_longest_prefix_wins(self, model):
-        manager = SessionManager(model, max_slots=2, block_size=4)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, block_size=4))
         short = manager.register_prefix("abcd")
         long = manager.register_prefix("abcdefgh")
         prompt = model.tokenizer.encode("abcdefghij", add_bos=True)
@@ -743,8 +754,8 @@ class TestPrefixCache:
             model.tokenizer.encode("abcdef", add_bos=True)) is short
 
     def test_lru_eviction_releases_blocks(self, model):
-        manager = SessionManager(model, max_slots=2, block_size=4,
-                                 max_prefixes=2)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, block_size=4, max_prefixes=2))
         first = manager.register_prefix("first preamble text")
         first_blocks = manager.cache.table(first.session)
         second = manager.register_prefix("second preamble text")
@@ -767,7 +778,8 @@ class TestPrefixCache:
         """A head LRU-evicted while a session forked from it still decodes:
         the session keeps the head's full blocks mapped and decodes to
         ``generate()``'s tokens, and those blocks free only when it ends."""
-        manager = SessionManager(model, max_slots=2, block_size=4, max_prefixes=1)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, block_size=4, max_prefixes=1))
         preamble = "bitrate selection task: "  # 25 tokens with BOS: 6 blocks + 1
         entry = manager.register_prefix(preamble)
         full = manager.cache.table(entry.session)[:6]
@@ -790,18 +802,20 @@ class TestPrefixCache:
         assert session.generated == standalone(model, session)
 
     def test_register_validation(self, model):
-        manager = SessionManager(model, max_slots=2)
+        manager = SessionManager(model, SchedulerPolicy(max_batch_size=2))
         with pytest.raises(ValueError, match="empty"):
             manager.prefix.register_ids(())
         with pytest.raises(ValueError, match="no room for a tail"):
             manager.prefix.register("x" * model.config.max_seq_len)
         # A head that can never match a prompt truncated to max_context must
         # be rejected too — otherwise it would hold unmatchable pool blocks.
-        capped = SessionManager(model, max_slots=2, max_context=32, block_size=4)
+        capped = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, max_context=32, block_size=4))
         with pytest.raises(ValueError, match="no room for a tail"):
             capped.register_prefix("y" * 40)
         capped.register_prefix("y" * 20)  # within the serving context: fine
-        disabled = SessionManager(model, max_slots=2, prefix_cache=False)
+        disabled = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, enable_prefix_cache=False))
         assert disabled.prefix is None
         with pytest.raises(ValueError, match="disabled"):
             disabled.register_prefix("head")
@@ -1290,8 +1304,8 @@ class TestScheduler:
         SchedulerPolicy(max_context=None)
 
     def test_session_manager_requires_capacity(self, model):
-        with pytest.raises(ValueError, match="max_slots"):
-            SessionManager(model, max_slots=0)
+        with pytest.raises(ValueError, match="max_batch_size"):
+            SessionManager(model, SchedulerPolicy(max_batch_size=0))
 
 
 # ---------------------------------------------------------------------- #
@@ -2194,8 +2208,8 @@ class TestChunkedPrefill:
         pool blocks that now hold a different head's K/V."""
         from repro.serve.session import PREFILLING
 
-        manager = SessionManager(model, max_slots=2, block_size=4,
-                                 max_prefixes=1)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, block_size=4, max_prefixes=1))
         entry = manager.register_prefix("shared head abc ")
         prompt = "shared head abc tail 12345"
         session = GenerationSession(session_id=1, prompt=prompt,
@@ -2276,8 +2290,8 @@ class TestChunkedPrefill:
     def test_prefix_eviction_before_one_shot_readmission_falls_back(self, model):
         """Review regression: a deferred session re-admitted through the
         banded one-shot path must also re-validate its matched head."""
-        manager = SessionManager(model, max_slots=2, block_size=4,
-                                 max_prefixes=1)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, block_size=4, max_prefixes=1))
         entry = manager.register_prefix("shared head abc ")
         prompt = "shared head abc Z"
         session = GenerationSession(session_id=1, prompt=prompt,
@@ -2321,7 +2335,8 @@ class TestChunkedPrefill:
         token needs TWO budget tokens (prefill + same-step decode row); with
         only one left it must stay QUEUED — deferred, holding no slot — not
         enter PREFILLING at zero progress."""
-        manager = SessionManager(model, max_slots=4, block_size=4)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=4, block_size=4))
         manager.register_prefix("head text ")
         session = GenerationSession(session_id=1, prompt="head text X",
                                     max_new_tokens=2, stop_on_eos=False)

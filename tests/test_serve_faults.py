@@ -390,8 +390,8 @@ class TestQuarantine:
         they were, and the same call then succeeds."""
         # Visit 1 is the first chunk's forward; visit 2 the mixed one.
         injector = FaultInjector([FaultSpec(site="prefill.rows", at=2)])
-        manager = SessionManager(model, max_slots=2, block_size=4,
-                                 fault_injector=injector)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, block_size=4), fault_injector=injector)
         head = "shared head 123"
         manager.register_prefix(head)
         resumed = GenerationSession(session_id=1, prompt="a prompt in two chunks",

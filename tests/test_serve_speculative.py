@@ -813,7 +813,7 @@ class TestInterleavedChaosFreeProperty:
         spec, server = run("ngram")
         assert spec == base
         assert server.stats().tokens_drafted > 0
-        assert server._manager.prefix.hits > 0  # prefix cache engaged
+        assert server.stats().prefix_hits > 0  # prefix cache engaged
 
 
 # ---------------------------------------------------------------------- #
@@ -866,7 +866,8 @@ class TestFusedPrefill:
     def test_unequal_histories_and_takes_match_generate(self, model):
         """One call, four rows: two mid-prompt at different committed lengths,
         one behind a prefix hit, one brand new — each with its own take."""
-        manager = SessionManager(model, max_slots=4, block_size=16)
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=4, block_size=16))
         head = "system: answer briefly. "
         manager.register_prefix(head)
 

@@ -31,6 +31,7 @@ from repro.serve import (
     RetryPolicy,
     SchedulerPolicy,
     ServeTelemetry,
+    SessionManager,
     StepRecord,
     TraceLog,
     WindowAggregator,
@@ -204,7 +205,7 @@ class TestWindowAggregator:
         for start in (0.0, 1e9):
             telemetry.begin_step(start)
             telemetry.step.decode_sessions.extend([1])
-            telemetry.commit_step(start + 0.5, True, 0, {}, 0, 0)
+            telemetry.commit_step(start + 0.5, True, 0, {}, 0)
         rows = telemetry.summary()["windows"]
         assert len(rows) == 16
         assert [row["index"] for row in rows] == list(
@@ -237,8 +238,7 @@ class TestServeTelemetry:
             telemetry.begin_step(0.0)
             assert telemetry.commit_step(0.1, did_work=False, queue_depth=0,
                                          queue_depth_by_priority={},
-                                         blocks_in_use=0,
-                                         prefix_hits_total=0) is None
+                                         blocks_in_use=0) is None
         assert telemetry.idle_steps == 5 and len(telemetry.records()) == 0
 
     def test_out_of_step_events_fold_into_next_record(self):
@@ -249,7 +249,7 @@ class TestServeTelemetry:
         telemetry.begin_step(1.0)
         record = telemetry.commit_step(1.1, did_work=False, queue_depth=0,
                                        queue_depth_by_priority={},
-                                       blocks_in_use=0, prefix_hits_total=0)
+                                       blocks_in_use=0)
         assert record is not None  # pending events rescue an idle step
         assert record.shed == 1 and record.cancelled == 1
         # Folded exactly once.
@@ -257,13 +257,13 @@ class TestServeTelemetry:
         telemetry.begin_step(2.0)
         second = telemetry.commit_step(2.1, did_work=True, queue_depth=0,
                                        queue_depth_by_priority={},
-                                       blocks_in_use=0, prefix_hits_total=0)
+                                       blocks_in_use=0)
         assert second.shed == 0 and second.cancelled == 0
 
     def test_workless_step_is_kept_for_an_event_not_for_a_stamp(self):
         telemetry = ServeTelemetry()
         idle = dict(did_work=False, queue_depth=0, queue_depth_by_priority={},
-                    blocks_in_use=0, prefix_hits_total=0)
+                    blocks_in_use=0)
         # A budget stamped on a step that then found nothing to do is not an
         # event: the step is discarded, and the stamp with it.
         telemetry.begin_step(0.0)
@@ -281,17 +281,18 @@ class TestServeTelemetry:
         assert record.prefill_budget is None  # the discarded stamp did not leak
         assert telemetry.idle_steps == 1 and telemetry.records() == [record]
 
-    def test_prefix_hit_gauge_is_per_step_delta(self):
+    def test_prefix_hits_are_the_steps_own(self):
+        """A hit written to the open record is that step's, not cumulative."""
         telemetry = ServeTelemetry()
-        telemetry.begin_step(0.0)
-        telemetry.step.decode_sessions.extend([1])
-        first = telemetry.commit_step(0.1, True, 0, {}, 0,
-                                      prefix_hits_total=3)
-        telemetry.begin_step(0.2)
-        telemetry.step.decode_sessions.extend([1])
-        second = telemetry.commit_step(0.3, True, 0, {}, 0,
-                                       prefix_hits_total=4)
+        records = []
+        for index, hits in enumerate((3, 1)):
+            telemetry.begin_step(float(index))
+            telemetry.step.decode_sessions.extend([1])
+            telemetry.step.prefix_hits += hits
+            records.append(telemetry.commit_step(index + 0.5, True, 0, {}, 0))
+        first, second = records
         assert first.prefix_hits == 3 and second.prefix_hits == 1
+        assert telemetry.totals()["prefix_hits"] == 4
 
     def test_totals_outlive_the_ring_and_the_windows(self):
         # 12 records through a 3-slot ring and 2 retained one-second
@@ -312,8 +313,12 @@ class TestServeTelemetry:
             step.retries += i % 3 == 2
             step.tokens_drafted += i
             step.tokens_accepted += i // 2
+            step.prefix_hits += i % 2
+            step.prefix_tokens_reused += 5 * (i % 2)
+            step.prefix_misses += i % 3 == 0
+            step.tokens_generated += 2 * i
             committed.append(telemetry.commit_step(float(i) + 0.5, True, 0,
-                                                   {}, 0, 0))
+                                                   {}, 0))
         telemetry.step.shed += 1  # between steps: counted before it commits
         telemetry.step.finished.append(99)
         assert telemetry.trace.dropped == 9
@@ -321,7 +326,9 @@ class TestServeTelemetry:
         expected = {name: sum(getattr(r, name) for r in committed)
                     for name in ("decisions", "failed", "cancelled",
                                  "expired", "shed", "quarantines", "retries",
-                                 "tokens_drafted", "tokens_accepted")}
+                                 "tokens_drafted", "tokens_accepted",
+                                 "prefix_hits", "prefix_tokens_reused",
+                                 "prefix_misses", "tokens_generated")}
         expected["finished"] = sum(len(r.finished) for r in committed) + 1
         expected["shed"] += 1
         assert telemetry.totals() == expected
@@ -360,6 +367,46 @@ class TestEngineTelemetry:
         # The window view sees every decode token the trace recorded.
         assert (sum(w.decode_tokens for w in server.telemetry.windows())
                 == sum(r.decode_tokens for r in records))
+
+    def test_prefix_and_token_counts_are_the_records(self, model):
+        """Prefix hits, misses and reused tokens and generated tokens are
+        written to the step records where they happen: the totals are the
+        records' sums and ``stats()``'s fields, and a hit reused its head."""
+        server = InferenceServer(model, SchedulerPolicy(
+            max_batch_size=4, block_size=4))
+        head = "task: "
+        server.register_prefix(head)
+        length = len(model.tokenizer.encode(head, add_bos=True))
+        prompts = [head + "a b", "other 1", head + "c d e", "plain 2", head + "f"]
+        handles = [server.submit(GenerateRequest(
+            prompt=prompt, max_new_tokens=4, temperature=0.7, seed=index,
+            stop_on_eos=False)) for index, prompt in enumerate(prompts)]
+        server.run_until_idle()
+        assert [len(handle.result().token_ids) for handle in handles] == [4] * 5
+        names = ("prefix_hits", "prefix_misses", "prefix_tokens_reused",
+                 "tokens_generated")
+        totals = {name: server.telemetry.totals()[name] for name in names}
+        assert totals == {name: sum(getattr(record, name) for record
+                                    in server.telemetry.records())
+                          for name in names}
+        stats = server.stats()
+        assert totals == {name: getattr(stats, name) for name in names}
+        assert totals == {"prefix_hits": 3, "prefix_misses": 2,
+                          "prefix_tokens_reused": 3 * length,
+                          "tokens_generated": 5 * 4}
+        assert [handle.metrics.prefix_tokens for handle in handles] == [
+            length, 0, length, 0, length]
+
+    def test_standalone_manager_records_its_prefill_chunks(self, model):
+        manager = SessionManager(model, SchedulerPolicy(
+            max_batch_size=2, block_size=4))
+        sessions = [GenerationSession(session_id=index, prompt=prompt,
+                                      max_new_tokens=2)
+                    for index, prompt in enumerate(("abc", "hello there"))]
+        manager.admit_many(sessions)
+        assert manager.telemetry.step.prefill_chunks == [
+            (session.session_id, len(session.prompt_ids)) for session in sessions]
+        assert manager.telemetry.totals()["prefix_misses"] == 2
 
     def test_recorder_cannot_be_turned_off(self, model):
         for value in (False, True, "off"):

@@ -74,14 +74,6 @@ class GenetTrainResult:
     imitation_losses: List[float] = field(default_factory=list)
     episode_returns: List[float] = field(default_factory=list)
 
-    @property
-    def final_imitation_loss(self) -> float:
-        return self.imitation_losses[-1] if self.imitation_losses else float("nan")
-
-    @property
-    def final_return(self) -> float:
-        return self.episode_returns[-1] if self.episode_returns else float("nan")
-
 
 def _trace_difficulty(trace) -> float:
     """Curriculum key: more variable and scarcer bandwidth is harder."""

@@ -56,10 +56,6 @@ class LoRALinear(Module):
         """Toggle the low-rank update (used by the 'no domain knowledge' ablation)."""
         self._lora_enabled = enabled
 
-    @property
-    def lora_enabled(self) -> bool:
-        return self._lora_enabled
-
     def lora_parameters(self) -> list[Parameter]:
         return [self.lora_a, self.lora_b]
 

@@ -2,15 +2,18 @@
 
 This module provides the :class:`Tensor` class, the foundation of the
 ``repro.nn`` substrate.  It implements a micrograd-style dynamic computation
-graph: every operation records a backward closure, and :meth:`Tensor.backward`
-walks the graph in reverse topological order accumulating gradients.
+graph.  An operation states only its forward value and, per operand, the
+vector-Jacobian product (vjp) that maps the result's gradient to that
+operand's; :func:`_node` alone records it — the ``_prev`` edges and the one
+backward closure — and :meth:`Tensor.backward` walks the graph in reverse
+topological order accumulating gradients.
 
 Two global switches control the cost of the substrate:
 
 * **Gradient mode** — inside :func:`no_grad` (or after
   ``set_grad_enabled(False)``) operations skip all graph bookkeeping: no
-  backward closures are created, no ``_prev`` edges are recorded and results
-  never require grad.  Pure-inference code (rollout collection, evaluation,
+  backward closure is attached (the vjps an op states are never called), no
+  ``_prev`` edges are recorded and results never require grad.  Pure-inference code (rollout collection, evaluation,
   autoregressive decoding) runs through exactly the same numpy kernels but
   without paying the autograd tax.  The flag is **thread-local** (PyTorch
   semantics): a background inference loop holding ``no_grad`` does not
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import functools
 import threading
-from typing import Callable, Iterable, Optional, Sequence, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -157,7 +160,7 @@ class Tensor:
         self.data = _as_array(data, dtype=dtype)
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = bool(requires_grad)
-        self._backward: Callable[[], None] = _noop_backward
+        self._backward: Callable[[Optional[np.ndarray]], None] = _noop_backward
         self._prev: Tuple[Tensor, ...] = _prev
         self.name = name
 
@@ -223,20 +226,6 @@ class Tensor:
         constants in the tensor's own dtype rather than the global default."""
         return other if isinstance(other, Tensor) else Tensor(other, dtype=dtype)
 
-    def _make(self, data: np.ndarray, requires_grad: bool,
-              prev: Tuple["Tensor", ...]) -> Tuple["Tensor", bool]:
-        """Build an op result, recording graph edges only when grad is on.
-
-        Returns ``(out, record)``; callers attach a backward closure only when
-        ``record`` is true, so pure inference creates no closures at all.
-        The result keeps numpy's computed dtype (a float64 model stays float64
-        even after the global default switches to float32).
-        """
-        record = _GRAD_MODE.enabled and requires_grad
-        if record:
-            return Tensor(data, requires_grad=True, _prev=prev, dtype=data.dtype), True
-        return Tensor(data, dtype=data.dtype), False
-
     def backward(self, grad: Optional[ArrayLike] = None) -> None:
         """Backpropagate gradients from this tensor through the graph."""
         if not self.requires_grad:
@@ -271,50 +260,24 @@ class Tensor:
                 if id(child) not in visited:
                     stack.append((child, False))
 
-        self.grad = grad.copy() if self.grad is None else self.grad + grad
+        self._accumulate(grad)
         for node in reversed(topo):
-            node._backward()
+            node._backward(node.grad)
 
     # ------------------------------------------------------------------ #
     # Arithmetic
     # ------------------------------------------------------------------ #
     def __add__(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other, self.data.dtype)
-        out, record = self._make(self.data + other.data,
-                                 self.requires_grad or other.requires_grad,
-                                 (self, other))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None:
-                return
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad, other.shape))
-
-        out._backward = _backward
-        return out
+        return _node(self.data + other.data,
+                     (self, lambda g: _unbroadcast(g, self.shape)),
+                     (other, lambda g: _unbroadcast(g, other.shape)))
 
     def __mul__(self, other: ArrayLike) -> "Tensor":
         other = self._ensure(other, self.data.dtype)
-        out, record = self._make(self.data * other.data,
-                                 self.requires_grad or other.requires_grad,
-                                 (self, other))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None:
-                return
-            if self.requires_grad:
-                self._accumulate(_unbroadcast(out.grad * other.data, self.shape))
-            if other.requires_grad:
-                other._accumulate(_unbroadcast(out.grad * self.data, other.shape))
-
-        out._backward = _backward
-        return out
+        return _node(self.data * other.data,
+                     (self, lambda g: _unbroadcast(g * other.data, self.shape)),
+                     (other, lambda g: _unbroadcast(g * self.data, other.shape)))
 
     def __sub__(self, other: ArrayLike) -> "Tensor":
         return self + (self._ensure(other, self.data.dtype) * -1.0)
@@ -338,45 +301,20 @@ class Tensor:
         return self._ensure(other, self.data.dtype) / self
 
     def pow(self, exponent: float) -> "Tensor":
-        out, record = self._make(
+        return _node(
             np.power(self.data, exponent),  # repro: noqa[REP002] general-exponent autograd op; hot paths use x*x directly
-            self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(
-                out.grad * exponent
-                * np.power(self.data, exponent - 1))  # repro: noqa[REP002] general (possibly fractional) exponent
-
-        out._backward = _backward
-        return out
+            (self, lambda g: g * exponent
+             * np.power(self.data, exponent - 1)))  # repro: noqa[REP002] general (possibly fractional) exponent
 
     def __pow__(self, exponent: float) -> "Tensor":
         return self.pow(exponent)
 
     def matmul(self, other: "Tensor") -> "Tensor":
         other = self._ensure(other, self.data.dtype)
-        out, record = self._make(self.data @ other.data,
-                                 self.requires_grad or other.requires_grad,
-                                 (self, other))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None:
-                return
-            if self.requires_grad:
-                grad_a = out.grad @ np.swapaxes(other.data, -1, -2)
-                self._accumulate(_unbroadcast(grad_a, self.shape))
-            if other.requires_grad:
-                grad_b = np.swapaxes(self.data, -1, -2) @ out.grad
-                other._accumulate(_unbroadcast(grad_b, other.shape))
-
-        out._backward = _backward
-        return out
+        return _node(
+            self.data @ other.data,
+            (self, lambda g: _unbroadcast(g @ np.swapaxes(other.data, -1, -2), self.shape)),
+            (other, lambda g: _unbroadcast(np.swapaxes(self.data, -1, -2) @ g, other.shape)))
 
     def __matmul__(self, other: "Tensor") -> "Tensor":
         return self.matmul(other)
@@ -386,84 +324,29 @@ class Tensor:
     # ------------------------------------------------------------------ #
     def exp(self) -> "Tensor":
         out_data = np.exp(self.data)
-        out, record = self._make(out_data, self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad * out_data)
-
-        out._backward = _backward
-        return out
+        return _node(out_data, (self, lambda g: g * out_data))
 
     def log(self) -> "Tensor":
-        out, record = self._make(np.log(self.data), self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad / self.data)
-
-        out._backward = _backward
-        return out
+        return _node(np.log(self.data), (self, lambda g: g / self.data))
 
     def tanh(self) -> "Tensor":
         out_data = np.tanh(self.data)
-        out, record = self._make(out_data, self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad * (1.0 - out_data * out_data))
-
-        out._backward = _backward
-        return out
+        return _node(out_data, (self, lambda g: g * (1.0 - out_data * out_data)))
 
     def sigmoid(self) -> "Tensor":
         out_data = 1.0 / (1.0 + np.exp(-self.data))
-        out, record = self._make(out_data, self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad * out_data * (1.0 - out_data))
-
-        out._backward = _backward
-        return out
+        return _node(out_data, (self, lambda g: g * out_data * (1.0 - out_data)))
 
     def relu(self) -> "Tensor":
         mask = self.data > 0
-        out, record = self._make(self.data * mask, self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad * mask)
-
-        out._backward = _backward
-        return out
+        return _node(self.data * mask, (self, lambda g: g * mask))
 
     def gelu(self) -> "Tensor":
         """Gaussian error linear unit (tanh approximation)."""
         x = self.data
         out_data, tanh_inner = _gelu_kernel(x)
-        out, record = self._make(out_data, self.requires_grad, (self,))
-        if not record:
-            return out
 
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
+        def vjp(g: np.ndarray) -> np.ndarray:
             # 0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3a * x * x),
             # evaluated in that order (bit for bit) on four fresh arrays.
             sech2 = tanh_inner * tanh_inner
@@ -478,58 +361,27 @@ class Tensor:
             grad = tanh_inner + 1.0
             grad *= 0.5
             grad += slope
-            self._accumulate(mul_into(grad, out.grad))
+            return mul_into(grad, g)
 
-        out._backward = _backward
-        return out
+        return _node(out_data, (self, vjp))
 
     def abs(self) -> "Tensor":
-        sign = np.sign(self.data)
-        out, record = self._make(np.abs(self.data), self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad * sign)
-
-        out._backward = _backward
-        return out
+        return _node(np.abs(self.data), (self, lambda g: g * np.sign(self.data)))
 
     def clip(self, low: float, high: float) -> "Tensor":
-        mask = (self.data >= low) & (self.data <= high)
-        out, record = self._make(np.clip(self.data, low, high), self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad * mask)
-
-        out._backward = _backward
-        return out
+        return _node(np.clip(self.data, low, high),
+                     (self, lambda g: g * ((self.data >= low) & (self.data <= high))))
 
     # ------------------------------------------------------------------ #
     # Reductions
     # ------------------------------------------------------------------ #
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
-        out, record = self._make(self.data.sum(axis=axis, keepdims=keepdims),
-                                 self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            grad = out.grad
+        def vjp(g: np.ndarray) -> np.ndarray:
             if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
-            self._accumulate(np.broadcast_to(grad, self.shape).copy())
+                g = np.expand_dims(g, axis=axis)
+            return np.broadcast_to(g, self.shape)
 
-        out._backward = _backward
-        return out
+        return _node(self.data.sum(axis=axis, keepdims=keepdims), (self, vjp))
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         if axis is None:
@@ -547,25 +399,18 @@ class Tensor:
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         out_data = self.data.max(axis=axis, keepdims=keepdims)
-        out, record = self._make(out_data, self.requires_grad, (self,))
-        if not record:
-            return out
 
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            grad = out.grad
+        def vjp(g: np.ndarray) -> np.ndarray:
             expanded = out_data
             if axis is not None and not keepdims:
-                grad = np.expand_dims(grad, axis=axis)
+                g = np.expand_dims(g, axis=axis)
                 expanded = np.expand_dims(out_data, axis=axis)
             mask = (self.data == expanded).astype(self.data.dtype)
             # Split gradient equally among ties.
             mask = mask / np.maximum(mask.sum(axis=axis, keepdims=True), 1.0)
-            self._accumulate(mask * grad)
+            return mask * g
 
-        out._backward = _backward
-        return out
+        return _node(out_data, (self, vjp))
 
     # ------------------------------------------------------------------ #
     # Shape manipulation
@@ -573,36 +418,15 @@ class Tensor:
     def reshape(self, *shape) -> "Tensor":
         if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
             shape = tuple(shape[0])
-        original = self.shape
-        out, record = self._make(self.data.reshape(shape), self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad.reshape(original))
-
-        out._backward = _backward
-        return out
+        return _node(self.data.reshape(shape), (self, lambda g: g.reshape(self.shape)))
 
     def transpose(self, *axes) -> "Tensor":
         if len(axes) == 1 and isinstance(axes[0], (tuple, list)):
             axes = tuple(axes[0])
         if not axes:
             axes = tuple(reversed(range(self.ndim)))
-        out, record = self._make(self.data.transpose(axes), self.requires_grad, (self,))
-        if not record:
-            return out
-        inverse = np.argsort(axes)
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad.transpose(inverse))
-
-        out._backward = _backward
-        return out
+        return _node(self.data.transpose(axes),
+                     (self, lambda g: g.transpose(np.argsort(axes))))
 
     def swapaxes(self, a: int, b: int) -> "Tensor":
         axes = list(range(self.ndim))
@@ -610,75 +434,75 @@ class Tensor:
         return self.transpose(tuple(axes))
 
     def __getitem__(self, index) -> "Tensor":
-        out, record = self._make(self.data[index], self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
+        def vjp(g: np.ndarray) -> np.ndarray:
             grad = np.zeros_like(self.data)
-            np.add.at(grad, index, out.grad)
-            self._accumulate(grad)
+            np.add.at(grad, index, g)
+            return grad
 
-        out._backward = _backward
-        return out
+        return _node(self.data[index], (self, vjp))
 
     def pad(self, pad_width) -> "Tensor":
         """Zero-pad; ``pad_width`` follows :func:`numpy.pad` convention."""
-        out, record = self._make(np.pad(self.data, pad_width), self.requires_grad, (self,))
-        if not record:
-            return out
-        slices = tuple(
-            slice(before, before + dim) for (before, _), dim in zip(pad_width, self.shape)
-        )
+        def vjp(g: np.ndarray) -> np.ndarray:
+            return g[tuple(slice(before, before + dim)
+                           for (before, _), dim in zip(pad_width, self.shape))]
 
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            self._accumulate(out.grad[slices])
-
-        out._backward = _backward
-        return out
+        return _node(np.pad(self.data, pad_width), (self, vjp))
 
     # ------------------------------------------------------------------ #
     # Softmax family (kept on Tensor for numerical stability)
     # ------------------------------------------------------------------ #
     def softmax(self, axis: int = -1) -> "Tensor":
         out_data = softmax_array(self.data, axis=axis)
-        out, record = self._make(out_data, self.requires_grad, (self,))
-        if not record:
-            return out
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            dot = (out.grad * out_data).sum(axis=axis, keepdims=True)
-            self._accumulate(out_data * (out.grad - dot))
-
-        out._backward = _backward
-        return out
+        return _node(out_data, (self, lambda g: out_data * (
+            g - (g * out_data).sum(axis=axis, keepdims=True))))
 
     def log_softmax(self, axis: int = -1) -> "Tensor":
         shifted = self.data - self.data.max(axis=axis, keepdims=True)
         log_sum = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
         out_data = shifted - log_sum
-        out, record = self._make(out_data, self.requires_grad, (self,))
-        if not record:
-            return out
-        softmax = np.exp(out_data)
-
-        def _backward() -> None:
-            if out.grad is None or not self.requires_grad:
-                return
-            sums = out.grad.sum(axis=axis, keepdims=True)
-            self._accumulate(out.grad - softmax * sums)
-
-        out._backward = _backward
-        return out
+        return _node(out_data, (self, lambda g: g - np.exp(out_data)
+                                * g.sum(axis=axis, keepdims=True)))
 
 
-def _noop_backward() -> None:
+def _node(data: np.ndarray, *edges: Tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """An op's result: ``data``, recorded in the graph when grad is on and
+    some parent requires grad.
+
+    Each edge is ``(parent, vjp)``; ``vjp(out_grad)`` returns that parent's
+    gradient and runs only in backward, and only while the parent still
+    requires grad.  ``_prev`` lists the parents in the op's operand order,
+    repeats included, and backward accumulates their gradients in that same
+    order.  Keep it so: the topological walk follows ``_prev``, and with it
+    the order floating-point gradients are summed — reordering changes the
+    gradients' last bits.  The result keeps numpy's computed dtype (a
+    float64 model stays float64 even after the default switches to float32).
+
+    :meth:`Tensor.backward` hands the closure its node's gradient, so the
+    closure holds no reference to its own node: a graph has no cycles and
+    is freed as soon as the loss is dropped, not at the next collection.
+    """
+    # A plain loop, not any() over a generator: this runs on every op.
+    for parent, _ in edges if _GRAD_MODE.enabled else ():
+        if parent.requires_grad:
+            break
+    else:
+        return Tensor(data, dtype=data.dtype)
+    out = Tensor(data, requires_grad=True, _prev=tuple([parent for parent, _ in edges]),
+                 dtype=data.dtype)
+
+    def _backward(grad: Optional[np.ndarray]) -> None:
+        if grad is None:
+            return
+        for parent, vjp in edges:
+            if parent.requires_grad:
+                parent._accumulate(vjp(grad))
+
+    out._backward = _backward
+    return out
+
+
+def _noop_backward(grad: Optional[np.ndarray]) -> None:
     return None
 
 
@@ -751,50 +575,33 @@ def mul_into(own: np.ndarray, other: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------- #
 # Free functions operating on tensors
 # ---------------------------------------------------------------------- #
+def _take_along(axis: int, index) -> Callable[[np.ndarray], np.ndarray]:
+    """A vjp that picks ``index`` (an int or a slice) of the gradient along ``axis``."""
+    def vjp(g: np.ndarray) -> np.ndarray:
+        key = [slice(None)] * g.ndim
+        key[axis] = index
+        return g[tuple(key)]
+
+    return vjp
+
+
 def concatenate(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Concatenate tensors along ``axis`` with gradient support."""
     tensors = [Tensor._ensure(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    requires_grad = _GRAD_MODE.enabled and any(t.requires_grad for t in tensors)
-    if not requires_grad:
-        return Tensor(data, dtype=data.dtype)
-    out = Tensor(data, requires_grad=True, _prev=tuple(tensors), dtype=data.dtype)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def _backward() -> None:
-        if out.grad is None:
-            return
-        for tensor, start, end in zip(tensors, offsets[:-1], offsets[1:]):
-            if not tensor.requires_grad:
-                continue
-            index = [slice(None)] * out.grad.ndim
-            index[axis] = slice(start, end)
-            tensor._accumulate(out.grad[tuple(index)])
-
-    out._backward = _backward
-    return out
+    edges = []
+    start = 0
+    for t in tensors:
+        end = start + t.shape[axis]
+        edges.append((t, _take_along(axis, slice(start, end))))
+        start = end
+    return _node(np.concatenate([t.data for t in tensors], axis=axis), *edges)
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     """Stack tensors along a new axis with gradient support."""
     tensors = [Tensor._ensure(t) for t in tensors]
-    data = np.stack([t.data for t in tensors], axis=axis)
-    requires_grad = _GRAD_MODE.enabled and any(t.requires_grad for t in tensors)
-    if not requires_grad:
-        return Tensor(data, dtype=data.dtype)
-    out = Tensor(data, requires_grad=True, _prev=tuple(tensors), dtype=data.dtype)
-
-    def _backward() -> None:
-        if out.grad is None:
-            return
-        grads = np.split(out.grad, len(tensors), axis=axis)
-        for tensor, grad in zip(tensors, grads):
-            if tensor.requires_grad:
-                tensor._accumulate(np.squeeze(grad, axis=axis))
-
-    out._backward = _backward
-    return out
+    return _node(np.stack([t.data for t in tensors], axis=axis),
+                 *((t, _take_along(axis, i)) for i, t in enumerate(tensors)))
 
 
 def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
@@ -802,19 +609,6 @@ def where(condition: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     a = Tensor._ensure(a)
     b = Tensor._ensure(b)
     cond = np.asarray(condition, dtype=bool)
-    data = np.where(cond, a.data, b.data)
-    requires_grad = _GRAD_MODE.enabled and (a.requires_grad or b.requires_grad)
-    if not requires_grad:
-        return Tensor(data, dtype=data.dtype)
-    out = Tensor(data, requires_grad=True, _prev=(a, b), dtype=data.dtype)
-
-    def _backward() -> None:
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            a._accumulate(_unbroadcast(out.grad * cond, a.shape))
-        if b.requires_grad:
-            b._accumulate(_unbroadcast(out.grad * (~cond), b.shape))
-
-    out._backward = _backward
-    return out
+    return _node(np.where(cond, a.data, b.data),
+                 (a, lambda g: _unbroadcast(g * cond, a.shape)),
+                 (b, lambda g: _unbroadcast(g * (~cond), b.shape)))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -14,12 +15,16 @@ from repro.nn import (
     Linear,
     Tensor,
     causal_mask,
+    concatenate,
     get_default_dtype,
     is_grad_enabled,
     no_grad,
     set_default_dtype,
     set_grad_enabled,
+    stack,
+    where,
 )
+from repro.nn.tensor import _noop_backward
 
 
 @pytest.fixture
@@ -30,14 +35,61 @@ def float64_default():
     set_default_dtype(previous)
 
 
+# Every graph op, plus the ones derived from them, on two positive (3, 3)
+# operands (positive so that log, pow and division stay finite).
+_OFF_GRAPH_OPS = {
+    "add": lambda x, y: x + y,
+    "mul": lambda x, y: x * y,
+    "sub": lambda x, y: x - y,
+    "truediv": lambda x, y: x / y,
+    "pow": lambda x, y: x ** 1.5,
+    "matmul": lambda x, y: x @ y,
+    "exp": lambda x, y: x.exp(),
+    "log": lambda x, y: x.log(),
+    "tanh": lambda x, y: x.tanh(),
+    "sigmoid": lambda x, y: x.sigmoid(),
+    "relu": lambda x, y: x.relu(),
+    "gelu": lambda x, y: x.gelu(),
+    "abs": lambda x, y: x.abs(),
+    "clip": lambda x, y: x.clip(0.5, 1.5),
+    "sum": lambda x, y: x.sum(axis=0),
+    "mean": lambda x, y: x.mean(),
+    "var": lambda x, y: x.var(axis=1),
+    "max": lambda x, y: x.max(axis=1),
+    "reshape": lambda x, y: x.reshape(9),
+    "transpose": lambda x, y: x.transpose(),
+    "getitem": lambda x, y: x[1:, np.array([0, 2])],
+    "pad": lambda x, y: x.pad(((1, 0), (0, 1))),
+    "softmax": lambda x, y: x.softmax(),
+    "log_softmax": lambda x, y: x.log_softmax(),
+    "concatenate": lambda x, y: concatenate([x, y], axis=1),
+    "stack": lambda x, y: stack([x, y]),
+    "where": lambda x, y: where(x.data > 1.0, x, y),
+}
+
+
 class TestNoGrad:
-    def test_ops_inside_no_grad_record_nothing(self):
-        x = Tensor(np.ones((3, 3)), requires_grad=True)
-        with no_grad():
-            out = (x * 2.0 + 1.0) @ x
+    @pytest.mark.parametrize("off_graph", ["no_grad", "no_parent_requires_grad"])
+    @pytest.mark.parametrize("op", sorted(_OFF_GRAPH_OPS))
+    def test_ops_off_graph_record_nothing(self, op, off_graph):
+        values = np.linspace(0.25, 2.25, 9).reshape(3, 3)
+        requires_grad = off_graph == "no_grad"
+        x = Tensor(values, requires_grad=requires_grad)
+        y = Tensor(values[::-1], requires_grad=requires_grad)
+        with no_grad() if requires_grad else contextlib.nullcontext():
+            out = _OFF_GRAPH_OPS[op](x, y)
         assert not out.requires_grad
         assert out._prev == ()
-        assert out._backward() is None  # default no-op closure
+        assert out._backward is _noop_backward
+
+    def test_parent_switched_off_before_backward_gets_no_gradient(self):
+        a = Tensor(np.array([2.0, 3.0]), requires_grad=True)
+        b = Tensor(np.array([5.0, 7.0]), requires_grad=True)
+        loss = (a * b).sum()
+        b.requires_grad = False
+        loss.backward()
+        assert b.grad is None
+        np.testing.assert_array_equal(a.grad, [5.0, 7.0])
 
     def test_backward_on_no_grad_result_fails_loudly(self):
         x = Tensor(np.array([2.0]), requires_grad=True)

@@ -1,5 +1,8 @@
 """Tests for the autodiff tensor: correctness of gradients and operations."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,7 +85,8 @@ class TestBasicOps:
 
 
 class TestActivations:
-    @pytest.mark.parametrize("op", ["tanh", "sigmoid", "relu", "gelu", "exp", "abs"])
+    @pytest.mark.parametrize("op", ["tanh", "sigmoid", "relu", "gelu", "exp", "abs",
+                                    "log_softmax"])
     def test_unary_matches_numerical(self, op):
         x_val = _rand((4, 3), seed=5)
 
@@ -187,6 +191,44 @@ class TestReductionsAndShapes:
         np.testing.assert_allclose(b.grad, [0.0, 1.0, 0.0])
 
 
+# A weighted sum, not ``.sum()``: an all-ones upstream gradient cannot tell a
+# vjp that returns the wrong slice, axis order or broadcast from a right one.
+_WHERE_CONDITION = np.array([[True, False, True], [False, False, True]])
+_ROUTING_CASES = {
+    "transpose": ([(2, 3, 4)], lambda x: x.transpose(2, 0, 1)),
+    "reshape": ([(2, 3, 4)], lambda x: x.reshape(4, 6)),
+    "pad": ([(2, 3)], lambda x: x.pad(((1, 0), (0, 2)))),
+    "getitem_slice": ([(4, 5)], lambda x: x[1:3, ::2]),
+    "getitem_fancy": ([(4, 3)], lambda x: x[np.array([0, 2, 2, 3])]),
+    "max_keepdims": ([(3, 4)], lambda x: x.max(axis=1, keepdims=True)),
+    "sum_axes_keepdims": ([(2, 3, 4)], lambda x: x.sum(axis=(0, 2), keepdims=True)),
+    "concatenate": ([(2, 3), (2, 1), (2, 2)], lambda *xs: concatenate(xs, axis=1)),
+    "stack": ([(2, 3), (2, 3), (2, 3)], lambda *xs: stack(xs, axis=1)),
+    "where_broadcast": ([(1, 3), (2, 3)], lambda a, b: where(_WHERE_CONDITION, a, b)),
+    "matmul_broadcast_batch": ([(2, 1, 3, 4), (3, 4, 2)], lambda a, b: a @ b),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ROUTING_CASES))
+def test_weighted_gradient_matches_numerical(case):
+    shapes, op = _ROUTING_CASES[case]
+    values = [_rand(shape, seed=i) for i, shape in enumerate(shapes)]
+
+    def loss(arrays, requires_grad=False):
+        inputs = [Tensor(a, requires_grad=requires_grad) for a in arrays]
+        out = op(*inputs)
+        return inputs, (out * Tensor(_rand(out.shape, seed=99))).sum()
+
+    inputs, total = loss(values, requires_grad=True)
+    total.backward()
+    for i, x in enumerate(inputs):
+        def f(v, i=i):
+            return float(loss(values[:i] + [v] + values[i + 1:])[1].data)
+
+        np.testing.assert_allclose(x.grad, numerical_gradient(f, values[i].copy()),
+                                   atol=1e-6, err_msg=f"input {i}")
+
+
 class TestBackwardMechanics:
     def test_backward_requires_scalar_without_grad(self):
         x = Tensor(_rand((2, 2)), requires_grad=True)
@@ -208,6 +250,21 @@ class TestBackwardMechanics:
         y = x * x
         (y + y).backward(np.array([1.0]))
         np.testing.assert_allclose(x.grad, [8.0])
+
+    def test_dropped_graph_is_freed_without_a_collection(self):
+        x = Tensor(_rand((2, 2)), requires_grad=True)
+        hidden = (x * 2.0).tanh()
+        loss = hidden.sum()
+        loss.backward()
+        freed = weakref.ref(hidden.data)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            del hidden, loss
+            assert freed() is None  # no backward closure keeps its own node alive
+        finally:
+            if was_enabled:
+                gc.enable()
 
     def test_item_and_len(self):
         t = Tensor(np.array([3.5]))

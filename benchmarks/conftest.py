@@ -200,18 +200,11 @@ def print_table(title: str, rows: List[Dict]) -> None:
 
 
 # ---------------------------------------------------------------------- #
-# Foundation model
+# Scale
 # ---------------------------------------------------------------------- #
 @pytest.fixture(scope="session")
 def scale() -> BenchScale:
     return get_scale()
-
-
-@pytest.fixture(scope="session")
-def foundation_llm(scale):
-    """The default foundation model (Llama2-7B stand-in) with LoRA adapters."""
-    return build_llm("llama2-7b-sim", lora_rank=8, pretrained=True,
-                     pretrain_steps=scale.pretrain_steps, seed=0)
 
 
 # ---------------------------------------------------------------------- #

@@ -348,7 +348,7 @@ class HotPathPower(Rule):
 _RAW_PATH_FUNCTIONS = (
     ("repro/nn/", {"apply", "apply_sequence", "forward_step", "_layers",
                    "last_position_features"}),
-    ("repro/llm/model.py", {"last_position_features"}),
+    ("repro/llm/model.py", {"forward_step", "last_position_features"}),
     ("repro/core/", {"apply", "apply_sequence"}),
     ("repro/core/adapter.py", {"last_logits", "act", "act_batch", "predict",
                                "predict_batch"}),

@@ -154,8 +154,6 @@ class VPAdapter(NetLLMAdapter):
                 "predict_batch needs uniform saliency presence: got "
                 f"{with_saliency}/{len(samples)} samples with saliency "
                 "(group them before batching)")
-        if self.training:
-            self.eval()
         dtype = get_default_dtype()
         # Rows sorted by history length: equal lengths encode and attend as
         # one stacked run each.
@@ -296,8 +294,6 @@ class DecisionAdapter(NetLLMAdapter):
         component, equal to ``forward(...)[component][row, -1]`` for each row
         alone.
         """
-        if self.training:
-            self.eval()
         dtype = get_default_dtype()
         # Rows sorted by window length, so equal lengths attend as one run.
         order = sorted(range(len(states)), key=lambda row: len(states[row]))

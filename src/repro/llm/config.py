@@ -31,7 +31,6 @@ class LLMConfig:
     vocab_size: int = 96
     max_seq_len: int = 192
     d_hidden: Optional[int] = None
-    dropout: float = 0.0
     multimodal: bool = False
     simulated_param_count: float = 7e9
     description: str = ""

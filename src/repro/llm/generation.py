@@ -128,21 +128,21 @@ def generate(model: LanguageModel, prompt: str, max_new_tokens: int = 64,
     sampled from the temperature-scaled softmax, which is the source of the
     answer-validity problem the paper describes.
 
-    Decoding runs under :func:`~repro.nn.no_grad` with the model in eval mode
-    (restored afterwards), so dropout never desynchronizes the two paths.
-    With ``use_cache`` (the default) the prompt is one prefill row on a
-    one-session paged pool (``init_paged_cache(max_sessions=1)``) and each later
-    step feeds only the newest token, attending against the cached
-    keys/values — O(T·L) for the whole answer instead of O(T·L²) — through
-    the same ``forward_step`` the serving engine runs.  Its logits agree with
-    the full-window forward of ``use_cache=False`` (the reference) to within
-    rounding, not bit for bit (``docs/paged_kv.md``, "Parity policy").  Once
-    the context window overflows ``max_seq_len`` the session is evicted,
-    reopened and prefilled on the trimmed window, which keeps the
-    sliding-window semantics of the uncached path; in that saturated regime
-    every step recomputes the window, so caching only speeds up the portion
-    of the answer that fits within ``max_seq_len`` (parity with the
-    reference is deliberately kept over amortized sliding).
+    Decoding runs under :func:`~repro.nn.no_grad` and leaves the model's
+    train/eval mode alone: no layer of the model reads it.  With ``use_cache``
+    (the default) the prompt is one prefill row on a one-session paged pool
+    (``init_paged_cache(max_sessions=1)``) and each later step feeds only the
+    newest token, attending against the cached keys/values — O(T·L) for the
+    whole answer instead of O(T·L²) — through the same ``forward_step`` the
+    serving engine runs.  Its logits agree with the full-window forward of
+    ``use_cache=False`` (the reference) to within rounding, not bit for bit
+    (``docs/paged_kv.md``, "Parity policy").  Once the context window overflows
+    ``max_seq_len`` the session is evicted, reopened and prefilled on the
+    trimmed window, which keeps the sliding-window semantics of the uncached
+    path; in that saturated regime every step recomputes the window, so
+    caching only speeds up the portion of the answer that fits within
+    ``max_seq_len`` (parity with the reference is deliberately kept over
+    amortized sliding).
     ``num_inferences`` still counts one transformer inference per generated
     token (the paper's Figure 2 metric).
 
@@ -166,46 +166,40 @@ def generate(model: LanguageModel, prompt: str, max_new_tokens: int = 64,
     start = time.perf_counter()
     last_step = start
     num_inferences = 0
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            cache = model.init_paged_cache(max_sessions=1) if use_cache else None
-            if cache is not None:
-                cache.open_session()
-            pending: Optional[List[int]] = None  # tokens not yet in the cache
-            for _ in range(max_new_tokens):
-                if cache is None:
-                    window = (context + generated)[-max_context:]
-                    logits = model.forward_tokens(
-                        np.asarray(window, dtype=np.int64)[None, :])
-                else:
-                    [session] = cache.sessions
-                    held = cache.length(session)
-                    if pending is None or held + len(pending) > max_context:
-                        # First step, or the sliding window dropped old tokens
-                        # (whose cached positional embeddings would be stale):
-                        # re-prime on the current window — evict, reopen and
-                        # prefill it as one row.
-                        cache.evict(session)
-                        cache.open_session()
-                        pending = (context + generated)[-max_context:]
-                    logits = model.forward_incremental(
-                        np.asarray(pending, dtype=np.int64)[None, :], cache)
-                num_inferences += 1
-                if token_seconds is not None:
-                    now = time.perf_counter()
-                    token_seconds.append(now - last_step)
-                    last_step = now
-                next_id = sample_token(logits.data[0, -1, :], temperature, rng)
-                if stop_on_eos and next_id == tokenizer.eos_id:
-                    stopped = True
-                    break
-                generated.append(next_id)
-                pending = [next_id]
-    finally:
-        if was_training:
-            model.train()
+    with no_grad():
+        cache = model.init_paged_cache(max_sessions=1) if use_cache else None
+        if cache is not None:
+            cache.open_session()
+        pending: Optional[List[int]] = None  # tokens not yet in the cache
+        for _ in range(max_new_tokens):
+            if cache is None:
+                window = (context + generated)[-max_context:]
+                logits = model.forward_tokens(
+                    np.asarray(window, dtype=np.int64)[None, :])
+            else:
+                [session] = cache.sessions
+                held = cache.length(session)
+                if pending is None or held + len(pending) > max_context:
+                    # First step, or the sliding window dropped old tokens
+                    # (whose cached positional embeddings would be stale):
+                    # re-prime on the current window — evict, reopen and
+                    # prefill it as one row.
+                    cache.evict(session)
+                    cache.open_session()
+                    pending = (context + generated)[-max_context:]
+                logits = model.forward_incremental(
+                    np.asarray(pending, dtype=np.int64)[None, :], cache)
+            num_inferences += 1
+            if token_seconds is not None:
+                now = time.perf_counter()
+                token_seconds.append(now - last_step)
+                last_step = now
+            next_id = sample_token(logits.data[0, -1, :], temperature, rng)
+            if stop_on_eos and next_id == tokenizer.eos_id:
+                stopped = True
+                break
+            generated.append(next_id)
+            pending = [next_id]
     elapsed = time.perf_counter() - start
     text = tokenizer.decode(generated)
     return GenerationResult(text=text, token_ids=generated, num_inferences=num_inferences,

@@ -57,7 +57,6 @@ class LanguageModel(Module):
             num_heads=config.num_heads,
             max_seq_len=config.max_seq_len,
             d_hidden=config.hidden_dim,
-            dropout=config.dropout,
             lora_rank=lora_rank,
             lora_alpha=lora_alpha,
             rng=rng,
@@ -133,7 +132,8 @@ class LanguageModel(Module):
         prompt rows can ride behind decode rows in one call: ``prompt_from``
         is the index of the first of them (0 when every row is a prompt row).
 
-        The logits are packed on a unit leading axis.  With
+        The step runs on raw arrays; the logits are the one ``Tensor`` it
+        builds, packed on a unit leading axis.  With
         ``prompt_from=None`` they are ``(1, sum(counts), vocab)``: row *i*'s
         token ``t`` is at ``[0, offset_i + t]`` and matches the ``t``-th of
         ``counts[i]`` sequential one-token steps on the session alone.  With
@@ -145,10 +145,11 @@ class LanguageModel(Module):
         len(counts) - prompt_from, vocab)``.
         """
         token_ids = np.asarray(token_ids, dtype=np.int64).reshape(-1)
-        embeddings = self.token_embedding(token_ids)
+        embeddings = self.token_embedding.apply(token_ids)
         features = self.backbone.forward_step(embeddings, cache, session_ids,
                                               counts=counts, prompt_from=prompt_from)
-        return self.lm_head(features)
+        logits = self.lm_head.apply(features)
+        return Tensor(logits, dtype=logits.dtype)  # repro: noqa[REP007] the step's one output wrap
 
     def forward_embeddings(self, embeddings: Tensor, causal: bool = True) -> Tensor:
         """Contextualized output features for externally produced embeddings.

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .layers import Dropout, Linear, Module
+from .layers import Linear, Module
 from .lora import LoRALinear
 from .tensor import Tensor, get_default_dtype, is_grad_enabled
 
@@ -92,9 +92,8 @@ class MultiHeadAttention(Module):
     matrices into an otherwise frozen LLM.
     """
 
-    def __init__(self, d_model: int, num_heads: int, dropout: float = 0.0,
-                 lora_rank: int = 0, lora_alpha: float = 1.0,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, d_model: int, num_heads: int, lora_rank: int = 0,
+                 lora_alpha: float = 1.0, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         if d_model % num_heads != 0:
             raise ValueError("d_model must be divisible by num_heads")
@@ -112,7 +111,6 @@ class MultiHeadAttention(Module):
         self.k_proj = make_proj()
         self.v_proj = make_proj()
         self.out_proj = make_proj()
-        self.attn_dropout = Dropout(dropout)
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         """Apply self-attention to ``x`` of shape ``(batch, seq, d_model)``."""
@@ -124,9 +122,7 @@ class MultiHeadAttention(Module):
         scores = (q @ k.swapaxes(-1, -2)) * (1.0 / float(np.sqrt(self.head_dim)))
         if mask is not None:
             scores = scores + Tensor(mask, dtype=mask.dtype)
-        weights = scores.softmax(axis=-1)
-        weights = self.attn_dropout(weights)
-        context = weights @ v
+        context = scores.softmax(axis=-1) @ v
         merged = context.swapaxes(1, 2).reshape(batch, seq, self.d_model)
         return self.out_proj(merged)
 
@@ -135,10 +131,6 @@ class MultiHeadAttention(Module):
             raise RuntimeError(
                 "KV-cached attention is inference-only and would silently "
                 "detach gradients; wrap the call in no_grad()")
-        if self.training and self.attn_dropout.p > 0:
-            raise RuntimeError(
-                "KV-cached attention skips attention dropout and would "
-                "diverge from the full forward; call eval() first")
 
     def forward_step(self, x: np.ndarray, layer_cache, step) -> np.ndarray:
         """Batched ragged step over independent rows, on raw arrays.

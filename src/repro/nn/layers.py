@@ -85,12 +85,6 @@ class Module:
     def eval(self) -> "Module":
         return self.train(False)
 
-    def has_active_dropout(self) -> bool:
-        """Whether any :class:`Dropout` below has ``p > 0`` — i.e. whether
-        ``train()``/``eval()`` changes what a forward computes at all."""
-        return any(isinstance(module, Dropout) and module.p > 0
-                   for module in self.modules())
-
     def zero_grad(self) -> None:
         for param in self.parameters():
             param.zero_grad()

@@ -14,7 +14,7 @@ from .paged_cache import (
     PagedStepContext,
     plan_fresh_rows,
 )
-from .layers import Dropout, GELU, LayerNorm, Linear, Module, ModuleList
+from .layers import GELU, LayerNorm, Linear, Module, ModuleList
 from .lora import LoRALinear
 from .tensor import Tensor, add_into, gelu_array, is_grad_enabled
 
@@ -22,9 +22,8 @@ from .tensor import Tensor, add_into, gelu_array, is_grad_enabled
 class FeedForward(Module):
     """Position-wise feed-forward network with optional LoRA adapters."""
 
-    def __init__(self, d_model: int, d_hidden: int, dropout: float = 0.0,
-                 lora_rank: int = 0, lora_alpha: float = 1.0,
-                 rng: Optional[np.random.Generator] = None) -> None:
+    def __init__(self, d_model: int, d_hidden: int, lora_rank: int = 0,
+                 lora_alpha: float = 1.0, rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
 
@@ -36,41 +35,35 @@ class FeedForward(Module):
         self.fc1 = make(d_model, d_hidden)
         self.fc2 = make(d_hidden, d_model)
         self.activation = GELU()
-        self.dropout = Dropout(dropout)
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """Inference-only forward on a raw array (bit-identical to the graph
-        path with dropout inactive, which is the only case it accepts).  It
-        writes only into arrays it allocated: GELU runs in place on fc1's
-        own output."""
-        if self.training and self.dropout.p > 0:
-            raise RuntimeError(
-                "FeedForward.apply skips dropout and would diverge from the "
-                "full forward; call eval() first")
+        """Inference-only forward on a raw array, bit-identical to the graph
+        path.  It writes only into arrays it allocated: GELU runs in place on
+        fc1's own output."""
         hidden = self.fc1.apply(x)
         return self.fc2.apply(gelu_array(hidden, out=hidden))
 
     def forward(self, x: Tensor) -> Tensor:
-        if not is_grad_enabled() and not (self.training and self.dropout.p > 0):
+        if not is_grad_enabled():
             out = self.apply(x.data)
             return Tensor(out, dtype=out.dtype)
-        return self.dropout(self.fc2(self.activation(self.fc1(x))))
+        return self.fc2(self.activation(self.fc1(x)))
 
 
 class TransformerBlock(Module):
     """Pre-norm transformer decoder block: LN -> attention -> LN -> MLP."""
 
     def __init__(self, d_model: int, num_heads: int, d_hidden: Optional[int] = None,
-                 dropout: float = 0.0, lora_rank: int = 0, lora_alpha: float = 1.0,
+                 lora_rank: int = 0, lora_alpha: float = 1.0,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         d_hidden = d_hidden or 4 * d_model
         self.norm1 = LayerNorm(d_model)
-        self.attention = MultiHeadAttention(d_model, num_heads, dropout=dropout,
-                                            lora_rank=lora_rank, lora_alpha=lora_alpha, rng=rng)
+        self.attention = MultiHeadAttention(d_model, num_heads, lora_rank=lora_rank,
+                                            lora_alpha=lora_alpha, rng=rng)
         self.norm2 = LayerNorm(d_model)
-        self.mlp = FeedForward(d_model, d_hidden, dropout=dropout,
-                               lora_rank=lora_rank, lora_alpha=lora_alpha, rng=rng)
+        self.mlp = FeedForward(d_model, d_hidden, lora_rank=lora_rank,
+                               lora_alpha=lora_alpha, rng=rng)
 
     def forward(self, x: Tensor, mask: Optional[np.ndarray] = None) -> Tensor:
         x = x + self.attention(self.norm1(x), mask=mask)
@@ -106,7 +99,7 @@ class TransformerBackbone(Module):
 
     def __init__(self, d_model: int, num_layers: int, num_heads: int,
                  max_seq_len: int = 256, d_hidden: Optional[int] = None,
-                 dropout: float = 0.0, lora_rank: int = 0, lora_alpha: float = 1.0,
+                 lora_rank: int = 0, lora_alpha: float = 1.0,
                  rng: Optional[np.random.Generator] = None) -> None:
         super().__init__()
         rng = rng or np.random.default_rng(0)
@@ -118,8 +111,8 @@ class TransformerBackbone(Module):
         self.position_embedding = Parameter(
             weight_init.normal((max_seq_len, d_model), rng), name="position_embedding")
         self.blocks = ModuleList([
-            TransformerBlock(d_model, num_heads, d_hidden=d_hidden, dropout=dropout,
-                             lora_rank=lora_rank, lora_alpha=lora_alpha, rng=rng)
+            TransformerBlock(d_model, num_heads, d_hidden=d_hidden, lora_rank=lora_rank,
+                             lora_alpha=lora_alpha, rng=rng)
             for _ in range(num_layers)
         ])
         self.final_norm = LayerNorm(d_model)
@@ -133,14 +126,14 @@ class TransformerBackbone(Module):
                             head_dim=attention.head_dim,
                             dtype=self.position_embedding.data.dtype)
 
-    def forward_step(self, embeddings: Tensor, cache: PagedKVCache,
+    def forward_step(self, embeddings: np.ndarray, cache: PagedKVCache,
                      session_ids: np.ndarray,
                      counts: Optional[np.ndarray] = None,
-                     prompt_from: Optional[int] = None) -> Tensor:
+                     prompt_from: Optional[int] = None) -> np.ndarray:
         """Advance ``len(session_ids)`` independent paged sessions in one forward.
 
-        One ragged step over the paged cache: ``embeddings`` is
-        ``(sum(counts), d_model)``, the step's new tokens packed row after
+        One ragged step over the paged cache, on raw arrays: ``embeddings``
+        is ``(sum(counts), d_model)``, the step's new tokens packed row after
         row — session ``session_ids[i]`` owns ``counts[i]`` consecutive ones
         — so every layer runs on the tokens that exist and nothing is
         padded.  Each session keeps its own position (the length of its
@@ -149,7 +142,7 @@ class TransformerBackbone(Module):
         positional embeddings.  The cache is updated in place (allocating or
         copy-on-writing tail blocks as needed) and per-session lengths
         advance by ``counts[i]``.  The features come back as one packed
-        sequence, ``(1, rows out, d_model)``: the unit axis keeps the
+        array, ``(1, rows out, d_model)``: the unit axis keeps the
         logits three-axis for callers that multiply the first two into a
         row count (ROADMAP 2(c) drops it).
 
@@ -195,12 +188,12 @@ class TransformerBackbone(Module):
         step = (cache.prepare_step(session_ids, self.max_seq_len) if counts is None
                 else cache.prepare_multi_step(session_ids, counts, self.max_seq_len,
                                               prompt_from))
-        features = self._layers(embeddings.data, step, cache.layers)[None]
+        features = self._layers(embeddings, step, cache.layers)[None]
         if counts is None:
             cache.commit_step(session_ids)
         else:
             cache.commit_multi_step(session_ids, counts)
-        return Tensor(features, dtype=features.dtype)  # repro: noqa[REP007] the step's one output wrap
+        return features
 
     def last_position_features(self, tokens: np.ndarray,
                                lengths: Sequence[int]) -> np.ndarray:

@@ -59,10 +59,7 @@ the context manager), which lets independent client threads — e.g. a VP
 evaluator, several ABR sessions and a CJS workload — share one batched model.
 Engine forwards self-wrap in ``repro.nn.no_grad()``, whose flag is
 thread-local, so other threads remain free to train concurrently — on *other*
-models.  ``Module.training`` is per-module shared state (for a model with
-active dropout the engine flips it to eval around each forward and back), so
-do not flip the *served* model between ``train()``/``eval()`` from another
-thread while the loop is running.
+models.
 """
 
 from __future__ import annotations

@@ -26,38 +26,13 @@ last session still mapping them ends.
 from __future__ import annotations
 
 from collections import OrderedDict
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..llm import LanguageModel
 from ..nn import PagedKVCache, no_grad
-
-
-@contextmanager
-def cached_inference(model: LanguageModel, toggle_eval: bool) -> Iterator[None]:
-    """``no_grad`` around one KV-cached serving forward.
-
-    KV-cached forwards skip dropout, so a training-mode model with active
-    dropout must run them in eval mode (restored afterwards, as ``generate()``
-    does).  ``toggle_eval`` is the caller's one-time
-    :meth:`~repro.nn.Module.has_active_dropout` answer: a model without
-    active dropout — the usual served model — computes the same thing in
-    either mode, and skipping the flip saves two walks over every module per
-    forward.  Should dropout be switched on after that answer was taken, the
-    cached-attention and MLP step paths raise rather than diverge silently.
-    """
-    toggle = toggle_eval and model.training
-    if toggle:
-        model.eval()
-    try:
-        with no_grad():
-            yield
-    finally:
-        if toggle:
-            model.train()
 
 
 @dataclass
@@ -90,7 +65,6 @@ class PrefixCache:
         # cannot consume pool blocks reserved for matchable heads.
         limit = model.config.max_seq_len - 1
         self.max_length = limit if max_length is None else min(max_length, limit)
-        self._toggle_eval = model.has_active_dropout()
         self._entries: "OrderedDict[Tuple[int, ...], PrefixEntry]" = OrderedDict()
 
     # ------------------------------------------------------------------ #
@@ -138,7 +112,7 @@ class PrefixCache:
         # at one token.
         head = self.cache.open_session()
         try:
-            with cached_inference(self.model, self._toggle_eval):
+            with no_grad():
                 self.model.forward_step(
                     np.asarray(ids, dtype=np.int64), self.cache,
                     np.asarray([head]), counts=np.asarray([len(ids)]),

@@ -42,9 +42,10 @@ from ..llm import LanguageModel
 from ..llm.generation import GenerationResult, SamplingTable, draw_token
 # Unused here: the benchmark's trace pins this name (ROADMAP 2(b)/(c)).
 from ..llm.generation import sample_token
+from ..nn import no_grad
 from ..utils import seeded_rng
 from .metrics import RequestMetrics
-from .prefix import PrefixCache, PrefixEntry, cached_inference
+from .prefix import PrefixCache, PrefixEntry
 from .speculative import AdaptiveK, NgramProposer
 from .telemetry import ServeTelemetry
 
@@ -151,8 +152,8 @@ class SessionManager:
     forward — and prompts starting with a registered prefix skip recomputing
     (and re-storing) the shared head entirely.
 
-    Unlike eval-mode :func:`repro.llm.generation.generate`, the engine does
-    not re-prime a sliding window when the context fills up — the session is
+    Unlike :func:`repro.llm.generation.generate`, the engine does not
+    re-prime a sliding window when the context fills up — the session is
     completed with ``finish_reason == "context_full"`` instead, which is the
     behaviour a serving deployment wants (bounded per-request work).
     """
@@ -165,9 +166,6 @@ class SessionManager:
         #: ``block_size``, the prefix cache's and speculation's), validated
         #: by the policy itself.
         self.policy = policy
-        #: Decided once: only a model with active dropout needs eval mode
-        #: around its KV-cached forwards (see ``cached_inference``).
-        self._toggle_eval = model.has_active_dropout()
         self.max_context = model.config.max_seq_len
         if policy.max_context is not None:
             self.max_context = min(policy.max_context, self.max_context)
@@ -479,7 +477,7 @@ class SessionManager:
                     else self.prefix.seed_cache(entry))  # repro: noqa[REP005] a live entry implies the prefix cache exists
                 opened.append(session)
                 self._mark_started(session)
-            with cached_inference(self.model, self._toggle_eval):
+            with no_grad():
                 logits = self.model.forward_step(
                     np.asarray(tokens, dtype=np.int64), self.cache,
                     np.asarray([*slots, *[session.slot for session in group]],

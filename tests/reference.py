@@ -27,15 +27,9 @@ PARITY_ATOL = {np.dtype(np.float64): 1e-12, np.dtype(np.float32): 1e-4}
 
 def reference_logits(model, ids: Sequence[int]) -> np.ndarray:
     """``(len(ids), vocab)``: row *t* is the next-token logits after
-    ``ids[:t + 1]``, from one graph forward under ``no_grad`` in eval mode."""
-    was_training = model.training
-    model.eval()
-    try:
-        with no_grad():
-            return model.forward_tokens(np.asarray(ids, dtype=np.int64)[None, :]).data[0]
-    finally:
-        if was_training:
-            model.train()
+    ``ids[:t + 1]``, from one graph forward under ``no_grad``."""
+    with no_grad():
+        return model.forward_tokens(np.asarray(ids, dtype=np.int64)[None, :]).data[0]
 
 
 def assert_logits(model, ids: Sequence[int], logits, atol: Optional[float] = None,

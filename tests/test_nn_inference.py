@@ -353,6 +353,25 @@ class TestKVCacheParity:
         with pytest.raises(RuntimeError, match="no_grad"):
             model.forward_incremental(np.asarray([[1, 2]]), self._one_session(model))
 
+    def test_cached_path_serves_a_training_mode_model(self):
+        # The cached path checks grad mode and nothing else: a model left in
+        # training mode is refused outside no_grad, before its cache grows,
+        # and under no_grad fills it with the graph forward's logits and
+        # keeps its mode.
+        model = _tiny_model(4, seed=5)
+        assert model.training
+        pool = model.init_paged_cache(max_sessions=1)
+        sid = pool.open_session()
+        ids = [1, 2, 3, 4, 5, 6]
+        with pytest.raises(RuntimeError, match="no_grad"):
+            fill(model, pool, ids, session=sid)
+        assert pool.length(sid) == 0
+        with no_grad():
+            _, logits = fill(model, pool, ids, chunk=2, session=sid)
+        assert pool.length(sid) == len(ids)
+        assert model.training
+        assert_logits(model, ids, logits)
+
     def test_mismatched_cache_layer_count_raises(self):
         config = LLMConfig(name="shallow", family="test", d_model=32, num_layers=1,
                            num_heads=2, max_seq_len=48)
@@ -382,33 +401,6 @@ class TestKVCacheParity:
                 assert result.num_inferences == (len(result.token_ids)
                                                  + result.stopped_by_eos)
 
-    def test_generate_evals_dropout_model_so_paths_agree(self):
-        # A dropout model left in training mode: generate() must switch to
-        # eval (and restore), keeping cached and uncached decoding identical.
-        config = LLMConfig(name="drop", family="test", d_model=32, num_layers=2,
-                           num_heads=2, max_seq_len=48, dropout=0.2)
-        model = LanguageModel(config, seed=0)
-        assert model.training
-        cached = generate(model, "abc", max_new_tokens=16, stop_on_eos=False)
-        uncached = generate(model, "abc", max_new_tokens=16, stop_on_eos=False,
-                            use_cache=False)
-        assert cached.token_ids == uncached.token_ids
-        assert model.training  # mode restored
-
-    def test_cached_path_with_active_dropout_rejected(self):
-        config = LLMConfig(name="drop", family="test", d_model=32, num_layers=2,
-                           num_heads=2, max_seq_len=48, dropout=0.3)
-        model = LanguageModel(config, seed=0)
-        assert model.training
-        pool = model.init_paged_cache(max_sessions=1)
-        sid = pool.open_session()
-        with no_grad():
-            with pytest.raises(RuntimeError, match="dropout"):
-                fill(model, pool, [1, 2], session=sid)
-            model.eval()
-            fill(model, pool, [1, 2], session=sid)
-        assert pool.length(sid) == 2
-
     def test_generate_cached_matches_uncached_past_window_overflow(self):
         # max_seq_len=48: generating 60 tokens forces the sliding-window
         # re-priming path (evict, reopen, one prefill row); both streams are
@@ -422,6 +414,34 @@ class TestKVCacheParity:
                                   use_cache=use_cache)
                 assert_stream(model, prompt, result.token_ids, temperature, 5,
                               False, max_new_tokens=60)
+
+    def test_generate_reads_and_writes_no_mode(self, monkeypatch):
+        # No layer of the model reads its train/eval mode: a training-mode
+        # model decodes as it stands — no Module.train call, the mode left
+        # as it was — and its streams are the eval-mode model's.
+        from repro.nn import Module
+
+        model = _tiny_model(4, seed=3)
+        calls = [(use_cache, temperature) for use_cache in (True, False)
+                 for temperature in (0.0, 0.8)]
+
+        def streams():
+            return [generate(model, "abc", max_new_tokens=12, stop_on_eos=False,
+                             temperature=temperature, seed=3,
+                             use_cache=use_cache).token_ids
+                    for use_cache, temperature in calls]
+
+        flips = []
+        original = Module.train
+        monkeypatch.setattr(Module, "train", lambda self, mode=True: (
+            flips.append(mode), original(self, mode))[1])
+        assert model.training
+        in_training = streams()
+        assert flips == []
+        assert model.training
+        monkeypatch.undo()
+        model.eval()
+        assert streams() == in_training
 
 
 class TestParityOracle:
@@ -516,18 +536,28 @@ class TestRawApply:
             with no_grad():  # forward delegates to apply under no_grad
                 assert np.array_equal(layer(Tensor(x, dtype=dtype)).data, raw)
 
-    def test_feedforward_with_active_dropout(self):
+    def test_feedforward_has_no_mode(self):
+        # FeedForward reads no train/eval mode and takes no dropout: in
+        # training mode its raw apply, no-grad forward and graph forward
+        # all give the eval-mode bits.
         from repro.nn import FeedForward
 
-        mlp = FeedForward(16, 32, dropout=0.5)
-        x = np.ones((2, 3, 16))
-        with pytest.raises(RuntimeError, match="dropout"):
-            mlp.apply(x)
+        with pytest.raises(TypeError, match="dropout"):
+            FeedForward(16, 32, dropout=0.5)
+        mlp = FeedForward(16, 32, lora_rank=2)
+        _randomize(mlp, np.random.default_rng(4))
+        dtype = mlp.fc1.weight.data.dtype
+        x = np.random.default_rng(5).normal(size=(2, 3, 16)).astype(dtype)
+        mlp.eval()
+        expected = mlp.apply(x)
+        mlp.train()
+        assert mlp.training
+        assert np.array_equal(mlp.apply(x), expected)
+        assert np.array_equal(mlp(Tensor(x, requires_grad=True, dtype=dtype)).data,
+                              expected)
         with no_grad():
-            # Training-mode forward still drops, even without a graph.
-            assert np.any(mlp(Tensor(x)).data == 0.0)
-            mlp.eval()
-            assert np.array_equal(mlp(Tensor(x)).data, mlp.apply(x))
+            assert np.array_equal(mlp(Tensor(x, dtype=dtype)).data, expected)
+        assert mlp.training
 
     @pytest.mark.parametrize("num_layers", [2, 4])
     @pytest.mark.parametrize("lora_rank", [0, 4])

@@ -210,7 +210,7 @@ class TestPagedDecodeParity:
                                    np.asarray([sid, sid]))
             with pytest.raises(ValueError, match="one token per session"):
                 model.backbone.forward_step(
-                    model.token_embedding(np.asarray([1, 2])), paged,
+                    model.token_embedding.apply(np.asarray([1, 2])), paged,
                     np.asarray([sid]))
             with pytest.raises(ValueError, match="3 packed tokens for a step "
                                                  "that feeds 2"):
@@ -1180,32 +1180,36 @@ class TestServedGeneration:
             except RuntimeError as error:
                 assert "server stopped" in str(error)
 
-    def test_serves_training_mode_dropout_model(self):
-        # generate() switches to eval and restores; the engine must do the
-        # same or KV-cached attention rejects the dropout model.
-        config = LLMConfig(name="serve-drop", family="test", d_model=32,
-                           num_layers=2, num_heads=2, max_seq_len=64, dropout=0.2)
-        dropout_model = LanguageModel(config, seed=0)
-        assert dropout_model.training
-        server = InferenceServer(dropout_model, SchedulerPolicy(max_batch_size=2))
-        handle = server.submit_generation("abc", max_new_tokens=8, stop_on_eos=False)
-        served = handle.result()
-        reference = generate(dropout_model, "abc", max_new_tokens=8, stop_on_eos=False)
-        assert served.token_ids == reference.token_ids
-        assert dropout_model.training  # mode restored
+    def test_serves_training_mode_model(self):
+        # The engine neither reads nor sets the mode: greedy and sampled
+        # requests batched on a model left in training mode get
+        # generate()'s streams, and the model stays in training mode.
+        config = LLMConfig(name="serve-train", family="test", d_model=32,
+                           num_layers=2, num_heads=2, max_seq_len=64)
+        trained = LanguageModel(config, lora_rank=4, seed=0)
+        assert trained.training
+        server = InferenceServer(trained, SchedulerPolicy(max_batch_size=2))
+        handles = [server.submit_generation(prompt, max_new_tokens=8,
+                                            temperature=temperature, seed=9,
+                                            stop_on_eos=False)
+                   for prompt, temperature in (("abc", 0.0), ("abd", 0.8))]
+        server.run_until_idle()
+        assert trained.training
+        for handle in handles:
+            assert handle.result().token_ids == standalone(trained, handle.request)
+        assert trained.training
 
     def test_no_mode_flips_without_active_dropout(self, monkeypatch):
-        # A training-mode model whose dropouts are all p = 0 computes the
-        # same thing in either mode: the manager decides that once and never
-        # walks the module tree around a forward.  Dropout switched on
-        # *after* that decision must fail loudly, not serve dropped tokens.
-        from repro.nn import Dropout, Module
-        from repro.serve import RequestFailed
+        # No layer of the model reads its train/eval mode, so a
+        # training-mode model serves as it stands: a registered prefix,
+        # chunked and budgeted prefill, never a walk of the module tree
+        # around a forward.
+        from repro.nn import Module
 
         config = LLMConfig(name="serve-nodrop", family="test", d_model=32,
                            num_layers=2, num_heads=2, max_seq_len=64)
         plain = LanguageModel(config, seed=0)
-        assert plain.training and not plain.has_active_dropout()
+        assert plain.training
         reference = generate(plain, "abc", max_new_tokens=8, stop_on_eos=False)
         server = InferenceServer(plain, SchedulerPolicy(
             max_batch_size=2, prefill_chunk_size=2, step_token_budget=8))
@@ -1218,13 +1222,7 @@ class TestServedGeneration:
             prompt="abc", max_new_tokens=8, stop_on_eos=False)).result()
         assert served.token_ids == reference.token_ids
         assert flips == []
-        for module in plain.modules():
-            if isinstance(module, Dropout):
-                module.p = 0.2
-        assert plain.has_active_dropout()
-        late = server.submit(GenerateRequest(prompt="abd", max_new_tokens=4))
-        with pytest.raises(RequestFailed, match="dropout"):
-            late.result()
+        assert plain.training
 
     def test_long_prompt_first_token_matches_generate(self, model):
         # Prompt longer than the context: the engine prefills the same

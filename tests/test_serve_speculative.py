@@ -285,15 +285,9 @@ class TestAdaptiveK:
 class TestMultiStepSubstrate:
     @pytest.fixture()
     def setup(self, model):
-        was_training = model.training
-        model.eval()
         cache = model.init_paged_cache(max_sessions=4, block_size=8)
-        try:
-            with no_grad():  # KV-cached forwards are inference-only
-                yield model, cache
-        finally:
-            if was_training:
-                model.train()
+        with no_grad():  # KV-cached forwards are inference-only
+            yield model, cache
 
     def _admit(self, model, cache, prompt_len, seed):
         rng = np.random.default_rng(seed)

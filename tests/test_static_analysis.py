@@ -287,10 +287,18 @@ class TestRep007:
         assert findings == []
 
     def test_scoped_to_the_nn_package(self):
-        findings = check_sources({"src/repro/llm/model.py": _RAW_BLOCK + (
-            "    def forward_step(self, x):\n"
-            "        return Tensor(self.norm(x).data)\n")}, select=["REP007"])
-        assert findings == []
+        # Outside ``repro.nn`` only the listed step functions are raw paths:
+        # the language model's ``forward_step`` is, a namesake elsewhere is not.
+        step = _RAW_BLOCK + ("    def forward_step(self, x):\n"
+                             "        return Tensor(self.norm(x).data)\n")
+        assert check_sources({"src/repro/llm/pretrain.py": step},
+                             select=["REP007"]) == []
+        messages = sorted(f.message for f in check_sources(
+            {"src/repro/llm/model.py": step}, select=["REP007"]))
+        assert len(messages) == 2
+        assert "Tensor(...) constructed inside `forward_step`" in messages[0]
+        assert "`self.norm(...)` called through Module.__call__ inside `forward_step`" \
+            in messages[1]
 
     def test_flags_the_wrapper_on_the_decision_and_adapter_inference_paths(self):
         findings = check_sources({
@@ -335,7 +343,7 @@ class TestRep007:
     def test_the_step_output_wrap_is_a_justified_noqa(self, src_findings):
         findings = hits(src_findings, "REP007")
         assert [(Path(f.path).name, f.suppressed) for f in findings] == \
-            [("transformer.py", True)]
+            [("model.py", True)]
 
 
 # ---------------------------------------------------------------------- #

@@ -272,12 +272,7 @@ class DecisionAdapter(NetLLMAdapter):
         features = self.llm.forward_embeddings(sequence, causal=True)
         # State tokens sit at positions 2, 5, 8, ... = 3t + 2.
         state_positions = np.arange(window) * 3 + 2
-        state_features = features[:, state_positions, :]
-
-        if self.head_kind == "abr":
-            return [self.head(state_features)]
-        stage_logits, parallelism_logits = self.head(state_features)
-        return [stage_logits, parallelism_logits]
+        return list(self.head(features[:, state_positions, :]))
 
     # ------------------------------------------------------------------ #
     def last_logits(self, returns: Sequence[np.ndarray], states: Sequence[np.ndarray],

@@ -14,32 +14,24 @@ settings.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..abr import (
-    ABR_SETTINGS,
     ABREnvironment,
-    ABRSetting,
     BBAPolicy,
-    GenetPolicy,
     MPCPolicy,
     OracleMPCPolicy,
-    build_setting,
     simulate_session,
     train_genet,
 )
 from ..abr.env import ABRObservation
 from ..cjs import (
-    CJS_SETTINGS,
-    CJSSetting,
-    DecimaScheduler,
     FIFOScheduler,
     FairScheduler,
     ShortestJobFirstScheduler,
-    build_workload,
     run_workload,
     train_decima,
 )
@@ -47,12 +39,10 @@ from ..cjs.env import MAX_CANDIDATES, PARALLELISM_FRACTIONS, observation_size
 from ..llm import LanguageModel, build_llm
 from ..nn import no_grad
 from ..vp import (
-    VP_SETTINGS,
     LinearRegressionPredictor,
     VPSetting,
     VelocityPredictor,
     evaluate_predictor,
-    make_vp_data,
     train_track,
 )
 from .adapter import DecisionAdapter, VPAdapter
@@ -102,13 +92,11 @@ def adapt_vp(train_samples: Sequence, prediction_steps: int, llm_name: str = "ll
 
 def evaluate_vp_methods(setting: VPSetting, train_samples: Sequence, test_samples: Sequence,
                         netllm: Optional[VPAdapter] = None, track_epochs: int = 8,
-                        server=None, seed: int = 0) -> Dict[str, Dict]:
+                        seed: int = 0) -> Dict[str, Dict]:
     """Evaluate LR / Velocity / TRACK / NetLLM on one VP setting (Figure 10/11 rows).
 
-    With ``server`` (a :class:`repro.serve.InferenceServer` with the NetLLM
-    VP adapter registered), the NetLLM predictions run through the serving
-    engine — the whole test set is submitted up front so the engine batches
-    compatible samples into single forwards.
+    :func:`evaluate_vp_served` evaluates the NetLLM predictions through the
+    serving engine instead.
     """
     results: Dict[str, Dict] = {}
     lr_pred = LinearRegressionPredictor(setting.prediction_steps)
@@ -118,9 +106,7 @@ def evaluate_vp_methods(setting: VPSetting, train_samples: Sequence, test_sample
         results["LR"] = evaluate_predictor(lr_pred, test_samples)
         results["Velocity"] = evaluate_predictor(velocity, test_samples)
         results["TRACK"] = evaluate_predictor(track, test_samples)
-    if server is not None:
-        results["NetLLM"] = evaluate_vp_served(server, test_samples)
-    elif netllm is not None:
+    if netllm is not None:
         with no_grad():
             results["NetLLM"] = evaluate_predictor(netllm, test_samples)
     return results
@@ -223,7 +209,11 @@ def evaluate_abr_netllm_served(server, adaptation: "ABRAdaptation", video, trace
     # No caller-side no_grad() needed: the engine's forwards self-wrap (and
     # the grad flag is thread-local, so a background serve thread manages its
     # own mode regardless of what this thread does).
-    sessions = driver.run(video, traces, config=sim_config, seed=seed)
+    return _abr_summary(driver.run(video, traces, config=sim_config, seed=seed))
+
+
+def _abr_summary(sessions: Sequence) -> Dict:
+    """Mean QoE, per-trace QoE and mean factor breakdown of streamed sessions."""
     breakdowns = [session.breakdown() for session in sessions]
     qoes = [session.qoe() for session in sessions]
     return {
@@ -260,21 +250,10 @@ def evaluate_abr_policies(policies: Dict[str, object], video, traces, sim_config
     """Stream every trace with every policy; report QoE stats and factor breakdowns."""
     results: Dict[str, Dict] = {}
     for name, policy in policies.items():
-        qoes: List[float] = []
-        breakdowns: List[Dict[str, float]] = []
         with no_grad():
-            for index, trace in enumerate(traces):
-                session = simulate_session(policy, video, trace, config=sim_config,
-                                           seed=seed + index)
-                qoes.append(session.qoe())
-                breakdowns.append(session.breakdown())
-        results[name] = {
-            "qoe": float(np.mean(qoes)),
-            "per_trace_qoe": qoes,
-            "bitrate": float(np.mean([b["bitrate"] for b in breakdowns])),
-            "rebuffering": float(np.mean([b["rebuffering"] for b in breakdowns])),
-            "bitrate_variation": float(np.mean([b["bitrate_variation"] for b in breakdowns])),
-        }
+            results[name] = _abr_summary([
+                simulate_session(policy, video, trace, config=sim_config, seed=seed + index)
+                for index, trace in enumerate(traces)])
     return results
 
 

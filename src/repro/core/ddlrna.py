@@ -12,10 +12,13 @@ This module implements both halves of the scheme:
   adapters set this up in their constructors, so the trainers here simply
   optimize ``adapter.trainable_parameters()``.
 
-The module also provides the deployment-side policy wrappers that drive the
-ABR simulator and CJS simulator with a trained :class:`DecisionAdapter`,
-including the return-conditioning bookkeeping used at inference time
-(specify a target return, subtract observed rewards as the episode unfolds).
+The module also holds the deployment side: :class:`ReturnConditionedPolicy`,
+the one return-conditioning rule used at inference time (aim at a target
+return, subtract the rewards as the episode unfolds, read the rolling
+window), and its two tasks, :class:`NetLLMABRPolicy` for the ABR simulator
+and :class:`NetLLMCJSScheduler` for the CJS simulator.  The window a policy
+prepares is the payload the serving runtimes take, so the served clients of
+:mod:`repro.serve.clients` are these policies with the engine answering.
 """
 
 from __future__ import annotations
@@ -26,7 +29,6 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..abr.env import normalize_observation, observe
-from ..abr.qoe import chunk_reward
 from ..abr.simulator import StreamingSession
 from ..cjs.env import (
     MAX_CANDIDATES,
@@ -174,21 +176,13 @@ def _collect_abr_rollouts(policies, video, traces, pool, sim_config, seed: int) 
             if hasattr(policy, "reset"):
                 policy.reset()
             states: List[np.ndarray] = []
-            actions: List[int] = []
-            rewards: List[float] = []
             while not session.finished:
-                observation = observe(session)
-                action = policy.select_bitrate(session)
-                previous = (video.bitrates_mbps[session.previous_bitrate_index]
-                            if session.previous_bitrate_index is not None
-                            else video.bitrates_mbps[action])
-                record = session.download_chunk(action)
-                reward = chunk_reward(record.bitrate_mbps, record.rebuffer_seconds, previous)
-                states.append(normalize_observation(observation.flatten()))
-                actions.append(action)
-                rewards.append(reward)
-            pool.add(Trajectory(states=np.stack(states), actions=np.asarray(actions),
-                                rewards=np.asarray(rewards), policy_name=name))
+                states.append(normalize_observation(observe(session).flatten()))
+                session.download_chunk(policy.select_bitrate(session))
+            result = session.result
+            pool.add(Trajectory(states=np.stack(states),
+                                actions=np.asarray([r.bitrate_index for r in result.records]),
+                                rewards=result.per_chunk_qoe(), policy_name=name))
 
 
 def collect_cjs_experience(policies: Dict[str, object], workloads, num_executors: int,
@@ -217,20 +211,22 @@ def collect_cjs_experience(policies: Dict[str, object], workloads, num_executors
 # ---------------------------------------------------------------------- #
 # Deployment-side policies driving the simulators with the adapted LLM
 # ---------------------------------------------------------------------- #
-class NetLLMABRPolicy:
-    """ABR policy wrapper around a trained :class:`DecisionAdapter`.
+class ReturnConditionedPolicy:
+    """The deployment half of return conditioning, shared by ABR and CJS.
 
-    At inference the policy conditions on a target return (a fraction above
-    the best return seen in the experience pool, following the
-    decision-transformer recipe), maintains the rolling context window of
-    (return-to-go, state, action) and emits one bitrate per chunk in a single
-    LLM inference.
+    The policy aims at a target return (``target_return_scale`` times the
+    best return in the experience pool, the decision-transformer recipe),
+    subtracts every reward as the episode earns it, and keeps the rolling
+    (return-to-go, state, action) window the adapter reads.  One decision is
+    :meth:`answer` of the window ``prepare`` builds, then :meth:`commit` of
+    the chosen action.  The window is the serving runtime's payload
+    (``serve/runtimes.py``), so a served client only changes :meth:`answer`.
     """
 
     name = "NetLLM"
 
     def __init__(self, adapter: DecisionAdapter, pool: ExperiencePool,
-                 target_return_scale: float = 1.1) -> None:
+                 target_return_scale: float) -> None:
         self.adapter = adapter
         self.return_scale = pool.return_scale
         self.target_return = pool.best_return * target_return_scale
@@ -241,114 +237,76 @@ class NetLLMABRPolicy:
         self._states: List[np.ndarray] = []
         self._actions: List[List[int]] = []
         self._remaining_return = self.target_return
-        self._last_chunk_seen = 0
+        self._rewards_seen = 0
 
-    def _context(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        window = self.adapter.context_window
-        returns = np.asarray(self._returns[-window:], dtype=np.float64)[:, None]
-        states = np.stack(self._states[-window:])
-        actions = np.asarray(self._actions[-window:], dtype=np.int64)
-        return returns / self.return_scale, states, actions
-
-    def prepare(self, session: StreamingSession) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Account rewards and build the context window for the next decision.
-
-        Split from :meth:`select_bitrate` so that a serving engine can batch
-        the ``adapter.act`` call across many concurrent sessions: call
-        :meth:`prepare`, run the (possibly batched) inference on the returned
-        context, then :meth:`commit` the chosen bitrate.
-        """
-        # Account the reward of the chunk downloaded since the previous call.
-        records = session.result.records
-        while self._last_chunk_seen < len(records):
-            record = records[self._last_chunk_seen]
-            previous = (records[self._last_chunk_seen - 1].bitrate_mbps
-                        if self._last_chunk_seen > 0 else record.bitrate_mbps)
-            reward = chunk_reward(record.bitrate_mbps, record.rebuffer_seconds, previous)
+    def _window(self, rewards: Sequence[float], observation: np.ndarray,
+                **extra: np.ndarray) -> Dict[str, np.ndarray]:
+        """Subtract ``rewards`` from the return to go, append the step (its
+        action a placeholder for the one about to be chosen) and return the
+        latest ``context_window`` steps with ``extra`` as the payload."""
+        for reward in rewards:
             self._remaining_return -= reward
-            self._last_chunk_seen += 1
-
-        observation = normalize_observation(observe(session).flatten())
+        self._rewards_seen += len(rewards)
         self._returns.append(self._remaining_return)
         self._states.append(observation)
-        self._actions.append([0])  # placeholder for the action about to be chosen
-        return self._context()
+        self._actions.append([0] * len(self.adapter.action_dims))
+        window = self.adapter.context_window
+        returns = np.asarray(self._returns[-window:], dtype=np.float64)[:, None]
+        return {"returns": returns / self.return_scale,
+                "states": np.stack(self._states[-window:]),
+                "actions": np.asarray(self._actions[-window:], dtype=np.int64),
+                **extra}
 
-    def commit(self, action: int) -> int:
-        """Record the action chosen for the context built by :meth:`prepare`."""
-        self._actions[-1] = [int(action)]
-        return int(action)
+    def answer(self, payload: Dict[str, np.ndarray]) -> Tuple[int, ...]:
+        """The greedy action for a window built by ``prepare``."""
+        return self.adapter.act(**payload)
+
+    def commit(self, action: Sequence[int]) -> Tuple[int, ...]:
+        """Record the action chosen for the latest window and return it."""
+        self._actions[-1] = [int(component) for component in action]
+        return tuple(self._actions[-1])
+
+
+class NetLLMABRPolicy(ReturnConditionedPolicy):
+    """ABR policy around a trained :class:`DecisionAdapter`: one bitrate per
+    chunk in a single LLM inference, each chunk's QoE the reward."""
+
+    def __init__(self, adapter: DecisionAdapter, pool: ExperiencePool,
+                 target_return_scale: float = 1.1) -> None:
+        super().__init__(adapter, pool, target_return_scale)
+
+    def prepare(self, session: StreamingSession) -> Dict[str, np.ndarray]:
+        """Subtract the QoE of the chunks downloaded since the last call and
+        return the window for the next chunk's decision."""
+        rewards = session.result.per_chunk_qoe()[self._rewards_seen:]
+        return self._window(rewards, normalize_observation(observe(session).flatten()))
 
     def select_bitrate(self, session: StreamingSession) -> int:
-        returns, states, actions = self.prepare(session)
-        (action,) = self.adapter.act(returns, states, actions)
-        return self.commit(action)
-
-    def act(self, observation) -> int:
-        """Observation-level interface used by the experience/rollout helpers."""
-        raise NotImplementedError("NetLLMABRPolicy drives sessions via select_bitrate")
+        return self.commit(self.answer(self.prepare(session)))[0]
 
 
-class NetLLMCJSScheduler:
-    """CJS scheduler wrapper around a trained :class:`DecisionAdapter`."""
-
-    name = "NetLLM"
+class NetLLMCJSScheduler(ReturnConditionedPolicy):
+    """CJS scheduler around a trained :class:`DecisionAdapter`: the reward is
+    Decima's cost, minus the active jobs times the time between decisions."""
 
     def __init__(self, adapter: DecisionAdapter, pool: ExperiencePool,
                  target_return_scale: float = 0.9) -> None:
-        self.adapter = adapter
-        self.return_scale = pool.return_scale
         # CJS returns are negative (cost); target slightly better than best seen.
-        self.target_return = pool.best_return * target_return_scale
-        self.reset()
+        super().__init__(adapter, pool, target_return_scale)
 
-    def reset(self) -> None:
-        self._returns: List[float] = []
-        self._states: List[np.ndarray] = []
-        self._actions: List[List[int]] = []
-        self._remaining_return = self.target_return
-        self._last_decision_time: Optional[float] = None
-        self._last_active_jobs = 0
-
-    def _context(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        window = self.adapter.context_window
-        returns = np.asarray(self._returns[-window:], dtype=np.float64)[:, None]
-        states = np.stack(self._states[-window:])
-        actions = np.asarray(self._actions[-window:], dtype=np.int64)
-        return returns / self.return_scale, states, actions
-
-    def prepare(self, context: SchedulingContext
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Account cost and build ``(returns, states, actions, valid_mask)``.
-
-        Split from :meth:`schedule` so a serving engine can batch the
-        ``adapter.act`` call; follow with :meth:`commit`.
-        """
-        # Account the cost accrued since the previous decision.
-        if self._last_decision_time is not None:
+    def prepare(self, context: SchedulingContext) -> Dict[str, np.ndarray]:
+        """Subtract the cost accrued since the previous decision and return
+        the window, with the mask of the candidates that exist."""
+        rewards = []
+        if self._states:
             elapsed = max(0.0, context.time - self._last_decision_time)
-            self._remaining_return -= -self._last_active_jobs * elapsed
+            rewards.append(-self._last_active_jobs * elapsed)
         self._last_decision_time = context.time
         self._last_active_jobs = len(context.active_jobs())
-
-        observation = encode_observation(context)
-        candidates = ordered_candidates(context)
         valid_mask = np.zeros(MAX_CANDIDATES)
-        valid_mask[:len(candidates)] = 1.0
-
-        self._returns.append(self._remaining_return)
-        self._states.append(observation)
-        self._actions.append([0, 0])
-        returns, states, actions = self._context()
-        return returns, states, actions, valid_mask
-
-    def commit(self, context: SchedulingContext, stage_index: int,
-               bucket: int) -> SchedulingDecision:
-        """Record the chosen action and translate it into a scheduling decision."""
-        self._actions[-1] = [int(stage_index), int(bucket)]
-        return decision_from_action(context, int(stage_index), int(bucket))
+        valid_mask[:len(ordered_candidates(context))] = 1.0
+        return self._window(rewards, encode_observation(context), valid_mask=valid_mask)
 
     def schedule(self, context: SchedulingContext) -> SchedulingDecision:
-        returns, states, actions, valid_mask = self.prepare(context)
-        stage_index, bucket = self.adapter.act(returns, states, actions, valid_mask=valid_mask)
-        return self.commit(context, stage_index, bucket)
+        stage_index, bucket = self.commit(self.answer(self.prepare(context)))
+        return decision_from_action(context, stage_index, bucket)

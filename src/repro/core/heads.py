@@ -14,6 +14,8 @@ features to the task's answer space, replacing the LM head entirely:
 
 Because the answer is produced by a single forward pass of the LLM plus one
 linear layer, generation latency is one inference instead of one per token.
+The heads only produce logits; the arg-max, with CJS's candidate mask, is
+taken in one place, :meth:`~repro.core.adapter.DecisionAdapter.act_batch`.
 """
 
 from __future__ import annotations
@@ -61,14 +63,10 @@ class ABRHead(Module):
         one-component tuple of per-component logits."""
         return (self.project.apply(features),)
 
-    def forward(self, features: Tensor) -> Tensor:
-        """``(..., d_model)`` -> ``(..., num_bitrates)`` logits."""
-        return self.project(features)
-
-    def select(self, features: Tensor) -> np.ndarray:
-        """Arg-max bitrate indices (guaranteed to lie in the valid ladder)."""
-        logits = self.forward(features)
-        return np.argmax(logits.data, axis=-1)
+    def forward(self, features: Tensor) -> Tuple[Tensor]:
+        """``(..., d_model)`` -> the one-component tuple of
+        ``(..., num_bitrates)`` logits."""
+        return (self.project(features),)
 
 
 class CJSHead(Module):
@@ -91,12 +89,3 @@ class CJSHead(Module):
     def forward(self, features: Tensor) -> Tuple[Tensor, Tensor]:
         """``(..., d_model)`` -> (stage logits, parallelism logits)."""
         return self.stage_project(features), self.parallelism_project(features)
-
-    def select(self, features: Tensor, valid_mask: Optional[np.ndarray] = None
-               ) -> Tuple[np.ndarray, np.ndarray]:
-        """Arg-max (stage index, parallelism bucket), masking invalid candidates."""
-        stage_logits, parallelism_logits = self.forward(features)
-        stage_scores = stage_logits.data.copy()
-        if valid_mask is not None:
-            stage_scores = np.where(valid_mask > 0, stage_scores, -1e9)
-        return np.argmax(stage_scores, axis=-1), np.argmax(parallelism_logits.data, axis=-1)

@@ -17,7 +17,7 @@ from .generation import (
     profile_generation,
     sample_token,
 )
-from .registry import build_llm, clear_cache, load_llm
+from .registry import build_llm
 
 __all__ = [
     "DEFAULT_CONFIGS", "LLMConfig", "available_configs", "get_config",
@@ -26,5 +26,5 @@ __all__ = [
     "PretrainResult", "build_corpus", "pretrain",
     "GenerationProfile", "GenerationResult", "generate", "profile_generation",
     "sample_token",
-    "build_llm", "clear_cache", "load_llm",
+    "build_llm",
 ]

@@ -28,7 +28,6 @@ class LLMConfig:
     d_model: int
     num_layers: int
     num_heads: int
-    vocab_size: int = 96
     max_seq_len: int = 192
     d_hidden: Optional[int] = None
     multimodal: bool = False

@@ -1,20 +1,15 @@
 """Registry that builds (and optionally pre-trains) named LLM substitutes.
 
-Benchmarks and examples obtain models through :func:`load_llm` so that a
-single cache avoids repeating the synthetic pre-training step for every
-experiment in a process.
+:func:`build_llm` is the one constructor: every call returns a fresh model,
+so an experiment that fine-tunes it shares it with nothing else.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Tuple
-
-from .config import LLMConfig, get_config
+from .config import get_config
 from .model import LanguageModel
-from .pretrain import PretrainResult, pretrain
+from .pretrain import pretrain
 from .tokenizer import CharTokenizer
-
-_CACHE: Dict[Tuple[str, int, bool, int], LanguageModel] = {}
 
 
 def build_llm(name: str = "llama2-7b-sim", lora_rank: int = 0, pretrained: bool = True,
@@ -31,24 +26,3 @@ def build_llm(name: str = "llama2-7b-sim", lora_rank: int = 0, pretrained: bool 
         pretrain(model, steps=pretrain_steps, seed=seed)
     return model
 
-
-def load_llm(name: str = "llama2-7b-sim", lora_rank: int = 0, pretrained: bool = True,
-             pretrain_steps: int = 60, seed: int = 0, use_cache: bool = True) -> LanguageModel:
-    """Return a cached LLM substitute, building it on first use.
-
-    Note: callers that fine-tune the returned model share the cached instance;
-    pass ``use_cache=False`` for an isolated copy (the adaptation APIs in
-    :mod:`repro.core.api` do this).
-    """
-    key = (name, lora_rank, pretrained, seed)
-    if use_cache and key in _CACHE:
-        return _CACHE[key]
-    model = build_llm(name, lora_rank=lora_rank, pretrained=pretrained,
-                      pretrain_steps=pretrain_steps, seed=seed)
-    if use_cache:
-        _CACHE[key] = model
-    return model
-
-
-def clear_cache() -> None:
-    _CACHE.clear()

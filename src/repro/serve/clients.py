@@ -1,20 +1,21 @@
 """Task-side clients that drive the three NetLLM adapters through the engine.
 
-These wrappers turn the synchronous per-step adapter calls of the deployment
+These clients turn the synchronous per-step adapter calls of the deployment
 policies into typed :class:`~repro.serve.requests.DecisionRequest`
 submissions so that concurrent sessions share batched forwards:
 
 * :func:`serve_vp_predictions` — submit a whole VP test set at once; the
   engine groups compatible samples into one ``predict_batch`` forward.
 * :class:`LockstepABRDriver` — streams many ABR sessions in lockstep: each
-  round every unfinished session submits its bitrate decision, the engine
-  answers them in one batched ``act_batch`` forward, then every session
-  downloads its chunk.
-* :class:`ServedABRPolicy` / :class:`ServedCJSScheduler` — drop-in policy /
-  scheduler objects whose per-step decision goes through the engine, for use
-  inside the unmodified simulators (each call batches with whatever other
-  traffic is pending, e.g. when several simulator threads share a started
-  server).
+  round every unfinished session submits the window its policy prepared,
+  the engine answers them in one batched ``act_batch`` forward, then every
+  session commits the action and downloads its chunk.
+* :class:`ServedABRPolicy` / :class:`ServedCJSScheduler` — the deployment
+  policies of :mod:`repro.core.ddlrna` with the engine answering: the window
+  a policy prepares is the runtime's payload as it stands, so the only
+  thing a served client changes is ``answer``.  For use inside the
+  unmodified simulators (each call batches with whatever other traffic is
+  pending, e.g. when several simulator threads share a started server).
 """
 
 from __future__ import annotations
@@ -27,6 +28,18 @@ from ..abr.simulator import StreamingSession
 from ..core.ddlrna import NetLLMABRPolicy, NetLLMCJSScheduler
 from .engine import InferenceServer
 from .requests import DecisionRequest
+
+
+class _EngineAnswered:
+    """Mixin for a :class:`~repro.core.ddlrna.ReturnConditionedPolicy`:
+    the window is answered by the engine's ``task`` runtime."""
+
+    name = "NetLLM-served"
+    task = ""
+
+    def answer(self, payload):
+        return self.server.submit(
+            DecisionRequest(task=self.task, payload=payload)).result().value
 
 
 # ---------------------------------------------------------------------- #
@@ -59,29 +72,22 @@ class ServedVPPredictor:
 # ---------------------------------------------------------------------- #
 # Adaptive bitrate streaming
 # ---------------------------------------------------------------------- #
-class ServedABRPolicy(NetLLMABRPolicy):
+class ServedABRPolicy(_EngineAnswered, NetLLMABRPolicy):
     """ABR policy whose per-chunk decision is answered by the engine."""
 
-    name = "NetLLM-served"
+    task = "abr"
 
     def __init__(self, server: InferenceServer, adapter, pool,
                  target_return_scale: float = 1.1) -> None:
         super().__init__(adapter, pool, target_return_scale=target_return_scale)
         self.server = server
 
-    def select_bitrate(self, session: StreamingSession) -> int:
-        returns, states, actions = self.prepare(session)
-        payload = {"returns": returns, "states": states, "actions": actions}
-        result = self.server.submit(
-            DecisionRequest(task="abr", payload=payload)).result()
-        return self.commit(result.bitrate)
-
 
 class LockstepABRDriver:
     """Stream many ABR sessions concurrently with batched decisions.
 
-    Each round, every unfinished session prepares its context and submits one
-    ``abr`` request; the engine groups same-window contexts into a single
+    Each round, every unfinished session prepares its window and submits it
+    as one ``abr`` request; the engine answers every window in a single
     batched adapter forward; every session then commits its action and
     downloads the chunk.  Per-session QoE matches driving each session alone
     (the batched forward is the same computation).
@@ -103,18 +109,14 @@ class LockstepABRDriver:
                     for _ in sessions]
         active = list(range(len(sessions)))
         while active:
-            submissions = []
-            for index in active:
-                returns, states, actions = policies[index].prepare(sessions[index])
-                payload = {"returns": returns, "states": states, "actions": actions}
-                submissions.append((index, self.server.submit(
-                    DecisionRequest(task="abr", payload=payload))))
+            submissions = [(index, self.server.submit(DecisionRequest(
+                task="abr", payload=policies[index].prepare(sessions[index]))))
+                for index in active]
             if not self.server.is_serving:
                 self.server.run_until_idle()
             still_active = []
             for index, handle in submissions:
-                bitrate = handle.result().bitrate
-                policies[index].commit(bitrate)
+                (bitrate,) = policies[index].commit(handle.result().action)
                 sessions[index].download_chunk(bitrate)
                 if not sessions[index].finished:
                     still_active.append(index)
@@ -125,20 +127,12 @@ class LockstepABRDriver:
 # ---------------------------------------------------------------------- #
 # Cluster job scheduling
 # ---------------------------------------------------------------------- #
-class ServedCJSScheduler(NetLLMCJSScheduler):
+class ServedCJSScheduler(_EngineAnswered, NetLLMCJSScheduler):
     """CJS scheduler whose per-event decision is answered by the engine."""
 
-    name = "NetLLM-served"
+    task = "cjs"
 
     def __init__(self, server: InferenceServer, adapter, pool,
                  target_return_scale: float = 0.9) -> None:
         super().__init__(adapter, pool, target_return_scale=target_return_scale)
         self.server = server
-
-    def schedule(self, context):
-        returns, states, actions, valid_mask = self.prepare(context)
-        payload = {"returns": returns, "states": states, "actions": actions,
-                   "valid_mask": valid_mask}
-        result = self.server.submit(
-            DecisionRequest(task="cjs", payload=payload)).result()
-        return self.commit(context, result.stage_index, result.bucket)

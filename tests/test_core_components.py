@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     ABRHead,
-    CJSHead,
     DecisionAdapter,
     DecisionBatch,
     DiscreteEncoder,
@@ -21,7 +20,7 @@ from repro.core import (
     VPHead,
     tokens_to_sequence,
 )
-from repro.nn import Tensor
+from repro.nn import Tensor, no_grad
 from repro.vp import VPSample
 
 
@@ -78,28 +77,40 @@ class TestHeads:
         out = head(Tensor(np.random.default_rng(0).normal(size=(3, 16))))
         assert out.shape == (3, 5, 3)
 
-    def test_abr_head_always_valid(self):
-        head = ABRHead(d_model=16, num_bitrates=6)
-        features = Tensor(np.random.default_rng(1).normal(size=(10, 16)))
-        choices = head.select(features)
-        assert choices.shape == (10,)
-        assert np.all((choices >= 0) & (choices < 6))
+    @staticmethod
+    def _random_windows(rows, window, state_dim, action_dims, seed):
+        rng = np.random.default_rng(seed)
+        returns = [rng.normal(size=(window, 1)) for _ in range(rows)]
+        states = [rng.normal(size=(window, state_dim)) for _ in range(rows)]
+        actions = [np.stack([rng.integers(0, dim, size=window) for dim in action_dims],
+                            axis=1) for _ in range(rows)]
+        return returns, states, actions
 
-    def test_cjs_head_masking(self):
-        head = CJSHead(d_model=16, max_candidates=8, num_parallelism_buckets=4)
-        features = Tensor(np.random.default_rng(2).normal(size=(5, 16)))
+    def test_abr_head_always_valid(self, tiny_llm):
+        """The answer rule (``act_batch``'s arg-max) picks a real bitrate."""
+        adapter = DecisionAdapter(tiny_llm, state_dim=5, action_dims=(6,), context_window=3,
+                                  head="abr", seed=1)
+        answers = adapter.act_batch(*self._random_windows(10, 3, 5, (6,), seed=1))
+        assert len(answers) == 10
+        assert all(len(answer) == 1 and 0 <= answer[0] < 6 for answer in answers)
+
+    def test_cjs_head_masking(self, tiny_llm):
+        adapter = DecisionAdapter(tiny_llm, state_dim=5, action_dims=(8, 4), context_window=3,
+                                  head="cjs", seed=2)
         mask = np.zeros(8)
         mask[:3] = 1.0
-        stages, buckets = head.select(features, valid_mask=mask)
-        assert np.all(stages < 3)
-        assert np.all((buckets >= 0) & (buckets < 4))
+        answers = adapter.act_batch(*self._random_windows(5, 3, 5, (8, 4), seed=2),
+                                    valid_masks=[mask] * 5)
+        assert all(stage < 3 and 0 <= bucket < 4 for stage, bucket in answers)
 
     def test_single_inference_answer_generation(self, tiny_llm):
         """The networking head produces an answer from ONE LLM forward pass."""
         head = ABRHead(d_model=tiny_llm.d_model, num_bitrates=6)
-        embeddings = Tensor(np.random.default_rng(0).normal(size=(1, 4, tiny_llm.d_model)))
-        features = tiny_llm.forward_embeddings(embeddings)
-        choice = head.select(features[:, -1, :])
+        embeddings = np.random.default_rng(0).normal(size=(4, tiny_llm.d_model))
+        with no_grad():
+            features = tiny_llm.last_position_features(embeddings, [len(embeddings)])
+        (logits,) = head.apply(features)
+        choice = np.argmax(logits, axis=-1)
         assert choice.shape == (1,)
         assert 0 <= int(choice[0]) < 6
 

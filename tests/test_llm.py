@@ -327,13 +327,3 @@ class TestRegistry:
     def test_build_llm_without_pretraining(self):
         model = build_llm("tiny-test", pretrained=False, seed=7)
         assert isinstance(model, LanguageModel)
-
-    def test_cache_returns_same_instance(self):
-        from repro.llm import clear_cache, load_llm
-
-        clear_cache()
-        a = load_llm("tiny-test", pretrain_steps=5, seed=11)
-        b = load_llm("tiny-test", pretrain_steps=5, seed=11)
-        assert a is b
-        c = load_llm("tiny-test", pretrain_steps=5, seed=11, use_cache=False)
-        assert c is not a
